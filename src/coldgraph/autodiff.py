@@ -1,10 +1,14 @@
-"""Tape-based reverse-mode differentiation over dense float64 arrays.
+"""Tape-based reverse-mode differentiation over float64 tensors.
 
-Tensors are 0-d scalars, 1-d vectors or 2-d matrices; shapes are always
-explicit and nothing broadcasts except multiplication by a python float
-(``scale``).  Every operation records its backward rule onto the innermost
-active :class:`Tape` whenever at least one input is differentiable, so a
-forward pass run outside of any tape is plain numpy with zero overhead.
+Tensors are dense 0-d scalars, 1-d vectors or 2-d matrices; shapes are
+always explicit and nothing broadcasts except multiplication by a python
+float (``scale``).  The one sparse operand is the constant operator of
+:func:`spmm` (a :class:`coldgraph.sparse.SparseOperator`), which is never
+differentiated.  Every operation records its backward rule onto the
+innermost active :class:`Tape` whenever at least one input is
+differentiable, so a forward pass run outside of any tape is plain numpy
+with zero overhead.  The two-operand products (``matmul``, ``mul``,
+``scale_rows``) skip the gradient of an operand that does not require one.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = [
     "mean_rows",
     "max_rows",
     "matmul",
+    "spmm",
     "add",
     "sub",
     "mul",
@@ -42,6 +47,7 @@ __all__ = [
     "sigmoid",
     "relu",
     "log",
+    "log_sigmoid",
     "cosine_similarity",
     "sum_squares",
 ]
@@ -195,7 +201,7 @@ def _check_2d(t: Tensor, op: str) -> None:
 def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     """Select rows ``indices`` from a matrix; gradient scatter-adds back."""
     _check_2d(table, "gather_rows")
-    idx = np.asarray(list(indices), dtype=np.intp)
+    idx = np.asarray(indices, dtype=np.intp)
     n = table.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"gather index out of range for table with {n} rows")
@@ -262,14 +268,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         if a.ndim == 2 and b.ndim == 2:
-            return (g @ b.data.T, a.data.T @ g)
-        if a.ndim == 1 and b.ndim == 2:
-            return (b.data @ g, np.outer(a.data, g))
-        if a.ndim == 2 and b.ndim == 1:
-            return (np.outer(g, b.data), a.data.T @ g)
-        return (g * b.data, g * a.data)
+            ga, gb = (lambda: g @ b.data.T), (lambda: a.data.T @ g)
+        elif a.ndim == 1 and b.ndim == 2:
+            ga, gb = (lambda: b.data @ g), (lambda: np.outer(a.data, g))
+        elif a.ndim == 2 and b.ndim == 1:
+            ga, gb = (lambda: np.outer(g, b.data)), (lambda: a.data.T @ g)
+        else:
+            ga, gb = (lambda: g * b.data), (lambda: g * a.data)
+        return (ga() if a.requires_grad else None, gb() if b.requires_grad else None)
 
     return _emit(a.data @ b.data, (a, b), vjp)
+
+
+def spmm(op, h: Tensor) -> Tensor:
+    """Product ``op @ h`` of a constant sparse operator and a matrix.
+
+    ``op`` is a :class:`coldgraph.sparse.SparseOperator`; it gets no
+    gradient, and the gradient of ``h`` is ``op.T @ g``.  One tape record
+    per call, however many degree buckets the operator holds.
+    """
+    _check_2d(h, "spmm")
+    if op.shape[1] != h.shape[0]:
+        raise ValueError(f"spmm shape mismatch: {op.shape} @ {h.shape}")
+    return _emit(op.dot(h.data), (h,), lambda g: (op.T.dot(g),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -288,7 +309,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of equally shaped tensors."""
     if a.shape != b.shape:
         raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    return _emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+
+    def vjp(g):
+        return (
+            g * b.data if a.requires_grad else None,
+            g * a.data if b.requires_grad else None,
+        )
+
+    return _emit(a.data * b.data, (a, b), vjp)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -304,7 +332,10 @@ def scale_rows(mat: Tensor, weights: Tensor) -> Tensor:
         raise ValueError(f"scale_rows shape mismatch: {mat.shape} vs {weights.shape}")
 
     def vjp(g):
-        return (g * weights.data[:, None], (g * mat.data).sum(axis=1))
+        return (
+            g * weights.data[:, None] if mat.requires_grad else None,
+            (g * mat.data).sum(axis=1) if weights.requires_grad else None,
+        )
 
     return _emit(mat.data * weights.data[:, None], (mat, weights), vjp)
 
@@ -398,13 +429,17 @@ def softmax(a: Tensor) -> Tensor:
     return _emit(s, (a,), vjp)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     s = np.empty_like(x)
     pos = x >= 0
     s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     s[~pos] = ex / (1.0 + ex)
+    return s
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    s = _sigmoid(a.data)
 
     def vjp(g):
         return (g * s * (1.0 - s),)
@@ -429,6 +464,20 @@ def log(a: Tensor) -> Tensor:
         return (g / a.data,)
 
     return _emit(np.log(a.data), (a,), vjp)
+
+
+def log_sigmoid(a: Tensor) -> Tensor:
+    """``log(sigmoid(a))`` in the softplus form ``-log(1 + exp(-a))``.
+
+    Finite for every finite input, where ``log(sigmoid(a))`` underflows to
+    ``log(0)`` once ``a`` is very negative.
+    """
+    x = a.data
+
+    def vjp(g):
+        return (g * _sigmoid(-x),)
+
+    return _emit(-np.logaddexp(0.0, -x), (a,), vjp)
 
 
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
@@ -459,6 +508,7 @@ _OPS: dict[str, Callable] = {
     "mean_rows": mean_rows,
     "max_rows": max_rows,
     "matmul": matmul,
+    "spmm": spmm,
     "add": add,
     "sub": sub,
     "mul": mul,
@@ -475,6 +525,7 @@ _OPS: dict[str, Callable] = {
     "sigmoid": sigmoid,
     "relu": relu,
     "log": log,
+    "log_sigmoid": log_sigmoid,
     "cosine_similarity": cosine_similarity,
     "sum_squares": sum_squares,
 }

@@ -231,14 +231,12 @@ def cmd_train(config: TrainConfig, out: Path) -> int:
     history_file = out / f"history{label}.csv"
     history_file.write_text(history.to_csv(), encoding="utf-8")
     masked = ",".join(str(e.masked_edges) for e in history.epochs)
-    reads = ",".join(str(e.neighbor_reads) for e in history.epochs)
     phases = ",".join(e.phase for e in history.epochs)
     (out / "run_meta.txt").write_text(
         f"label={label}\n"
         f"history_file={history_file.name}\n"
         f"total_edges={graph.num_edges()}\n"
         f"masked_edges={masked}\n"
-        f"neighbor_reads={reads}\n"
         f"phases={phases}\n",
         encoding="utf-8",
     )

@@ -10,9 +10,12 @@ per-layer weight and a relu.
 Propagation runs in two modes that compute the same recursion:
 
 * episode mode walks a sampled neighborhood tree bottom-up (the masked,
-  cold-start simulation), vectorized as one matrix iteration per tree;
+  cold-start simulation), vectorized as one dense matrix iteration per tree;
 * full mode iterates all nodes of a relation at once over the complete
-  adjacency (used for the main ranking loss, teachers and evaluation).
+  adjacency (used for the main ranking loss, teachers and evaluation).  The
+  neighbor mean D^-1 A h is one :func:`autodiff.spmm` per relation
+  direction and step, over the constant sparse operators of
+  :class:`GraphTensors`.
 
 When an embedding-enhancer meta vector is supplied, the self path of the
 propagation target is replaced by a learned projection of
@@ -36,6 +39,7 @@ from .graph import (
     NodeId,
     RelationSample,
 )
+from .sparse import SparseOperator, neighbor_mean
 
 CONV_VARIANTS = ("light", "gcn")
 
@@ -394,32 +398,109 @@ def embed_from_episode(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _FusionPlan:
+    """Static row grouping of one node kind's channel fusion.
+
+    ``patterns`` pairs each channel-presence pattern (channels in fusion
+    order) with the ascending rows that have it, in sorted pattern order;
+    ``inverse`` maps each row to its position in the concatenated groups.
+    """
+
+    patterns: tuple[tuple[tuple[str, ...], np.ndarray], ...]
+    inverse: np.ndarray
+
+
+def _fusion_plan(order: Sequence[str], masks: Sequence[np.ndarray]) -> _FusionPlan:
+    present = np.stack(masks, axis=1)
+    uniq, which = np.unique(present, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    patterns = sorted(
+        (tuple(c for c, p in zip(order, row) if p), np.flatnonzero(which == j))
+        for j, row in enumerate(uniq)
+    )
+    inverse = np.empty(present.shape[0], dtype=np.intp)
+    if patterns:
+        inverse[np.concatenate([rows for _, rows in patterns])] = np.arange(present.shape[0])
+    return _FusionPlan(tuple(patterns), inverse)
+
+
+@dataclass(frozen=True)
+class _MemberPlan:
+    """Static grouping of groups by member count for member aggregation.
+
+    ``buckets`` pairs each member count m with the member user rows of all
+    groups of that size, m consecutive rows per group (groups ascending,
+    members ascending); memberless groups come after every bucket, and
+    ``inverse`` maps each group to its row in that stacking.
+    """
+
+    buckets: tuple[tuple[int, np.ndarray], ...]
+    isolated: int
+    inverse: np.ndarray
+
+
+def _member_plan(gu_group: SparseOperator) -> _MemberPlan:
+    rows, users, _ = gu_group.entries()
+    n_g = gu_group.shape[0]
+    order = np.lexsort((users, rows))
+    rows, users = rows[order], users[order]
+    size = np.bincount(rows, minlength=n_g)
+    start = np.cumsum(size) - size
+    buckets = []
+    group_order = []
+    for m in np.unique(size[size > 0]):
+        groups = np.flatnonzero(size == m)
+        flat = users[(start[groups, None] + np.arange(m)).reshape(-1)]
+        buckets.append((int(m), flat))
+        group_order.append(groups)
+    isolated = np.flatnonzero(size == 0)
+    group_order.append(isolated)
+    inverse = np.empty(n_g, dtype=np.intp)
+    inverse[np.concatenate(group_order)] = np.arange(n_g)
+    return _MemberPlan(tuple(buckets), int(isolated.size), inverse)
+
+
 class GraphTensors:
-    """Dense normalized-adjacency operators for every relation direction."""
+    """Constant full-graph structure of one interaction graph.
+
+    ``norm[(rel, kind)]`` is the row-normalized adjacency D^-1 A from
+    ``kind``'s side of relation ``rel``, a :class:`SparseOperator` of shape
+    (n_kind, n_other); the two directions of UU and GG are one shared
+    object.  ``mask[(rel, kind)]`` marks the rows with at least one
+    neighbor.  The fusion and member-aggregate row groupings, which depend
+    only on these masks and on the group-user edges, are built here once
+    instead of at every forward pass.
+    """
 
     def __init__(self, graph: InteractionGraph):
-        self.graph = graph
         self.counts = dict(graph.counts)
-        self.norm: dict[tuple[str, str], np.ndarray] = {}
+        self.norm: dict[tuple[str, str], SparseOperator] = {}
         self.mask: dict[tuple[str, str], np.ndarray] = {}
         for rel, (ka, kb) in RELATION_KINDS.items():
-            na, nb = graph.counts[ka], graph.counts[kb]
-            a = np.zeros((na, nb))
-            for x, y in graph.edges[rel]:
-                a[x, y] = 1.0
-                if ka == kb:
-                    a[y, x] = 1.0
-            for kind, mat in ((ka, a), (kb, a.T)):
-                deg = mat.sum(axis=1)
-                mask = deg > 0
-                norm = np.zeros_like(mat)
-                norm[mask] = mat[mask] / deg[mask, None]
-                self.norm[(rel, kind)] = norm
-                self.mask[(rel, kind)] = mask
-                if ka == kb:
-                    self.norm[(rel, kb)] = norm
-                    self.mask[(rel, kb)] = mask
-                    break
+            edges = np.asarray(graph.edges[rel], dtype=np.intp).reshape(-1, 2)
+            a, b = edges[:, 0], edges[:, 1]
+            if ka == kb:
+                n = self.counts[ka]
+                op = neighbor_mean(np.concatenate([a, b]), np.concatenate([b, a]), (n, n))
+                sides = ((ka, op), (kb, op))
+            else:
+                sides = (
+                    (ka, neighbor_mean(a, b, (self.counts[ka], self.counts[kb]))),
+                    (kb, neighbor_mean(b, a, (self.counts[kb], self.counts[ka]))),
+                )
+            for kind, op in sides:
+                self.norm[(rel, kind)] = op
+                self.mask[(rel, kind)] = op.row_mask
+        self.member_plan = _member_plan(self.norm[("GU", "group")])
+        # a group has the member-aggregate channel iff it has a GU neighbor
+        self.fusion_plan = {
+            kind: _fusion_plan(
+                channels,
+                [self.mask[("GU" if c == "GU_AGG" else c, kind)] for c in channels],
+            )
+            for kind, channels in CHANNELS_BY_KIND.items()
+        }
 
 
 def _relation_steps(
@@ -453,9 +534,9 @@ def _relation_steps(
     if ka == kb:
         h = params.table(ka)
         out = {ka: [h]}
-        op = ad.const(gtens.norm[(rel, ka)])
+        op = gtens.norm[(rel, ka)]
         for layer in range(1, L + 1):
-            neigh = ad.matmul(op, h)
+            neigh = ad.spmm(op, h)
             w = params.conv_w[layer - 1] if params.variant == "gcn" else None
             h = _conv_matrix(params.variant, adjust(ka, h), neigh, w)
             out[ka].append(h)
@@ -463,11 +544,11 @@ def _relation_steps(
 
     ha, hb = params.table(ka), params.table(kb)
     out = {ka: [ha], kb: [hb]}
-    op_a = ad.const(gtens.norm[(rel, ka)])
-    op_b = ad.const(gtens.norm[(rel, kb)])
+    op_a = gtens.norm[(rel, ka)]
+    op_b = gtens.norm[(rel, kb)]
     for layer in range(1, L + 1):
-        neigh_a = ad.matmul(op_a, hb)
-        neigh_b = ad.matmul(op_b, ha)
+        neigh_a = ad.spmm(op_a, hb)
+        neigh_b = ad.spmm(op_b, ha)
         w = params.conv_w[layer - 1] if params.variant == "gcn" else None
         ha, hb = (
             _conv_matrix(params.variant, adjust(ka, ha), neigh_a, w),
@@ -480,76 +561,53 @@ def _relation_steps(
 
 def _member_aggregate_matrix(
     gtens: GraphTensors, h_user_gu: Tensor, params: ModelParams
-) -> tuple[Tensor | None, np.ndarray]:
+) -> Tensor | None:
     """Per-group member-aggregate channel from the group-user relation.
 
     Groups with equal member counts share one vectorized attention pooling;
     the math per group is exactly :func:`aggregate_members` with the learned
-    score vector.
+    score vector.  None when no group has members.
     """
-    n_g = gtens.counts["group"]
-    members = [gtens.graph.neighbors("GU", "group", g) for g in range(n_g)]
-    by_size: dict[int, list[int]] = {}
-    for g, lst in enumerate(members):
-        if lst:
-            by_size.setdefault(len(lst), []).append(g)
-    if not by_size:
-        return None, np.zeros(n_g, dtype=bool)
+    plan = gtens.member_plan
+    if not plan.buckets:
+        return None
     pieces: list[Tensor] = []
-    order: list[int] = []
-    for m in sorted(by_size):
-        groups = by_size[m]
-        flat = [u for g in groups for u in members[g]]
+    for m, flat in plan.buckets:
         rows = ad.gather_rows(h_user_gu, flat)
         if m == 1:
             pooled = rows
         else:
             logits = ad.matmul(rows, params.member_score)
-            attn = ad.reshape(ad.softmax(ad.reshape(logits, (len(groups), m))), (len(flat),))
+            attn = ad.reshape(ad.softmax(ad.reshape(logits, (len(flat) // m, m))), (len(flat),))
             pooled = ad.sum_consecutive(ad.scale_rows(rows, attn), m)
         pieces.append(pooled)
-        order.extend(groups)
-    isolated = [g for g, lst in enumerate(members) if not lst]
-    if isolated:
-        pieces.append(ad.const(np.zeros((len(isolated), h_user_gu.shape[1]))))
-        order.extend(isolated)
+    if plan.isolated:
+        pieces.append(ad.const(np.zeros((plan.isolated, h_user_gu.shape[1]))))
     stacked = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
-    inverse = np.empty(n_g, dtype=int)
-    inverse[np.array(order)] = np.arange(n_g)
-    mask = np.array([bool(lst) for lst in members])
-    return ad.gather_rows(stacked, inverse.tolist()), mask
+    return ad.gather_rows(stacked, plan.inverse)
 
 
 def fuse_matrix(
-    order: Sequence[str],
+    plan: _FusionPlan,
     channel_mats: Mapping[str, Tensor],
-    masks: Mapping[str, np.ndarray],
     weight_params: Mapping[str, Tensor],
     e0: Tensor,
     collect_weights: bool = False,
 ):
     """Row-wise soft-attention fusion with exact per-node channel presence.
 
-    Nodes sharing a presence pattern are fused together; nodes with no
-    channel at all keep their initial embedding.
+    Nodes sharing a presence pattern (``plan``, from :class:`GraphTensors`)
+    are fused together; nodes with no channel at all keep their initial
+    embedding.
     """
-    n, _ = e0.shape
-    patterns: dict[tuple[str, ...], list[int]] = {}
-    for i in range(n):
-        present = tuple(c for c in order if c in channel_mats and masks[c][i])
-        patterns.setdefault(present, []).append(i)
-
+    n = e0.shape[0]
     pieces: list[Tensor] = []
-    row_order: list[int] = []
     weights_out: list[dict[str, float]] | None = [None] * n if collect_weights else None
-    for present in sorted(patterns):
-        idxs = patterns[present]
+    for present, idxs in plan.patterns:
         if not present:
             sub = ad.gather_rows(e0, idxs)
-            per_row = [{} for _ in idxs]
         elif len(present) == 1:
             sub = ad.gather_rows(channel_mats[present[0]], idxs)
-            per_row = [{present[0]: 1.0} for _ in idxs]
         else:
             subs = {c: ad.gather_rows(channel_mats[c], idxs) for c in present}
             logit_rows = [ad.row_sums(ad.matmul(subs[c], weight_params[c])) for c in present]
@@ -561,19 +619,13 @@ def fuse_matrix(
                 col = ad.matmul(attn, ad.const(unit))
                 piece = ad.scale_rows(subs[c], col)
                 sub = piece if sub is None else ad.add(sub, piece)
-            per_row = [
-                {c: float(attn.data[r, j]) for j, c in enumerate(present)}
-                for r in range(len(idxs))
-            ]
         pieces.append(sub)
-        row_order.extend(idxs)
         if collect_weights:
-            for i, row in zip(idxs, per_row):
-                weights_out[i] = row
+            probs = attn.data if len(present) > 1 else np.ones((len(idxs), len(present)))
+            for r, i in enumerate(idxs):
+                weights_out[i] = {c: float(probs[r, j]) for j, c in enumerate(present)}
     stacked = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
-    inverse = np.empty(n, dtype=int)
-    inverse[np.array(row_order)] = np.arange(n)
-    return ad.gather_rows(stacked, inverse.tolist()), weights_out
+    return ad.gather_rows(stacked, plan.inverse), weights_out
 
 
 @dataclass
@@ -613,18 +665,9 @@ def full_embeddings(
         ui_item = _relation_steps(gtens, "UI", params, {"item": metas.get(("item", "UI"))})
 
     L = params.layers
-    masks = {
-        "group": {
-            "GI": gtens.mask[("GI", "group")],
-            "GU": gtens.mask[("GU", "group")],
-            "GG": gtens.mask[("GG", "group")],
-        },
-        "user": {"UI": gtens.mask[("UI", "user")], "UU": gtens.mask[("UU", "user")]},
-        "item": {"UI": gtens.mask[("UI", "item")]},
-    }
 
     def fuse_all(step: int, collect: bool):
-        gu_agg, gu_agg_mask = _member_aggregate_matrix(gtens, gu["user"][step], params)
+        gu_agg = _member_aggregate_matrix(gtens, gu["user"][step], params)
         mats = {
             "group": {
                 "GI": gi["group"][step],
@@ -636,14 +679,12 @@ def full_embeddings(
         }
         if gu_agg is not None:
             mats["group"]["GU_AGG"] = gu_agg
-        masks["group"]["GU_AGG"] = gu_agg_mask
         fused = {}
         weights = {}
         for kind in KINDS:
             fused[kind], weights[kind] = fuse_matrix(
-                CHANNELS_BY_KIND[kind],
+                gtens.fusion_plan[kind],
                 mats[kind],
-                masks[kind],
                 params.fusion,
                 params.table(kind),
                 collect_weights=collect,

@@ -238,7 +238,6 @@ class EpochStats:
     recall: float | None = None
     ndcg: float | None = None
     masked_edges: int = 0
-    neighbor_reads: int = 0
     phase: str = "joint"
 
 
@@ -437,7 +436,7 @@ def sample_negative(
 def _bpr_term(anchor_rows: Tensor, pos_rows: Tensor, neg_rows: Tensor) -> Tensor:
     pos_scores = ad.row_sums(ad.mul(anchor_rows, pos_rows))
     neg_scores = ad.row_sums(ad.mul(anchor_rows, neg_rows))
-    return ad.negate(ad.mean_rows(ad.log(ad.sigmoid(ad.sub(pos_scores, neg_scores)))))
+    return ad.negate(ad.mean_rows(ad.log_sigmoid(ad.sub(pos_scores, neg_scores))))
 
 
 def _reg_term(tensors: Sequence[Tensor], lam2: float) -> Tensor:
@@ -486,7 +485,11 @@ def _run_epochs(
     out_dir: Path | None,
     eval_fn=None,
 ) -> None:
-    """The shared mini-batch descent loop for every paradigm/phase."""
+    """The shared mini-batch descent loop for every paradigm/phase.
+
+    A non-finite loss, gradient or parameter raises :class:`_Diverged`
+    carrying the parameters of the last epoch that ended finite.
+    """
     ssl_on = ssl_weight > 0.0
     positives = _positive_edges(train_graph) if main_on else []
     if main_on and not positives:
@@ -495,9 +498,6 @@ def _run_epochs(
     n_items = train_graph.counts["item"]
     tensors = params.tensors() + (enh.tensors() if enh else [])
     adam = AdamState(tensors, config.learning_rate)
-    full_read_cost = config.L * sum(
-        int(np.count_nonzero(m)) for m in gtens.norm.values()
-    ) + train_graph.num_edges("GU")
     last_good = _snapshot(params, enh)
 
     for epoch_i in range(1, epochs + 1):
@@ -533,7 +533,6 @@ def _run_epochs(
 
         sums = {"main": 0.0, "ssl": 0.0, "total": 0.0}
         weights = {"main": 0, "ssl": 0, "steps": 0}
-        neighbor_reads = 0
 
         for b, batch_idx in enumerate(batches):
             with ad.Tape() as tape:
@@ -551,7 +550,6 @@ def _run_epochs(
                             ).items()
                         }
                     full_state = full_embeddings(gtens, params, metas=metas_full)
-                    neighbor_reads += full_read_cost
 
                 terms = []
                 l_main_val = 0.0
@@ -594,12 +592,6 @@ def _run_epochs(
                         n_eps = sum(len(v) for v in slices.values())
                         sums["ssl"] += l_r_val * n_eps
                         weights["ssl"] += n_eps
-                        if config.meta_mode == "episodic":
-                            neighbor_reads += config.L * sum(
-                                ep.edge_count()
-                                for v in slices.values()
-                                for ep in v
-                            )
 
                 if reg_on and config.lam2 > 0:
                     terms.append(_reg_term(tensors, config.lam2))
@@ -611,14 +603,21 @@ def _run_epochs(
                     total = ad.add(total, term)
                 total_val = total.item()
                 if not math.isfinite(total_val):
-                    raise _Diverged(f"non-finite loss at epoch {epoch_no}")
+                    raise _Diverged(f"non-finite loss at epoch {epoch_no}", last_good)
                 try:
                     grads = tape.backward(total, tensors)
                 except ValueError as err:
-                    raise _Diverged(f"backward failed at epoch {epoch_no}: {err}") from err
+                    raise _Diverged(
+                        f"backward failed at epoch {epoch_no}: {err}", last_good
+                    ) from err
             adam.step(grads)
             sums["total"] += total_val
             weights["steps"] += 1
+
+        snap = _snapshot(params, enh)
+        if not all(np.isfinite(a).all() for a in snap):
+            raise _Diverged(f"non-finite parameters after epoch {epoch_no}", last_good)
+        last_good = snap
 
         stats = EpochStats(
             epoch=epoch_no,
@@ -627,13 +626,11 @@ def _run_epochs(
             total=sums["total"] / weights["steps"] if weights["steps"] else 0.0,
             seconds=time.perf_counter() - t0,
             masked_edges=masked_edges,
-            neighbor_reads=neighbor_reads,
             phase=phase,
         )
         if eval_fn is not None and config.eval_every > 0 and epoch_i % config.eval_every == 0:
             stats.recall, stats.ndcg = eval_fn(params, enh)
         history.epochs.append(stats)
-        last_good = _snapshot(params, enh)
         if out_dir is not None and config.checkpoint_every > 0 and epoch_i % config.checkpoint_every == 0:
             save_training_checkpoint(Path(out_dir) / "model.ckpt", params, enh, config)
         log.info(
@@ -643,7 +640,11 @@ def _run_epochs(
 
 
 class _Diverged(RuntimeError):
-    pass
+    """Divergence inside the loop; ``last_good`` is a :func:`_snapshot`."""
+
+    def __init__(self, message: str, last_good):
+        super().__init__(message)
+        self.last_good = last_good
 
 
 def _train(
@@ -701,6 +702,7 @@ def _train(
             )
         except _Diverged as err:
             ckpt = None
+            _restore(params, enh, err.last_good)
             if out_dir is not None:
                 ckpt = Path(out_dir) / "model.ckpt"
                 save_training_checkpoint(ckpt, params, enh, config)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldgraph import autodiff as ad
+from coldgraph.sparse import neighbor_mean
 
 
 def rand(rng, *shape):
@@ -175,6 +176,7 @@ def _op_cases(rng):
     u4, w4 = t(4), t(4)
     pos = ad.Tensor(rng.uniform(0.2, 2.0, size=(3,)), requires_grad=True)
     sr_m, sr_w = t(4, 3), t(4)
+    op = neighbor_mean(rng.integers(0, 4, 9), rng.integers(0, 5, 9), (4, 5))
     return [
         ("gather_rows", lambda p: ad.gather_rows(p[0], [0, 2, 2, 4]), [table]),
         ("stack_rows", lambda p: ad.stack_rows(p), vecs),
@@ -185,6 +187,7 @@ def _op_cases(rng):
         ("matmul12", lambda p: ad.matmul(p[0], p[1]), [mv, mb]),
         ("matmul21", lambda p: ad.matmul(p[0], p[1]), [ma, mv]),
         ("matmul11", lambda p: ad.matmul(p[0], p[1]), [u4, w4]),
+        ("spmm", lambda p: ad.spmm(op, p[0]), [table]),
         ("add", lambda p: ad.add(p[0], p[1]), [a23, b23]),
         ("sub", lambda p: ad.sub(p[0], p[1]), [a23, b23]),
         ("mul", lambda p: ad.mul(p[0], p[1]), [a23, b23]),
@@ -201,6 +204,7 @@ def _op_cases(rng):
         ("sigmoid", lambda p: ad.sigmoid(p[0]), [a23]),
         ("relu", lambda p: ad.relu(p[0]), [away_from_zero(2, 3)]),
         ("log", lambda p: ad.log(p[0]), [pos]),
+        ("log_sigmoid", lambda p: ad.log_sigmoid(p[0]), [a23]),
         ("cosine", lambda p: ad.cosine_similarity(p[0], p[1]), [u4, w4]),
         ("sum_squares", lambda p: ad.sum_squares(p[0]), [a23]),
     ]
@@ -217,6 +221,55 @@ def test_every_op_gradient_vs_finite_differences(trial):
 
         err = ad.finite_diff_check(f, params, eps=1e-5)
         assert err < 1e-4, f"{name}: gradient error {err}"
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize(
+        "op,shapes",
+        [
+            (ad.matmul, [(3, 4), (4, 2)]),
+            (ad.matmul, [(4,), (4, 2)]),
+            (ad.matmul, [(3, 4), (4,)]),
+            (ad.matmul, [(4,), (4,)]),
+            (ad.mul, [(3, 4), (3, 4)]),
+            (ad.scale_rows, [(3, 4), (3,)]),
+        ],
+    )
+    @pytest.mark.parametrize("const_side", [0, 1])
+    def test_no_gradient_for_constant_operand(self, op, shapes, const_side):
+        rng = np.random.default_rng(7)
+        datas = [rng.normal(size=s) for s in shapes]
+        with ad.Tape() as tape:
+            args = [ad.Tensor(d, requires_grad=i != const_side) for i, d in enumerate(datas)]
+            out = op(*args)
+        _, _, vjp = tape._records[-1]
+        got = vjp(np.ones(out.shape))
+        assert got[const_side] is None
+        with ad.Tape() as tape:
+            both = [ad.Tensor(d, requires_grad=True) for d in datas]
+            op(*both)
+        _, _, vjp_both = tape._records[-1]
+        want = vjp_both(np.ones(out.shape))
+        np.testing.assert_array_equal(got[1 - const_side], want[1 - const_side])
+
+
+class TestLogSigmoid:
+    def test_finite_where_log_of_sigmoid_underflows(self):
+        x = ad.Tensor([-1000.0, -40.0, 0.0, 40.0, 1000.0], requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.log_sigmoid(x)
+            loss = ad.sum_all(out)
+        np.testing.assert_allclose(out.data, [-1000.0, -40.0, -np.log(2.0), 0.0, 0.0], atol=1e-15)
+        grad = tape.backward(loss, [x])[x]
+        np.testing.assert_allclose(grad, [1.0, 1.0, 0.5, 0.0, 0.0], atol=1e-15)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=8))
+    def test_matches_log_of_sigmoid(self, xs):
+        x = ad.Tensor(xs)
+        np.testing.assert_allclose(
+            ad.log_sigmoid(x).data, ad.log(ad.sigmoid(x)).data, rtol=1e-12, atol=1e-14
+        )
 
 
 @settings(max_examples=100, deadline=None)

@@ -134,12 +134,15 @@ class TestPropagate:
         spec = SyntheticSpec(n_users=15, n_items=20, n_groups=8, n_clusters=2,
                              intra_p=0.4, inter_p=0.1, group_size_min=2, group_size_max=4, seed=3)
         g = generate_synthetic(spec)
+        # two extra nodes of every kind with no edge, so fusion has several patterns
+        g = InteractionGraph({k: n + 2 for k, n in g.counts.items()}, g.edges)
         params = make_params(g.counts, d=5, variant=variant, layers=2, seed=1)
         state = full_embeddings(GraphTensors(g), params)
-        for idx in range(g.counts["group"]):
-            ep = sample_episode(g, NodeId("group", idx), k=10 ** 6, depth=2, seed=0)
-            got, _ = embed_from_episode(ep, params)
-            np.testing.assert_allclose(got.data, state.fused["group"].data[idx], atol=1e-10)
+        for kind in ("group", "user", "item"):
+            for idx in range(g.counts[kind]):
+                ep = sample_episode(g, NodeId(kind, idx), k=10 ** 6, depth=2, seed=0)
+                got, _ = embed_from_episode(ep, params)
+                np.testing.assert_allclose(got.data, state.fused[kind].data[idx], atol=1e-10)
 
 
 class TestAggregateMembers:
@@ -290,3 +293,54 @@ class TestEndToEndGradients:
             for row in state.channel_weights[kind]:
                 if row:
                     assert abs(sum(row.values()) - 1.0) < 1e-10
+
+
+class TestConstantOperandGradients:
+    """Skipping the gradients of constant operands leaves every parameter
+    gradient bit-identical to computing them (constants made differentiable)."""
+
+    @staticmethod
+    def grads(loss_fn, params, monkeypatch, consts_differentiable):
+        with monkeypatch.context() as m:
+            if consts_differentiable:
+                m.setattr(ad, "const", lambda data: ad.Tensor(data, requires_grad=True))
+            with ad.Tape() as tape:
+                loss = loss_fn()
+            out = tape.backward(loss, params)
+        return [out[p] for p in params]
+
+    def assert_bit_identical(self, loss_fn, params, monkeypatch):
+        skipped = self.grads(loss_fn, params, monkeypatch, False)
+        computed = self.grads(loss_fn, params, monkeypatch, True)
+        for a, b in zip(skipped, computed):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", ["light", "gcn"])
+    def test_full_mode_fusion(self, variant, monkeypatch):
+        spec = SyntheticSpec(n_users=8, n_items=10, n_groups=4, n_clusters=2,
+                             intra_p=0.5, inter_p=0.2, group_size_min=2, group_size_max=3, seed=1)
+        g = generate_synthetic(spec)
+        params = make_params(g.counts, d=4, variant=variant, layers=2, seed=3)
+        gtens = GraphTensors(g)
+
+        def loss_fn():
+            state = full_embeddings(gtens, params)
+            anchor = ad.gather_rows(state.fused["group"], [0, 1])
+            pos = ad.gather_rows(state.fused["item"], [0, 1])
+            return ad.sum_all(ad.mul(anchor, pos))
+
+        self.assert_bit_identical(loss_fn, params.tensors(), monkeypatch)
+
+    def test_episode_with_meta_injection(self, monkeypatch):
+        spec = SyntheticSpec(n_users=12, n_items=15, n_groups=6, n_clusters=2,
+                             intra_p=0.4, inter_p=0.1, group_size_min=2, group_size_max=3, seed=0)
+        g = generate_synthetic(spec)
+        params = make_params(g.counts, d=4, layers=2, with_meta=True, seed=2)
+        ep = sample_episode(g, NodeId("group", 0), k=3, depth=2, seed=1)
+        metas = {rel: t(np.full(4, 0.3)) for rel in ("GI", "GU", "GG")}
+
+        def loss_fn():
+            h, _ = embed_from_episode(ep, params, metas=metas)
+            return ad.sum_squares(h)
+
+        self.assert_bit_identical(loss_fn, params.tensors() + list(metas.values()), monkeypatch)
