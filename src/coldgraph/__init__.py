@@ -25,14 +25,11 @@ from .model import (
     propagate,
     score,
 )
-from .enhancer import EnhancerParams, init_enhancer_params, meta_embed, self_attention, train_enhancer
+from .enhancer import EnhancerParams, init_enhancer_params, train_enhancer
 from .reconstruction import GroundTruthTable, reconstruction_loss, ssl_loss, train_teacher
 from .train import (
     TrainConfig,
     TrainHistory,
-    bpr_loss,
-    main_loss,
-    total_loss,
     train_base,
     train_joint,
     train_pretrain_finetune,

@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "apply",
     "backward",
     "finite_diff_check",
     "gather_rows",
@@ -44,6 +43,7 @@ __all__ = [
     "sum_consecutive",
     "sum_all",
     "softmax",
+    "segment_attention",
     "sigmoid",
     "relu",
     "log",
@@ -199,7 +199,11 @@ def _check_2d(t: Tensor, op: str) -> None:
 
 
 def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
-    """Select rows ``indices`` from a matrix; gradient scatter-adds back."""
+    """Select rows ``indices`` from a matrix; gradient scatter-adds back.
+
+    Indices may repeat; the backward pass takes the slower ``np.add.at``
+    only when they do.
+    """
     _check_2d(table, "gather_rows")
     idx = np.asarray(indices, dtype=np.intp)
     n = table.shape[0]
@@ -208,7 +212,10 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
 
     def vjp(g):
         gt = np.zeros(table.shape)
-        np.add.at(gt, idx, g)
+        if idx.size > 1 and np.bincount(idx).max() > 1:
+            np.add.at(gt, idx, g)
+        else:  # no row repeats: a plain write is the scatter-add
+            gt[idx] = g
         return (gt,)
 
     return _emit(table.data[idx], (table,), vjp)
@@ -429,6 +436,42 @@ def softmax(a: Tensor) -> Tensor:
     return _emit(s, (a,), vjp)
 
 
+def segment_attention(q: Tensor, k: Tensor, v: Tensor, block: int) -> Tensor:
+    """Scaled dot-product self-attention inside consecutive row blocks.
+
+    ``q``, ``k`` and ``v`` are (rows, d) matrices whose rows
+    ``[j*block, (j+1)*block)`` form block j.  Output row i of block j is
+    ``softmax(q_i . K_j^T / sqrt(d)) V_j``: every row attends to the rows
+    of its own block only.  The blocks run as one batched ``np.matmul`` over
+    a (rows/block, block, d) view, so the scores take rows*block floats.
+    """
+    for t in (q, k, v):
+        _check_2d(t, "segment_attention")
+    if not (q.shape == k.shape == v.shape):
+        raise ValueError(f"segment_attention shape mismatch: {q.shape}, {k.shape}, {v.shape}")
+    rows, d = q.shape
+    if block < 1 or rows == 0 or rows % block:
+        raise ValueError(f"cannot split {rows} rows into blocks of {block}")
+    n = rows // block
+    c = 1.0 / math.sqrt(d)
+    q3, k3, v3 = (t.data.reshape(n, block, d) for t in (q, k, v))
+    scores = np.matmul(q3, k3.transpose(0, 2, 1)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        g3 = g.reshape(n, block, d)
+        ga = np.matmul(g3, v3.transpose(0, 2, 1))
+        gs = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True)) * c
+        return (
+            np.matmul(gs, k3).reshape(rows, d) if q.requires_grad else None,
+            np.matmul(gs.transpose(0, 2, 1), q3).reshape(rows, d) if k.requires_grad else None,
+            np.matmul(attn.transpose(0, 2, 1), g3).reshape(rows, d) if v.requires_grad else None,
+        )
+
+    return _emit(np.matmul(attn, v3).reshape(rows, d), (q, k, v), vjp)
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     s = np.empty_like(x)
     pos = x >= 0
@@ -481,18 +524,23 @@ def log_sigmoid(a: Tensor) -> Tensor:
 
 
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine of the angle between two 1-d vectors, as a scalar."""
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ValueError(f"cosine_similarity needs matching vectors: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    if nu == 0.0 or nv == 0.0:
+    """Cosine of the angle between two vectors, as a scalar.
+
+    Two equally shaped matrices give the cosine of each pair of matching
+    rows, as a vector.
+    """
+    if u.shape != v.shape or u.ndim not in (1, 2):
+        raise ValueError(f"cosine_similarity needs matching vectors or matrices: {u.shape}, {v.shape}")
+    nu = np.linalg.norm(u.data, axis=-1)
+    nv = np.linalg.norm(v.data, axis=-1)
+    if np.any(nu == 0.0) or np.any(nv == 0.0):
         raise ValueError("degenerate norm: cosine of a zero vector")
-    c = float(u.data @ v.data) / (nu * nv)
+    c = (u.data * v.data).sum(axis=-1) / (nu * nv)
 
     def vjp(g):
-        gu = g * (v.data / (nu * nv) - c * u.data / (nu * nu))
-        gv = g * (u.data / (nu * nv) - c * v.data / (nv * nv))
+        g, c_, nu_, nv_ = (np.expand_dims(x, -1) for x in (g, c, nu, nv))
+        gu = g * (v.data / (nu_ * nv_) - c_ * u.data / (nu_ * nu_))
+        gv = g * (u.data / (nu_ * nv_) - c_ * v.data / (nv_ * nv_))
         return (gu, gv)
 
     return _emit(np.asarray(c), (u, v), vjp)
@@ -500,48 +548,6 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
 
 def sum_squares(a: Tensor) -> Tensor:
     return _emit(np.asarray((a.data ** 2).sum()), (a,), lambda g: (2.0 * a.data * g,))
-
-
-_OPS: dict[str, Callable] = {
-    "gather_rows": gather_rows,
-    "stack_rows": stack_rows,
-    "mean_rows": mean_rows,
-    "max_rows": max_rows,
-    "matmul": matmul,
-    "spmm": spmm,
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scale": scale,
-    "scale_rows": scale_rows,
-    "negate": negate,
-    "concat": concat,
-    "transpose": transpose,
-    "reshape": reshape,
-    "sum_consecutive": sum_consecutive,
-    "row_sums": row_sums,
-    "sum_all": sum_all,
-    "softmax": softmax,
-    "sigmoid": sigmoid,
-    "relu": relu,
-    "log": log,
-    "log_sigmoid": log_sigmoid,
-    "cosine_similarity": cosine_similarity,
-    "sum_squares": sum_squares,
-}
-
-
-def apply(op: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch an operation by name (see module __all__ for the list)."""
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}") from None
-    return fn(*inputs, **kwargs)
-
-
-def op_names() -> tuple[str, ...]:
-    return tuple(sorted(_OPS))
 
 
 def finite_diff_check(

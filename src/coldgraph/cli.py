@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="config file (key=value lines)")
         p.add_argument("--out", type=Path, default=Path("out"), help="output/working directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=None, help="cap worker threads")
         p.add_argument("overrides", nargs="*", help="config overrides as key=value")
     return parser
 
@@ -105,8 +104,6 @@ def _resolve_config(args) -> TrainConfig:
         raise CliError(2, str(err)) from err
     if args.seed is not None:
         config = config.with_overrides([("seed", str(args.seed))])
-    if args.threads is not None:
-        config = config.with_overrides([("threads", str(args.threads))])
     try:
         config.validate()
     except ValueError as err:
@@ -287,17 +284,7 @@ def cmd_report(config: TrainConfig, out: Path) -> int:
         raise CliError(2, "report needs report_base_dir=... and report_ssl_dir=...")
     base_history, _, base_edges = _read_run(Path(config.report_base_dir))
     ssl_history, masked, ssl_edges = _read_run(Path(config.report_ssl_dir))
-
-    class _GraphProxy:
-        def __init__(self, n):
-            self._n = n
-
-        def num_edges(self, rel=None):
-            return self._n
-
-    report = complexity_report(
-        ssl_history, base_history, _GraphProxy(ssl_edges or base_edges), masked or None
-    )
+    report = complexity_report(ssl_history, base_history, ssl_edges or base_edges, masked or None)
     out.mkdir(parents=True, exist_ok=True)
     (out / "complexity.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     (out / "complexity.csv").write_text(report.to_csv(), encoding="utf-8")

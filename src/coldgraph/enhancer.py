@@ -7,25 +7,37 @@ relation, and fuses the per-relation metas (plus a member-aggregate channel
 for groups) with its own soft-attention weights.  The per-relation metas are
 what gets injected into the GNN's convolution steps; the fused meta is the
 quantity trained against ground-truth embeddings.
+
+One batched forward serves every caller.  Per relation, the targets are
+grouped by their exact neighbor count (a :class:`model.DegreePlan`), and
+each group is one :func:`autodiff.segment_attention` over its targets'
+stacked neighbor rows; the fusion runs through :func:`model.fuse_matrix`.
+The targets are the sampled first-order neighborhoods of an episode batch
+(:func:`episode_metas`, and :func:`train_enhancer`, which reads the model
+tables as constants) or every node's complete neighborhood
+(:func:`full_meta_matrices`).
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import RELATION_KINDS, RELATIONS_BY_KIND, Episode, InteractionGraph
+from .graph import KINDS, RELATION_KINDS, RELATIONS_BY_KIND, Episode
 from .model import (
     CHANNELS_BY_KIND,
     FUSION_KEYS,
-    aggregate_members,
-    fuse_channels,
+    DegreePlan,
+    GraphTensors,
+    _fusion_plan,
+    attention_pool,
+    degree_plan,
+    fuse_matrix,
     xavier_uniform,
 )
 
@@ -70,167 +82,162 @@ def init_enhancer_params(d: int, rng: np.random.Generator) -> EnhancerParams:
     )
 
 
-def self_attention(neighbor_embs, params: EnhancerParams) -> Tensor:
-    """Scaled dot-product self-attention over a set of embeddings.
+def _neighbor_kind(rel: str, kind: str) -> str:
+    ka, kb = RELATION_KINDS[rel]
+    return kb if kind == ka else ka
 
-    Accepts a list of vectors or an (m, d) matrix and returns the smoothed
-    (m, d) matrix; one output row per input row.
+
+def _gathered_qkv(tables, params: EnhancerParams, kind: str):
+    """Map rows ``flat`` of ``kind``'s table to their query, key and value rows.
+
+    Projects the gathered rows: an episode batch gathers fewer rows than
+    the table holds, and a constant table then puts no gather on the tape.
     """
-    if isinstance(neighbor_embs, Tensor):
-        x = neighbor_embs
-        if x.ndim != 2 or x.shape[0] == 0:
-            raise ValueError("self_attention needs a non-empty (m, d) input")
-    else:
-        rows = list(neighbor_embs)
-        if not rows:
-            raise ValueError("self_attention needs at least one input")
-        x = ad.stack_rows(rows)
-    q = ad.matmul(x, params.wq)
-    k = ad.matmul(x, params.wk)
-    v = ad.matmul(x, params.wv)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(params.d))
-    return ad.matmul(ad.softmax(scores), v)
+    def qkv(flat):
+        x = ad.gather_rows(tables(kind), flat)
+        return tuple(ad.matmul(x, w) for w in (params.wq, params.wk, params.wv))
+
+    return qkv
 
 
-def meta_embed(
-    first_order: Mapping[str, Tensor],
-    params: EnhancerParams,
-    kind: str,
-) -> tuple[dict[str, Tensor], Tensor]:
-    """Per-relation meta embeddings and their fused combination.
+def _projected_qkv(tables, params: EnhancerParams, kind: str):
+    """As :func:`_gathered_qkv`, but gathers from the projected table: the
+    full graph gathers every row once per neighbor."""
+    projected = [ad.matmul(tables(kind), w) for w in (params.wq, params.wk, params.wv)]
+    return lambda flat: tuple(ad.gather_rows(p, flat) for p in projected)
 
-    ``first_order`` maps relation name to the (m, d) matrix of the target's
-    first-order neighbor embeddings; relations with no neighbors are simply
-    omitted.  For groups the smoothed group-user neighbors additionally feed
-    the member-aggregate channel before fusion.
+
+def _relation_metas(
+    qkv, plan: DegreePlan, d: int, member_score: Tensor | None
+) -> tuple[Tensor, Tensor | None]:
+    """Per-target smoothed-neighbor means over one relation, (n, d).
+
+    ``qkv`` maps neighbor rows to their query, key and value rows.  With
+    ``member_score`` also returns the attention-pooled smoothed neighbors
+    (the member-aggregate channel).  Targets without neighbors get zero
+    rows.
     """
-    channels: dict[str, Tensor] = {}
-    metas: dict[str, Tensor] = {}
+    means, pooled = [], []
+    for m, flat in plan.buckets:
+        smoothed = ad.segment_attention(*qkv(flat), m)
+        means.append(ad.scale(ad.sum_consecutive(smoothed, m), 1.0 / m))
+        if member_score is not None:
+            pooled.append(attention_pool(smoothed, m, member_score))
+    return plan.assemble(means, d), plan.assemble(pooled, d) if pooled else None
+
+
+def _first_order(episode: Episode, rel: str) -> tuple[int, ...]:
+    sample = episode.samples.get(rel)
+    return sample.layers[1] if sample is not None and len(sample.layers) > 1 else ()
+
+
+def _episode_plans(episodes: Sequence[Episode], kind: str) -> dict[str, DegreePlan]:
+    """Degree plans of the targets' sampled first-order neighbors."""
+    plans = {}
     for rel in RELATIONS_BY_KIND[kind]:
-        neigh = first_order.get(rel)
-        if neigh is None or neigh.shape[0] == 0:
-            continue
-        smoothed = self_attention(neigh, params)
-        metas[rel] = ad.mean_rows(smoothed)
-        channels[rel] = metas[rel]
-        if rel == "GU" and kind == "group":
-            channels["GU_AGG"] = aggregate_members(
-                smoothed, "attention", params.member_score
-            )
-    if not channels:
-        raise ValueError("all relations empty")
-    fused, _ = fuse_channels(channels, params.fusion, CHANNELS_BY_KIND[kind])
-    return metas, fused
+        firsts = [_first_order(ep, rel) for ep in episodes]
+        sizes = [len(f) for f in firsts]
+        cols = np.fromiter((c for f in firsts for c in f), dtype=np.intp, count=sum(sizes))
+        plans[rel] = degree_plan(np.repeat(np.arange(len(firsts)), sizes), cols, len(firsts))
+    return plans
 
 
-def episode_first_order(episode: Episode, tables) -> dict[str, Tensor]:
-    """Gather layer-0 embeddings of an episode's first-order samples."""
-    out = {}
-    for rel, sample in episode.samples.items():
-        if len(sample.layers) < 2 or not sample.layers[1]:
-            continue
-        neigh_kind = sample.kinds[1]
-        out[rel] = ad.gather_rows(tables(neigh_kind), list(sample.layers[1]))
+def _by_kind(episodes: Sequence[Episode]) -> dict[str, list[int]]:
+    """Positions of the episodes of each target kind, in input order."""
+    out: dict[str, list[int]] = {}
+    for i, ep in enumerate(episodes):
+        out.setdefault(ep.target.kind, []).append(i)
     return out
 
 
 def episode_metas(
-    episode: Episode, tables, params: EnhancerParams
-) -> dict[str, Tensor]:
-    """Per-relation meta embeddings for one episode target, or {} if isolated."""
-    first_order = episode_first_order(episode, tables)
-    if not first_order:
-        return {}
-    metas, _ = meta_embed(first_order, params, episode.target.kind)
-    return metas
+    episodes: Sequence[Episode], tables, params: EnhancerParams
+) -> list[dict[str, Tensor]]:
+    """Per-relation meta embeddings of each episode target, in input order.
 
-
-def _segment_attention_means(
-    projected: tuple[Tensor, Tensor, Tensor],
-    neigh_lists: list[tuple[int, ...]],
-    nodes: list[int],
-    m: int,
-    d: int,
-) -> Tensor:
-    """Smoothed-neighbor means for nodes that all have exactly m neighbors.
-
-    Computes only the k*m^2 in-neighborhood attention scores via repeated /
-    tiled row gathers, so the result is the per-node attention at linear
-    memory.  ``projected`` holds the whole table already multiplied by the
-    query/key/value weights.
+    A relation that sampled no neighbor has no entry, so an isolated target
+    gets {}.
     """
-    k = len(nodes)
-    flat = [j for i in nodes for j in neigh_lists[i]]
-    q_tab, k_tab, v_tab = projected
-    if m == 1:
-        # softmax over a single key: the smoothed vector is the value itself
-        return ad.gather_rows(v_tab, flat)
-    rep, tile = [], []
-    for j in range(k):
-        block = flat[j * m : (j + 1) * m]
-        for r in block:
-            rep.extend([r] * m)
-            tile.extend(block)
-    q = ad.gather_rows(q_tab, rep)
-    key = ad.gather_rows(k_tab, tile)
-    scores = ad.scale(ad.row_sums(ad.mul(q, key)), 1.0 / math.sqrt(d))
-    attn = ad.reshape(ad.softmax(ad.reshape(scores, (k * m, m))), (k * m * m,))
-    values = ad.gather_rows(v_tab, tile)
-    smoothed = ad.sum_consecutive(ad.scale_rows(values, attn), m)
-    return ad.scale(ad.sum_consecutive(smoothed, m), 1.0 / m)
+    out: list[dict[str, Tensor]] = [{} for _ in episodes]
+    for kind, positions in _by_kind(episodes).items():
+        plans = _episode_plans([episodes[i] for i in positions], kind)
+        for rel, plan in plans.items():
+            if not plan.buckets:
+                continue
+            qkv = _gathered_qkv(tables, params, _neighbor_kind(rel, kind))
+            metas, _ = _relation_metas(qkv, plan, params.d, None)
+            for row in np.flatnonzero(plan.present):
+                out[positions[row]][rel] = ad.mean_rows(ad.gather_rows(metas, [row]))
+    return out
 
 
 def full_meta_matrices(
-    graph: InteractionGraph, tables, params: EnhancerParams
+    gtens: GraphTensors, tables, params: EnhancerParams
 ) -> dict[tuple[str, str], Tensor]:
     """All-node meta matrices from complete first-order neighborhoods.
 
     Rows of zero-degree nodes are zero; their channels are dropped from
     fusion downstream so the placeholder value is never consumed.
     """
-    out: dict[tuple[str, str], Tensor] = {}
-    projected = {
-        k: (
-            ad.matmul(tables(k), params.wq),
-            ad.matmul(tables(k), params.wk),
-            ad.matmul(tables(k), params.wv),
-        )
-        for k in ("user", "item", "group")
+    qkv = {kind: _projected_qkv(tables, params, kind) for kind in KINDS}
+    return {
+        (kind, rel): _relation_metas(
+            qkv[_neighbor_kind(rel, kind)], gtens.neighbor_plan(rel, kind), params.d, None
+        )[0]
+        for kind, rels in RELATIONS_BY_KIND.items()
+        for rel in rels
     }
-    for kind, rels in RELATIONS_BY_KIND.items():
-        n = tables(kind).shape[0]
-        for rel in rels:
-            ka, kb = RELATION_KINDS[rel]
-            neigh_kind = kb if kind == ka else ka
-            neigh_lists = [graph.neighbors(rel, kind, i) for i in range(n)]
-            by_size: dict[int, list[int]] = {}
-            for i, lst in enumerate(neigh_lists):
-                if lst:
-                    by_size.setdefault(len(lst), []).append(i)
-            pieces: list[Tensor] = []
-            order: list[int] = []
-            for m in sorted(by_size):
-                nodes = by_size[m]
-                pieces.append(
-                    _segment_attention_means(
-                        projected[neigh_kind], neigh_lists, nodes, m, params.d
-                    )
-                )
-                order.extend(nodes)
-            isolated = [i for i, lst in enumerate(neigh_lists) if not lst]
-            if isolated:
-                pieces.append(ad.const(np.zeros((len(isolated), params.d))))
-                order.extend(isolated)
-            stacked = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
-            inverse = np.empty(n, dtype=int)
-            inverse[np.array(order)] = np.arange(n)
-            out[(kind, rel)] = ad.gather_rows(stacked, inverse.tolist())
-    return out
 
 
-def cosine_reconstruction_loss(predicted: Tensor, target: np.ndarray) -> Tensor:
-    """1 - cos(predicted, target); bounded in [0, 2]."""
-    return ad.sub(ad.const(np.ones(())), ad.cosine_similarity(predicted, ad.const(target)))
+def _fused_metas(
+    episodes: Sequence[Episode], kind: str, tables, params: EnhancerParams
+) -> Tensor:
+    """Fused meta embeddings (n, d) of n episode targets of one kind.
+
+    Every target needs a first-order neighbor in some relation.
+    """
+    channels: dict[str, Tensor] = {}
+    masks: dict[str, np.ndarray] = {}
+    for rel, plan in _episode_plans(episodes, kind).items():
+        if not plan.buckets:
+            continue
+        score = params.member_score if (kind, rel) == ("group", "GU") else None
+        qkv = _gathered_qkv(tables, params, _neighbor_kind(rel, kind))
+        channels[rel], agg = _relation_metas(qkv, plan, params.d, score)
+        masks[rel] = plan.present
+        if agg is not None:
+            channels["GU_AGG"], masks["GU_AGG"] = agg, plan.present
+    order = CHANNELS_BY_KIND[kind]
+    absent = np.zeros(len(episodes), dtype=bool)
+    fused, _ = fuse_matrix(
+        _fusion_plan(order, [masks.get(c, absent) for c in order]),
+        channels,
+        params.fusion,
+        ad.const(np.zeros((len(episodes), params.d))),
+    )
+    return fused
+
+
+def _warmup_loss(
+    episodes: Sequence[Episode], ground_truth, params: EnhancerParams, tables
+) -> Tensor | None:
+    """Mean cosine reconstruction loss of the fused metas of a batch.
+
+    Isolated targets are skipped; None when every target is isolated.
+    """
+    terms = []
+    for kind, positions in _by_kind(episodes).items():
+        rels = RELATIONS_BY_KIND[kind]
+        batch = [episodes[i] for i in positions if any(_first_order(episodes[i], r) for r in rels)]
+        if not batch:
+            continue
+        fused = _fused_metas(batch, kind, tables, params)
+        targets = np.stack([ground_truth.get(ep.ground_truth_ref) for ep in batch])
+        cos = ad.cosine_similarity(fused, ad.const(targets))
+        terms.append(ad.sub(ad.const(np.ones(len(batch))), cos))
+    if not terms:
+        return None
+    return ad.mean_rows(terms[0] if len(terms) == 1 else ad.concat(terms))
 
 
 def train_enhancer(
@@ -247,8 +254,9 @@ def train_enhancer(
 
     Minimizes the mean cosine reconstruction loss of the fused meta embedding
     over the episode targets by adaptive-moment gradient descent on the
-    enhancer parameters only.  Returns the params and the per-epoch loss
-    history; zero epochs leaves the parameters untouched.
+    enhancer parameters only; the model tables are read as constants.
+    Returns the params and the per-epoch loss history; zero epochs leaves
+    the parameters untouched.
     """
     from .train import AdamState  # local import: train builds on this module
 
@@ -256,28 +264,19 @@ def train_enhancer(
     tensors = params.tensors()
     adam = AdamState(tensors, learning_rate)
     losses: list[float] = []
-    usable = []
     for ep in episodes:
         if ground_truth.get(ep.ground_truth_ref) is None:
             raise KeyError(f"no ground-truth embedding for {ep.ground_truth_ref}")
-        usable.append(ep)
+    frozen = {kind: ad.const(tables(kind).data) for kind in KINDS}
     for _ in range(epochs):
-        order = rng.permutation(len(usable))
+        order = rng.permutation(len(episodes))
         epoch_losses = []
         for start in range(0, len(order), batch_size):
-            batch = [usable[i] for i in order[start : start + batch_size]]
+            batch = [episodes[i] for i in order[start : start + batch_size]]
             with ad.Tape() as tape:
-                terms = []
-                for ep in batch:
-                    first = episode_first_order(ep, tables)
-                    if not first:
-                        continue
-                    _, fused = meta_embed(first, params, ep.target.kind)
-                    target = ground_truth.get(ep.ground_truth_ref)
-                    terms.append(cosine_reconstruction_loss(fused, target))
-                if not terms:
+                loss = _warmup_loss(batch, ground_truth, params, frozen.__getitem__)
+                if loss is None:
                     continue
-                loss = ad.mean_rows(ad.concat(terms))
                 grads = tape.backward(loss, tensors)
             adam.step(grads)
             epoch_losses.append(loss.item())

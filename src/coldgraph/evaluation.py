@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import EvalSplit, InteractionGraph, NodeId
+from .graph import EvalSplit, NodeId
 
 ANCHOR_RELATION = {"group": "GI", "user": "UI"}
 
@@ -225,11 +225,12 @@ class ComplexityReport:
 def complexity_report(
     ssl_history,
     base_history,
-    graph: InteractionGraph,
+    total_edges: int,
     masked_edge_counts: Sequence[int] | None = None,
 ) -> ComplexityReport:
     """Compare a reconstruction-enabled run against its base-model twin.
 
+    ``total_edges`` is the edge count of the graph both runs trained on;
     ``masked_edge_counts`` defaults to the per-epoch counts recorded in the
     reconstruction run's history.
     """
@@ -239,7 +240,7 @@ def complexity_report(
         masked_edge_counts = [e.masked_edges for e in ssl_history.epochs]
     counts = list(masked_edge_counts) or [0]
     return ComplexityReport(
-        total_edges=graph.num_edges(),
+        total_edges=total_edges,
         masked_edges_mean=float(np.mean(counts)),
         masked_edges_max=int(max(counts)),
         base_epoch_seconds=base_history.mean_seconds(),

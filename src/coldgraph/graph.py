@@ -289,16 +289,6 @@ def export_edges(graph: InteractionGraph, directory: Path) -> None:
         (directory / name).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def load_exported_edges(directory: Path) -> InteractionGraph:
-    """Read back files produced by :func:`export_edges` (dense ids already)."""
-    graph, _ = load_edges(
-        Path(directory) / "user_item.tsv",
-        Path(directory) / "group_item.tsv",
-        Path(directory) / "group_user.tsv",
-    )
-    return graph
-
-
 def save_graph_cache(graph: InteractionGraph, directory: Path) -> None:
     """Persist all five relations (and counts) for later pipeline stages."""
     directory = Path(directory)

@@ -25,7 +25,7 @@ propagation target is replaced by a learned projection of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -426,39 +426,54 @@ def _fusion_plan(order: Sequence[str], masks: Sequence[np.ndarray]) -> _FusionPl
 
 
 @dataclass(frozen=True)
-class _MemberPlan:
-    """Static grouping of groups by member count for member aggregation.
+class DegreePlan:
+    """Static grouping of n targets by their exact neighbor count.
 
-    ``buckets`` pairs each member count m with the member user rows of all
-    groups of that size, m consecutive rows per group (groups ascending,
-    members ascending); memberless groups come after every bucket, and
-    ``inverse`` maps each group to its row in that stacking.
+    ``buckets`` pairs each count m with the neighbor rows of all targets
+    with m neighbors, m consecutive rows per target (targets ascending,
+    neighbors in the given order); ``present`` marks the targets with a
+    neighbor, and ``inverse`` maps each target to its row in the bucket
+    stacking followed by the neighborless targets.
     """
 
     buckets: tuple[tuple[int, np.ndarray], ...]
-    isolated: int
+    present: np.ndarray
     inverse: np.ndarray
 
+    def assemble(self, pieces: Iterable[Tensor], d: int) -> Tensor:
+        """Per-target (n, d) matrix from one (targets, d) piece per bucket.
 
-def _member_plan(gu_group: SparseOperator) -> _MemberPlan:
-    rows, users, _ = gu_group.entries()
-    n_g = gu_group.shape[0]
-    order = np.lexsort((users, rows))
-    rows, users = rows[order], users[order]
-    size = np.bincount(rows, minlength=n_g)
+        Neighborless targets get zero rows.
+        """
+        pieces = list(pieces)
+        isolated = self.present.size - int(np.count_nonzero(self.present))
+        if isolated or not pieces:
+            pieces.append(ad.const(np.zeros((isolated, d))))
+        stacked = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
+        return ad.gather_rows(stacked, self.inverse)
+
+
+def degree_plan(rows: np.ndarray, cols: np.ndarray, n: int) -> DegreePlan:
+    """Group the edges (rows[e] -> cols[e]) of n targets by target degree.
+
+    Each target's neighbors keep their order in ``cols``.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    order = np.argsort(rows, kind="stable")
+    rows, cols = rows[order], cols[order]
+    size = np.bincount(rows, minlength=n)
     start = np.cumsum(size) - size
     buckets = []
-    group_order = []
+    target_order = []
     for m in np.unique(size[size > 0]):
-        groups = np.flatnonzero(size == m)
-        flat = users[(start[groups, None] + np.arange(m)).reshape(-1)]
-        buckets.append((int(m), flat))
-        group_order.append(groups)
-    isolated = np.flatnonzero(size == 0)
-    group_order.append(isolated)
-    inverse = np.empty(n_g, dtype=np.intp)
-    inverse[np.concatenate(group_order)] = np.arange(n_g)
-    return _MemberPlan(tuple(buckets), int(isolated.size), inverse)
+        targets = np.flatnonzero(size == m)
+        buckets.append((int(m), cols[(start[targets, None] + np.arange(m)).reshape(-1)]))
+        target_order.append(targets)
+    target_order.append(np.flatnonzero(size == 0))
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[np.concatenate(target_order)] = np.arange(n)
+    return DegreePlan(tuple(buckets), size > 0, inverse)
 
 
 class GraphTensors:
@@ -468,9 +483,9 @@ class GraphTensors:
     ``kind``'s side of relation ``rel``, a :class:`SparseOperator` of shape
     (n_kind, n_other); the two directions of UU and GG are one shared
     object.  ``mask[(rel, kind)]`` marks the rows with at least one
-    neighbor.  The fusion and member-aggregate row groupings, which depend
-    only on these masks and on the group-user edges, are built here once
-    instead of at every forward pass.
+    neighbor.  The fusion row groupings, which depend only on these masks,
+    are built here once instead of at every forward pass, and so is each
+    degree grouping (:meth:`neighbor_plan`) on its first use.
     """
 
     def __init__(self, graph: InteractionGraph):
@@ -492,7 +507,7 @@ class GraphTensors:
             for kind, op in sides:
                 self.norm[(rel, kind)] = op
                 self.mask[(rel, kind)] = op.row_mask
-        self.member_plan = _member_plan(self.norm[("GU", "group")])
+        self._plans: dict[tuple[str, str], DegreePlan] = {}
         # a group has the member-aggregate channel iff it has a GU neighbor
         self.fusion_plan = {
             kind: _fusion_plan(
@@ -501,6 +516,16 @@ class GraphTensors:
             )
             for kind, channels in CHANNELS_BY_KIND.items()
         }
+
+    def neighbor_plan(self, rel: str, kind: str) -> DegreePlan:
+        """Degree grouping of ``kind``'s neighbors in relation ``rel``."""
+        plan = self._plans.get((rel, kind))
+        if plan is None:
+            rows, cols, _ = self.norm[(rel, kind)].entries()
+            order = np.lexsort((cols, rows))
+            plan = degree_plan(rows[order], cols[order], self.counts[kind])
+            self._plans[(rel, kind)] = plan
+        return plan
 
 
 def _relation_steps(
@@ -559,32 +584,37 @@ def _relation_steps(
     return out
 
 
+def attention_pool(rows: Tensor, m: int, score: Tensor) -> Tensor:
+    """Attention pooling of each block of m consecutive rows into one row.
+
+    Per block this is :func:`aggregate_members` with ``"attention"``: the
+    rows weighted by the softmax of their scores against ``score``.
+    """
+    if m == 1:
+        return rows
+    n = rows.shape[0]
+    attn = ad.reshape(ad.softmax(ad.reshape(ad.matmul(rows, score), (n // m, m))), (n,))
+    return ad.sum_consecutive(ad.scale_rows(rows, attn), m)
+
+
 def _member_aggregate_matrix(
     gtens: GraphTensors, h_user_gu: Tensor, params: ModelParams
 ) -> Tensor | None:
     """Per-group member-aggregate channel from the group-user relation.
 
-    Groups with equal member counts share one vectorized attention pooling;
-    the math per group is exactly :func:`aggregate_members` with the learned
-    score vector.  None when no group has members.
+    Groups with equal member counts share one :func:`attention_pool`.
+    None when no group has members.
     """
-    plan = gtens.member_plan
+    plan = gtens.neighbor_plan("GU", "group")
     if not plan.buckets:
         return None
-    pieces: list[Tensor] = []
-    for m, flat in plan.buckets:
-        rows = ad.gather_rows(h_user_gu, flat)
-        if m == 1:
-            pooled = rows
-        else:
-            logits = ad.matmul(rows, params.member_score)
-            attn = ad.reshape(ad.softmax(ad.reshape(logits, (len(flat) // m, m))), (len(flat),))
-            pooled = ad.sum_consecutive(ad.scale_rows(rows, attn), m)
-        pieces.append(pooled)
-    if plan.isolated:
-        pieces.append(ad.const(np.zeros((plan.isolated, h_user_gu.shape[1]))))
-    stacked = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
-    return ad.gather_rows(stacked, plan.inverse)
+    return plan.assemble(
+        (
+            attention_pool(ad.gather_rows(h_user_gu, flat), m, params.member_score)
+            for m, flat in plan.buckets
+        ),
+        h_user_gu.shape[1],
+    )
 
 
 def fuse_matrix(

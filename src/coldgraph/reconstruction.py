@@ -128,21 +128,22 @@ def reconstruction_terms(
     embedding (the unmasked ablation); otherwise it is the masked episode
     propagation, optionally meta-injected.
     """
-    terms = []
     for ep in episodes:
-        target = gt.get(ep.ground_truth_ref)
-        if target is None:
+        if gt.get(ep.ground_truth_ref) is None:
             raise KeyError(f"no ground-truth embedding for {ep.ground_truth_ref}")
+    if full_state is None and enhancer_params is not None:
+        metas = episode_metas(episodes, params.table, enhancer_params)
+    else:
+        metas = [{} for _ in episodes]
+    terms = []
+    for ep, ep_metas in zip(episodes, metas):
         if full_state is not None:
             h = ad.mean_rows(
                 ad.gather_rows(full_state.fused[ep.target.kind], [ep.target.index])
             )
         else:
-            metas = {}
-            if enhancer_params is not None:
-                metas = episode_metas(ep, params.table, enhancer_params)
-            h, _ = embed_from_episode(ep, params, metas=metas)
-        terms.append(reconstruction_loss(h, target))
+            h, _ = embed_from_episode(ep, params, metas=ep_metas)
+        terms.append(reconstruction_loss(h, gt.get(ep.ground_truth_ref)))
     return terms
 
 

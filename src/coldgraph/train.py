@@ -48,6 +48,10 @@ log = logging.getLogger("coldgraph")
 PARADIGMS = ("joint", "pretrain_finetune")
 META_MODES = ("episodic", "full_neighborhood")
 
+#: keys of earlier versions that configured nothing; config files and
+#: checkpoint config echoes that still carry them read as if they did not
+RETIRED_KEYS = frozenset({"threads"})
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -86,7 +90,6 @@ class TrainConfig:
     eval_every: int = 0
     eval_k: int = 20
     checkpoint_every: int = 0
-    threads: int = 1
     data_dir: str = "data"
     synth_users: int = 200
     synth_items: int = 300
@@ -104,7 +107,7 @@ class TrainConfig:
     report_ssl_dir: str = ""
 
     def validate(self) -> None:
-        positive = ("d", "L", "K", "learning_rate", "batch_size", "epochs", "threads")
+        positive = ("d", "L", "K", "learning_rate", "batch_size", "epochs")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config {name} must be positive")
@@ -146,7 +149,8 @@ class TrainConfig:
             if "=" not in line:
                 raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            pairs.append((key.strip(), value.strip()))
+            if key.strip() not in RETIRED_KEYS:
+                pairs.append((key.strip(), value.strip()))
         return config.with_overrides(pairs)
 
     @classmethod
@@ -181,44 +185,6 @@ class TrainConfig:
         if self.paradigm == "pretrain_finetune":
             label += "-P"
         return label
-
-
-# ---------------------------------------------------------------------------
-# loss contracts (float level; the trainer mirrors them on the tape)
-# ---------------------------------------------------------------------------
-
-
-def bpr_loss(pos_scores: Sequence[float], neg_scores: Sequence[float]) -> float:
-    """Mean of -ln(sigmoid(pos - neg)) over score pairs."""
-    pos = np.asarray(list(pos_scores), dtype=np.float64)
-    neg = np.asarray(list(neg_scores), dtype=np.float64)
-    if pos.shape != neg.shape:
-        raise ValueError("positive and negative score lists differ in length")
-    if pos.size == 0:
-        raise ValueError("bpr_loss needs at least one pair")
-    return float(np.mean(np.logaddexp(0.0, -(pos - neg))))
-
-
-def main_loss(
-    user_pairs: Sequence[tuple[float, float]],
-    group_pairs: Sequence[tuple[float, float]],
-    lam: float,
-) -> float:
-    """Group ranking loss plus lam times the user ranking loss."""
-    if not user_pairs and not group_pairs:
-        raise ValueError("no positive edges")
-    l_u = bpr_loss(*zip(*user_pairs)) if user_pairs else 0.0
-    l_g = bpr_loss(*zip(*group_pairs)) if group_pairs else 0.0
-    return l_g + lam * l_u
-
-
-def total_loss(main: float, ssl: float, params, lam1: float, lam2: float) -> float:
-    """Multi-task objective: main + lam1 * ssl + lam2 * ||theta||^2."""
-    reg = 0.0
-    for t in params:
-        arr = t.data if isinstance(t, Tensor) else np.asarray(t)
-        reg += float((arr ** 2).sum())
-    return main + lam1 * ssl + lam2 * reg
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +509,7 @@ def _run_epochs(
                 full_state = None
                 if need_full:
                     if enh is not None:
-                        metas_full = {
-                            key: mat
-                            for key, mat in full_meta_matrices(
-                                train_graph, params.table, enh
-                            ).items()
-                        }
+                        metas_full = full_meta_matrices(gtens, params.table, enh)
                     full_state = full_embeddings(gtens, params, metas=metas_full)
 
                 terms = []
@@ -784,5 +745,5 @@ def final_state(
     gtens = GraphTensors(train_graph)
     metas = None
     if enh is not None:
-        metas = full_meta_matrices(train_graph, params.table, enh)
+        metas = full_meta_matrices(gtens, params.table, enh)
     return full_embeddings(gtens, params, metas=metas, collect_weights=False)

@@ -36,12 +36,6 @@ class TestForwardValues:
         out = ad.concat([ad.sum_all(ad.Tensor([1.0, 2.0])), ad.Tensor([4.0])])
         np.testing.assert_allclose(out.data, [3.0, 4.0])
 
-    def test_apply_dispatch(self):
-        out = ad.apply("relu", ad.Tensor([-1.0, 2.0]))
-        np.testing.assert_allclose(out.data, [0.0, 2.0])
-        with pytest.raises(ValueError, match="unknown op"):
-            ad.apply("no_such_op", ad.Tensor([1.0]))
-
 
 class TestErrors:
     def test_shape_mismatch(self):
@@ -177,6 +171,8 @@ def _op_cases(rng):
     pos = ad.Tensor(rng.uniform(0.2, 2.0, size=(3,)), requires_grad=True)
     sr_m, sr_w = t(4, 3), t(4)
     op = neighbor_mean(rng.integers(0, 4, 9), rng.integers(0, 5, 9), (4, 5))
+    sa_q, sa_k, sa_v = t(6, 3), t(6, 3), t(6, 3)
+    rows_a, rows_b = t(3, 4), t(3, 4)
     return [
         ("gather_rows", lambda p: ad.gather_rows(p[0], [0, 2, 2, 4]), [table]),
         ("stack_rows", lambda p: ad.stack_rows(p), vecs),
@@ -206,6 +202,8 @@ def _op_cases(rng):
         ("log", lambda p: ad.log(p[0]), [pos]),
         ("log_sigmoid", lambda p: ad.log_sigmoid(p[0]), [a23]),
         ("cosine", lambda p: ad.cosine_similarity(p[0], p[1]), [u4, w4]),
+        ("cosine_rows", lambda p: ad.cosine_similarity(p[0], p[1]), [rows_a, rows_b]),
+        ("segment_attention", lambda p: ad.segment_attention(*p, 3), [sa_q, sa_k, sa_v]),
         ("sum_squares", lambda p: ad.sum_squares(p[0]), [a23]),
     ]
 
@@ -317,3 +315,102 @@ class TestFiniteDiffCheck:
 
         with pytest.raises(ValueError, match="non-finite"):
             ad.finite_diff_check(f, [x], eps=1e-5)
+
+
+def _block_attention_oracle(q, k, v, block):
+    """softmax(Q K^T / sqrt(d)) V for each block, one block at a time."""
+    outs = []
+    for j in range(0, q.shape[0], block):
+        qb, kb, vb = (ad.gather_rows(x, list(range(j, j + block))) for x in (q, k, v))
+        scores = ad.scale(ad.matmul(qb, ad.transpose(kb)), 1.0 / np.sqrt(q.shape[1]))
+        outs.append(ad.matmul(ad.softmax(scores), vb))
+    return ad.concat(outs, axis=0)
+
+
+class TestSegmentAttention:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), min_size=1, max_size=3),
+        st.integers(1, 5),
+        st.integers(0, 10_000),
+    )
+    def test_matches_per_block_oracle(self, calls, d, seed):
+        # several calls of mixed block lengths, as one degree bucket per call
+        rng = np.random.default_rng(seed)
+        for block, n_blocks in calls:
+            self._check(rng, block, n_blocks, d)
+
+    def test_hub_block(self):
+        self._check(np.random.default_rng(0), 600, 1, 8)
+
+    @staticmethod
+    def _check(rng, block, n_blocks, d):
+        data = [rng.normal(scale=2.0, size=(block * n_blocks, d)) for _ in range(3)]
+        probe = ad.const(rng.normal(size=(block * n_blocks, d)))
+        results = []
+        for fn in (ad.segment_attention, _block_attention_oracle):
+            xs = [ad.Tensor(x, requires_grad=True) for x in data]
+            with ad.Tape() as tape:
+                out = fn(*xs, block)
+                loss = ad.sum_all(ad.mul(out, probe))
+            grads = tape.backward(loss, xs)
+            results.append((out.data, [grads[x] for x in xs]))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    def test_block_of_one_returns_values(self):
+        rng = np.random.default_rng(1)
+        q, k, v = (ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(3))
+        with ad.Tape() as tape:
+            out = ad.segment_attention(q, k, v, 1)
+            loss = ad.sum_all(out)
+        np.testing.assert_array_equal(out.data, v.data)
+        grads = tape.backward(loss, [q, k, v])
+        np.testing.assert_array_equal(grads[q], 0.0)
+        np.testing.assert_array_equal(grads[k], 0.0)
+        np.testing.assert_array_equal(grads[v], 1.0)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(2)
+        params = [ad.Tensor(rng.normal(size=(8, 3)), requires_grad=True) for _ in range(3)]
+        probe = ad.const(rng.normal(size=(8, 3)))
+        err = ad.finite_diff_check(
+            lambda p: ad.sum_all(ad.mul(ad.segment_attention(*p, 4), probe)), params, eps=1e-6
+        )
+        assert err < 1e-5
+
+
+class TestGatherRowsBackward:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.lists(st.integers(0, 5), max_size=10),
+        st.booleans(),
+        st.integers(0, 10_000),
+    )
+    def test_matches_add_at_oracle(self, n, raw, unique, seed):
+        idx = [i % n for i in raw]
+        if unique:
+            idx = list(dict.fromkeys(idx))
+        rng = np.random.default_rng(seed)
+        table = ad.Tensor(rng.normal(size=(n, 3)), requires_grad=True)
+        g = rng.normal(size=(len(idx), 3))
+        with ad.Tape() as tape:
+            out = ad.gather_rows(table, idx)
+            loss = ad.sum_all(ad.mul(out, ad.const(g)))
+        got = tape.backward(loss, [table])[table]
+        want = np.zeros((n, 3))
+        np.add.at(want, np.asarray(idx, dtype=np.intp), g)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_row_cosine_matches_vector_cosine():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+    rows = ad.cosine_similarity(ad.Tensor(a), ad.Tensor(b)).data
+    singles = [ad.cosine_similarity(ad.Tensor(x), ad.Tensor(y)).item() for x, y in zip(a, b)]
+    np.testing.assert_allclose(rows, singles, rtol=1e-15)
+    with pytest.raises(ValueError, match="degenerate norm"):
+        ad.cosine_similarity(ad.Tensor(np.vstack([a[:1], 0 * a[:1]])), ad.Tensor(b[:2]))

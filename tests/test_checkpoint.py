@@ -1,0 +1,49 @@
+import numpy as np
+import pytest
+
+from coldgraph.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+
+
+@pytest.fixture
+def ckpt(tmp_path):
+    path = tmp_path / "model.ckpt"
+    tensors = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([1.5, -2.0])}
+    save_checkpoint(path, tensors, "d=3\n")
+    return path, tensors
+
+
+def test_round_trip(ckpt):
+    path, tensors = ckpt
+    loaded, echo = load_checkpoint(path)
+    assert echo == "d=3\n"
+    assert set(loaded) == set(tensors)
+    for name, arr in tensors.items():
+        np.testing.assert_array_equal(loaded[name], arr)
+
+
+@pytest.mark.parametrize("keep", [0, 5, len(MAGIC) + 10, -1])
+def test_truncated_file(ckpt, keep):
+    path, _ = ckpt
+    blob = path.read_bytes()
+    path.write_bytes(blob[:keep])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("where", ["tensor", "echo", "digest"])
+def test_flipped_bit(ckpt, where):
+    path, _ = ckpt
+    blob = bytearray(path.read_bytes())
+    pos = {"tensor": len(MAGIC) + 12, "echo": len(blob) - 34, "digest": len(blob) - 1}[where]
+    blob[pos] ^= 0x10
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_checkpoint(path)
+
+
+def test_wrong_magic_line(ckpt):
+    path, _ = ckpt
+    blob = path.read_bytes()
+    path.write_bytes(b"coldgraph-ckpt v2\n" + blob[len(MAGIC):])
+    with pytest.raises(CheckpointError, match="version mismatch"):
+        load_checkpoint(path)

@@ -3,6 +3,7 @@ import pytest
 
 from coldgraph import cli
 from coldgraph.checkpoint import load_checkpoint
+from coldgraph.train import TrainConfig
 
 # the x1 synthetic workspace: half of the groups occasional, low thresholds
 SYNTH = [
@@ -59,3 +60,52 @@ def test_run_meta_keys(workspace):
     ws, _ = workspace
     keys = [line.split("=", 1)[0] for line in (ws / "run_meta.txt").read_text().splitlines()]
     assert keys == ["label", "history_file", "total_edges", "masked_edges", "phases"]
+
+
+def test_evaluate_on_corrupted_checkpoint_exits_2(workspace, capsys):
+    code, ckpt = train(workspace, "epochs=1")
+    assert code == 0
+    ws, args = workspace
+    blob = bytearray(ckpt.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    ckpt.write_bytes(bytes(blob))
+    assert cli.main(["evaluate", "--out", str(ws), *args, *PLAIN]) == 2
+    assert "checksum" in capsys.readouterr().err
+
+
+def test_enhancer_pretrain_finetune_is_deterministic(workspace):
+    ws, args = workspace
+    small = ["d=8", "L=2", "K=3", "teacher_epochs=1", "ssl_targets=8", "warmup_targets=8"]
+    assert cli.main(["train-teacher", "--out", str(ws), *args, *small]) == 0
+    blobs = []
+    for _ in range(2):
+        code, ckpt = train(
+            workspace, *small, "lam1=1", "enhancer=true", "paradigm=pretrain_finetune",
+            "warmup_epochs=2", "pretrain_epochs=1", "epochs=1", "batch_size=100000",
+        )
+        assert code == 0
+        blobs.append(ckpt.read_bytes())
+    assert blobs[0] == blobs[1]
+    tensors, _ = load_checkpoint(ckpt)
+    assert any(name.startswith("enhancer/") for name in tensors)
+
+
+def test_threads_knob_is_gone(workspace):
+    ws, args = workspace
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["train", "--out", str(ws), "--threads", "2", *args])
+    assert exit_info.value.code == 2
+    assert cli.main(["train", "--out", str(ws), *args, *PLAIN, "threads=2"]) == 2
+    # config echoes written before the key was retired still read
+    assert TrainConfig.from_text("threads=1\nd=8\n").d == 8
+
+
+def test_report_counts_the_run_edges(workspace, tmp_path):
+    code, _ = train(workspace, "epochs=1")
+    assert code == 0
+    ws, args = workspace
+    runs = [f"report_base_dir={ws}", f"report_ssl_dir={ws}"]
+    assert cli.main(["report", "--out", str(tmp_path), *args, *runs]) == 0
+    meta = dict(line.split("=", 1) for line in (ws / "run_meta.txt").read_text().splitlines())
+    header, row = (tmp_path / "complexity.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["total_edges"] == meta["total_edges"]

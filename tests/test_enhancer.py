@@ -1,28 +1,93 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldgraph import autodiff as ad
+from coldgraph import enhancer
 from coldgraph.enhancer import (
     EnhancerParams,
-    cosine_reconstruction_loss,
-    episode_first_order,
+    episode_metas,
     full_meta_matrices,
     init_enhancer_params,
-    meta_embed,
-    self_attention,
     train_enhancer,
 )
 from coldgraph.graph import (
+    RELATIONS_BY_KIND,
+    Episode,
+    InteractionGraph,
     NodeId,
     RELATION_KINDS,
+    RelationSample,
     SyntheticSpec,
+    build_implicit,
     generate_synthetic,
     sample_episode,
 )
-from coldgraph.model import init_model_params
-from coldgraph.reconstruction import GroundTruthTable
+from coldgraph.model import (
+    CHANNELS_BY_KIND,
+    GraphTensors,
+    aggregate_members,
+    fuse_channels,
+    init_model_params,
+)
+from coldgraph.reconstruction import GroundTruthTable, reconstruction_loss
+
+
+# ---------------------------------------------------------------------------
+# per-node oracles: the math the batched forward replaces, one target at a time
+# ---------------------------------------------------------------------------
+
+
+def self_attention(x, params):
+    """(m, d) neighbor rows smoothed by one head of scaled dot-product attention."""
+    q = ad.matmul(x, params.wq)
+    k = ad.matmul(x, params.wk)
+    v = ad.matmul(x, params.wv)
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(params.d))
+    return ad.matmul(ad.softmax(scores), v)
+
+
+def meta_embed(first_order, params, kind):
+    """Per-relation metas and the fused meta of one target."""
+    channels, metas = {}, {}
+    for rel in RELATIONS_BY_KIND[kind]:
+        neigh = first_order.get(rel)
+        if neigh is None:
+            continue
+        smoothed = self_attention(neigh, params)
+        metas[rel] = channels[rel] = ad.mean_rows(smoothed)
+        if rel == "GU" and kind == "group":
+            channels["GU_AGG"] = aggregate_members(smoothed, "attention", params.member_score)
+    fused, _ = fuse_channels(channels, params.fusion, CHANNELS_BY_KIND[kind])
+    return metas, fused
+
+
+def episode_first_order(episode, tables):
+    """Layer-0 embeddings of an episode's sampled first-order neighbors."""
+    out = {}
+    for rel, sample in episode.samples.items():
+        if len(sample.layers) > 1 and sample.layers[1]:
+            out[rel] = ad.gather_rows(tables(sample.kinds[1]), list(sample.layers[1]))
+    return out
+
+
+def oracle_warmup_loss(episodes, gt, params, tables):
+    terms = []
+    for ep in episodes:
+        first = episode_first_order(ep, tables)
+        if first:
+            _, fused = meta_embed(first, params, ep.target.kind)
+            terms.append(reconstruction_loss(fused, gt.get(ep.ground_truth_ref)))
+    return ad.mean_rows(ad.concat(terms))
+
+
+# ---------------------------------------------------------------------------
+# helpers
+# ---------------------------------------------------------------------------
 
 
 def t(data):
@@ -41,16 +106,51 @@ def identity_params(d):
     )
 
 
+def tables_of(arrays):
+    tabs = {k: ad.Tensor(np.asarray(v, dtype=float), requires_grad=True) for k, v in arrays.items()}
+    return tabs.__getitem__
+
+
+def hand_episode(kind, index, first_order):
+    """Depth-1 episode whose relations sampled exactly ``first_order``."""
+    samples = {}
+    for rel in RELATIONS_BY_KIND[kind]:
+        ka, kb = RELATION_KINDS[rel]
+        other = kb if kind == ka else ka
+        neigh = tuple(first_order.get(rel, ()))
+        samples[rel] = RelationSample(
+            rel, (kind, other), ((index,), neigh), {(kind, index): neigh}
+        )
+    target = NodeId(kind, index)
+    return Episode(target, target.key(), 5, 1, 0, samples)
+
+
+def fused_of(episodes, kind, tables, params):
+    return enhancer._fused_metas(episodes, kind, tables, params)
+
+
+def attention(x, params):
+    """The batched path on one block: segment attention of the projected rows."""
+    x = np.asarray(x, dtype=float)
+    q, k, v = (ad.matmul(ad.const(x), w) for w in (params.wq, params.wk, params.wv))
+    return ad.segment_attention(q, k, v, x.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+
 class TestSelfAttention:
     def test_single_input_is_identity(self):
         params = identity_params(3)
         v = [0.5, -1.0, 2.0]
-        out = self_attention([t(v)], params)
-        np.testing.assert_allclose(out.data, [v])
+        out = attention([v], params)
+        np.testing.assert_array_equal(out.data, [v])
 
     def test_equal_inputs_stay_equal(self):
         params = identity_params(2)
-        out = self_attention([t([1.0, 2.0])] * 3, params)
+        out = attention([[1.0, 2.0]] * 3, params)
         np.testing.assert_allclose(out.data, np.tile([1.0, 2.0], (3, 1)))
 
     def test_two_inputs_match_manual_computation(self):
@@ -60,121 +160,246 @@ class TestSelfAttention:
         params = identity_params(d)
         params.wq.data, params.wk.data, params.wv.data = wq, wk, wv
         x = np.array([[1.0, 0.5], [-0.3, 2.0]])
-        out = self_attention([t(x[0]), t(x[1])], params)
+        out = attention(x, params)
         q, k, v = x @ wq, x @ wk, x @ wv
         scores = q @ k.T / np.sqrt(d)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         a = e / e.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(out.data, a @ v, atol=1e-12)
+        np.testing.assert_allclose(self_attention(ad.const(x), params).data, a @ v, atol=1e-12)
 
     def test_output_count_equals_input_count(self):
         params = init_enhancer_params(3, np.random.default_rng(1))
-        out = self_attention([t(np.random.default_rng(2).normal(size=3)) for _ in range(5)], params)
+        out = attention(np.random.default_rng(2).normal(size=(5, 3)), params)
         assert out.shape == (5, 3)
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            self_attention([], identity_params(2))
+        empty = ad.Tensor(np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="blocks"):
+            ad.segment_attention(empty, empty, empty, 1)
+        three = ad.Tensor(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="blocks"):
+            ad.segment_attention(three, three, three, 2)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_permutation_invariance_of_mean(self, seed):
         rng = np.random.default_rng(seed)
         params = init_enhancer_params(3, np.random.default_rng(7))
-        vecs = [rng.normal(size=3) for _ in range(4)]
-        mean_a = ad.mean_rows(self_attention([t(v) for v in vecs], params))
+        vecs = rng.normal(size=(4, 3))
         perm = rng.permutation(4)
-        mean_b = ad.mean_rows(self_attention([t(vecs[i]) for i in perm], params))
-        np.testing.assert_allclose(mean_a.data, mean_b.data, atol=1e-12)
+        mean_a = attention(vecs, params).data.mean(axis=0)
+        mean_b = attention(vecs[perm], params).data.mean(axis=0)
+        np.testing.assert_allclose(mean_a, mean_b, atol=1e-12)
 
 
 class TestMetaEmbed:
     def test_identical_neighbors_identity_projections(self):
         params = identity_params(2)
         v = np.array([1.0, 3.0])
-        metas, fused = meta_embed({"UI": t(np.tile(v, (4, 1)))}, params, "user")
+        tables = tables_of({"user": np.zeros((2, 2)), "item": np.tile(v, (4, 1)), "group": [[0.0, 0.0]]})
+        ep = hand_episode("user", 0, {"UI": [0, 1, 2, 3]})
+        [metas] = episode_metas([ep], tables, params)
+        assert set(metas) == {"UI"}
         np.testing.assert_allclose(metas["UI"].data, v)
-        np.testing.assert_allclose(fused.data, v)
+        np.testing.assert_allclose(fused_of([ep], "user", tables, params).data, [v])
 
     def test_single_neighbor_equals_smoothed(self):
         params = init_enhancer_params(3, np.random.default_rng(0))
-        neigh = t(np.random.default_rng(1).normal(size=(1, 3)))
-        smoothed = self_attention(neigh, params)
-        metas, _ = meta_embed({"UI": neigh}, params, "user")
-        np.testing.assert_allclose(metas["UI"].data, smoothed.data[0])
+        items = np.random.default_rng(1).normal(size=(2, 3))
+        tables = tables_of({"user": np.zeros((1, 3)), "item": items, "group": np.zeros((1, 3))})
+        ep = hand_episode("user", 0, {"UI": [1]})
+        [metas] = episode_metas([ep], tables, params)
+        smoothed = self_attention(ad.const(items[[1]]), params)
+        np.testing.assert_allclose(metas["UI"].data, smoothed.data[0], atol=1e-15)
 
     def test_uniform_fusion_logits_average_relations(self):
         params = identity_params(2)  # zero fusion weights -> uniform attention
-        a = t(np.tile([2.0, 0.0], (3, 1)))
-        b = t(np.tile([0.0, 2.0], (3, 1)))
-        metas, fused = meta_embed({"UI": a, "UU": b}, params, "user")
-        np.testing.assert_allclose(fused.data, [1.0, 1.0])
+        tables = tables_of({
+            "user": np.tile([0.0, 2.0], (4, 1)),
+            "item": np.tile([2.0, 0.0], (3, 1)),
+            "group": np.zeros((1, 2)),
+        })
+        ep = hand_episode("user", 0, {"UI": [0, 1, 2], "UU": [1, 2, 3]})
+        np.testing.assert_allclose(fused_of([ep], "user", tables, params).data, [[1.0, 1.0]])
 
     def test_all_relations_empty(self):
-        with pytest.raises(ValueError, match="all relations empty"):
-            meta_embed({}, identity_params(2), "user")
+        params = identity_params(2)
+        tables = tables_of({kind: np.ones((1, 2)) for kind in ("user", "item", "group")})
+        isolated = hand_episode("user", 0, {})
+        assert episode_metas([isolated], tables, params) == [{}]
+        gt = GroundTruthTable(2, {"user:0": np.ones(2)}, "test")
+        assert enhancer._warmup_loss([isolated], gt, params, tables) is None
 
     def test_group_gets_member_aggregate_channel(self):
         params = identity_params(2)
-        gi = t(np.tile([1.0, 0.0], (2, 1)))
-        gu = t(np.tile([0.0, 1.0], (2, 1)))
-        metas, fused = meta_embed({"GI": gi, "GU": gu}, params, "group")
+        tables = tables_of({
+            "user": np.tile([0.0, 1.0], (2, 1)),
+            "item": np.tile([1.0, 0.0], (2, 1)),
+            "group": np.zeros((1, 2)),
+        })
+        ep = hand_episode("group", 0, {"GI": [0, 1], "GU": [0, 1]})
         # channels GI, GU, GU_AGG with uniform weights; GU and GU_AGG both average to [0,1]
-        np.testing.assert_allclose(fused.data, [1 / 3, 2 / 3], atol=1e-12)
+        np.testing.assert_allclose(
+            fused_of([ep], "group", tables, params).data, [[1 / 3, 2 / 3]], atol=1e-12
+        )
 
 
 class TestCosineLoss:
     def test_bounds_and_endpoints(self):
         target = np.array([1.0, 0.0])
-        assert cosine_reconstruction_loss(t([2.0, 0.0]), target).item() == pytest.approx(0.0)
-        assert cosine_reconstruction_loss(t([0.0, 1.0]), target).item() == pytest.approx(1.0)
-        assert cosine_reconstruction_loss(t([-3.0, 0.0]), target).item() == pytest.approx(2.0)
+        assert reconstruction_loss(t([2.0, 0.0]), target).item() == pytest.approx(0.0)
+        assert reconstruction_loss(t([0.0, 1.0]), target).item() == pytest.approx(1.0)
+        assert reconstruction_loss(t([-3.0, 0.0]), target).item() == pytest.approx(2.0)
+        preds = t([[2.0, 0.0], [0.0, 1.0], [-3.0, 0.0]])
+        rows = ad.cosine_similarity(preds, ad.const(np.tile(target, (3, 1))))
+        np.testing.assert_allclose(1.0 - rows.data, [0.0, 1.0, 2.0])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_loss_in_range(self, seed):
         rng = np.random.default_rng(seed)
         pred, target = rng.normal(size=3) + 0.01, rng.normal(size=3) + 0.01
-        loss = cosine_reconstruction_loss(t(pred), target).item()
+        loss = reconstruction_loss(t(pred), target).item()
         assert 0.0 <= loss <= 2.0
+
+
+def synthetic(seed, n_users=20, n_items=25, n_groups=8, extra=0):
+    spec = SyntheticSpec(n_users=n_users, n_items=n_items, n_groups=n_groups, n_clusters=2,
+                         intra_p=0.3, inter_p=0.05, group_size_min=2, group_size_max=4, seed=seed)
+    g = build_implicit(generate_synthetic(spec), 1, 0)
+    if extra:  # nodes of every kind without any edge
+        g = InteractionGraph({k: n + extra for k, n in g.counts.items()}, g.edges)
+    return g
 
 
 class TestGradients:
     def test_enhancer_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         params = init_enhancer_params(4, rng)
-        neigh = {
-            "UI": t(rng.normal(size=(3, 4))),
-            "UU": t(rng.normal(size=(2, 4))),
-        }
-        target = rng.normal(size=4)
+        tables = tables_of({k: rng.normal(size=(5, 4)) for k in ("user", "item", "group")})
+        episodes = [
+            hand_episode("user", 0, {"UI": [0, 2, 4], "UU": [1, 3]}),
+            hand_episode("group", 1, {"GI": [1], "GU": [0, 2, 3], "GG": [0, 4]}),
+        ]
+        gt = GroundTruthTable(4, {ep.ground_truth_ref: rng.normal(size=4) for ep in episodes}, "t")
 
         def f(ps):
-            _, fused = meta_embed(neigh, params, "user")
-            return cosine_reconstruction_loss(fused, target)
+            return enhancer._warmup_loss(episodes, gt, params, tables)
 
         err = ad.finite_diff_check(f, params.tensors(), eps=1e-5)
         assert err < 1e-4
 
     def test_vectorized_full_metas_equal_per_node_path(self):
-        spec = SyntheticSpec(n_users=20, n_items=25, n_groups=8, n_clusters=2,
-                             intra_p=0.3, inter_p=0.05, group_size_min=2, group_size_max=4, seed=4)
-        g = generate_synthetic(spec)
+        g = synthetic(4, extra=2)
         model = init_model_params(g.counts, 5, "light", 2, True, np.random.default_rng(0))
         enh = init_enhancer_params(5, np.random.default_rng(1))
-        metas = full_meta_matrices(g, model.table, enh)
-        for (kind, rel), mat in metas.items():
-            ka, kb = RELATION_KINDS[rel]
-            neigh_kind = kb if kind == ka else ka
-            for idx in range(g.counts[kind]):
-                neigh = g.neighbors(rel, kind, idx)
-                if not neigh:
-                    assert np.all(mat.data[idx] == 0.0)
-                    continue
-                ref = ad.mean_rows(
-                    self_attention(ad.gather_rows(model.table(neigh_kind), list(neigh)), enh)
-                )
-                np.testing.assert_allclose(mat.data[idx], ref.data, atol=1e-12)
+        with ad.Tape() as tape:
+            metas = full_meta_matrices(GraphTensors(g), model.table, enh)
+            probe = {key: np.random.default_rng(9).normal(size=m.shape) for key, m in metas.items()}
+            loss = ad.sum_all(ad.concat(
+                [ad.row_sums(ad.mul(m, ad.const(probe[key]))) for key, m in metas.items()]
+            ))
+        grads = tape.backward(loss, model.tensors() + enh.tensors())
+        with ad.Tape() as tape:
+            terms = []
+            for (kind, rel), mat in metas.items():
+                ka, kb = RELATION_KINDS[rel]
+                neigh_kind = kb if kind == ka else ka
+                for idx in range(g.counts[kind]):
+                    neigh = g.neighbors(rel, kind, idx)
+                    if not neigh:
+                        assert np.all(mat.data[idx] == 0.0)
+                        continue
+                    ref = ad.mean_rows(
+                        self_attention(ad.gather_rows(model.table(neigh_kind), list(neigh)), enh)
+                    )
+                    np.testing.assert_allclose(mat.data[idx], ref.data, rtol=0, atol=1e-12)
+                    terms.append(ad.matmul(ref, ad.const(probe[(kind, rel)][idx])))
+            want = tape.backward(ad.sum_all(ad.concat(terms)), model.tensors() + enh.tensors())
+        for tensor in model.tensors() + enh.tensors():
+            np.testing.assert_allclose(grads[tensor], want[tensor], rtol=0, atol=1e-12)
+
+    def test_hub_memory_is_linear_in_scores(self):
+        d, hub = 64, 600
+        ui = [(0, i) for i in range(hub)]
+        g = InteractionGraph({"user": 2, "item": hub, "group": 1}, {"UI": ui})
+        gtens = GraphTensors(g)
+        model = init_model_params(g.counts, d, "light", 1, True, np.random.default_rng(0))
+        enh = init_enhancer_params(d, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            with ad.Tape() as tape:
+                metas = full_meta_matrices(gtens, model.table, enh)
+                loss = ad.sum_all(ad.concat([ad.sum_all(m) for m in metas.values()]))
+            tape.backward(loss, model.tensors() + enh.tensors())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the row gathers of the old path needed 3 * hub**2 * d * 8 B ~ 550 MB
+        assert peak < 64 * 2**20
+
+
+def mixed_batch(d=6, seed=0):
+    """Group, user and item episodes, some isolated, with teacher-like targets."""
+    g = synthetic(seed, n_users=24, n_items=30, n_groups=10, extra=2)
+    model = init_model_params(g.counts, d, "light", 2, True, np.random.default_rng(seed))
+    episodes = [
+        sample_episode(g, NodeId(kind, i), k=3, depth=1, seed=11, member_depth_bonus=False)
+        for kind in ("group", "user", "item")
+        for i in range(g.counts[kind])
+    ]
+    order = np.random.default_rng(seed).permutation(len(episodes))
+    episodes = [episodes[i] for i in order]
+    rng = np.random.default_rng(seed + 1)
+    gt = GroundTruthTable(d, {ep.ground_truth_ref: rng.normal(size=d) for ep in episodes}, "t")
+    return g, model, episodes, gt
+
+
+class TestBatchedWarmup:
+    def test_batched_step_matches_per_episode_oracle(self):
+        g, model, episodes, gt = mixed_batch()
+        isolated = [ep for ep in episodes if not episode_first_order(ep, model.table)]
+        assert len(isolated) >= 3
+        groups = [ep for ep in episodes if ep.target.kind == "group"]
+        assert any(len(ep.samples["GU"].layers[1]) > 1 for ep in groups)
+        enh = init_enhancer_params(6, np.random.default_rng(2))
+        frozen = {k: ad.const(model.table(k).data) for k in ("user", "item", "group")}.__getitem__
+        with ad.Tape() as tape:
+            loss = enhancer._warmup_loss(episodes, gt, enh, frozen)
+            grads = tape.backward(loss, enh.tensors())
+        with ad.Tape() as tape:
+            want = oracle_warmup_loss(episodes, gt, enh, frozen)
+            want_grads = tape.backward(want, enh.tensors())
+        assert loss.item() == pytest.approx(want.item(), rel=0, abs=1e-12)
+        for tensor in enh.tensors():
+            np.testing.assert_allclose(grads[tensor], want_grads[tensor], rtol=0, atol=1e-12)
+
+    def test_episode_metas_match_per_episode_oracle(self):
+        g, model, episodes, gt = mixed_batch(seed=1)
+        enh = init_enhancer_params(6, np.random.default_rng(3))
+        tensors = model.tensors() + enh.tensors()
+        probe = np.random.default_rng(4).normal(size=6)
+
+        def total(metas_per_episode):
+            metas = [m for ep_metas in metas_per_episode for m in ep_metas.values()]
+            return ad.sum_all(ad.concat([ad.matmul(m, ad.const(probe)) for m in metas]))
+
+        with ad.Tape() as tape:
+            got = episode_metas(episodes, model.table, enh)
+            grads = tape.backward(total(got), tensors)
+        with ad.Tape() as tape:
+            want = []
+            for ep in episodes:
+                first = episode_first_order(ep, model.table)
+                want.append(meta_embed(first, enh, ep.target.kind)[0] if first else {})
+            want_grads = tape.backward(total(want), tensors)
+        assert [set(m) for m in got] == [set(m) for m in want]
+        for got_m, want_m in zip(got, want):
+            for rel in want_m:
+                np.testing.assert_allclose(got_m[rel].data, want_m[rel].data, rtol=0, atol=1e-12)
+        for tensor in tensors:
+            np.testing.assert_allclose(grads[tensor], want_grads[tensor], rtol=0, atol=1e-12)
 
 
 class TestTrainEnhancer:
@@ -216,10 +441,13 @@ class TestTrainEnhancer:
     def test_recovers_neighbor_mean_targets(self):
         g, model, episodes, gt = self.build()
         enh = init_enhancer_params(8, np.random.default_rng(2))
+        before = [np.array(x.data) for x in model.tensors()]
         _, losses = train_enhancer(episodes, gt, enh, model.table, learning_rate=0.02,
                                    epochs=150, rng=np.random.default_rng(0))
         # mean cosine similarity above 0.95 <=> loss below 0.05
         assert losses[-1] < 0.05
+        for prev, tensor in zip(before, model.tensors()):
+            np.testing.assert_array_equal(prev, tensor.data)
 
     def test_missing_ground_truth_rejected(self):
         g, model, episodes, gt = self.build()
