@@ -14,19 +14,9 @@ from .graph import (
     sample_episode,
     segment,
 )
-from .model import (
-    ModelParams,
-    aggregate_members,
-    conv_step,
-    embed_from_episode,
-    full_embeddings,
-    fuse_channels,
-    init_model_params,
-    propagate,
-    score,
-)
+from .model import ModelParams, embed_from_episode, full_embeddings, init_model_params
 from .enhancer import EnhancerParams, init_enhancer_params, train_enhancer
-from .reconstruction import GroundTruthTable, reconstruction_loss, ssl_loss, train_teacher
+from .reconstruction import GroundTruthTable, ssl_loss, train_teacher
 from .train import (
     TrainConfig,
     TrainHistory,

@@ -27,7 +27,6 @@ __all__ = [
     "gather_rows",
     "stack_rows",
     "mean_rows",
-    "max_rows",
     "matmul",
     "spmm",
     "add",
@@ -251,19 +250,6 @@ def mean_rows(x: Tensor) -> Tensor:
         return (np.full(m, g / m),)
 
     return _emit(x.data.mean(axis=0), (x,), vjp)
-
-
-def max_rows(x: Tensor) -> Tensor:
-    """Column-wise maximum of a matrix; gradient routes to the argmax rows."""
-    _check_2d(x, "max_rows")
-    arg = x.data.argmax(axis=0)
-
-    def vjp(g):
-        gt = np.zeros(x.shape)
-        gt[arg, np.arange(x.shape[1])] = g
-        return (gt,)
-
-    return _emit(x.data.max(axis=0), (x,), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -15,7 +15,8 @@ stacked neighbor rows; the fusion runs through :func:`model.fuse_matrix`.
 The targets are the sampled first-order neighborhoods of an episode batch
 (:func:`episode_metas`, and :func:`train_enhancer`, which reads the model
 tables as constants) or every node's complete neighborhood
-(:func:`full_meta_matrices`).
+(:func:`full_meta_matrices`).  The warm-up and the pretext task score
+predictions with the same batched :func:`reconstruction_costs`.
 """
 
 from __future__ import annotations
@@ -30,14 +31,13 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .graph import KINDS, RELATION_KINDS, RELATIONS_BY_KIND, Episode
 from .model import (
-    CHANNELS_BY_KIND,
     FUSION_KEYS,
     DegreePlan,
     GraphTensors,
-    _fusion_plan,
     attention_pool,
+    batch_kind,
     degree_plan,
-    fuse_matrix,
+    fuse_present,
     xavier_uniform,
 )
 
@@ -152,22 +152,18 @@ def _by_kind(episodes: Sequence[Episode]) -> dict[str, list[int]]:
 
 def episode_metas(
     episodes: Sequence[Episode], tables, params: EnhancerParams
-) -> list[dict[str, Tensor]]:
-    """Per-relation meta embeddings of each episode target, in input order.
+) -> dict[str, Tensor]:
+    """Per-relation (n, d) meta embeddings of n episode targets of one kind.
 
-    A relation that sampled no neighbor has no entry, so an isolated target
-    gets {}.
+    A target whose relation sampled no neighbor gets a zero row, and a
+    relation that sampled no neighbor in any episode has no entry.
     """
-    out: list[dict[str, Tensor]] = [{} for _ in episodes]
-    for kind, positions in _by_kind(episodes).items():
-        plans = _episode_plans([episodes[i] for i in positions], kind)
-        for rel, plan in plans.items():
-            if not plan.buckets:
-                continue
+    kind = batch_kind(episodes)
+    out = {}
+    for rel, plan in _episode_plans(episodes, kind).items():
+        if plan.buckets:
             qkv = _gathered_qkv(tables, params, _neighbor_kind(rel, kind))
-            metas, _ = _relation_metas(qkv, plan, params.d, None)
-            for row in np.flatnonzero(plan.present):
-                out[positions[row]][rel] = ad.mean_rows(ad.gather_rows(metas, [row]))
+            out[rel], _ = _relation_metas(qkv, plan, params.d, None)
     return out
 
 
@@ -207,15 +203,24 @@ def _fused_metas(
         masks[rel] = plan.present
         if agg is not None:
             channels["GU_AGG"], masks["GU_AGG"] = agg, plan.present
-    order = CHANNELS_BY_KIND[kind]
-    absent = np.zeros(len(episodes), dtype=bool)
-    fused, _ = fuse_matrix(
-        _fusion_plan(order, [masks.get(c, absent) for c in order]),
-        channels,
-        params.fusion,
-        ad.const(np.zeros((len(episodes), params.d))),
-    )
-    return fused
+    e0 = ad.const(np.zeros((len(episodes), params.d)))
+    return fuse_present(kind, channels, masks, params.fusion, e0)
+
+
+def reconstruction_costs(predicted: Tensor, episodes: Sequence[Episode], ground_truth) -> Tensor:
+    """1 - cosine of each predicted row and its episode's ground truth, (n,).
+
+    0 iff aligned, 2 iff opposite.  Raises KeyError for a target without
+    a ground-truth embedding.
+    """
+    targets = []
+    for ep in episodes:
+        vec = ground_truth.get(ep.ground_truth_ref)
+        if vec is None:
+            raise KeyError(f"no ground-truth embedding for {ep.ground_truth_ref}")
+        targets.append(vec)
+    cos = ad.cosine_similarity(predicted, ad.const(np.stack(targets)))
+    return ad.sub(ad.const(np.ones(len(targets))), cos)
 
 
 def _warmup_loss(
@@ -232,9 +237,7 @@ def _warmup_loss(
         if not batch:
             continue
         fused = _fused_metas(batch, kind, tables, params)
-        targets = np.stack([ground_truth.get(ep.ground_truth_ref) for ep in batch])
-        cos = ad.cosine_similarity(fused, ad.const(targets))
-        terms.append(ad.sub(ad.const(np.ones(len(batch))), cos))
+        terms.append(reconstruction_costs(fused, batch, ground_truth))
     if not terms:
         return None
     return ad.mean_rows(terms[0] if len(terms) == 1 else ad.concat(terms))

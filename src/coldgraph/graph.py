@@ -544,14 +544,6 @@ class RelationSample:
     def edge_count(self) -> int:
         return sum(len(v) for v in self.children.values())
 
-    def all_nodes(self) -> list[tuple[str, int]]:
-        """Distinct (kind, index) pairs in first-seen layer order."""
-        seen: dict[tuple[str, int], None] = {}
-        for kind, layer in zip(self.kinds, self.layers):
-            for idx in layer:
-                seen.setdefault((kind, idx), None)
-        return list(seen)
-
 
 @dataclass(frozen=True)
 class Episode:

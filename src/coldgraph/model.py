@@ -7,20 +7,21 @@ convolution variants are supported: ``light`` averages the self embedding
 with the neighbor mean, ``gcn`` projects their concatenation through a
 per-layer weight and a relu.
 
-Propagation runs in two modes that compute the same recursion:
+There is one propagation path.  A relation step multiplies by a constant
+sparse neighbor-mean operator (:func:`autodiff.spmm`) and convolves every
+row at once; member aggregation pools equal-degree groups with one
+:func:`attention_pool` each, and fusion groups rows by channel presence.
+It runs over one of two graphs:
 
-* episode mode walks a sampled neighborhood tree bottom-up (the masked,
-  cold-start simulation), vectorized as one dense matrix iteration per tree;
-* full mode iterates all nodes of a relation at once over the complete
-  adjacency (used for the main ranking loss, teachers and evaluation).  The
-  neighbor mean D^-1 A h is one :func:`autodiff.spmm` per relation
-  direction and step, over the constant sparse operators of
-  :class:`GraphTensors`.
+* the complete training graph (:class:`GraphTensors`), for the ranking
+  loss, teachers and evaluation (:func:`full_embeddings`);
+* the masked, K-sampled neighborhood trees of an episode batch, stacked
+  into one small forest per relation (the cold-start simulation of the
+  pretext task, :func:`embed_from_episode`).
 
-When an embedding-enhancer meta vector is supplied, the self path of the
-propagation target is replaced by a learned projection of
-``concat(self, meta)`` at every convolution step.
-"""
+When enhancer meta embeddings are supplied, the self path of the meta rows
+(every node, or the episode targets) is replaced by a learned projection of
+``concat(self, meta)`` at every convolution step."""
 
 from __future__ import annotations
 
@@ -31,19 +32,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import (
-    KINDS,
-    RELATION_KINDS,
-    Episode,
-    InteractionGraph,
-    NodeId,
-    RelationSample,
-)
+from .graph import KINDS, RELATION_KINDS, RELATIONS_BY_KIND, Episode, InteractionGraph
 from .sparse import SparseOperator, neighbor_mean
 
 CONV_VARIANTS = ("light", "gcn")
-
-AGGREGATORS = ("attention", "average", "sum", "maxpool")
 
 #: fusion channels per node kind; GU_AGG is the member-aggregate channel
 CHANNELS_BY_KIND: dict[str, tuple[str, ...]] = {
@@ -155,45 +147,6 @@ def init_model_params(
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(*tensors: Tensor | None) -> None:
-    for t in tensors:
-        if t is not None and not np.all(np.isfinite(t.data)):
-            raise ValueError("non-finite inputs to convolution")
-
-
-def conv_step(
-    variant: str,
-    self_emb: Tensor,
-    neighbor_embs: Sequence[Tensor] | None,
-    weight: Tensor | None = None,
-    meta_emb: Tensor | None = None,
-    meta_proj: Tensor | None = None,
-) -> Tensor:
-    """One convolution of a single node given its sampled neighbors.
-
-    The neighbor mean is the zero vector when the list is empty.  With a meta
-    embedding the self input becomes ``concat(self, meta) @ meta_proj``.
-    """
-    if variant not in CONV_VARIANTS:
-        raise ValueError(f"unknown conv variant {variant!r}")
-    _check_finite(self_emb, meta_emb)
-    s = self_emb
-    if meta_emb is not None:
-        if meta_proj is None:
-            raise ValueError("meta_emb given without meta_proj")
-        s = ad.matmul(ad.concat([self_emb, meta_emb]), meta_proj)
-    if neighbor_embs:
-        _check_finite(*neighbor_embs)
-        nbar = ad.mean_rows(ad.stack_rows(list(neighbor_embs)))
-    else:
-        nbar = ad.const(np.zeros(self_emb.shape))
-    if variant == "light":
-        return ad.scale(ad.add(s, nbar), 0.5)
-    if weight is None:
-        raise ValueError("gcn variant needs a layer weight")
-    return ad.relu(ad.matmul(ad.concat([s, nbar]), weight))
-
-
 def _conv_matrix(
     variant: str, self_mat: Tensor, neigh_mat: Tensor, weight: Tensor | None
 ) -> Tensor:
@@ -203,194 +156,13 @@ def _conv_matrix(
 
 
 def _inject_meta_rows(h: Tensor, meta: Tensor, proj: Tensor) -> Tensor:
-    """Replace every row's self embedding by ``concat(self, meta) @ proj``."""
-    return ad.matmul(ad.concat([h, meta], axis=1), proj)
-
-
-def _inject_meta_single(h: Tensor, row: int, meta_vec: Tensor, proj: Tensor) -> Tensor:
-    """Replace one row's self embedding by its meta projection."""
-    current = ad.mean_rows(ad.gather_rows(h, [row]))
-    projected = ad.matmul(ad.concat([current, meta_vec]), proj)
-    diff = ad.sub(projected, current)
-    onehot = np.zeros((h.shape[0], 1))
-    onehot[row, 0] = 1.0
-    return ad.add(h, ad.matmul(ad.const(onehot), ad.stack_rows([diff])))
-
-
-# ---------------------------------------------------------------------------
-# member aggregation and channel fusion
-# ---------------------------------------------------------------------------
-
-
-def _as_matrix(member_embs) -> Tensor:
-    if isinstance(member_embs, Tensor):
-        if member_embs.ndim != 2:
-            raise ValueError("member matrix must be 2-d")
-        if member_embs.shape[0] == 0:
-            raise ValueError("group without members")
-        return member_embs
-    members = list(member_embs)
-    if not members:
-        raise ValueError("group without members")
-    return ad.stack_rows(members)
-
-
-def aggregate_members(
-    member_embs, f_agg: str = "attention", score: Tensor | None = None
-) -> Tensor:
-    """Pool a non-empty set of member embeddings into one vector."""
-    mat = _as_matrix(member_embs)
-    if f_agg == "average":
-        return ad.mean_rows(mat)
-    if f_agg == "sum":
-        return ad.scale(ad.mean_rows(mat), float(mat.shape[0]))
-    if f_agg == "maxpool":
-        return ad.max_rows(mat)
-    if f_agg == "attention":
-        if score is None:
-            raise ValueError("attention aggregation needs a score vector")
-        weights = ad.softmax(ad.matmul(mat, score))
-        return ad.matmul(weights, mat)
-    raise ValueError(f"unknown aggregator {f_agg!r}")
-
-
-def fuse_channels(
-    channels: Mapping[str, Tensor],
-    weights: Mapping[str, Tensor],
-    order: Sequence[str] | None = None,
-) -> tuple[Tensor, dict[str, float]]:
-    """Soft-attention fusion of the present channel embeddings.
-
-    The attention logit of channel c is the coordinate sum of ``W_c @ h_c``;
-    absent channels simply do not enter the softmax.
-    """
-    keys = [c for c in (order or sorted(channels)) if c in channels]
-    if not keys:
-        raise ValueError("all channels absent")
-    if len(keys) == 1:
-        return channels[keys[0]], {keys[0]: 1.0}
-    logits = ad.concat([ad.sum_all(ad.matmul(channels[c], weights[c])) for c in keys])
-    attn = ad.softmax(logits)
-    fused = ad.matmul(attn, ad.stack_rows([channels[c] for c in keys]))
-    return fused, {c: float(a) for c, a in zip(keys, attn.data)}
-
-
-def score(left, right) -> float:
-    """Inner-product relevance between two embeddings."""
-    lv = left.data if isinstance(left, Tensor) else np.asarray(left, dtype=np.float64)
-    rv = right.data if isinstance(right, Tensor) else np.asarray(right, dtype=np.float64)
-    if lv.shape != rv.shape:
-        raise ValueError(f"score shape mismatch: {lv.shape} vs {rv.shape}")
-    return float(lv @ rv)
-
-
-# ---------------------------------------------------------------------------
-# episode (masked) propagation
-# ---------------------------------------------------------------------------
-
-
-def _episode_matrices(sample: RelationSample, params: ModelParams):
-    """Initial embeddings and the normalized children operator for one tree."""
-    nodes = sample.all_nodes()
-    pos = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-
-    by_kind: dict[str, list[tuple[int, int]]] = {}
-    for node, i in pos.items():
-        by_kind.setdefault(node[0], []).append((i, node[1]))
-    blocks = []
-    row_order: list[int] = []
-    for kind in sorted(by_kind):
-        rows = by_kind[kind]
-        blocks.append(ad.gather_rows(params.table(kind), [idx for _, idx in rows]))
-        row_order.extend(i for i, _ in rows)
-    if len(blocks) == 1:
-        h0 = blocks[0]
-    else:
-        inverse = np.empty(n, dtype=int)
-        inverse[np.array(row_order)] = np.arange(n)
-        h0 = ad.gather_rows(ad.concat(blocks, axis=0), inverse.tolist())
-
-    ka, kb = RELATION_KINDS[sample.relation]
-    children_op = np.zeros((n, n))
-    for (kind, idx), kids in sample.children.items():
-        if not kids:
-            continue
-        child_kind = kb if kind == ka else ka
-        w = 1.0 / len(kids)
-        i = pos[(kind, idx)]
-        for c in kids:
-            children_op[i, pos[(child_kind, c)]] += w
-    return nodes, pos, h0, ad.const(children_op)
-
-
-def propagate_sample(
-    sample: RelationSample,
-    params: ModelParams,
-    steps: int,
-    meta_vec: Tensor | None = None,
-):
-    """Run ``steps`` convolutions over one sampled neighborhood tree.
-
-    Returns ``(target_vec, node_matrix, position_map)``; the first two are
-    None when the relation sampled no neighbors at all, in which case the
-    caller falls back to the initial table embedding or drops the channel.
-    """
-    if len(sample.layers) < 2 or not sample.layers[1]:
-        return None, None, {}
-    if steps > len(sample.layers) - 1:
-        raise ValueError(
-            f"cannot run {steps} steps over a depth-{len(sample.layers) - 1} sample"
-        )
-    nodes, pos, h, children_op = _episode_matrices(sample, params)
-    proj = None
-    if meta_vec is not None:
-        proj = params.meta_proj.get(sample.relation)
-        if proj is None:
-            raise ValueError(f"no meta projection for relation {sample.relation}")
-    target_row = 0  # layer 0 is always first in node order
-    for layer in range(1, steps + 1):
-        neigh = ad.matmul(children_op, h)
-        self_mat = h
-        if meta_vec is not None:
-            self_mat = _inject_meta_single(h, target_row, meta_vec, proj)
-        w = params.conv_w[layer - 1] if params.variant == "gcn" else None
-        h = _conv_matrix(params.variant, self_mat, neigh, w)
-    target_vec = ad.mean_rows(ad.gather_rows(h, [target_row]))
-    return target_vec, h, pos
-
-
-def embed_from_episode(
-    episode: Episode,
-    params: ModelParams,
-    metas: Mapping[str, Tensor] | None = None,
-) -> tuple[Tensor, dict[str, float]]:
-    """Embed an episode's target from its masked neighborhood only.
-
-    ``metas`` optionally maps relation name to the target's meta embedding;
-    channels whose relation sampled no neighbors are dropped from fusion, and
-    a completely isolated target falls back to its initial embedding.
-    """
-    metas = metas or {}
-    kind = episode.target.kind
-    channels: dict[str, Tensor] = {}
-    for rel, sample in episode.samples.items():
-        vec, mat, pos = propagate_sample(
-            sample, params, episode.depth, meta_vec=metas.get(rel)
-        )
-        if vec is None:
-            continue
-        channels[rel] = vec
-        if rel == "GU" and kind == "group":
-            member_rows = [pos[("user", u)] for u in sample.layers[1]]
-            members = ad.gather_rows(mat, member_rows)
-            channels["GU_AGG"] = aggregate_members(
-                members, "attention", params.member_score
-            )
-    if not channels:
-        table = params.table(kind)
-        return ad.mean_rows(ad.gather_rows(table, [episode.target.index])), {}
-    return fuse_channels(channels, params.fusion, CHANNELS_BY_KIND[kind])
+    """Replace the self embedding of the first ``len(meta)`` rows by
+    ``concat(self, meta) @ proj``."""
+    n = meta.shape[0]
+    if n == h.shape[0]:
+        return ad.matmul(ad.concat([h, meta], axis=1), proj)
+    head = ad.matmul(ad.concat([ad.gather_rows(h, np.arange(n)), meta], axis=1), proj)
+    return ad.concat([head, ad.gather_rows(h, np.arange(n, h.shape[0]))], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -529,67 +301,42 @@ class GraphTensors:
 
 
 def _relation_steps(
-    gtens: GraphTensors,
     rel: str,
+    ops: Mapping[str, SparseOperator],
+    h0: Mapping[str, Tensor],
     params: ModelParams,
-    inject: Mapping[str, Tensor] | None = None,
-    inject_single: Mapping[str, tuple[int, Tensor]] | None = None,
-    steps: int | None = None,
+    inject: Mapping[str, Tensor | None] | None = None,
 ) -> dict[str, list[Tensor]]:
-    """Per-step embeddings of both endpoint kinds over the full relation.
+    """Per-step embeddings of the endpoint kinds of one relation.
 
-    ``inject`` meta-injects every row of a kind with its own meta row;
-    ``inject_single`` meta-injects just one row of a kind.
+    ``h0[kind]`` holds the initial rows of ``kind`` and ``ops[kind]`` the
+    constant neighbor-mean operator from those rows to the other kind's
+    (one entry each for UU and GG).  ``inject[kind]``, when given, is a
+    meta matrix whose rows meta-inject the leading rows of ``kind`` at every
+    step: all of them over the full graph, the targets in an episode forest.
     """
     inject = inject or {}
-    inject_single = inject_single or {}
-    L = params.layers if steps is None else steps
     ka, kb = RELATION_KINDS[rel]
+    other = {ka: kb, kb: ka}
+    h = dict(h0)
+    out = {kind: [h[kind]] for kind in h}
 
-    def adjust(kind: str, h: Tensor) -> Tensor:
+    def adjust(kind: str, x: Tensor) -> Tensor:
         meta = inject.get(kind)
-        if meta is not None:
-            return _inject_meta_rows(h, meta, params.meta_proj[rel])
-        single = inject_single.get(kind)
-        if single is not None:
-            row, meta_vec = single
-            return _inject_meta_single(h, row, meta_vec, params.meta_proj[rel])
-        return h
+        return x if meta is None else _inject_meta_rows(x, meta, params.meta_proj[rel])
 
-    if ka == kb:
-        h = params.table(ka)
-        out = {ka: [h]}
-        op = gtens.norm[(rel, ka)]
-        for layer in range(1, L + 1):
-            neigh = ad.spmm(op, h)
-            w = params.conv_w[layer - 1] if params.variant == "gcn" else None
-            h = _conv_matrix(params.variant, adjust(ka, h), neigh, w)
-            out[ka].append(h)
-        return out
-
-    ha, hb = params.table(ka), params.table(kb)
-    out = {ka: [ha], kb: [hb]}
-    op_a = gtens.norm[(rel, ka)]
-    op_b = gtens.norm[(rel, kb)]
-    for layer in range(1, L + 1):
-        neigh_a = ad.spmm(op_a, hb)
-        neigh_b = ad.spmm(op_b, ha)
+    for layer in range(1, params.layers + 1):
+        neigh = {kind: ad.spmm(ops[kind], h[other[kind]]) for kind in h}
         w = params.conv_w[layer - 1] if params.variant == "gcn" else None
-        ha, hb = (
-            _conv_matrix(params.variant, adjust(ka, ha), neigh_a, w),
-            _conv_matrix(params.variant, adjust(kb, hb), neigh_b, w),
-        )
-        out[ka].append(ha)
-        out[kb].append(hb)
+        h = {kind: _conv_matrix(params.variant, adjust(kind, h[kind]), neigh[kind], w) for kind in h}
+        for kind in h:
+            out[kind].append(h[kind])
     return out
 
 
 def attention_pool(rows: Tensor, m: int, score: Tensor) -> Tensor:
-    """Attention pooling of each block of m consecutive rows into one row.
-
-    Per block this is :func:`aggregate_members` with ``"attention"``: the
-    rows weighted by the softmax of their scores against ``score``.
-    """
+    """Attention pooling of each block of m consecutive rows into one row:
+    the rows weighted by the softmax of their scores against ``score``."""
     if m == 1:
         return rows
     n = rows.shape[0]
@@ -597,23 +344,20 @@ def attention_pool(rows: Tensor, m: int, score: Tensor) -> Tensor:
     return ad.sum_consecutive(ad.scale_rows(rows, attn), m)
 
 
-def _member_aggregate_matrix(
-    gtens: GraphTensors, h_user_gu: Tensor, params: ModelParams
-) -> Tensor | None:
-    """Per-group member-aggregate channel from the group-user relation.
+def _member_aggregate(plan: DegreePlan, h_user: Tensor, params: ModelParams) -> Tensor | None:
+    """Member-aggregate channel of the groups of ``plan`` (group -> user rows).
 
     Groups with equal member counts share one :func:`attention_pool`.
     None when no group has members.
     """
-    plan = gtens.neighbor_plan("GU", "group")
     if not plan.buckets:
         return None
     return plan.assemble(
         (
-            attention_pool(ad.gather_rows(h_user_gu, flat), m, params.member_score)
+            attention_pool(ad.gather_rows(h_user, flat), m, params.member_score)
             for m, flat in plan.buckets
         ),
-        h_user_gu.shape[1],
+        h_user.shape[1],
     )
 
 
@@ -658,6 +402,31 @@ def fuse_matrix(
     return ad.gather_rows(stacked, plan.inverse), weights_out
 
 
+def fuse_present(
+    kind: str,
+    channel_mats: Mapping[str, Tensor],
+    masks: Mapping[str, np.ndarray],
+    weight_params: Mapping[str, Tensor],
+    e0: Tensor,
+) -> Tensor:
+    """:func:`fuse_matrix` of one batch of ``kind`` rows, grouped on the fly.
+
+    ``masks[c]`` marks the rows that have channel c; a channel without a
+    mask is absent from every row.
+    """
+    order = CHANNELS_BY_KIND[kind]
+    absent = np.zeros(e0.shape[0], dtype=bool)
+    fused, _ = fuse_matrix(
+        _fusion_plan(order, [masks.get(c, absent) for c in order]), channel_mats, weight_params, e0
+    )
+    return fused
+
+
+# ---------------------------------------------------------------------------
+# full graph
+# ---------------------------------------------------------------------------
+
+
 @dataclass
 class FullState:
     """All-node embeddings from a full-neighborhood forward pass."""
@@ -684,20 +453,31 @@ def full_embeddings(
     propagation.
     """
     metas = metas or {}
-    gi = _relation_steps(gtens, "GI", params, {"group": metas.get(("group", "GI"))})
-    gu = _relation_steps(gtens, "GU", params, {"group": metas.get(("group", "GU"))})
-    gg = _relation_steps(gtens, "GG", params, {"group": metas.get(("group", "GG"))})
-    uu = _relation_steps(gtens, "UU", params, {"user": metas.get(("user", "UU"))})
-    ui_user = _relation_steps(gtens, "UI", params, {"user": metas.get(("user", "UI"))})
+
+    def steps(rel: str, kind: str) -> dict[str, list[Tensor]]:
+        kinds = dict.fromkeys(RELATION_KINDS[rel])
+        return _relation_steps(
+            rel,
+            {k: gtens.norm[(rel, k)] for k in kinds},
+            {k: params.table(k) for k in kinds},
+            params,
+            {kind: metas.get((kind, rel))},
+        )
+
+    gi = steps("GI", "group")
+    gu = steps("GU", "group")
+    gg = steps("GG", "group")
+    uu = steps("UU", "user")
+    ui_user = steps("UI", "user")
     if metas.get(("user", "UI")) is None and metas.get(("item", "UI")) is None:
         ui_item = ui_user
     else:
-        ui_item = _relation_steps(gtens, "UI", params, {"item": metas.get(("item", "UI"))})
+        ui_item = steps("UI", "item")
 
     L = params.layers
 
     def fuse_all(step: int, collect: bool):
-        gu_agg = _member_aggregate_matrix(gtens, gu["user"][step], params)
+        gu_agg = _member_aggregate(gtens.neighbor_plan("GU", "group"), gu["user"][step], params)
         mats = {
             "group": {
                 "GI": gi["group"][step],
@@ -737,38 +517,95 @@ def full_embeddings(
     )
 
 
-def propagate(
-    source,
-    target: NodeId,
-    relation: str,
-    steps: int,
-    params: ModelParams,
-    meta_vec: Tensor | None = None,
-) -> Tensor:
-    """Embed ``target`` through one relation, episode- or full-neighborhood.
+# ---------------------------------------------------------------------------
+# episode forests
+# ---------------------------------------------------------------------------
 
-    ``source`` is either an :class:`Episode` (masked propagation over its
-    sampled tree) or an :class:`InteractionGraph` (complete adjacency).  A
-    target with no neighbors in the relation keeps its initial embedding.
+
+def batch_kind(episodes: Sequence[Episode]) -> str:
+    """The one target kind of a non-empty episode batch."""
+    kinds = {ep.target.kind for ep in episodes}
+    if len(kinds) != 1:
+        raise ValueError(f"an episode batch needs one target kind, got {sorted(kinds)}")
+    return kinds.pop()
+
+
+def _episode_forest(
+    episodes: Sequence[Episode], kind: str, rel: str
+) -> tuple[dict[str, np.ndarray], dict[str, SparseOperator], DegreePlan]:
+    """One relation's sampled trees of an episode batch, as one small graph.
+
+    Its nodes are the distinct (episode, kind, index) triples of the trees.
+    Returns ``(nodes, ops, members)``: ``nodes[k]`` gives the table index of
+    each row of kind k, with the n targets as the first n rows of their
+    kind; ``ops[k]`` averages each row's sampled children (leaves have
+    none); ``members`` groups the targets' first-order neighbor rows by
+    target degree.
     """
-    if isinstance(source, Episode):
-        sample = source.samples.get(relation)
+    ka, kb = RELATION_KINDS[rel]
+    other = {ka: kb, kb: ka}
+    rows: dict[str, dict[tuple[int, int], int]] = {k: {} for k in other}
+    rows[kind].update(((b, ep.target.index), b) for b, ep in enumerate(episodes))
+    edges: dict[str, tuple[list[int], list[int]]] = {k: ([], []) for k in other}
+    firsts: list[tuple[int, ...]] = []
+    for b, ep in enumerate(episodes):
+        sample = ep.samples.get(rel)
+        firsts.append(sample.layers[1] if sample is not None else ())
         if sample is None:
-            raise ValueError(f"episode has no sample for relation {relation}")
-        vec, _, _ = propagate_sample(sample, params, steps, meta_vec=meta_vec)
-        if vec is None:
-            return ad.mean_rows(ad.gather_rows(params.table(target.kind), [target.index]))
-        return vec
-    if isinstance(source, InteractionGraph):
-        if source.degree(relation, target.kind, target.index) == 0:
-            return ad.mean_rows(ad.gather_rows(params.table(target.kind), [target.index]))
-        gtens = GraphTensors(source)
-        inject_single = None
-        if meta_vec is not None:
-            inject_single = {target.kind: (target.index, meta_vec)}
-        steps_out = _relation_steps(
-            gtens, relation, params, inject_single=inject_single, steps=steps
-        )
-        h = steps_out[target.kind][steps]
-        return ad.mean_rows(ad.gather_rows(h, [target.index]))
-    raise TypeError(f"cannot propagate over {type(source).__name__}")
+            continue
+        for (k, idx), kids in sample.children.items():
+            own, theirs = rows[k], rows[other[k]]
+            r = own.setdefault((b, idx), len(own))
+            src, dst = edges[k]
+            for c in kids:
+                src.append(r)
+                dst.append(theirs.setdefault((b, c), len(theirs)))
+    nodes = {k: np.fromiter((idx for _, idx in rows[k]), np.intp, len(rows[k])) for k in other}
+    ops = {
+        k: neighbor_mean(src, dst, (len(rows[k]), len(rows[other[k]])))
+        for k, (src, dst) in edges.items()
+    }
+    member_rows = rows[other[kind]]
+    sizes = [len(f) for f in firsts]
+    cols = np.fromiter(
+        (member_rows[(b, c)] for b, f in enumerate(firsts) for c in f), np.intp, sum(sizes)
+    )
+    members = degree_plan(np.repeat(np.arange(len(episodes)), sizes), cols, len(episodes))
+    return nodes, ops, members
+
+
+def embed_from_episode(
+    episodes: Sequence[Episode],
+    params: ModelParams,
+    metas: Mapping[str, Tensor] | None = None,
+) -> Tensor:
+    """Embed n episode targets of one kind from their masked neighborhoods only.
+
+    Each relation's trees are one forest (:func:`_episode_forest`),
+    propagated by the same relation step, member aggregation and fusion as
+    the full graph.
+    ``metas`` optionally maps a relation to an (n, d) meta matrix that
+    meta-injects the targets.  A channel whose relation sampled no neighbor
+    is dropped from fusion, and a completely isolated target keeps its
+    initial embedding.  Returns the (n, d) target embeddings in input order.
+    """
+    kind = batch_kind(episodes)
+    if any(ep.depth != params.layers for ep in episodes):
+        raise ValueError(f"episodes must be sampled to depth {params.layers}")
+    metas = metas or {}
+    channels: dict[str, Tensor] = {}
+    masks: dict[str, np.ndarray] = {}
+    target_rows = np.arange(len(episodes))
+    for rel in RELATIONS_BY_KIND[kind]:
+        nodes, ops, members = _episode_forest(episodes, kind, rel)
+        if not members.present.any():
+            continue
+        h0 = {k: ad.gather_rows(params.table(k), idx) for k, idx in nodes.items()}
+        out = _relation_steps(rel, ops, h0, params, {kind: metas.get(rel)})
+        channels[rel] = ad.gather_rows(out[kind][-1], target_rows)
+        masks[rel] = members.present
+        if (kind, rel) == ("group", "GU"):
+            channels["GU_AGG"] = _member_aggregate(members, out["user"][-1], params)
+            masks["GU_AGG"] = members.present
+    e0 = ad.gather_rows(params.table(kind), [ep.target.index for ep in episodes])
+    return fuse_present(kind, channels, masks, params.fusion, e0)

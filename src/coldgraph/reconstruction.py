@@ -16,9 +16,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .enhancer import EnhancerParams, episode_metas
+from .enhancer import EnhancerParams, episode_metas, reconstruction_costs
 from .graph import Episode, EvalSplit, InteractionGraph, NodeId
-from .model import FullState, ModelParams, embed_from_episode
+from .model import FullState, ModelParams, batch_kind, embed_from_episode
 
 log = logging.getLogger("coldgraph")
 
@@ -37,13 +37,6 @@ class GroundTruthTable:
     def __contains__(self, key: str) -> bool:
         return key in self.vectors
 
-    def covers(self, split: EvalSplit) -> bool:
-        for kind in ("group", "user", "item"):
-            for idx in split.warm[kind]:
-                if f"{kind}:{idx}" not in self.vectors:
-                    return False
-        return True
-
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         out = [("teacher/_d", np.asarray([float(self.d)]))]
         for key in sorted(self.vectors):
@@ -59,24 +52,6 @@ class GroundTruthTable:
             if name.startswith("teacher/") and name != "teacher/_d"
         }
         return cls(d=d, vectors=vectors, provenance=provenance)
-
-
-def reconstruction_loss(predicted, target) -> float | Tensor:
-    """1 - cosine(predicted, target); 0 iff aligned, 2 iff opposite.
-
-    Tensor input stays on the tape; plain arrays return a float.
-    """
-    if isinstance(predicted, Tensor):
-        return ad.sub(
-            ad.const(np.ones(())),
-            ad.cosine_similarity(predicted, target if isinstance(target, Tensor) else ad.const(target)),
-        )
-    p = np.asarray(predicted, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    np_, nt = np.linalg.norm(p), np.linalg.norm(t)
-    if np_ == 0.0 or nt == 0.0:
-        raise ValueError("degenerate norm: cosine of a zero vector")
-    return float(1.0 - (p @ t) / (np_ * nt))
 
 
 def layer_sum_table(state: FullState, split: EvalSplit, provenance: str) -> GroundTruthTable:
@@ -121,30 +96,22 @@ def reconstruction_terms(
     enhancer_params: EnhancerParams | None,
     gt: GroundTruthTable,
     full_state: FullState | None = None,
-) -> list[Tensor]:
-    """Per-target cosine reconstruction losses for a batch of episodes.
+) -> Tensor:
+    """Per-target cosine reconstruction losses (n,) of n episodes of one kind.
 
     With ``full_state`` given the prediction is the target's full-neighborhood
     embedding (the unmasked ablation); otherwise it is the masked episode
     propagation, optionally meta-injected.
     """
-    for ep in episodes:
-        if gt.get(ep.ground_truth_ref) is None:
-            raise KeyError(f"no ground-truth embedding for {ep.ground_truth_ref}")
-    if full_state is None and enhancer_params is not None:
-        metas = episode_metas(episodes, params.table, enhancer_params)
+    if full_state is not None:
+        kind = batch_kind(episodes)
+        h = ad.gather_rows(full_state.fused[kind], [ep.target.index for ep in episodes])
     else:
-        metas = [{} for _ in episodes]
-    terms = []
-    for ep, ep_metas in zip(episodes, metas):
-        if full_state is not None:
-            h = ad.mean_rows(
-                ad.gather_rows(full_state.fused[ep.target.kind], [ep.target.index])
-            )
-        else:
-            h, _ = embed_from_episode(ep, params, metas=ep_metas)
-        terms.append(reconstruction_loss(h, gt.get(ep.ground_truth_ref)))
-    return terms
+        metas = None
+        if enhancer_params is not None:
+            metas = episode_metas(episodes, params.table, enhancer_params)
+        h = embed_from_episode(episodes, params, metas)
+    return reconstruction_costs(h, episodes, gt)
 
 
 def ssl_loss(
@@ -168,8 +135,7 @@ def ssl_loss(
             log.warning("ssl_loss: empty %s batch contributes 0", name)
             parts[name] = 0.0
             continue
-        terms = reconstruction_terms(batch, params, enhancer_params, gt, full_state)
-        term = ad.mean_rows(ad.concat(terms))
+        term = ad.mean_rows(reconstruction_terms(batch, params, enhancer_params, gt, full_state))
         parts[name] = term.item()
         total = ad.add(total, term)
     return total, parts

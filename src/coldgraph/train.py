@@ -313,7 +313,10 @@ def load_training_checkpoint(
     path: Path, expect: TrainConfig | None = None
 ) -> tuple[ModelParams, EnhancerParams | None, TrainConfig]:
     tensors, echo = load_checkpoint(path)
-    config = TrainConfig.from_text(echo)
+    try:
+        config = TrainConfig.from_text(echo)
+    except (KeyError, ValueError) as err:
+        raise CheckpointError(f"{path}: bad config echo: {err}") from err
     if expect is not None and expect.d != config.d:
         raise CheckpointError(
             f"{path}: shape error, checkpoint has d={config.d} but d={expect.d} expected"

@@ -178,7 +178,6 @@ def _op_cases(rng):
         ("stack_rows", lambda p: ad.stack_rows(p), vecs),
         ("mean_rows2d", lambda p: ad.mean_rows(p[0]), [m]),
         ("mean_rows1d", lambda p: ad.mean_rows(p[0]), [v5]),
-        ("max_rows", lambda p: ad.max_rows(p[0]), [m]),
         ("matmul22", lambda p: ad.matmul(p[0], p[1]), [ma, mb]),
         ("matmul12", lambda p: ad.matmul(p[0], p[1]), [mv, mb]),
         ("matmul21", lambda p: ad.matmul(p[0], p[1]), [ma, mv]),

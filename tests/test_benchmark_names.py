@@ -2,16 +2,26 @@
 as a refactor removes or renames one of them."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    """Import ``perfbench/<name>.py`` read-only, without touching the package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("tracer")
 
 
 def test_trace_installs_and_uninstalls():
@@ -34,3 +44,11 @@ def test_trace_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert all(getattr(mod, name) is fn for (mod, name), fn in zip(wrapped, before))
+
+
+def test_traced_ops_are_autodiff_ops():
+    # an op that disappears would silently report 0 calls and 0 s per layer
+    from coldgraph import autodiff
+
+    missing = [op for op in load("spec").TRACED_OPS if op not in autodiff.__all__]
+    assert not missing

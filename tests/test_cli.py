@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coldgraph import cli
-from coldgraph.checkpoint import load_checkpoint
+from coldgraph.checkpoint import load_checkpoint, save_checkpoint
 from coldgraph.train import TrainConfig
 
 # the x1 synthetic workspace: half of the groups occasional, low thresholds
@@ -71,6 +71,16 @@ def test_evaluate_on_corrupted_checkpoint_exits_2(workspace, capsys):
     ckpt.write_bytes(bytes(blob))
     assert cli.main(["evaluate", "--out", str(ws), *args, *PLAIN]) == 2
     assert "checksum" in capsys.readouterr().err
+
+
+def test_evaluate_on_unknown_config_key_exits_2(workspace, capsys):
+    code, ckpt = train(workspace, "epochs=1")
+    assert code == 0
+    tensors, echo = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, tensors, echo + "bogus=1\n")  # a valid digest over a bad echo
+    ws, args = workspace
+    assert cli.main(["evaluate", "--out", str(ws), *args, *PLAIN]) == 2
+    assert "unknown config key 'bogus'" in capsys.readouterr().err
 
 
 def test_enhancer_pretrain_finetune_is_deterministic(workspace):

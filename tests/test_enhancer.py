@@ -27,14 +27,9 @@ from coldgraph.graph import (
     generate_synthetic,
     sample_episode,
 )
-from coldgraph.model import (
-    CHANNELS_BY_KIND,
-    GraphTensors,
-    aggregate_members,
-    fuse_channels,
-    init_model_params,
-)
-from coldgraph.reconstruction import GroundTruthTable, reconstruction_loss
+from coldgraph.model import CHANNELS_BY_KIND, GraphTensors, init_model_params
+from coldgraph.reconstruction import GroundTruthTable
+from oracles import aggregate_members, fuse_channels, reconstruction_loss
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +56,7 @@ def meta_embed(first_order, params, kind):
         smoothed = self_attention(neigh, params)
         metas[rel] = channels[rel] = ad.mean_rows(smoothed)
         if rel == "GU" and kind == "group":
-            channels["GU_AGG"] = aggregate_members(smoothed, "attention", params.member_score)
+            channels["GU_AGG"] = aggregate_members(smoothed, params.member_score)
     fused, _ = fuse_channels(channels, params.fusion, CHANNELS_BY_KIND[kind])
     return metas, fused
 
@@ -199,9 +194,9 @@ class TestMetaEmbed:
         v = np.array([1.0, 3.0])
         tables = tables_of({"user": np.zeros((2, 2)), "item": np.tile(v, (4, 1)), "group": [[0.0, 0.0]]})
         ep = hand_episode("user", 0, {"UI": [0, 1, 2, 3]})
-        [metas] = episode_metas([ep], tables, params)
+        metas = episode_metas([ep], tables, params)
         assert set(metas) == {"UI"}
-        np.testing.assert_allclose(metas["UI"].data, v)
+        np.testing.assert_allclose(metas["UI"].data, [v])
         np.testing.assert_allclose(fused_of([ep], "user", tables, params).data, [v])
 
     def test_single_neighbor_equals_smoothed(self):
@@ -209,9 +204,9 @@ class TestMetaEmbed:
         items = np.random.default_rng(1).normal(size=(2, 3))
         tables = tables_of({"user": np.zeros((1, 3)), "item": items, "group": np.zeros((1, 3))})
         ep = hand_episode("user", 0, {"UI": [1]})
-        [metas] = episode_metas([ep], tables, params)
+        metas = episode_metas([ep], tables, params)
         smoothed = self_attention(ad.const(items[[1]]), params)
-        np.testing.assert_allclose(metas["UI"].data, smoothed.data[0], atol=1e-15)
+        np.testing.assert_allclose(metas["UI"].data, smoothed.data, atol=1e-15)
 
     def test_uniform_fusion_logits_average_relations(self):
         params = identity_params(2)  # zero fusion weights -> uniform attention
@@ -227,7 +222,7 @@ class TestMetaEmbed:
         params = identity_params(2)
         tables = tables_of({kind: np.ones((1, 2)) for kind in ("user", "item", "group")})
         isolated = hand_episode("user", 0, {})
-        assert episode_metas([isolated], tables, params) == [{}]
+        assert episode_metas([isolated], tables, params) == {}
         gt = GroundTruthTable(2, {"user:0": np.ones(2)}, "test")
         assert enhancer._warmup_loss([isolated], gt, params, tables) is None
 
@@ -245,23 +240,31 @@ class TestMetaEmbed:
         )
 
 
+def costs(preds, targets):
+    episodes = [hand_episode("user", i, {}) for i in range(len(targets))]
+    gt = GroundTruthTable(2, {ep.ground_truth_ref: v for ep, v in zip(episodes, targets)}, "t")
+    return enhancer.reconstruction_costs(t(preds), episodes, gt).data
+
+
 class TestCosineLoss:
     def test_bounds_and_endpoints(self):
         target = np.array([1.0, 0.0])
-        assert reconstruction_loss(t([2.0, 0.0]), target).item() == pytest.approx(0.0)
-        assert reconstruction_loss(t([0.0, 1.0]), target).item() == pytest.approx(1.0)
-        assert reconstruction_loss(t([-3.0, 0.0]), target).item() == pytest.approx(2.0)
-        preds = t([[2.0, 0.0], [0.0, 1.0], [-3.0, 0.0]])
-        rows = ad.cosine_similarity(preds, ad.const(np.tile(target, (3, 1))))
-        np.testing.assert_allclose(1.0 - rows.data, [0.0, 1.0, 2.0])
+        got = costs([[2.0, 0.0], [0.0, 1.0], [-3.0, 0.0]], [target] * 3)
+        np.testing.assert_allclose(got, [0.0, 1.0, 2.0], atol=1e-15)
+        for pred, want in zip(([2.0, 0.0], [0.0, 1.0], [-3.0, 0.0]), got):
+            assert reconstruction_loss(t(pred), target).item() == pytest.approx(want)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_loss_in_range(self, seed):
         rng = np.random.default_rng(seed)
-        pred, target = rng.normal(size=3) + 0.01, rng.normal(size=3) + 0.01
-        loss = reconstruction_loss(t(pred), target).item()
-        assert 0.0 <= loss <= 2.0
+        preds, targets = rng.normal(size=(4, 3)) + 0.01, rng.normal(size=(4, 3)) + 0.01
+        assert np.all((costs(preds, targets) >= 0.0) & (costs(preds, targets) <= 2.0))
+
+    def test_missing_ground_truth_rejected(self):
+        gt = GroundTruthTable(2, {}, "t")
+        with pytest.raises(KeyError, match="user:0"):
+            enhancer.reconstruction_costs(t([[1.0, 0.0]]), [hand_episode("user", 0, {})], gt)
 
 
 def synthetic(seed, n_users=20, n_items=25, n_groups=8, extra=0):
@@ -381,23 +384,30 @@ class TestBatchedWarmup:
         tensors = model.tensors() + enh.tensors()
         probe = np.random.default_rng(4).normal(size=6)
 
-        def total(metas_per_episode):
-            metas = [m for ep_metas in metas_per_episode for m in ep_metas.values()]
+        def total(metas):
             return ad.sum_all(ad.concat([ad.matmul(m, ad.const(probe)) for m in metas]))
 
+        kinds = ("group", "user", "item")
         with ad.Tape() as tape:
-            got = episode_metas(episodes, model.table, enh)
-            grads = tape.backward(total(got), tensors)
+            got = {
+                kind: episode_metas([ep for ep in episodes if ep.target.kind == kind], model.table, enh)
+                for kind in kinds
+            }
+            grads = tape.backward(total([m for metas in got.values() for m in metas.values()]), tensors)
         with ad.Tape() as tape:
-            want = []
+            want = {kind: [] for kind in kinds}
             for ep in episodes:
                 first = episode_first_order(ep, model.table)
-                want.append(meta_embed(first, enh, ep.target.kind)[0] if first else {})
-            want_grads = tape.backward(total(want), tensors)
-        assert [set(m) for m in got] == [set(m) for m in want]
-        for got_m, want_m in zip(got, want):
-            for rel in want_m:
-                np.testing.assert_allclose(got_m[rel].data, want_m[rel].data, rtol=0, atol=1e-12)
+                want[ep.target.kind].append(meta_embed(first, enh, ep.target.kind)[0] if first else {})
+            flat = [m for per_kind in want.values() for metas in per_kind for m in metas.values()]
+            want_grads = tape.backward(total(flat), tensors)
+        for kind in kinds:
+            assert set(got[kind]) == {rel for metas in want[kind] for rel in metas}
+            for rel, mat in got[kind].items():
+                for row, metas in zip(mat.data, want[kind]):
+                    # a target whose relation sampled no neighbor gets a zero row
+                    ref = metas[rel].data if rel in metas else np.zeros(6)
+                    np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
         for tensor in tensors:
             np.testing.assert_allclose(grads[tensor], want_grads[tensor], rtol=0, atol=1e-12)
 

@@ -4,18 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldgraph import autodiff as ad
-from coldgraph.graph import InteractionGraph, NodeId, SyntheticSpec, generate_synthetic, sample_episode
+from coldgraph import model
+from coldgraph.evaluation import recommend_topk
+from coldgraph.graph import InteractionGraph, NodeId, SyntheticSpec, build_implicit, generate_synthetic, sample_episode
 from coldgraph.model import (
     GraphTensors,
-    aggregate_members,
-    conv_step,
+    _fusion_plan,
+    attention_pool,
     embed_from_episode,
     full_embeddings,
-    fuse_channels,
+    fuse_matrix,
     init_model_params,
-    propagate,
-    score,
 )
+from coldgraph.sparse import neighbor_mean
+from oracles import conv_step, embed_episode, tree_nodes
 
 
 def t(data):
@@ -26,58 +28,81 @@ def make_params(counts, d=4, variant="light", layers=2, with_meta=False, seed=0)
     return init_model_params(counts, d, variant, layers, with_meta, np.random.default_rng(seed))
 
 
+def conv_once(variant, self_vec, neighbor_vecs, weight=None, meta=None, proj=None):
+    """One relation step of a single user row over its item neighbors."""
+    d, m = len(self_vec), len(neighbor_vecs)
+    n_items = max(m, 1)
+    params = make_params({"user": 1, "item": n_items, "group": 1}, d=d, variant=variant,
+                         layers=1, with_meta=meta is not None)
+    if weight is not None:
+        params.conv_w = (weight,)
+    if proj is not None:
+        params.meta_proj["UI"] = proj
+    ops = {
+        "user": neighbor_mean(np.zeros(m, dtype=int), np.arange(m), (1, n_items)),
+        "item": neighbor_mean([], [], (n_items, 1)),
+    }
+    h0 = {"user": t([self_vec]), "item": t(neighbor_vecs if m else np.zeros((1, d)))}
+    inject = {"user": t([meta])} if meta is not None else None
+    return model._relation_steps("UI", ops, h0, params, inject)["user"][1].data[0]
+
+
 class TestConvStep:
     def test_light_fixed_point(self):
-        v = t([0.5, -0.2, 1.0])
-        out = conv_step("light", v, [t([0.5, -0.2, 1.0]), t([0.5, -0.2, 1.0])])
-        np.testing.assert_allclose(out.data, v.data)
+        v = [0.5, -0.2, 1.0]
+        np.testing.assert_allclose(conv_once("light", v, [v, v]), v)
 
     def test_light_arithmetic(self):
-        out = conv_step("light", t([1.0, 0.0]), [t([0.0, 1.0]), t([1.0, 1.0])])
-        np.testing.assert_allclose(out.data, [0.75, 0.5])
+        out = conv_once("light", [1.0, 0.0], [[0.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_allclose(out, [0.75, 0.5])
 
     def test_gcn_zero_weight_gives_zero(self):
         w = ad.Tensor(np.zeros((4, 2)))
-        out = conv_step("gcn", t([1.0, 2.0]), [t([3.0, 4.0])], weight=w)
-        np.testing.assert_allclose(out.data, [0.0, 0.0])
+        out = conv_once("gcn", [1.0, 2.0], [[3.0, 4.0]], weight=w)
+        np.testing.assert_allclose(out, [0.0, 0.0])
 
     def test_empty_neighbors_mean_is_zero(self):
-        out = conv_step("light", t([2.0, 4.0]), [])
-        np.testing.assert_allclose(out.data, [1.0, 2.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            conv_step("light", t([np.nan, 1.0]), [])
+        np.testing.assert_allclose(conv_once("light", [2.0, 4.0], []), [1.0, 2.0])
 
     def test_meta_projection_applied(self):
         d = 2
-        proj = ad.Tensor(np.vstack([np.eye(d), np.zeros((d, d))]))
-        out = conv_step("light", t([1.0, 2.0]), [], meta_emb=t([9.0, 9.0]), meta_proj=proj)
+        ignore = ad.Tensor(np.vstack([np.eye(d), np.zeros((d, d))]))
+        out = conv_once("light", [1.0, 2.0], [], meta=[9.0, 9.0], proj=ignore)
         # identity-extension projection ignores the meta: reduces to the plain path
-        np.testing.assert_allclose(out.data, [0.5, 1.0])
+        np.testing.assert_allclose(out, [0.5, 1.0])
+        swap = ad.Tensor(np.vstack([np.zeros((d, d)), np.eye(d)]))
+        out = conv_once("light", [1.0, 2.0], [[3.0, 5.0]], meta=[9.0, 7.0], proj=swap)
+        np.testing.assert_allclose(out, [6.0, 6.0])
 
 
 def star_graph(n_leaves=4):
     gi = [(0, i) for i in range(n_leaves)]
-    return InteractionGraph({"user": 0, "item": n_leaves, "group": 1}, {"GI": gi})
+    return InteractionGraph({"user": 1, "item": n_leaves, "group": 1}, {"GI": gi})
+
+
+def full_and_episode(g, params, kind, idx):
+    """Embedding of one node over the full graph and over a covering episode."""
+    full = full_embeddings(GraphTensors(g), params).fused[kind].data[idx]
+    ep = sample_episode(g, NodeId(kind, idx), k=10, depth=params.layers, seed=0)
+    return full, embed_from_episode([ep], params).data[0]
 
 
 class TestPropagate:
     def test_one_step_star_equals_conv_step(self):
         g = star_graph(4)
         params = make_params(g.counts, d=3, layers=1)
-        got = propagate(g, NodeId("group", 0), "GI", 1, params)
         want = conv_step(
             "light",
             t(params.e_group.data[0]),
             [t(params.e_item.data[i]) for i in range(4)],
         )
-        np.testing.assert_allclose(got.data, want.data)
+        for got in full_and_episode(g, params, "group", 0):
+            np.testing.assert_allclose(got, want.data, atol=1e-15)
 
     def test_two_step_tree_matches_hand_recursion(self):
         # bipartite tree: group 0 - items {0,1}; item 0 - group 1, item 1 - group 2
         gi = [(0, 0), (0, 1), (1, 0), (2, 1)]
-        g = InteractionGraph({"user": 0, "item": 2, "group": 3}, {"GI": gi})
+        g = InteractionGraph({"user": 1, "item": 2, "group": 3}, {"GI": gi})
         params = make_params(g.counts, d=3, layers=2)
         e_g, e_i = params.e_group.data, params.e_item.data
 
@@ -95,39 +120,33 @@ class TestPropagate:
             mean = np.mean([h_group(gg, k - 1) for gg in neigh], axis=0)
             return 0.5 * (h_item(idx, k - 1) + mean)
 
-        got = propagate(g, NodeId("group", 0), "GI", 2, params)
-        np.testing.assert_allclose(got.data, h_group(0, 2), atol=1e-12)
-        # episode with K covering every degree reproduces the same value
-        ep = sample_episode(g, NodeId("group", 0), k=10, depth=2, seed=0)
-        got_ep = propagate(ep, NodeId("group", 0), "GI", 2, params)
-        np.testing.assert_allclose(got_ep.data, h_group(0, 2), atol=1e-12)
+        # full mode, and an episode with K covering every degree
+        for got in full_and_episode(g, params, "group", 0):
+            np.testing.assert_allclose(got, h_group(0, 2), atol=1e-12)
 
     def test_zero_degree_keeps_initial_embedding(self):
-        g = InteractionGraph({"user": 0, "item": 1, "group": 2}, {"GI": [(0, 0)]})
+        g = InteractionGraph({"user": 1, "item": 1, "group": 2}, {"GI": [(0, 0)]})
         params = make_params(g.counts, d=3)
-        got = propagate(g, NodeId("group", 1), "GI", 2, params)
-        np.testing.assert_allclose(got.data, params.e_group.data[1])
-        ep = sample_episode(g, NodeId("group", 1), k=2, depth=2, seed=0)
-        got_ep = propagate(ep, NodeId("group", 1), "GI", 2, params)
-        np.testing.assert_allclose(got_ep.data, params.e_group.data[1])
+        for got in full_and_episode(g, params, "group", 1):
+            np.testing.assert_array_equal(got, params.e_group.data[1])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_light_one_step_full_equals_adjacency_mean_oracle(self, seed):
         rng = np.random.default_rng(seed)
         n_u, n_i = int(rng.integers(5, 15)), int(rng.integers(5, 15))
         ui = sorted({(int(rng.integers(n_u)), int(rng.integers(n_i))) for _ in range(30)})
-        g = InteractionGraph({"user": n_u, "item": n_i, "group": 0}, {"UI": ui})
+        g = InteractionGraph({"user": n_u, "item": n_i, "group": 1}, {"UI": ui})
         params = make_params(g.counts, d=4, layers=1)
         adj = np.zeros((n_u, n_i))
         for u, i in ui:
             adj[u, i] = 1.0
+        fused = full_embeddings(GraphTensors(g), params).fused["user"].data
         for u in range(n_u):
             if not adj[u].sum():
                 continue
             mean = adj[u] @ params.e_item.data / adj[u].sum()
             oracle = 0.5 * (params.e_user.data[u] + mean)
-            got = propagate(g, NodeId("user", u), "UI", 1, params)
-            np.testing.assert_allclose(got.data, oracle, atol=1e-12)
+            np.testing.assert_allclose(fused[u], oracle, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["light", "gcn"])
     def test_episode_with_full_coverage_matches_full_mode(self, variant):
@@ -139,98 +158,179 @@ class TestPropagate:
         params = make_params(g.counts, d=5, variant=variant, layers=2, seed=1)
         state = full_embeddings(GraphTensors(g), params)
         for kind in ("group", "user", "item"):
-            for idx in range(g.counts[kind]):
-                ep = sample_episode(g, NodeId(kind, idx), k=10 ** 6, depth=2, seed=0)
-                got, _ = embed_from_episode(ep, params)
-                np.testing.assert_allclose(got.data, state.fused[kind].data[idx], atol=1e-10)
+            episodes = [
+                sample_episode(g, NodeId(kind, idx), k=10 ** 6, depth=2, seed=0)
+                for idx in range(g.counts[kind])
+            ]
+            got = embed_from_episode(episodes, params)
+            np.testing.assert_allclose(got.data, state.fused[kind].data, atol=1e-10)
+
+
+def forest_graph():
+    """Graph whose episodes cover every forest case: isolated nodes of each
+    kind, relations without a sampled neighbor, and implicit UU/GG edges."""
+    spec = SyntheticSpec(n_users=30, n_items=40, n_groups=12, n_clusters=2, intra_p=0.3,
+                         inter_p=0.05, group_size_min=2, group_size_max=4, seed=5)
+    g = build_implicit(generate_synthetic(spec), 3, 2)
+    return InteractionGraph({k: n + 2 for k, n in g.counts.items()}, g.edges)
+
+
+class TestEpisodeForest:
+    """The batched forest forward against the per-episode dense-tree oracle."""
+
+    @pytest.mark.parametrize("with_meta", [False, True])
+    @pytest.mark.parametrize("variant", ["light", "gcn"])
+    def test_batched_matches_per_episode_oracle(self, variant, with_meta):
+        g = forest_graph()
+        d = 5
+        params = make_params(g.counts, d=d, variant=variant, layers=2, with_meta=with_meta, seed=1)
+        for kind in ("group", "user", "item"):
+            episodes = [
+                sample_episode(g, NodeId(kind, i), k=3, depth=2, seed=7)
+                for i in range(g.counts[kind])
+            ]
+            n = len(episodes)
+            firsts = [[bool(s.layers[1]) for s in ep.samples.values()] for ep in episodes]
+            assert any(not any(f) for f in firsts)  # isolated targets
+            if kind != "item":  # a relation with no sampled neighbor next to one with
+                assert any(any(f) and not all(f) for f in firsts)
+            if kind == "group":  # GU trees go one level deeper
+                assert all(len(ep.samples["GU"].layers) == 4 for ep in episodes)
+            if kind != "item":  # UU/GG trees in which a node reappears
+                rel = "UU" if kind == "user" else "GG"
+                assert any(
+                    len(tree_nodes(ep.samples[rel])) < sum(map(len, ep.samples[rel].layers))
+                    for ep in episodes
+                )
+            rng = np.random.default_rng(3)
+            metas = {}
+            if with_meta:
+                metas = {rel: t(rng.normal(size=(n, d))) for rel in episodes[0].samples}
+            probe = ad.const(rng.normal(size=(n, d)))
+            leaves = params.tensors() + list(metas.values())
+            with ad.Tape() as tape:
+                got = embed_from_episode(episodes, params, metas or None)
+                grads = tape.backward(ad.sum_all(ad.mul(got, probe)), leaves)
+            with ad.Tape() as tape:
+                rows = []
+                for b, ep in enumerate(episodes):
+                    ep_metas = {rel: ad.mean_rows(ad.gather_rows(m, [b])) for rel, m in metas.items()}
+                    rows.append(embed_episode(ep, params, ep_metas))
+                want = ad.stack_rows(rows)
+                want_grads = tape.backward(ad.sum_all(ad.mul(want, probe)), leaves)
+            np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+            for leaf in leaves:
+                np.testing.assert_allclose(grads[leaf], want_grads[leaf], rtol=0, atol=1e-12)
+
+    def test_batch_must_share_kind_and_depth(self):
+        g = forest_graph()
+        params = make_params(g.counts, layers=2)
+        user = sample_episode(g, NodeId("user", 0), k=3, depth=2, seed=0)
+        item = sample_episode(g, NodeId("item", 0), k=3, depth=2, seed=0)
+        with pytest.raises(ValueError, match="one target kind"):
+            embed_from_episode([user, item], params)
+        shallow = sample_episode(g, NodeId("user", 1), k=3, depth=1, seed=0)
+        with pytest.raises(ValueError, match="depth 2"):
+            embed_from_episode([user, shallow], params)
 
 
 class TestAggregateMembers:
     def test_average_identical(self):
+        # attention over identical members returns the member, whatever the scores
         v = [1.0, 2.0]
-        out = aggregate_members([t(v), t(v), t(v)], "average")
-        np.testing.assert_allclose(out.data, v)
-
-    def test_sum(self):
-        out = aggregate_members([t([1.0, 0.0]), t([0.0, 1.0])], "sum")
-        np.testing.assert_allclose(out.data, [1.0, 1.0])
-
-    def test_maxpool(self):
-        out = aggregate_members([t([1.0, -2.0]), t([0.0, 5.0])], "maxpool")
-        np.testing.assert_allclose(out.data, [1.0, 5.0])
+        out = attention_pool(t([v, v, v]), 3, ad.Tensor(np.array([0.3, -1.0])))
+        np.testing.assert_allclose(out.data, [v])
 
     def test_attention_equal_scores_is_midpoint(self):
         score_vec = ad.Tensor(np.zeros(2))
-        out = aggregate_members([t([2.0, 0.0]), t([0.0, 2.0])], "attention", score_vec)
-        np.testing.assert_allclose(out.data, [1.0, 1.0])
+        out = attention_pool(t([[2.0, 0.0], [0.0, 2.0]]), 2, score_vec)
+        np.testing.assert_allclose(out.data, [[1.0, 1.0]])
 
-    def test_empty_members_error(self):
-        with pytest.raises(ValueError, match="group without members"):
-            aggregate_members([], "average")
+
+def fuse_rows(channels, weights, order, e0=None):
+    """fuse_matrix over rows that all have every channel in ``channels``."""
+    n = next(iter(channels.values())).shape[0]
+    masks = [np.full(n, c in channels) for c in order]
+    e0 = e0 if e0 is not None else ad.const(np.zeros((n, 2)))
+    return fuse_matrix(_fusion_plan(order, masks), channels, weights, e0, collect_weights=True)
 
 
 class TestFuseChannels:
     def test_single_channel_passthrough(self):
         w = {"GI": ad.Tensor(np.eye(2))}
-        fused, weights = fuse_channels({"GI": t([3.0, 4.0])}, w)
-        np.testing.assert_allclose(fused.data, [3.0, 4.0])
-        assert weights == {"GI": 1.0}
+        fused, weights = fuse_rows({"GI": t([[3.0, 4.0]])}, w, ("GI", "GU"))
+        np.testing.assert_array_equal(fused.data, [[3.0, 4.0]])
+        assert weights == [{"GI": 1.0}]
 
     def test_two_identical_logits_split_evenly(self):
         w = {"A": ad.Tensor(np.eye(2)), "B": ad.Tensor(np.eye(2))}
-        channels = {"A": t([1.0, 1.0]), "B": t([1.0, 1.0])}
-        fused, weights = fuse_channels(channels, w, order=("A", "B"))
+        channels = {"A": t([[1.0, 1.0]]), "B": t([[1.0, 1.0]])}
+        _, [weights] = fuse_rows(channels, w, ("A", "B"))
         assert weights["A"] == pytest.approx(0.5)
         assert weights["B"] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_three_channels_match_scalar_softmax_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        d = 3
-        channels = {c: t(rng.normal(size=d)) for c in ("X", "Y", "Z")}
-        weights = {c: ad.Tensor(rng.normal(size=(d, d)) * 0.1) for c in channels}
-        fused, got_w = fuse_channels(channels, weights, order=("X", "Y", "Z"))
-        logits = np.array(
-            [(channels[c].data @ weights[c].data).sum() for c in ("X", "Y", "Z")]
-        )
-        e = np.exp(logits - logits.max())
-        a = e / e.sum()
-        oracle = sum(ai * channels[c].data for ai, c in zip(a, ("X", "Y", "Z")))
-        np.testing.assert_allclose(fused.data, oracle, atol=1e-12)
-        np.testing.assert_allclose([got_w[c] for c in ("X", "Y", "Z")], a, atol=1e-12)
+        d, n, order = 3, 4, ("X", "Y", "Z")
+        channels = {c: t(rng.normal(size=(n, d))) for c in order}
+        weights = {c: ad.Tensor(rng.normal(size=(d, d)) * 0.1) for c in order}
+        fused, got_w = fuse_rows(channels, weights, order, ad.const(np.zeros((n, d))))
+        for r in range(n):
+            logits = np.array([(channels[c].data[r] @ weights[c].data).sum() for c in order])
+            e = np.exp(logits - logits.max())
+            a = e / e.sum()
+            oracle = sum(ai * channels[c].data[r] for ai, c in zip(a, order))
+            np.testing.assert_allclose(fused.data[r], oracle, atol=1e-12)
+            np.testing.assert_allclose([got_w[r][c] for c in order], a, atol=1e-12)
 
-    def test_all_absent_error(self):
-        with pytest.raises(ValueError, match="all channels absent"):
-            fuse_channels({}, {})
+    def test_all_absent_keeps_initial_embedding(self):
+        e0 = t([[1.0, 2.0], [3.0, 4.0]])
+        present = np.array([True, False])
+        channels = {"A": t([[5.0, 6.0], [0.0, 0.0]])}
+        plan = _fusion_plan(("A", "B"), [present, np.zeros(2, dtype=bool)])
+        fused, weights = fuse_matrix(plan, channels, {}, e0, collect_weights=True)
+        np.testing.assert_array_equal(fused.data, [[5.0, 6.0], [3.0, 4.0]])
+        assert weights == [{"A": 1.0}, {}]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 4))
     def test_weights_are_probability_vector(self, seed, n_channels):
         rng = np.random.default_rng(seed)
-        names = [f"c{i}" for i in range(n_channels)]
-        channels = {c: t(rng.normal(size=3)) for c in names}
+        names = tuple(f"c{i}" for i in range(n_channels))
+        channels = {c: t(rng.normal(size=(2, 3))) for c in names}
         weights = {c: ad.Tensor(rng.normal(size=(3, 3))) for c in names}
-        _, a = fuse_channels(channels, weights, order=names)
-        assert all(v >= 0 for v in a.values())
-        assert abs(sum(a.values()) - 1.0) < 1e-10
+        _, rows = fuse_rows(channels, weights, names, ad.const(np.zeros((2, 3))))
+        for a in rows:
+            assert all(v >= 0 for v in a.values())
+            assert abs(sum(a.values()) - 1.0) < 1e-10
 
 
 class TestScore:
+    """Relevance is the inner product of the fused embeddings, as ranked by
+    :func:`evaluation.recommend_topk`."""
+
     def test_zero_right(self):
-        assert score(np.array([1.0, 2.0]), np.zeros(2)) == 0.0
+        # all-zero items tie at score 0, and ties break toward the lower index
+        state = {"group": np.array([[1.0, 2.0]]), "item": np.zeros((4, 2))}
+        assert recommend_topk(state, NodeId("group", 0), 4, exclude={1}) == [0, 2, 3]
 
     def test_inner_product(self):
-        assert score(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+        state = {"group": np.array([[1.0, 2.0]]), "item": np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 1.0]])}
+        # scores 11, 1, 2
+        assert recommend_topk(state, NodeId("group", 0), 3) == [0, 2, 1]
 
     def test_ranking_invariant_under_orthogonal_shift(self):
         rng = np.random.default_rng(0)
         items = rng.normal(size=(10, 4))
         items[:, 3] = 0.0  # all items orthogonal to e3
         g = rng.normal(size=4)
-        base = np.argsort([-score(g, i) for i in items])
         shifted = g + np.array([0.0, 0.0, 0.0, 5.0])
-        after = np.argsort([-score(shifted, i) for i in items])
-        np.testing.assert_array_equal(base, after)
+        ranks = [
+            recommend_topk({"user": vec[None, :], "item": items}, NodeId("user", 0), 10)
+            for vec in (g, shifted)
+        ]
+        assert ranks[0] == ranks[1]
 
 
 class TestMetaReduction:
@@ -243,10 +343,10 @@ class TestMetaReduction:
         params = make_params(g.counts, d=d, layers=2, with_meta=True, seed=2)
         for rel in params.meta_proj:
             params.meta_proj[rel].data = np.vstack([np.eye(d), np.zeros((d, d))])
-        ep = sample_episode(g, NodeId("group", 0), k=3, depth=2, seed=1)
-        metas = {rel: ad.Tensor(np.full(d, 7.0)) for rel in ("GI", "GU", "GG")}
-        with_meta, _ = embed_from_episode(ep, params, metas=metas)
-        without, _ = embed_from_episode(ep, params)
+        eps = [sample_episode(g, NodeId("group", i), k=3, depth=2, seed=1) for i in range(3)]
+        metas = {rel: ad.Tensor(np.full((3, d), 7.0)) for rel in ("GI", "GU", "GG")}
+        with_meta = embed_from_episode(eps, params, metas)
+        without = embed_from_episode(eps, params)
         np.testing.assert_array_equal(with_meta.data, without.data)
 
     def test_disabled_injection_is_same_graph_same_outputs(self):
@@ -336,11 +436,10 @@ class TestConstantOperandGradients:
                              intra_p=0.4, inter_p=0.1, group_size_min=2, group_size_max=3, seed=0)
         g = generate_synthetic(spec)
         params = make_params(g.counts, d=4, layers=2, with_meta=True, seed=2)
-        ep = sample_episode(g, NodeId("group", 0), k=3, depth=2, seed=1)
-        metas = {rel: t(np.full(4, 0.3)) for rel in ("GI", "GU", "GG")}
+        eps = [sample_episode(g, NodeId("group", i), k=3, depth=2, seed=1) for i in range(3)]
+        metas = {rel: t(np.full((3, 4), 0.3)) for rel in ("GI", "GU", "GG")}
 
         def loss_fn():
-            h, _ = embed_from_episode(ep, params, metas=metas)
-            return ad.sum_squares(h)
+            return ad.sum_squares(embed_from_episode(eps, params, metas))
 
         self.assert_bit_identical(loss_fn, params.tensors() + list(metas.values()), monkeypatch)

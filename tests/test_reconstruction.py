@@ -1,0 +1,100 @@
+import logging
+
+import numpy as np
+import pytest
+
+from coldgraph import autodiff as ad
+from coldgraph.enhancer import episode_metas, init_enhancer_params
+from coldgraph.graph import (
+    InteractionGraph,
+    NodeId,
+    SyntheticSpec,
+    build_implicit,
+    generate_synthetic,
+    sample_episode,
+)
+from coldgraph.model import FullState, GraphTensors, full_embeddings, init_model_params
+from coldgraph.reconstruction import (
+    GroundTruthTable,
+    layer_sum_table,
+    reconstruction_terms,
+    ssl_loss,
+)
+from oracles import embed_episode, reconstruction_loss
+
+KINDS = ("group", "user", "item")
+
+
+@pytest.fixture(scope="module")
+def setup():
+    spec = SyntheticSpec(n_users=24, n_items=30, n_groups=10, n_clusters=2, intra_p=0.3,
+                         inter_p=0.05, group_size_min=2, group_size_max=4, seed=1)
+    g = build_implicit(generate_synthetic(spec), 3, 1)
+    g = InteractionGraph({k: n + 1 for k, n in g.counts.items()}, g.edges)  # isolated nodes
+    params = init_model_params(g.counts, 6, "light", 2, True, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    gt = GroundTruthTable(
+        6,
+        {f"{k}:{i}": rng.normal(size=6) for k in KINDS for i in range(g.counts[k])},
+        "test",
+    )
+    batches = {
+        kind: [sample_episode(g, NodeId(kind, i), k=3, depth=2, seed=4) for i in range(0, g.counts[kind], 2)]
+        for kind in KINDS
+    }
+    return g, params, gt, batches
+
+
+def oracle_mean(batch, params, gt, metas=None):
+    losses = []
+    for b, ep in enumerate(batch):
+        ep_metas = {rel: ad.Tensor(m.data[b]) for rel, m in metas.items()} if metas else None
+        h = embed_episode(ep, params, ep_metas)
+        losses.append(reconstruction_loss(h, gt.get(ep.ground_truth_ref)).item())
+    return float(np.mean(losses))
+
+
+@pytest.mark.parametrize("with_enhancer", [False, True])
+def test_parts_are_per_kind_batch_means(setup, with_enhancer):
+    g, params, gt, batches = setup
+    enh = init_enhancer_params(6, np.random.default_rng(2)) if with_enhancer else None
+    total, parts = ssl_loss(batches["group"], batches["user"], batches["item"], params, enh, gt)
+    for kind in KINDS:
+        metas = episode_metas(batches[kind], params.table, enh) if enh else None
+        assert parts[kind] == pytest.approx(oracle_mean(batches[kind], params, gt, metas), abs=1e-12)
+    assert total.item() == pytest.approx(sum(parts.values()), abs=1e-12)
+
+
+def test_empty_batch_contributes_zero_with_a_warning(setup, caplog):
+    g, params, gt, batches = setup
+    with caplog.at_level(logging.WARNING, logger="coldgraph"):
+        total, parts = ssl_loss(batches["group"], [], batches["item"], params, None, gt)
+    assert parts["user"] == 0.0
+    assert "empty user batch" in caplog.text
+    assert total.item() == pytest.approx(parts["group"] + parts["item"], abs=1e-12)
+
+
+def test_missing_ground_truth_raises(setup):
+    g, params, gt, batches = setup
+    partial = GroundTruthTable(6, dict(gt.vectors), "test")
+    del partial.vectors[batches["user"][1].ground_truth_ref]
+    with pytest.raises(KeyError, match="no ground-truth embedding"):
+        ssl_loss(batches["group"], batches["user"], batches["item"], params, None, partial)
+
+
+def test_full_state_path_gathers_the_fused_embeddings(setup):
+    g, params, gt, batches = setup
+    state = full_embeddings(GraphTensors(g), params)
+    for kind in KINDS:
+        got = reconstruction_terms(batches[kind], params, None, gt, full_state=state)
+        for cost, ep in zip(got.data, batches[kind]):
+            h = state.fused[kind].data[ep.target.index]
+            want = gt.get(ep.ground_truth_ref)
+            assert cost == pytest.approx(1 - h @ want / np.linalg.norm(h) / np.linalg.norm(want))
+
+
+def test_layer_sum_table_needs_layer_sums(setup):
+    g, params, gt, batches = setup
+    state = FullState(fused=full_embeddings(GraphTensors(g), params).fused)
+    with pytest.raises(ValueError, match="without layer sums"):
+        layer_sum_table(state, None, "test")
