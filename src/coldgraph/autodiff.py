@@ -4,11 +4,15 @@ Tensors are dense 0-d scalars, 1-d vectors or 2-d matrices; shapes are
 always explicit and nothing broadcasts except multiplication by a python
 float (``scale``).  The one sparse operand is the constant operator of
 :func:`spmm` (a :class:`coldgraph.sparse.SparseOperator`), which is never
-differentiated.  Every operation records its backward rule onto the
-innermost active :class:`Tape` whenever at least one input is
-differentiable, so a forward pass run outside of any tape is plain numpy
-with zero overhead.  The two-operand products (``matmul``, ``mul``,
-``scale_rows``) skip the gradient of an operand that does not require one.
+differentiated.  The segment ops (``sum_consecutive``, ``softmax`` over
+segments, ``segment_attention``) take either one segment length or a list
+of (length, count) runs of consecutive equal-length segments, so a ragged
+grouping is one tape record however many lengths it holds.  Every
+operation records its backward rule onto the innermost active
+:class:`Tape` whenever at least one input is differentiable, so a forward
+pass run outside of any tape is plain numpy with zero overhead.  The
+two-operand products (``matmul``, ``mul``, ``scale_rows``) skip the
+gradient of an operand that does not require one.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "sum_all",
     "softmax",
     "segment_attention",
+    "attention_fusion",
     "sigmoid",
     "relu",
     "log",
@@ -200,8 +205,8 @@ def _check_2d(t: Tensor, op: str) -> None:
 def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     """Select rows ``indices`` from a matrix; gradient scatter-adds back.
 
-    Indices may repeat; the backward pass takes the slower ``np.add.at``
-    only when they do.
+    Indices may repeat; the backward pass then sums each row's gradients
+    in index order over one stable sort.
     """
     _check_2d(table, "gather_rows")
     idx = np.asarray(indices, dtype=np.intp)
@@ -212,7 +217,10 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     def vjp(g):
         gt = np.zeros(table.shape)
         if idx.size > 1 and np.bincount(idx).max() > 1:
-            np.add.at(gt, idx, g)
+            order = np.argsort(idx, kind="stable")
+            sorted_idx = idx[order]
+            starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
+            gt[sorted_idx[starts]] = np.add.reduceat(g[order], starts, axis=0)
         else:  # no row repeats: a plain write is the scatter-add
             gt[idx] = g
         return (gt,)
@@ -379,17 +387,73 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _emit(a.data.reshape(shape), (a,), vjp)
 
 
-def sum_consecutive(a: Tensor, block: int) -> Tensor:
-    """Sum each run of ``block`` consecutive rows: (k*block, d) -> (k, d)."""
+def _runs(block, rows: int) -> list[tuple[int, int, int]]:
+    """(first row, length m, count) of each run of equal-length segments.
+
+    ``block`` is one segment length for all rows, or (m, count) runs of
+    ``count`` consecutive m-row segments that cover the rows in order (no
+    runs for no rows).
+    """
+    if isinstance(block, (int, np.integer)):
+        if block < 1 or rows == 0 or rows % block:
+            raise ValueError(f"cannot split {rows} rows into blocks of {block}")
+        return [(0, int(block), rows // int(block))]
+    out, start = [], 0
+    for m, count in block:
+        if m < 1 or count < 1:
+            raise ValueError(f"segment run needs positive length and count, got ({m}, {count})")
+        out.append((start, int(m), int(count)))
+        start += m * count
+    if start != rows:
+        raise ValueError(f"segment runs cover {start} rows, not the {rows} given")
+    return out
+
+
+def sum_consecutive(
+    a: Tensor,
+    block,
+    targets: np.ndarray | None = None,
+    n: int | None = None,
+    mean: bool = False,
+) -> Tensor:
+    """Sum (or with ``mean`` average) each segment of consecutive rows.
+
+    ``block`` is one segment length or a list of (m, count) runs
+    (:func:`_runs`).  Segment j becomes row j of the result; with
+    ``targets`` it becomes row ``targets[j]`` of an (n, d) result whose other
+    rows are zero.
+    """
     _check_2d(a, "sum_consecutive")
     rows, cols = a.shape
-    if block < 1 or rows % block:
-        raise ValueError(f"cannot sum rows of {a.shape} in blocks of {block}")
+    runs = _runs(block, rows)
+    segments = sum(count for _, _, count in runs)
+    if targets is not None:
+        targets = np.asarray(targets, dtype=np.intp)
+        if targets.shape != (segments,) or n is None or np.any((targets < 0) | (targets >= n)):
+            raise ValueError(f"sum_consecutive needs {segments} target rows below n={n}")
+    sums = np.empty((segments, cols))
+    j = 0
+    for start, m, count in runs:
+        s = a.data[start : start + m * count].reshape(count, m, cols).sum(axis=1)
+        sums[j : j + count] = s * (1.0 / m) if mean else s
+        j += count
 
     def vjp(g):
-        return (np.repeat(g, block, axis=0),)
+        if targets is not None:
+            g = g[targets]
+        ga = np.empty((rows, cols))
+        j = 0
+        for start, m, count in runs:
+            gj = g[j : j + count] * (1.0 / m) if mean else g[j : j + count]
+            ga[start : start + m * count] = np.repeat(gj, m, axis=0)
+            j += count
+        return (ga,)
 
-    return _emit(a.data.reshape(rows // block, block, cols).sum(axis=1), (a,), vjp)
+    if targets is None:
+        return _emit(sums, (a,), vjp)
+    out = np.zeros((n, cols))
+    out[targets] = sums
+    return _emit(out, (a,), vjp)
 
 
 def row_sums(a: Tensor) -> Tensor:
@@ -407,55 +471,144 @@ def sum_all(a: Tensor) -> Tensor:
     return _emit(np.asarray(a.data.sum()), (a,), lambda g: (np.full(a.shape, g),))
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis (numerically shifted)."""
+def softmax(a: Tensor, block=None) -> Tensor:
+    """Softmax over the last axis (numerically shifted).
+
+    With ``block`` (one segment length or (m, count) runs, as for
+    :func:`sum_consecutive`) a vector is normalized within each segment of
+    consecutive entries instead.
+    """
     if a.ndim == 0:
         raise ValueError("softmax needs at least a vector")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    if block is None:  # every row is one segment
+        runs = [(0, a.shape[-1], a.data.size // max(a.shape[-1], 1))]
+    elif a.ndim == 1:
+        runs = _runs(block, a.shape[0])
+    else:
+        raise ValueError(f"segment softmax needs a vector, got shape {a.shape}")
+    x = a.data.reshape(-1)
+    s = np.empty(x.shape)
+    for start, m, count in runs:
+        xs = x[start : start + m * count].reshape(count, m)
+        e = np.exp(xs - xs.max(axis=-1, keepdims=True))
+        s[start : start + m * count] = (e / e.sum(axis=-1, keepdims=True)).reshape(-1)
 
     def vjp(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - inner),)
+        g = g.reshape(-1)
+        ga = np.empty(g.shape)
+        for start, m, count in runs:
+            sl = slice(start, start + m * count)
+            gs, ss = g[sl].reshape(count, m), s[sl].reshape(count, m)
+            ga[sl] = (ss * (gs - (gs * ss).sum(axis=-1, keepdims=True))).reshape(-1)
+        return (ga.reshape(a.shape),)
 
-    return _emit(s, (a,), vjp)
+    return _emit(s.reshape(a.shape), (a,), vjp)
 
 
-def segment_attention(q: Tensor, k: Tensor, v: Tensor, block: int) -> Tensor:
-    """Scaled dot-product self-attention inside consecutive row blocks.
+def segment_attention(q: Tensor, k: Tensor, v: Tensor, block) -> Tensor:
+    """Scaled dot-product self-attention inside consecutive row segments.
 
-    ``q``, ``k`` and ``v`` are (rows, d) matrices whose rows
-    ``[j*block, (j+1)*block)`` form block j.  Output row i of block j is
-    ``softmax(q_i . K_j^T / sqrt(d)) V_j``: every row attends to the rows
-    of its own block only.  The blocks run as one batched ``np.matmul`` over
-    a (rows/block, block, d) view, so the scores take rows*block floats.
+    ``q``, ``k`` and ``v`` are (rows, d) matrices cut into segments by
+    ``block``: one segment length, or (m, count) runs of ``count``
+    consecutive m-row segments.  Output row i of segment S is
+    ``softmax(q_i . K_S^T / sqrt(d)) V_S``: every row attends to the rows
+    of its own segment only.  Each run is one batched ``np.matmul`` over a
+    (count, m, d) view, so the scores take rows*m floats.
     """
     for t in (q, k, v):
         _check_2d(t, "segment_attention")
     if not (q.shape == k.shape == v.shape):
         raise ValueError(f"segment_attention shape mismatch: {q.shape}, {k.shape}, {v.shape}")
     rows, d = q.shape
-    if block < 1 or rows == 0 or rows % block:
-        raise ValueError(f"cannot split {rows} rows into blocks of {block}")
-    n = rows // block
+    runs = _runs(block, rows)
     c = 1.0 / math.sqrt(d)
-    q3, k3, v3 = (t.data.reshape(n, block, d) for t in (q, k, v))
-    scores = np.matmul(q3, k3.transpose(0, 2, 1)) * c
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+    views, attns = [], []
+    out = np.empty((rows, d))
+    for start, m, count in runs:
+        q3, k3, v3 = (t.data[start : start + m * count].reshape(count, m, d) for t in (q, k, v))
+        scores = np.matmul(q3, k3.transpose(0, 2, 1)) * c
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn = e / e.sum(axis=-1, keepdims=True)
+        out[start : start + m * count] = np.matmul(attn, v3).reshape(-1, d)
+        views.append((q3, k3, v3))
+        attns.append(attn)
 
     def vjp(g):
-        g3 = g.reshape(n, block, d)
-        ga = np.matmul(g3, v3.transpose(0, 2, 1))
-        gs = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True)) * c
-        return (
-            np.matmul(gs, k3).reshape(rows, d) if q.requires_grad else None,
-            np.matmul(gs.transpose(0, 2, 1), q3).reshape(rows, d) if k.requires_grad else None,
-            np.matmul(attn.transpose(0, 2, 1), g3).reshape(rows, d) if v.requires_grad else None,
-        )
+        grads = [np.empty((rows, d)) if t.requires_grad else None for t in (q, k, v)]
+        gq, gk, gv = grads
+        for (start, m, count), (q3, k3, v3), attn in zip(runs, views, attns):
+            sl = slice(start, start + m * count)
+            g3 = g[sl].reshape(count, m, d)
+            ga = np.matmul(g3, v3.transpose(0, 2, 1))
+            gs = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True)) * c
+            if gq is not None:
+                gq[sl] = np.matmul(gs, k3).reshape(-1, d)
+            if gk is not None:
+                gk[sl] = np.matmul(gs.transpose(0, 2, 1), q3).reshape(-1, d)
+            if gv is not None:
+                gv[sl] = np.matmul(attn.transpose(0, 2, 1), g3).reshape(-1, d)
+        return tuple(grads)
 
-    return _emit(np.matmul(attn, v3).reshape(rows, d), (q, k, v), vjp)
+    return _emit(out, (q, k, v), vjp)
+
+
+def attention_fusion(
+    channels: Sequence[Tensor], weights: Sequence[Tensor], present: np.ndarray, e0: Tensor
+) -> Tensor:
+    """Row-wise soft-attention fusion of C channel matrices of shape (n, d).
+
+    Row i is ``sum_c a_ic M_c[i]``, where ``a_i`` is the softmax, over the
+    channels present in row i (``present``, an (n, C) mask), of the logits
+    ``M_c[i] . (W_c @ 1)``: the coordinate sums of ``M_c[i] @ W_c``, at n*d
+    flops instead of n*d^2.  A row with no channel keeps its row of ``e0``;
+    with a single channel the logits are skipped.
+    """
+    channels, weights = list(channels), list(weights)
+    _check_2d(e0, "attention_fusion")
+    n, d = e0.shape
+    present = np.asarray(present, dtype=bool)
+    if present.shape != (n, len(channels)) or len(weights) != len(channels):
+        raise ValueError(
+            f"attention_fusion needs an ({n}, {len(channels)}) mask and one weight per channel"
+        )
+    for m, w in zip(channels, weights):
+        if m.shape != (n, d) or w.ndim != 2 or w.shape[0] != d:
+            raise ValueError(f"attention_fusion shape mismatch: {m.shape}, {w.shape}, ({n}, {d})")
+    none = ~present.any(axis=1)
+    if len(channels) > 1:
+        u = [w.data.sum(axis=1) for w in weights]
+        logits = np.stack([m.data @ uc for m, uc in zip(channels, u)], axis=1)
+        z = np.where(present, logits, -np.inf)
+        shift = z.max(axis=1, keepdims=True)
+        shift[none] = 0.0
+        e = np.exp(z - shift)
+        total = e.sum(axis=1, keepdims=True)
+        total[none] = 1.0
+        attn = e / total
+    else:
+        attn = present.astype(np.float64)
+    out = np.zeros((n, d))
+    for j, m in enumerate(channels):
+        out += attn[:, j : j + 1] * m.data
+    out[none] = e0.data[none]
+
+    def vjp(g):
+        g_channels = [
+            attn[:, j : j + 1] * g if m.requires_grad else None for j, m in enumerate(channels)
+        ]
+        g_weights = [None] * len(weights)
+        if len(channels) > 1:
+            ds = np.stack([(g * m.data).sum(axis=1) for m in channels], axis=1)
+            gl = attn * (ds - (attn * ds).sum(axis=1, keepdims=True))
+            for j, (m, w) in enumerate(zip(channels, weights)):
+                if g_channels[j] is not None:
+                    g_channels[j] += gl[:, j : j + 1] * u[j]
+                if w.requires_grad:
+                    g_weights[j] = np.repeat((m.data.T @ gl[:, j])[:, None], w.shape[1], axis=1)
+        g_e0 = np.where(none[:, None], g, 0.0) if e0.requires_grad else None
+        return (*g_channels, *g_weights, g_e0)
+
+    return _emit(out, (*channels, *weights, e0), vjp)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

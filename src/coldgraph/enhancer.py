@@ -8,28 +8,33 @@ for groups) with its own soft-attention weights.  The per-relation metas are
 what gets injected into the GNN's convolution steps; the fused meta is the
 quantity trained against ground-truth embeddings.
 
-One batched forward serves every caller.  Per relation, the targets are
-grouped by their exact neighbor count (a :class:`model.DegreePlan`), and
-each group is one :func:`autodiff.segment_attention` over its targets'
-stacked neighbor rows; the fusion runs through :func:`model.fuse_matrix`.
-The targets are the sampled first-order neighborhoods of an episode batch
-(:func:`episode_metas`, and :func:`train_enhancer`, which reads the model
-tables as constants) or every node's complete neighborhood
-(:func:`full_meta_matrices`).  The warm-up and the pretext task score
-predictions with the same batched :func:`reconstruction_costs`.
+One batched forward serves every caller.  Per relation, a
+:class:`model.DegreePlan` cuts the targets' stacked neighbor rows into one
+segment per target, and three ragged segment ops do the rest: one
+:func:`autodiff.segment_attention` smooths every segment, one placed
+:func:`autodiff.sum_consecutive` averages each into its target's row, and
+for groups one segment softmax pools the member-aggregate channel
+(:func:`model.attention_pool`); one :func:`autodiff.attention_fusion` per
+kind fuses the channels.  The targets are the sampled first-order
+neighborhoods of an episode batch (:func:`episode_metas`, and
+:func:`train_enhancer`, whose warm-up episodes are laid out as arrays once
+and read the model tables as constants) or every node's complete
+neighborhood (:func:`full_meta_matrices`).  The warm-up and the pretext
+task score predictions with the same batched :func:`reconstruction_costs`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import KINDS, RELATION_KINDS, RELATIONS_BY_KIND, Episode
+from .graph import KINDS, RELATION_KINDS, RELATIONS, RELATIONS_BY_KIND, Episode
 from .model import (
     FUSION_KEYS,
     DegreePlan,
@@ -87,28 +92,28 @@ def _neighbor_kind(rel: str, kind: str) -> str:
     return kb if kind == ka else ka
 
 
-def _gathered_qkv(tables, params: EnhancerParams, kind: str):
-    """Map rows ``flat`` of ``kind``'s table to their query, key and value rows.
+def _gathered_qkv(table: Tensor, params: EnhancerParams):
+    """Map rows ``flat`` of ``table`` to their query, key and value rows.
 
     Projects the gathered rows: an episode batch gathers fewer rows than
     the table holds, and a constant table then puts no gather on the tape.
     """
     def qkv(flat):
-        x = ad.gather_rows(tables(kind), flat)
+        x = ad.gather_rows(table, flat)
         return tuple(ad.matmul(x, w) for w in (params.wq, params.wk, params.wv))
 
     return qkv
 
 
-def _projected_qkv(tables, params: EnhancerParams, kind: str):
+def _projected_qkv(table: Tensor, params: EnhancerParams):
     """As :func:`_gathered_qkv`, but gathers from the projected table: the
     full graph gathers every row once per neighbor."""
-    projected = [ad.matmul(tables(kind), w) for w in (params.wq, params.wk, params.wv)]
+    projected = [ad.matmul(table, w) for w in (params.wq, params.wk, params.wv)]
     return lambda flat: tuple(ad.gather_rows(p, flat) for p in projected)
 
 
 def _relation_metas(
-    qkv, plan: DegreePlan, d: int, member_score: Tensor | None
+    qkv, plan: DegreePlan, member_score: Tensor | None = None
 ) -> tuple[Tensor, Tensor | None]:
     """Per-target smoothed-neighbor means over one relation, (n, d).
 
@@ -117,13 +122,11 @@ def _relation_metas(
     (the member-aggregate channel).  Targets without neighbors get zero
     rows.
     """
-    means, pooled = [], []
-    for m, flat in plan.buckets:
-        smoothed = ad.segment_attention(*qkv(flat), m)
-        means.append(ad.scale(ad.sum_consecutive(smoothed, m), 1.0 / m))
-        if member_score is not None:
-            pooled.append(attention_pool(smoothed, m, member_score))
-    return plan.assemble(means, d), plan.assemble(pooled, d) if pooled else None
+    smoothed = ad.segment_attention(*qkv(plan.cols), plan.runs)
+    means = ad.sum_consecutive(smoothed, plan.runs, plan.targets, plan.n, mean=True)
+    if member_score is None:
+        return means, None
+    return means, attention_pool(smoothed, plan, member_score)
 
 
 def _first_order(episode: Episode, rel: str) -> tuple[int, ...]:
@@ -137,17 +140,9 @@ def _episode_plans(episodes: Sequence[Episode], kind: str) -> dict[str, DegreePl
     for rel in RELATIONS_BY_KIND[kind]:
         firsts = [_first_order(ep, rel) for ep in episodes]
         sizes = [len(f) for f in firsts]
-        cols = np.fromiter((c for f in firsts for c in f), dtype=np.intp, count=sum(sizes))
-        plans[rel] = degree_plan(np.repeat(np.arange(len(firsts)), sizes), cols, len(firsts))
+        cols = np.fromiter(chain.from_iterable(firsts), np.intp, sum(sizes))
+        plans[rel] = degree_plan(sizes, cols)
     return plans
-
-
-def _by_kind(episodes: Sequence[Episode]) -> dict[str, list[int]]:
-    """Positions of the episodes of each target kind, in input order."""
-    out: dict[str, list[int]] = {}
-    for i, ep in enumerate(episodes):
-        out.setdefault(ep.target.kind, []).append(i)
-    return out
 
 
 def episode_metas(
@@ -161,9 +156,9 @@ def episode_metas(
     kind = batch_kind(episodes)
     out = {}
     for rel, plan in _episode_plans(episodes, kind).items():
-        if plan.buckets:
-            qkv = _gathered_qkv(tables, params, _neighbor_kind(rel, kind))
-            out[rel], _ = _relation_metas(qkv, plan, params.d, None)
+        if plan.runs:
+            qkv = _gathered_qkv(tables(_neighbor_kind(rel, kind)), params)
+            out[rel], _ = _relation_metas(qkv, plan)
     return out
 
 
@@ -175,36 +170,33 @@ def full_meta_matrices(
     Rows of zero-degree nodes are zero; their channels are dropped from
     fusion downstream so the placeholder value is never consumed.
     """
-    qkv = {kind: _projected_qkv(tables, params, kind) for kind in KINDS}
+    qkv = {kind: _projected_qkv(tables(kind), params) for kind in KINDS}
     return {
         (kind, rel): _relation_metas(
-            qkv[_neighbor_kind(rel, kind)], gtens.neighbor_plan(rel, kind), params.d, None
+            qkv[_neighbor_kind(rel, kind)], gtens.neighbor_plan(rel, kind)
         )[0]
         for kind, rels in RELATIONS_BY_KIND.items()
         for rel in rels
     }
 
 
-def _fused_metas(
-    episodes: Sequence[Episode], kind: str, tables, params: EnhancerParams
-) -> Tensor:
-    """Fused meta embeddings (n, d) of n episode targets of one kind.
+def _truth_rows(episodes: Sequence[Episode], ground_truth) -> np.ndarray:
+    """Ground-truth embedding of each episode target, stacked (n, d).
 
-    Every target needs a first-order neighbor in some relation.
+    Raises KeyError for a target without one.
     """
-    channels: dict[str, Tensor] = {}
-    masks: dict[str, np.ndarray] = {}
-    for rel, plan in _episode_plans(episodes, kind).items():
-        if not plan.buckets:
-            continue
-        score = params.member_score if (kind, rel) == ("group", "GU") else None
-        qkv = _gathered_qkv(tables, params, _neighbor_kind(rel, kind))
-        channels[rel], agg = _relation_metas(qkv, plan, params.d, score)
-        masks[rel] = plan.present
-        if agg is not None:
-            channels["GU_AGG"], masks["GU_AGG"] = agg, plan.present
-    e0 = ad.const(np.zeros((len(episodes), params.d)))
-    return fuse_present(kind, channels, masks, params.fusion, e0)
+    targets = []
+    for ep in episodes:
+        vec = ground_truth.get(ep.ground_truth_ref)
+        if vec is None:
+            raise KeyError(f"no ground-truth embedding for {ep.ground_truth_ref}")
+        targets.append(vec)
+    return np.stack(targets) if targets else np.zeros((0, 0))
+
+
+def _cosine_costs(predicted: Tensor, truth: np.ndarray) -> Tensor:
+    cos = ad.cosine_similarity(predicted, ad.const(truth))
+    return ad.sub(ad.const(np.ones(truth.shape[0])), cos)
 
 
 def reconstruction_costs(predicted: Tensor, episodes: Sequence[Episode], ground_truth) -> Tensor:
@@ -213,34 +205,77 @@ def reconstruction_costs(predicted: Tensor, episodes: Sequence[Episode], ground_
     0 iff aligned, 2 iff opposite.  Raises KeyError for a target without
     a ground-truth embedding.
     """
-    targets = []
-    for ep in episodes:
-        vec = ground_truth.get(ep.ground_truth_ref)
-        if vec is None:
-            raise KeyError(f"no ground-truth embedding for {ep.ground_truth_ref}")
-        targets.append(vec)
-    cos = ad.cosine_similarity(predicted, ad.const(np.stack(targets)))
-    return ad.sub(ad.const(np.ones(len(targets))), cos)
+    return _cosine_costs(predicted, _truth_rows(episodes, ground_truth))
 
 
-def _warmup_loss(
-    episodes: Sequence[Episode], ground_truth, params: EnhancerParams, tables
-) -> Tensor | None:
-    """Mean cosine reconstruction loss of the fused metas of a batch.
+class _WarmupLayout:
+    """The warm-up episodes and the frozen model tables, laid out once.
 
-    Isolated targets are skipped; None when every target is isolated.
+    ``table`` stacks the user, item and group tables into one constant;
+    ``csr[rel]`` = (indptr, indices) lists each episode target's sampled
+    first-order neighbors in relation ``rel`` as rows of that table;
+    ``kind`` codes each target's kind (its index in ``KINDS``), ``linked``
+    marks the targets with a neighbor in some relation, and ``truth`` holds
+    the ground-truth embeddings.  A batch of episode positions cuts its
+    degree plans out of these arrays by indexing.
     """
-    terms = []
-    for kind, positions in _by_kind(episodes).items():
-        rels = RELATIONS_BY_KIND[kind]
-        batch = [episodes[i] for i in positions if any(_first_order(episodes[i], r) for r in rels)]
-        if not batch:
-            continue
-        fused = _fused_metas(batch, kind, tables, params)
-        terms.append(reconstruction_costs(fused, batch, ground_truth))
-    if not terms:
-        return None
-    return ad.mean_rows(terms[0] if len(terms) == 1 else ad.concat(terms))
+
+    def __init__(self, episodes: Sequence[Episode], ground_truth, tables):
+        self.truth = _truth_rows(episodes, ground_truth)
+        sizes = [tables(kind).shape[0] for kind in KINDS]
+        offset = dict(zip(KINDS, np.cumsum([0] + sizes[:-1]).tolist()))
+        self.table = ad.const(np.concatenate([tables(kind).data for kind in KINDS]))
+        n = len(episodes)
+        self.kind = np.fromiter((KINDS.index(ep.target.kind) for ep in episodes), np.intp, n)
+        self.linked = np.zeros(n, dtype=bool)
+        self.csr: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for rel in RELATIONS:
+            firsts = [_first_order(ep, rel) for ep in episodes]
+            counts = np.fromiter(map(len, firsts), np.intp, n)
+            shift = [
+                offset[_neighbor_kind(rel, ep.target.kind)] if f else 0
+                for ep, f in zip(episodes, firsts)
+            ]
+            indices = np.fromiter(chain.from_iterable(firsts), np.intp, int(counts.sum()))
+            self.csr[rel] = (np.cumsum(np.r_[0, counts]), indices + np.repeat(shift, counts))
+            self.linked |= counts > 0
+
+    def fused(self, kind: str, sel: np.ndarray, params: EnhancerParams) -> Tensor:
+        """Fused meta embeddings (n, d) of the n linked ``kind`` targets at
+        episode positions ``sel``."""
+        qkv = _gathered_qkv(self.table, params)
+        channels: dict[str, Tensor] = {}
+        masks: dict[str, np.ndarray] = {}
+        for rel in RELATIONS_BY_KIND[kind]:
+            indptr, indices = self.csr[rel]
+            plan = degree_plan(indptr[sel + 1] - indptr[sel], indices, indptr[sel])
+            if not plan.runs:
+                continue
+            score = params.member_score if (kind, rel) == ("group", "GU") else None
+            channels[rel], agg = _relation_metas(qkv, plan, score)
+            masks[rel] = plan.present
+            if agg is not None:
+                channels["GU_AGG"], masks["GU_AGG"] = agg, plan.present
+        e0 = ad.const(np.zeros((sel.size, params.d)))
+        return fuse_present(kind, channels, masks, params.fusion, e0)
+
+    def loss(self, batch: np.ndarray, params: EnhancerParams) -> Tensor | None:
+        """Mean cosine reconstruction loss of the fused metas of the episodes
+        at positions ``batch``.
+
+        Isolated targets are skipped; None when every target is isolated.
+        Kinds contribute in the order of their first appearance in the batch.
+        """
+        kinds = self.kind[batch]
+        _, first = np.unique(kinds, return_index=True)
+        terms = []
+        for code in kinds[np.sort(first)]:
+            sel = batch[(kinds == code) & self.linked[batch]]
+            if sel.size:
+                terms.append(_cosine_costs(self.fused(KINDS[code], sel, params), self.truth[sel]))
+        if not terms:
+            return None
+        return ad.mean_rows(terms[0] if len(terms) == 1 else ad.concat(terms))
 
 
 def train_enhancer(
@@ -267,17 +302,13 @@ def train_enhancer(
     tensors = params.tensors()
     adam = AdamState(tensors, learning_rate)
     losses: list[float] = []
-    for ep in episodes:
-        if ground_truth.get(ep.ground_truth_ref) is None:
-            raise KeyError(f"no ground-truth embedding for {ep.ground_truth_ref}")
-    frozen = {kind: ad.const(tables(kind).data) for kind in KINDS}
+    layout = _WarmupLayout(episodes, ground_truth, tables)
     for _ in range(epochs):
         order = rng.permutation(len(episodes))
         epoch_losses = []
         for start in range(0, len(order), batch_size):
-            batch = [episodes[i] for i in order[start : start + batch_size]]
             with ad.Tape() as tape:
-                loss = _warmup_loss(batch, ground_truth, params, frozen.__getitem__)
+                loss = layout.loss(order[start : start + batch_size], params)
                 if loss is None:
                     continue
                 grads = tape.backward(loss, tensors)

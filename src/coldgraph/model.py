@@ -9,9 +9,11 @@ per-layer weight and a relu.
 
 There is one propagation path.  A relation step multiplies by a constant
 sparse neighbor-mean operator (:func:`autodiff.spmm`) and convolves every
-row at once; member aggregation pools equal-degree groups with one
-:func:`attention_pool` each, and fusion groups rows by channel presence.
-It runs over one of two graphs:
+row at once; member aggregation is one segment softmax and one placed
+segment sum over every group's members (:func:`attention_pool`, segments
+from a :class:`DegreePlan`), and fusion is one
+:func:`autodiff.attention_fusion` per node kind, with each row's channel
+presence as a mask.  It runs over one of two graphs:
 
 * the complete training graph (:class:`GraphTensors`), for the ranking
   loss, teachers and evaluation (:func:`full_embeddings`);
@@ -26,7 +28,8 @@ When enhancer meta embeddings are supplied, the self path of the meta rows
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -171,81 +174,46 @@ def _inject_meta_rows(h: Tensor, meta: Tensor, proj: Tensor) -> Tensor:
 
 
 @dataclass(frozen=True)
-class _FusionPlan:
-    """Static row grouping of one node kind's channel fusion.
-
-    ``patterns`` pairs each channel-presence pattern (channels in fusion
-    order) with the ascending rows that have it, in sorted pattern order;
-    ``inverse`` maps each row to its position in the concatenated groups.
-    """
-
-    patterns: tuple[tuple[tuple[str, ...], np.ndarray], ...]
-    inverse: np.ndarray
-
-
-def _fusion_plan(order: Sequence[str], masks: Sequence[np.ndarray]) -> _FusionPlan:
-    present = np.stack(masks, axis=1)
-    uniq, which = np.unique(present, axis=0, return_inverse=True)
-    which = which.reshape(-1)
-    patterns = sorted(
-        (tuple(c for c, p in zip(order, row) if p), np.flatnonzero(which == j))
-        for j, row in enumerate(uniq)
-    )
-    inverse = np.empty(present.shape[0], dtype=np.intp)
-    if patterns:
-        inverse[np.concatenate([rows for _, rows in patterns])] = np.arange(present.shape[0])
-    return _FusionPlan(tuple(patterns), inverse)
-
-
-@dataclass(frozen=True)
 class DegreePlan:
     """Static grouping of n targets by their exact neighbor count.
 
-    ``buckets`` pairs each count m with the neighbor rows of all targets
-    with m neighbors, m consecutive rows per target (targets ascending,
-    neighbors in the given order); ``present`` marks the targets with a
-    neighbor, and ``inverse`` maps each target to its row in the bucket
-    stacking followed by the neighborless targets.
+    ``targets`` lists the targets that have a neighbor by ascending degree
+    (equal degrees by ascending target), ``runs`` gives the (m, count) runs
+    of equal degree m in that order, and ``cols`` holds the m neighbor rows
+    of each listed target consecutively, in the given neighbor order.  These
+    are the segments of the ragged autodiff ops: ``runs`` cuts ``cols``-shaped
+    rows into per-target segments, and ``targets`` and ``n`` place one result
+    per segment in a per-target (n, d) matrix with zero rows for the
+    neighborless targets.
     """
 
-    buckets: tuple[tuple[int, np.ndarray], ...]
-    present: np.ndarray
-    inverse: np.ndarray
+    n: int
+    runs: tuple[tuple[int, int], ...]
+    targets: np.ndarray
+    cols: np.ndarray
 
-    def assemble(self, pieces: Iterable[Tensor], d: int) -> Tensor:
-        """Per-target (n, d) matrix from one (targets, d) piece per bucket.
-
-        Neighborless targets get zero rows.
-        """
-        pieces = list(pieces)
-        isolated = self.present.size - int(np.count_nonzero(self.present))
-        if isolated or not pieces:
-            pieces.append(ad.const(np.zeros((isolated, d))))
-        stacked = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
-        return ad.gather_rows(stacked, self.inverse)
+    @property
+    def present(self) -> np.ndarray:
+        """Boolean per target: True where it has a neighbor."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self.targets] = True
+        return mask
 
 
-def degree_plan(rows: np.ndarray, cols: np.ndarray, n: int) -> DegreePlan:
-    """Group the edges (rows[e] -> cols[e]) of n targets by target degree.
-
-    Each target's neighbors keep their order in ``cols``.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
+def degree_plan(sizes, cols, starts=None) -> DegreePlan:
+    """Group targets by degree: target t has the ``sizes[t]`` neighbors
+    ``cols[starts[t] : starts[t] + sizes[t]]``, by default listed target
+    after target."""
+    sizes = np.asarray(sizes, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    order = np.argsort(rows, kind="stable")
-    rows, cols = rows[order], cols[order]
-    size = np.bincount(rows, minlength=n)
-    start = np.cumsum(size) - size
-    buckets = []
-    target_order = []
-    for m in np.unique(size[size > 0]):
-        targets = np.flatnonzero(size == m)
-        buckets.append((int(m), cols[(start[targets, None] + np.arange(m)).reshape(-1)]))
-        target_order.append(targets)
-    target_order.append(np.flatnonzero(size == 0))
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[np.concatenate(target_order)] = np.arange(n)
-    return DegreePlan(tuple(buckets), size > 0, inverse)
+    if starts is None:
+        starts = np.cumsum(sizes) - sizes
+    targets = np.argsort(sizes, kind="stable")[np.count_nonzero(sizes == 0) :]
+    deg = sizes[targets]
+    count = np.bincount(deg)
+    m = np.flatnonzero(count)
+    flat = np.repeat(starts[targets] - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum())
+    return DegreePlan(sizes.size, tuple(zip(m.tolist(), count[m].tolist())), targets, cols[flat])
 
 
 class GraphTensors:
@@ -255,9 +223,8 @@ class GraphTensors:
     ``kind``'s side of relation ``rel``, a :class:`SparseOperator` of shape
     (n_kind, n_other); the two directions of UU and GG are one shared
     object.  ``mask[(rel, kind)]`` marks the rows with at least one
-    neighbor.  The fusion row groupings, which depend only on these masks,
-    are built here once instead of at every forward pass, and so is each
-    degree grouping (:meth:`neighbor_plan`) on its first use.
+    neighbor.  Each degree grouping (:meth:`neighbor_plan`) is built on its
+    first use and kept.
     """
 
     def __init__(self, graph: InteractionGraph):
@@ -280,14 +247,6 @@ class GraphTensors:
                 self.norm[(rel, kind)] = op
                 self.mask[(rel, kind)] = op.row_mask
         self._plans: dict[tuple[str, str], DegreePlan] = {}
-        # a group has the member-aggregate channel iff it has a GU neighbor
-        self.fusion_plan = {
-            kind: _fusion_plan(
-                channels,
-                [self.mask[("GU" if c == "GU_AGG" else c, kind)] for c in channels],
-            )
-            for kind, channels in CHANNELS_BY_KIND.items()
-        }
 
     def neighbor_plan(self, rel: str, kind: str) -> DegreePlan:
         """Degree grouping of ``kind``'s neighbors in relation ``rel``."""
@@ -295,7 +254,7 @@ class GraphTensors:
         if plan is None:
             rows, cols, _ = self.norm[(rel, kind)].entries()
             order = np.lexsort((cols, rows))
-            plan = degree_plan(rows[order], cols[order], self.counts[kind])
+            plan = degree_plan(np.bincount(rows, minlength=self.counts[kind]), cols[order])
             self._plans[(rel, kind)] = plan
         return plan
 
@@ -334,72 +293,25 @@ def _relation_steps(
     return out
 
 
-def attention_pool(rows: Tensor, m: int, score: Tensor) -> Tensor:
-    """Attention pooling of each block of m consecutive rows into one row:
-    the rows weighted by the softmax of their scores against ``score``."""
-    if m == 1:
-        return rows
-    n = rows.shape[0]
-    attn = ad.reshape(ad.softmax(ad.reshape(ad.matmul(rows, score), (n // m, m))), (n,))
-    return ad.sum_consecutive(ad.scale_rows(rows, attn), m)
+def attention_pool(rows: Tensor, plan: DegreePlan, score: Tensor) -> Tensor:
+    """Attention pooling of each target's neighbor rows into one row.
+
+    ``rows`` holds the neighbor rows in ``plan.cols`` order; target t gets
+    its rows weighted by the softmax of their scores against ``score``, in
+    row t of an (n, d) result.  Neighborless targets get zero rows.
+    """
+    attn = ad.softmax(ad.matmul(rows, score), plan.runs)
+    return ad.sum_consecutive(ad.scale_rows(rows, attn), plan.runs, plan.targets, plan.n)
 
 
 def _member_aggregate(plan: DegreePlan, h_user: Tensor, params: ModelParams) -> Tensor | None:
     """Member-aggregate channel of the groups of ``plan`` (group -> user rows).
 
-    Groups with equal member counts share one :func:`attention_pool`.
     None when no group has members.
     """
-    if not plan.buckets:
+    if not plan.runs:
         return None
-    return plan.assemble(
-        (
-            attention_pool(ad.gather_rows(h_user, flat), m, params.member_score)
-            for m, flat in plan.buckets
-        ),
-        h_user.shape[1],
-    )
-
-
-def fuse_matrix(
-    plan: _FusionPlan,
-    channel_mats: Mapping[str, Tensor],
-    weight_params: Mapping[str, Tensor],
-    e0: Tensor,
-    collect_weights: bool = False,
-):
-    """Row-wise soft-attention fusion with exact per-node channel presence.
-
-    Nodes sharing a presence pattern (``plan``, from :class:`GraphTensors`)
-    are fused together; nodes with no channel at all keep their initial
-    embedding.
-    """
-    n = e0.shape[0]
-    pieces: list[Tensor] = []
-    weights_out: list[dict[str, float]] | None = [None] * n if collect_weights else None
-    for present, idxs in plan.patterns:
-        if not present:
-            sub = ad.gather_rows(e0, idxs)
-        elif len(present) == 1:
-            sub = ad.gather_rows(channel_mats[present[0]], idxs)
-        else:
-            subs = {c: ad.gather_rows(channel_mats[c], idxs) for c in present}
-            logit_rows = [ad.row_sums(ad.matmul(subs[c], weight_params[c])) for c in present]
-            attn = ad.softmax(ad.transpose(ad.stack_rows(logit_rows)))
-            sub = None
-            for j, c in enumerate(present):
-                unit = np.zeros(len(present))
-                unit[j] = 1.0
-                col = ad.matmul(attn, ad.const(unit))
-                piece = ad.scale_rows(subs[c], col)
-                sub = piece if sub is None else ad.add(sub, piece)
-        pieces.append(sub)
-        if collect_weights:
-            probs = attn.data if len(present) > 1 else np.ones((len(idxs), len(present)))
-            for r, i in enumerate(idxs):
-                weights_out[i] = {c: float(probs[r, j]) for j, c in enumerate(present)}
-    stacked = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
-    return ad.gather_rows(stacked, plan.inverse), weights_out
+    return attention_pool(ad.gather_rows(h_user, plan.cols), plan, params.member_score)
 
 
 def fuse_present(
@@ -409,17 +321,20 @@ def fuse_present(
     weight_params: Mapping[str, Tensor],
     e0: Tensor,
 ) -> Tensor:
-    """:func:`fuse_matrix` of one batch of ``kind`` rows, grouped on the fly.
+    """Row-wise soft-attention fusion of ``kind``'s channels with exact
+    per-row channel presence (:func:`autodiff.attention_fusion`).
 
     ``masks[c]`` marks the rows that have channel c; a channel without a
-    mask is absent from every row.
+    matrix is absent from every row, and rows with no channel at all keep
+    their initial embedding ``e0``.
     """
-    order = CHANNELS_BY_KIND[kind]
-    absent = np.zeros(e0.shape[0], dtype=bool)
-    fused, _ = fuse_matrix(
-        _fusion_plan(order, [masks.get(c, absent) for c in order]), channel_mats, weight_params, e0
+    keys = [c for c in CHANNELS_BY_KIND[kind] if c in channel_mats]
+    present = np.zeros((e0.shape[0], len(keys)), dtype=bool)
+    for j, c in enumerate(keys):
+        present[:, j] = masks[c]
+    return ad.attention_fusion(
+        [channel_mats[c] for c in keys], [weight_params[c] for c in keys], present, e0
     )
-    return fused
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +348,6 @@ class FullState:
 
     fused: dict[str, Tensor]
     layer_sums: dict[str, Tensor] | None = None
-    channel_weights: dict[str, list[dict[str, float]]] | None = None
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {k: np.array(v.data) for k, v in self.fused.items()}
@@ -444,7 +358,6 @@ def full_embeddings(
     params: ModelParams,
     metas: Mapping[tuple[str, str], Tensor] | None = None,
     need_layer_sums: bool = False,
-    collect_weights: bool = False,
 ) -> FullState:
     """Embed every user, item and group over the complete adjacency.
 
@@ -475,8 +388,13 @@ def full_embeddings(
         ui_item = steps("UI", "item")
 
     L = params.layers
+    # a group has the member-aggregate channel iff it has a GU neighbor
+    masks = {
+        kind: {c: gtens.mask[("GU" if c == "GU_AGG" else c, kind)] for c in channels}
+        for kind, channels in CHANNELS_BY_KIND.items()
+    }
 
-    def fuse_all(step: int, collect: bool):
+    def fuse_all(step: int) -> dict[str, Tensor]:
         gu_agg = _member_aggregate(gtens.neighbor_plan("GU", "group"), gu["user"][step], params)
         mats = {
             "group": {
@@ -489,32 +407,18 @@ def full_embeddings(
         }
         if gu_agg is not None:
             mats["group"]["GU_AGG"] = gu_agg
-        fused = {}
-        weights = {}
-        for kind in KINDS:
-            fused[kind], weights[kind] = fuse_matrix(
-                gtens.fusion_plan[kind],
-                mats[kind],
-                params.fusion,
-                params.table(kind),
-                collect_weights=collect,
-            )
-        return fused, weights
+        return {
+            kind: fuse_present(kind, mats[kind], masks[kind], params.fusion, params.table(kind))
+            for kind in KINDS
+        }
 
-    fused_final, weights_final = fuse_all(L, collect_weights)
-
-    layer_sums = None
-    if need_layer_sums:
-        layer_sums = {kind: params.table(kind) for kind in KINDS}
-        for step in range(1, L + 1):
-            fused_step, _ = fuse_all(step, False)
-            layer_sums = {k: ad.add(layer_sums[k], fused_step[k]) for k in KINDS}
-
-    return FullState(
-        fused=fused_final,
-        layer_sums=layer_sums,
-        channel_weights=weights_final if collect_weights else None,
-    )
+    if not need_layer_sums:
+        return FullState(fused=fuse_all(L))
+    layer_sums = {kind: params.table(kind) for kind in KINDS}
+    for step in range(1, L + 1):
+        fused = fuse_all(step)
+        layer_sums = {k: ad.add(layer_sums[k], fused[k]) for k in KINDS}
+    return FullState(fused=fused, layer_sums=layer_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +432,21 @@ def batch_kind(episodes: Sequence[Episode]) -> str:
     if len(kinds) != 1:
         raise ValueError(f"an episode batch needs one target kind, got {sorted(kinds)}")
     return kinds.pop()
+
+
+def _number_rows(head: np.ndarray, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row numbers of node keys: the distinct ``head`` keys get rows 0, 1, ...
+    in order, every other distinct key the following rows in ascending key
+    order.  Returns (the rows of the ``rest`` keys, the key of each row)."""
+    keys, inverse = np.unique(np.concatenate([head, rest]), return_inverse=True)
+    row = np.empty(keys.size, dtype=np.intp)
+    row[inverse[: head.size]] = np.arange(head.size)
+    tail = np.ones(keys.size, dtype=bool)
+    tail[inverse[: head.size]] = False
+    row[tail] = np.arange(head.size, keys.size)
+    row_keys = np.empty_like(keys)
+    row_keys[row] = keys
+    return row[inverse[head.size :]], row_keys
 
 
 def _episode_forest(
@@ -544,34 +463,43 @@ def _episode_forest(
     """
     ka, kb = RELATION_KINDS[rel]
     other = {ka: kb, kb: ka}
-    rows: dict[str, dict[tuple[int, int], int]] = {k: {} for k in other}
-    rows[kind].update(((b, ep.target.index), b) for b, ep in enumerate(episodes))
-    edges: dict[str, tuple[list[int], list[int]]] = {k: ([], []) for k in other}
-    firsts: list[tuple[int, ...]] = []
-    for b, ep in enumerate(episodes):
-        sample = ep.samples.get(rel)
-        firsts.append(sample.layers[1] if sample is not None else ())
-        if sample is None:
-            continue
-        for (k, idx), kids in sample.children.items():
-            own, theirs = rows[k], rows[other[k]]
-            r = own.setdefault((b, idx), len(own))
-            src, dst = edges[k]
-            for c in kids:
-                src.append(r)
-                dst.append(theirs.setdefault((b, c), len(theirs)))
-    nodes = {k: np.fromiter((idx for _, idx in rows[k]), np.intp, len(rows[k])) for k in other}
-    ops = {
-        k: neighbor_mean(src, dst, (len(rows[k]), len(rows[other[k]])))
-        for k, (src, dst) in edges.items()
-    }
-    member_rows = rows[other[kind]]
-    sizes = [len(f) for f in firsts]
-    cols = np.fromiter(
-        (member_rows[(b, c)] for b, f in enumerate(firsts) for c in f), np.intp, sum(sizes)
-    )
-    members = degree_plan(np.repeat(np.arange(len(episodes)), sizes), cols, len(episodes))
-    return nodes, ops, members
+    trees = [ep.samples[rel].children for ep in episodes if rel in ep.samples]
+    parent_kind, parent_idx = zip(*chain.from_iterable(trees)) if trees else ((), ())
+    kids = list(chain.from_iterable(tree.values() for tree in trees))
+    sizes = np.fromiter(map(len, kids), np.intp, len(kids))
+    with_rel = [b for b, ep in enumerate(episodes) if rel in ep.samples]
+    tree_of = np.repeat(np.array(with_rel, dtype=np.intp), list(map(len, trees)))
+    episode = np.repeat(tree_of, sizes)
+    parent = np.repeat(np.array(parent_idx, dtype=np.intp), sizes)
+    parent_is_a = np.repeat(np.array(parent_kind) == ka, sizes)
+    child = np.fromiter(chain.from_iterable(kids), np.intp, int(sizes.sum()))
+    firsts = [ep.samples[rel].layers[1] if rel in ep.samples else () for ep in episodes]
+    first_sizes = [len(f) for f in firsts]
+    first = np.fromiter(chain.from_iterable(firsts), np.intp, sum(first_sizes))
+    first_episode = np.repeat(np.arange(len(episodes)), first_sizes)
+    targets = np.fromiter((ep.target.index for ep in episodes), np.intp, len(episodes))
+    span = 1 + max(targets.max(initial=0), parent.max(initial=0), child.max(initial=0))
+
+    # per kind, one numbering of its (episode, index) keys, targets first
+    as_parent = {ka: parent_is_a, kb: ~parent_is_a} if ka != kb else {ka: parent_is_a}
+    nodes: dict[str, np.ndarray] = {}
+    src = np.empty(child.size, dtype=np.intp)
+    dst = np.empty(child.size, dtype=np.intp)
+    for k in other:
+        par, kid = as_parent[k], as_parent[other[k]]
+        rest = [episode[par] * span + parent[par], episode[kid] * span + child[kid]]
+        if k == other[kind]:
+            rest.append(first_episode * span + first)
+        head = np.arange(len(episodes)) * span + targets if k == kind else np.zeros(0, np.intp)
+        rows, keys = _number_rows(head, np.concatenate(rest))
+        n_par, n_kid = np.count_nonzero(par), np.count_nonzero(kid)
+        src[par], dst[kid] = rows[:n_par], rows[n_par : n_par + n_kid]
+        if k == other[kind]:
+            first_rows = rows[n_par + n_kid :]
+        nodes[k] = keys % span
+    shape = {k: (nodes[k].size, nodes[other[k]].size) for k in other}
+    ops = {k: neighbor_mean(src[as_parent[k]], dst[as_parent[k]], shape[k]) for k in other}
+    return nodes, ops, degree_plan(first_sizes, first_rows)
 
 
 def embed_from_episode(
@@ -598,7 +526,7 @@ def embed_from_episode(
     target_rows = np.arange(len(episodes))
     for rel in RELATIONS_BY_KIND[kind]:
         nodes, ops, members = _episode_forest(episodes, kind, rel)
-        if not members.present.any():
+        if not members.runs:
             continue
         h0 = {k: ad.gather_rows(params.table(k), idx) for k, idx in nodes.items()}
         out = _relation_steps(rel, ops, h0, params, {kind: metas.get(rel)})

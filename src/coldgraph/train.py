@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import re
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -191,7 +192,9 @@ class TrainConfig:
 # history
 # ---------------------------------------------------------------------------
 
-HISTORY_HEADER = "epoch,l_main,l_r,total,seconds,recall20,ndcg20"
+#: history CSV header; the metric columns name the evaluation cutoff k
+HISTORY_HEADER = "epoch,l_main,l_r,total,seconds,recall{k},ndcg{k}"
+_HISTORY_HEADER_RE = re.compile(r"epoch,l_main,l_r,total,seconds,recall(\d+),ndcg\1")
 
 
 @dataclass
@@ -211,9 +214,10 @@ class EpochStats:
 class TrainHistory:
     epochs: list[EpochStats] = field(default_factory=list)
     label: str = ""
+    k: int = 20
 
     def to_csv(self) -> str:
-        rows = [HISTORY_HEADER]
+        rows = [HISTORY_HEADER.format(k=self.k)]
         for e in self.epochs:
             recall = "" if e.recall is None else repr(e.recall)
             ndcg = "" if e.ndcg is None else repr(e.ndcg)
@@ -225,9 +229,10 @@ class TrainHistory:
     @classmethod
     def from_csv(cls, text: str, label: str = "") -> "TrainHistory":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != HISTORY_HEADER:
+        header = _HISTORY_HEADER_RE.fullmatch(lines[0]) if lines else None
+        if header is None:
             raise ValueError("unrecognized history header")
-        out = cls(label=label)
+        out = cls(label=label, k=int(header.group(1)))
         for line in lines[1:]:
             parts = line.split(",")
             out.epochs.append(
@@ -654,7 +659,7 @@ def _train(
                 rng=rngs["warmup"],
             )
 
-    history = TrainHistory(label=config.variant_label())
+    history = TrainHistory(label=config.variant_label(), k=config.eval_k)
     wrapped_eval = eval_fn
 
     def run(epochs, main_on, ssl_weight, reg_on, phase):
@@ -749,4 +754,4 @@ def final_state(
     metas = None
     if enh is not None:
         metas = full_meta_matrices(gtens, params.table, enh)
-    return full_embeddings(gtens, params, metas=metas, collect_weights=False)
+    return full_embeddings(gtens, params, metas=metas)

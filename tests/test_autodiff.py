@@ -173,6 +173,10 @@ def _op_cases(rng):
     op = neighbor_mean(rng.integers(0, 4, 9), rng.integers(0, 5, 9), (4, 5))
     sa_q, sa_k, sa_v = t(6, 3), t(6, 3), t(6, 3)
     rows_a, rows_b = t(3, 4), t(3, 4)
+    runs = [(1, 2), (2, 2)]
+    sc_a, sm_v = t(6, 3), t(6)
+    fu = [t(4, 3) for _ in range(3)] + [t(3, 3) for _ in range(3)] + [t(4, 3)]
+    fu_present = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 0], [0, 0, 0]], dtype=bool)
     return [
         ("gather_rows", lambda p: ad.gather_rows(p[0], [0, 2, 2, 4]), [table]),
         ("stack_rows", lambda p: ad.stack_rows(p), vecs),
@@ -203,6 +207,11 @@ def _op_cases(rng):
         ("cosine", lambda p: ad.cosine_similarity(p[0], p[1]), [u4, w4]),
         ("cosine_rows", lambda p: ad.cosine_similarity(p[0], p[1]), [rows_a, rows_b]),
         ("segment_attention", lambda p: ad.segment_attention(*p, 3), [sa_q, sa_k, sa_v]),
+        ("segment_attention_runs", lambda p: ad.segment_attention(*p, runs), [sa_q, sa_k, sa_v]),
+        ("sum_consecutive", lambda p: ad.sum_consecutive(p[0], 2), [sc_a]),
+        ("sum_consecutive_placed", lambda p: ad.sum_consecutive(p[0], runs, [4, 0, 2, 1], 5, mean=True), [sc_a]),
+        ("softmax_runs", lambda p: ad.softmax(p[0], runs), [sm_v]),
+        ("attention_fusion", lambda p: ad.attention_fusion(p[:3], p[3:6], fu_present, p[6]), fu),
         ("sum_squares", lambda p: ad.sum_squares(p[0]), [a23]),
     ]
 
@@ -381,6 +390,93 @@ class TestSegmentAttention:
         assert err < 1e-5
 
 
+def _per_run(xs, runs, fn):
+    """``fn(*rows, m)`` on each run's rows of every matrix in ``xs``, one call
+    per run, stacked."""
+    outs, start = [], 0
+    for m, count in runs:
+        rows = list(range(start, start + m * count))
+        outs.append(fn(*(ad.gather_rows(x, rows) for x in xs), m))
+        start += m * count
+    return ad.concat(outs, axis=0)
+
+
+def _place(stacked, targets, n):
+    """Row j of ``stacked`` to row targets[j] of an (n, d) matrix, zeros elsewhere."""
+    rest = np.setdiff1d(np.arange(n), targets)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[np.concatenate([targets, rest])] = np.arange(n)
+    zeros = ad.const(np.zeros((rest.size, stacked.shape[1])))
+    return ad.gather_rows(ad.concat([stacked, zeros], axis=0), inverse)
+
+
+class TestRaggedSegments:
+    """Each segment op over (m, count) runs against one int-block call per run."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), min_size=1, max_size=4),
+        st.integers(1, 5),
+        st.integers(0, 10_000),
+    )
+    def test_matches_one_call_per_run(self, runs, d, seed):
+        self._check(np.random.default_rng(seed), runs, d)
+
+    def test_hub_run(self):
+        self._check(np.random.default_rng(0), [(1, 3), (2, 1), (600, 1)], 8)
+
+    def test_runs_must_cover_the_rows(self):
+        x = ad.Tensor(np.ones((5, 2)))
+        with pytest.raises(ValueError, match="cover 4 rows"):
+            ad.sum_consecutive(x, [(2, 2)])
+        with pytest.raises(ValueError, match="positive"):
+            ad.segment_attention(x, x, x, [(5, 1), (2, 0)])
+        with pytest.raises(ValueError, match="target rows"):
+            ad.sum_consecutive(x, [(5, 1)], np.array([3]), 2)
+
+    @staticmethod
+    def _check(rng, runs, d):
+        rows = sum(m * c for m, c in runs)
+        segments = sum(c for _, c in runs)
+        n = segments + 2
+        targets = rng.permutation(n)[:segments]
+        data = [rng.normal(scale=2.0, size=(rows, d)) for _ in range(3)]
+        w = ad.const(rng.normal(size=d))
+        shapes = ((rows, d), (n, d), (segments, d), (rows,))
+        probes = [ad.const(rng.normal(size=shape)) for shape in shapes]
+        results = []
+        for ragged in (True, False):
+            xs = [ad.Tensor(x, requires_grad=True) for x in data]
+            with ad.Tape() as tape:
+                if ragged:
+                    outs = (
+                        ad.segment_attention(*xs, runs),
+                        ad.sum_consecutive(xs[0], runs, targets, n, mean=True),
+                        ad.sum_consecutive(xs[1], runs),
+                        ad.softmax(ad.matmul(xs[2], w), runs),
+                    )
+                else:
+                    def mean(x, m):
+                        return ad.scale(ad.sum_consecutive(x, m), 1.0 / m)
+
+                    def softmax(x, m):
+                        logits = ad.reshape(ad.matmul(x, w), (x.shape[0] // m, m))
+                        return ad.reshape(ad.softmax(logits), (x.shape[0],))
+
+                    outs = (
+                        _per_run(xs, runs, ad.segment_attention),
+                        _place(_per_run(xs[:1], runs, mean), targets, n),
+                        _per_run(xs[1:2], runs, ad.sum_consecutive),
+                        _per_run(xs[2:], runs, softmax),
+                    )
+                loss = ad.sum_all(ad.concat([ad.sum_all(ad.mul(o, p)) for o, p in zip(outs, probes)]))
+            grads = tape.backward(loss, xs)
+            results.append(([o.data for o in outs], [grads[x] for x in xs]))
+        (got, got_grads), (want, want_grads) = results
+        for g, w_ in zip(got + got_grads, want + want_grads):
+            np.testing.assert_allclose(g, w_, rtol=0, atol=1e-12)
+
+
 class TestGatherRowsBackward:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -393,16 +489,26 @@ class TestGatherRowsBackward:
         idx = [i % n for i in raw]
         if unique:
             idx = list(dict.fromkeys(idx))
+        self._check(np.random.default_rng(seed), n, idx, 3)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 300), st.integers(2, 3000), st.integers(1, 64), st.integers(0, 10_000))
+    def test_many_repeats_match_add_at_oracle(self, n, m, d, seed):
         rng = np.random.default_rng(seed)
-        table = ad.Tensor(rng.normal(size=(n, 3)), requires_grad=True)
-        g = rng.normal(size=(len(idx), 3))
+        self._check(rng, n, rng.integers(0, n, m).tolist(), d)
+
+    @staticmethod
+    def _check(rng, n, idx, d):
+        table = ad.Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        g = rng.normal(size=(len(idx), d))
         with ad.Tape() as tape:
             out = ad.gather_rows(table, idx)
             loss = ad.sum_all(ad.mul(out, ad.const(g)))
         got = tape.backward(loss, [table])[table]
-        want = np.zeros((n, 3))
+        want = np.zeros((n, d))
         np.add.at(want, np.asarray(idx, dtype=np.intp), g)
-        np.testing.assert_array_equal(got, want)
+        # repeated rows are summed in another association order than np.add.at's
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_row_cosine_matches_vector_cosine():

@@ -119,3 +119,14 @@ def test_report_counts_the_run_edges(workspace, tmp_path):
     meta = dict(line.split("=", 1) for line in (ws / "run_meta.txt").read_text().splitlines())
     header, row = (tmp_path / "complexity.csv").read_text().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["total_edges"] == meta["total_edges"]
+
+
+def test_history_columns_name_the_eval_cutoff(workspace, tmp_path):
+    code, _ = train(workspace, "epochs=1", "eval_k=10", "eval_every=1")
+    assert code == 0
+    ws, args = workspace
+    header, row = (ws / "history.csv").read_text().splitlines()
+    assert header.endswith(",recall10,ndcg10")
+    assert row.split(",")[-1]  # evaluated at @10
+    runs = [f"report_base_dir={ws}", f"report_ssl_dir={ws}"]
+    assert cli.main(["report", "--out", str(tmp_path), *args, *runs]) == 0

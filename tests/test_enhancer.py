@@ -27,9 +27,15 @@ from coldgraph.graph import (
     generate_synthetic,
     sample_episode,
 )
-from coldgraph.model import CHANNELS_BY_KIND, GraphTensors, init_model_params
+from coldgraph.model import CHANNELS_BY_KIND, GraphTensors, degree_plan, init_model_params
 from coldgraph.reconstruction import GroundTruthTable
-from oracles import aggregate_members, fuse_channels, reconstruction_loss
+from oracles import (
+    aggregate_members,
+    fuse_channels,
+    reconstruction_loss,
+    relation_metas_by_bucket,
+    warmup_loss as per_step_warmup_loss,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +126,22 @@ def hand_episode(kind, index, first_order):
     return Episode(target, target.key(), 5, 1, 0, samples)
 
 
+def layout_of(episodes, tables, gt=None):
+    """The once-built warm-up layout; without ``gt`` every target's ground
+    truth is a ones vector."""
+    if gt is None:
+        d = tables("user").shape[1]
+        gt = GroundTruthTable(d, {ep.ground_truth_ref: np.ones(d) for ep in episodes}, "t")
+    return enhancer._WarmupLayout(episodes, gt, tables)
+
+
 def fused_of(episodes, kind, tables, params):
-    return enhancer._fused_metas(episodes, kind, tables, params)
+    return layout_of(episodes, tables).fused(kind, np.arange(len(episodes)), params)
+
+
+def warmup_loss(episodes, gt, params, tables):
+    """The warm-up loss of one batch holding every episode, in input order."""
+    return layout_of(episodes, tables, gt).loss(np.arange(len(episodes)), params)
 
 
 def attention(x, params):
@@ -224,7 +244,7 @@ class TestMetaEmbed:
         isolated = hand_episode("user", 0, {})
         assert episode_metas([isolated], tables, params) == {}
         gt = GroundTruthTable(2, {"user:0": np.ones(2)}, "test")
-        assert enhancer._warmup_loss([isolated], gt, params, tables) is None
+        assert warmup_loss([isolated], gt, params, tables) is None
 
     def test_group_gets_member_aggregate_channel(self):
         params = identity_params(2)
@@ -288,7 +308,7 @@ class TestGradients:
         gt = GroundTruthTable(4, {ep.ground_truth_ref: rng.normal(size=4) for ep in episodes}, "t")
 
         def f(ps):
-            return enhancer._warmup_loss(episodes, gt, params, tables)
+            return warmup_loss(episodes, gt, params, tables)
 
         err = ad.finite_diff_check(f, params.tensors(), eps=1e-5)
         assert err < 1e-4
@@ -343,6 +363,52 @@ class TestGradients:
         assert peak < 64 * 2**20
 
 
+class TestRaggedRelationMetas:
+    """One ragged forward per relation against the per-degree-bucket loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=12), st.integers(0, 10_000))
+    def test_matches_per_bucket_oracle(self, sizes, seed):
+        self._check(np.random.default_rng(seed), sizes)
+
+    def test_single_run_and_blocks_of_one(self):
+        rng = np.random.default_rng(1)
+        self._check(rng, [3, 3, 3])
+        self._check(rng, [1, 0, 1, 1])
+
+    def test_hub(self):
+        self._check(np.random.default_rng(2), [600, 0, 2, 1], d=8)
+
+    @staticmethod
+    def _check(rng, sizes, d=4):
+        if not any(sizes):
+            sizes = [*sizes, 1]
+        params = init_enhancer_params(d, rng)
+        table = t(rng.normal(size=(7, d)))
+        cols = rng.integers(0, 7, sum(sizes))
+        probe = ad.const(rng.normal(size=(len(sizes), 2 * d)))
+
+        def qkv(flat):
+            x = ad.gather_rows(table, flat)
+            return tuple(ad.matmul(x, w) for w in (params.wq, params.wk, params.wv))
+
+        leaves = params.tensors() + [table]
+        results = []
+        for ragged in (True, False):
+            with ad.Tape() as tape:
+                if ragged:
+                    means, pooled = enhancer._relation_metas(qkv, degree_plan(sizes, cols), params.member_score)
+                else:
+                    means, pooled = relation_metas_by_bucket(qkv, sizes, cols, d, params.member_score)
+                out = ad.concat([means, pooled], axis=1)
+                grads = tape.backward(ad.sum_all(ad.mul(out, probe)), leaves)
+            results.append((out.data, grads))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for leaf in leaves:
+            np.testing.assert_allclose(got_grads[leaf], want_grads[leaf], rtol=0, atol=1e-12)
+
+
 def mixed_batch(d=6, seed=0):
     """Group, user and item episodes, some isolated, with teacher-like targets."""
     g = synthetic(seed, n_users=24, n_items=30, n_groups=10, extra=2)
@@ -369,7 +435,7 @@ class TestBatchedWarmup:
         enh = init_enhancer_params(6, np.random.default_rng(2))
         frozen = {k: ad.const(model.table(k).data) for k in ("user", "item", "group")}.__getitem__
         with ad.Tape() as tape:
-            loss = enhancer._warmup_loss(episodes, gt, enh, frozen)
+            loss = warmup_loss(episodes, gt, enh, frozen)
             grads = tape.backward(loss, enh.tensors())
         with ad.Tape() as tape:
             want = oracle_warmup_loss(episodes, gt, enh, frozen)
@@ -377,6 +443,27 @@ class TestBatchedWarmup:
         assert loss.item() == pytest.approx(want.item(), rel=0, abs=1e-12)
         for tensor in enh.tensors():
             np.testing.assert_allclose(grads[tensor], want_grads[tensor], rtol=0, atol=1e-12)
+
+    def test_layout_matches_per_step_planning(self):
+        # shuffled batches (isolated targets among them) cut from the
+        # once-built layout against planning every batch from its episodes
+        g, model, episodes, gt = mixed_batch(seed=2)
+        enh = init_enhancer_params(6, np.random.default_rng(5))
+        frozen = {k: ad.const(model.table(k).data) for k in ("user", "item", "group")}.__getitem__
+        layout = enhancer._WarmupLayout(episodes, gt, frozen)
+        order = np.random.default_rng(6).permutation(len(episodes))
+        batches = [order[i : i + 17] for i in range(0, len(order), 17)]
+        assert any(not layout.linked[b].all() for b in batches)
+        for batch in batches:
+            with ad.Tape() as tape:
+                loss = layout.loss(batch, enh)
+                grads = tape.backward(loss, enh.tensors())
+            with ad.Tape() as tape:
+                want = per_step_warmup_loss([episodes[i] for i in batch], gt, enh, frozen)
+                want_grads = tape.backward(want, enh.tensors())
+            assert loss.item() == pytest.approx(want.item(), rel=0, abs=1e-12)
+            for tensor in enh.tensors():
+                np.testing.assert_allclose(grads[tensor], want_grads[tensor], rtol=0, atol=1e-12)
 
     def test_episode_metas_match_per_episode_oracle(self):
         g, model, episodes, gt = mixed_batch(seed=1)

@@ -8,16 +8,17 @@ from coldgraph import model
 from coldgraph.evaluation import recommend_topk
 from coldgraph.graph import InteractionGraph, NodeId, SyntheticSpec, build_implicit, generate_synthetic, sample_episode
 from coldgraph.model import (
+    CHANNELS_BY_KIND,
     GraphTensors,
-    _fusion_plan,
     attention_pool,
+    degree_plan,
     embed_from_episode,
     full_embeddings,
-    fuse_matrix,
+    fuse_present,
     init_model_params,
 )
 from coldgraph.sparse import neighbor_mean
-from oracles import conv_step, embed_episode, tree_nodes
+from oracles import conv_step, embed_episode, fuse_by_pattern, fuse_channels, tree_nodes
 
 
 def t(data):
@@ -77,7 +78,7 @@ class TestConvStep:
 
 def star_graph(n_leaves=4):
     gi = [(0, i) for i in range(n_leaves)]
-    return InteractionGraph({"user": 1, "item": n_leaves, "group": 1}, {"GI": gi})
+    return InteractionGraph({"user": 0, "item": n_leaves, "group": 1}, {"GI": gi})
 
 
 def full_and_episode(g, params, kind, idx):
@@ -102,7 +103,7 @@ class TestPropagate:
     def test_two_step_tree_matches_hand_recursion(self):
         # bipartite tree: group 0 - items {0,1}; item 0 - group 1, item 1 - group 2
         gi = [(0, 0), (0, 1), (1, 0), (2, 1)]
-        g = InteractionGraph({"user": 1, "item": 2, "group": 3}, {"GI": gi})
+        g = InteractionGraph({"user": 0, "item": 2, "group": 3}, {"GI": gi})
         params = make_params(g.counts, d=3, layers=2)
         e_g, e_i = params.e_group.data, params.e_item.data
 
@@ -125,17 +126,28 @@ class TestPropagate:
             np.testing.assert_allclose(got, h_group(0, 2), atol=1e-12)
 
     def test_zero_degree_keeps_initial_embedding(self):
-        g = InteractionGraph({"user": 1, "item": 1, "group": 2}, {"GI": [(0, 0)]})
+        g = InteractionGraph({"user": 0, "item": 1, "group": 2}, {"GI": [(0, 0)]})
         params = make_params(g.counts, d=3)
         for got in full_and_episode(g, params, "group", 1):
             np.testing.assert_array_equal(got, params.e_group.data[1])
+
+    def test_kind_without_nodes(self):
+        # fusing a kind with zero rows once raised "concat of nothing"
+        g = InteractionGraph({"user": 0, "item": 4, "group": 1}, {"GI": [(0, i) for i in range(4)]})
+        params = make_params(g.counts, d=3)
+        with ad.Tape() as tape:
+            state = full_embeddings(GraphTensors(g), params)
+            loss = ad.sum_all(ad.concat([ad.sum_squares(m) for m in state.fused.values()]))
+            grads = tape.backward(loss, params.tensors())
+        assert state.fused["user"].shape == (0, 3)
+        assert np.isfinite(grads[params.e_group]).all() and grads[params.e_group].any()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_light_one_step_full_equals_adjacency_mean_oracle(self, seed):
         rng = np.random.default_rng(seed)
         n_u, n_i = int(rng.integers(5, 15)), int(rng.integers(5, 15))
         ui = sorted({(int(rng.integers(n_u)), int(rng.integers(n_i))) for _ in range(30)})
-        g = InteractionGraph({"user": n_u, "item": n_i, "group": 1}, {"UI": ui})
+        g = InteractionGraph({"user": n_u, "item": n_i, "group": 0}, {"UI": ui})
         params = make_params(g.counts, d=4, layers=1)
         adj = np.zeros((n_u, n_i))
         for u, i in ui:
@@ -238,36 +250,43 @@ class TestAggregateMembers:
     def test_average_identical(self):
         # attention over identical members returns the member, whatever the scores
         v = [1.0, 2.0]
-        out = attention_pool(t([v, v, v]), 3, ad.Tensor(np.array([0.3, -1.0])))
+        out = attention_pool(t([v, v, v]), degree_plan([3], [0, 1, 2]), ad.Tensor(np.array([0.3, -1.0])))
         np.testing.assert_allclose(out.data, [v])
 
     def test_attention_equal_scores_is_midpoint(self):
         score_vec = ad.Tensor(np.zeros(2))
-        out = attention_pool(t([[2.0, 0.0], [0.0, 2.0]]), 2, score_vec)
+        out = attention_pool(t([[2.0, 0.0], [0.0, 2.0]]), degree_plan([2], [0, 1]), score_vec)
         np.testing.assert_allclose(out.data, [[1.0, 1.0]])
 
 
-def fuse_rows(channels, weights, order, e0=None):
-    """fuse_matrix over rows that all have every channel in ``channels``."""
-    n = next(iter(channels.values())).shape[0]
-    masks = [np.full(n, c in channels) for c in order]
-    e0 = e0 if e0 is not None else ad.const(np.zeros((n, 2)))
-    return fuse_matrix(_fusion_plan(order, masks), channels, weights, e0, collect_weights=True)
+def fuse_rows(channels, weights, e0=None):
+    """attention_fusion over rows that all have every channel in ``channels``."""
+    mats = list(channels.values())
+    n = mats[0].shape[0]
+    e0 = e0 if e0 is not None else ad.const(np.zeros(mats[0].shape))
+    present = np.ones((n, len(mats)), dtype=bool)
+    return ad.attention_fusion(mats, [weights[c] for c in channels], present, e0)
+
+
+def fusion_weights(fused, channels, r):
+    """The convex weights that combine row r's channel vectors into its fused row."""
+    basis = np.stack([m.data[r] for m in channels.values()], axis=1)
+    weights, *_ = np.linalg.lstsq(basis, fused.data[r], rcond=None)
+    np.testing.assert_allclose(basis @ weights, fused.data[r], atol=1e-10)
+    return weights
 
 
 class TestFuseChannels:
     def test_single_channel_passthrough(self):
         w = {"GI": ad.Tensor(np.eye(2))}
-        fused, weights = fuse_rows({"GI": t([[3.0, 4.0]])}, w, ("GI", "GU"))
+        fused = fuse_rows({"GI": t([[3.0, 4.0]])}, w)
         np.testing.assert_array_equal(fused.data, [[3.0, 4.0]])
-        assert weights == [{"GI": 1.0}]
 
     def test_two_identical_logits_split_evenly(self):
         w = {"A": ad.Tensor(np.eye(2)), "B": ad.Tensor(np.eye(2))}
-        channels = {"A": t([[1.0, 1.0]]), "B": t([[1.0, 1.0]])}
-        _, [weights] = fuse_rows(channels, w, ("A", "B"))
-        assert weights["A"] == pytest.approx(0.5)
-        assert weights["B"] == pytest.approx(0.5)
+        channels = {"A": t([[1.0, 0.0]]), "B": t([[0.0, 1.0]])}
+        fused = fuse_rows(channels, w)
+        np.testing.assert_allclose(fusion_weights(fused, channels, 0), [0.5, 0.5], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_three_channels_match_scalar_softmax_oracle(self, seed):
@@ -275,35 +294,62 @@ class TestFuseChannels:
         d, n, order = 3, 4, ("X", "Y", "Z")
         channels = {c: t(rng.normal(size=(n, d))) for c in order}
         weights = {c: ad.Tensor(rng.normal(size=(d, d)) * 0.1) for c in order}
-        fused, got_w = fuse_rows(channels, weights, order, ad.const(np.zeros((n, d))))
+        fused = fuse_rows(channels, weights, ad.const(np.zeros((n, d))))
         for r in range(n):
-            logits = np.array([(channels[c].data[r] @ weights[c].data).sum() for c in order])
-            e = np.exp(logits - logits.max())
-            a = e / e.sum()
-            oracle = sum(ai * channels[c].data[r] for ai, c in zip(a, order))
-            np.testing.assert_allclose(fused.data[r], oracle, atol=1e-12)
-            np.testing.assert_allclose([got_w[r][c] for c in order], a, atol=1e-12)
+            row = {c: ad.const(channels[c].data[r]) for c in order}
+            oracle, attn = fuse_channels(row, weights, order)
+            np.testing.assert_allclose(fused.data[r], oracle.data, atol=1e-12)
+            np.testing.assert_allclose(
+                fusion_weights(fused, channels, r), [attn[c] for c in order], atol=1e-10
+            )
 
     def test_all_absent_keeps_initial_embedding(self):
         e0 = t([[1.0, 2.0], [3.0, 4.0]])
-        present = np.array([True, False])
-        channels = {"A": t([[5.0, 6.0], [0.0, 0.0]])}
-        plan = _fusion_plan(("A", "B"), [present, np.zeros(2, dtype=bool)])
-        fused, weights = fuse_matrix(plan, channels, {}, e0, collect_weights=True)
+        present = np.array([[True], [False]])
+        fused = ad.attention_fusion([t([[5.0, 6.0], [0.0, 0.0]])], [ad.Tensor(np.eye(2))], present, e0)
         np.testing.assert_array_equal(fused.data, [[5.0, 6.0], [3.0, 4.0]])
-        assert weights == [{"A": 1.0}, {}]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 4))
     def test_weights_are_probability_vector(self, seed, n_channels):
         rng = np.random.default_rng(seed)
         names = tuple(f"c{i}" for i in range(n_channels))
-        channels = {c: t(rng.normal(size=(2, 3))) for c in names}
-        weights = {c: ad.Tensor(rng.normal(size=(3, 3))) for c in names}
-        _, rows = fuse_rows(channels, weights, names, ad.const(np.zeros((2, 3))))
-        for a in rows:
-            assert all(v >= 0 for v in a.values())
-            assert abs(sum(a.values()) - 1.0) < 1e-10
+        channels = {c: t(rng.normal(size=(2, 4))) for c in names}
+        weights = {c: ad.Tensor(rng.normal(size=(4, 4))) for c in names}
+        fused = fuse_rows(channels, weights, ad.const(np.zeros((2, 4))))
+        for r in range(2):
+            a = fusion_weights(fused, channels, r)
+            assert np.all(a >= -1e-10)
+            assert abs(a.sum() - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["group", "user", "item"])
+    @pytest.mark.parametrize("drop", [None, "GU_AGG", "all"])
+    def test_fused_op_matches_per_pattern_oracle(self, kind, drop):
+        # every presence pattern, rows with no channel, and a channel
+        # without a matrix (GU_AGG when no group has members, or none at all)
+        order = CHANNELS_BY_KIND[kind]
+        rng = np.random.default_rng(len(order))
+        d = 4
+        patterns = np.array(np.meshgrid(*[[False, True]] * len(order))).reshape(len(order), -1).T
+        present = np.repeat(patterns, 3, axis=0)[rng.permutation(3 * len(patterns))]
+        n = present.shape[0]
+        keep = [c for c in order if drop != "all" and c != drop]
+        mats = {c: t(rng.normal(size=(n, d))) for c in keep}
+        masks = {c: present[:, j] for j, c in enumerate(order) if c in keep}
+        weights = {c: t(rng.normal(size=(d, d))) for c in order}
+        e0 = t(rng.normal(size=(n, d)))
+        probe = ad.const(rng.normal(size=(n, d)))
+        leaves = list(mats.values()) + list(weights.values()) + [e0]
+        results = []
+        for fuse in (fuse_present, fuse_by_pattern):
+            with ad.Tape() as tape:
+                out = fuse(kind, mats, masks, weights, e0)
+                grads = tape.backward(ad.sum_all(ad.mul(out, probe)), leaves)
+            results.append((out.data, grads))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for leaf in leaves:
+            np.testing.assert_allclose(got_grads[leaf], want_grads[leaf], rtol=0, atol=1e-12)
 
 
 class TestScore:
@@ -382,17 +428,6 @@ class TestEndToEndGradients:
 
         err = ad.finite_diff_check(f, params.tensors(), eps=1e-5)
         assert err < 1e-4
-
-    def test_channel_weight_collection(self):
-        spec = SyntheticSpec(n_users=10, n_items=12, n_groups=5, n_clusters=2,
-                             intra_p=0.4, inter_p=0.1, group_size_min=2, group_size_max=3, seed=2)
-        g = generate_synthetic(spec)
-        params = make_params(g.counts, d=4, seed=0)
-        state = full_embeddings(GraphTensors(g), params, collect_weights=True)
-        for kind in ("user", "item", "group"):
-            for row in state.channel_weights[kind]:
-                if row:
-                    assert abs(sum(row.values()) - 1.0) < 1e-10
 
 
 class TestConstantOperandGradients:
