@@ -2,7 +2,7 @@
 
 from .autodiff import Tape, Tensor, finite_diff_check
 from .graph import (
-    Episode,
+    EpisodeBatch,
     EvalSplit,
     InteractionGraph,
     NodeId,

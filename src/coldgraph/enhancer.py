@@ -27,20 +27,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import KINDS, RELATION_KINDS, RELATIONS, RELATIONS_BY_KIND, Episode
+from .graph import KINDS, RELATION_KINDS, RELATIONS, RELATIONS_BY_KIND, EpisodeBatch
 from .model import (
     FUSION_KEYS,
     DegreePlan,
     GraphTensors,
     attention_pool,
-    batch_kind,
     degree_plan,
     fuse_present,
     xavier_uniform,
@@ -129,36 +127,19 @@ def _relation_metas(
     return means, attention_pool(smoothed, plan, member_score)
 
 
-def _first_order(episode: Episode, rel: str) -> tuple[int, ...]:
-    sample = episode.samples.get(rel)
-    return sample.layers[1] if sample is not None and len(sample.layers) > 1 else ()
-
-
-def _episode_plans(episodes: Sequence[Episode], kind: str) -> dict[str, DegreePlan]:
-    """Degree plans of the targets' sampled first-order neighbors."""
-    plans = {}
-    for rel in RELATIONS_BY_KIND[kind]:
-        firsts = [_first_order(ep, rel) for ep in episodes]
-        sizes = [len(f) for f in firsts]
-        cols = np.fromiter(chain.from_iterable(firsts), np.intp, sum(sizes))
-        plans[rel] = degree_plan(sizes, cols)
-    return plans
-
-
-def episode_metas(
-    episodes: Sequence[Episode], tables, params: EnhancerParams
-) -> dict[str, Tensor]:
-    """Per-relation (n, d) meta embeddings of n episode targets of one kind.
+def episode_metas(episodes: EpisodeBatch, tables, params: EnhancerParams) -> dict[str, Tensor]:
+    """Per-relation (n, d) meta embeddings of the n targets of an episode batch.
 
     A target whose relation sampled no neighbor gets a zero row, and a
     relation that sampled no neighbor in any episode has no entry.
     """
-    kind = batch_kind(episodes)
     out = {}
-    for rel, plan in _episode_plans(episodes, kind).items():
-        if plan.runs:
-            qkv = _gathered_qkv(tables(_neighbor_kind(rel, kind)), params)
-            out[rel], _ = _relation_metas(qkv, plan)
+    for rel, forest in episodes.forests.items():
+        sizes, child = episodes.first_order(rel)
+        if child.size:
+            neighbor_kind = forest.kinds[1]
+            plan = degree_plan(sizes, forest.nodes[neighbor_kind][child])
+            out[rel], _ = _relation_metas(_gathered_qkv(tables(neighbor_kind), params), plan)
     return out
 
 
@@ -180,16 +161,16 @@ def full_meta_matrices(
     }
 
 
-def _truth_rows(episodes: Sequence[Episode], ground_truth) -> np.ndarray:
-    """Ground-truth embedding of each episode target, stacked (n, d).
+def _truth_rows(refs: Sequence[str], ground_truth) -> np.ndarray:
+    """Ground-truth embedding of each reference, stacked (n, d).
 
-    Raises KeyError for a target without one.
+    Raises KeyError for a reference without one.
     """
     targets = []
-    for ep in episodes:
-        vec = ground_truth.get(ep.ground_truth_ref)
+    for ref in refs:
+        vec = ground_truth.get(ref)
         if vec is None:
-            raise KeyError(f"no ground-truth embedding for {ep.ground_truth_ref}")
+            raise KeyError(f"no ground-truth embedding for {ref}")
         targets.append(vec)
     return np.stack(targets) if targets else np.zeros((0, 0))
 
@@ -199,19 +180,20 @@ def _cosine_costs(predicted: Tensor, truth: np.ndarray) -> Tensor:
     return ad.sub(ad.const(np.ones(truth.shape[0])), cos)
 
 
-def reconstruction_costs(predicted: Tensor, episodes: Sequence[Episode], ground_truth) -> Tensor:
+def reconstruction_costs(predicted: Tensor, episodes: EpisodeBatch, ground_truth) -> Tensor:
     """1 - cosine of each predicted row and its episode's ground truth, (n,).
 
     0 iff aligned, 2 iff opposite.  Raises KeyError for a target without
     a ground-truth embedding.
     """
-    return _cosine_costs(predicted, _truth_rows(episodes, ground_truth))
+    return _cosine_costs(predicted, _truth_rows(episodes.ground_truth_refs(), ground_truth))
 
 
 class _WarmupLayout:
     """The warm-up episodes and the frozen model tables, laid out once.
 
-    ``table`` stacks the user, item and group tables into one constant;
+    The episode positions run through the batches in order.  ``table``
+    stacks the user, item and group tables into one constant;
     ``csr[rel]`` = (indptr, indices) lists each episode target's sampled
     first-order neighbors in relation ``rel`` as rows of that table;
     ``kind`` codes each target's kind (its index in ``KINDS``), ``linked``
@@ -220,24 +202,27 @@ class _WarmupLayout:
     degree plans out of these arrays by indexing.
     """
 
-    def __init__(self, episodes: Sequence[Episode], ground_truth, tables):
-        self.truth = _truth_rows(episodes, ground_truth)
+    def __init__(self, batches: Sequence[EpisodeBatch], ground_truth, tables):
+        self.truth = _truth_rows([r for b in batches for r in b.ground_truth_refs()], ground_truth)
         sizes = [tables(kind).shape[0] for kind in KINDS]
         offset = dict(zip(KINDS, np.cumsum([0] + sizes[:-1]).tolist()))
         self.table = ad.const(np.concatenate([tables(kind).data for kind in KINDS]))
-        n = len(episodes)
-        self.kind = np.fromiter((KINDS.index(ep.target.kind) for ep in episodes), np.intp, n)
-        self.linked = np.zeros(n, dtype=bool)
+        codes = np.array([KINDS.index(b.kind) for b in batches], dtype=np.intp)
+        self.kind = np.repeat(codes, [len(b) for b in batches])
+        self.linked = np.zeros(self.kind.size, dtype=bool)
         self.csr: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for rel in RELATIONS:
-            firsts = [_first_order(ep, rel) for ep in episodes]
-            counts = np.fromiter(map(len, firsts), np.intp, n)
-            shift = [
-                offset[_neighbor_kind(rel, ep.target.kind)] if f else 0
-                for ep, f in zip(episodes, firsts)
-            ]
-            indices = np.fromiter(chain.from_iterable(firsts), np.intp, int(counts.sum()))
-            self.csr[rel] = (np.cumsum(np.r_[0, counts]), indices + np.repeat(shift, counts))
+            counts, indices = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+            for b in batches:
+                forest = b.forests.get(rel)
+                if forest is None:
+                    counts.append(np.zeros(len(b), np.intp))
+                    continue
+                sizes, child = b.first_order(rel)
+                counts.append(sizes)
+                indices.append(forest.nodes[forest.kinds[1]][child] + offset[forest.kinds[1]])
+            counts = np.concatenate(counts)
+            self.csr[rel] = (np.cumsum(np.r_[0, counts]), np.concatenate(indices))
             self.linked |= counts > 0
 
     def fused(self, kind: str, sel: np.ndarray, params: EnhancerParams) -> Tensor:
@@ -279,7 +264,7 @@ class _WarmupLayout:
 
 
 def train_enhancer(
-    episodes: Sequence[Episode],
+    episodes: Sequence[EpisodeBatch],
     ground_truth,
     params: EnhancerParams,
     tables,
@@ -291,7 +276,8 @@ def train_enhancer(
     """Fit the enhancer to reproduce ground-truth embeddings from neighbors.
 
     Minimizes the mean cosine reconstruction loss of the fused meta embedding
-    over the episode targets by adaptive-moment gradient descent on the
+    over the targets of the episode batches, shuffled together into
+    ``batch_size`` steps, by adaptive-moment gradient descent on the
     enhancer parameters only; the model tables are read as constants.
     Returns the params and the per-epoch loss history; zero epochs leaves
     the parameters untouched.
@@ -304,7 +290,7 @@ def train_enhancer(
     losses: list[float] = []
     layout = _WarmupLayout(episodes, ground_truth, tables)
     for _ in range(epochs):
-        order = rng.permutation(len(episodes))
+        order = rng.permutation(layout.kind.size)
         epoch_losses = []
         for start in range(0, len(order), batch_size):
             with ad.Tape() as tape:

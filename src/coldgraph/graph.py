@@ -5,6 +5,10 @@ relations: group-item (GI), group-user (GU), user-item (UI), plus the two
 implicit relations user-user (UU) and group-group (GG) derived from shared
 items.  GI and UI edges optionally carry integer timestamps; everything is
 immutable after construction and safe to share across workers.
+
+Episodes are sampled a batch at a time, over the graph's CSR neighbor lists:
+:func:`sample_episode` draws every target's K-sampled tree of each relation
+with array operations and returns it as a numbered :class:`Forest`.
 """
 
 from __future__ import annotations
@@ -58,8 +62,8 @@ class InteractionGraph:
     """Immutable multi-relation graph over users, items and groups.
 
     ``edges[rel]`` preserves input order (the chronology surrogate when
-    timestamps are missing); adjacency lists are precomputed and sorted so
-    neighbor queries are deterministic.
+    timestamps are missing); each relation side also keeps sorted CSR
+    neighbor lists (:meth:`csr`).
     """
 
     def __init__(
@@ -83,7 +87,7 @@ class InteractionGraph:
             if rel not in TIMESTAMPED_RELATIONS and any(t is not None for t in ts):
                 raise ValueError(f"{rel} edges cannot carry timestamps")
             self.edges[rel], self.timestamps[rel] = self._normalize(rel, raw, ts)
-        self._adj = self._build_adjacency()
+        self._csr = self._build_csr()
 
     def _normalize(self, rel, raw, ts):
         ka, kb = RELATION_KINDS[rel]
@@ -108,36 +112,30 @@ class InteractionGraph:
             out_ts.append(None if t is None else int(t))
         return tuple(out_edges), tuple(out_ts)
 
-    def _build_adjacency(self):
-        adj: dict[str, tuple[dict, dict]] = {}
-        for rel, pairs in self.edges.items():
-            ka, kb = RELATION_KINDS[rel]
-            fwd: dict[int, list[int]] = {}
-            bwd: dict[int, list[int]] = {}
-            for a, b in pairs:
-                fwd.setdefault(a, []).append(b)
-                bwd.setdefault(b, []).append(a)
-                if ka == kb:
-                    fwd.setdefault(b, []).append(a)
-                    bwd.setdefault(a, []).append(b)
-            adj[rel] = (
-                {k: tuple(sorted(v)) for k, v in fwd.items()},
-                {k: tuple(sorted(v)) for k, v in bwd.items()},
-            )
-        return adj
+    def _build_csr(self):
+        csr: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+        for rel, (ka, kb) in RELATION_KINDS.items():
+            pairs = np.asarray(self.edges[rel], dtype=np.intp).reshape(-1, 2)
+            a, b = pairs[:, 0], pairs[:, 1]
+            if ka == kb:  # one symmetric neighbor list serves both sides
+                a, b = np.concatenate([a, b]), np.concatenate([b, a])
+            for kind, rows, cols in ((ka, a, b), (kb, b, a)):
+                if (rel, kind) in csr:
+                    continue
+                indptr = np.zeros(self.counts[kind] + 1, dtype=np.intp)
+                np.cumsum(np.bincount(rows, minlength=self.counts[kind]), out=indptr[1:])
+                indices = cols[np.lexsort((cols, rows))]
+                indptr.flags.writeable = indices.flags.writeable = False
+                csr[(rel, kind)] = (indptr, indices)
+        return csr
 
-    def neighbors(self, rel: str, kind: str, index: int) -> tuple[int, ...]:
-        """Sorted neighbor indices of a node inside one relation."""
-        ka, kb = RELATION_KINDS[rel]
-        fwd, bwd = self._adj[rel]
-        if kind == ka:
-            return fwd.get(index, ())
-        if kind == kb:
-            return bwd.get(index, ())
-        raise ValueError(f"kind {kind!r} does not participate in relation {rel}")
-
-    def degree(self, rel: str, kind: str, index: int) -> int:
-        return len(self.neighbors(rel, kind, index))
+    def csr(self, rel: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (indptr, indices) neighbor lists of ``kind``'s nodes in one
+        relation: node i's neighbors are ``indices[indptr[i]:indptr[i + 1]]``,
+        ascending."""
+        if kind not in RELATION_KINDS[rel]:
+            raise ValueError(f"kind {kind!r} does not participate in relation {rel}")
+        return self._csr[(rel, kind)]
 
     def relation_timestamped(self, rel: str) -> bool:
         ts = self.timestamps[rel]
@@ -429,12 +427,8 @@ def segment(
     if not (0.0 < c_percent < 1.0):
         raise ValueError("c_percent must lie in (0, 1)")
 
-    warm_g = frozenset(
-        g for g in range(graph.counts["group"]) if graph.degree("GI", "group", g) > n_g
-    )
-    warm_u = frozenset(
-        u for u in range(graph.counts["user"]) if graph.degree("UI", "user", u) > n_u
-    )
+    warm_g = frozenset(np.flatnonzero(np.diff(graph.csr("GI", "group")[0]) > n_g).tolist())
+    warm_u = frozenset(np.flatnonzero(np.diff(graph.csr("UI", "user")[0]) > n_u).tolist())
     cold_g = frozenset(range(graph.counts["group"])) - warm_g
     cold_u = frozenset(range(graph.counts["user"])) - warm_u
 
@@ -527,131 +521,184 @@ def make_training_graph(graph: InteractionGraph, split: EvalSplit) -> Interactio
 
 
 @dataclass(frozen=True)
-class RelationSample:
-    """One relation's sampled neighborhood tree around a target node.
+class Forest:
+    """One relation's sampled trees of an episode batch, as numbered rows.
 
-    ``layers[l]`` lists the distinct nodes first reached at depth ``l``
-    (layer 0 is the target); ``kinds[l]`` gives their node kind.  ``children``
-    maps each expanded node to its sampled neighbors, memoized per node so a
-    node reappearing at a deeper layer reuses the same sample.
+    Each distinct (tree, node) pair is one row of its node kind:
+    ``nodes[kind][r]`` is the table index of row r, and the n targets are
+    rows 0..n-1 of the target kind.  ``kinds[l]`` is the kind of the nodes
+    at depth l.  ``layers[l]`` = (tree, parent, child) lists the edges that
+    expand the nodes first reached at depth l: the tree's batch position, a
+    parent row of ``kinds[l]`` and a child row of ``kinds[l + 1]``, grouped
+    by parent in row order, children by ascending table index.  A node
+    reached again deeper in its tree keeps its children, so it adds no
+    edge; nodes first reached at the last depth are leaves.
     """
 
     relation: str
     kinds: tuple[str, ...]
-    layers: tuple[tuple[int, ...], ...]
-    children: Mapping[tuple[str, int], tuple[int, ...]]
+    nodes: Mapping[str, np.ndarray]
+    layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     def edge_count(self) -> int:
-        return sum(len(v) for v in self.children.values())
+        return sum(child.size for _, _, child in self.layers)
 
 
 @dataclass(frozen=True)
-class Episode:
-    """A masked, sampled neighborhood of one target node.
+class EpisodeBatch:
+    """Masked, sampled neighborhoods of n targets of one kind.
 
-    Simulates a cold-start view of a warm target: at most K sampled neighbors
-    per hop, per relation, so at most K**l nodes reach depth l.
+    Simulates a cold-start view of each warm target: ``forests[rel]`` holds
+    every target's tree in relation ``rel``, with at most K sampled
+    neighbors per expanded node, so at most K**l nodes reach depth l.
     """
 
-    target: NodeId
-    ground_truth_ref: str
-    k: int
+    kind: str
+    targets: np.ndarray
     depth: int
-    seed: int
-    samples: Mapping[str, RelationSample]
+    forests: Mapping[str, Forest]
+
+    def __len__(self) -> int:
+        return int(self.targets.size)
 
     def edge_count(self) -> int:
-        return sum(s.edge_count() for s in self.samples.values())
+        return sum(f.edge_count() for f in self.forests.values())
+
+    def ground_truth_refs(self) -> list[str]:
+        return [NodeId(self.kind, i).key() for i in self.targets.tolist()]
+
+    def first_order(self, rel: str) -> tuple[np.ndarray, np.ndarray]:
+        """Each target's number of sampled neighbors in ``rel``, and their
+        rows, target after target."""
+        _, parent, child = self.forests[rel].layers[0]
+        return np.bincount(parent, minlength=len(self)), child
 
 
-def _layer_kinds(rel: str, start_kind: str, depth: int) -> tuple[str, ...]:
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer on a uint64 array (arithmetic wraps)."""
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+    return x ^ (x >> 31)
+
+
+def _episode_keys(seed, kind, rel, parent_kind, targets, parents, neighbors) -> np.ndarray:
+    """uint64 sampling key of each (target, parent, neighbor) edge candidate.
+
+    A pure function of its arguments: neither the depth nor the batch
+    enters, so a node keeps the same children wherever it is expanded.
+    """
+    h = np.array([seed], dtype=np.uint64)
+    fields = (KINDS.index(kind), RELATIONS.index(rel), KINDS.index(parent_kind))
+    for values in (*fields, targets, parents, neighbors):
+        h = _mix((h + _GAMMA) ^ np.asarray(values, dtype=np.uint64))
+    return h
+
+
+def _number(seen: tuple[np.ndarray, np.ndarray], keys: np.ndarray):
+    """Rows of the ``keys``: a seen key keeps its row, and the distinct new
+    keys get the next rows in ascending key order.
+
+    ``seen`` is (sorted keys, their rows).  Returns (the row of each key,
+    the new keys, the updated ``seen``).
+    """
+    seen_keys, seen_rows = seen
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    at = np.searchsorted(seen_keys, uniq)
+    old = at < seen_keys.size
+    old[old] = seen_keys[at[old]] == uniq[old]
+    new = ~old
+    rows = np.empty(uniq.size, dtype=np.intp)
+    rows[old] = seen_rows[at[old]]
+    rows[new] = seen_rows.size + np.arange(np.count_nonzero(new))
+    merged = np.concatenate([seen_keys, uniq[new]])
+    order = np.argsort(merged, kind="stable")
+    return rows[inverse], uniq[new], (merged[order], np.concatenate([seen_rows, rows[new]])[order])
+
+
+def _sample_forest(
+    graph: InteractionGraph, rel: str, kind: str, targets: np.ndarray, k: int, depth: int, seed: int
+) -> Forest:
+    """Every target's depth-``depth`` tree in one relation, breadth first:
+    each depth expands the (tree, node) pairs first reached at the one
+    before."""
     ka, kb = RELATION_KINDS[rel]
-    other = {ka: kb, kb: ka}[start_kind]
-    kinds = [start_kind]
-    for _ in range(depth):
-        kinds.append(other)
-        start_kind, other = other, start_kind
-    return tuple(kinds)
-
-
-def _sample_relation(
-    graph: InteractionGraph, target: NodeId, rel: str, k: int, depth: int, seed: int
-) -> RelationSample:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(
-            entropy=seed,
-            spawn_key=(
-                KINDS.index(target.kind),
-                target.index,
-                RELATIONS.index(rel),
-            ),
-        )
-    )
-    kinds = _layer_kinds(rel, target.kind, depth)
-    layers: list[tuple[int, ...]] = [(target.index,)]
-    children: dict[tuple[str, int], tuple[int, ...]] = {}
+    other = {ka: kb, kb: ka}
+    kinds = tuple(kind if level % 2 == 0 else other[kind] for level in range(depth + 1))
+    span = {c: max(graph.counts[c], 1) for c in other}
+    n = targets.size
+    # per kind, the (tree * span + node) keys of its rows so far
+    seen = {c: (np.zeros(0, np.intp), np.zeros(0, np.intp)) for c in other}
+    _, _, seen[kind] = _number(seen[kind], np.arange(n) * span[kind] + targets)
+    nodes = {c: [np.zeros(0, np.intp)] for c in other}
+    nodes[kind].append(targets)
+    tree, row, node = np.arange(n), np.arange(n), targets  # the frontier
+    layers = []
     for level in range(depth):
-        kind = kinds[level]
-        next_nodes: list[int] = []
-        seen: set[int] = set()
-        for idx in layers[level]:
-            key = (kind, idx)
-            if key not in children:
-                neigh = graph.neighbors(rel, kind, idx)
-                if len(neigh) <= k:
-                    picked = neigh
-                else:
-                    picked = tuple(
-                        sorted(rng.choice(len(neigh), size=k, replace=False).tolist())
-                    )
-                    picked = tuple(neigh[j] for j in picked)
-                children[key] = picked
-            for child in children[key]:
-                if child not in seen:
-                    seen.add(child)
-                    next_nodes.append(child)
-        layers.append(tuple(next_nodes))
-        if not next_nodes:
-            layers.extend(() for _ in range(depth - level - 1))
-            break
-    return RelationSample(rel, kinds, tuple(layers[: depth + 1]), children)
+        indptr, indices = graph.csr(rel, kinds[level])
+        start = indptr[node]
+        deg = indptr[node + 1] - start
+        par = np.repeat(np.arange(node.size), deg)
+        nb = indices[np.repeat(start - np.cumsum(deg) + deg, deg) + np.arange(par.size)]
+        big = np.flatnonzero(deg[par] > k)
+        if big.size:  # keep the k smallest keys of each parent with more
+            big_par = par[big]
+            keys = _episode_keys(
+                seed, kind, rel, kinds[level], targets[tree[big_par]], node[big_par], nb[big]
+            )
+            # by parent, then by key (a parent's keys are distinct); two
+            # argsorts beat one lexsort with a uint64 key several times over
+            order = np.argsort(keys)
+            order = order[np.argsort(big_par[order], kind="stable")]
+            rank = np.arange(big.size) - np.searchsorted(big_par, big_par)
+            keep = np.ones(par.size, dtype=bool)
+            keep[big[order[rank >= k]]] = False
+            par, nb = par[keep], nb[keep]
+        child_kind = kinds[level + 1]
+        first_new = seen[child_kind][1].size
+        child, new, seen[child_kind] = _number(seen[child_kind], tree[par] * span[child_kind] + nb)
+        layers.append((tree[par], row[par], child))
+        tree, node = np.divmod(new, span[child_kind])
+        row = first_new + np.arange(new.size)
+        nodes[child_kind].append(node)
+    return Forest(rel, kinds, {c: np.concatenate(v) for c, v in nodes.items()}, tuple(layers))
 
 
 def sample_episode(
     graph: InteractionGraph,
-    target: NodeId,
+    kind: str,
+    targets: Sequence[int],
     k: int,
     depth: int,
     seed: int,
-    relations: Sequence[str] | None = None,
     member_depth_bonus: bool = True,
-) -> Episode:
-    """Sample a reproducible masked neighborhood around ``target``.
+) -> EpisodeBatch:
+    """Sample reproducible masked neighborhoods around targets of one kind.
 
-    Layer 1 draws min(K, degree) neighbors uniformly without replacement; each
-    deeper layer samples at most K neighbors per frontier node, deduplicated
-    per layer.  Group GU trees go one level deeper than ``depth`` (when
-    ``member_depth_bonus``) so the sampled members can themselves be embedded
-    with a full depth-``depth`` recursion for the member-aggregate channel.
-    A zero-degree relation yields empty layers.
+    Each expanded node keeps the min(K, degree) neighbors with the smallest
+    hashed keys, a uniform K-subset without replacement (random-key
+    sampling, Efraimidis & Spirakis, IPL 2006); each depth is deduplicated
+    per tree.  The key hashes (seed, target kind, target, relation, parent
+    kind, parent, neighbor), so a node has the same children at every
+    depth and a target's tree does not depend on the rest of the batch.
+    Group GU trees go one level deeper than ``depth`` (when
+    ``member_depth_bonus``) so the sampled members can themselves be
+    embedded with a full depth-``depth`` recursion for the member-aggregate
+    channel.  A zero-degree relation yields empty layers.
     """
     if k < 1 or depth < 1:
         raise ValueError("k and depth must be at least 1")
-    if not (0 <= target.index < graph.counts[target.kind]):
-        raise ValueError(f"target {target} not in graph")
-    rels = tuple(relations) if relations is not None else RELATIONS_BY_KIND[target.kind]
-    samples = {}
-    for rel in rels:
-        d = depth + 1 if (rel == "GU" and target.kind == "group" and member_depth_bonus) else depth
-        samples[rel] = _sample_relation(graph, target, rel, k, d, seed)
-    return Episode(
-        target=target,
-        ground_truth_ref=target.key(),
-        k=k,
-        depth=depth,
-        seed=seed,
-        samples=samples,
-    )
+    targets = np.asarray(targets, dtype=np.intp).reshape(-1)
+    bad = targets[(targets < 0) | (targets >= graph.counts[kind])]
+    if bad.size:
+        raise ValueError(f"{kind} targets not in graph: {bad.tolist()}")
+    forests = {}
+    for rel in RELATIONS_BY_KIND[kind]:
+        d = depth + 1 if (rel == "GU" and kind == "group" and member_depth_bonus) else depth
+        forests[rel] = _sample_forest(graph, rel, kind, targets, k, d, seed)
+    return EpisodeBatch(kind, targets, depth, forests)
 
 
 # ---------------------------------------------------------------------------

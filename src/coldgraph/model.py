@@ -17,9 +17,13 @@ presence as a mask.  It runs over one of two graphs:
 
 * the complete training graph (:class:`GraphTensors`), for the ranking
   loss, teachers and evaluation (:func:`full_embeddings`);
-* the masked, K-sampled neighborhood trees of an episode batch, stacked
-  into one small forest per relation (the cold-start simulation of the
-  pretext task, :func:`embed_from_episode`).
+* the masked, K-sampled neighborhood trees of an episode batch (the
+  cold-start simulation of the pretext task, :func:`embed_from_episode`).
+  The sampler numbers each relation's trees as one small graph, a
+  :class:`graph.Forest` whose rows are the distinct (tree, node) pairs and
+  whose edges link each expanded row to its sampled children; the forest's
+  neighbor-mean operators come straight from those edge arrays, and the
+  targets' first-order edges are the member-aggregate segments.
 
 When enhancer meta embeddings are supplied, the self path of the meta rows
 (every node, or the episode targets) is replaced by a learned projection of
@@ -28,14 +32,13 @@ When enhancer meta embeddings are supplied, the self path of the meta rows
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import KINDS, RELATION_KINDS, RELATIONS_BY_KIND, Episode, InteractionGraph
+from .graph import KINDS, RELATION_KINDS, EpisodeBatch, Forest, InteractionGraph
 from .sparse import SparseOperator, neighbor_mean
 
 CONV_VARIANTS = ("light", "gcn")
@@ -231,31 +234,22 @@ class GraphTensors:
         self.counts = dict(graph.counts)
         self.norm: dict[tuple[str, str], SparseOperator] = {}
         self.mask: dict[tuple[str, str], np.ndarray] = {}
+        self._csr: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         for rel, (ka, kb) in RELATION_KINDS.items():
-            edges = np.asarray(graph.edges[rel], dtype=np.intp).reshape(-1, 2)
-            a, b = edges[:, 0], edges[:, 1]
-            if ka == kb:
-                n = self.counts[ka]
-                op = neighbor_mean(np.concatenate([a, b]), np.concatenate([b, a]), (n, n))
-                sides = ((ka, op), (kb, op))
-            else:
-                sides = (
-                    (ka, neighbor_mean(a, b, (self.counts[ka], self.counts[kb]))),
-                    (kb, neighbor_mean(b, a, (self.counts[kb], self.counts[ka]))),
-                )
-            for kind, op in sides:
-                self.norm[(rel, kind)] = op
-                self.mask[(rel, kind)] = op.row_mask
+            for kind, other in dict.fromkeys(((ka, kb), (kb, ka))):
+                indptr, indices = self._csr[(rel, kind)] = graph.csr(rel, kind)
+                deg = np.diff(indptr)
+                rows = np.repeat(np.arange(deg.size), deg)
+                self.norm[(rel, kind)] = neighbor_mean(rows, indices, (deg.size, self.counts[other]))
+                self.mask[(rel, kind)] = deg > 0
         self._plans: dict[tuple[str, str], DegreePlan] = {}
 
     def neighbor_plan(self, rel: str, kind: str) -> DegreePlan:
         """Degree grouping of ``kind``'s neighbors in relation ``rel``."""
         plan = self._plans.get((rel, kind))
         if plan is None:
-            rows, cols, _ = self.norm[(rel, kind)].entries()
-            order = np.lexsort((cols, rows))
-            plan = degree_plan(np.bincount(rows, minlength=self.counts[kind]), cols[order])
-            self._plans[(rel, kind)] = plan
+            indptr, indices = self._csr[(rel, kind)]
+            plan = self._plans[(rel, kind)] = degree_plan(np.diff(indptr), indices)
         return plan
 
 
@@ -426,114 +420,52 @@ def full_embeddings(
 # ---------------------------------------------------------------------------
 
 
-def batch_kind(episodes: Sequence[Episode]) -> str:
-    """The one target kind of a non-empty episode batch."""
-    kinds = {ep.target.kind for ep in episodes}
-    if len(kinds) != 1:
-        raise ValueError(f"an episode batch needs one target kind, got {sorted(kinds)}")
-    return kinds.pop()
-
-
-def _number_rows(head: np.ndarray, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row numbers of node keys: the distinct ``head`` keys get rows 0, 1, ...
-    in order, every other distinct key the following rows in ascending key
-    order.  Returns (the rows of the ``rest`` keys, the key of each row)."""
-    keys, inverse = np.unique(np.concatenate([head, rest]), return_inverse=True)
-    row = np.empty(keys.size, dtype=np.intp)
-    row[inverse[: head.size]] = np.arange(head.size)
-    tail = np.ones(keys.size, dtype=bool)
-    tail[inverse[: head.size]] = False
-    row[tail] = np.arange(head.size, keys.size)
-    row_keys = np.empty_like(keys)
-    row_keys[row] = keys
-    return row[inverse[head.size :]], row_keys
-
-
-def _episode_forest(
-    episodes: Sequence[Episode], kind: str, rel: str
-) -> tuple[dict[str, np.ndarray], dict[str, SparseOperator], DegreePlan]:
-    """One relation's sampled trees of an episode batch, as one small graph.
-
-    Its nodes are the distinct (episode, kind, index) triples of the trees.
-    Returns ``(nodes, ops, members)``: ``nodes[k]`` gives the table index of
-    each row of kind k, with the n targets as the first n rows of their
-    kind; ``ops[k]`` averages each row's sampled children (leaves have
-    none); ``members`` groups the targets' first-order neighbor rows by
-    target degree.
-    """
-    ka, kb = RELATION_KINDS[rel]
+def _forest_operators(forest: Forest) -> dict[str, SparseOperator]:
+    """Per endpoint kind, the mean over each row's sampled children; leaves
+    and rows of a kind that is never expanded have none."""
+    ka, kb = RELATION_KINDS[forest.relation]
     other = {ka: kb, kb: ka}
-    trees = [ep.samples[rel].children for ep in episodes if rel in ep.samples]
-    parent_kind, parent_idx = zip(*chain.from_iterable(trees)) if trees else ((), ())
-    kids = list(chain.from_iterable(tree.values() for tree in trees))
-    sizes = np.fromiter(map(len, kids), np.intp, len(kids))
-    with_rel = [b for b, ep in enumerate(episodes) if rel in ep.samples]
-    tree_of = np.repeat(np.array(with_rel, dtype=np.intp), list(map(len, trees)))
-    episode = np.repeat(tree_of, sizes)
-    parent = np.repeat(np.array(parent_idx, dtype=np.intp), sizes)
-    parent_is_a = np.repeat(np.array(parent_kind) == ka, sizes)
-    child = np.fromiter(chain.from_iterable(kids), np.intp, int(sizes.sum()))
-    firsts = [ep.samples[rel].layers[1] if rel in ep.samples else () for ep in episodes]
-    first_sizes = [len(f) for f in firsts]
-    first = np.fromiter(chain.from_iterable(firsts), np.intp, sum(first_sizes))
-    first_episode = np.repeat(np.arange(len(episodes)), first_sizes)
-    targets = np.fromiter((ep.target.index for ep in episodes), np.intp, len(episodes))
-    span = 1 + max(targets.max(initial=0), parent.max(initial=0), child.max(initial=0))
-
-    # per kind, one numbering of its (episode, index) keys, targets first
-    as_parent = {ka: parent_is_a, kb: ~parent_is_a} if ka != kb else {ka: parent_is_a}
-    nodes: dict[str, np.ndarray] = {}
-    src = np.empty(child.size, dtype=np.intp)
-    dst = np.empty(child.size, dtype=np.intp)
+    ops = {}
     for k in other:
-        par, kid = as_parent[k], as_parent[other[k]]
-        rest = [episode[par] * span + parent[par], episode[kid] * span + child[kid]]
-        if k == other[kind]:
-            rest.append(first_episode * span + first)
-        head = np.arange(len(episodes)) * span + targets if k == kind else np.zeros(0, np.intp)
-        rows, keys = _number_rows(head, np.concatenate(rest))
-        n_par, n_kid = np.count_nonzero(par), np.count_nonzero(kid)
-        src[par], dst[kid] = rows[:n_par], rows[n_par : n_par + n_kid]
-        if k == other[kind]:
-            first_rows = rows[n_par + n_kid :]
-        nodes[k] = keys % span
-    shape = {k: (nodes[k].size, nodes[other[k]].size) for k in other}
-    ops = {k: neighbor_mean(src[as_parent[k]], dst[as_parent[k]], shape[k]) for k in other}
-    return nodes, ops, degree_plan(first_sizes, first_rows)
+        edges = [(p, c) for pk, (_, p, c) in zip(forest.kinds, forest.layers) if pk == k]
+        rows = np.concatenate([np.zeros(0, np.intp)] + [p for p, _ in edges])
+        cols = np.concatenate([np.zeros(0, np.intp)] + [c for _, c in edges])
+        shape = (forest.nodes[k].size, forest.nodes[other[k]].size)
+        ops[k] = neighbor_mean(rows, cols, shape)
+    return ops
 
 
 def embed_from_episode(
-    episodes: Sequence[Episode],
+    episodes: EpisodeBatch,
     params: ModelParams,
     metas: Mapping[str, Tensor] | None = None,
 ) -> Tensor:
     """Embed n episode targets of one kind from their masked neighborhoods only.
 
-    Each relation's trees are one forest (:func:`_episode_forest`),
-    propagated by the same relation step, member aggregation and fusion as
-    the full graph.
+    Each relation's forest runs through the same relation step, member
+    aggregation and fusion as the full graph.
     ``metas`` optionally maps a relation to an (n, d) meta matrix that
     meta-injects the targets.  A channel whose relation sampled no neighbor
     is dropped from fusion, and a completely isolated target keeps its
     initial embedding.  Returns the (n, d) target embeddings in input order.
     """
-    kind = batch_kind(episodes)
-    if any(ep.depth != params.layers for ep in episodes):
+    if episodes.depth != params.layers:
         raise ValueError(f"episodes must be sampled to depth {params.layers}")
+    kind = episodes.kind
     metas = metas or {}
     channels: dict[str, Tensor] = {}
     masks: dict[str, np.ndarray] = {}
     target_rows = np.arange(len(episodes))
-    for rel in RELATIONS_BY_KIND[kind]:
-        nodes, ops, members = _episode_forest(episodes, kind, rel)
+    for rel, forest in episodes.forests.items():
+        members = degree_plan(*episodes.first_order(rel))
         if not members.runs:
             continue
-        h0 = {k: ad.gather_rows(params.table(k), idx) for k, idx in nodes.items()}
-        out = _relation_steps(rel, ops, h0, params, {kind: metas.get(rel)})
+        h0 = {k: ad.gather_rows(params.table(k), idx) for k, idx in forest.nodes.items()}
+        out = _relation_steps(rel, _forest_operators(forest), h0, params, {kind: metas.get(rel)})
         channels[rel] = ad.gather_rows(out[kind][-1], target_rows)
         masks[rel] = members.present
         if (kind, rel) == ("group", "GU"):
             channels["GU_AGG"] = _member_aggregate(members, out["user"][-1], params)
             masks["GU_AGG"] = members.present
-    e0 = ad.gather_rows(params.table(kind), [ep.target.index for ep in episodes])
+    e0 = ad.gather_rows(params.table(kind), episodes.targets)
     return fuse_present(kind, channels, masks, params.fusion, e0)

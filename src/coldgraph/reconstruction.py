@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .enhancer import EnhancerParams, episode_metas, reconstruction_costs
-from .graph import Episode, EvalSplit, InteractionGraph, NodeId
-from .model import FullState, ModelParams, batch_kind, embed_from_episode
+from .graph import EpisodeBatch, EvalSplit, InteractionGraph
+from .model import FullState, ModelParams, embed_from_episode
 
 log = logging.getLogger("coldgraph")
 
@@ -91,21 +91,20 @@ def train_teacher(split: EvalSplit, graph: InteractionGraph, config) -> GroundTr
 
 
 def reconstruction_terms(
-    episodes: Sequence[Episode],
+    episodes: EpisodeBatch,
     params: ModelParams,
     enhancer_params: EnhancerParams | None,
     gt: GroundTruthTable,
     full_state: FullState | None = None,
 ) -> Tensor:
-    """Per-target cosine reconstruction losses (n,) of n episodes of one kind.
+    """Per-target cosine reconstruction losses (n,) of an episode batch.
 
     With ``full_state`` given the prediction is the target's full-neighborhood
     embedding (the unmasked ablation); otherwise it is the masked episode
     propagation, optionally meta-injected.
     """
     if full_state is not None:
-        kind = batch_kind(episodes)
-        h = ad.gather_rows(full_state.fused[kind], [ep.target.index for ep in episodes])
+        h = ad.gather_rows(full_state.fused[episodes.kind], episodes.targets)
     else:
         metas = None
         if enhancer_params is not None:
@@ -115,9 +114,9 @@ def reconstruction_terms(
 
 
 def ssl_loss(
-    group_batch: Sequence[Episode],
-    user_batch: Sequence[Episode],
-    item_batch: Sequence[Episode],
+    group_batch: EpisodeBatch | None,
+    user_batch: EpisodeBatch | None,
+    item_batch: EpisodeBatch | None,
     params: ModelParams,
     enhancer_params: EnhancerParams | None,
     gt: GroundTruthTable,
@@ -126,7 +125,7 @@ def ssl_loss(
     """Joint reconstruction loss: group + user + item batch means.
 
     Each term is the mean of per-target cosine losses, so the total is
-    bounded by 6.  An empty batch contributes 0 with a warning.
+    bounded by 6.  An empty or missing batch contributes 0 with a warning.
     """
     total = ad.const(np.zeros(()))
     parts: dict[str, float] = {}
@@ -143,15 +142,14 @@ def ssl_loss(
 
 def pick_ssl_targets(
     split: EvalSplit, count: int, rng: np.random.Generator
-) -> dict[str, list[NodeId]]:
-    """Sample warm reconstruction targets for one epoch, per node kind."""
-    out: dict[str, list[NodeId]] = {}
+) -> dict[str, np.ndarray]:
+    """Sample warm reconstruction targets for one epoch, ascending, per node kind."""
+    out: dict[str, np.ndarray] = {}
     for kind in ("group", "user", "item"):
-        warm = split.warm_nodes(kind)
-        if not warm:
-            out[kind] = []
+        warm = np.array(split.warm_nodes(kind), dtype=np.intp)
+        if not warm.size:
+            out[kind] = warm
             continue
-        take = min(count, len(warm))
-        chosen = rng.choice(len(warm), size=take, replace=False)
-        out[kind] = [NodeId(kind, warm[i]) for i in sorted(chosen.tolist())]
+        take = min(count, warm.size)
+        out[kind] = warm[np.sort(rng.choice(warm.size, size=take, replace=False))]
     return out

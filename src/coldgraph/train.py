@@ -34,7 +34,7 @@ from .enhancer import (
     init_enhancer_params,
     train_enhancer,
 )
-from .graph import EvalSplit, InteractionGraph, NodeId, make_training_graph, sample_episode
+from .graph import EpisodeBatch, EvalSplit, InteractionGraph, make_training_graph, sample_episode
 from .model import (
     FullState,
     GraphTensors,
@@ -494,15 +494,19 @@ def _run_epochs(
             n_batches = 1
             batches = [np.array([], dtype=int)]
 
-        episodes: dict[str, list] = {"group": [], "user": [], "item": []}
+        # one episode batch per kind and step; a target's tree does not
+        # depend on the batch it is sampled in
+        episodes: list[dict[str, EpisodeBatch]] = [{} for _ in batches]
         masked_edges = 0
         if ssl_on:
             epoch_seed = int(rngs["episodes"].integers(2 ** 31))
             targets = pick_ssl_targets(split, config.ssl_targets, rngs["episodes"])
-            for kind, nodes in targets.items():
-                for node in nodes:
-                    ep = sample_episode(train_graph, node, config.K, config.L, epoch_seed)
-                    episodes[kind].append(ep)
+            for kind, idx in targets.items():
+                for b in range(min(n_batches, idx.size)):
+                    ep = sample_episode(
+                        train_graph, kind, idx[b::n_batches], config.K, config.L, epoch_seed
+                    )
+                    episodes[b][kind] = ep
                     masked_edges += ep.edge_count()
 
         sums = {"main": 0.0, "ssl": 0.0, "total": 0.0}
@@ -543,12 +547,12 @@ def _run_epochs(
 
                 l_r_val = 0.0
                 if ssl_on:
-                    slices = {k: v[b::n_batches] for k, v in episodes.items()}
-                    if any(slices.values()):
+                    slices = episodes[b]
+                    if slices:
                         l_r, _ = ssl_loss(
-                            slices["group"],
-                            slices["user"],
-                            slices["item"],
+                            slices.get("group"),
+                            slices.get("user"),
+                            slices.get("item"),
                             params,
                             enh,
                             gt,
@@ -645,9 +649,8 @@ def _train(
             warm_targets = pick_ssl_targets(split, config.warmup_targets, rngs["warmup"])
             warm_seed = int(rngs["warmup"].integers(2 ** 31))
             warm_eps = [
-                sample_episode(train_graph, node, config.K, 1, warm_seed, member_depth_bonus=False)
-                for nodes in warm_targets.values()
-                for node in nodes
+                sample_episode(train_graph, kind, idx, config.K, 1, warm_seed, member_depth_bonus=False)
+                for kind, idx in warm_targets.items()
             ]
             train_enhancer(
                 warm_eps,

@@ -6,11 +6,30 @@ way the paper states the recursion, so the batched code can be checked
 against them value for value and gradient for gradient.
 """
 
+from dataclasses import dataclass
+from itertools import chain
+from typing import Mapping
+
 import numpy as np
 
 from coldgraph import autodiff as ad
-from coldgraph.graph import RELATION_KINDS
+from coldgraph import enhancer, model
+from coldgraph.graph import KINDS, RELATION_KINDS, RELATIONS, RELATIONS_BY_KIND, NodeId
 from coldgraph.model import CHANNELS_BY_KIND
+from coldgraph.sparse import neighbor_mean
+
+
+def neighbors(graph, rel, kind, index):
+    """Sorted neighbor indices of one node, read from the graph's CSR."""
+    indptr, indices = graph.csr(rel, kind)
+    return tuple(indices[indptr[index] : indptr[index + 1]].tolist())
+
+
+def dedup_mean(rows, cols, shape):
+    """``neighbor_mean`` of an edge list that may repeat a pair: each
+    distinct pair sets one cell."""
+    pairs = np.unique(np.stack([np.asarray(rows), np.asarray(cols)], axis=1).reshape(-1, 2), axis=0)
+    return neighbor_mean(pairs[:, 0], pairs[:, 1], shape)
 
 
 def conv_step(variant, self_emb, neighbor_embs, weight=None, meta_emb=None, meta_proj=None):
@@ -275,3 +294,192 @@ def warmup_loss(episodes, ground_truth, params, tables):
     if not terms:
         return None
     return ad.mean_rows(terms[0] if len(terms) == 1 else ad.concat(terms))
+
+
+# ---------------------------------------------------------------------------
+# dict trees: one episode per target, each relation's tree as layer tuples
+# and a children map, and the batched code that read them
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RelationSample:
+    """One relation's sampled tree around a target.
+
+    ``layers[l]`` lists the distinct nodes reached at depth l (a node may
+    recur deeper), ``kinds[l]`` their kind, and ``children`` maps each
+    expanded (kind, index) to its sampled neighbors.
+    """
+
+    relation: str
+    kinds: tuple
+    layers: tuple
+    children: Mapping
+
+
+@dataclass(frozen=True)
+class Episode:
+    target: NodeId
+    ground_truth_ref: str
+    depth: int
+    samples: Mapping
+
+
+def _tree_layers(kinds, target, children):
+    layers = [(target,)]
+    for level in range(len(kinds) - 1):
+        seen = {}
+        for idx in layers[level]:
+            for child in children.setdefault((kinds[level], idx), ()):
+                seen.setdefault(child, None)
+        layers.append(tuple(seen))
+    return tuple(layers)
+
+
+def dict_trees(batch):
+    """The episode batch as one dict-tree episode per target, in order."""
+    out = []
+    for b, target in enumerate(batch.targets.tolist()):
+        samples = {}
+        for rel, forest in batch.forests.items():
+            children = {}
+            for (tree, parent, child), pk, ck in zip(forest.layers, forest.kinds, forest.kinds[1:]):
+                mine = tree == b
+                for p, c in zip(forest.nodes[pk][parent[mine]].tolist(), forest.nodes[ck][child[mine]].tolist()):
+                    children.setdefault((pk, p), []).append(c)
+            children = {key: tuple(v) for key, v in children.items()}
+            layers = _tree_layers(forest.kinds, target, children)
+            samples[rel] = RelationSample(rel, forest.kinds, layers, children)
+        out.append(Episode(NodeId(batch.kind, target), NodeId(batch.kind, target).key(), batch.depth, samples))
+    return out
+
+
+def number_rows(head, rest):
+    """Row numbers of node keys: the distinct ``head`` keys get rows 0, 1, ...
+    in order, every other distinct key the following rows in ascending key
+    order.  Returns (the rows of the ``rest`` keys, the key of each row)."""
+    keys, inverse = np.unique(np.concatenate([head, rest]), return_inverse=True)
+    row = np.empty(keys.size, dtype=np.intp)
+    row[inverse[: head.size]] = np.arange(head.size)
+    tail = np.ones(keys.size, dtype=bool)
+    tail[inverse[: head.size]] = False
+    row[tail] = np.arange(head.size, keys.size)
+    row_keys = np.empty_like(keys)
+    row_keys[row] = keys
+    return row[inverse[head.size :]], row_keys
+
+
+def episode_forest(episodes, kind, rel):
+    """One relation's dict trees of an episode batch, as one small graph.
+
+    Returns ``(nodes, trees, ops, members)``: ``nodes[k]`` and ``trees[k]``
+    give the table index and the episode of each row of kind k, with the n
+    targets as the first n rows of their kind; ``ops[k]`` averages each
+    row's sampled children; ``members`` groups the targets' first-order
+    neighbor rows by target degree.
+    """
+    ka, kb = RELATION_KINDS[rel]
+    other = {ka: kb, kb: ka}
+    trees = [ep.samples[rel].children for ep in episodes if rel in ep.samples]
+    parent_kind, parent_idx = zip(*chain.from_iterable(trees)) if trees else ((), ())
+    kids = list(chain.from_iterable(tree.values() for tree in trees))
+    sizes = np.fromiter(map(len, kids), np.intp, len(kids))
+    with_rel = [b for b, ep in enumerate(episodes) if rel in ep.samples]
+    tree_of = np.repeat(np.array(with_rel, dtype=np.intp), list(map(len, trees)))
+    episode = np.repeat(tree_of, sizes)
+    parent = np.repeat(np.array(parent_idx, dtype=np.intp), sizes)
+    parent_is_a = np.repeat(np.array(parent_kind) == ka, sizes)
+    child = np.fromiter(chain.from_iterable(kids), np.intp, int(sizes.sum()))
+    firsts = [first_order(ep, rel) for ep in episodes]
+    first_sizes = [len(f) for f in firsts]
+    first = np.fromiter(chain.from_iterable(firsts), np.intp, sum(first_sizes))
+    first_episode = np.repeat(np.arange(len(episodes)), first_sizes)
+    targets = np.fromiter((ep.target.index for ep in episodes), np.intp, len(episodes))
+    span = 1 + max(targets.max(initial=0), parent.max(initial=0), child.max(initial=0))
+
+    as_parent = {ka: parent_is_a, kb: ~parent_is_a} if ka != kb else {ka: parent_is_a}
+    nodes, tree_rows = {}, {}
+    src = np.empty(child.size, dtype=np.intp)
+    dst = np.empty(child.size, dtype=np.intp)
+    for k in other:
+        par, kid = as_parent[k], as_parent[other[k]]
+        rest = [episode[par] * span + parent[par], episode[kid] * span + child[kid]]
+        if k == other[kind]:
+            rest.append(first_episode * span + first)
+        head = np.arange(len(episodes)) * span + targets if k == kind else np.zeros(0, np.intp)
+        rows, keys = number_rows(head, np.concatenate(rest))
+        n_par, n_kid = np.count_nonzero(par), np.count_nonzero(kid)
+        src[par], dst[kid] = rows[:n_par], rows[n_par : n_par + n_kid]
+        if k == other[kind]:
+            first_rows = rows[n_par + n_kid :]
+        nodes[k], tree_rows[k] = keys % span, keys // span
+    shape = {k: (nodes[k].size, nodes[other[k]].size) for k in other}
+    ops = {k: neighbor_mean(src[as_parent[k]], dst[as_parent[k]], shape[k]) for k in other}
+    return nodes, tree_rows, ops, model.degree_plan(first_sizes, first_rows)
+
+
+def embed_dict_batch(episodes, params, metas=None):
+    """The batched episode forward over dict trees, (n, d)."""
+    kind = episodes[0].target.kind
+    metas = metas or {}
+    channels, masks = {}, {}
+    target_rows = np.arange(len(episodes))
+    for rel in RELATIONS_BY_KIND[kind]:
+        nodes, _, ops, members = episode_forest(episodes, kind, rel)
+        if not members.runs:
+            continue
+        h0 = {k: ad.gather_rows(params.table(k), idx) for k, idx in nodes.items()}
+        out = model._relation_steps(rel, ops, h0, params, {kind: metas.get(rel)})
+        channels[rel] = ad.gather_rows(out[kind][-1], target_rows)
+        masks[rel] = members.present
+        if (kind, rel) == ("group", "GU"):
+            channels["GU_AGG"] = model._member_aggregate(members, out["user"][-1], params)
+            masks["GU_AGG"] = members.present
+    e0 = ad.gather_rows(params.table(kind), [ep.target.index for ep in episodes])
+    return model.fuse_present(kind, channels, masks, params.fusion, e0)
+
+
+def episode_plans(episodes, kind):
+    """Degree plans of the dict-tree targets' sampled first-order neighbors."""
+    plans = {}
+    for rel in RELATIONS_BY_KIND[kind]:
+        firsts = [first_order(ep, rel) for ep in episodes]
+        sizes = [len(f) for f in firsts]
+        cols = np.fromiter(chain.from_iterable(firsts), np.intp, sum(sizes))
+        plans[rel] = model.degree_plan(sizes, cols)
+    return plans
+
+
+def episode_metas_dict(episodes, tables, params):
+    """Per-relation (n, d) meta embeddings of dict-tree episodes of one kind."""
+    kind = episodes[0].target.kind
+    out = {}
+    for rel, plan in episode_plans(episodes, kind).items():
+        if plan.runs:
+            qkv = enhancer._gathered_qkv(tables(enhancer._neighbor_kind(rel, kind)), params)
+            out[rel], _ = enhancer._relation_metas(qkv, plan)
+    return out
+
+
+class DictWarmupLayout(enhancer._WarmupLayout):
+    """The warm-up layout built from a list of dict-tree episodes."""
+
+    def __init__(self, episodes, ground_truth, tables):
+        self.truth = enhancer._truth_rows([ep.ground_truth_ref for ep in episodes], ground_truth)
+        sizes = [tables(kind).shape[0] for kind in KINDS]
+        offset = dict(zip(KINDS, np.cumsum([0] + sizes[:-1]).tolist()))
+        self.table = ad.const(np.concatenate([tables(kind).data for kind in KINDS]))
+        n = len(episodes)
+        self.kind = np.fromiter((KINDS.index(ep.target.kind) for ep in episodes), np.intp, n)
+        self.linked = np.zeros(n, dtype=bool)
+        self.csr = {}
+        for rel in RELATIONS:
+            firsts = [first_order(ep, rel) for ep in episodes]
+            counts = np.fromiter(map(len, firsts), np.intp, n)
+            shift = [
+                offset[enhancer._neighbor_kind(rel, ep.target.kind)] if f else 0
+                for ep, f in zip(episodes, firsts)
+            ]
+            indices = np.fromiter(chain.from_iterable(firsts), np.intp, int(counts.sum()))
+            self.csr[rel] = (np.cumsum(np.r_[0, counts]), indices + np.repeat(shift, counts))
+            self.linked |= counts > 0

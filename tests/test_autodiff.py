@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldgraph import autodiff as ad
-from coldgraph.sparse import neighbor_mean
+from oracles import dedup_mean
 
 
 def rand(rng, *shape):
@@ -170,7 +170,7 @@ def _op_cases(rng):
     u4, w4 = t(4), t(4)
     pos = ad.Tensor(rng.uniform(0.2, 2.0, size=(3,)), requires_grad=True)
     sr_m, sr_w = t(4, 3), t(4)
-    op = neighbor_mean(rng.integers(0, 4, 9), rng.integers(0, 5, 9), (4, 5))
+    op = dedup_mean(rng.integers(0, 4, 9), rng.integers(0, 5, 9), (4, 5))
     sa_q, sa_k, sa_v = t(6, 3), t(6, 3), t(6, 3)
     rows_a, rows_b = t(3, 4), t(3, 4)
     runs = [(1, 2), (2, 2)]

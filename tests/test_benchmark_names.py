@@ -25,9 +25,10 @@ def load_tracer():
 
 
 def test_trace_installs_and_uninstalls():
-    from coldgraph import autodiff, enhancer, model, reconstruction
+    from coldgraph import autodiff, enhancer, graph, model, reconstruction
 
     wrapped = [
+        (graph, "sample_episode"),
         (enhancer, "episode_metas"),
         (enhancer, "train_enhancer"),
         (enhancer, "full_meta_matrices"),
@@ -44,6 +45,26 @@ def test_trace_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert all(getattr(mod, name) is fn for (mod, name), fn in zip(wrapped, before))
+
+
+def test_masked_edge_counter_reads_the_sampled_batch():
+    # the trace counts masked edges from the value sample_episode returns
+    import coldgraph.graph
+    from coldgraph.graph import InteractionGraph
+
+    g = InteractionGraph(
+        {"user": 4, "item": 3, "group": 1},
+        {"UI": [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (3, 2)], "GU": [(0, 1), (0, 2)]},
+    )
+    tracer_mod = load_tracer()
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install(tracer)
+        batch = coldgraph.graph.sample_episode(g, "user", [0, 3], 2, 2, 5)
+    finally:
+        tracer.uninstall()
+    assert batch.edge_count() > 0
+    assert tracer.counters["graph.masked_edges"] == batch.edge_count()
 
 
 def test_traced_ops_are_autodiff_ops():

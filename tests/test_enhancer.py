@@ -17,11 +17,10 @@ from coldgraph.enhancer import (
 )
 from coldgraph.graph import (
     RELATIONS_BY_KIND,
-    Episode,
+    EpisodeBatch,
+    Forest,
     InteractionGraph,
-    NodeId,
     RELATION_KINDS,
-    RelationSample,
     SyntheticSpec,
     build_implicit,
     generate_synthetic,
@@ -30,8 +29,12 @@ from coldgraph.graph import (
 from coldgraph.model import CHANNELS_BY_KIND, GraphTensors, degree_plan, init_model_params
 from coldgraph.reconstruction import GroundTruthTable
 from oracles import (
+    DictWarmupLayout,
     aggregate_members,
+    dict_trees,
+    episode_metas_dict,
     fuse_channels,
+    neighbors,
     reconstruction_loss,
     relation_metas_by_bucket,
     warmup_loss as per_step_warmup_loss,
@@ -112,36 +115,52 @@ def tables_of(arrays):
     return tabs.__getitem__
 
 
-def hand_episode(kind, index, first_order):
-    """Depth-1 episode whose relations sampled exactly ``first_order``."""
-    samples = {}
+def hand_batch(kind, rows):
+    """Depth-1 episode batch whose targets sampled exactly the given
+    neighbors: ``rows`` lists (target index, {relation: neighbors})."""
+    targets = np.array([index for index, _ in rows], dtype=np.intp)
+    n = targets.size
+    forests = {}
     for rel in RELATIONS_BY_KIND[kind]:
         ka, kb = RELATION_KINDS[rel]
         other = kb if kind == ka else ka
-        neigh = tuple(first_order.get(rel, ()))
-        samples[rel] = RelationSample(
-            rel, (kind, other), ((index,), neigh), {(kind, index): neigh}
-        )
-    target = NodeId(kind, index)
-    return Episode(target, target.key(), 5, 1, 0, samples)
+        neigh = [np.asarray(first.get(rel, ()), dtype=np.intp) for _, first in rows]
+        tree = np.repeat(np.arange(n), [x.size for x in neigh])
+        flat = np.concatenate([np.zeros(0, np.intp), *neigh])
+        if other == kind:
+            nodes, child = {kind: np.concatenate([targets, flat])}, n + np.arange(flat.size)
+        else:
+            nodes, child = {kind: targets, other: flat}, np.arange(flat.size)
+        forests[rel] = Forest(rel, (kind, other), nodes, ((tree, tree, child),))
+    return EpisodeBatch(kind, targets, 1, forests)
 
 
-def layout_of(episodes, tables, gt=None):
+def hand_episode(kind, index, first_order):
+    """One-target depth-1 batch whose relations sampled exactly ``first_order``."""
+    return hand_batch(kind, [(index, first_order)])
+
+
+def truth_of(batches, rng, d):
+    return GroundTruthTable(d, {r: rng.normal(size=d) for b in batches for r in b.ground_truth_refs()}, "t")
+
+
+def layout_of(batches, tables, gt=None):
     """The once-built warm-up layout; without ``gt`` every target's ground
     truth is a ones vector."""
     if gt is None:
         d = tables("user").shape[1]
-        gt = GroundTruthTable(d, {ep.ground_truth_ref: np.ones(d) for ep in episodes}, "t")
-    return enhancer._WarmupLayout(episodes, gt, tables)
+        gt = GroundTruthTable(d, {r: np.ones(d) for b in batches for r in b.ground_truth_refs()}, "t")
+    return enhancer._WarmupLayout(batches, gt, tables)
 
 
-def fused_of(episodes, kind, tables, params):
-    return layout_of(episodes, tables).fused(kind, np.arange(len(episodes)), params)
+def fused_of(batch, tables, params):
+    return layout_of([batch], tables).fused(batch.kind, np.arange(len(batch)), params)
 
 
-def warmup_loss(episodes, gt, params, tables):
-    """The warm-up loss of one batch holding every episode, in input order."""
-    return layout_of(episodes, tables, gt).loss(np.arange(len(episodes)), params)
+def warmup_loss(batches, gt, params, tables):
+    """The warm-up loss of one step holding every target, in input order."""
+    layout = layout_of(batches, tables, gt)
+    return layout.loss(np.arange(layout.kind.size), params)
 
 
 def attention(x, params):
@@ -214,17 +233,17 @@ class TestMetaEmbed:
         v = np.array([1.0, 3.0])
         tables = tables_of({"user": np.zeros((2, 2)), "item": np.tile(v, (4, 1)), "group": [[0.0, 0.0]]})
         ep = hand_episode("user", 0, {"UI": [0, 1, 2, 3]})
-        metas = episode_metas([ep], tables, params)
+        metas = episode_metas(ep, tables, params)
         assert set(metas) == {"UI"}
         np.testing.assert_allclose(metas["UI"].data, [v])
-        np.testing.assert_allclose(fused_of([ep], "user", tables, params).data, [v])
+        np.testing.assert_allclose(fused_of(ep, tables, params).data, [v])
 
     def test_single_neighbor_equals_smoothed(self):
         params = init_enhancer_params(3, np.random.default_rng(0))
         items = np.random.default_rng(1).normal(size=(2, 3))
         tables = tables_of({"user": np.zeros((1, 3)), "item": items, "group": np.zeros((1, 3))})
         ep = hand_episode("user", 0, {"UI": [1]})
-        metas = episode_metas([ep], tables, params)
+        metas = episode_metas(ep, tables, params)
         smoothed = self_attention(ad.const(items[[1]]), params)
         np.testing.assert_allclose(metas["UI"].data, smoothed.data, atol=1e-15)
 
@@ -236,13 +255,13 @@ class TestMetaEmbed:
             "group": np.zeros((1, 2)),
         })
         ep = hand_episode("user", 0, {"UI": [0, 1, 2], "UU": [1, 2, 3]})
-        np.testing.assert_allclose(fused_of([ep], "user", tables, params).data, [[1.0, 1.0]])
+        np.testing.assert_allclose(fused_of(ep, tables, params).data, [[1.0, 1.0]])
 
     def test_all_relations_empty(self):
         params = identity_params(2)
         tables = tables_of({kind: np.ones((1, 2)) for kind in ("user", "item", "group")})
         isolated = hand_episode("user", 0, {})
-        assert episode_metas([isolated], tables, params) == {}
+        assert episode_metas(isolated, tables, params) == {}
         gt = GroundTruthTable(2, {"user:0": np.ones(2)}, "test")
         assert warmup_loss([isolated], gt, params, tables) is None
 
@@ -256,13 +275,13 @@ class TestMetaEmbed:
         ep = hand_episode("group", 0, {"GI": [0, 1], "GU": [0, 1]})
         # channels GI, GU, GU_AGG with uniform weights; GU and GU_AGG both average to [0,1]
         np.testing.assert_allclose(
-            fused_of([ep], "group", tables, params).data, [[1 / 3, 2 / 3]], atol=1e-12
+            fused_of(ep, tables, params).data, [[1 / 3, 2 / 3]], atol=1e-12
         )
 
 
 def costs(preds, targets):
-    episodes = [hand_episode("user", i, {}) for i in range(len(targets))]
-    gt = GroundTruthTable(2, {ep.ground_truth_ref: v for ep, v in zip(episodes, targets)}, "t")
+    episodes = hand_batch("user", [(i, {}) for i in range(len(targets))])
+    gt = GroundTruthTable(2, dict(zip(episodes.ground_truth_refs(), targets)), "t")
     return enhancer.reconstruction_costs(t(preds), episodes, gt).data
 
 
@@ -284,13 +303,15 @@ class TestCosineLoss:
     def test_missing_ground_truth_rejected(self):
         gt = GroundTruthTable(2, {}, "t")
         with pytest.raises(KeyError, match="user:0"):
-            enhancer.reconstruction_costs(t([[1.0, 0.0]]), [hand_episode("user", 0, {})], gt)
+            enhancer.reconstruction_costs(t([[1.0, 0.0]]), hand_episode("user", 0, {}), gt)
 
 
-def synthetic(seed, n_users=20, n_items=25, n_groups=8, extra=0):
+def synthetic(seed, n_users=20, n_items=25, n_groups=8, extra=0, implicit=True):
     spec = SyntheticSpec(n_users=n_users, n_items=n_items, n_groups=n_groups, n_clusters=2,
                          intra_p=0.3, inter_p=0.05, group_size_min=2, group_size_max=4, seed=seed)
-    g = build_implicit(generate_synthetic(spec), 1, 0)
+    g = generate_synthetic(spec)
+    if implicit:
+        g = build_implicit(g, 1, 0)
     if extra:  # nodes of every kind without any edge
         g = InteractionGraph({k: n + extra for k, n in g.counts.items()}, g.edges)
     return g
@@ -305,7 +326,7 @@ class TestGradients:
             hand_episode("user", 0, {"UI": [0, 2, 4], "UU": [1, 3]}),
             hand_episode("group", 1, {"GI": [1], "GU": [0, 2, 3], "GG": [0, 4]}),
         ]
-        gt = GroundTruthTable(4, {ep.ground_truth_ref: rng.normal(size=4) for ep in episodes}, "t")
+        gt = truth_of(episodes, rng, 4)
 
         def f(ps):
             return warmup_loss(episodes, gt, params, tables)
@@ -330,7 +351,7 @@ class TestGradients:
                 ka, kb = RELATION_KINDS[rel]
                 neigh_kind = kb if kind == ka else ka
                 for idx in range(g.counts[kind]):
-                    neigh = g.neighbors(rel, kind, idx)
+                    neigh = neighbors(g, rel, kind, idx)
                     if not neigh:
                         assert np.all(mat.data[idx] == 0.0)
                         continue
@@ -409,25 +430,25 @@ class TestRaggedRelationMetas:
             np.testing.assert_allclose(got_grads[leaf], want_grads[leaf], rtol=0, atol=1e-12)
 
 
-def mixed_batch(d=6, seed=0):
-    """Group, user and item episodes, some isolated, with teacher-like targets."""
-    g = synthetic(seed, n_users=24, n_items=30, n_groups=10, extra=2)
+def mixed_batch(d=6, seed=0, implicit=True):
+    """Group, user and item episode batches, some targets isolated, with
+    teacher-like ground truth; returns the batches and their dict trees.
+    Without ``implicit`` the UU and GG relations are empty."""
+    g = synthetic(seed, n_users=24, n_items=30, n_groups=10, extra=2, implicit=implicit)
     model = init_model_params(g.counts, d, "light", 2, True, np.random.default_rng(seed))
-    episodes = [
-        sample_episode(g, NodeId(kind, i), k=3, depth=1, seed=11, member_depth_bonus=False)
+    rng = np.random.default_rng(seed)
+    batches = [
+        sample_episode(g, kind, rng.permutation(g.counts[kind]), k=3, depth=1, seed=11,
+                       member_depth_bonus=False)
         for kind in ("group", "user", "item")
-        for i in range(g.counts[kind])
     ]
-    order = np.random.default_rng(seed).permutation(len(episodes))
-    episodes = [episodes[i] for i in order]
-    rng = np.random.default_rng(seed + 1)
-    gt = GroundTruthTable(d, {ep.ground_truth_ref: rng.normal(size=d) for ep in episodes}, "t")
-    return g, model, episodes, gt
+    gt = truth_of(batches, np.random.default_rng(seed + 1), d)
+    return model, batches, [ep for b in batches for ep in dict_trees(b)], gt
 
 
 class TestBatchedWarmup:
     def test_batched_step_matches_per_episode_oracle(self):
-        g, model, episodes, gt = mixed_batch()
+        model, batches, episodes, gt = mixed_batch()
         isolated = [ep for ep in episodes if not episode_first_order(ep, model.table)]
         assert len(isolated) >= 3
         groups = [ep for ep in episodes if ep.target.kind == "group"]
@@ -435,7 +456,7 @@ class TestBatchedWarmup:
         enh = init_enhancer_params(6, np.random.default_rng(2))
         frozen = {k: ad.const(model.table(k).data) for k in ("user", "item", "group")}.__getitem__
         with ad.Tape() as tape:
-            loss = warmup_loss(episodes, gt, enh, frozen)
+            loss = warmup_loss(batches, gt, enh, frozen)
             grads = tape.backward(loss, enh.tensors())
         with ad.Tape() as tape:
             want = oracle_warmup_loss(episodes, gt, enh, frozen)
@@ -445,28 +466,49 @@ class TestBatchedWarmup:
             np.testing.assert_allclose(grads[tensor], want_grads[tensor], rtol=0, atol=1e-12)
 
     def test_layout_matches_per_step_planning(self):
-        # shuffled batches (isolated targets among them) cut from the
-        # once-built layout against planning every batch from its episodes
-        g, model, episodes, gt = mixed_batch(seed=2)
+        self.check_layout(mixed_batch(seed=2))
+
+    def test_empty_relations_match_oracles(self):
+        cases = mixed_batch(seed=3, implicit=False)
+        assert all(b.forests[rel].edge_count() == 0 for b, rel in zip(cases[1], ("GG", "UU")))
+        self.check_layout(cases)
+        self.check_metas(cases)
+
+    @staticmethod
+    def check_layout(cases):
+        # shuffled steps (isolated targets among them) cut from the
+        # once-built layout against the dict-tree layout and against
+        # planning every step from its episodes
+        model, batches, episodes, gt = cases
         enh = init_enhancer_params(6, np.random.default_rng(5))
         frozen = {k: ad.const(model.table(k).data) for k in ("user", "item", "group")}.__getitem__
-        layout = enhancer._WarmupLayout(episodes, gt, frozen)
+        layout = enhancer._WarmupLayout(batches, gt, frozen)
+        dict_layout = DictWarmupLayout(episodes, gt, frozen)
         order = np.random.default_rng(6).permutation(len(episodes))
-        batches = [order[i : i + 17] for i in range(0, len(order), 17)]
-        assert any(not layout.linked[b].all() for b in batches)
-        for batch in batches:
-            with ad.Tape() as tape:
-                loss = layout.loss(batch, enh)
-                grads = tape.backward(loss, enh.tensors())
-            with ad.Tape() as tape:
-                want = per_step_warmup_loss([episodes[i] for i in batch], gt, enh, frozen)
-                want_grads = tape.backward(want, enh.tensors())
-            assert loss.item() == pytest.approx(want.item(), rel=0, abs=1e-12)
-            for tensor in enh.tensors():
-                np.testing.assert_allclose(grads[tensor], want_grads[tensor], rtol=0, atol=1e-12)
+        steps = [order[i : i + 17] for i in range(0, len(order), 17)]
+        assert any(not layout.linked[s].all() for s in steps)
+        for step in steps:
+            results = []
+            for loss_fn in (
+                lambda: layout.loss(step, enh),
+                lambda: dict_layout.loss(step, enh),
+                lambda: per_step_warmup_loss([episodes[i] for i in step], gt, enh, frozen),
+            ):
+                with ad.Tape() as tape:
+                    loss = loss_fn()
+                    results.append((loss.item(), tape.backward(loss, enh.tensors())))
+            (got, grads), *wants = results
+            for want, want_grads in wants:
+                assert got == pytest.approx(want, rel=0, abs=1e-12)
+                for tensor in enh.tensors():
+                    np.testing.assert_allclose(grads[tensor], want_grads[tensor], rtol=0, atol=1e-12)
 
     def test_episode_metas_match_per_episode_oracle(self):
-        g, model, episodes, gt = mixed_batch(seed=1)
+        self.check_metas(mixed_batch(seed=1))
+
+    @staticmethod
+    def check_metas(cases):
+        model, batches, episodes, gt = cases
         enh = init_enhancer_params(6, np.random.default_rng(3))
         tensors = model.tensors() + enh.tensors()
         probe = np.random.default_rng(4).normal(size=6)
@@ -476,10 +518,7 @@ class TestBatchedWarmup:
 
         kinds = ("group", "user", "item")
         with ad.Tape() as tape:
-            got = {
-                kind: episode_metas([ep for ep in episodes if ep.target.kind == kind], model.table, enh)
-                for kind in kinds
-            }
+            got = {b.kind: episode_metas(b, model.table, enh) for b in batches}
             grads = tape.backward(total([m for metas in got.values() for m in metas.values()]), tensors)
         with ad.Tape() as tape:
             want = {kind: [] for kind in kinds}
@@ -488,15 +527,25 @@ class TestBatchedWarmup:
                 want[ep.target.kind].append(meta_embed(first, enh, ep.target.kind)[0] if first else {})
             flat = [m for per_kind in want.values() for metas in per_kind for m in metas.values()]
             want_grads = tape.backward(total(flat), tensors)
+        with ad.Tape() as tape:
+            by_plans = {
+                kind: episode_metas_dict([ep for ep in episodes if ep.target.kind == kind], model.table, enh)
+                for kind in kinds
+            }
+            plan_grads = tape.backward(
+                total([m for metas in by_plans.values() for m in metas.values()]), tensors
+            )
         for kind in kinds:
-            assert set(got[kind]) == {rel for metas in want[kind] for rel in metas}
+            assert set(got[kind]) == {rel for metas in want[kind] for rel in metas} == set(by_plans[kind])
             for rel, mat in got[kind].items():
+                np.testing.assert_allclose(mat.data, by_plans[kind][rel].data, rtol=0, atol=1e-12)
                 for row, metas in zip(mat.data, want[kind]):
                     # a target whose relation sampled no neighbor gets a zero row
                     ref = metas[rel].data if rel in metas else np.zeros(6)
                     np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
         for tensor in tensors:
             np.testing.assert_allclose(grads[tensor], want_grads[tensor], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grads[tensor], plan_grads[tensor], rtol=0, atol=1e-12)
 
 
 class TestTrainEnhancer:
@@ -506,14 +555,11 @@ class TestTrainEnhancer:
                              seed=seed)
         g = generate_synthetic(spec)
         model = init_model_params(g.counts, d, "light", 2, True, np.random.default_rng(seed))
-        episodes = [
-            sample_episode(g, NodeId("user", u), k=4, depth=1, seed=5, member_depth_bonus=False)
-            for u in range(g.counts["user"])
-            if g.degree("UI", "user", u) > 0
-        ]
+        linked = [u for u in range(g.counts["user"]) if neighbors(g, "UI", "user", u)]
+        episodes = [sample_episode(g, "user", linked, k=4, depth=1, seed=5, member_depth_bonus=False)]
         # recoverable target: the mean of each target's sampled layer-0 neighbors
         vectors = {}
-        for ep in episodes:
+        for ep in dict_trees(episodes[0]):
             first = episode_first_order(ep, model.table)
             stacked = np.concatenate([m.data for m in first.values()])
             vectors[ep.ground_truth_ref] = stacked.mean(axis=0)
@@ -548,7 +594,7 @@ class TestTrainEnhancer:
 
     def test_missing_ground_truth_rejected(self):
         g, model, episodes, gt = self.build()
-        gt.vectors.pop(episodes[0].ground_truth_ref)
+        gt.vectors.pop(episodes[0].ground_truth_refs()[0])
         enh = init_enhancer_params(8, np.random.default_rng(2))
         with pytest.raises(KeyError, match="ground-truth"):
             train_enhancer(episodes, gt, enh, model.table, epochs=1)

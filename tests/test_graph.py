@@ -10,7 +10,6 @@ from coldgraph.graph import (
     COLD_ITEM_KEEP,
     InteractionGraph,
     IdMap,
-    NodeId,
     SyntheticSpec,
     build_implicit,
     generate_synthetic,
@@ -22,6 +21,11 @@ from coldgraph.graph import (
     stats_summary,
     write_split_manifest,
 )
+from oracles import dict_trees, neighbors
+
+
+def degree(graph, rel, kind, index):
+    return len(neighbors(graph, rel, kind, index))
 
 
 def graph_from(ui=(), gi=(), gu=(), counts=None, ui_ts=None, gi_ts=None):
@@ -48,7 +52,7 @@ class TestLoadEdges:
         )
         assert graph.num_edges("UI") == 2
         assert graph.counts == {"user": 2, "item": 1, "group": 1}
-        assert graph.degree("GU", "group", 0) == 2
+        assert degree(graph, "GU", "group", 0) == 2
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         (tmp_path / "user_item.tsv").write_text("# header\nu1\ti1\n\nu2\ti2\n")
@@ -119,15 +123,15 @@ class TestGraphInvariants:
     def test_undirected_dedup_same_kind(self):
         g = InteractionGraph({"user": 3, "item": 0, "group": 0}, {"UU": [(0, 1), (1, 0)]})
         assert g.num_edges("UU") == 1
-        assert g.neighbors("UU", "user", 0) == (1,)
-        assert g.neighbors("UU", "user", 1) == (0,)
+        assert neighbors(g, "UU", "user", 0) == (1,)
+        assert neighbors(g, "UU", "user", 1) == (0,)
 
 
 def brute_force_implicit(graph, rel, threshold):
     """O(n^2) pairwise-intersection oracle."""
     kind = "user" if rel == "UI" else "group"
     n = graph.counts[kind]
-    items = {a: set(graph.neighbors(rel, kind, a)) for a in range(n)}
+    items = {a: set(neighbors(graph, rel, kind, a)) for a in range(n)}
     return sorted(
         (a, b)
         for a, b in itertools.combinations(range(n), 2)
@@ -175,8 +179,8 @@ class TestBuildImplicit:
         g = graph_from(ui=ui, counts={"user": 10, "item": 12, "group": 0})
         out = build_implicit(g, threshold, threshold)
         for u, v in out.edges["UU"]:
-            assert u in out.neighbors("UU", "user", v)
-            assert v in out.neighbors("UU", "user", u)
+            assert u in neighbors(out, "UU", "user", v)
+            assert v in neighbors(out, "UU", "user", u)
 
 
 class TestSegment:
@@ -270,11 +274,11 @@ class TestSegment:
         tg = make_training_graph(g, split)
         for a in split.cold["group"]:
             test_deg = sum(1 for x, _ in split.test_n["GI"] if x == a)
-            assert tg.degree("GI", "group", a) + test_deg <= COLD_ANCHOR_KEEP
+            assert degree(tg, "GI", "group", a) + test_deg <= COLD_ANCHOR_KEEP
         for i in split.cold["item"]:
             test_deg = sum(1 for _, b in split.test_n["GI"] if b == i)
             test_deg += sum(1 for _, b in split.test_n["UI"] if b == i)
-            retained = tg.degree("GI", "item", i) + tg.degree("UI", "item", i) + test_deg
+            retained = degree(tg, "GI", "item", i) + degree(tg, "UI", "item", i) + test_deg
             assert retained <= COLD_ITEM_KEEP
 
     def test_manifest_roundtrip(self, tmp_path):
@@ -301,10 +305,10 @@ def two_hop_oracle(graph, rel, kind, start):
 
     ka, kb = RELATION_KINDS[rel]
     other = kb if kind == ka else ka
-    hop1 = set(graph.neighbors(rel, kind, start))
+    hop1 = set(neighbors(graph, rel, kind, start))
     hop2 = set()
     for n in hop1:
-        hop2.update(graph.neighbors(rel, other, n))
+        hop2.update(neighbors(graph, rel, other, n))
     return hop1, hop2
 
 
@@ -316,37 +320,39 @@ class TestSampleEpisode:
 
     def test_min_rule(self):
         g = self.path_graph()
-        ep = sample_episode(g, NodeId("user", 1), k=5, depth=1, seed=0)
-        assert len(ep.samples["UI"].layers[1]) == 2  # deg 2 < K=5
+        ep = sample_episode(g, "user", [1], k=5, depth=1, seed=0)
+        assert ep.first_order("UI")[0].tolist() == [2]  # deg 2 < K=5
 
     def test_determinism(self):
         spec = SyntheticSpec(n_users=30, n_items=40, n_groups=10, n_clusters=2,
                              intra_p=0.4, inter_p=0.05, group_size_min=2, group_size_max=4, seed=2)
         g = generate_synthetic(spec)
-        a = sample_episode(g, NodeId("group", 3), k=5, depth=3, seed=42)
-        b = sample_episode(g, NodeId("group", 3), k=5, depth=3, seed=42)
-        assert a.samples.keys() == b.samples.keys()
-        for rel in a.samples:
-            assert a.samples[rel].layers == b.samples[rel].layers
-            assert a.samples[rel].children == b.samples[rel].children
+        a = sample_episode(g, "group", [3, 5], k=5, depth=3, seed=42)
+        b = sample_episode(g, "group", [3, 5], k=5, depth=3, seed=42)
+        assert a.forests.keys() == b.forests.keys()
+        for rel, forest in a.forests.items():
+            for kind, rows in forest.nodes.items():
+                np.testing.assert_array_equal(rows, b.forests[rel].nodes[kind])
+            for got, want in zip(forest.layers, b.forests[rel].layers):
+                for x, y in zip(got, want):
+                    np.testing.assert_array_equal(x, y)
 
     def test_seed_changes_sample(self):
         spec = SyntheticSpec(n_users=30, n_items=40, n_groups=10, n_clusters=2,
                              intra_p=0.5, inter_p=0.1, group_size_min=2, group_size_max=4, seed=2)
         g = generate_synthetic(spec)
-        target = NodeId("user", 0)
-        assert g.degree("UI", "user", 0) > 2
-        base = sample_episode(g, target, k=2, depth=1, seed=0)
-        assert any(
-            sample_episode(g, target, k=2, depth=1, seed=s).samples["UI"].layers
-            != base.samples["UI"].layers
-            for s in range(1, 30)
-        )
+        assert degree(g, "UI", "user", 0) > 2
+
+        def first(seed):
+            batch = sample_episode(g, "user", [0], k=2, depth=1, seed=seed)
+            return dict_trees(batch)[0].samples["UI"].layers
+
+        assert any(first(s) != first(0) for s in range(1, 30))
 
     def test_two_hop_matches_enumeration_oracle(self):
         g = self.path_graph()
-        ep = sample_episode(g, NodeId("user", 2), k=2, depth=2, seed=1)
-        sample = ep.samples["UI"]
+        ep = sample_episode(g, "user", [2], k=2, depth=2, seed=1)
+        sample = dict_trees(ep)[0].samples["UI"]
         hop1, hop2 = two_hop_oracle(g, "UI", "user", 2)
         # K=2 >= every degree here, so the sampled layers are the full hops
         assert set(sample.layers[1]) == hop1
@@ -358,30 +364,31 @@ class TestSampleEpisode:
                              intra_p=0.5, inter_p=0.2, group_size_min=2, group_size_max=5, seed=3)
         g = generate_synthetic(spec)
         for idx in range(10):
-            ep = sample_episode(g, NodeId("group", idx), k=3, depth=3, seed=idx)
+            [ep] = dict_trees(sample_episode(g, "group", [idx], k=3, depth=3, seed=idx))
             for rel, sample in ep.samples.items():
                 for level, layer in enumerate(sample.layers[1:], 1):
                     assert len(layer) <= 3 ** level
 
     def test_zero_degree_relation_empty_layers(self):
         g = graph_from(gi=[(0, 0)], gu=[(0, 0)], counts={"user": 1, "item": 1, "group": 2})
-        ep = sample_episode(g, NodeId("group", 1), k=3, depth=2, seed=0)
-        assert all(not layer for layer in ep.samples["GI"].layers[1:])
+        ep = sample_episode(g, "group", [1], k=3, depth=2, seed=0)
+        assert all(not layer for layer in dict_trees(ep)[0].samples["GI"].layers[1:])
+        assert all(child.size == 0 for _, _, child in ep.forests["GI"].layers)
 
     def test_group_gu_tree_is_one_deeper(self):
         spec = SyntheticSpec(n_users=30, n_items=30, n_groups=10, n_clusters=2,
                              intra_p=0.4, inter_p=0.05, group_size_min=3, group_size_max=5, seed=5)
         g = generate_synthetic(spec)
-        ep = sample_episode(g, NodeId("group", 0), k=3, depth=2, seed=0)
+        [ep] = dict_trees(sample_episode(g, "group", [0], k=3, depth=2, seed=0))
         assert len(ep.samples["GU"].layers) == 4  # depth 2 + member bonus
         assert len(ep.samples["GI"].layers) == 3
 
     def test_validation(self):
         g = self.path_graph()
         with pytest.raises(ValueError, match="at least 1"):
-            sample_episode(g, NodeId("user", 0), k=0, depth=1, seed=0)
+            sample_episode(g, "user", [0], k=0, depth=1, seed=0)
         with pytest.raises(ValueError, match="not in graph"):
-            sample_episode(g, NodeId("user", 99), k=1, depth=1, seed=0)
+            sample_episode(g, "user", [0, 99], k=1, depth=1, seed=0)
 
 
 class TestGenerateSynthetic:

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,17 @@ from coldgraph.model import (
     init_model_params,
 )
 from coldgraph.sparse import neighbor_mean
-from oracles import conv_step, embed_episode, fuse_by_pattern, fuse_channels, tree_nodes
+from oracles import (
+    conv_step,
+    dict_trees,
+    embed_dict_batch,
+    embed_episode,
+    episode_forest,
+    fuse_by_pattern,
+    fuse_channels,
+    neighbors,
+    tree_nodes,
+)
 
 
 def t(data):
@@ -84,8 +96,8 @@ def star_graph(n_leaves=4):
 def full_and_episode(g, params, kind, idx):
     """Embedding of one node over the full graph and over a covering episode."""
     full = full_embeddings(GraphTensors(g), params).fused[kind].data[idx]
-    ep = sample_episode(g, NodeId(kind, idx), k=10, depth=params.layers, seed=0)
-    return full, embed_from_episode([ep], params).data[0]
+    ep = sample_episode(g, kind, [idx], k=10, depth=params.layers, seed=0)
+    return full, embed_from_episode(ep, params).data[0]
 
 
 class TestPropagate:
@@ -110,14 +122,14 @@ class TestPropagate:
         def h_group(idx, k):
             if k == 0:
                 return e_g[idx]
-            neigh = g.neighbors("GI", "group", idx)
+            neigh = neighbors(g, "GI", "group", idx)
             mean = np.mean([h_item(i, k - 1) for i in neigh], axis=0)
             return 0.5 * (h_group(idx, k - 1) + mean)
 
         def h_item(idx, k):
             if k == 0:
                 return e_i[idx]
-            neigh = g.neighbors("GI", "item", idx)
+            neigh = neighbors(g, "GI", "item", idx)
             mean = np.mean([h_group(gg, k - 1) for gg in neigh], axis=0)
             return 0.5 * (h_item(idx, k - 1) + mean)
 
@@ -170,80 +182,138 @@ class TestPropagate:
         params = make_params(g.counts, d=5, variant=variant, layers=2, seed=1)
         state = full_embeddings(GraphTensors(g), params)
         for kind in ("group", "user", "item"):
-            episodes = [
-                sample_episode(g, NodeId(kind, idx), k=10 ** 6, depth=2, seed=0)
-                for idx in range(g.counts[kind])
-            ]
+            episodes = sample_episode(g, kind, range(g.counts[kind]), k=10 ** 6, depth=2, seed=0)
             got = embed_from_episode(episodes, params)
             np.testing.assert_allclose(got.data, state.fused[kind].data, atol=1e-10)
 
 
-def forest_graph():
+def forest_graph(implicit=True):
     """Graph whose episodes cover every forest case: isolated nodes of each
     kind, relations without a sampled neighbor, and implicit UU/GG edges."""
     spec = SyntheticSpec(n_users=30, n_items=40, n_groups=12, n_clusters=2, intra_p=0.3,
                          inter_p=0.05, group_size_min=2, group_size_max=4, seed=5)
-    g = build_implicit(generate_synthetic(spec), 3, 2)
+    g = generate_synthetic(spec)
+    if implicit:
+        g = build_implicit(g, 3, 2)
     return InteractionGraph({k: n + 2 for k, n in g.counts.items()}, g.edges)
 
 
+def forest_cases(g, kind):
+    """A batch of every ``kind`` node, and its dict trees, checked to hold
+    each forest case: isolated targets, a relation without a sampled
+    neighbor next to one with, the GU depth bonus, and nodes reached at two
+    depths, the later one the leaf depth."""
+    batch = sample_episode(g, kind, range(g.counts[kind]), k=3, depth=2, seed=7)
+    episodes = dict_trees(batch)
+    firsts = [[bool(s.layers[1]) for s in ep.samples.values()] for ep in episodes]
+    assert any(not any(f) for f in firsts)  # isolated targets
+    if kind != "item":
+        assert any(any(f) and not all(f) for f in firsts)
+    if kind == "group":
+        assert all(len(ep.samples["GU"].layers) == 4 for ep in episodes)
+    for rel in batch.forests:
+        assert any(
+            set(ep.samples[rel].layers[-1]) & set(chain(*ep.samples[rel].layers[:-1]))
+            for ep in episodes
+        )
+        if rel in ("UU", "GG"):  # a node reappears in its tree
+            assert any(
+                len(tree_nodes(ep.samples[rel])) < sum(map(len, ep.samples[rel].layers))
+                for ep in episodes
+            )
+    return batch, episodes
+
+
+def labelled(nodes, trees, rows):
+    return list(zip(trees[rows].tolist(), nodes[rows].tolist()))
+
+
 class TestEpisodeForest:
-    """The batched forest forward against the per-episode dense-tree oracle."""
+    """The batched forest forward against the dict-tree oracles."""
+
+    @pytest.mark.parametrize("kind", ["group", "user", "item"])
+    def test_forests_match_dict_tree_forests(self, kind):
+        g = forest_graph()
+        batch, episodes = forest_cases(g, kind)
+        n = len(batch)
+        for rel, forest in batch.forests.items():
+            want_nodes, want_trees, want_ops, want_members = episode_forest(episodes, kind, rel)
+            trees = {k: np.full(rows.size, -1) for k, rows in forest.nodes.items()}
+            trees[kind][:n] = np.arange(n)
+            for (tree, _, child), ck in zip(forest.layers, forest.kinds[1:]):
+                trees[ck][child] = tree
+            ops = model._forest_operators(forest)
+            label = {}
+            for k, rows in forest.nodes.items():
+                got = labelled(rows, trees[k], np.arange(rows.size))
+                want = labelled(want_nodes[k], want_trees[k], np.arange(want_nodes[k].size))
+                if k == kind:  # the targets come first
+                    assert got[:n] == want[:n]
+                assert sorted(got) == sorted(want)
+                label[k] = np.array([want.index(x) for x in got])
+            for k, op in ops.items():
+                other = [c for c in forest.nodes if c != k] or [k]
+                dense = np.zeros(want_ops[k].shape)
+                dense[np.ix_(label[k], label[other[0]])] = np.asarray(op)
+                np.testing.assert_array_equal(dense, np.asarray(want_ops[k]))
+            members = degree_plan(*batch.first_order(rel))
+            assert members.runs == want_members.runs
+            np.testing.assert_array_equal(members.targets, want_members.targets)
+            other = forest.kinds[1]
+            np.testing.assert_array_equal(label[other][members.cols], want_members.cols)
 
     @pytest.mark.parametrize("with_meta", [False, True])
     @pytest.mark.parametrize("variant", ["light", "gcn"])
     def test_batched_matches_per_episode_oracle(self, variant, with_meta):
         g = forest_graph()
-        d = 5
-        params = make_params(g.counts, d=d, variant=variant, layers=2, with_meta=with_meta, seed=1)
+        params = make_params(g.counts, d=5, variant=variant, layers=2, with_meta=with_meta, seed=1)
         for kind in ("group", "user", "item"):
-            episodes = [
-                sample_episode(g, NodeId(kind, i), k=3, depth=2, seed=7)
-                for i in range(g.counts[kind])
-            ]
-            n = len(episodes)
-            firsts = [[bool(s.layers[1]) for s in ep.samples.values()] for ep in episodes]
-            assert any(not any(f) for f in firsts)  # isolated targets
-            if kind != "item":  # a relation with no sampled neighbor next to one with
-                assert any(any(f) and not all(f) for f in firsts)
-            if kind == "group":  # GU trees go one level deeper
-                assert all(len(ep.samples["GU"].layers) == 4 for ep in episodes)
-            if kind != "item":  # UU/GG trees in which a node reappears
-                rel = "UU" if kind == "user" else "GG"
-                assert any(
-                    len(tree_nodes(ep.samples[rel])) < sum(map(len, ep.samples[rel].layers))
-                    for ep in episodes
-                )
-            rng = np.random.default_rng(3)
-            metas = {}
-            if with_meta:
-                metas = {rel: t(rng.normal(size=(n, d))) for rel in episodes[0].samples}
-            probe = ad.const(rng.normal(size=(n, d)))
-            leaves = params.tensors() + list(metas.values())
-            with ad.Tape() as tape:
-                got = embed_from_episode(episodes, params, metas or None)
-                grads = tape.backward(ad.sum_all(ad.mul(got, probe)), leaves)
-            with ad.Tape() as tape:
-                rows = []
-                for b, ep in enumerate(episodes):
-                    ep_metas = {rel: ad.mean_rows(ad.gather_rows(m, [b])) for rel, m in metas.items()}
-                    rows.append(embed_episode(ep, params, ep_metas))
-                want = ad.stack_rows(rows)
-                want_grads = tape.backward(ad.sum_all(ad.mul(want, probe)), leaves)
+            self.check_embeddings(*forest_cases(g, kind), params, with_meta)
+
+    @pytest.mark.parametrize("kind", ["group", "user"])
+    def test_empty_relations_match_oracles(self, kind):
+        # no implicit edges at all: the UU and GG forests are empty
+        g = forest_graph(implicit=False)
+        params = make_params(g.counts, d=5, layers=2, with_meta=True, seed=2)
+        batch = sample_episode(g, kind, range(g.counts[kind]), k=3, depth=2, seed=7)
+        empty = "UU" if kind == "user" else "GG"
+        assert batch.forests[empty].edge_count() == 0
+        self.check_embeddings(batch, dict_trees(batch), params, with_meta=True)
+
+    @staticmethod
+    def check_embeddings(batch, episodes, params, with_meta):
+        """The batch forward against the per-episode dense trees and the
+        batched dict-tree forests, in outputs and every gradient."""
+        n, d = len(batch), params.d
+        rng = np.random.default_rng(3)
+        metas = {rel: t(rng.normal(size=(n, d))) for rel in batch.forests} if with_meta else {}
+        probe = ad.const(rng.normal(size=(n, d)))
+        leaves = params.tensors() + list(metas.values())
+        results = []
+        with ad.Tape() as tape:
+            got = embed_from_episode(batch, params, metas or None)
+            grads = tape.backward(ad.sum_all(ad.mul(got, probe)), leaves)
+        with ad.Tape() as tape:
+            rows = []
+            for b, ep in enumerate(episodes):
+                ep_metas = {rel: ad.mean_rows(ad.gather_rows(m, [b])) for rel, m in metas.items()}
+                rows.append(embed_episode(ep, params, ep_metas))
+            want = ad.stack_rows(rows)
+            results.append((want, tape.backward(ad.sum_all(ad.mul(want, probe)), leaves)))
+        with ad.Tape() as tape:
+            want = embed_dict_batch(episodes, params, metas or None)
+            results.append((want, tape.backward(ad.sum_all(ad.mul(want, probe)), leaves)))
+        for want, want_grads in results:
             np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
             for leaf in leaves:
                 np.testing.assert_allclose(grads[leaf], want_grads[leaf], rtol=0, atol=1e-12)
 
-    def test_batch_must_share_kind_and_depth(self):
+    def test_batch_depth_must_match_layers(self):
         g = forest_graph()
         params = make_params(g.counts, layers=2)
-        user = sample_episode(g, NodeId("user", 0), k=3, depth=2, seed=0)
-        item = sample_episode(g, NodeId("item", 0), k=3, depth=2, seed=0)
-        with pytest.raises(ValueError, match="one target kind"):
-            embed_from_episode([user, item], params)
-        shallow = sample_episode(g, NodeId("user", 1), k=3, depth=1, seed=0)
+        shallow = sample_episode(g, "user", [0, 1], k=3, depth=1, seed=0)
         with pytest.raises(ValueError, match="depth 2"):
-            embed_from_episode([user, shallow], params)
+            embed_from_episode(shallow, params)
 
 
 class TestAggregateMembers:
@@ -389,7 +459,7 @@ class TestMetaReduction:
         params = make_params(g.counts, d=d, layers=2, with_meta=True, seed=2)
         for rel in params.meta_proj:
             params.meta_proj[rel].data = np.vstack([np.eye(d), np.zeros((d, d))])
-        eps = [sample_episode(g, NodeId("group", i), k=3, depth=2, seed=1) for i in range(3)]
+        eps = sample_episode(g, "group", range(3), k=3, depth=2, seed=1)
         metas = {rel: ad.Tensor(np.full((3, d), 7.0)) for rel in ("GI", "GU", "GG")}
         with_meta = embed_from_episode(eps, params, metas)
         without = embed_from_episode(eps, params)
@@ -471,7 +541,7 @@ class TestConstantOperandGradients:
                              intra_p=0.4, inter_p=0.1, group_size_min=2, group_size_max=3, seed=0)
         g = generate_synthetic(spec)
         params = make_params(g.counts, d=4, layers=2, with_meta=True, seed=2)
-        eps = [sample_episode(g, NodeId("group", i), k=3, depth=2, seed=1) for i in range(3)]
+        eps = sample_episode(g, "group", range(3), k=3, depth=2, seed=1)
         metas = {rel: t(np.full((3, 4), 0.3)) for rel in ("GI", "GU", "GG")}
 
         def loss_fn():

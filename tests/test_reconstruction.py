@@ -7,7 +7,6 @@ from coldgraph import autodiff as ad
 from coldgraph.enhancer import episode_metas, init_enhancer_params
 from coldgraph.graph import (
     InteractionGraph,
-    NodeId,
     SyntheticSpec,
     build_implicit,
     generate_synthetic,
@@ -20,7 +19,7 @@ from coldgraph.reconstruction import (
     reconstruction_terms,
     ssl_loss,
 )
-from oracles import embed_episode, reconstruction_loss
+from oracles import dict_trees, embed_episode, reconstruction_loss
 
 KINDS = ("group", "user", "item")
 
@@ -39,7 +38,7 @@ def setup():
         "test",
     )
     batches = {
-        kind: [sample_episode(g, NodeId(kind, i), k=3, depth=2, seed=4) for i in range(0, g.counts[kind], 2)]
+        kind: sample_episode(g, kind, range(0, g.counts[kind], 2), k=3, depth=2, seed=4)
         for kind in KINDS
     }
     return g, params, gt, batches
@@ -47,7 +46,7 @@ def setup():
 
 def oracle_mean(batch, params, gt, metas=None):
     losses = []
-    for b, ep in enumerate(batch):
+    for b, ep in enumerate(dict_trees(batch)):
         ep_metas = {rel: ad.Tensor(m.data[b]) for rel, m in metas.items()} if metas else None
         h = embed_episode(ep, params, ep_metas)
         losses.append(reconstruction_loss(h, gt.get(ep.ground_truth_ref)).item())
@@ -77,7 +76,7 @@ def test_empty_batch_contributes_zero_with_a_warning(setup, caplog):
 def test_missing_ground_truth_raises(setup):
     g, params, gt, batches = setup
     partial = GroundTruthTable(6, dict(gt.vectors), "test")
-    del partial.vectors[batches["user"][1].ground_truth_ref]
+    del partial.vectors[batches["user"].ground_truth_refs()[1]]
     with pytest.raises(KeyError, match="no ground-truth embedding"):
         ssl_loss(batches["group"], batches["user"], batches["item"], params, None, partial)
 
@@ -87,9 +86,10 @@ def test_full_state_path_gathers_the_fused_embeddings(setup):
     state = full_embeddings(GraphTensors(g), params)
     for kind in KINDS:
         got = reconstruction_terms(batches[kind], params, None, gt, full_state=state)
-        for cost, ep in zip(got.data, batches[kind]):
-            h = state.fused[kind].data[ep.target.index]
-            want = gt.get(ep.ground_truth_ref)
+        batch = batches[kind]
+        for cost, target, ref in zip(got.data, batch.targets, batch.ground_truth_refs()):
+            h = state.fused[kind].data[target]
+            want = gt.get(ref)
             assert cost == pytest.approx(1 - h @ want / np.linalg.norm(h) / np.linalg.norm(want))
 
 
