@@ -210,13 +210,20 @@ def _load_teacher(out: Path, config: TrainConfig) -> GroundTruthTable:
     return table
 
 
+def _evaluate(params, enh, graph, split, config: TrainConfig):
+    state = final_state(params, enh, graph, split)
+    try:
+        return evaluate(state.arrays(), split, k=config.eval_k)
+    except ValueError as err:  # the split has no evaluable cold anchor
+        raise CliError(2, str(err)) from err
+
+
 def cmd_train(config: TrainConfig, out: Path) -> int:
     graph, split = _load_workspace(out)
     gt = _load_teacher(out, config) if config.lam1 > 0 else None
 
     def eval_fn(params, enh):
-        state = final_state(params, enh, graph, split)
-        m = evaluate(state.arrays(), split, k=config.eval_k)
+        m = _evaluate(params, enh, graph, split, config)
         return m.recall_at_k, m.ndcg_at_k
 
     trainer = train_pretrain_finetune if config.paradigm == "pretrain_finetune" else train_joint
@@ -248,8 +255,7 @@ def cmd_evaluate(config: TrainConfig, out: Path) -> int:
         params, enh, ckpt_config = load_training_checkpoint(path, expect=config)
     except CheckpointError as err:
         raise CliError(2, str(err)) from err
-    state = final_state(params, enh, graph, split)
-    metrics = evaluate(state.arrays(), split, k=config.eval_k)
+    metrics = _evaluate(params, enh, graph, split, config)
     (out / "metrics.csv").write_text(metrics.to_csv(ckpt_config.seed), encoding="utf-8")
     (out / "per_node.csv").write_text(metrics.per_node_csv(), encoding="utf-8")
     text = (

@@ -37,9 +37,8 @@ def recommend_topk(
         raise ValueError("k must be at least 1")
     arrays = _state_arrays(state)
     scores = arrays[anchor.kind][anchor.index] @ arrays["item"].T
-    candidates = [i for i in range(scores.shape[0]) if i not in exclude]
-    candidates.sort(key=lambda i: (-scores[i], i))
-    return candidates[:k]
+    order = np.argsort(-scores, kind="stable")
+    return order[~np.isin(order, list(exclude))][:k].tolist()
 
 
 def recall_at_k(ranked: Sequence[int], relevant: set[int], k: int) -> float:

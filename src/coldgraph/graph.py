@@ -3,8 +3,10 @@
 The graph holds three node kinds (user, item, group) and five undirected
 relations: group-item (GI), group-user (GU), user-item (UI), plus the two
 implicit relations user-user (UU) and group-group (GG) derived from shared
-items.  GI and UI edges optionally carry integer timestamps; everything is
-immutable after construction and safe to share across workers.
+items.  Each relation is one read-only (m, 2) array of edges, kept as numpy
+arrays from file to training graph; a GI or UI relation carries an int64
+timestamp array when every one of its edges is stamped, and none otherwise.
+Everything is immutable after construction and safe to share across workers.
 
 Episodes are sampled a batch at a time, over the graph's CSR neighbor lists:
 :func:`sample_episode` draws every target's K-sampled tree of each relation
@@ -13,10 +15,9 @@ with array operations and returns it as a numbered :class:`Forest`.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -61,62 +62,74 @@ class NodeId:
 class InteractionGraph:
     """Immutable multi-relation graph over users, items and groups.
 
-    ``edges[rel]`` preserves input order (the chronology surrogate when
-    timestamps are missing); each relation side also keeps sorted CSR
-    neighbor lists (:meth:`csr`).
+    Each relation is stored once, as arrays: ``edges[rel]`` is a read-only
+    (m, 2) intp array of (a, b) rows in input order (the chronology
+    surrogate when timestamps are missing), duplicates dropped after their
+    first occurrence and same-kind pairs stored as (min, max).
+    ``timestamps[rel]`` is a read-only int64 array of the rows' times when
+    every row of a non-empty GI/UI relation carries one, and None otherwise:
+    a partly stamped relation counts as unstamped.  Each relation side also
+    has sorted CSR neighbor lists derived from the edges (:meth:`csr`).
     """
 
     def __init__(
         self,
         counts: Mapping[str, int],
-        edges: Mapping[str, Sequence[tuple[int, int]]],
-        timestamps: Mapping[str, Sequence[int | None]] | None = None,
+        edges: Mapping[str, Sequence[tuple[int, int]] | np.ndarray],
+        timestamps: Mapping[str, Sequence[int | None] | np.ndarray | None] | None = None,
     ):
         self.counts = {k: int(counts.get(k, 0)) for k in KINDS}
         for k, n in self.counts.items():
             if n < 0:
                 raise ValueError(f"negative count for kind {k}")
         timestamps = timestamps or {}
-        self.edges: dict[str, tuple[tuple[int, int], ...]] = {}
-        self.timestamps: dict[str, tuple[int | None, ...]] = {}
+        self.edges: dict[str, np.ndarray] = {}
+        self.timestamps: dict[str, np.ndarray | None] = {}
         for rel in RELATIONS:
-            raw = list(edges.get(rel, ()))
-            ts = list(timestamps.get(rel, [None] * len(raw)))
-            if len(ts) != len(raw):
-                raise ValueError(f"{rel}: timestamp list does not match edge list")
-            if rel not in TIMESTAMPED_RELATIONS and any(t is not None for t in ts):
-                raise ValueError(f"{rel} edges cannot carry timestamps")
-            self.edges[rel], self.timestamps[rel] = self._normalize(rel, raw, ts)
+            self.edges[rel], self.timestamps[rel] = self._normalize(
+                rel, edges.get(rel, ()), timestamps.get(rel)
+            )
         self._csr = self._build_csr()
 
     def _normalize(self, rel, raw, ts):
         ka, kb = RELATION_KINDS[rel]
-        same_kind = ka == kb
-        seen: set[tuple[int, int]] = set()
-        out_edges: list[tuple[int, int]] = []
-        out_ts: list[int | None] = []
-        for (a, b), t in zip(raw, ts):
-            a, b = int(a), int(b)
-            if not (0 <= a < self.counts[ka]):
-                raise ValueError(f"{rel}: endpoint {a} out of range for kind {ka}")
-            if not (0 <= b < self.counts[kb]):
-                raise ValueError(f"{rel}: endpoint {b} out of range for kind {kb}")
-            if same_kind:
-                if a == b:
-                    raise ValueError(f"{rel}: self-loop on node {a}")
-                a, b = min(a, b), max(a, b)
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            out_edges.append((a, b))
-            out_ts.append(None if t is None else int(t))
-        return tuple(out_edges), tuple(out_ts)
+        pairs = np.asarray(raw, dtype=np.intp).reshape(len(raw), 2)
+        if ts is not None:
+            ts = np.asarray(ts)
+            if ts.shape != (len(pairs),):
+                raise ValueError(f"{rel}: timestamp list does not match edge list")
+            if rel not in TIMESTAMPED_RELATIONS and np.not_equal(ts, None).any():
+                raise ValueError(f"{rel} edges cannot carry timestamps")
+        a, b = pairs[:, 0], pairs[:, 1]
+        bad_a = (a < 0) | (a >= self.counts[ka])
+        bad_b = (b < 0) | (b >= self.counts[kb])
+        loop = (a == b) & (ka == kb)
+        bad = np.flatnonzero(bad_a | bad_b | loop)
+        if bad.size:  # name the first offending edge in input order
+            i = bad[0]
+            if bad_a[i]:
+                raise ValueError(f"{rel}: endpoint {a[i]} out of range for kind {ka}")
+            if bad_b[i]:
+                raise ValueError(f"{rel}: endpoint {b[i]} out of range for kind {kb}")
+            raise ValueError(f"{rel}: self-loop on node {a[i]}")
+        if ka == kb:
+            pairs = np.sort(pairs, axis=1)
+        # keep each pair's first occurrence, in input order
+        _, first = np.unique(pairs[:, 0] * self.counts[kb] + pairs[:, 1], return_index=True)
+        first.sort()
+        pairs = pairs[first]
+        pairs.flags.writeable = False
+        if ts is not None:  # kept only when every kept row is stamped
+            ts = ts[first]
+            ts = ts.astype(np.int64) if ts.size and np.not_equal(ts, None).all() else None
+        if ts is not None:
+            ts.flags.writeable = False
+        return pairs, ts
 
     def _build_csr(self):
         csr: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         for rel, (ka, kb) in RELATION_KINDS.items():
-            pairs = np.asarray(self.edges[rel], dtype=np.intp).reshape(-1, 2)
-            a, b = pairs[:, 0], pairs[:, 1]
+            a, b = self.edges[rel][:, 0], self.edges[rel][:, 1]
             if ka == kb:  # one symmetric neighbor list serves both sides
                 a, b = np.concatenate([a, b]), np.concatenate([b, a])
             for kind, rows, cols in ((ka, a, b), (kb, b, a)):
@@ -137,28 +150,10 @@ class InteractionGraph:
             raise ValueError(f"kind {kind!r} does not participate in relation {rel}")
         return self._csr[(rel, kind)]
 
-    def relation_timestamped(self, rel: str) -> bool:
-        ts = self.timestamps[rel]
-        return bool(ts) and all(t is not None for t in ts)
-
     def num_edges(self, rel: str | None = None) -> int:
         if rel is not None:
             return len(self.edges[rel])
         return sum(len(v) for v in self.edges.values())
-
-    def nodes(self, kind: str) -> Iterable[NodeId]:
-        return (NodeId(kind, i) for i in range(self.counts[kind]))
-
-    def with_relations(self, **relations) -> "InteractionGraph":
-        """Copy of the graph with the named relations replaced."""
-        edges = dict(self.edges)
-        ts = dict(self.timestamps)
-        for rel, pairs in relations.items():
-            if rel not in RELATIONS:
-                raise ValueError(f"unknown relation {rel}")
-            edges[rel] = tuple(pairs)
-            ts[rel] = tuple([None] * len(edges[rel]))
-        return InteractionGraph(self.counts, edges, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -248,52 +243,52 @@ def load_edges(
     relation.  Returns the graph plus the external-id mapping.
     """
     ids = IdMap()
-    ui_rows = _parse_edge_file(user_item, with_ts=True)
-    gi_rows = _parse_edge_file(group_item, with_ts=True)
-    gu_rows = _parse_edge_file(group_user, with_ts=False)
-
-    ui = [(ids.intern("user", a), ids.intern("item", b), t) for a, b, t in ui_rows]
-    gi = [(ids.intern("group", a), ids.intern("item", b), t) for a, b, t in gi_rows]
-    gu = [(ids.intern("group", a), ids.intern("user", b), t) for a, b, t in gu_rows]
-
-    counts = {k: ids.count(k) for k in KINDS}
-    graph = InteractionGraph(
-        counts,
-        {
-            "UI": [(a, b) for a, b, _ in ui],
-            "GI": [(a, b) for a, b, _ in gi],
-            "GU": [(a, b) for a, b, _ in gu],
-        },
-        {
-            "UI": [t for _, _, t in ui],
-            "GI": [t for _, _, t in gi],
-            "GU": [None for _ in gu],
-        },
-    )
+    rows = {
+        "UI": _parse_edge_file(user_item, with_ts=True),
+        "GI": _parse_edge_file(group_item, with_ts=True),
+        "GU": _parse_edge_file(group_user, with_ts=False),
+    }
+    edges = {}
+    for rel, table in rows.items():  # interned relation after relation, row by row
+        ka, kb = RELATION_KINDS[rel]
+        edges[rel] = [(ids.intern(ka, a), ids.intern(kb, b)) for a, b, _ in table]
+    stamps = {rel: [t for _, _, t in table] for rel, table in rows.items()}
+    graph = InteractionGraph({k: ids.count(k) for k in KINDS}, edges, stamps)
     return graph, ids
+
+
+_EDGE_FILES = {
+    "UI": "user_item.tsv",
+    "GI": "group_item.tsv",
+    "GU": "group_user.tsv",
+    "UU": "user_user.tsv",
+    "GG": "group_group.tsv",
+}
+
+
+def _write_relation(graph: InteractionGraph, rel: str, directory: Path) -> None:
+    """One ``a<TAB>b[<TAB>timestamp]`` line per edge, timestamps when stamped."""
+    ts = graph.timestamps[rel]
+    rows = graph.edges[rel] if ts is None else np.column_stack([graph.edges[rel], ts])
+    line = "\t".join(["%d"] * rows.shape[1]) + "\n"
+    text = (line * len(rows)) % tuple(rows.ravel().tolist())  # one format call per file
+    (directory / _EDGE_FILES[rel]).write_text(text, encoding="utf-8")
 
 
 def export_edges(graph: InteractionGraph, directory: Path) -> None:
     """Write the observed relations back out as canonical edge files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for rel, name in (("UI", "user_item.tsv"), ("GI", "group_item.tsv"), ("GU", "group_user.tsv")):
-        lines = []
-        for (a, b), t in zip(graph.edges[rel], graph.timestamps[rel]):
-            if rel in TIMESTAMPED_RELATIONS and t is not None:
-                lines.append(f"{a}\t{b}\t{t}")
-            else:
-                lines.append(f"{a}\t{b}")
-        (directory / name).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    for rel in ("UI", "GI", "GU"):
+        _write_relation(graph, rel, directory)
 
 
 def save_graph_cache(graph: InteractionGraph, directory: Path) -> None:
     """Persist all five relations (and counts) for later pipeline stages."""
     directory = Path(directory)
     export_edges(graph, directory)
-    for rel, name in (("UU", "user_user.tsv"), ("GG", "group_group.tsv")):
-        lines = [f"{a}\t{b}" for a, b in graph.edges[rel]]
-        (directory / name).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    for rel in ("UU", "GG"):
+        _write_relation(graph, rel, directory)
     counts = [f"{k}\t{graph.counts[k]}" for k in KINDS]
     (directory / "counts.tsv").write_text("\n".join(counts) + "\n", encoding="utf-8")
 
@@ -306,15 +301,8 @@ def load_graph_cache(directory: Path) -> InteractionGraph:
         counts[kind] = int(n)
     edges: dict[str, list[tuple[int, int]]] = {}
     ts: dict[str, list[int | None]] = {}
-    files = {
-        "UI": ("user_item.tsv", True),
-        "GI": ("group_item.tsv", True),
-        "GU": ("group_user.tsv", False),
-        "UU": ("user_user.tsv", False),
-        "GG": ("group_group.tsv", False),
-    }
-    for rel, (name, with_ts) in files.items():
-        rows = _parse_edge_file(directory / name, with_ts)
+    for rel, name in _EDGE_FILES.items():
+        rows = _parse_edge_file(directory / name, with_ts=rel in TIMESTAMPED_RELATIONS)
         edges[rel] = [(int(a), int(b)) for a, b, _ in rows]
         ts[rel] = [t for _, _, t in rows]
     return InteractionGraph(counts, edges, ts)
@@ -325,29 +313,34 @@ def load_graph_cache(directory: Path) -> InteractionGraph:
 # ---------------------------------------------------------------------------
 
 
-def _co_interaction_pairs(graph: InteractionGraph, rel: str, threshold: int):
-    """Pairs of anchors sharing strictly more than ``threshold`` neighbors."""
-    ka, _ = RELATION_KINDS[rel]
-    other_to_anchor: dict[int, list[int]] = {}
-    for a, b in graph.edges[rel]:
-        other_to_anchor.setdefault(b, []).append(a)
-    counts: dict[tuple[int, int], int] = {}
-    for anchors in other_to_anchor.values():
-        anchors = sorted(set(anchors))
-        for i in range(len(anchors)):
-            for j in range(i + 1, len(anchors)):
-                pair = (anchors[i], anchors[j])
-                counts[pair] = counts.get(pair, 0) + 1
-    return sorted(p for p, c in counts.items() if c > threshold)
+def _co_interaction_pairs(graph: InteractionGraph, rel: str, threshold: int) -> np.ndarray:
+    """(a, b) anchor pairs, a < b in ascending order, sharing strictly more
+    than ``threshold`` neighbors.
+
+    Counts the pairs that each neighbor's ascending anchor list contributes,
+    one ``triu_indices`` block per distinct neighbor degree.
+    """
+    ka, kb = RELATION_KINDS[rel]
+    indptr, indices = graph.csr(rel, kb)
+    deg = np.diff(indptr)
+    n = graph.counts[ka]
+    keys = [np.zeros(0, dtype=np.intp)]
+    for m in np.unique(deg[deg > 1]).tolist():
+        anchors = indices[indptr[:-1][deg == m][:, None] + np.arange(m)]
+        i, j = np.triu_indices(m, 1)
+        keys.append((anchors[:, i] * n + anchors[:, j]).ravel())
+    pairs, shared = np.unique(np.concatenate(keys), return_counts=True)
+    return np.stack(np.divmod(pairs[shared > threshold], max(n, 1)), axis=1)
 
 
 def build_implicit(graph: InteractionGraph, c_u: int, c_g: int) -> InteractionGraph:
     """Rebuild UU and GG from shared-item counts (strictly more than c_u/c_g)."""
     if c_u < 0 or c_g < 0:
         raise ValueError("sharing thresholds must be non-negative")
-    uu = _co_interaction_pairs(graph, "UI", c_u)
-    gg = _co_interaction_pairs(graph, "GI", c_g)
-    return graph.with_relations(UU=uu, GG=gg)
+    edges = dict(graph.edges)
+    edges["UU"] = _co_interaction_pairs(graph, "UI", c_u)
+    edges["GG"] = _co_interaction_pairs(graph, "GI", c_g)
+    return InteractionGraph(graph.counts, edges, graph.timestamps)
 
 
 # ---------------------------------------------------------------------------
@@ -378,34 +371,17 @@ class EvalSplit:
     n_i: int
     c_percent: float
 
-    def is_warm(self, node: NodeId) -> bool:
-        return node.index in self.warm[node.kind]
-
     def warm_nodes(self, kind: str) -> list[int]:
         return sorted(self.warm[kind])
 
-    def cold_nodes(self, kind: str) -> list[int]:
-        return sorted(self.cold[kind])
 
-    def test_items(self, rel: str, anchor: int) -> list[int]:
-        return sorted(b for a, b in self.test_n[rel] if a == anchor)
-
-    def train_items(self, rel: str, anchor: int) -> list[int]:
-        return sorted(b for a, b in self.train_n[rel] if a == anchor)
+def _ranks(groups: np.ndarray) -> np.ndarray:
+    """Position of each element within its run of an array sorted by group."""
+    return np.arange(groups.size) - np.searchsorted(groups, groups)
 
 
-def _chronological(graph: InteractionGraph, rel: str):
-    """Edges of a relation keyed by anchor, in interaction-time order.
-
-    With full timestamps the order is (timestamp, other-endpoint index); ties
-    break on the index.  Otherwise file order stands in for chronology.
-    """
-    timestamped = graph.relation_timestamped(rel)
-    per_anchor: dict[int, list[tuple]] = {}
-    for pos, ((a, b), t) in enumerate(zip(graph.edges[rel], graph.timestamps[rel])):
-        key = (t, b) if timestamped else (pos,)
-        per_anchor.setdefault(a, []).append((key, (a, b)))
-    return {a: [e for _, e in sorted(rows)] for a, rows in per_anchor.items()}
+def _sorted_pairs(edges: np.ndarray) -> tuple[tuple[int, int], ...]:
+    return tuple(map(tuple, edges[np.lexsort((edges[:, 1], edges[:, 0]))].tolist()))
 
 
 def segment(
@@ -421,77 +397,74 @@ def segment(
     anchor's retained edges, the earliest ``ceil(c_percent * deg)`` (at least
     one) become training edges and the remainder test edges.  Anchors left
     without test edges are flagged and excluded from evaluation.
+
+    Time order is (timestamp, other endpoint) in a fully stamped relation
+    and file position otherwise; a cold item pools its GI and UI edges by
+    (timestamp or file position, relation, anchor).
     """
     if min(n_g, n_u, n_i) < 0:
         raise ValueError("thresholds must be non-negative")
     if not (0.0 < c_percent < 1.0):
         raise ValueError("c_percent must lie in (0, 1)")
 
-    warm_g = frozenset(np.flatnonzero(np.diff(graph.csr("GI", "group")[0]) > n_g).tolist())
-    warm_u = frozenset(np.flatnonzero(np.diff(graph.csr("UI", "user")[0]) > n_u).tolist())
-    cold_g = frozenset(range(graph.counts["group"])) - warm_g
-    cold_u = frozenset(range(graph.counts["user"])) - warm_u
-
+    anchor_kind = {"GI": "group", "UI": "user"}  # in relation-name order
+    a = {rel: graph.edges[rel][:, 0] for rel in anchor_kind}
+    b = {rel: graph.edges[rel][:, 1] for rel in anchor_kind}
+    when = {
+        rel: np.arange(len(a[rel])) if graph.timestamps[rel] is None else graph.timestamps[rel]
+        for rel in anchor_kind
+    }
+    degree = {kind: np.diff(graph.csr(rel, kind)[0]) for rel, kind in anchor_kind.items()}
+    warm = {"group": degree["group"] > n_g, "user": degree["user"] > n_u}
     # warm-item rule: count only interactions whose anchor is itself warm
-    item_counts = dict.fromkeys(range(graph.counts["item"]), 0)
-    for g, i in graph.edges["GI"]:
-        if g in warm_g:
-            item_counts[i] += 1
-    for u, i in graph.edges["UI"]:
-        if u in warm_u:
-            item_counts[i] += 1
-    warm_i = frozenset(i for i, c in item_counts.items() if c > n_i)
-    cold_i = frozenset(range(graph.counts["item"])) - warm_i
+    item_counts = np.zeros(graph.counts["item"], dtype=np.intp)
+    for rel, kind in anchor_kind.items():
+        item_counts += np.bincount(b[rel][warm[kind][a[rel]]], minlength=graph.counts["item"])
+    warm["item"] = item_counts > n_i
 
-    chrono = {rel: _chronological(graph, rel) for rel in ("GI", "UI")}
-    dropped: dict[str, set[tuple[int, int]]] = {"GI": set(), "UI": set()}
-
-    # cold anchors keep their earliest interactions
-    for rel, cold_anchors in (("GI", cold_g), ("UI", cold_u)):
-        for a in sorted(cold_anchors):
-            edges = chrono[rel].get(a, [])
-            dropped[rel].update(edges[COLD_ANCHOR_KEEP:])
+    # each relation's edges by anchor, then in time order; cold anchors keep
+    # their earliest interactions
+    order = {rel: np.lexsort((b[rel], when[rel], a[rel])) for rel in anchor_kind}
+    cold_edge = {rel: ~warm[kind][a[rel]] for rel, kind in anchor_kind.items()}
+    dropped = {}
+    for rel, o in order.items():
+        dropped[rel] = np.zeros(len(o), dtype=bool)
+        dropped[rel][o] = cold_edge[rel][o] & (_ranks(a[rel][o]) >= COLD_ANCHOR_KEEP)
 
     # cold items keep their earliest surviving interactions, pooled over GI+UI
-    item_edges: dict[int, list[tuple]] = {}
-    for rel in ("GI", "UI"):
-        timestamped = graph.relation_timestamped(rel)
-        for pos, ((a, b), t) in enumerate(zip(graph.edges[rel], graph.timestamps[rel])):
-            if (a, b) in dropped[rel]:
-                continue
-            key = (t, rel, a) if timestamped else (pos, rel, a)
-            item_edges.setdefault(b, []).append((key, rel, (a, b)))
-    for i in sorted(cold_i):
-        rows = sorted(item_edges.get(i, []))
-        for _, rel, edge in rows[COLD_ITEM_KEEP:]:
-            dropped[rel].add(edge)
+    live = {rel: np.flatnonzero(~dropped[rel]) for rel in anchor_kind}
 
-    train_n: dict[str, list[tuple[int, int]]] = {"GI": [], "UI": []}
-    test_n: dict[str, list[tuple[int, int]]] = {"GI": [], "UI": []}
-    flagged = {"group": set(), "user": set(), "item": set()}
+    def pool(column):
+        return np.concatenate([column[rel][live[rel]] for rel in anchor_kind])
 
-    for rel, cold_anchors, kind in (("GI", cold_g, "group"), ("UI", cold_u, "user")):
-        for a in sorted(cold_anchors):
-            retained = [e for e in chrono[rel].get(a, []) if e not in dropped[rel]]
-            n = len(retained)
-            if n == 0:
-                flagged[kind].add(a)
-                continue
-            k = max(1, math.ceil(c_percent * n))
-            if n < 2 or k >= n:
-                train_n[rel].extend(retained)
-                flagged[kind].add(a)
-                continue
-            train_n[rel].extend(retained[:k])
-            test_n[rel].extend(retained[k:])
+    item = pool(b)
+    rel_id = np.repeat([0, 1], [live[rel].size for rel in anchor_kind])  # GI before UI
+    pooled = np.lexsort((pool(a), rel_id, pool(when), item))
+    late = np.zeros(len(item), dtype=bool)
+    late[pooled] = ~warm["item"][item[pooled]] & (_ranks(item[pooled]) >= COLD_ITEM_KEEP)
+    for rel, part in zip(anchor_kind, np.split(late, [live["GI"].size])):
+        dropped[rel][live[rel][part]] = True
+
+    train_n, test_n, flagged = {}, {}, {}
+    for rel, kind in anchor_kind.items():
+        o = order[rel]
+        retained = o[cold_edge[rel][o] & ~dropped[rel][o]]
+        n = np.bincount(a[rel][retained], minlength=graph.counts[kind])
+        k = np.maximum(1, np.ceil(c_percent * n))
+        evaluable = (n >= 2) & (k < n)
+        to_train = _ranks(a[rel][retained]) < np.where(evaluable, k, n)[a[rel][retained]]
+        train_n[rel] = _sorted_pairs(graph.edges[rel][retained[to_train]])
+        test_n[rel] = _sorted_pairs(graph.edges[rel][retained[~to_train]])
+        flagged[kind] = frozenset(np.flatnonzero(~warm[kind] & ~evaluable).tolist())
+    flagged["item"] = frozenset()
 
     return EvalSplit(
-        warm={"group": warm_g, "user": warm_u, "item": warm_i},
-        cold={"group": cold_g, "user": cold_u, "item": cold_i},
-        train_n={rel: tuple(sorted(v)) for rel, v in train_n.items()},
-        test_n={rel: tuple(sorted(v)) for rel, v in test_n.items()},
-        dropped={rel: tuple(sorted(v)) for rel, v in dropped.items()},
-        flagged={k: frozenset(v) for k, v in flagged.items()},
+        warm={k: frozenset(np.flatnonzero(w).tolist()) for k, w in warm.items()},
+        cold={k: frozenset(np.flatnonzero(~w).tolist()) for k, w in warm.items()},
+        train_n=train_n,
+        test_n=test_n,
+        dropped={rel: _sorted_pairs(graph.edges[rel][d]) for rel, d in dropped.items()},
+        flagged=flagged,
         n_g=n_g,
         n_u=n_u,
         n_i=n_i,
@@ -501,18 +474,17 @@ def segment(
 
 def make_training_graph(graph: InteractionGraph, split: EvalSplit) -> InteractionGraph:
     """Graph visible during training: no dropped edges, no test edges."""
-    out_edges = dict(graph.edges)
-    out_ts = dict(graph.timestamps)
+    edges = dict(graph.edges)
+    timestamps = dict(graph.timestamps)
+    n = graph.counts["item"]
     for rel in ("GI", "UI"):
-        removed = set(split.dropped[rel]) | set(split.test_n[rel])
-        kept = [
-            (e, t)
-            for e, t in zip(graph.edges[rel], graph.timestamps[rel])
-            if e not in removed
-        ]
-        out_edges[rel] = tuple(e for e, _ in kept)
-        out_ts[rel] = tuple(t for _, t in kept)
-    return InteractionGraph(graph.counts, out_edges, out_ts)
+        removed = np.array(split.dropped[rel] + split.test_n[rel], dtype=np.intp).reshape(-1, 2)
+        removed = removed[(removed[:, 1] >= 0) & (removed[:, 1] < n)]  # keys stay exact
+        keep = ~np.isin(edges[rel][:, 0] * n + edges[rel][:, 1], removed[:, 0] * n + removed[:, 1])
+        edges[rel] = edges[rel][keep]
+        if timestamps[rel] is not None:
+            timestamps[rel] = timestamps[rel][keep]
+    return InteractionGraph(graph.counts, edges, timestamps)
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +734,7 @@ def generate_synthetic(spec: SyntheticSpec) -> InteractionGraph:
         prob = np.where(same, spec.intra_p, spec.inter_p)
         if left_scale is not None:
             prob = prob * left_scale[:, None]
-        hits = rng.random(prob.shape) < prob
-        return [(int(a), int(b)) for a, b in np.argwhere(hits)]
+        return np.argwhere(rng.random(prob.shape) < prob)
 
     ui = bipartite(user_cluster, item_cluster)
     occasional = rng.random(spec.n_groups) < spec.occasional_fraction
@@ -782,7 +753,7 @@ def generate_synthetic(spec: SyntheticSpec) -> InteractionGraph:
         gu.extend((g, int(u)) for u in sorted(members))
 
     def stamps(n):
-        return rng.integers(spec.ts_min, spec.ts_max + 1, size=n).tolist()
+        return rng.integers(spec.ts_min, spec.ts_max + 1, size=n)
 
     return InteractionGraph(
         {"user": spec.n_users, "item": spec.n_items, "group": spec.n_groups},

@@ -117,6 +117,8 @@ class TrainConfig:
                 raise ValueError(f"config {name} must be non-negative")
         if self.paradigm not in PARADIGMS:
             raise ValueError(f"paradigm must be one of {PARADIGMS}")
+        if self.paradigm == "pretrain_finetune" and self.lam1 <= 0:
+            raise ValueError("paradigm pretrain_finetune needs lam1 > 0 to weight its pretrain phase")
         if self.meta_mode not in META_MODES:
             raise ValueError(f"meta_mode must be one of {META_MODES}")
         if self.backbone not in ("light", "gcn"):
@@ -380,18 +382,15 @@ def _seed_streams(config: TrainConfig) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(ss) for name, ss in zip(names, children)}
 
 
-def _positive_edges(graph: InteractionGraph) -> list[tuple[str, int, int]]:
-    out = [("GI", g, i) for g, i in graph.edges["GI"]]
-    out += [("UI", u, i) for u, i in graph.edges["UI"]]
-    return out
-
-
-def _positive_sets(graph: InteractionGraph) -> dict[str, dict[int, set[int]]]:
-    sets: dict[str, dict[int, set[int]]] = {"GI": {}, "UI": {}}
-    for rel in ("GI", "UI"):
-        for a, b in graph.edges[rel]:
-            sets[rel].setdefault(a, set()).add(b)
-    return sets
+def _positives(graph: InteractionGraph) -> tuple[np.ndarray, int, list[set[int]]]:
+    """Every training positive as an (anchor, item) row, GI rows first; the
+    number of GI rows; and each row's anchor's items, one set per anchor."""
+    sets: list[set[int]] = []
+    for rel, kind in (("GI", "group"), ("UI", "user")):
+        indptr, indices = graph.csr(rel, kind)
+        by_anchor = [set(items.tolist()) for items in np.split(indices, indptr[1:-1])]
+        sets += [by_anchor[a] for a in graph.edges[rel][:, 0].tolist()]
+    return np.concatenate([graph.edges["GI"], graph.edges["UI"]]), len(graph.edges["GI"]), sets
 
 
 def sample_negative(
@@ -465,10 +464,9 @@ def _run_epochs(
     carrying the parameters of the last epoch that ended finite.
     """
     ssl_on = ssl_weight > 0.0
-    positives = _positive_edges(train_graph) if main_on else []
-    if main_on and not positives:
+    positives, n_gi, pos_sets = _positives(train_graph)
+    if main_on and not len(positives):
         raise ValueError("no positive edges to train on")
-    pos_sets = _positive_sets(train_graph)
     n_items = train_graph.counts["item"]
     tensors = params.tensors() + (enh.tensors() if enh else [])
     adam = AdamState(tensors, config.learning_rate)
@@ -479,10 +477,7 @@ def _run_epochs(
         epoch_no = len(history.epochs) + 1
 
         if main_on:
-            negatives = [
-                sample_negative(rngs["negatives"], n_items, pos_sets[rel][a])
-                for rel, a, _ in positives
-            ]
+            negatives = np.array([sample_negative(rngs["negatives"], n_items, s) for s in pos_sets])
             order = rngs["shuffle"].permutation(len(positives))
             n_batches = max(1, math.ceil(len(positives) / config.batch_size))
             batches = [
@@ -527,19 +522,17 @@ def _run_epochs(
                 terms = []
                 l_main_val = 0.0
                 if main_on and batch_idx.size > 0:
-                    gi_idx = [i for i in batch_idx if positives[i][0] == "GI"]
-                    ui_idx = [i for i in batch_idx if positives[i][0] == "UI"]
                     l_main = ad.const(np.zeros(()))
-                    if gi_idx:
-                        rows = ad.gather_rows(full_state.fused["group"], [positives[i][1] for i in gi_idx])
-                        pos = ad.gather_rows(full_state.fused["item"], [positives[i][2] for i in gi_idx])
-                        neg = ad.gather_rows(full_state.fused["item"], [negatives[i] for i in gi_idx])
-                        l_main = ad.add(l_main, _bpr_term(rows, pos, neg))
-                    if ui_idx:
-                        rows = ad.gather_rows(full_state.fused["user"], [positives[i][1] for i in ui_idx])
-                        pos = ad.gather_rows(full_state.fused["item"], [positives[i][2] for i in ui_idx])
-                        neg = ad.gather_rows(full_state.fused["item"], [negatives[i] for i in ui_idx])
-                        l_main = ad.add(l_main, ad.scale(_bpr_term(rows, pos, neg), config.lam))
+                    items = full_state.fused["item"]
+                    for kind, idx in (
+                        ("group", batch_idx[batch_idx < n_gi]),
+                        ("user", batch_idx[batch_idx >= n_gi]),
+                    ):
+                        if idx.size:
+                            rows = ad.gather_rows(full_state.fused[kind], positives[idx, 0])
+                            pos = ad.gather_rows(items, positives[idx, 1])
+                            term = _bpr_term(rows, pos, ad.gather_rows(items, negatives[idx]))
+                            l_main = ad.add(l_main, term if kind == "group" else ad.scale(term, config.lam))
                     l_main_val = l_main.item()
                     terms.append(l_main)
                     sums["main"] += l_main_val * batch_idx.size
@@ -722,8 +715,6 @@ def train_pretrain_finetune(
 ) -> tuple[ModelParams, EnhancerParams | None, TrainHistory]:
     """Two-phase training: reconstruction-only first, then the ranking loss."""
     cfg = replace(config, paradigm="pretrain_finetune")
-    if cfg.lam1 <= 0:
-        cfg = replace(cfg, lam1=1.0)
     result = _train(cfg, split, graph, gt, out_dir, eval_fn)
     return result.params, result.enhancer, result.history
 

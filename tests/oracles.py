@@ -3,9 +3,12 @@
 ``coldgraph.model`` propagates, aggregates and fuses whole batches at once;
 these functions do the same one node or one sampled tree at a time, the
 way the paper states the recursion, so the batched code can be checked
-against them value for value and gradient for gradient.
+against them value for value and gradient for gradient.  Likewise the
+tuple-relation graph code at the end walks edges one at a time where
+``coldgraph.graph`` works on edge arrays.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
@@ -14,7 +17,17 @@ import numpy as np
 
 from coldgraph import autodiff as ad
 from coldgraph import enhancer, model
-from coldgraph.graph import KINDS, RELATION_KINDS, RELATIONS, RELATIONS_BY_KIND, NodeId
+from coldgraph.graph import (
+    COLD_ANCHOR_KEEP,
+    COLD_ITEM_KEEP,
+    KINDS,
+    RELATION_KINDS,
+    RELATIONS,
+    RELATIONS_BY_KIND,
+    TIMESTAMPED_RELATIONS,
+    EvalSplit,
+    NodeId,
+)
 from coldgraph.model import CHANNELS_BY_KIND
 from coldgraph.sparse import neighbor_mean
 
@@ -23,6 +36,11 @@ def neighbors(graph, rel, kind, index):
     """Sorted neighbor indices of one node, read from the graph's CSR."""
     indptr, indices = graph.csr(rel, kind)
     return tuple(indices[indptr[index] : indptr[index + 1]].tolist())
+
+
+def as_lists(arrays):
+    """A graph's per-relation arrays (edges or timestamps) as plain lists."""
+    return {rel: None if v is None else v.tolist() for rel, v in arrays.items()}
 
 
 def dedup_mean(rows, cols, shape):
@@ -483,3 +501,185 @@ class DictWarmupLayout(enhancer._WarmupLayout):
             indices = np.fromiter(chain.from_iterable(firsts), np.intp, int(counts.sum()))
             self.csr[rel] = (np.cumsum(np.r_[0, counts]), indices + np.repeat(shift, counts))
             self.linked |= counts > 0
+
+
+# ---------------------------------------------------------------------------
+# tuple relations: each relation as a tuple of (a, b) tuples plus a tuple of
+# per-edge timestamps (None where unstamped), and the per-edge normalize,
+# co-interaction count, segmentation and training-graph filter over them
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class TupleGraph:
+    counts: dict
+    edges: dict
+    timestamps: dict
+
+
+def normalize_relation(counts, rel, raw, ts):
+    """Range and self-loop checks, (min, max) same-kind pairs and a dedupe
+    that keeps each pair's first occurrence, one edge at a time."""
+    ka, kb = RELATION_KINDS[rel]
+    same_kind = ka == kb
+    seen: set[tuple[int, int]] = set()
+    out_edges: list[tuple[int, int]] = []
+    out_ts: list[int | None] = []
+    for (a, b), t in zip(raw, ts):
+        a, b = int(a), int(b)
+        if not (0 <= a < counts[ka]):
+            raise ValueError(f"{rel}: endpoint {a} out of range for kind {ka}")
+        if not (0 <= b < counts[kb]):
+            raise ValueError(f"{rel}: endpoint {b} out of range for kind {kb}")
+        if same_kind:
+            if a == b:
+                raise ValueError(f"{rel}: self-loop on node {a}")
+            a, b = min(a, b), max(a, b)
+        if (a, b) in seen:
+            continue
+        seen.add((a, b))
+        out_edges.append((a, b))
+        out_ts.append(None if t is None else int(t))
+    return tuple(out_edges), tuple(out_ts)
+
+
+def tuple_graph(counts, edges, timestamps=None) -> TupleGraph:
+    counts = {k: int(counts.get(k, 0)) for k in KINDS}
+    timestamps = timestamps or {}
+    out_edges, out_ts = {}, {}
+    for rel in RELATIONS:
+        raw = list(edges.get(rel, ()))
+        ts = timestamps.get(rel)
+        ts = [None] * len(raw) if ts is None else list(ts)
+        if len(ts) != len(raw):
+            raise ValueError(f"{rel}: timestamp list does not match edge list")
+        if rel not in TIMESTAMPED_RELATIONS and any(t is not None for t in ts):
+            raise ValueError(f"{rel} edges cannot carry timestamps")
+        out_edges[rel], out_ts[rel] = normalize_relation(counts, rel, raw, ts)
+    return TupleGraph(counts, out_edges, out_ts)
+
+
+def relation_timestamped(graph: TupleGraph, rel) -> bool:
+    ts = graph.timestamps[rel]
+    return bool(ts) and all(t is not None for t in ts)
+
+
+def co_interaction_pairs(graph: TupleGraph, rel, threshold):
+    """Pairs of anchors sharing strictly more than ``threshold`` neighbors."""
+    other_to_anchor: dict[int, list[int]] = {}
+    for a, b in graph.edges[rel]:
+        other_to_anchor.setdefault(b, []).append(a)
+    counts: dict[tuple[int, int], int] = {}
+    for anchors in other_to_anchor.values():
+        anchors = sorted(set(anchors))
+        for i in range(len(anchors)):
+            for j in range(i + 1, len(anchors)):
+                pair = (anchors[i], anchors[j])
+                counts[pair] = counts.get(pair, 0) + 1
+    return sorted(p for p, c in counts.items() if c > threshold)
+
+
+def build_implicit(graph: TupleGraph, c_u, c_g) -> TupleGraph:
+    edges = dict(graph.edges)
+    edges["UU"] = co_interaction_pairs(graph, "UI", c_u)
+    edges["GG"] = co_interaction_pairs(graph, "GI", c_g)
+    return tuple_graph(graph.counts, edges, {rel: graph.timestamps[rel] for rel in ("GI", "UI")})
+
+
+def chronological(graph: TupleGraph, rel):
+    """Edges of a relation keyed by anchor, in interaction-time order.
+
+    With full timestamps the order is (timestamp, other-endpoint index); ties
+    break on the index.  Otherwise file order stands in for chronology.
+    """
+    timestamped = relation_timestamped(graph, rel)
+    per_anchor: dict[int, list[tuple]] = {}
+    for pos, ((a, b), t) in enumerate(zip(graph.edges[rel], graph.timestamps[rel])):
+        key = (t, b) if timestamped else (pos,)
+        per_anchor.setdefault(a, []).append((key, (a, b)))
+    return {a: [e for _, e in sorted(rows)] for a, rows in per_anchor.items()}
+
+
+def segment(graph: TupleGraph, n_g, n_u, n_i, c_percent) -> EvalSplit:
+    """The cold split, truncations and chronological c% split, edge by edge."""
+    degree = {"group": [0] * graph.counts["group"], "user": [0] * graph.counts["user"]}
+    for rel, kind in (("GI", "group"), ("UI", "user")):
+        for a, _ in graph.edges[rel]:
+            degree[kind][a] += 1
+    warm_g = frozenset(g for g, d in enumerate(degree["group"]) if d > n_g)
+    warm_u = frozenset(u for u, d in enumerate(degree["user"]) if d > n_u)
+    cold_g = frozenset(range(graph.counts["group"])) - warm_g
+    cold_u = frozenset(range(graph.counts["user"])) - warm_u
+
+    item_counts = dict.fromkeys(range(graph.counts["item"]), 0)
+    for g, i in graph.edges["GI"]:
+        if g in warm_g:
+            item_counts[i] += 1
+    for u, i in graph.edges["UI"]:
+        if u in warm_u:
+            item_counts[i] += 1
+    warm_i = frozenset(i for i, c in item_counts.items() if c > n_i)
+    cold_i = frozenset(range(graph.counts["item"])) - warm_i
+
+    chrono = {rel: chronological(graph, rel) for rel in ("GI", "UI")}
+    dropped: dict[str, set[tuple[int, int]]] = {"GI": set(), "UI": set()}
+    for rel, cold_anchors in (("GI", cold_g), ("UI", cold_u)):
+        for a in sorted(cold_anchors):
+            dropped[rel].update(chrono[rel].get(a, [])[COLD_ANCHOR_KEEP:])
+
+    item_edges: dict[int, list[tuple]] = {}
+    for rel in ("GI", "UI"):
+        timestamped = relation_timestamped(graph, rel)
+        for pos, ((a, b), t) in enumerate(zip(graph.edges[rel], graph.timestamps[rel])):
+            if (a, b) in dropped[rel]:
+                continue
+            key = (t, rel, a) if timestamped else (pos, rel, a)
+            item_edges.setdefault(b, []).append((key, rel, (a, b)))
+    for i in sorted(cold_i):
+        for _, rel, edge in sorted(item_edges.get(i, []))[COLD_ITEM_KEEP:]:
+            dropped[rel].add(edge)
+
+    train_n: dict[str, list[tuple[int, int]]] = {"GI": [], "UI": []}
+    test_n: dict[str, list[tuple[int, int]]] = {"GI": [], "UI": []}
+    flagged = {"group": set(), "user": set(), "item": set()}
+    for rel, cold_anchors, kind in (("GI", cold_g, "group"), ("UI", cold_u, "user")):
+        for a in sorted(cold_anchors):
+            retained = [e for e in chrono[rel].get(a, []) if e not in dropped[rel]]
+            n = len(retained)
+            if n == 0:
+                flagged[kind].add(a)
+                continue
+            k = max(1, math.ceil(c_percent * n))
+            if n < 2 or k >= n:
+                train_n[rel].extend(retained)
+                flagged[kind].add(a)
+                continue
+            train_n[rel].extend(retained[:k])
+            test_n[rel].extend(retained[k:])
+
+    return EvalSplit(
+        warm={"group": warm_g, "user": warm_u, "item": warm_i},
+        cold={"group": cold_g, "user": cold_u, "item": cold_i},
+        train_n={rel: tuple(sorted(v)) for rel, v in train_n.items()},
+        test_n={rel: tuple(sorted(v)) for rel, v in test_n.items()},
+        dropped={rel: tuple(sorted(v)) for rel, v in dropped.items()},
+        flagged={k: frozenset(v) for k, v in flagged.items()},
+        n_g=n_g,
+        n_u=n_u,
+        n_i=n_i,
+        c_percent=c_percent,
+    )
+
+
+def make_training_graph(graph: TupleGraph, split: EvalSplit) -> TupleGraph:
+    """Graph visible during training: no dropped edges, no test edges."""
+    out_edges = dict(graph.edges)
+    out_ts = dict(graph.timestamps)
+    for rel in ("GI", "UI"):
+        removed = set(split.dropped[rel]) | set(split.test_n[rel])
+        kept = [
+            (e, t) for e, t in zip(graph.edges[rel], graph.timestamps[rel]) if e not in removed
+        ]
+        out_edges[rel] = tuple(e for e, _ in kept)
+        out_ts[rel] = tuple(t for _, t in kept)
+    return tuple_graph(graph.counts, out_edges, out_ts)

@@ -73,3 +73,31 @@ def test_traced_ops_are_autodiff_ops():
 
     missing = [op for op in load("spec").TRACED_OPS if op not in autodiff.__all__]
     assert not missing
+
+
+def test_benchmark_checks_read_the_graph_and_split_types():
+    # perfbench/checks.py recomputes the ranking loss and Recall/NDCG from the
+    # training graph's edge arrays and the split's edge tuples
+    import math
+
+    import numpy as np
+
+    from coldgraph.evaluation import evaluate
+    from coldgraph.graph import (
+        SyntheticSpec, build_implicit, generate_synthetic, make_training_graph, segment,
+    )
+
+    spec = SyntheticSpec(n_users=40, n_items=60, n_groups=20, n_clusters=2, intra_p=0.3,
+                         inter_p=0.02, occasional_fraction=0.5, occasional_scale=0.1, seed=1)
+    graph = build_implicit(generate_synthetic(spec), 3, 1)
+    split = segment(graph, 4, 4, 4, 0.3)
+    rng = np.random.default_rng(0)
+    arrays = {kind: rng.normal(size=(n, 4)) for kind, n in graph.counts.items()}
+    checks = load("checks")
+    trained = checks.Trained(arrays, make_training_graph(graph, split), split, lam=0.5)
+    assert math.isfinite(checks.ranking_loss(trained, seed=0))
+    metrics = evaluate(arrays, split, k=20)
+    assert metrics.evaluated > 0
+    recall, ndcg = checks.oracle_metrics(trained, 20)
+    assert abs(recall - metrics.recall_at_k) <= 1e-12
+    assert abs(ndcg - metrics.ndcg_at_k) <= 1e-12

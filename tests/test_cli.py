@@ -130,3 +130,24 @@ def test_history_columns_name_the_eval_cutoff(workspace, tmp_path):
     assert row.split(",")[-1]  # evaluated at @10
     runs = [f"report_base_dir={ws}", f"report_ssl_dir={ws}"]
     assert cli.main(["report", "--out", str(tmp_path), *args, *runs]) == 0
+
+
+def test_pretrain_finetune_without_reconstruction_weight_exits_2(workspace, capsys):
+    # the pretrain phase trains only the lam1-weighted reconstruction loss
+    code, ckpt = train(workspace, "paradigm=pretrain_finetune")
+    assert code == 2
+    assert "lam1" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_split_without_evaluable_anchors_exits_2(tmp_path, capsys):
+    # n_g=0 makes every group with an interaction warm: no cold group has a test edge
+    args = SYNTH + [f"data_dir={tmp_path / 'data'}", "n_g=0"]
+    assert cli.main(["synth", "--out", str(tmp_path / "data"), *args]) == 0
+    assert cli.main(["prepare", "--out", str(tmp_path), *args]) == 0
+    assert cli.main(["train", "--out", str(tmp_path), *args, *PLAIN]) == 0
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--out", str(tmp_path), *args, *PLAIN]) == 2
+    assert "no evaluable cold anchors" in capsys.readouterr().err
+    assert cli.main(["train", "--out", str(tmp_path), *args, *PLAIN, "eval_every=1"]) == 2
+    assert "no evaluable cold anchors" in capsys.readouterr().err
