@@ -1,11 +1,10 @@
 """Self-supervised multi-relation GNN engine for cold-start group recommendation."""
 
-from .autodiff import Tape, Tensor, finite_diff_check
+from .autodiff import Tape, Tensor
 from .graph import (
     EpisodeBatch,
     EvalSplit,
     InteractionGraph,
-    NodeId,
     SyntheticSpec,
     build_implicit,
     generate_synthetic,
@@ -24,6 +23,6 @@ from .train import (
     train_joint,
     train_pretrain_finetune,
 )
-from .evaluation import Metrics, evaluate, ndcg_at_k, recall_at_k, recommend_topk
+from .evaluation import Metrics, evaluate
 
 __version__ = "0.1.0"

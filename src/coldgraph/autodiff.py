@@ -26,8 +26,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "backward",
-    "finite_diff_check",
     "gather_rows",
     "stack_rows",
     "mean_rows",
@@ -173,14 +171,6 @@ class Tape:
                 p: np.array(grads.get(id(p), np.zeros(p.shape))) for p in params
             }
         return {t: np.array(grads[key]) for key, t in leaves.items()}
-
-
-def backward(loss: Tensor, params: Sequence[Tensor] | None = None):
-    """Run :meth:`Tape.backward` on the innermost active tape."""
-    tape = _active_tape()
-    if tape is None:
-        raise RuntimeError("backward called with no active tape")
-    return tape.backward(loss, params)
 
 
 def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
@@ -687,48 +677,3 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
 
 def sum_squares(a: Tensor) -> Tensor:
     return _emit(np.asarray((a.data ** 2).sum()), (a,), lambda g: (2.0 * a.data * g,))
-
-
-def finite_diff_check(
-    f: Callable[[Sequence[Tensor]], Tensor],
-    params: Sequence[Tensor],
-    eps: float = 1e-5,
-) -> float:
-    """Compare tape gradients of a scalar function against central differences.
-
-    Returns the maximum over all parameter coordinates of
-    ``|analytic - numeric| / max(1e-8, |numeric|)``.
-    """
-    if not (1e-7 <= eps <= 1e-3):
-        raise ValueError(f"eps out of range: {eps}")
-    params = list(params)
-    with Tape() as tape:
-        out = f(params)
-    if out.data.ndim != 0:
-        raise ValueError("finite_diff_check needs a scalar-valued function")
-    if not math.isfinite(float(out.data)):
-        raise ValueError("non-finite function value")
-    analytic = tape.backward(out, params)
-
-    def eval_at() -> float:
-        val = float(f(params).data)
-        if not math.isfinite(val):
-            raise ValueError("non-finite function value")
-        return val
-
-    worst = 0.0
-    for p in params:
-        grad = analytic[p]
-        flat = p.data.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            hi = eval_at()
-            flat[i] = keep - eps
-            lo = eval_at()
-            flat[i] = keep
-            numeric = (hi - lo) / (2.0 * eps)
-            rel = abs(gflat[i] - numeric) / max(1e-8, abs(numeric))
-            worst = max(worst, rel)
-    return worst

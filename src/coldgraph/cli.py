@@ -118,9 +118,12 @@ def _require(path: Path, what: str) -> Path:
 
 
 def _load_workspace(out: Path):
-    graph = load_graph_cache(_require(out / "graph", "graph cache (run prepare first)"))
-    split = read_split_manifest(_require(out / "split.txt", "split manifest (run prepare first)"))
-    return graph, split
+    graph_dir = _require(out / "graph", "graph cache (run prepare first)")
+    split_path = _require(out / "split.txt", "split manifest (run prepare first)")
+    try:
+        return load_graph_cache(graph_dir), read_split_manifest(split_path)
+    except ValueError as err:
+        raise CliError(2, f"malformed workspace {out}: {err}") from err
 
 
 def cmd_synth(config: TrainConfig, out: Path) -> int:
@@ -190,11 +193,13 @@ def cmd_train_teacher(config: TrainConfig, out: Path) -> int:
         dict(table.named_tensors()),
         config.to_text() + f"provenance={table.provenance}\n",
     )
-    print(f"teacher table: {len(table.vectors)} nodes -> {out / 'teacher.ckpt'}")
+    known = sum(int(mask.sum()) for mask in table.known.values())
+    print(f"teacher table: {known} nodes -> {out / 'teacher.ckpt'}")
     return 0
 
 
-def _load_teacher(out: Path, config: TrainConfig) -> GroundTruthTable:
+def _load_teacher(out: Path, config: TrainConfig, graph, split) -> GroundTruthTable:
+    """The teacher table, checked against the workspace's graph and split."""
     path = _require(out / "teacher.ckpt", "teacher table (run train-teacher first)")
     try:
         tensors, echo = load_checkpoint(path)
@@ -204,7 +209,16 @@ def _load_teacher(out: Path, config: TrainConfig) -> GroundTruthTable:
     for line in echo.splitlines():
         if line.startswith("provenance="):
             provenance = line.split("=", 1)[1]
-    table = GroundTruthTable.from_named_tensors(tensors, provenance)
+    try:
+        table = GroundTruthTable.from_named_tensors(tensors, provenance)
+    except ValueError as err:
+        raise CliError(2, f"{path} is not a teacher table: {err}; re-run train-teacher") from err
+    rows = {kind: r.shape[0] for kind, r in table.rows.items()}
+    if rows != graph.counts:
+        raise CliError(2, f"{path} has rows {rows} for nodes {graph.counts}; re-run train-teacher")
+    lacking = {kind: w[~table.known[kind][w]][:5].tolist() for kind, w in split.warm.items()}
+    if any(lacking.values()):
+        raise CliError(2, f"{path} lacks the split's warm nodes {lacking}; re-run train-teacher")
     if table.d != config.d:
         raise CliError(2, f"teacher table has d={table.d}, config wants d={config.d}")
     return table
@@ -220,7 +234,7 @@ def _evaluate(params, enh, graph, split, config: TrainConfig):
 
 def cmd_train(config: TrainConfig, out: Path) -> int:
     graph, split = _load_workspace(out)
-    gt = _load_teacher(out, config) if config.lam1 > 0 else None
+    gt = _load_teacher(out, config, graph, split) if config.lam1 > 0 else None
 
     def eval_fn(params, enh):
         m = _evaluate(params, enh, graph, split, config)

@@ -161,20 +161,6 @@ def full_meta_matrices(
     }
 
 
-def _truth_rows(refs: Sequence[str], ground_truth) -> np.ndarray:
-    """Ground-truth embedding of each reference, stacked (n, d).
-
-    Raises KeyError for a reference without one.
-    """
-    targets = []
-    for ref in refs:
-        vec = ground_truth.get(ref)
-        if vec is None:
-            raise KeyError(f"no ground-truth embedding for {ref}")
-        targets.append(vec)
-    return np.stack(targets) if targets else np.zeros((0, 0))
-
-
 def _cosine_costs(predicted: Tensor, truth: np.ndarray) -> Tensor:
     cos = ad.cosine_similarity(predicted, ad.const(truth))
     return ad.sub(ad.const(np.ones(truth.shape[0])), cos)
@@ -186,7 +172,7 @@ def reconstruction_costs(predicted: Tensor, episodes: EpisodeBatch, ground_truth
     0 iff aligned, 2 iff opposite.  Raises KeyError for a target without
     a ground-truth embedding.
     """
-    return _cosine_costs(predicted, _truth_rows(episodes.ground_truth_refs(), ground_truth))
+    return _cosine_costs(predicted, ground_truth.lookup(episodes.kind, episodes.targets))
 
 
 class _WarmupLayout:
@@ -203,7 +189,7 @@ class _WarmupLayout:
     """
 
     def __init__(self, batches: Sequence[EpisodeBatch], ground_truth, tables):
-        self.truth = _truth_rows([r for b in batches for r in b.ground_truth_refs()], ground_truth)
+        self.truth = np.concatenate([ground_truth.lookup(b.kind, b.targets) for b in batches])
         sizes = [tables(kind).shape[0] for kind in KINDS]
         offset = dict(zip(KINDS, np.cumsum([0] + sizes[:-1]).tolist()))
         self.table = ad.const(np.concatenate([tables(kind).data for kind in KINDS]))

@@ -1,9 +1,12 @@
-"""Top-k recommendation, ranking metrics and the complexity report.
+"""Full-catalogue ranking metrics and the complexity report.
 
 Evaluation follows the cold-start protocol: each cold group is embedded from
 its few training-time edges only, ranks the full item catalogue minus those
 training positives, and is scored against its held-out test items with
-Recall@k and binary-relevance NDCG@k.
+Recall@k and binary-relevance NDCG@k.  All anchors of a kind are ranked at
+once: one score matrix, the training positives masked to -inf, one stable
+argsort (equal scores keep the lower item index first), and the metrics
+from the matrix of hits.
 """
 
 from __future__ import annotations
@@ -14,52 +17,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import EvalSplit, NodeId
+from .graph import EvalSplit
 
 ANCHOR_RELATION = {"group": "GI", "user": "UI"}
-
-
-def _state_arrays(state) -> dict[str, np.ndarray]:
-    if hasattr(state, "arrays"):
-        return state.arrays()
-    return {k: np.asarray(v, dtype=np.float64) for k, v in state.items()}
-
-
-def recommend_topk(
-    state, anchor: NodeId, k: int, exclude: set[int] | frozenset[int] = frozenset()
-) -> list[int]:
-    """Items ranked by inner-product score, best first, excluding ``exclude``.
-
-    Ties break toward the lower item index; asking for more items than exist
-    returns everything that is rankable.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    arrays = _state_arrays(state)
-    scores = arrays[anchor.kind][anchor.index] @ arrays["item"].T
-    order = np.argsort(-scores, kind="stable")
-    return order[~np.isin(order, list(exclude))][:k].tolist()
-
-
-def recall_at_k(ranked: Sequence[int], relevant: set[int], k: int) -> float:
-    """|top-k hits| / |relevant|."""
-    if not relevant:
-        raise ValueError("relevant set is empty")
-    top = list(ranked)[:k]
-    return len(set(top) & set(relevant)) / len(relevant)
-
-
-def ndcg_at_k(ranked: Sequence[int], relevant: set[int], k: int) -> float:
-    """Binary-relevance NDCG with a 1/log2(rank+1) discount."""
-    if not relevant:
-        raise ValueError("relevant set is empty")
-    relevant = set(relevant)
-    dcg = 0.0
-    for rank, item in enumerate(list(ranked)[:k], start=1):
-        if item in relevant:
-            dcg += 1.0 / math.log2(rank + 1)
-    ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(len(relevant), k) + 1))
-    return dcg / ideal
 
 
 @dataclass
@@ -82,48 +42,62 @@ class Metrics:
         return "\n".join(lines) + "\n"
 
 
+def _anchor_matrix(anchors: np.ndarray, edges: np.ndarray, n_items: int) -> np.ndarray:
+    """Boolean (anchor, item) matrix of the ``edges`` rows whose anchor is one
+    of the sorted ``anchors``; items outside the catalogue are left out."""
+    mine = np.isin(edges[:, 0], anchors) & (edges[:, 1] >= 0) & (edges[:, 1] < n_items)
+    out = np.zeros((anchors.size, n_items), dtype=bool)
+    out[np.searchsorted(anchors, edges[mine, 0]), edges[mine, 1]] = True
+    return out
+
+
 def evaluate(
-    state,
+    arrays: Mapping[str, np.ndarray],
     split: EvalSplit,
     k: int = 20,
     kinds: Sequence[str] = ("group",),
 ) -> Metrics:
     """Mean Recall@k / NDCG@k over the cold anchors that have test items.
 
-    The candidate set is every item minus the anchor's own training
-    positives; flagged anchors (no held-out edges) are skipped.
+    ``arrays`` maps each node kind to its embedding matrix.  The candidate
+    set is every item minus the anchor's own training positives; flagged
+    anchors (no held-out edges) are skipped.  Anchors are reported kind by
+    kind in ascending order.
     """
-    arrays = _state_arrays(state)
-    per_node = []
-    recalls = []
-    ndcgs = []
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    items = arrays["item"]
+    # 1/log2(rank + 1) discounts and their running sums, summed in rank order
+    discount = np.array([1.0 / math.log2(r + 1) for r in range(1, k + 1)])
+    ideal = np.cumsum(discount)
+    per_node, recalls, ndcgs = [], [], []
     for kind in kinds:
         rel = ANCHOR_RELATION[kind]
-        test_by_anchor: dict[int, set[int]] = {}
-        for a, b in split.test_n[rel]:
-            test_by_anchor.setdefault(a, set()).add(b)
-        train_by_anchor: dict[int, set[int]] = {}
-        for a, b in split.train_n[rel]:
-            train_by_anchor.setdefault(a, set()).add(b)
-        for a in sorted(split.cold[kind]):
-            relevant = test_by_anchor.get(a)
-            if not relevant or a in split.flagged[kind]:
-                continue
-            ranked = recommend_topk(
-                arrays, NodeId(kind, a), k, frozenset(train_by_anchor.get(a, set()))
-            )
-            rec = recall_at_k(ranked, relevant, k)
-            ndcg = ndcg_at_k(ranked, relevant, k)
-            per_node.append((kind, a, rec, ndcg, len(relevant)))
-            recalls.append(rec)
-            ndcgs.append(ndcg)
-    if not recalls:
+        test = np.unique(split.test_n[rel], axis=0)  # distinct (anchor, item) rows
+        anchors = np.setdiff1d(np.intersect1d(split.cold[kind], test[:, 0]), split.flagged[kind])
+        n_test = np.bincount(
+            np.searchsorted(anchors, test[np.isin(test[:, 0], anchors), 0]), minlength=anchors.size
+        )
+        seen = _anchor_matrix(anchors, split.train_n[rel], items.shape[0])
+        scores = arrays[kind][anchors] @ items.T
+        scores[seen] = -np.inf
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        relevant = _anchor_matrix(anchors, test, items.shape[0]) & ~seen
+        hits = np.take_along_axis(relevant, top, axis=1)
+        recall = hits.sum(axis=1) / n_test
+        dcg = np.cumsum(hits * discount[: top.shape[1]], axis=1)[:, -1]
+        ndcg = dcg / ideal[np.minimum(n_test, k) - 1]
+        rows = zip(anchors.tolist(), recall.tolist(), ndcg.tolist(), n_test.tolist())
+        per_node += [(kind, *row) for row in rows]
+        recalls.append(recall)
+        ndcgs.append(ndcg)
+    if not per_node:
         raise ValueError("no evaluable cold anchors (empty test split)")
     return Metrics(
-        recall_at_k=float(np.mean(recalls)),
-        ndcg_at_k=float(np.mean(ndcgs)),
+        recall_at_k=float(np.mean(np.concatenate(recalls))),
+        ndcg_at_k=float(np.mean(np.concatenate(ndcgs))),
         k=k,
-        evaluated=len(recalls),
+        evaluated=len(per_node),
         per_node=per_node,
     )
 

@@ -6,7 +6,10 @@ implicit relations user-user (UU) and group-group (GG) derived from shared
 items.  Each relation is one read-only (m, 2) array of edges, kept as numpy
 arrays from file to training graph; a GI or UI relation carries an int64
 timestamp array when every one of its edges is stamped, and none otherwise.
-Everything is immutable after construction and safe to share across workers.
+The warm/cold split (:class:`EvalSplit`) is read-only index and edge arrays
+as well, from :func:`segment` through the ``split.txt`` manifest to
+evaluation.  Everything is immutable after construction and safe to share
+across workers.
 
 Episodes are sampled a batch at a time, over the graph's CSR neighbor lists:
 :func:`sample_episode` draws every target's K-sampled tree of each relation
@@ -15,6 +18,7 @@ with array operations and returns it as a numbered :class:`Forest`.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -42,21 +46,6 @@ RELATIONS_BY_KIND: dict[str, tuple[str, ...]] = {
 }
 
 TIMESTAMPED_RELATIONS = ("GI", "UI")
-
-
-@dataclass(frozen=True, order=True)
-class NodeId:
-    kind: str
-    index: int
-
-    def key(self) -> str:
-        return f"{self.kind}:{self.index}"
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        if self.index < 0:
-            raise ValueError("node index must be non-negative")
 
 
 class InteractionGraph:
@@ -294,17 +283,23 @@ def save_graph_cache(graph: InteractionGraph, directory: Path) -> None:
 
 
 def load_graph_cache(directory: Path) -> InteractionGraph:
+    """Read back what :func:`save_graph_cache` wrote, one integer parse per
+    relation file (a third column holds timestamps); ValueError if malformed."""
     directory = Path(directory)
     counts = {}
     for line in (directory / "counts.tsv").read_text(encoding="utf-8").splitlines():
         kind, n = line.split("\t")
         counts[kind] = int(n)
-    edges: dict[str, list[tuple[int, int]]] = {}
-    ts: dict[str, list[int | None]] = {}
+    edges: dict[str, np.ndarray] = {}
+    ts: dict[str, np.ndarray | None] = {}
     for rel, name in _EDGE_FILES.items():
-        rows = _parse_edge_file(directory / name, with_ts=rel in TIMESTAMPED_RELATIONS)
-        edges[rel] = [(int(a), int(b)) for a, b, _ in rows]
-        ts[rel] = [t for _, _, t in rows]
+        text = (directory / name).read_text(encoding="utf-8")
+        rows = np.zeros((0, 2), np.intp)
+        if text.strip():  # loadtxt warns on an empty file
+            rows = np.loadtxt(io.StringIO(text), dtype=np.intp, delimiter="\t", ndmin=2)
+        if rows.shape[1] not in (2, 3):
+            raise ValueError(f"{directory / name}: expected 2 or 3 columns, got {rows.shape[1]}")
+        edges[rel], ts[rel] = rows[:, :2], rows[:, 2] if rows.shape[1] == 3 else None
     return InteractionGraph(counts, edges, ts)
 
 
@@ -351,37 +346,59 @@ COLD_ANCHOR_KEEP = 10  # interactions retained per cold group/user
 COLD_ITEM_KEEP = 5  # interacting groups/users retained per cold item
 
 
-@dataclass(frozen=True)
+#: manifest record tag -> (EvalSplit field, its keys, integers per row)
+_SPLIT_FIELDS = {
+    "warm": ("warm", KINDS, 1),
+    "cold": ("cold", KINDS, 1),
+    "train": ("train_n", ("GI", "UI"), 2),
+    "test": ("test_n", ("GI", "UI"), 2),
+    "drop": ("dropped", ("GI", "UI"), 2),
+    "flag": ("flagged", KINDS, 1),
+}
+
+
+def _sorted_array(values, width: int) -> np.ndarray:
+    """Read-only intp array: the distinct node indices ascending (width 1),
+    or (m, 2) edges ordered by (a, b) (width 2)."""
+    rows = np.asarray(values, dtype=np.intp).reshape(-1, width)
+    rows = np.unique(rows) if width == 1 else rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    rows.flags.writeable = False
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
 class EvalSplit:
     """Warm/cold node partition plus the cold nodes' chronological edge split.
 
-    ``train_n``/``test_n`` hold cold-anchored GI/UI edges; ``dropped`` holds
-    edges removed by the cold-node truncation rules.  ``flagged`` nodes had
-    too few retained interactions to evaluate (all edges went to training).
+    ``warm``, ``cold`` and ``flagged`` map each node kind to a sorted,
+    read-only intp array of node indices.  ``train_n``/``test_n`` map GI and
+    UI to the cold-anchored edges as read-only (m, 2) intp arrays sorted by
+    (anchor, item); ``dropped`` holds the edges removed by the cold-node
+    truncation rules.  ``flagged`` nodes had too few retained interactions to
+    evaluate (all edges went to training).  Construction takes any integer
+    sequences and stores them in this form (node indices deduplicated).
     """
 
-    warm: dict[str, frozenset[int]]
-    cold: dict[str, frozenset[int]]
-    train_n: dict[str, tuple[tuple[int, int], ...]]
-    test_n: dict[str, tuple[tuple[int, int], ...]]
-    dropped: dict[str, tuple[tuple[int, int], ...]]
-    flagged: dict[str, frozenset[int]]
+    warm: dict[str, np.ndarray]
+    cold: dict[str, np.ndarray]
+    train_n: dict[str, np.ndarray]
+    test_n: dict[str, np.ndarray]
+    dropped: dict[str, np.ndarray]
+    flagged: dict[str, np.ndarray]
     n_g: int
     n_u: int
     n_i: int
     c_percent: float
 
-    def warm_nodes(self, kind: str) -> list[int]:
-        return sorted(self.warm[kind])
+    def __post_init__(self):
+        for name, _, width in _SPLIT_FIELDS.values():
+            table = {k: _sorted_array(v, width) for k, v in getattr(self, name).items()}
+            object.__setattr__(self, name, table)
 
 
 def _ranks(groups: np.ndarray) -> np.ndarray:
     """Position of each element within its run of an array sorted by group."""
     return np.arange(groups.size) - np.searchsorted(groups, groups)
-
-
-def _sorted_pairs(edges: np.ndarray) -> tuple[tuple[int, int], ...]:
-    return tuple(map(tuple, edges[np.lexsort((edges[:, 1], edges[:, 0]))].tolist()))
 
 
 def segment(
@@ -453,17 +470,17 @@ def segment(
         k = np.maximum(1, np.ceil(c_percent * n))
         evaluable = (n >= 2) & (k < n)
         to_train = _ranks(a[rel][retained]) < np.where(evaluable, k, n)[a[rel][retained]]
-        train_n[rel] = _sorted_pairs(graph.edges[rel][retained[to_train]])
-        test_n[rel] = _sorted_pairs(graph.edges[rel][retained[~to_train]])
-        flagged[kind] = frozenset(np.flatnonzero(~warm[kind] & ~evaluable).tolist())
-    flagged["item"] = frozenset()
+        train_n[rel] = graph.edges[rel][retained[to_train]]
+        test_n[rel] = graph.edges[rel][retained[~to_train]]
+        flagged[kind] = np.flatnonzero(~warm[kind] & ~evaluable)
+    flagged["item"] = ()
 
     return EvalSplit(
-        warm={k: frozenset(np.flatnonzero(w).tolist()) for k, w in warm.items()},
-        cold={k: frozenset(np.flatnonzero(~w).tolist()) for k, w in warm.items()},
+        warm={k: np.flatnonzero(w) for k, w in warm.items()},
+        cold={k: np.flatnonzero(~w) for k, w in warm.items()},
         train_n=train_n,
         test_n=test_n,
-        dropped={rel: _sorted_pairs(graph.edges[rel][d]) for rel, d in dropped.items()},
+        dropped={rel: graph.edges[rel][d] for rel, d in dropped.items()},
         flagged=flagged,
         n_g=n_g,
         n_u=n_u,
@@ -478,7 +495,7 @@ def make_training_graph(graph: InteractionGraph, split: EvalSplit) -> Interactio
     timestamps = dict(graph.timestamps)
     n = graph.counts["item"]
     for rel in ("GI", "UI"):
-        removed = np.array(split.dropped[rel] + split.test_n[rel], dtype=np.intp).reshape(-1, 2)
+        removed = np.concatenate([split.dropped[rel], split.test_n[rel]])
         removed = removed[(removed[:, 1] >= 0) & (removed[:, 1] < n)]  # keys stay exact
         keep = ~np.isin(edges[rel][:, 0] * n + edges[rel][:, 1], removed[:, 0] * n + removed[:, 1])
         edges[rel] = edges[rel][keep]
@@ -535,9 +552,6 @@ class EpisodeBatch:
 
     def edge_count(self) -> int:
         return sum(f.edge_count() for f in self.forests.values())
-
-    def ground_truth_refs(self) -> list[str]:
-        return [NodeId(self.kind, i).key() for i in self.targets.tolist()]
 
     def first_order(self, rel: str) -> tuple[np.ndarray, np.ndarray]:
         """Each target's number of sampled neighbors in ``rel``, and their
@@ -770,63 +784,47 @@ MANIFEST_HEADER = "coldgraph-split v1"
 
 
 def write_split_manifest(split: EvalSplit, path: Path) -> None:
-    lines = [MANIFEST_HEADER]
-    lines.append(f"param n_g {split.n_g}")
-    lines.append(f"param n_u {split.n_u}")
-    lines.append(f"param n_i {split.n_i}")
-    lines.append(f"param c_percent {split.c_percent!r}")
-    for kind in KINDS:
-        for idx in sorted(split.warm[kind]):
-            lines.append(f"warm {kind} {idx}")
-        for idx in sorted(split.cold[kind]):
-            lines.append(f"cold {kind} {idx}")
-    for section, table in (("train", split.train_n), ("test", split.test_n), ("drop", split.dropped)):
-        for rel in ("GI", "UI"):
-            for a, b in table[rel]:
-                lines.append(f"{section} {rel} {a} {b}")
-    for kind in KINDS:
-        for idx in sorted(split.flagged[kind]):
-            lines.append(f"flag {kind} {idx}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Node records kind by kind (warm, then cold), edge records section by
+    section, then flags; each record list is written in one format call."""
+    params = f"param n_g {split.n_g}\nparam n_u {split.n_u}\nparam n_i {split.n_i}\n"
+    parts = [f"{MANIFEST_HEADER}\n{params}param c_percent {split.c_percent!r}\n"]
+    order = [(tag, kind) for kind in KINDS for tag in ("warm", "cold")]
+    order += [(tag, rel) for tag in ("train", "test", "drop") for rel in ("GI", "UI")]
+    for tag, key in order + [("flag", kind) for kind in KINDS]:
+        name, _, width = _SPLIT_FIELDS[tag]
+        rows = getattr(split, name)[key]
+        line = f"{tag} {key}" + " %d" * width + "\n"
+        parts.append(line * len(rows) % tuple(rows.ravel().tolist()))
+    Path(path).write_text("".join(parts), encoding="utf-8")
 
 
 def read_split_manifest(path: Path) -> EvalSplit:
+    """Inverse of :func:`write_split_manifest`; raises ValueError for a bad line or value."""
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text or text[0].strip() != MANIFEST_HEADER:
         raise ValueError(f"{path}: not a {MANIFEST_HEADER!r} manifest")
     params: dict[str, str] = {}
-    warm = {k: set() for k in KINDS}
-    cold = {k: set() for k in KINDS}
-    flagged = {k: set() for k in KINDS}
-    train = {"GI": [], "UI": []}
-    test = {"GI": [], "UI": []}
-    dropped = {"GI": [], "UI": []}
+    records = {tag: {key: [] for key in keys} for tag, (_, keys, _) in _SPLIT_FIELDS.items()}
     for lineno, line in enumerate(text[1:], 2):
-        if not line.strip():
-            continue
         parts = line.split()
-        tag = parts[0]
-        if tag == "param":
+        if not parts:
+            continue
+        if parts[0] == "param" and len(parts) == 3:
             params[parts[1]] = parts[2]
-        elif tag in ("warm", "cold", "flag"):
-            {"warm": warm, "cold": cold, "flag": flagged}[tag][parts[1]].add(int(parts[2]))
-        elif tag in ("train", "test", "drop"):
-            table = {"train": train, "test": test, "drop": dropped}[tag]
-            table[parts[1]].append((int(parts[2]), int(parts[3])))
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown record {tag!r}")
-    return EvalSplit(
-        warm={k: frozenset(v) for k, v in warm.items()},
-        cold={k: frozenset(v) for k, v in cold.items()},
-        train_n={rel: tuple(sorted(v)) for rel, v in train.items()},
-        test_n={rel: tuple(sorted(v)) for rel, v in test.items()},
-        dropped={rel: tuple(sorted(v)) for rel, v in dropped.items()},
-        flagged={k: frozenset(v) for k, v in flagged.items()},
-        n_g=int(params["n_g"]),
-        n_u=int(params["n_u"]),
-        n_i=int(params["n_i"]),
-        c_percent=float(params["c_percent"]),
-    )
+            continue
+        _, keys, width = _SPLIT_FIELDS.get(parts[0], (None, (), 0))
+        if len(parts) != 2 + width or parts[1] not in keys:
+            raise ValueError(f"{path}:{lineno}: bad record {line!r}")
+        records[parts[0]][parts[1]].append(parts[2:])
+    try:
+        return EvalSplit(
+            **{name: {key: np.array(records[tag][key], dtype=np.intp) for key in keys}
+               for tag, (name, keys, _) in _SPLIT_FIELDS.items()},
+            **{name: int(params[name]) for name in ("n_g", "n_u", "n_i")},
+            c_percent=float(params["c_percent"]),
+        )
+    except (KeyError, ValueError) as err:
+        raise ValueError(f"{path}: bad manifest: {err}") from None
 
 
 def stats_summary(graph: InteractionGraph) -> str:

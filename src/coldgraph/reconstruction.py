@@ -3,7 +3,9 @@
 A fully trained teacher model supplies ground-truth embeddings for warm
 nodes; the training model then has to reproduce them from masked episode
 neighborhoods, which teaches the convolution (and the enhancer, when active)
-to embed nodes well from very few observed interactions.
+to embed nodes well from very few observed interactions.  The teacher's
+table is one row array and one known-mask per node kind, looked up a batch
+of targets at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .enhancer import EnhancerParams, episode_metas, reconstruction_costs
-from .graph import EpisodeBatch, EvalSplit, InteractionGraph
+from .graph import KINDS, EpisodeBatch, EvalSplit, InteractionGraph
 from .model import FullState, ModelParams, embed_from_episode
 
 log = logging.getLogger("coldgraph")
@@ -25,46 +27,64 @@ log = logging.getLogger("coldgraph")
 
 @dataclass
 class GroundTruthTable:
-    """Reconstruction targets for warm nodes, keyed by ``kind:index``."""
+    """Reconstruction targets of the warm nodes, per node kind.
 
-    d: int
-    vectors: dict[str, np.ndarray]
+    ``rows[kind]`` is an (n_kind, d) array whose row i is node i's teacher
+    embedding, valid where ``known[kind][i]`` is True; the other rows are
+    never read.  A checkpoint stores each kind as ``teacher/{kind}`` and its
+    mask, as 0.0/1.0, as ``teacher/{kind}_known``.
+    """
+
+    rows: dict[str, np.ndarray]
+    known: dict[str, np.ndarray]
     provenance: str
 
-    def get(self, key: str) -> np.ndarray | None:
-        return self.vectors.get(key)
+    @property
+    def d(self) -> int:
+        return self.rows[KINDS[0]].shape[1]
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.vectors
+    def lookup(self, kind: str, targets: np.ndarray) -> np.ndarray:
+        """The (n, d) ground-truth rows of ``kind``'s ``targets``.
+
+        Raises KeyError naming the first target without one.
+        """
+        targets = np.asarray(targets, dtype=np.intp)
+        missing = targets[~np.isin(targets, np.flatnonzero(self.known[kind]))]
+        if missing.size:
+            raise KeyError(f"no ground-truth embedding for {kind}:{missing[0]}")
+        return self.rows[kind][targets]
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        out = [("teacher/_d", np.asarray([float(self.d)]))]
-        for key in sorted(self.vectors):
-            out.append((f"teacher/{key}", self.vectors[key]))
-        return out
+        return [(f"teacher/{kind}", self.rows[kind]) for kind in KINDS] + [
+            (f"teacher/{kind}_known", self.known[kind].astype(np.float64)) for kind in KINDS
+        ]
 
     @classmethod
     def from_named_tensors(cls, tensors: Mapping[str, np.ndarray], provenance: str):
-        d = int(tensors["teacher/_d"][0])
-        vectors = {
-            name.removeprefix("teacher/"): np.asarray(arr)
-            for name, arr in tensors.items()
-            if name.startswith("teacher/") and name != "teacher/_d"
-        }
-        return cls(d=d, vectors=vectors, provenance=provenance)
+        """Inverse of :meth:`named_tensors`; raises ValueError naming a missing
+        or ill-shaped tensor."""
+        rows, known = {}, {}
+        for kind in KINDS:
+            try:
+                table, mask = tensors[f"teacher/{kind}"], tensors[f"teacher/{kind}_known"]
+            except KeyError as err:
+                raise ValueError(f"missing tensor {err.args[0]}") from None
+            if table.ndim != 2 or mask.shape != table.shape[:1]:
+                raise ValueError(f"teacher/{kind} {table.shape} does not match its mask {mask.shape}")
+            rows[kind], known[kind] = table, mask == 1
+        if len({r.shape[1] for r in rows.values()}) != 1:
+            raise ValueError("teacher tensors disagree on the embedding width")
+        return cls(rows, known, provenance)
 
 
 def layer_sum_table(state: FullState, split: EvalSplit, provenance: str) -> GroundTruthTable:
-    """Ground truth per warm node: the sum of its per-step fused embeddings."""
+    """Ground truth of the warm nodes: each node's sum of its per-step fused
+    embeddings."""
     if state.layer_sums is None:
         raise ValueError("forward state was computed without layer sums")
-    vectors: dict[str, np.ndarray] = {}
-    for kind in ("group", "user", "item"):
-        sums = np.array(state.layer_sums[kind].data)
-        for idx in sorted(split.warm[kind]):
-            vectors[f"{kind}:{idx}"] = sums[idx]
-    d = next(iter(vectors.values())).shape[0] if vectors else 0
-    return GroundTruthTable(d=d, vectors=vectors, provenance=provenance)
+    rows = {kind: np.array(state.layer_sums[kind].data) for kind in KINDS}
+    known = {kind: np.isin(np.arange(len(r)), split.warm[kind]) for kind, r in rows.items()}
+    return GroundTruthTable(rows, known, provenance)
 
 
 def train_teacher(split: EvalSplit, graph: InteractionGraph, config) -> GroundTruthTable:
@@ -78,13 +98,16 @@ def train_teacher(split: EvalSplit, graph: InteractionGraph, config) -> GroundTr
 
     from .train import train_base  # deferred: train drives the shared loop
 
-    if not any(split.warm[k] for k in ("group", "user", "item")):
+    if not any(split.warm[k].size for k in KINDS):
         raise ValueError("warm sets are empty; nothing to teach from")
     teacher_config = replace(config, epochs=config.teacher_epochs)
     params, state = train_base(teacher_config, split, graph, need_layer_sums=True)
     provenance = f"{config.backbone}-layersum-L{config.L}-seed{config.seed}"
     table = layer_sum_table(state, split, provenance)
-    bad = [k for k, v in table.vectors.items() if not np.all(np.isfinite(v)) or not np.linalg.norm(v) > 0]
+    bad = []
+    for kind, rows in table.rows.items():
+        fine = np.isfinite(rows).all(axis=1) & (np.linalg.norm(rows, axis=1) > 0)
+        bad += [f"{kind}:{i}" for i in np.flatnonzero(table.known[kind] & ~fine).tolist()]
     if bad:
         raise ValueError(f"teacher produced degenerate ground truth for {bad[:5]}")
     return table
@@ -146,7 +169,7 @@ def pick_ssl_targets(
     """Sample warm reconstruction targets for one epoch, ascending, per node kind."""
     out: dict[str, np.ndarray] = {}
     for kind in ("group", "user", "item"):
-        warm = np.array(split.warm_nodes(kind), dtype=np.intp)
+        warm = split.warm[kind]
         if not warm.size:
             out[kind] = warm
             continue

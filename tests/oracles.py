@@ -11,7 +11,7 @@ tuple-relation graph code at the end walks edges one at a time where
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -26,10 +26,48 @@ from coldgraph.graph import (
     RELATIONS_BY_KIND,
     TIMESTAMPED_RELATIONS,
     EvalSplit,
-    NodeId,
 )
 from coldgraph.model import CHANNELS_BY_KIND
+from coldgraph.reconstruction import GroundTruthTable
 from coldgraph.sparse import neighbor_mean
+
+
+class Node(NamedTuple):
+    """One node, the key of the per-node ground-truth dicts."""
+
+    kind: str
+    index: int
+
+
+def truth_table(counts, vectors, d=None, provenance="t"):
+    """A ground-truth table from per-node vectors ``{(kind, index): vec}``:
+    every kind gets ``counts[kind]`` rows (without ``counts``, just enough
+    for the given nodes), known exactly at the given nodes."""
+    if counts is None:
+        counts = {kind: 1 + max((i for k, i in vectors if k == kind), default=-1) for kind in KINDS}
+    d = len(next(iter(vectors.values()))) if d is None else d
+    rows = {kind: np.zeros((counts[kind], d)) for kind in KINDS}
+    known = {kind: np.zeros(counts[kind], dtype=bool) for kind in KINDS}
+    for (kind, index), vec in vectors.items():
+        rows[kind][index] = vec
+        known[kind][index] = True
+    return GroundTruthTable(rows, known, provenance)
+
+
+def truth_vector(table, node):
+    """One node's ground-truth vector, looked up on its own."""
+    return table.lookup(node[0], [node[1]])[0]
+
+
+def layer_sum_table(state, split):
+    """Ground truth per warm node, ``{(kind, index): vec}``: the node's sum of
+    its per-step fused embeddings, one node at a time."""
+    vectors = {}
+    for kind in ("group", "user", "item"):
+        sums = np.array(state.layer_sums[kind].data)
+        for idx in sorted(tuple_split(split).warm[kind]):
+            vectors[(kind, idx)] = sums[idx]
+    return vectors
 
 
 def neighbors(graph, rel, kind, index):
@@ -306,7 +344,7 @@ def warmup_loss(episodes, ground_truth, params, tables):
                 channels["GU_AGG"], masks["GU_AGG"] = agg, sizes > 0
         e0 = ad.const(np.zeros((len(batch), params.d)))
         fused = fuse_by_pattern(kind, channels, masks, params.fusion, e0)
-        truth = np.stack([ground_truth.get(ep.ground_truth_ref) for ep in batch])
+        truth = np.stack([truth_vector(ground_truth, ep.target) for ep in batch])
         cos = ad.cosine_similarity(fused, ad.const(truth))
         terms.append(ad.sub(ad.const(np.ones(len(batch))), cos))
     if not terms:
@@ -337,8 +375,7 @@ class RelationSample:
 
 @dataclass(frozen=True)
 class Episode:
-    target: NodeId
-    ground_truth_ref: str
+    target: Node
     depth: int
     samples: Mapping
 
@@ -368,7 +405,7 @@ def dict_trees(batch):
             children = {key: tuple(v) for key, v in children.items()}
             layers = _tree_layers(forest.kinds, target, children)
             samples[rel] = RelationSample(rel, forest.kinds, layers, children)
-        out.append(Episode(NodeId(batch.kind, target), NodeId(batch.kind, target).key(), batch.depth, samples))
+        out.append(Episode(Node(batch.kind, target), batch.depth, samples))
     return out
 
 
@@ -483,7 +520,7 @@ class DictWarmupLayout(enhancer._WarmupLayout):
     """The warm-up layout built from a list of dict-tree episodes."""
 
     def __init__(self, episodes, ground_truth, tables):
-        self.truth = enhancer._truth_rows([ep.ground_truth_ref for ep in episodes], ground_truth)
+        self.truth = np.array([truth_vector(ground_truth, ep.target) for ep in episodes])
         sizes = [tables(kind).shape[0] for kind in KINDS]
         offset = dict(zip(KINDS, np.cumsum([0] + sizes[:-1]).tolist()))
         self.table = ad.const(np.concatenate([tables(kind).data for kind in KINDS]))
@@ -508,6 +545,90 @@ class DictWarmupLayout(enhancer._WarmupLayout):
 # per-edge timestamps (None where unstamped), and the per-edge normalize,
 # co-interaction count, segmentation and training-graph filter over them
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TupleSplit:
+    """The fields of an :class:`EvalSplit` in per-node form: node sets as
+    frozensets, edges as sorted tuples of (a, b) tuples."""
+
+    warm: dict
+    cold: dict
+    train_n: dict
+    test_n: dict
+    dropped: dict
+    flagged: dict
+    n_g: int
+    n_u: int
+    n_i: int
+    c_percent: float
+
+
+NODE_FIELDS = ("warm", "cold", "flagged")
+EDGE_FIELDS = ("train_n", "test_n", "dropped")
+
+
+def tuple_split(split: EvalSplit) -> TupleSplit:
+    """An EvalSplit's arrays as frozensets and tuples of tuples."""
+    def nodes(table):
+        return {k: frozenset(v.tolist()) for k, v in table.items()}
+
+    def edges(table):
+        return {rel: tuple(map(tuple, v.tolist())) for rel, v in table.items()}
+
+    return TupleSplit(
+        **{f: nodes(getattr(split, f)) for f in NODE_FIELDS},
+        **{f: edges(getattr(split, f)) for f in EDGE_FIELDS},
+        n_g=split.n_g, n_u=split.n_u, n_i=split.n_i, c_percent=split.c_percent,
+    )
+
+
+def eval_split(warm=None, cold=None, train_n=None, test_n=None, dropped=None, flagged=None,
+               n_g=1, n_u=1, n_i=1, c_percent=0.5) -> EvalSplit:
+    """An EvalSplit from per-node collections: node indices per kind and
+    (a, b) pairs per relation, a missing kind or relation empty."""
+    def nodes(table):
+        return {k: sorted((table or {}).get(k, ())) for k in KINDS}
+
+    def edges(table):
+        return {rel: sorted((table or {}).get(rel, ())) for rel in ("GI", "UI")}
+
+    return EvalSplit(
+        warm=nodes(warm), cold=nodes(cold), flagged=nodes(flagged),
+        train_n=edges(train_n), test_n=edges(test_n), dropped=edges(dropped),
+        n_g=n_g, n_u=n_u, n_i=n_i, c_percent=c_percent,
+    )
+
+
+def assert_same_split(split: EvalSplit, other: EvalSplit | TupleSplit) -> None:
+    """Field-by-field equality of a split with an array or per-node split."""
+    mine = tuple_split(split)
+    if isinstance(other, EvalSplit):
+        other = tuple_split(other)
+    for f in mine.__dataclass_fields__:
+        assert getattr(mine, f) == getattr(other, f), f
+
+
+def split_manifest_text(split: TupleSplit) -> str:
+    """The ``split.txt`` text of a per-node split, written line by line."""
+    lines = ["coldgraph-split v1"]
+    lines.append(f"param n_g {split.n_g}")
+    lines.append(f"param n_u {split.n_u}")
+    lines.append(f"param n_i {split.n_i}")
+    lines.append(f"param c_percent {split.c_percent!r}")
+    for kind in KINDS:
+        for idx in sorted(split.warm[kind]):
+            lines.append(f"warm {kind} {idx}")
+        for idx in sorted(split.cold[kind]):
+            lines.append(f"cold {kind} {idx}")
+    for section, table in (("train", split.train_n), ("test", split.test_n), ("drop", split.dropped)):
+        for rel in ("GI", "UI"):
+            for a, b in table[rel]:
+                lines.append(f"{section} {rel} {a} {b}")
+    for kind in KINDS:
+        for idx in sorted(split.flagged[kind]):
+            lines.append(f"flag {kind} {idx}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -600,7 +721,7 @@ def chronological(graph: TupleGraph, rel):
     return {a: [e for _, e in sorted(rows)] for a, rows in per_anchor.items()}
 
 
-def segment(graph: TupleGraph, n_g, n_u, n_i, c_percent) -> EvalSplit:
+def segment(graph: TupleGraph, n_g, n_u, n_i, c_percent) -> TupleSplit:
     """The cold split, truncations and chronological c% split, edge by edge."""
     degree = {"group": [0] * graph.counts["group"], "user": [0] * graph.counts["user"]}
     for rel, kind in (("GI", "group"), ("UI", "user")):
@@ -657,7 +778,7 @@ def segment(graph: TupleGraph, n_g, n_u, n_i, c_percent) -> EvalSplit:
             train_n[rel].extend(retained[:k])
             test_n[rel].extend(retained[k:])
 
-    return EvalSplit(
+    return TupleSplit(
         warm={"group": warm_g, "user": warm_u, "item": warm_i},
         cold={"group": cold_g, "user": cold_u, "item": cold_i},
         train_n={rel: tuple(sorted(v)) for rel, v in train_n.items()},
@@ -671,7 +792,7 @@ def segment(graph: TupleGraph, n_g, n_u, n_i, c_percent) -> EvalSplit:
     )
 
 
-def make_training_graph(graph: TupleGraph, split: EvalSplit) -> TupleGraph:
+def make_training_graph(graph: TupleGraph, split: TupleSplit) -> TupleGraph:
     """Graph visible during training: no dropped edges, no test edges."""
     out_edges = dict(graph.edges)
     out_ts = dict(graph.timestamps)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldgraph import autodiff as ad
+from gradcheck import finite_diff_check
 from oracles import dedup_mean
 
 
@@ -117,7 +118,7 @@ class TestBackwardBasics:
             return ad.cosine_similarity(x, ad.const(c))
 
         x = ad.Tensor(x0, requires_grad=True)
-        assert ad.finite_diff_check(f, [x], eps=1e-5) < 1e-6
+        assert finite_diff_check(f, [x], eps=1e-5) < 1e-6
         # moving along the analytic gradient increases cosine toward c
         with ad.Tape() as tape:
             loss = f([x])
@@ -225,7 +226,7 @@ def test_every_op_gradient_vs_finite_differences(trial):
         def f(ps, _build=build, _s=scalarize):
             return _s(_build(ps))
 
-        err = ad.finite_diff_check(f, params, eps=1e-5)
+        err = finite_diff_check(f, params, eps=1e-5)
         assert err < 1e-4, f"{name}: gradient error {err}"
 
 
@@ -299,7 +300,7 @@ def test_sigmoid_bounds(a, b):
 class TestFiniteDiffCheck:
     def test_sum_squares_small_error(self):
         x = ad.Tensor([0.5, -1.5, 2.0], requires_grad=True)
-        err = ad.finite_diff_check(lambda p: ad.sum_squares(p[0]), [x], eps=1e-5)
+        err = finite_diff_check(lambda p: ad.sum_squares(p[0]), [x], eps=1e-5)
         assert err < 1e-6
 
     def test_constant_function_zero_error(self):
@@ -308,12 +309,12 @@ class TestFiniteDiffCheck:
         def f(params):
             return ad.const(np.asarray(3.0))
 
-        assert ad.finite_diff_check(f, [x], eps=1e-5) == 0.0
+        assert finite_diff_check(f, [x], eps=1e-5) == 0.0
 
     def test_eps_range_enforced(self):
         x = ad.Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError, match="eps"):
-            ad.finite_diff_check(lambda p: ad.sum_squares(p[0]), [x], eps=1e-2)
+            finite_diff_check(lambda p: ad.sum_squares(p[0]), [x], eps=1e-2)
 
     def test_non_finite_rejected(self):
         x = ad.Tensor([1.0], requires_grad=True)
@@ -322,7 +323,7 @@ class TestFiniteDiffCheck:
             return ad.const(np.asarray(np.inf))
 
         with pytest.raises(ValueError, match="non-finite"):
-            ad.finite_diff_check(f, [x], eps=1e-5)
+            finite_diff_check(f, [x], eps=1e-5)
 
 
 def _block_attention_oracle(q, k, v, block):
@@ -384,7 +385,7 @@ class TestSegmentAttention:
         rng = np.random.default_rng(2)
         params = [ad.Tensor(rng.normal(size=(8, 3)), requires_grad=True) for _ in range(3)]
         probe = ad.const(rng.normal(size=(8, 3)))
-        err = ad.finite_diff_check(
+        err = finite_diff_check(
             lambda p: ad.sum_all(ad.mul(ad.segment_attention(*p, 4), probe)), params, eps=1e-6
         )
         assert err < 1e-5

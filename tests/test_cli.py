@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ SYNTH = [
     "c_g=1",
 ]
 PLAIN = ["lam1=0", "enhancer=false", "epochs=3"]
+# a small model that trains with the reconstruction task
+SMALL = ["d=8", "L=2", "K=3", "teacher_epochs=1", "ssl_targets=8", "warmup_targets=8"]
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +26,14 @@ def workspace(tmp_path_factory):
     assert cli.main(["synth", "--out", str(ws / "data"), *args]) == 0
     assert cli.main(["prepare", "--out", str(ws), *args]) == 0
     return ws, args
+
+
+@pytest.fixture
+def scratch_workspace(workspace, tmp_path):
+    """A copy of the workspace that a test may break."""
+    ws, args = workspace
+    shutil.copytree(ws, tmp_path / "ws")
+    return tmp_path / "ws", args
 
 
 def train(workspace, *overrides):
@@ -85,7 +97,7 @@ def test_evaluate_on_unknown_config_key_exits_2(workspace, capsys):
 
 def test_enhancer_pretrain_finetune_is_deterministic(workspace):
     ws, args = workspace
-    small = ["d=8", "L=2", "K=3", "teacher_epochs=1", "ssl_targets=8", "warmup_targets=8"]
+    small = SMALL
     assert cli.main(["train-teacher", "--out", str(ws), *args, *small]) == 0
     blobs = []
     for _ in range(2):
@@ -151,3 +163,45 @@ def test_split_without_evaluable_anchors_exits_2(tmp_path, capsys):
     assert "no evaluable cold anchors" in capsys.readouterr().err
     assert cli.main(["train", "--out", str(tmp_path), *args, *PLAIN, "eval_every=1"]) == 2
     assert "no evaluable cold anchors" in capsys.readouterr().err
+
+
+def test_teacher_table_that_is_not_one_exits_2(scratch_workspace, capsys):
+    code, ckpt = train(scratch_workspace, "epochs=1")
+    assert code == 0
+    ws, args = scratch_workspace
+    shutil.copy(ckpt, ws / "teacher.ckpt")
+    capsys.readouterr()
+    assert cli.main(["train", "--out", str(ws), *args, *SMALL, "lam1=1", "epochs=1"]) == 2
+    err = capsys.readouterr().err
+    assert "missing tensor teacher/" in err and "re-run train-teacher" in err
+
+
+def test_teacher_table_of_another_split_exits_2(scratch_workspace, capsys):
+    ws, args = scratch_workspace
+    assert cli.main(["train-teacher", "--out", str(ws), *args, *SMALL]) == 0
+    lower = ["n_g=3", "n_u=3", "n_i=3"]  # more warm nodes than the teacher knows
+    assert cli.main(["prepare", "--out", str(ws), *args, *lower]) == 0
+    capsys.readouterr()
+    code = cli.main(["train", "--out", str(ws), *args, *SMALL, *lower, "lam1=1", "epochs=1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "lacks the split's warm nodes" in err and "re-run train-teacher" in err
+
+
+@pytest.mark.parametrize(
+    "path, edit, message",
+    [
+        ("split.txt", lambda text: "garbage\n", "not a 'coldgraph-split v1' manifest"),
+        ("split.txt", lambda text: text + "test GI 1\n", "bad record 'test GI 1'"),
+        ("split.txt", lambda text: text + "warm user x\n", "bad manifest"),
+        ("graph/user_item.tsv", lambda text: "1\tx\t3\n" + text, "could not convert string 'x'"),
+        ("graph/user_item.tsv", lambda text: "1\t99999\t3\n" + text, "endpoint 99999 out of range"),
+        ("graph/user_item.tsv", lambda text: "1\t2\t3\t4\n", "expected 2 or 3 columns"),
+    ],
+)
+def test_malformed_workspace_exits_2(scratch_workspace, capsys, path, edit, message):
+    ws, args = scratch_workspace
+    (ws / path).write_text(edit((ws / path).read_text()))
+    assert cli.main(["evaluate", "--out", str(ws), *args, *PLAIN]) == 2
+    err = capsys.readouterr().err
+    assert "malformed workspace" in err and message in err

@@ -27,7 +27,7 @@ from coldgraph.graph import (
     sample_episode,
 )
 from coldgraph.model import CHANNELS_BY_KIND, GraphTensors, degree_plan, init_model_params
-from coldgraph.reconstruction import GroundTruthTable
+from gradcheck import finite_diff_check
 from oracles import (
     DictWarmupLayout,
     aggregate_members,
@@ -37,6 +37,8 @@ from oracles import (
     neighbors,
     reconstruction_loss,
     relation_metas_by_bucket,
+    truth_table,
+    truth_vector,
     warmup_loss as per_step_warmup_loss,
 )
 
@@ -85,7 +87,7 @@ def oracle_warmup_loss(episodes, gt, params, tables):
         first = episode_first_order(ep, tables)
         if first:
             _, fused = meta_embed(first, params, ep.target.kind)
-            terms.append(reconstruction_loss(fused, gt.get(ep.ground_truth_ref)))
+            terms.append(reconstruction_loss(fused, truth_vector(gt, ep.target)))
     return ad.mean_rows(ad.concat(terms))
 
 
@@ -141,7 +143,8 @@ def hand_episode(kind, index, first_order):
 
 
 def truth_of(batches, rng, d):
-    return GroundTruthTable(d, {r: rng.normal(size=d) for b in batches for r in b.ground_truth_refs()}, "t")
+    vectors = {(b.kind, i): rng.normal(size=d) for b in batches for i in b.targets.tolist()}
+    return truth_table(None, vectors, d)
 
 
 def layout_of(batches, tables, gt=None):
@@ -149,7 +152,7 @@ def layout_of(batches, tables, gt=None):
     truth is a ones vector."""
     if gt is None:
         d = tables("user").shape[1]
-        gt = GroundTruthTable(d, {r: np.ones(d) for b in batches for r in b.ground_truth_refs()}, "t")
+        gt = truth_table(None, {(b.kind, i): np.ones(d) for b in batches for i in b.targets.tolist()}, d)
     return enhancer._WarmupLayout(batches, gt, tables)
 
 
@@ -262,7 +265,7 @@ class TestMetaEmbed:
         tables = tables_of({kind: np.ones((1, 2)) for kind in ("user", "item", "group")})
         isolated = hand_episode("user", 0, {})
         assert episode_metas(isolated, tables, params) == {}
-        gt = GroundTruthTable(2, {"user:0": np.ones(2)}, "test")
+        gt = truth_table(None, {("user", 0): np.ones(2)})
         assert warmup_loss([isolated], gt, params, tables) is None
 
     def test_group_gets_member_aggregate_channel(self):
@@ -281,7 +284,7 @@ class TestMetaEmbed:
 
 def costs(preds, targets):
     episodes = hand_batch("user", [(i, {}) for i in range(len(targets))])
-    gt = GroundTruthTable(2, dict(zip(episodes.ground_truth_refs(), targets)), "t")
+    gt = truth_table(None, {("user", i): v for i, v in zip(episodes.targets.tolist(), targets)})
     return enhancer.reconstruction_costs(t(preds), episodes, gt).data
 
 
@@ -301,7 +304,7 @@ class TestCosineLoss:
         assert np.all((costs(preds, targets) >= 0.0) & (costs(preds, targets) <= 2.0))
 
     def test_missing_ground_truth_rejected(self):
-        gt = GroundTruthTable(2, {}, "t")
+        gt = truth_table(None, {}, d=2)
         with pytest.raises(KeyError, match="user:0"):
             enhancer.reconstruction_costs(t([[1.0, 0.0]]), hand_episode("user", 0, {}), gt)
 
@@ -331,7 +334,7 @@ class TestGradients:
         def f(ps):
             return warmup_loss(episodes, gt, params, tables)
 
-        err = ad.finite_diff_check(f, params.tensors(), eps=1e-5)
+        err = finite_diff_check(f, params.tensors(), eps=1e-5)
         assert err < 1e-4
 
     def test_vectorized_full_metas_equal_per_node_path(self):
@@ -562,8 +565,8 @@ class TestTrainEnhancer:
         for ep in dict_trees(episodes[0]):
             first = episode_first_order(ep, model.table)
             stacked = np.concatenate([m.data for m in first.values()])
-            vectors[ep.ground_truth_ref] = stacked.mean(axis=0)
-        gt = GroundTruthTable(d=d, vectors=vectors, provenance="neighbor-mean")
+            vectors[ep.target] = stacked.mean(axis=0)
+        gt = truth_table(g.counts, vectors, d, "neighbor-mean")
         return g, model, episodes, gt
 
     def test_zero_epochs_leaves_params_untouched(self):
@@ -594,7 +597,7 @@ class TestTrainEnhancer:
 
     def test_missing_ground_truth_rejected(self):
         g, model, episodes, gt = self.build()
-        gt.vectors.pop(episodes[0].ground_truth_refs()[0])
+        gt.known["user"][episodes[0].targets[0]] = False
         enh = init_enhancer_params(8, np.random.default_rng(2))
         with pytest.raises(KeyError, match="ground-truth"):
             train_enhancer(episodes, gt, enh, model.table, epochs=1)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldgraph.evaluation import evaluate
-from coldgraph.graph import EvalSplit
+from oracles import eval_split, tuple_split
 
 RELATION = {"group": "GI", "user": "UI"}
 
@@ -16,46 +16,84 @@ RELATION = {"group": "GI", "user": "UI"}
 def make_split(cold, train, test, flagged):
     """An EvalSplit holding only what evaluation reads: cold anchors, their
     training and held-out items per anchor kind, and the flagged anchors."""
-    kinds = ("group", "user", "item")
-    return EvalSplit(
-        warm={k: frozenset() for k in kinds},
-        cold={k: frozenset(cold.get(k, ())) for k in kinds},
-        train_n={rel: tuple(sorted(train.get(rel, ()))) for rel in RELATION.values()},
-        test_n={rel: tuple(sorted(test.get(rel, ()))) for rel in RELATION.values()},
-        dropped={rel: () for rel in RELATION.values()},
-        flagged={k: frozenset(flagged.get(k, ())) for k in kinds},
-        n_g=1,
-        n_u=1,
-        n_i=1,
-        c_percent=0.5,
-    )
+    return eval_split(cold=cold, train_n=train, test_n=test, flagged=flagged)
+
+
+def anchor_items(split, kind):
+    """Per cold anchor: (its training items, its held-out items), one edge at a time."""
+    rel = RELATION[kind]
+    split = tuple_split(split)
+    return {
+        a: ({b for x, b in split.train_n[rel] if x == a}, {b for x, b in split.test_n[rel] if x == a})
+        for a in sorted(split.cold[kind])
+    }
 
 
 def brute_force(arrays, split, k, kinds):
-    """Mean Recall@k and NDCG@k, one anchor at a time over a full sort.
+    """Per evaluated anchor (kind, anchor, recall, ndcg, test items), one
+    anchor at a time over a full sort.
 
     Items are ranked by inner product, equal scores by ascending index, after
     removing the anchor's training items; anchors that are flagged or have
     no held-out item are skipped.
     """
-    recalls, ndcgs = [], []
+    rows = []
     for kind in kinds:
-        rel = RELATION[kind]
-        for a in sorted(split.cold[kind]):
-            relevant = {b for x, b in split.test_n[rel] if x == a}
-            if not relevant or a in split.flagged[kind]:
+        flagged = tuple_split(split).flagged[kind]
+        for a, (seen, relevant) in anchor_items(split, kind).items():
+            if not relevant or a in flagged:
                 continue
-            seen = {b for x, b in split.train_n[rel] if x == a}
             scores = arrays["item"] @ arrays[kind][a]
             order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
             top = [i for i in order if i not in seen][:k]
-            recalls.append(sum(i in relevant for i in top) / len(relevant))
+            recall = sum(i in relevant for i in top) / len(relevant)
             dcg = sum(1.0 / math.log2(r + 2) for r, i in enumerate(top) if i in relevant)
             idcg = sum(1.0 / math.log2(r + 2) for r in range(min(len(relevant), k)))
-            ndcgs.append(dcg / idcg)
-    if not recalls:
-        return None, None, 0
-    return sum(recalls) / len(recalls), sum(ndcgs) / len(ndcgs), len(recalls)
+            rows.append((kind, a, recall, dcg / idcg, len(relevant)))
+    return rows
+
+
+def corners(arrays, split, k, kinds):
+    """The corner cases an input reaches among its evaluated anchors."""
+    seen_cases = set()
+    for kind in kinds:
+        flagged = tuple_split(split).flagged[kind]
+        for a, (seen, relevant) in anchor_items(split, kind).items():
+            if relevant and a in flagged:
+                seen_cases.add("flagged anchor")
+            if not relevant or a in flagged:
+                continue
+            rankable = [i for i in range(len(arrays["item"])) if i not in seen]
+            scores = arrays["item"][rankable] @ arrays[kind][a]
+            if len(set(scores.tolist())) < len(scores):
+                seen_cases.add("score tie")
+            if seen:
+                seen_cases.add("exclusion")
+            if k > len(rankable):
+                seen_cases.add("k beyond the rankable items")
+            if kind == "user":
+                seen_cases.add("user anchor")
+    return seen_cases
+
+
+def check(arrays, split, k, kinds=("group",)):
+    """Assert ``evaluate`` equals the brute force on one input; returns the
+    corner cases the input reached."""
+    want = brute_force(arrays, split, k, kinds)
+    if not want:
+        with pytest.raises(ValueError, match="no evaluable"):
+            evaluate(arrays, split, k=k, kinds=kinds)
+        return corners(arrays, split, k, kinds)
+    metrics = evaluate(arrays, split, k=k, kinds=kinds)
+    assert metrics.evaluated == len(want)
+    assert [(kind, a, n) for kind, a, _, _, n in metrics.per_node] == [
+        (kind, a, n) for kind, a, _, _, n in want
+    ]
+    got = np.array([row[2:4] for row in metrics.per_node])
+    np.testing.assert_allclose(got, [row[2:4] for row in want], rtol=0, atol=1e-12)
+    assert metrics.recall_at_k == pytest.approx(np.mean([r[2] for r in want]), rel=0, abs=1e-12)
+    assert metrics.ndcg_at_k == pytest.approx(np.mean([r[3] for r in want]), rel=0, abs=1e-12)
+    return corners(arrays, split, k, kinds)
 
 
 def test_hand_computed_ranking_with_ties():
@@ -73,10 +111,72 @@ def test_hand_computed_ranking_with_ties():
     assert metrics.evaluated == 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 8), st.booleans())
-def test_matches_brute_force_oracle(seed, k, with_users):
-    rng = np.random.default_rng(seed)
+def test_a_held_out_training_item_is_never_a_hit():
+    # a hand-edited split can list one edge as training and as test: the
+    # item stays out of the ranking, so it counts as held out but is never hit
+    arrays = {"group": np.array([[1.0]]), "item": np.array([[3.0], [2.0], [1.0]])}
+    split = make_split({"group": [0]}, {"GI": [(0, 0)]}, {"GI": [(0, 0), (0, 2)]}, {})
+    assert check(arrays, split, k=5) >= {"exclusion", "k beyond the rankable items"}
+    (_, _, recall, ndcg, n_test), = evaluate(arrays, split, k=5).per_node
+    assert (recall, n_test) == (0.5, 2)
+    assert ndcg == pytest.approx((1 / math.log2(3)) / (1 + 1 / math.log2(3)), rel=0, abs=1e-15)
+
+
+def orthogonal_shift_case():
+    # every item is orthogonal to e3, so shifting the user along e3 keeps
+    # every score and thus the ranking: users 2j and 2j + 1 are the user and
+    # its shift, and item j is their one held-out item, so their NDCG gives
+    # the rank of item j
+    rng = np.random.default_rng(0)
+    items = rng.normal(size=(10, 4))
+    items[:, 3] = 0.0
+    user = rng.normal(size=4)
+    users = np.stack([user, user + np.array([0.0, 0.0, 0.0, 5.0])] * 10)
+    arrays = {"group": np.zeros((1, 4)), "user": users, "item": items}
+    test = [(2 * j + shifted, j) for j in range(10) for shifted in (0, 1)]
+    return arrays, make_split({"user": range(20)}, {}, {"UI": test}, {}), 10, ("user",)
+
+
+# The ranking cases of the per-anchor ranker that evaluation replaced, each
+# with the (recall, ndcg) per anchor that only the right ranking gives and
+# the corner cases it must reach.
+SCORE_CASES = {
+    # all-zero items tie at score 0 and ties break toward the lower index;
+    # item 1 is excluded, so the ranking is 0, 2, 3 and k=4 exceeds it
+    "zero_right": (
+        {"group": np.array([[1.0, 2.0]]), "item": np.zeros((4, 2))},
+        make_split({"group": [0]}, {"GI": [(0, 1)]}, {"GI": [(0, 3)]}, {}),
+        4,
+        ("group",),
+        [(1.0, 1 / math.log2(4))],
+        {"score tie", "exclusion", "k beyond the rankable items"},
+    ),
+    # scores 11, 1, 2: the ranking is 0, 2, 1
+    "inner_product": (
+        {"group": np.array([[1.0, 2.0]]), "item": np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 1.0]])},
+        make_split({"group": [0]}, {}, {"GI": [(0, 2)]}, {}),
+        3,
+        ("group",),
+        [(1.0, 1 / math.log2(3))],
+        set(),
+    ),
+    "orthogonal_shift": (*orthogonal_shift_case(), None, {"user anchor"}),
+}
+
+
+@pytest.mark.parametrize("name", list(SCORE_CASES))
+def test_score_case(name):
+    arrays, split, k, kinds, want, reached = SCORE_CASES[name]
+    assert reached <= check(arrays, split, k, kinds)
+    per_node = [row[2:4] for row in evaluate(arrays, split, k=k, kinds=kinds).per_node]
+    if want is None:  # each user ranks every item where its shift does
+        assert per_node[0::2] == per_node[1::2]
+        assert len(set(per_node)) == 10
+    else:
+        assert per_node == pytest.approx(want, rel=0, abs=1e-15)
+
+
+def random_case(rng, k, with_users):
     n_items, d = int(rng.integers(3, 12)), 3
     kinds = ("group", "user") if with_users else ("group",)
     # small integer embeddings make equal scores common
@@ -94,13 +194,27 @@ def test_matches_brute_force_oracle(seed, k, with_users):
             n_test = int(rng.integers(0, n_items - n_train + 1))
             train[rel] += [(a, int(i)) for i in items[:n_train]]
             test[rel] += [(a, int(i)) for i in items[n_train : n_train + n_test]]
-    split = make_split(cold, train, test, flagged)
-    recall, ndcg, evaluated = brute_force(arrays, split, k, kinds)
-    if not evaluated:
-        with pytest.raises(ValueError, match="no evaluable"):
-            evaluate(arrays, split, k=k, kinds=kinds)
-        return
-    metrics = evaluate(arrays, split, k=k, kinds=kinds)
-    assert metrics.evaluated == evaluated
-    assert metrics.recall_at_k == pytest.approx(recall, rel=0, abs=1e-12)
-    assert metrics.ndcg_at_k == pytest.approx(ndcg, rel=0, abs=1e-12)
+    return arrays, make_split(cold, train, test, flagged), k, kinds
+
+
+CORNER_CASES = {
+    "score tie",
+    "exclusion",
+    "flagged anchor",
+    "user anchor",
+    "k beyond the rankable items",
+}
+
+
+def test_fixed_cases_match_brute_force_and_reach_every_corner():
+    reached = set()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        reached |= check(*random_case(rng, int(rng.integers(1, 9)), seed % 2 == 0))
+    assert CORNER_CASES <= reached, CORNER_CASES - reached
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.booleans())
+def test_matches_brute_force_oracle(seed, k, with_users):
+    check(*random_case(np.random.default_rng(seed), k, with_users))

@@ -21,7 +21,7 @@ from coldgraph.graph import (
     stats_summary,
     write_split_manifest,
 )
-from oracles import as_lists, dict_trees, neighbors
+from oracles import as_lists, assert_same_split, dict_trees, neighbors, tuple_split
 
 
 def degree(graph, rel, kind, index):
@@ -200,7 +200,7 @@ class TestSegment:
             ui=big_u, gi=gi, counts={"user": 1, "item": 20, "group": 1},
             ui_ts=list(range(20)), gi_ts=gi_ts,
         )
-        split = segment(g, 10, 10, 0, 0.1)
+        split = tuple_split(segment(g, 10, 10, 0, 0.1))
         assert len(split.train_n["GI"]) == 1
         assert len(split.test_n["GI"]) == 9
         assert split.train_n["GI"][0] == (0, 0)  # chronologically earliest
@@ -210,13 +210,13 @@ class TestSegment:
             ui=[(0, 0), (1, 1)], gi=[(0, 0)], gu=[(0, 0)],
             counts={"user": 2, "item": 2, "group": 1},
         )
-        split = segment(g, 0, 0, 0, 0.1)
+        split = tuple_split(segment(g, 0, 0, 0, 0.1))
         assert split.cold == {"user": frozenset(), "item": frozenset(), "group": frozenset()}
         assert all(not v for v in split.test_n.values())
 
     def test_single_interaction_goes_to_train_and_flags(self):
         g = graph_from(gi=[(0, 0)], counts={"user": 0, "item": 1, "group": 1})
-        split = segment(g, 5, 5, 5, 0.1)
+        split = tuple_split(segment(g, 5, 5, 5, 0.1))
         assert split.train_n["GI"] == ((0, 0),)
         assert split.test_n["GI"] == ()
         assert 0 in split.flagged["group"]
@@ -238,7 +238,7 @@ class TestSegment:
         ui = [(u, 0) for u in range(8)] + [(u, i) for u in range(8) for i in range(1, 9)]
         g = graph_from(ui=ui, counts={"user": 8, "item": 9, "group": 0},
                        ui_ts=list(range(len(ui))))
-        split = segment(g, 0, 5, 10, 0.1)
+        split = tuple_split(segment(g, 0, 5, 10, 0.1))
         assert 0 in split.cold["item"]
         ui_edges = map(tuple, g.edges["UI"].tolist())
         remaining = [e for e in ui_edges if e[1] == 0 and e not in split.dropped["UI"]]
@@ -263,6 +263,8 @@ class TestSegment:
         )
         g = generate_synthetic(spec)
         split = segment(g, 4, 4, 4, 0.3)
+        tg = make_training_graph(g, split)
+        split = tuple_split(split)
         for kind in ("user", "item", "group"):
             assert split.warm[kind] | split.cold[kind] == frozenset(range(g.counts[kind]))
             assert not (split.warm[kind] & split.cold[kind])
@@ -272,7 +274,6 @@ class TestSegment:
             for a, _ in split.test_n[rel]:
                 assert a in split.cold[kind]
         # truncation invariants
-        tg = make_training_graph(g, split)
         for a in split.cold["group"]:
             test_deg = sum(1 for x, _ in split.test_n["GI"] if x == a)
             assert degree(tg, "GI", "group", a) + test_deg <= COLD_ANCHOR_KEEP
@@ -292,7 +293,9 @@ class TestSegment:
         text = (tmp_path / "split.txt").read_text()
         assert text.startswith("coldgraph-split v1\n")
         loaded = read_split_manifest(tmp_path / "split.txt")
-        assert loaded == split
+        assert_same_split(loaded, split)
+        write_split_manifest(loaded, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_text() == text
 
     def test_c_percent_validation(self):
         g = graph_from(gi=[(0, 0)], counts={"user": 0, "item": 1, "group": 1})

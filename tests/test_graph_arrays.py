@@ -7,7 +7,7 @@ original in ``oracles`` on random graphs of 1-12 nodes per kind.
 """
 
 import math
-from dataclasses import fields
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from coldgraph.graph import (
     KINDS,
     RELATION_KINDS,
     RELATIONS,
-    EvalSplit,
     InteractionGraph,
     SyntheticSpec,
     build_implicit,
@@ -31,8 +30,10 @@ from coldgraph.graph import (
     load_edges,
     load_graph_cache,
     make_training_graph,
+    read_split_manifest,
     save_graph_cache,
     segment,
+    write_split_manifest,
 )
 
 
@@ -95,8 +96,7 @@ def check_case(counts, edges, stamps, params, c_u, c_g) -> set[str]:
     assert_same_graph(graph, old)
     old_split = oracles.segment(old, **params)
     split = segment(graph, **params)
-    for f in fields(EvalSplit):
-        assert getattr(split, f.name) == getattr(old_split, f.name), f.name
+    oracles.assert_same_split(split, old_split)
     assert_same_graph(
         make_training_graph(graph, split), oracles.make_training_graph(old, old_split), graph
     )
@@ -118,6 +118,7 @@ def check_case(counts, edges, stamps, params, c_u, c_g) -> set[str]:
     if any(None in ts and any(t is not None for t in ts) for ts in stamps.values()):
         seen.add("partly stamped relation")
     anchor_dropped = set()
+    split = oracles.tuple_split(split)
     for rel, kind in (("GI", "group"), ("UI", "user")):
         chrono = oracles.chronological(old, rel)
         for a in split.cold[kind]:
@@ -195,13 +196,50 @@ def test_relations_are_read_only():
         g.timestamps["UI"][0] = 1
 
 
+def test_manifest_matches_the_line_by_line_writer(tmp_path):
+    for seed in range(20):
+        counts, edges, stamps, params, c_u, c_g = random_case(np.random.default_rng(seed))
+        old = oracles.build_implicit(oracles.tuple_graph(counts, edges, stamps), c_u, c_g)
+        want = oracles.split_manifest_text(oracles.segment(old, **params))
+        split = segment(build_implicit(InteractionGraph(counts, edges, stamps), c_u, c_g), **params)
+        write_split_manifest(split, tmp_path / "split.txt")
+        assert (tmp_path / "split.txt").read_text() == want
+        oracles.assert_same_split(read_split_manifest(tmp_path / "split.txt"), split)
+
+
+def test_split_arrays_are_read_only():
+    g = build_implicit(generate_synthetic(SyntheticSpec(seed=2, occasional_fraction=0.5,
+                                                        occasional_scale=0.1)), 3, 1)
+    split = segment(g, 5, 15, 5, 0.3)
+    for name in ("warm", "cold", "flagged", "train_n", "test_n", "dropped"):
+        for key, arr in getattr(split, name).items():
+            assert arr.dtype == np.intp and not arr.flags.writeable, (name, key)
+            if arr.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+    assert all(getattr(split, name)[k].size for name in ("warm", "cold") for k in KINDS)
+    assert all(getattr(split, name)[rel].size for name in ("train_n", "test_n") for rel in ("GI", "UI"))
+
+
+def test_split_stores_sorted_arrays():
+    split = oracles.eval_split(
+        warm={"user": [3, 1, 3]}, train_n={"GI": [(2, 5), (0, 7), (2, 1)]}, test_n={"UI": []}
+    )
+    assert split.warm["user"].tolist() == [1, 3]
+    assert split.train_n["GI"].tolist() == [[0, 7], [2, 1], [2, 5]]
+    assert split.test_n["UI"].shape == (0, 2) and split.cold["item"].shape == (0,)
+
+
 def test_cache_roundtrip_with_an_empty_relation(tmp_path):
     spec = SyntheticSpec(n_users=20, n_items=25, n_groups=8, n_clusters=2, intra_p=0.3,
                          inter_p=0.02, group_size_min=2, group_size_max=4, seed=3)
     g = build_implicit(generate_synthetic(spec), 1, 1_000)
     assert g.num_edges("GG") == 0 and g.num_edges("UU") > 0
     save_graph_cache(g, tmp_path)
-    loaded = load_graph_cache(tmp_path)
+    assert (tmp_path / "group_group.tsv").read_text() == ""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty file is an empty relation, no warning
+        loaded = load_graph_cache(tmp_path)
     assert loaded.counts == g.counts
     assert as_lists(loaded.edges) == as_lists(g.edges)
     assert as_lists(loaded.timestamps) == as_lists(g.timestamps)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from coldgraph import autodiff as ad
 from coldgraph import model
-from coldgraph.evaluation import recommend_topk
-from coldgraph.graph import InteractionGraph, NodeId, SyntheticSpec, build_implicit, generate_synthetic, sample_episode
+from coldgraph.graph import InteractionGraph, SyntheticSpec, build_implicit, generate_synthetic, sample_episode
 from coldgraph.model import (
     CHANNELS_BY_KIND,
     GraphTensors,
@@ -20,6 +19,7 @@ from coldgraph.model import (
     init_model_params,
 )
 from coldgraph.sparse import neighbor_mean
+from gradcheck import finite_diff_check
 from oracles import (
     conv_step,
     dict_trees,
@@ -422,33 +422,6 @@ class TestFuseChannels:
             np.testing.assert_allclose(got_grads[leaf], want_grads[leaf], rtol=0, atol=1e-12)
 
 
-class TestScore:
-    """Relevance is the inner product of the fused embeddings, as ranked by
-    :func:`evaluation.recommend_topk`."""
-
-    def test_zero_right(self):
-        # all-zero items tie at score 0, and ties break toward the lower index
-        state = {"group": np.array([[1.0, 2.0]]), "item": np.zeros((4, 2))}
-        assert recommend_topk(state, NodeId("group", 0), 4, exclude={1}) == [0, 2, 3]
-
-    def test_inner_product(self):
-        state = {"group": np.array([[1.0, 2.0]]), "item": np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 1.0]])}
-        # scores 11, 1, 2
-        assert recommend_topk(state, NodeId("group", 0), 3) == [0, 2, 1]
-
-    def test_ranking_invariant_under_orthogonal_shift(self):
-        rng = np.random.default_rng(0)
-        items = rng.normal(size=(10, 4))
-        items[:, 3] = 0.0  # all items orthogonal to e3
-        g = rng.normal(size=4)
-        shifted = g + np.array([0.0, 0.0, 0.0, 5.0])
-        ranks = [
-            recommend_topk({"user": vec[None, :], "item": items}, NodeId("user", 0), 10)
-            for vec in (g, shifted)
-        ]
-        assert ranks[0] == ranks[1]
-
-
 class TestMetaReduction:
     def test_identity_extension_projection_reproduces_plain_path(self):
         # P = [I; 0] makes concat(self, meta) @ P == self for any meta
@@ -496,7 +469,7 @@ class TestEndToEndGradients:
             diff = ad.sub(ad.row_sums(ad.mul(anchor, pos)), ad.row_sums(ad.mul(anchor, neg)))
             return ad.negate(ad.mean_rows(ad.log(ad.sigmoid(diff))))
 
-        err = ad.finite_diff_check(f, params.tensors(), eps=1e-5)
+        err = finite_diff_check(f, params.tensors(), eps=1e-5)
         assert err < 1e-4
 
 

@@ -5,12 +5,14 @@ import pytest
 
 from coldgraph import autodiff as ad
 from coldgraph.enhancer import episode_metas, init_enhancer_params
+from coldgraph.checkpoint import load_checkpoint, save_checkpoint
 from coldgraph.graph import (
     InteractionGraph,
     SyntheticSpec,
     build_implicit,
     generate_synthetic,
     sample_episode,
+    segment,
 )
 from coldgraph.model import FullState, GraphTensors, full_embeddings, init_model_params
 from coldgraph.reconstruction import (
@@ -19,7 +21,8 @@ from coldgraph.reconstruction import (
     reconstruction_terms,
     ssl_loss,
 )
-from oracles import dict_trees, embed_episode, reconstruction_loss
+import oracles
+from oracles import dict_trees, embed_episode, reconstruction_loss, truth_table, truth_vector
 
 KINDS = ("group", "user", "item")
 
@@ -32,11 +35,7 @@ def setup():
     g = InteractionGraph({k: n + 1 for k, n in g.counts.items()}, g.edges)  # isolated nodes
     params = init_model_params(g.counts, 6, "light", 2, True, np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    gt = GroundTruthTable(
-        6,
-        {f"{k}:{i}": rng.normal(size=6) for k in KINDS for i in range(g.counts[k])},
-        "test",
-    )
+    gt = truth_table(g.counts, {(k, i): rng.normal(size=6) for k in KINDS for i in range(g.counts[k])})
     batches = {
         kind: sample_episode(g, kind, range(0, g.counts[kind], 2), k=3, depth=2, seed=4)
         for kind in KINDS
@@ -49,7 +48,7 @@ def oracle_mean(batch, params, gt, metas=None):
     for b, ep in enumerate(dict_trees(batch)):
         ep_metas = {rel: ad.Tensor(m.data[b]) for rel, m in metas.items()} if metas else None
         h = embed_episode(ep, params, ep_metas)
-        losses.append(reconstruction_loss(h, gt.get(ep.ground_truth_ref)).item())
+        losses.append(reconstruction_loss(h, truth_vector(gt, ep.target)).item())
     return float(np.mean(losses))
 
 
@@ -75,8 +74,8 @@ def test_empty_batch_contributes_zero_with_a_warning(setup, caplog):
 
 def test_missing_ground_truth_raises(setup):
     g, params, gt, batches = setup
-    partial = GroundTruthTable(6, dict(gt.vectors), "test")
-    del partial.vectors[batches["user"].ground_truth_refs()[1]]
+    partial = GroundTruthTable(gt.rows, {k: m.copy() for k, m in gt.known.items()}, "test")
+    partial.known["user"][batches["user"].targets[1]] = False
     with pytest.raises(KeyError, match="no ground-truth embedding"):
         ssl_loss(batches["group"], batches["user"], batches["item"], params, None, partial)
 
@@ -87,9 +86,9 @@ def test_full_state_path_gathers_the_fused_embeddings(setup):
     for kind in KINDS:
         got = reconstruction_terms(batches[kind], params, None, gt, full_state=state)
         batch = batches[kind]
-        for cost, target, ref in zip(got.data, batch.targets, batch.ground_truth_refs()):
+        for cost, target in zip(got.data, batch.targets):
             h = state.fused[kind].data[target]
-            want = gt.get(ref)
+            want = truth_vector(gt, (kind, target))
             assert cost == pytest.approx(1 - h @ want / np.linalg.norm(h) / np.linalg.norm(want))
 
 
@@ -98,3 +97,54 @@ def test_layer_sum_table_needs_layer_sums(setup):
     state = FullState(fused=full_embeddings(GraphTensors(g), params).fused)
     with pytest.raises(ValueError, match="without layer sums"):
         layer_sum_table(state, None, "test")
+
+
+def test_layer_sum_table_matches_the_per_node_table(setup):
+    g, params, _, _ = setup
+    split = segment(g, 4, 4, 4, 0.3)
+    state = full_embeddings(GraphTensors(g), params, need_layer_sums=True)
+    table = layer_sum_table(state, split, "test")
+    want = oracles.layer_sum_table(state, split)
+    assert 0 < len(want) < sum(g.counts.values())
+    for (kind, index), vec in want.items():
+        assert table.lookup(kind, [index])[0].tobytes() == vec.tobytes()
+    for kind in KINDS:
+        assert table.known[kind].sum() == sum(k == kind for k, _ in want)
+        cold = split.cold[kind][0]
+        for target in (cold, -1, g.counts[kind]):
+            with pytest.raises(KeyError, match=f"no ground-truth embedding for {kind}:{target}"):
+                table.lookup(kind, [split.warm[kind][0], target])
+
+
+def test_teacher_table_checkpoint_round_trip(tmp_path):
+    rng = np.random.default_rng(0)
+    counts = {"user": 3, "item": 0, "group": 2}  # no items at all
+    table = truth_table(counts, {("user", 0): rng.normal(size=4), ("user", 2): rng.normal(size=4),
+                                 ("group", 1): rng.normal(size=4)}, provenance="p")
+    tensors = dict(table.named_tensors())
+    assert sorted(tensors) == sorted(f"teacher/{k}{s}" for k in KINDS for s in ("", "_known"))
+    save_checkpoint(tmp_path / "teacher.ckpt", tensors)
+    loaded = GroundTruthTable.from_named_tensors(load_checkpoint(tmp_path / "teacher.ckpt")[0], "p")
+    assert loaded.d == 4 and loaded.provenance == "p"
+    for kind in KINDS:
+        assert loaded.rows[kind].shape == (counts[kind], 4)
+        np.testing.assert_array_equal(loaded.rows[kind], table.rows[kind])
+        np.testing.assert_array_equal(loaded.known[kind], table.known[kind])
+    assert loaded.known["user"].tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (lambda t: t.pop("teacher/item_known"), "missing tensor teacher/item_known"),
+        (lambda t: t.update({"teacher/user_known": np.ones(2)}), "does not match"),
+        (lambda t: t.update({"teacher/group": np.zeros(2)}), "does not match"),
+        (lambda t: t.update({"teacher/group": np.zeros((2, 3))}), "embedding width"),
+    ],
+)
+def test_teacher_table_rejects_malformed_tensors(broken, message):
+    table = truth_table({"user": 3, "item": 1, "group": 2}, {("user", 0): np.ones(4)})
+    tensors = dict(table.named_tensors())
+    broken(tensors)
+    with pytest.raises(ValueError, match=message):
+        GroundTruthTable.from_named_tensors(tensors, "p")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coldgraph import graph as graph_mod
 from coldgraph.graph import KINDS, InteractionGraph, build_implicit, sample_episode
-from oracles import dict_trees, neighbors
+from oracles import dict_trees, neighbors, truth_table
 
 
 @st.composite
@@ -125,7 +125,7 @@ def test_empty_batch():
     g = InteractionGraph({"user": 2, "item": 1, "group": 0}, {"UI": [(0, 0), (1, 0)]})
     batch = sample_episode(g, "item", [], 1, 2, 0)
     assert len(batch) == 0 and batch.edge_count() == 0
-    assert batch.ground_truth_refs() == []
+    assert truth_table(None, {}, d=2).lookup("item", batch.targets).shape == (0, 2)
 
 
 def test_hub_inclusion_rate_is_k_over_degree():

@@ -13,6 +13,7 @@ from coldgraph.graph import (
 )
 from coldgraph.model import GraphTensors, full_embeddings, init_model_params
 from coldgraph.sparse import SparseOperator, neighbor_mean
+from gradcheck import finite_diff_check
 from oracles import dedup_mean
 
 
@@ -152,7 +153,7 @@ class TestOperator:
         op = dedup_mean(rng.integers(0, 6, 15), rng.integers(0, 5, 15), (6, 5))
         weight = ad.const(rng.normal(size=(6, 3)))
         h = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        err = ad.finite_diff_check(lambda p: ad.sum_all(ad.mul(ad.spmm(op, p[0]), weight)), [h])
+        err = finite_diff_check(lambda p: ad.sum_all(ad.mul(ad.spmm(op, p[0]), weight)), [h])
         assert err < 1e-6
 
 
