@@ -18,6 +18,7 @@ with array operations and returns it as a numbered :class:`Forest`.
 
 from __future__ import annotations
 
+import bisect
 import io
 from dataclasses import dataclass
 from pathlib import Path
@@ -173,25 +174,6 @@ class IdMap:
             for ext, idx in sorted(self.forward[kind].items(), key=lambda kv: kv[1]):
                 lines.append(f"{kind}\t{ext}\t{idx}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: Path) -> "IdMap":
-        mapping = cls()
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected kind<TAB>id<TAB>index")
-            kind, ext, idx = parts
-            if kind not in KINDS:
-                raise ValueError(f"{path}:{lineno}: unknown kind {kind!r}")
-            idx = int(idx)
-            table = mapping.forward[kind]
-            if ext in table and table[ext] != idx:
-                raise ValueError(f"{path}:{lineno}: id collision for {kind} {ext!r}")
-            table[ext] = idx
-        return mapping
 
 
 def _parse_edge_file(path: Path, with_ts: bool):
@@ -522,12 +504,20 @@ class Forest:
     by parent in row order, children by ascending table index.  A node
     reached again deeper in its tree keeps its children, so it adds no
     edge; nodes first reached at the last depth are leaves.
+
+    Each kind's rows are numbered by the depth that first reached them:
+    ``prefix[kind][t]`` counts the rows of ``kind`` first reached at depth
+    t or less, and they are exactly rows 0..prefix[kind][t]-1.  So the
+    parents of ``layers[t]`` are rows prefix[kinds[t]][t-1] (0 for t = 0)
+    to prefix[kinds[t]][t]-1, and the edges of the rows first reached at
+    depth t or less are the edges of their kind in ``layers[0..t]``.
     """
 
     relation: str
     kinds: tuple[str, ...]
     nodes: Mapping[str, np.ndarray]
     layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    prefix: Mapping[str, tuple[int, ...]]
 
     def edge_count(self) -> int:
         return sum(child.size for _, _, child in self.layers)
@@ -620,6 +610,7 @@ def _sample_forest(
     _, _, seen[kind] = _number(seen[kind], np.arange(n) * span[kind] + targets)
     nodes = {c: [np.zeros(0, np.intp)] for c in other}
     nodes[kind].append(targets)
+    prefix = {c: [seen[c][1].size] for c in other}
     tree, row, node = np.arange(n), np.arange(n), targets  # the frontier
     layers = []
     for level in range(depth):
@@ -649,7 +640,15 @@ def _sample_forest(
         tree, node = np.divmod(new, span[child_kind])
         row = first_new + np.arange(new.size)
         nodes[child_kind].append(node)
-    return Forest(rel, kinds, {c: np.concatenate(v) for c, v in nodes.items()}, tuple(layers))
+        for c in other:
+            prefix[c].append(seen[c][1].size)
+    return Forest(
+        rel,
+        kinds,
+        {c: np.concatenate(v) for c, v in nodes.items()},
+        tuple(layers),
+        {c: tuple(p) for c, p in prefix.items()},
+    )
 
 
 def sample_episode(
@@ -798,11 +797,48 @@ def write_split_manifest(split: EvalSplit, path: Path) -> None:
     Path(path).write_text("".join(parts), encoding="utf-8")
 
 
-def read_split_manifest(path: Path) -> EvalSplit:
-    """Inverse of :func:`write_split_manifest`; raises ValueError for a bad line or value."""
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text or text[0].strip() != MANIFEST_HEADER:
-        raise ValueError(f"{path}: not a {MANIFEST_HEADER!r} manifest")
+_INTEGER_CHARS = str.maketrans("", "", "-0123456789")
+
+
+def _manifest_sections(body: list[str]):
+    """(params, records) of a manifest body, parsed a section at a time:
+    sorted, the lines of each section (``param`` or ``tag key``) are one
+    block.  None when a line is not laid out as the writer writes it or a
+    parameter repeats; ValueError when a value is not an integer."""
+    lines = sorted(body)
+    lo, hi = bisect.bisect_left(lines, "param "), bisect.bisect_left(lines, "param!")
+    params = [line.split() for line in lines[lo:hi]]
+    if any(len(words) != 3 for words in params) or len({w[1] for w in params}) < len(params):
+        return None
+    counted = bisect.bisect_right(lines, "") + hi - lo  # the empty lines and the params
+    records = {}
+    for tag, (_, keys, width) in _SPLIT_FIELDS.items():
+        records[tag] = {}
+        for key in keys:
+            head = f"{tag} {key} "
+            lo = bisect.bisect_left(lines, head)
+            hi = bisect.bisect_left(lines, head[:-1] + "!", lo)  # "!" sorts right after " "
+            counted += hi - lo
+            block = "\n".join(lines[lo:hi])
+            values = block.replace(head, "")
+            words = values.split()
+            # each line: the head, then ``width`` integers parted by single spaces
+            layout = "\n".join([" " * (width - 1)] * (hi - lo))
+            if (
+                block.count(head) != hi - lo
+                or len(words) != (hi - lo) * width
+                or values.translate(_INTEGER_CHARS) != layout
+            ):
+                return None
+            records[tag][key] = np.array(words, dtype=np.intp).reshape(-1, width)
+    if counted != len(lines):
+        return None
+    return {name: value for _, name, value in params}, records
+
+
+def _manifest_lines(path: Path, text: list[str]):
+    """(params, records) of a manifest read line by line, as strings;
+    raises ValueError naming the first line that is not a record."""
     params: dict[str, str] = {}
     records = {tag: {key: [] for key in keys} for tag, (_, keys, _) in _SPLIT_FIELDS.items()}
     for lineno, line in enumerate(text[1:], 2):
@@ -816,9 +852,26 @@ def read_split_manifest(path: Path) -> EvalSplit:
         if len(parts) != 2 + width or parts[1] not in keys:
             raise ValueError(f"{path}:{lineno}: bad record {line!r}")
         records[parts[0]][parts[1]].append(parts[2:])
+    return params, records
+
+
+def read_split_manifest(path: Path) -> EvalSplit:
+    """Inverse of :func:`write_split_manifest`; raises ValueError for a bad line or value.
+
+    The sections are parsed as arrays; a file that does not parse that way
+    is read again line by line, which names its first bad line.
+    """
+    text = Path(path).read_text(encoding="utf-8").splitlines()
+    if not text or text[0].strip() != MANIFEST_HEADER:
+        raise ValueError(f"{path}: not a {MANIFEST_HEADER!r} manifest")
+    try:
+        parsed = _manifest_sections(text[1:])
+    except ValueError:  # a value that is not an integer, reported below
+        parsed = None
+    params, records = parsed or _manifest_lines(path, text)
     try:
         return EvalSplit(
-            **{name: {key: np.array(records[tag][key], dtype=np.intp) for key in keys}
+            **{name: {key: np.asarray(records[tag][key], dtype=np.intp) for key in keys}
                for tag, (name, keys, _) in _SPLIT_FIELDS.items()},
             **{name: int(params[name]) for name in ("n_g", "n_u", "n_i")},
             c_percent=float(params["c_percent"]),

@@ -8,12 +8,12 @@ with the neighbor mean, ``gcn`` projects their concatenation through a
 per-layer weight and a relu.
 
 There is one propagation path.  A relation step multiplies by a constant
-sparse neighbor-mean operator (:func:`autodiff.spmm`) and convolves every
-row at once; member aggregation is one segment softmax and one placed
-segment sum over every group's members (:func:`attention_pool`, segments
-from a :class:`DegreePlan`), and fusion is one
-:func:`autodiff.attention_fusion` per node kind, with each row's channel
-presence as a mask.  It runs over one of two graphs:
+sparse neighbor-mean operator (:func:`autodiff.spmm`) and convolves all
+the rows it computes at once; member aggregation is one segment softmax
+and one placed segment sum over every group's members
+(:func:`attention_pool`, segments from a :class:`DegreePlan`), and fusion
+is one :func:`autodiff.attention_fusion` per node kind, with each row's
+channel presence as a mask.  It runs over one of two graphs:
 
 * the complete training graph (:class:`GraphTensors`), for the ranking
   loss, teachers and evaluation (:func:`full_embeddings`);
@@ -21,9 +21,13 @@ presence as a mask.  It runs over one of two graphs:
   cold-start simulation of the pretext task, :func:`embed_from_episode`).
   The sampler numbers each relation's trees as one small graph, a
   :class:`graph.Forest` whose rows are the distinct (tree, node) pairs and
-  whose edges link each expanded row to its sampled children; the forest's
-  neighbor-mean operators come straight from those edge arrays, and the
-  targets' first-order edges are the member-aggregate segments.
+  whose edges link each expanded row to its sampled children.  Rows are
+  numbered by the depth that first reached them, so step l computes only
+  a row prefix per kind: the rows within L - l hops of what the last step
+  reads (the targets, and for groups their GU members).  Each step's
+  operators are leading blocks of one neighbor-mean operator per kind,
+  built from the forest's edge arrays, and the targets' first-order edges
+  are the member-aggregate segments.
 
 When enhancer meta embeddings are supplied, the self path of the meta rows
 (every node, or the episode targets) is replaced by a learned projection of
@@ -32,7 +36,7 @@ When enhancer meta embeddings are supplied, the self path of the meta rows
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -161,14 +165,18 @@ def _conv_matrix(
     return ad.relu(ad.matmul(ad.concat([self_mat, neigh_mat], axis=1), weight))
 
 
-def _inject_meta_rows(h: Tensor, meta: Tensor, proj: Tensor) -> Tensor:
-    """Replace the self embedding of the first ``len(meta)`` rows by
-    ``concat(self, meta) @ proj``."""
+def _self_rows(h: Tensor, rows: int, meta: Tensor | None, proj: Tensor | None) -> Tensor:
+    """The self path of the first ``rows`` rows of ``h``: with ``meta``, the
+    first ``len(meta)`` of them become ``concat(self, meta) @ proj``."""
+
+    def lead(lo: int, hi: int) -> Tensor:
+        return h if (lo, hi) == (0, h.shape[0]) else ad.gather_rows(h, np.arange(lo, hi))
+
+    if meta is None:
+        return lead(0, rows)
     n = meta.shape[0]
-    if n == h.shape[0]:
-        return ad.matmul(ad.concat([h, meta], axis=1), proj)
-    head = ad.matmul(ad.concat([ad.gather_rows(h, np.arange(n)), meta], axis=1), proj)
-    return ad.concat([head, ad.gather_rows(h, np.arange(n, h.shape[0]))], axis=0)
+    head = ad.matmul(ad.concat([lead(0, n), meta], axis=1), proj)
+    return head if n == rows else ad.concat([head, lead(n, rows)], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,34 +263,37 @@ class GraphTensors:
 
 def _relation_steps(
     rel: str,
-    ops: Mapping[str, SparseOperator],
+    layer_ops: Sequence[Mapping[str, SparseOperator]],
     h0: Mapping[str, Tensor],
     params: ModelParams,
     inject: Mapping[str, Tensor | None] | None = None,
 ) -> dict[str, list[Tensor]]:
     """Per-step embeddings of the endpoint kinds of one relation.
 
-    ``h0[kind]`` holds the initial rows of ``kind`` and ``ops[kind]`` the
-    constant neighbor-mean operator from those rows to the other kind's
-    (one entry each for UU and GG).  ``inject[kind]``, when given, is a
-    meta matrix whose rows meta-inject the leading rows of ``kind`` at every
-    step: all of them over the full graph, the targets in an episode forest.
+    ``h0[kind]`` holds the initial rows of ``kind``.  ``layer_ops[l - 1]``
+    maps each kind that step l computes to its constant neighbor-mean
+    operator (one entry for UU and GG): an (m, m') operator makes step l
+    compute the leading m rows of ``kind``, from as many leading rows of
+    its step l - 1 and the m' rows of the other kind's.  The full graph
+    passes every row at every step.  An episode forest passes only the
+    rows its targets read, a prefix that shrinks with l, and a kind left
+    without rows drops out, its list of steps ending early.
+    ``inject[kind]``, when given, is a meta matrix whose rows meta-inject
+    the leading rows of ``kind`` at every step: all of them over the full
+    graph, the targets in an episode forest.
     """
     inject = inject or {}
     ka, kb = RELATION_KINDS[rel]
     other = {ka: kb, kb: ka}
+    proj = params.meta_proj.get(rel)
     h = dict(h0)
     out = {kind: [h[kind]] for kind in h}
-
-    def adjust(kind: str, x: Tensor) -> Tensor:
-        meta = inject.get(kind)
-        return x if meta is None else _inject_meta_rows(x, meta, params.meta_proj[rel])
-
-    for layer in range(1, params.layers + 1):
-        neigh = {kind: ad.spmm(ops[kind], h[other[kind]]) for kind in h}
+    for layer, ops in enumerate(layer_ops, 1):
+        neigh = {kind: ad.spmm(op, h[other[kind]]) for kind, op in ops.items()}
         w = params.conv_w[layer - 1] if params.variant == "gcn" else None
-        h = {kind: _conv_matrix(params.variant, adjust(kind, h[kind]), neigh[kind], w) for kind in h}
-        for kind in h:
+        for kind, op in ops.items():
+            self_rows = _self_rows(h[kind], op.shape[0], inject.get(kind), proj)
+            h[kind] = _conv_matrix(params.variant, self_rows, neigh[kind], w)
             out[kind].append(h[kind])
     return out
 
@@ -365,7 +376,7 @@ def full_embeddings(
         kinds = dict.fromkeys(RELATION_KINDS[rel])
         return _relation_steps(
             rel,
-            {k: gtens.norm[(rel, k)] for k in kinds},
+            [{k: gtens.norm[(rel, k)] for k in kinds}] * params.layers,
             {k: params.table(k) for k in kinds},
             params,
             {kind: metas.get((kind, rel))},
@@ -420,19 +431,38 @@ def full_embeddings(
 # ---------------------------------------------------------------------------
 
 
-def _forest_operators(forest: Forest) -> dict[str, SparseOperator]:
-    """Per endpoint kind, the mean over each row's sampled children; leaves
-    and rows of a kind that is never expanded have none."""
+def _forest_operators(forest: Forest, layers: int, reach: int) -> list[dict[str, SparseOperator]]:
+    """The per-step operators of :func:`_relation_steps` over a forest,
+    computing at step l only the rows the last step still reads: the rows
+    first reached at depth ``reach`` + ``layers`` - l or less (capped at
+    the forest's depth), where the last step reads the rows of depth
+    ``reach`` or less (the targets, and for ``reach`` = 1 their members).
+
+    Per endpoint kind, one operator takes the mean over each row's sampled
+    children (leaves and rows of a kind that is never expanded have none);
+    step l cuts its leading block, and every block's transpose is cut from
+    that operator's one transpose.
+    """
     ka, kb = RELATION_KINDS[forest.relation]
     other = {ka: kb, kb: ka}
-    ops = {}
+    depth = len(forest.layers)
+    whole = {}
     for k in other:
         edges = [(p, c) for pk, (_, p, c) in zip(forest.kinds, forest.layers) if pk == k]
         rows = np.concatenate([np.zeros(0, np.intp)] + [p for p, _ in edges])
         cols = np.concatenate([np.zeros(0, np.intp)] + [c for _, c in edges])
         shape = (forest.nodes[k].size, forest.nodes[other[k]].size)
-        ops[k] = neighbor_mean(rows, cols, shape)
-    return ops
+        whole[k] = neighbor_mean(rows, cols, shape)
+    # step l computes the rows of depth <= reads[l] from those of depth <= reads[l - 1]
+    reads = [min(reach + layers - l, depth) for l in range(layers + 1)]
+    return [
+        {
+            k: op.head(forest.prefix[k][reads[l]], forest.prefix[other[k]][reads[l - 1]])
+            for k, op in whole.items()
+            if forest.prefix[k][reads[l]]
+        }
+        for l in range(1, layers + 1)
+    ]
 
 
 def embed_from_episode(
@@ -455,14 +485,16 @@ def embed_from_episode(
     metas = metas or {}
     channels: dict[str, Tensor] = {}
     masks: dict[str, np.ndarray] = {}
-    target_rows = np.arange(len(episodes))
     for rel, forest in episodes.forests.items():
         members = degree_plan(*episodes.first_order(rel))
         if not members.runs:
             continue
         h0 = {k: ad.gather_rows(params.table(k), idx) for k, idx in forest.nodes.items()}
-        out = _relation_steps(rel, _forest_operators(forest), h0, params, {kind: metas.get(rel)})
-        channels[rel] = ad.gather_rows(out[kind][-1], target_rows)
+        # the member-aggregate channel reads the GU members at the last step
+        reach = int((kind, rel) == ("group", "GU"))
+        ops = _forest_operators(forest, params.layers, reach)
+        out = _relation_steps(rel, ops, h0, params, {kind: metas.get(rel)})
+        channels[rel] = out[kind][-1]  # the last step computes the n targets' rows alone
         masks[rel] = members.present
         if (kind, rel) == ("group", "GU"):
             channels["GU_AGG"] = _member_aggregate(members, out["user"][-1], params)

@@ -29,9 +29,10 @@ class SparseOperator:
     ``shape`` and ``size`` (the dense cell count) describe the matrix,
     ``nbytes`` the arrays actually stored, and ``np.asarray(op)`` gives a
     dense copy.  The transpose is built on first use and cached.
+    :meth:`head` cuts a leading block that shares these arrays.
     """
 
-    __slots__ = ("shape", "_buckets", "_t")
+    __slots__ = ("shape", "_buckets", "_t", "_whole")
 
     def __init__(self, rows, cols, values, shape: tuple[int, int]):
         """Build from coordinate triplets; (row, col) pairs must be distinct."""
@@ -44,6 +45,7 @@ class SparseOperator:
         _check_range(rows, cols, (n_rows, n_cols))
         self.shape = (n_rows, n_cols)
         self._t: SparseOperator | None = None
+        self._whole: SparseOperator | None = None  # the operator a head was cut from
 
         cell = rows * n_cols + cols  # one sort by (row, col), far faster than lexsort
         order = np.argsort(cell)
@@ -51,21 +53,27 @@ class SparseOperator:
             raise ValueError("duplicate (row, col) entry")
         rows, cols, values = rows[order], cols[order], values[order]
         deg = np.bincount(rows, minlength=n_rows)
-        slot = np.arange(rows.size) - (np.cumsum(deg) - deg)[rows]
-        # bucket e holds the rows with 2**(e-1) < degree <= 2**e
+        # bucket e holds the rows with 2**(e-1) < degree <= 2**e; the
+        # buckets are consecutive row-major blocks of two flat arrays
         width_exp = np.frexp(np.maximum(deg - 1, 0))[1]
-        local = np.empty(n_rows, dtype=np.intp)
+        listed = np.flatnonzero(deg)
+        listed = listed[np.argsort(width_exp[listed], kind="stable")]
+        width = 1 << width_exp[listed].astype(np.intp)
+        start = np.zeros(n_rows, dtype=np.intp)
+        start[listed] = np.cumsum(width) - width
+        cell = start[rows] + np.arange(rows.size) - (np.cumsum(deg) - deg)[rows]
+        idx = np.full(int(width.sum()), n_cols, dtype=np.intp)
+        idx[cell] = cols
+        weights = np.zeros(idx.size)
+        weights[cell] = values
         self._buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for e in np.unique(width_exp[deg > 0]):
-            members = np.flatnonzero((deg > 0) & (width_exp == e))
-            local[members] = np.arange(members.size)
-            sel = width_exp[rows] == e
-            r, s = local[rows[sel]], slot[sel]
-            idx = np.full((members.size, 1 << int(e)), n_cols, dtype=np.intp)
-            idx[r, s] = cols[sel]
-            weights = np.zeros((members.size, 1, 1 << int(e)))
-            weights[r, 0, s] = values[sel]
-            self._buckets.append((members, idx, weights))
+        firsts = np.flatnonzero(np.diff(width, prepend=0))
+        for lo, hi in zip(firsts.tolist(), [*firsts[1:].tolist(), listed.size]):
+            w = int(width[lo])
+            at = slice(start[listed[lo]], start[listed[lo]] + (hi - lo) * w)
+            self._buckets.append(
+                (listed[lo:hi], idx[at].reshape(hi - lo, w), weights[at].reshape(hi - lo, 1, w))
+            )
 
     @property
     def size(self) -> int:
@@ -94,14 +102,37 @@ class SparseOperator:
         padded = np.concatenate([h, np.zeros((1, h.shape[1]))])
         out = np.zeros((self.shape[0], h.shape[1]))
         for members, idx, weights in self._buckets:
-            out[members] = np.matmul(weights, np.take(padded, idx, axis=0))[:, 0, :]
+            # the padding, and a head's columns past its block, read the zero row
+            taken = np.take(padded, idx, axis=0, mode="clip")
+            out[members] = np.matmul(weights, taken)[:, 0, :]
+        return out
+
+    def head(self, n_rows: int, n_cols: int) -> "SparseOperator":
+        """The leading (n_rows, n_cols) block, sharing this operator's arrays.
+
+        Its transpose is the matching block of this operator's transpose,
+        so cutting many heads builds no operator beyond that one transpose.
+        """
+        if not (0 <= n_rows <= self.shape[0] and 0 <= n_cols <= self.shape[1]):
+            raise ValueError(f"no ({n_rows}, {n_cols}) head in shape {self.shape}")
+        out = SparseOperator.__new__(SparseOperator)
+        out.shape = (int(n_rows), int(n_cols))
+        out._t, out._whole = None, self
+        out._buckets = []
+        for members, idx, weights in self._buckets:
+            m = int(np.searchsorted(members, n_rows))
+            if m:
+                out._buckets.append((members[:m], idx[:m], weights[:m]))
         return out
 
     @property
     def T(self) -> "SparseOperator":
         if self._t is None:
-            rows, cols, values = self.entries()
-            self._t = SparseOperator(cols, rows, values, self.shape[::-1])
+            if self._whole is not None:
+                self._t = self._whole.T.head(self.shape[1], self.shape[0])
+            else:
+                rows, cols, values = self.entries()
+                self._t = SparseOperator(cols, rows, values, self.shape[::-1])
             self._t._t = self
         return self._t
 

@@ -11,6 +11,7 @@ tuple-relation graph code at the end walks edges one at a time where
 import math
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -79,6 +80,17 @@ def neighbors(graph, rel, kind, index):
 def as_lists(arrays):
     """A graph's per-relation arrays (edges or timestamps) as plain lists."""
     return {rel: None if v is None else v.tolist() for rel, v in arrays.items()}
+
+
+def read_id_map(path):
+    """The ``{kind: {external id: index}}`` tables of an ``ids.tsv`` written
+    by ``IdMap.save``; ValueError when an id of a kind has two indices."""
+    forward = {kind: {} for kind in KINDS}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        kind, ext, idx = line.split("\t")
+        if forward[kind].setdefault(ext, int(idx)) != int(idx):
+            raise ValueError(f"id collision for {kind} {ext!r}")
+    return forward
 
 
 def dedup_mean(rows, cols, shape):
@@ -473,25 +485,85 @@ def episode_forest(episodes, kind, rel):
     return nodes, tree_rows, ops, model.degree_plan(first_sizes, first_rows)
 
 
-def embed_dict_batch(episodes, params, metas=None):
-    """The batched episode forward over dict trees, (n, d)."""
-    kind = episodes[0].target.kind
+def relation_steps_all_rows(rel, ops, h0, params, inject):
+    """Every step of one relation over every row of a forest: ``ops[kind]``
+    is the one neighbor-mean operator of all steps, and the leading
+    ``len(inject[kind])`` rows of ``kind`` are meta-injected."""
+    ka, kb = RELATION_KINDS[rel]
+    other = {ka: kb, kb: ka}
+    h = dict(h0)
+    out = {kind: [h[kind]] for kind in h}
+
+    def adjust(kind, x):
+        meta = inject.get(kind)
+        if meta is None:
+            return x
+        n, proj = meta.shape[0], params.meta_proj[rel]
+        head = ad.matmul(ad.concat([ad.gather_rows(x, np.arange(n)), meta], axis=1), proj)
+        return ad.concat([head, ad.gather_rows(x, np.arange(n, x.shape[0]))], axis=0)
+
+    for layer in range(1, params.layers + 1):
+        neigh = {kind: ad.spmm(ops[kind], h[other[kind]]) for kind in h}
+        w = params.conv_w[layer - 1] if params.variant == "gcn" else None
+        h = {kind: model._conv_matrix(params.variant, adjust(kind, h[kind]), neigh[kind], w) for kind in h}
+        for kind in h:
+            out[kind].append(h[kind])
+    return out
+
+
+def forest_operators_all_rows(forest):
+    """Per endpoint kind, the mean over each forest row's sampled children
+    (none for leaves), over all rows of both kinds."""
+    ka, kb = RELATION_KINDS[forest.relation]
+    other = {ka: kb, kb: ka}
+    ops = {}
+    for k in other:
+        pairs = [(p, c) for pk, (_, p, c) in zip(forest.kinds, forest.layers) if pk == k]
+        rows = np.concatenate([np.zeros(0, np.intp)] + [p for p, _ in pairs])
+        cols = np.concatenate([np.zeros(0, np.intp)] + [c for _, c in pairs])
+        ops[k] = neighbor_mean(rows, cols, (forest.nodes[k].size, forest.nodes[other[k]].size))
+    return ops
+
+
+def _embed_forests(kind, forests, targets, params, metas):
+    """Fuse the channels of each relation's (nodes, ops, members) forest,
+    propagated over all of its rows at every step."""
     metas = metas or {}
     channels, masks = {}, {}
-    target_rows = np.arange(len(episodes))
-    for rel in RELATIONS_BY_KIND[kind]:
-        nodes, _, ops, members = episode_forest(episodes, kind, rel)
+    target_rows = np.arange(targets.size)
+    for rel, (nodes, ops, members) in forests.items():
         if not members.runs:
             continue
         h0 = {k: ad.gather_rows(params.table(k), idx) for k, idx in nodes.items()}
-        out = model._relation_steps(rel, ops, h0, params, {kind: metas.get(rel)})
+        out = relation_steps_all_rows(rel, ops, h0, params, {kind: metas.get(rel)})
         channels[rel] = ad.gather_rows(out[kind][-1], target_rows)
         masks[rel] = members.present
         if (kind, rel) == ("group", "GU"):
             channels["GU_AGG"] = model._member_aggregate(members, out["user"][-1], params)
             masks["GU_AGG"] = members.present
-    e0 = ad.gather_rows(params.table(kind), [ep.target.index for ep in episodes])
+    e0 = ad.gather_rows(params.table(kind), targets)
     return model.fuse_present(kind, channels, masks, params.fusion, e0)
+
+
+def embed_forest_all_rows(batch, params, metas=None):
+    """``model.embed_from_episode`` propagating every forest row at every
+    step, the targets' rows read off the last, (n, d)."""
+    forests = {
+        rel: (forest.nodes, forest_operators_all_rows(forest), model.degree_plan(*batch.first_order(rel)))
+        for rel, forest in batch.forests.items()
+    }
+    return _embed_forests(batch.kind, forests, batch.targets, params, metas)
+
+
+def embed_dict_batch(episodes, params, metas=None):
+    """The batched episode forward over dict trees, (n, d)."""
+    kind = episodes[0].target.kind
+    forests = {}
+    for rel in RELATIONS_BY_KIND[kind]:
+        nodes, _, ops, members = episode_forest(episodes, kind, rel)
+        forests[rel] = (nodes, ops, members)
+    targets = np.array([ep.target.index for ep in episodes], dtype=np.intp)
+    return _embed_forests(kind, forests, targets, params, metas)
 
 
 def episode_plans(episodes, kind):

@@ -131,9 +131,11 @@ def hand_batch(kind, rows):
         flat = np.concatenate([np.zeros(0, np.intp), *neigh])
         if other == kind:
             nodes, child = {kind: np.concatenate([targets, flat])}, n + np.arange(flat.size)
+            prefix = {kind: (n, n + flat.size)}
         else:
             nodes, child = {kind: targets, other: flat}, np.arange(flat.size)
-        forests[rel] = Forest(rel, (kind, other), nodes, ((tree, tree, child),))
+            prefix = {kind: (n, n), other: (0, flat.size)}
+        forests[rel] = Forest(rel, (kind, other), nodes, ((tree, tree, child),), prefix)
     return EpisodeBatch(kind, targets, 1, forests)
 
 

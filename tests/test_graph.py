@@ -21,7 +21,7 @@ from coldgraph.graph import (
     stats_summary,
     write_split_manifest,
 )
-from oracles import as_lists, assert_same_split, dict_trees, neighbors, tuple_split
+from oracles import as_lists, assert_same_split, dict_trees, neighbors, read_id_map, tuple_split
 
 
 def degree(graph, rel, kind, index):
@@ -101,14 +101,15 @@ class TestLoadEdges:
 
     def test_idmap_roundtrip_and_collision(self, tmp_path):
         ids = IdMap()
-        ids.intern("user", "alice")
-        ids.intern("item", "alice")  # same external id, different kind: fine
+        assert ids.intern("user", "alice") == 0
+        assert ids.intern("item", "alice") == 0  # same external id, different kind: fine
+        assert ids.intern("user", "bob") == 1
+        assert ids.intern("user", "alice") == 0  # one index per id
         ids.save(tmp_path / "ids.tsv")
-        loaded = IdMap.load(tmp_path / "ids.tsv")
-        assert loaded.forward == ids.forward
+        assert read_id_map(tmp_path / "ids.tsv") == ids.forward
         (tmp_path / "bad.tsv").write_text("user\talice\t0\nuser\talice\t1\n")
         with pytest.raises(ValueError, match="collision"):
-            IdMap.load(tmp_path / "bad.tsv")
+            read_id_map(tmp_path / "bad.tsv")
 
 
 class TestGraphInvariants:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from coldgraph import graph as graph_mod
 from oracles import as_lists
 from coldgraph.graph import (
     COLD_ANCHOR_KEEP,
@@ -205,6 +206,48 @@ def test_manifest_matches_the_line_by_line_writer(tmp_path):
         write_split_manifest(split, tmp_path / "split.txt")
         assert (tmp_path / "split.txt").read_text() == want
         oracles.assert_same_split(read_split_manifest(tmp_path / "split.txt"), split)
+
+
+BAD_RECORDS = [
+    "warm user", "warm user ", "test GI 1", "warm user 1 2", "flag GI 1", "bogus 1", "param n_g",
+    "warm user 1warm user 2", "train GI 1 train GI 2",
+]
+
+
+def test_manifest_reader_takes_any_line_order_and_spacing(tmp_path):
+    path = tmp_path / "split.txt"
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        counts, edges, stamps, params, c_u, c_g = random_case(rng)
+        split = segment(build_implicit(InteractionGraph(counts, edges, stamps), c_u, c_g), **params)
+        write_split_manifest(split, path)
+        head, *body = path.read_text().splitlines()
+        assert graph_mod._manifest_sections(body) is not None  # parsed as sorted blocks
+
+        def reread(lines):
+            path.write_text("\n".join([head, *lines]) + "\n")
+            return read_split_manifest(path)
+
+        shuffled = [body[i] for i in rng.permutation(len(body))]
+        shuffled.insert(int(rng.integers(len(body) + 1)), "")
+        oracles.assert_same_split(reread(shuffled), split)
+        # spacing the writer never writes: read line by line
+        spaced = list(body)
+        for i in rng.choice(len(body), size=3):
+            spaced[i] = rng.choice(["  ", "\t", " \t "]).join(body[i].split()) + " "
+        assert graph_mod._manifest_sections(spaced) is None
+        oracles.assert_same_split(reread(spaced), split)
+        # a bad line is named by its line number, the first of two
+        at = int(rng.integers(len(body) + 1))
+        for bad in BAD_RECORDS:
+            with pytest.raises(ValueError, match=f"split.txt:{at + 2}: bad record '{bad}'"):
+                reread([*body[:at], bad, *body[at:]])
+        # two bad lines whose word counts make up for each other
+        for first, second in (("warm user 1 2", "warm user "), ("train GI 1 2 3", "train GI 4")):
+            with pytest.raises(ValueError, match=f"split.txt:{at + 2}: bad record '{first}'"):
+                reread([*body[:at], first, *body[at:], second])
+        with pytest.raises(ValueError, match="bad manifest: invalid literal"):
+            reread([*body[:at], "warm user x", *body[at:]])
 
 
 def test_split_arrays_are_read_only():

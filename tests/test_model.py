@@ -25,7 +25,9 @@ from oracles import (
     dict_trees,
     embed_dict_batch,
     embed_episode,
+    embed_forest_all_rows,
     episode_forest,
+    forest_operators_all_rows,
     fuse_by_pattern,
     fuse_channels,
     neighbors,
@@ -57,7 +59,7 @@ def conv_once(variant, self_vec, neighbor_vecs, weight=None, meta=None, proj=Non
     }
     h0 = {"user": t([self_vec]), "item": t(neighbor_vecs if m else np.zeros((1, d)))}
     inject = {"user": t([meta])} if meta is not None else None
-    return model._relation_steps("UI", ops, h0, params, inject)["user"][1].data[0]
+    return model._relation_steps("UI", [ops], h0, params, inject)["user"][1].data[0]
 
 
 class TestConvStep:
@@ -242,7 +244,7 @@ class TestEpisodeForest:
             trees[kind][:n] = np.arange(n)
             for (tree, _, child), ck in zip(forest.layers, forest.kinds[1:]):
                 trees[ck][child] = tree
-            ops = model._forest_operators(forest)
+            ops = forest_operators_all_rows(forest)
             label = {}
             for k, rows in forest.nodes.items():
                 got = labelled(rows, trees[k], np.arange(rows.size))
@@ -314,6 +316,71 @@ class TestEpisodeForest:
         shallow = sample_episode(g, "user", [0, 1], k=3, depth=1, seed=0)
         with pytest.raises(ValueError, match="depth 2"):
             embed_from_episode(shallow, params)
+
+
+def assert_matches_all_rows(batch, params, with_meta):
+    """The pruned forest forward against every row propagated at every
+    step, in the loss and every gradient."""
+    n, d = len(batch), params.d
+    rng = np.random.default_rng(3)
+    metas = {rel: t(rng.normal(size=(n, d))) for rel in batch.forests} if with_meta else {}
+    probe = ad.const(rng.normal(size=(n, d)))
+    leaves = params.tensors() + list(metas.values())
+    results = []
+    for embed in (embed_from_episode, embed_forest_all_rows):
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.mul(embed(batch, params, metas or None), probe))
+            results.append((loss.item(), tape.backward(loss, leaves)))
+    (got, got_grads), (want, want_grads) = results
+    assert abs(got - want) <= 1e-12
+    for leaf in leaves:
+        np.testing.assert_allclose(got_grads[leaf], want_grads[leaf], rtol=0, atol=1e-12)
+
+
+class TestPrunedForest:
+    """Each step computes only the forest rows the last step reads."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("variant,with_meta", [("light", False), ("light", True), ("gcn", True)])
+    def test_matches_all_rows_oracle(self, layers, k, variant, with_meta):
+        seen = set()
+        for implicit in (True, False):  # without implicit edges UU and GG sample nothing
+            g = forest_graph(implicit)
+            params = make_params(g.counts, d=5, variant=variant, layers=layers,
+                                 with_meta=with_meta, seed=layers)
+            for kind, bonus in (("group", True), ("group", False), ("user", True), ("item", True)):
+                batch = sample_episode(g, kind, range(g.counts[kind]), k=k, depth=layers,
+                                       seed=11, member_depth_bonus=bonus)
+                firsts = np.stack([batch.first_order(rel)[0] for rel in batch.forests])
+                seen.add("isolated" if np.any(firsts.sum(axis=0) == 0) else "")
+                seen.update(
+                    "empty" if forest.edge_count() == 0 else rel
+                    for rel, forest in batch.forests.items()
+                )
+                assert_matches_all_rows(batch, params, with_meta)
+        assert {"isolated", "empty", "UU", "GG", "GU"} <= seen
+
+    @pytest.mark.parametrize("kind", ["group", "user", "item"])
+    def test_steps_cut_leading_blocks(self, kind):
+        g = forest_graph()
+        batch = sample_episode(g, kind, range(g.counts[kind]), k=3, depth=3, seed=7)
+        for rel, forest in batch.forests.items():
+            reach = int((kind, rel) == ("group", "GU"))
+            whole = {k: np.asarray(op) for k, op in forest_operators_all_rows(forest).items()}
+            steps = model._forest_operators(forest, 3, reach)
+            top = len(forest.layers)
+            for layer, ops in enumerate(steps, 1):
+                read = min(reach + 3 - layer, top)
+                assert set(ops) == {k for k in forest.nodes if forest.prefix[k][read]}
+                for k, op in ops.items():
+                    rows, cols = op.shape
+                    assert rows == forest.prefix[k][read]
+                    np.testing.assert_array_equal(np.asarray(op), whole[k][:rows, :cols])
+                    np.testing.assert_array_equal(np.asarray(op.T), whole[k][:rows, :cols].T)
+            # the last step computes the targets' rows alone
+            assert steps[-1][kind].shape[0] == len(batch)
+            assert sum(op.shape[0] for op in steps[-1].values()) < sum(whole[k].shape[0] for k in whole)
 
 
 class TestAggregateMembers:

@@ -105,6 +105,37 @@ def test_sampler_properties(graph, kind, k, depth, seed, data):
             np.testing.assert_array_equal(x, y)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    small_graphs(),
+    st.sampled_from(KINDS),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 2 ** 64 - 1),
+    st.data(),
+)
+def test_rows_are_numbered_by_first_reach_depth(graph, kind, k, depth, seed, data):
+    # the invariant that lets a propagation step keep a row prefix per kind
+    targets = data.draw(st.lists(st.integers(0, graph.counts[kind] - 1), max_size=6))
+    batch = sample_episode(graph, kind, targets, k, depth, seed)
+    for forest in batch.forests.values():
+        top = len(forest.layers)
+        first = {c: np.full(rows.size, top + 1) for c, rows in forest.nodes.items()}
+        first[kind][: len(targets)] = 0
+        for level, ((_, _, child), child_kind) in enumerate(zip(forest.layers, forest.kinds[1:])):
+            np.minimum.at(first[child_kind], child, level + 1)
+        assert forest.prefix.keys() == forest.nodes.keys()
+        for c, reached in first.items():
+            assert len(forest.prefix[c]) == top + 1
+            for level, count in enumerate(forest.prefix[c]):
+                # the rows first reached at depth <= level are rows 0..count-1
+                np.testing.assert_array_equal(np.flatnonzero(reached <= level), np.arange(count))
+        for level, ((_, parent, _), parent_kind) in enumerate(zip(forest.layers, forest.kinds)):
+            lo = forest.prefix[parent_kind][level - 1] if level else 0
+            assert np.all(np.diff(parent) >= 0)  # grouped, ascending
+            assert np.all((parent >= lo) & (parent < forest.prefix[parent_kind][level]))
+
+
 def test_no_member_bonus():
     g = InteractionGraph({"user": 3, "item": 1, "group": 1}, {"GU": [(0, 0), (0, 1)]})
     batch = sample_episode(g, "group", [0], 2, 2, 0, member_depth_bonus=False)

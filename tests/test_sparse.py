@@ -113,6 +113,31 @@ class TestOperator:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(edge_lists(), st.data())
+    def test_heads_are_leading_blocks(self, case, data):
+        rows, cols, shape, square = case
+        op = build(rows, cols, shape, square)
+        dense = np.asarray(op)
+        r = data.draw(st.integers(0, shape[0]))
+        c = data.draw(st.integers(0, shape[1]))
+        head = op.head(r, c)
+        block = dense[:r, :c]
+        rng = np.random.default_rng(r * 31 + c)
+        h, g = rng.normal(size=(c, 3)), rng.normal(size=(r, 3))
+        for cut in (head, op.T.head(c, r).T):  # cut before or after transposing
+            assert cut.shape == (r, c)
+            np.testing.assert_array_equal(np.asarray(cut), block)
+            np.testing.assert_array_equal(np.asarray(cut.T), block.T)
+            np.testing.assert_allclose(cut.dot(h), block @ h, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cut.T.dot(g), block.T @ g, rtol=0, atol=1e-12)
+        assert head.T is head.T and head.T.T is head
+        r2, c2 = data.draw(st.integers(0, r)), data.draw(st.integers(0, c))
+        np.testing.assert_array_equal(np.asarray(head.head(r2, c2)), dense[:r2, :c2])
+        np.testing.assert_array_equal(np.asarray(head.head(r2, c2).T), dense[:r2, :c2].T)
+        with pytest.raises(ValueError, match="head"):
+            op.head(shape[0] + 1, c)
+
     def test_padding_below_twice_nnz_and_buckets_log_of_degree(self):
         rows = np.concatenate([np.zeros(33, int), np.arange(1, 9)])
         cols = np.concatenate([np.arange(33), np.arange(1, 9)])
