@@ -16,13 +16,7 @@ from .graph import (
 from .model import ModelParams, embed_from_episode, full_embeddings, init_model_params
 from .enhancer import EnhancerParams, init_enhancer_params, train_enhancer
 from .reconstruction import GroundTruthTable, ssl_loss, train_teacher
-from .train import (
-    TrainConfig,
-    TrainHistory,
-    train_base,
-    train_joint,
-    train_pretrain_finetune,
-)
+from .train import TrainConfig, TrainHistory, train_model
 from .evaluation import Metrics, evaluate
 
 __version__ = "0.1.0"

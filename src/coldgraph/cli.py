@@ -39,8 +39,7 @@ from .train import (
     final_state,
     load_training_checkpoint,
     save_training_checkpoint,
-    train_joint,
-    train_pretrain_finetune,
+    train_model,
 )
 
 log = logging.getLogger("coldgraph")
@@ -142,7 +141,10 @@ def cmd_synth(config: TrainConfig, out: Path) -> int:
         ts_max=config.synth_ts_max,
         seed=config.seed,
     )
-    graph = generate_synthetic(spec)
+    try:
+        graph = generate_synthetic(spec)
+    except ValueError as err:
+        raise CliError(2, str(err)) from err
     out.mkdir(parents=True, exist_ok=True)
     export_edges(graph, out)
     summary = stats_summary(graph)
@@ -240,10 +242,7 @@ def cmd_train(config: TrainConfig, out: Path) -> int:
         m = _evaluate(params, enh, graph, split, config)
         return m.recall_at_k, m.ndcg_at_k
 
-    trainer = train_pretrain_finetune if config.paradigm == "pretrain_finetune" else train_joint
-    params, enh, history = trainer(
-        config, split, graph, gt, out_dir=out, eval_fn=eval_fn if config.eval_every else None
-    )
+    params, enh, history = train_model(config, split, graph, gt, out_dir=out, eval_fn=eval_fn)
     save_training_checkpoint(out / "model.ckpt", params, enh, config)
     label = config.variant_label()
     history_file = out / f"history{label}.csv"

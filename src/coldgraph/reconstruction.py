@@ -11,7 +11,7 @@ of targets at a time.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -19,8 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .enhancer import EnhancerParams, episode_metas, reconstruction_costs
-from .graph import KINDS, EpisodeBatch, EvalSplit, InteractionGraph
-from .model import FullState, ModelParams, embed_from_episode
+from .graph import KINDS, EpisodeBatch, EvalSplit, InteractionGraph, make_training_graph
+from .model import FullState, GraphTensors, ModelParams, embed_from_episode, full_embeddings
 
 log = logging.getLogger("coldgraph")
 
@@ -90,18 +90,21 @@ def layer_sum_table(state: FullState, split: EvalSplit, provenance: str) -> Grou
 def train_teacher(split: EvalSplit, graph: InteractionGraph, config) -> GroundTruthTable:
     """Train the plain base GNN on the warm data and freeze its embeddings.
 
-    The teacher never masks neighborhoods and never uses the enhancer; its
-    per-node target is the layer sum h^0 + ... + h^L computed over the full
-    training-graph adjacency.
+    The teacher is :func:`train.train_model` run jointly for
+    ``teacher_epochs`` epochs with ``lam1=0`` and the enhancer off, so it
+    never masks neighborhoods; its per-node target is the layer sum
+    h^0 + ... + h^L computed over the full training-graph adjacency.
     """
-    from dataclasses import replace
-
-    from .train import train_base  # deferred: train drives the shared loop
+    from .train import train_model  # deferred: train imports this module
 
     if not any(split.warm[k].size for k in KINDS):
         raise ValueError("warm sets are empty; nothing to teach from")
-    teacher_config = replace(config, epochs=config.teacher_epochs)
-    params, state = train_base(teacher_config, split, graph, need_layer_sums=True)
+    teacher_config = replace(
+        config, epochs=config.teacher_epochs, lam1=0.0, enhancer=False, paradigm="joint"
+    )
+    params, _, _ = train_model(teacher_config, split, graph)
+    gtens = GraphTensors(make_training_graph(graph, split))
+    state = full_embeddings(gtens, params, need_layer_sums=True)
     provenance = f"{config.backbone}-layersum-L{config.L}-seed{config.seed}"
     table = layer_sum_table(state, split, provenance)
     bad = []

@@ -1,4 +1,9 @@
-"""Losses, the optimization loop, both training paradigms, checkpointing.
+"""Losses, the optimization loop, the training entry point, checkpointing.
+
+:func:`train_model` runs the phases that ``TrainConfig.paradigm`` names:
+``joint`` trains ranking and reconstruction together for ``epochs``
+epochs; ``pretrain_finetune`` trains reconstruction alone for
+``pretrain_epochs`` epochs, then ranking alone for ``epochs`` epochs.
 
 The recommendation objective is pairwise: every observed group-item or
 user-item edge is ranked above one freshly drawn unobserved item per epoch.
@@ -14,7 +19,6 @@ others and a run is a pure function of its seed.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import re
@@ -34,7 +38,7 @@ from .enhancer import (
     init_enhancer_params,
     train_enhancer,
 )
-from .graph import EpisodeBatch, EvalSplit, InteractionGraph, make_training_graph, sample_episode
+from .graph import KINDS, EpisodeBatch, EvalSplit, InteractionGraph, make_training_graph, sample_episode
 from .model import (
     FullState,
     GraphTensors,
@@ -108,17 +112,19 @@ class TrainConfig:
     report_ssl_dir: str = ""
 
     def validate(self) -> None:
-        positive = ("d", "L", "K", "learning_rate", "batch_size", "epochs")
+        positive = ("d", "L", "K", "learning_rate", "batch_size", "epochs", "teacher_epochs")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config {name} must be positive")
-        for name in ("lam", "lam1", "lam2"):
+        for name in ("lam", "lam1", "lam2", "c_u", "c_g", "n_g", "n_u", "n_i"):
             if getattr(self, name) < 0:
                 raise ValueError(f"config {name} must be non-negative")
         if self.paradigm not in PARADIGMS:
             raise ValueError(f"paradigm must be one of {PARADIGMS}")
         if self.paradigm == "pretrain_finetune" and self.lam1 <= 0:
             raise ValueError("paradigm pretrain_finetune needs lam1 > 0 to weight its pretrain phase")
+        if self.paradigm == "pretrain_finetune" and self.pretrain_epochs < 1:
+            raise ValueError("paradigm pretrain_finetune needs pretrain_epochs >= 1")
         if self.meta_mode not in META_MODES:
             raise ValueError(f"meta_mode must be one of {META_MODES}")
         if self.backbone not in ("light", "gcn"):
@@ -301,73 +307,51 @@ class AdamState:
 # ---------------------------------------------------------------------------
 
 
-def training_tensor_dict(
-    params: ModelParams, enh: EnhancerParams | None
-) -> dict[str, np.ndarray]:
-    out = {name: np.array(t.data) for name, t in params.named_tensors()}
-    if enh is not None:
-        out.update({name: np.array(t.data) for name, t in enh.named_tensors()})
-    return out
+def _named_tensors(params: ModelParams, enh: EnhancerParams | None) -> list[tuple[str, Tensor]]:
+    return params.named_tensors() + (enh.named_tensors() if enh else [])
 
 
 def save_training_checkpoint(
     path: Path, params: ModelParams, enh: EnhancerParams | None, config: TrainConfig
 ) -> None:
-    save_checkpoint(path, training_tensor_dict(params, enh), config.to_text())
+    tensors = {name: t.data for name, t in _named_tensors(params, enh)}
+    save_checkpoint(path, tensors, config.to_text())
 
 
 def load_training_checkpoint(
     path: Path, expect: TrainConfig | None = None
 ) -> tuple[ModelParams, EnhancerParams | None, TrainConfig]:
+    """The model (and enhancer) that ``path``'s config echo describes, with
+    every tensor read by name.  A missing, mis-shaped or unexpected tensor
+    raises CheckpointError naming it."""
     tensors, echo = load_checkpoint(path)
+    # a missing or scalar row table builds as empty and fails its check below
+    counts = {kind: (np.shape(tensors.get(f"model/e_{kind}")) or (0,))[0] for kind in KINDS}
+    rng = np.random.default_rng(0)  # every value drawn here is overwritten
     try:
         config = TrainConfig.from_text(echo)
+        params = init_model_params(
+            counts, config.d, config.backbone, config.L, with_meta=config.enhancer, rng=rng
+        )
     except (KeyError, ValueError) as err:
         raise CheckpointError(f"{path}: bad config echo: {err}") from err
     if expect is not None and expect.d != config.d:
         raise CheckpointError(
             f"{path}: shape error, checkpoint has d={config.d} but d={expect.d} expected"
         )
-
-    def t(name):
+    enh = init_enhancer_params(config.d, rng) if config.enhancer else None
+    named = _named_tensors(params, enh)
+    for name, t in named:
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor {name}")
-        return Tensor(tensors[name], requires_grad=True)
-
-    from .model import FUSION_KEYS, META_RELATIONS
-
-    conv_names = sorted(
-        (n for n in tensors if n.startswith("model/conv_")), key=lambda n: int(n.rsplit("_", 1)[1])
-    )
-    meta_proj = {
-        rel: t(f"model/meta_proj_{rel}")
-        for rel in META_RELATIONS
-        if f"model/meta_proj_{rel}" in tensors
-    }
-    params = ModelParams(
-        d=config.d,
-        variant=config.backbone,
-        layers=config.L,
-        e_user=t("model/e_user"),
-        e_item=t("model/e_item"),
-        e_group=t("model/e_group"),
-        fusion={k: t(f"model/fusion_{k}") for k in FUSION_KEYS},
-        conv_w=tuple(t(n) for n in conv_names),
-        meta_proj=meta_proj,
-        member_score=t("model/member_score"),
-    )
-    if params.e_user.shape[1] != config.d:
-        raise CheckpointError(f"{path}: shape error, tensors disagree with d={config.d}")
-    enh = None
-    if any(n.startswith("enhancer/") for n in tensors):
-        enh = EnhancerParams(
-            d=config.d,
-            wq=t("enhancer/wq"),
-            wk=t("enhancer/wk"),
-            wv=t("enhancer/wv"),
-            fusion={k: t(f"enhancer/fusion_{k}") for k in FUSION_KEYS},
-            member_score=t("enhancer/member_score"),
-        )
+        if tensors[name].shape != t.shape:
+            raise CheckpointError(
+                f"{path}: shape error, tensor {name} is {tensors[name].shape}, {t.shape} expected"
+            )
+        t.data = tensors[name]
+    unexpected = sorted(set(tensors) - {name for name, _ in named})
+    if unexpected:
+        raise CheckpointError(f"{path}: unexpected tensor {unexpected[0]}")
     return params, enh, config
 
 
@@ -419,26 +403,6 @@ def _reg_term(tensors: Sequence[Tensor], lam2: float) -> Tensor:
     return ad.scale(total, lam2)
 
 
-@dataclass
-class _LoopResult:
-    params: ModelParams
-    enhancer: EnhancerParams | None
-    history: TrainHistory
-    gtens: GraphTensors
-    train_graph: InteractionGraph
-
-
-def _snapshot(params: ModelParams, enh: EnhancerParams | None):
-    tensors = params.tensors() + (enh.tensors() if enh else [])
-    return [np.array(t.data) for t in tensors]
-
-
-def _restore(params: ModelParams, enh: EnhancerParams | None, snap) -> None:
-    tensors = params.tensors() + (enh.tensors() if enh else [])
-    for t, arr in zip(tensors, snap):
-        t.data = np.array(arr)
-
-
 def _run_epochs(
     config: TrainConfig,
     split: EvalSplit,
@@ -449,20 +413,21 @@ def _run_epochs(
     gt: GroundTruthTable | None,
     rngs: Mapping[str, np.random.Generator],
     history: TrainHistory,
-    *,
-    epochs: int,
-    main_on: bool,
-    ssl_weight: float,
-    reg_on: bool,
     phase: str,
+    epochs: int,
     out_dir: Path | None,
     eval_fn=None,
 ) -> None:
-    """The shared mini-batch descent loop for every paradigm/phase.
+    """The mini-batch descent loop of one phase, with a fresh optimizer.
 
-    A non-finite loss, gradient or parameter raises :class:`_Diverged`
-    carrying the parameters of the last epoch that ended finite.
+    The pretrain phase trains only the reconstruction loss; finetune trains
+    the ranking loss and the L2 term; joint trains all three.  A non-finite
+    loss, gradient or parameter restores the parameters of the last epoch
+    that ended finite, saves them as ``out_dir/model.ckpt`` when ``out_dir``
+    is given, and raises :class:`DivergenceError`.
     """
+    main_on = phase != "pretrain"  # the ranking loss and the L2 term
+    ssl_weight = 0.0 if phase == "finetune" else config.lam1
     ssl_on = ssl_weight > 0.0
     positives, n_gi, pos_sets = _positives(train_graph)
     if main_on and not len(positives):
@@ -470,7 +435,16 @@ def _run_epochs(
     n_items = train_graph.counts["item"]
     tensors = params.tensors() + (enh.tensors() if enh else [])
     adam = AdamState(tensors, config.learning_rate)
-    last_good = _snapshot(params, enh)
+    last_good = [np.array(t.data) for t in tensors]
+
+    def diverged(message: str) -> DivergenceError:
+        for t, arr in zip(tensors, last_good):
+            t.data = arr
+        ckpt = None
+        if out_dir is not None:
+            ckpt = Path(out_dir) / "model.ckpt"
+            save_training_checkpoint(ckpt, params, enh, config)
+        return DivergenceError(message, history, ckpt)
 
     for epoch_i in range(1, epochs + 1):
         t0 = time.perf_counter()
@@ -559,7 +533,7 @@ def _run_epochs(
                         sums["ssl"] += l_r_val * n_eps
                         weights["ssl"] += n_eps
 
-                if reg_on and config.lam2 > 0:
+                if main_on and config.lam2 > 0:
                     terms.append(_reg_term(tensors, config.lam2))
 
                 if not terms:
@@ -569,20 +543,18 @@ def _run_epochs(
                     total = ad.add(total, term)
                 total_val = total.item()
                 if not math.isfinite(total_val):
-                    raise _Diverged(f"non-finite loss at epoch {epoch_no}", last_good)
+                    raise diverged(f"non-finite loss at epoch {epoch_no}")
                 try:
                     grads = tape.backward(total, tensors)
                 except ValueError as err:
-                    raise _Diverged(
-                        f"backward failed at epoch {epoch_no}: {err}", last_good
-                    ) from err
+                    raise diverged(f"backward failed at epoch {epoch_no}: {err}") from err
             adam.step(grads)
             sums["total"] += total_val
             weights["steps"] += 1
 
-        snap = _snapshot(params, enh)
+        snap = [np.array(t.data) for t in tensors]
         if not all(np.isfinite(a).all() for a in snap):
-            raise _Diverged(f"non-finite parameters after epoch {epoch_no}", last_good)
+            raise diverged(f"non-finite parameters after epoch {epoch_no}")
         last_good = snap
 
         stats = EpochStats(
@@ -605,22 +577,30 @@ def _run_epochs(
         )
 
 
-class _Diverged(RuntimeError):
-    """Divergence inside the loop; ``last_good`` is a :func:`_snapshot`."""
-
-    def __init__(self, message: str, last_good):
-        super().__init__(message)
-        self.last_good = last_good
+# ---------------------------------------------------------------------------
+# public entry points
+# ---------------------------------------------------------------------------
 
 
-def _train(
+def train_model(
     config: TrainConfig,
     split: EvalSplit,
     graph: InteractionGraph,
-    gt: GroundTruthTable | None,
-    out_dir: Path | None,
+    gt: GroundTruthTable | None = None,
+    out_dir: Path | None = None,
     eval_fn=None,
-) -> _LoopResult:
+) -> tuple[ModelParams, EnhancerParams | None, TrainHistory]:
+    """Train on ``split``'s training graph through the phases of
+    ``config.paradigm``: ``joint`` runs ``epochs`` epochs of ranking plus
+    reconstruction, ``pretrain_finetune`` runs ``pretrain_epochs`` epochs of
+    reconstruction alone and then ``epochs`` epochs of ranking.
+
+    ``gt`` is the teacher table, needed when ``lam1 > 0``.  With ``lam1=0``
+    and the enhancer off the reconstruction machinery consumes no
+    randomness, so the run is the plain base GNN's, bit for bit.
+    ``eval_fn(params, enh)`` returns (recall, ndcg) every ``eval_every``
+    epochs of a phase.
+    """
     config.validate()
     if config.lam1 > 0 and gt is None:
         raise ValueError("reconstruction training needs a ground-truth table (lam1 > 0)")
@@ -656,84 +636,16 @@ def _train(
             )
 
     history = TrainHistory(label=config.variant_label(), k=config.eval_k)
-    wrapped_eval = eval_fn
-
-    def run(epochs, main_on, ssl_weight, reg_on, phase):
-        try:
-            _run_epochs(
-                config, split, train_graph, gtens, params, enh, gt, rngs, history,
-                epochs=epochs, main_on=main_on, ssl_weight=ssl_weight, reg_on=reg_on,
-                phase=phase, out_dir=out_dir, eval_fn=wrapped_eval,
-            )
-        except _Diverged as err:
-            ckpt = None
-            _restore(params, enh, err.last_good)
-            if out_dir is not None:
-                ckpt = Path(out_dir) / "model.ckpt"
-                save_training_checkpoint(ckpt, params, enh, config)
-            raise DivergenceError(str(err), history, ckpt) from err
-
     if config.paradigm == "pretrain_finetune":
-        run(config.pretrain_epochs, main_on=False, ssl_weight=config.lam1, reg_on=False, phase="pretrain")
-        run(config.epochs, main_on=True, ssl_weight=0.0, reg_on=True, phase="finetune")
+        phases = [("pretrain", config.pretrain_epochs), ("finetune", config.epochs)]
     else:
-        run(config.epochs, main_on=True, ssl_weight=config.lam1, reg_on=True, phase="joint")
-    return _LoopResult(params, enh, history, gtens, train_graph)
-
-
-# ---------------------------------------------------------------------------
-# public entry points
-# ---------------------------------------------------------------------------
-
-
-def train_joint(
-    config: TrainConfig,
-    split: EvalSplit,
-    graph: InteractionGraph,
-    gt: GroundTruthTable | None = None,
-    out_dir: Path | None = None,
-    eval_fn=None,
-) -> tuple[ModelParams, EnhancerParams | None, TrainHistory]:
-    """Multi-task training: ranking and reconstruction losses together.
-
-    With ``lam1=0`` and the enhancer off this is exactly the vanilla base-GNN
-    trainer; the reconstruction machinery then consumes no randomness, so the
-    trajectory is bit-identical to a run that never had it.
-    """
-    cfg = replace(config, paradigm="joint")
-    result = _train(cfg, split, graph, gt, out_dir, eval_fn)
-    return result.params, result.enhancer, result.history
-
-
-def train_pretrain_finetune(
-    config: TrainConfig,
-    split: EvalSplit,
-    graph: InteractionGraph,
-    gt: GroundTruthTable | None = None,
-    out_dir: Path | None = None,
-    eval_fn=None,
-) -> tuple[ModelParams, EnhancerParams | None, TrainHistory]:
-    """Two-phase training: reconstruction-only first, then the ranking loss."""
-    cfg = replace(config, paradigm="pretrain_finetune")
-    result = _train(cfg, split, graph, gt, out_dir, eval_fn)
-    return result.params, result.enhancer, result.history
-
-
-def train_base(
-    config: TrainConfig,
-    split: EvalSplit,
-    graph: InteractionGraph,
-    need_layer_sums: bool = False,
-) -> tuple[ModelParams, FullState]:
-    """Vanilla base-GNN training (no reconstruction, no enhancer).
-
-    Returns the trained parameters and a final full-neighborhood forward
-    state, optionally with per-layer sums for teacher tables.
-    """
-    cfg = replace(config, lam1=0.0, enhancer=False, paradigm="joint")
-    result = _train(cfg, split, graph, None, None, None)
-    state = full_embeddings(result.gtens, result.params, need_layer_sums=need_layer_sums)
-    return result.params, state
+        phases = [("joint", config.epochs)]
+    for phase, epochs in phases:
+        _run_epochs(
+            config, split, train_graph, gtens, params, enh, gt, rngs, history,
+            phase, epochs, out_dir, eval_fn,
+        )
+    return params, enh, history
 
 
 def final_state(

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from coldgraph.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from coldgraph.enhancer import init_enhancer_params
+from coldgraph.model import init_model_params
+from coldgraph.train import TrainConfig, load_training_checkpoint, save_training_checkpoint
 
 
 @pytest.fixture
@@ -47,3 +50,22 @@ def test_wrong_magic_line(ckpt):
     path.write_bytes(b"coldgraph-ckpt v2\n" + blob[len(MAGIC):])
     with pytest.raises(CheckpointError, match="version mismatch"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("enhancer", [False, True])
+@pytest.mark.parametrize("backbone", ["light", "gcn"])
+def test_training_checkpoint_round_trips_every_tensor(tmp_path, backbone, enhancer):
+    config = TrainConfig(d=4, L=2, backbone=backbone, enhancer=enhancer)
+    rng = np.random.default_rng(1)
+    counts = {"user": 5, "item": 7, "group": 3}
+    params = init_model_params(counts, config.d, backbone, config.L, with_meta=enhancer, rng=rng)
+    enh = init_enhancer_params(config.d, rng) if enhancer else None
+    save_training_checkpoint(tmp_path / "model.ckpt", params, enh, config)
+    loaded, loaded_enh, echo = load_training_checkpoint(tmp_path / "model.ckpt", expect=config)
+    assert echo == config
+    assert (loaded_enh is None) == (enh is None)
+    expected = params.named_tensors() + (enh.named_tensors() if enh else [])
+    got = loaded.named_tensors() + (loaded_enh.named_tensors() if loaded_enh else [])
+    assert [name for name, _ in got] == [name for name, _ in expected]
+    for (name, a), (_, b) in zip(expected, got):
+        assert a.data.tobytes() == b.data.tobytes(), name

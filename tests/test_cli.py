@@ -112,6 +112,52 @@ def test_enhancer_pretrain_finetune_is_deterministic(workspace):
     assert any(name.startswith("enhancer/") for name in tensors)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: t.pop("model/conv_1"), "missing tensor model/conv_1"),
+        (lambda t: t.update({"model/fusion_GI": np.zeros((8, 3))}), "tensor model/fusion_GI is (8, 3)"),
+        (lambda t: t.update({"enhancer/wq": np.zeros((8, 8))}), "unexpected tensor enhancer/wq"),
+    ],
+    ids=["missing", "misshaped", "unexpected"],
+)
+def test_evaluate_on_a_checkpoint_with_a_wrong_tensor_exits_2(workspace, capsys, edit, message):
+    gcn = ["d=8", "backbone=gcn", "L=2"]
+    code, ckpt = train(workspace, "epochs=1", *gcn)
+    assert code == 0
+    tensors, echo = load_checkpoint(ckpt)
+    edit(tensors)
+    save_checkpoint(ckpt, tensors, echo)  # a valid digest over a wrong tensor set
+    ws, args = workspace
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--out", str(ws), *args, *PLAIN, *gcn]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("synth", ["synth_users=0"]),
+        ("synth", ["synth_intra=2"]),
+        ("synth", ["synth_group_max=1"]),
+        ("prepare", ["c_u=-1"]),
+        ("prepare", ["n_g=-1"]),
+        ("train-teacher", ["teacher_epochs=0"]),
+        ("train", ["lam1=1", "paradigm=pretrain_finetune", "pretrain_epochs=0"]),
+    ],
+    ids=lambda value: value[-1] if isinstance(value, list) else value,
+)
+def test_bad_config_values_exit_2(scratch_workspace, tmp_path, capsys, command, overrides):
+    ws, args = scratch_workspace
+    if command == "train":  # with a teacher table, so only the value is wrong
+        assert cli.main(["train-teacher", "--out", str(ws), *args, *SMALL]) == 0
+    out = tmp_path / "synth" if command == "synth" else ws
+    capsys.readouterr()
+    assert cli.main([command, "--out", str(out), *args, *SMALL, *overrides]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+
+
 def test_threads_knob_is_gone(workspace):
     ws, args = workspace
     with pytest.raises(SystemExit) as exit_info:

@@ -1,9 +1,16 @@
+import types
 from dataclasses import replace
 
 import pytest
 
+import coldgraph
 from coldgraph.graph import SyntheticSpec, build_implicit, generate_synthetic, segment
-from coldgraph.train import TrainConfig, train_base, train_joint
+from coldgraph.reconstruction import train_teacher
+from coldgraph.train import TrainConfig, train_model
+
+# a small model that trains with the reconstruction task in one full batch
+SMALL = dict(d=8, L=2, K=3, ssl_targets=8, warmup_targets=8, warmup_epochs=2, teacher_epochs=1,
+             batch_size=100_000, seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -14,14 +21,51 @@ def data():
     return graph, segment(graph, 10, 10, 10, 0.1)
 
 
+@pytest.fixture(scope="module")
+def teacher(data):
+    graph, split = data
+    return train_teacher(split, graph, TrainConfig(**SMALL))
+
+
+def tensor_bytes(params, enh):
+    named = params.named_tensors() + (enh.named_tensors() if enh else [])
+    return [(name, t.data.tobytes()) for name, t in named]
+
+
 def test_joint_without_reconstruction_is_the_base_trainer(data):
-    """The ``train_joint`` promise: with lam1=0 and the enhancer off the run is
-    bit-identical to plain base training, whatever the SSL and warm-up knobs."""
+    """With lam1=0 and the enhancer off the run is bit-identical to plain base
+    training, whatever the SSL and warm-up knobs: they draw no randomness."""
     graph, split = data
     config = TrainConfig(d=8, L=2, epochs=2, batch_size=128, lam1=0.0, enhancer=False, seed=5)
     knobs = replace(config, ssl_targets=3, warmup_epochs=2, warmup_targets=5, K=2)
-    joint, _, history = train_joint(knobs, split, graph)
-    base, _ = train_base(config, split, graph)
+    joint, enh, history = train_model(knobs, split, graph)
+    base, _, _ = train_model(config, split, graph)
+    assert enh is None
+    assert [e.phase for e in history.epochs] == ["joint", "joint"]
     assert all(e.l_r == 0.0 and e.masked_edges == 0 for e in history.epochs)
-    for (name, a), (_, b) in zip(joint.named_tensors(), base.named_tensors()):
-        assert a.data.tobytes() == b.data.tobytes(), name
+    assert tensor_bytes(joint, None) == tensor_bytes(base, None)
+
+
+def test_pretrain_finetune_runs_reconstruction_then_ranking(data, teacher):
+    graph, split = data
+    config = TrainConfig(**SMALL, paradigm="pretrain_finetune", pretrain_epochs=2, epochs=3)
+    _, _, history = train_model(config, split, graph, teacher)
+    assert [e.epoch for e in history.epochs] == [1, 2, 3, 4, 5]
+    assert [e.phase for e in history.epochs] == ["pretrain"] * 2 + ["finetune"] * 3
+    pretrain, finetune = history.epochs[:2], history.epochs[2:]
+    assert all(e.l_main == 0.0 and e.l_r > 0.0 and e.masked_edges > 0 for e in pretrain)
+    assert all(e.l_r == 0.0 and e.l_main > 0.0 and e.masked_edges == 0 for e in finetune)
+
+
+def test_same_seed_trains_bit_identical_tensors_with_the_enhancer(data, teacher):
+    graph, split = data
+    config = TrainConfig(**SMALL, epochs=2)
+    (p1, e1, h1), (p2, e2, h2) = (train_model(config, split, graph, teacher) for _ in range(2))
+    assert e1 is not None
+    assert tensor_bytes(p1, e1) == tensor_bytes(p2, e2)
+    assert h1.totals() == h2.totals()
+
+
+def test_the_package_keeps_the_train_module():
+    assert isinstance(coldgraph.train, types.ModuleType)
+    assert coldgraph.train.train_model is coldgraph.train_model
