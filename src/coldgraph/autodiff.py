@@ -1,4 +1,10 @@
-"""Tape-based reverse-mode differentiation over float64 tensors.
+"""Tape-based reverse-mode differentiation over dense float tensors.
+
+Every op follows its inputs' dtype: its output, and the gradients its
+backward rule returns, have the dtype of the tensors it was given, so
+float32 parameters (the model's) train in float32 end to end and float64
+tensors (the tests' oracles) compute in float64.  Python float constants
+never change a dtype.
 
 Tensors are dense 0-d scalars, 1-d vectors or 2-d matrices; shapes are
 always explicit and nothing broadcasts except multiplication by a python
@@ -38,17 +44,13 @@ __all__ = [
     "scale_rows",
     "negate",
     "concat",
-    "transpose",
     "row_sums",
     "reshape",
     "sum_consecutive",
-    "sum_all",
     "softmax",
     "segment_attention",
     "attention_fusion",
-    "sigmoid",
     "relu",
-    "log",
     "log_sigmoid",
     "cosine_similarity",
     "sum_squares",
@@ -56,12 +58,17 @@ __all__ = [
 
 
 class Tensor:
-    """A dense float64 value, optionally tracked for gradients."""
+    """A dense float value, optionally tracked for gradients.
+
+    A floating array keeps its dtype; anything else (python numbers,
+    integer or boolean arrays) becomes float64.
+    """
 
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         if self.data.ndim > 2:
             raise ValueError(f"tensors are at most 2-d, got shape {self.data.shape}")
         self.requires_grad = bool(requires_grad)
@@ -151,7 +158,8 @@ class Tape:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
         self._consumed = True
 
-        grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
+        # a 0-d float64 seed would upcast every gradient of a float32 loss
+        grads: dict[int, np.ndarray] = {id(loss): np.ones((), loss.data.dtype)}
         produced = {id(out) for out, _, _ in self._records}
         leaves: dict[int, Tensor] = {}
         for out, inputs, vjp in reversed(self._records):
@@ -168,7 +176,7 @@ class Tape:
 
         if params is not None:
             return {
-                p: np.array(grads.get(id(p), np.zeros(p.shape))) for p in params
+                p: np.array(grads.get(id(p), np.zeros_like(p.data))) for p in params
             }
         return {t: np.array(grads[key]) for key, t in leaves.items()}
 
@@ -205,7 +213,7 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
         raise IndexError(f"gather index out of range for table with {n} rows")
 
     def vjp(g):
-        gt = np.zeros(table.shape)
+        gt = np.zeros(table.shape, g.dtype)
         if idx.size > 1 and np.bincount(idx).max() > 1:
             order = np.argsort(idx, kind="stable")
             sorted_idx = idx[order]
@@ -245,7 +253,7 @@ def mean_rows(x: Tensor) -> Tensor:
     def vjp(g):
         if x.ndim == 2:
             return (np.repeat(g[None, :] / m, m, axis=0),)
-        return (np.full(m, g / m),)
+        return (np.full(m, g / m, g.dtype),)
 
     return _emit(x.data.mean(axis=0), (x,), vjp)
 
@@ -361,11 +369,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _emit(np.concatenate(datas, axis=axis), tuple(parts), vjp)
 
 
-def transpose(a: Tensor) -> Tensor:
-    _check_2d(a, "transpose")
-    return _emit(a.data.T, (a,), lambda g: (g.T,))
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Row-major reshape between 1-d and 2-d layouts."""
     if int(np.prod(shape)) != a.data.size:
@@ -421,7 +424,7 @@ def sum_consecutive(
         targets = np.asarray(targets, dtype=np.intp)
         if targets.shape != (segments,) or n is None or np.any((targets < 0) | (targets >= n)):
             raise ValueError(f"sum_consecutive needs {segments} target rows below n={n}")
-    sums = np.empty((segments, cols))
+    sums = np.empty((segments, cols), a.data.dtype)
     j = 0
     for start, m, count in runs:
         s = a.data[start : start + m * count].reshape(count, m, cols).sum(axis=1)
@@ -431,7 +434,7 @@ def sum_consecutive(
     def vjp(g):
         if targets is not None:
             g = g[targets]
-        ga = np.empty((rows, cols))
+        ga = np.empty((rows, cols), g.dtype)
         j = 0
         for start, m, count in runs:
             gj = g[j : j + count] * (1.0 / m) if mean else g[j : j + count]
@@ -441,7 +444,7 @@ def sum_consecutive(
 
     if targets is None:
         return _emit(sums, (a,), vjp)
-    out = np.zeros((n, cols))
+    out = np.zeros((n, cols), sums.dtype)
     out[targets] = sums
     return _emit(out, (a,), vjp)
 
@@ -454,11 +457,6 @@ def row_sums(a: Tensor) -> Tensor:
         return (np.repeat(g[:, None], a.shape[1], axis=1),)
 
     return _emit(a.data.sum(axis=1), (a,), vjp)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of every element, producing a scalar."""
-    return _emit(np.asarray(a.data.sum()), (a,), lambda g: (np.full(a.shape, g),))
 
 
 def softmax(a: Tensor, block=None) -> Tensor:
@@ -477,7 +475,7 @@ def softmax(a: Tensor, block=None) -> Tensor:
     else:
         raise ValueError(f"segment softmax needs a vector, got shape {a.shape}")
     x = a.data.reshape(-1)
-    s = np.empty(x.shape)
+    s = np.empty_like(x)
     for start, m, count in runs:
         xs = x[start : start + m * count].reshape(count, m)
         e = np.exp(xs - xs.max(axis=-1, keepdims=True))
@@ -485,7 +483,7 @@ def softmax(a: Tensor, block=None) -> Tensor:
 
     def vjp(g):
         g = g.reshape(-1)
-        ga = np.empty(g.shape)
+        ga = np.empty_like(g)
         for start, m, count in runs:
             sl = slice(start, start + m * count)
             gs, ss = g[sl].reshape(count, m), s[sl].reshape(count, m)
@@ -513,7 +511,7 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, block) -> Tensor:
     runs = _runs(block, rows)
     c = 1.0 / math.sqrt(d)
     views, attns = [], []
-    out = np.empty((rows, d))
+    out = np.empty((rows, d), q.data.dtype)
     for start, m, count in runs:
         q3, k3, v3 = (t.data[start : start + m * count].reshape(count, m, d) for t in (q, k, v))
         scores = np.matmul(q3, k3.transpose(0, 2, 1)) * c
@@ -524,7 +522,7 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, block) -> Tensor:
         attns.append(attn)
 
     def vjp(g):
-        grads = [np.empty((rows, d)) if t.requires_grad else None for t in (q, k, v)]
+        grads = [np.empty((rows, d), g.dtype) if t.requires_grad else None for t in (q, k, v)]
         gq, gk, gv = grads
         for (start, m, count), (q3, k3, v3), attn in zip(runs, views, attns):
             sl = slice(start, start + m * count)
@@ -576,8 +574,8 @@ def attention_fusion(
         total[none] = 1.0
         attn = e / total
     else:
-        attn = present.astype(np.float64)
-    out = np.zeros((n, d))
+        attn = present.astype(e0.data.dtype)
+    out = np.zeros((n, d), e0.data.dtype)
     for j, m in enumerate(channels):
         out += attn[:, j : j + 1] * m.data
     out[none] = e0.data[none]
@@ -610,15 +608,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
-
-    def vjp(g):
-        return (g * s * (1.0 - s),)
-
-    return _emit(s, (a,), vjp)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
@@ -626,16 +615,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * mask,)
 
     return _emit(np.where(mask, a.data, 0.0), (a,), vjp)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise ValueError("log of a non-positive value")
-
-    def vjp(g):
-        return (g / a.data,)
-
-    return _emit(np.log(a.data), (a,), vjp)
 
 
 def log_sigmoid(a: Tensor) -> Tensor:
@@ -652,6 +631,19 @@ def log_sigmoid(a: Tensor) -> Tensor:
     return _emit(-np.logaddexp(0.0, -x), (a,), vjp)
 
 
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` over its norm along the last axis, and that norm (as an axis of
+    length 1).  The norm is taken of ``x`` scaled by its largest magnitude,
+    so the squares of a tiny row do not underflow: in float32 they would
+    once the row's norm falls below about 1e-19."""
+    big = np.abs(x).max(axis=-1, keepdims=True)
+    if np.any(big == 0.0):
+        raise ValueError("degenerate norm: cosine of a zero vector")
+    scaled = x / big
+    norm = np.sqrt((scaled * scaled).sum(axis=-1, keepdims=True))
+    return scaled / norm, big * norm
+
+
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
     """Cosine of the angle between two vectors, as a scalar.
 
@@ -660,17 +652,13 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
     """
     if u.shape != v.shape or u.ndim not in (1, 2):
         raise ValueError(f"cosine_similarity needs matching vectors or matrices: {u.shape}, {v.shape}")
-    nu = np.linalg.norm(u.data, axis=-1)
-    nv = np.linalg.norm(v.data, axis=-1)
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise ValueError("degenerate norm: cosine of a zero vector")
-    c = (u.data * v.data).sum(axis=-1) / (nu * nv)
+    uh, nu = _unit_rows(u.data)
+    vh, nv = _unit_rows(v.data)
+    c = (uh * vh).sum(axis=-1)
 
     def vjp(g):
-        g, c_, nu_, nv_ = (np.expand_dims(x, -1) for x in (g, c, nu, nv))
-        gu = g * (v.data / (nu_ * nv_) - c_ * u.data / (nu_ * nu_))
-        gv = g * (u.data / (nu_ * nv_) - c_ * v.data / (nv_ * nv_))
-        return (gu, gv)
+        g, c_ = np.expand_dims(g, -1), np.expand_dims(c, -1)
+        return (g * (vh - c_ * uh) / nu, g * (uh - c_ * vh) / nv)
 
     return _emit(np.asarray(c), (u, v), vjp)
 

@@ -4,6 +4,12 @@ Layout: a magic line, a count of named float64 tensors (name, shape,
 row-major data, little-endian), a config echo block, and a trailing sha256
 over everything before it.  Loading verifies both the version line and the
 digest, so truncation or corruption surfaces as a checksum error.
+
+Tensors are stored as float64 whatever their dtype; float64 holds every
+float32 value exactly, so the float32 model and enhancer parameters round
+trip bit for bit.  :func:`load_checkpoint` returns float64 arrays, and
+``train.load_training_checkpoint`` casts each into the dtype of the
+parameter it fills, so a checkpoint of float64 parameters loads rounded.
 """
 
 from __future__ import annotations

@@ -162,8 +162,9 @@ def full_meta_matrices(
 
 
 def _cosine_costs(predicted: Tensor, truth: np.ndarray) -> Tensor:
+    truth = truth.astype(predicted.data.dtype, copy=False)  # a loaded teacher is float64
     cos = ad.cosine_similarity(predicted, ad.const(truth))
-    return ad.sub(ad.const(np.ones(truth.shape[0])), cos)
+    return ad.sub(ad.const(np.ones(truth.shape[0], truth.dtype)), cos)
 
 
 def reconstruction_costs(predicted: Tensor, episodes: EpisodeBatch, ground_truth) -> Tensor:
@@ -227,7 +228,7 @@ class _WarmupLayout:
             masks[rel] = plan.present
             if agg is not None:
                 channels["GU_AGG"], masks["GU_AGG"] = agg, plan.present
-        e0 = ad.const(np.zeros((sel.size, params.d)))
+        e0 = ad.const(np.zeros((sel.size, params.d), params.wq.data.dtype))
         return fuse_present(kind, channels, masks, params.fusion, e0)
 
     def loss(self, batch: np.ndarray, params: EnhancerParams) -> Tensor | None:

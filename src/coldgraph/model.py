@@ -60,12 +60,14 @@ META_RELATIONS = ("GI", "GU", "GG", "UI", "UU")
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Xavier-uniform initial values in float32, the dtype of every model
+    and enhancer parameter.  The draws are float64 values rounded once."""
     if len(shape) == 2:
         fan_out, fan_in = shape
     else:
         fan_out, fan_in = shape[0], 1
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 @dataclass
@@ -355,7 +357,8 @@ class FullState:
     layer_sums: dict[str, Tensor] | None = None
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {k: np.array(v.data) for k, v in self.fused.items()}
+        """The fused embeddings in float64, the dtype evaluation scores in."""
+        return {k: v.data.astype(np.float64) for k, v in self.fused.items()}
 
 
 def full_embeddings(

@@ -82,7 +82,7 @@ def layer_sum_table(state: FullState, split: EvalSplit, provenance: str) -> Grou
     embeddings."""
     if state.layer_sums is None:
         raise ValueError("forward state was computed without layer sums")
-    rows = {kind: np.array(state.layer_sums[kind].data) for kind in KINDS}
+    rows = {kind: state.layer_sums[kind].data.astype(np.float64) for kind in KINDS}
     known = {kind: np.isin(np.arange(len(r)), split.warm[kind]) for kind, r in rows.items()}
     return GroundTruthTable(rows, known, provenance)
 
@@ -153,7 +153,7 @@ def ssl_loss(
     Each term is the mean of per-target cosine losses, so the total is
     bounded by 6.  An empty or missing batch contributes 0 with a warning.
     """
-    total = ad.const(np.zeros(()))
+    total = ad.const(np.zeros((), params.e_user.data.dtype))
     parts: dict[str, float] = {}
     for name, batch in (("group", group_batch), ("user", user_batch), ("item", item_batch)):
         if not batch:

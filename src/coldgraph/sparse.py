@@ -7,6 +7,11 @@ one zero row appended to the right operand, plus (rows, 1, width) weights,
 so a product is one gather and one batched ``np.matmul`` per bucket: at
 most log2(max degree) + 1 numpy calls, and padding below twice the number
 of nonzeros.  Everything stays numpy-only.
+
+The weights are stored in float64.  A product follows the dtype of its
+right operand: the weights are cast to that dtype once, on its first
+product, and kept, so float32 embeddings (the model's) propagate in
+float32.
 """
 
 from __future__ import annotations
@@ -29,10 +34,11 @@ class SparseOperator:
     ``shape`` and ``size`` (the dense cell count) describe the matrix,
     ``nbytes`` the arrays actually stored, and ``np.asarray(op)`` gives a
     dense copy.  The transpose is built on first use and cached.
-    :meth:`head` cuts a leading block that shares these arrays.
+    :meth:`head` cuts a leading block that shares these arrays, and the
+    weights cast for its products.
     """
 
-    __slots__ = ("shape", "_buckets", "_t", "_whole")
+    __slots__ = ("shape", "_buckets", "_t", "_whole", "_from", "_cast")
 
     def __init__(self, rows, cols, values, shape: tuple[int, int]):
         """Build from coordinate triplets; (row, col) pairs must be distinct."""
@@ -46,6 +52,8 @@ class SparseOperator:
         self.shape = (n_rows, n_cols)
         self._t: SparseOperator | None = None
         self._whole: SparseOperator | None = None  # the operator a head was cut from
+        self._from: list[int] = []  # in a head, the bucket of _whole each bucket is cut from
+        self._cast: dict[np.dtype, list[np.ndarray]] = {}
 
         cell = rows * n_cols + cols  # one sort by (row, col), far faster than lexsort
         order = np.argsort(cell)
@@ -97,11 +105,25 @@ class SparseOperator:
             return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0)
         return tuple(np.concatenate(p) for p in zip(*parts))
 
+    def _weights(self, dtype: np.dtype) -> list[np.ndarray]:
+        """Each bucket's weights in ``dtype``, cast on first use and kept; a
+        head's are leading blocks of its operator's."""
+        cast = self._cast.get(dtype)
+        if cast is None:
+            if self._whole is None:
+                cast = [weights.astype(dtype, copy=False) for _, _, weights in self._buckets]
+            else:
+                whole = self._whole._weights(dtype)
+                cast = [whole[i][: len(b[0])] for i, b in zip(self._from, self._buckets)]
+            self._cast[dtype] = cast
+        return cast
+
     def dot(self, h: np.ndarray) -> np.ndarray:
-        """The product ``self @ h`` for an (n_cols, d) matrix ``h``."""
-        padded = np.concatenate([h, np.zeros((1, h.shape[1]))])
-        out = np.zeros((self.shape[0], h.shape[1]))
-        for members, idx, weights in self._buckets:
+        """The product ``self @ h`` for an (n_cols, d) matrix ``h``, in
+        ``h``'s dtype."""
+        padded = np.concatenate([h, np.zeros((1, h.shape[1]), h.dtype)])
+        out = np.zeros((self.shape[0], h.shape[1]), h.dtype)
+        for (members, idx, _), weights in zip(self._buckets, self._weights(h.dtype)):
             # the padding, and a head's columns past its block, read the zero row
             taken = np.take(padded, idx, axis=0, mode="clip")
             out[members] = np.matmul(weights, taken)[:, 0, :]
@@ -117,12 +139,13 @@ class SparseOperator:
             raise ValueError(f"no ({n_rows}, {n_cols}) head in shape {self.shape}")
         out = SparseOperator.__new__(SparseOperator)
         out.shape = (int(n_rows), int(n_cols))
-        out._t, out._whole = None, self
-        out._buckets = []
-        for members, idx, weights in self._buckets:
+        out._t, out._whole, out._cast = None, self, {}
+        out._buckets, out._from = [], []
+        for i, (members, idx, weights) in enumerate(self._buckets):
             m = int(np.searchsorted(members, n_rows))
             if m:
                 out._buckets.append((members[:m], idx[:m], weights[:m]))
+                out._from.append(i)
         return out
 
     @property

@@ -280,7 +280,8 @@ class DivergenceError(RuntimeError):
 
 
 class AdamState:
-    """Adaptive-moment gradient descent over a fixed tensor list."""
+    """Adaptive-moment gradient descent over a fixed tensor list; each
+    tensor's moments have its dtype."""
 
     def __init__(self, tensors: Sequence[Tensor], lr: float, betas=(0.9, 0.999), eps=1e-8):
         self.tensors = list(tensors)
@@ -288,8 +289,8 @@ class AdamState:
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros(t.shape) for t in self.tensors]
-        self.v = [np.zeros(t.shape) for t in self.tensors]
+        self.m = [np.zeros_like(t.data) for t in self.tensors]
+        self.v = [np.zeros_like(t.data) for t in self.tensors]
 
     def step(self, grads: Mapping[Tensor, np.ndarray]) -> None:
         self.t += 1
@@ -322,8 +323,9 @@ def load_training_checkpoint(
     path: Path, expect: TrainConfig | None = None
 ) -> tuple[ModelParams, EnhancerParams | None, TrainConfig]:
     """The model (and enhancer) that ``path``'s config echo describes, with
-    every tensor read by name.  A missing, mis-shaped or unexpected tensor
-    raises CheckpointError naming it."""
+    every tensor read by name and cast to its parameter's dtype (float32).
+    A missing, mis-shaped or unexpected tensor raises CheckpointError naming
+    it."""
     tensors, echo = load_checkpoint(path)
     # a missing or scalar row table builds as empty and fails its check below
     counts = {kind: (np.shape(tensors.get(f"model/e_{kind}")) or (0,))[0] for kind in KINDS}
@@ -348,7 +350,7 @@ def load_training_checkpoint(
             raise CheckpointError(
                 f"{path}: shape error, tensor {name} is {tensors[name].shape}, {t.shape} expected"
             )
-        t.data = tensors[name]
+        t.data = tensors[name].astype(t.data.dtype)
     unexpected = sorted(set(tensors) - {name for name, _ in named})
     if unexpected:
         raise CheckpointError(f"{path}: unexpected tensor {unexpected[0]}")
@@ -397,7 +399,7 @@ def _bpr_term(anchor_rows: Tensor, pos_rows: Tensor, neg_rows: Tensor) -> Tensor
 
 
 def _reg_term(tensors: Sequence[Tensor], lam2: float) -> Tensor:
-    total = ad.const(np.zeros(()))
+    total = ad.const(np.zeros((), tensors[0].data.dtype))
     for t in tensors:
         total = ad.add(total, ad.sum_squares(t))
     return ad.scale(total, lam2)
@@ -496,8 +498,8 @@ def _run_epochs(
                 terms = []
                 l_main_val = 0.0
                 if main_on and batch_idx.size > 0:
-                    l_main = ad.const(np.zeros(()))
                     items = full_state.fused["item"]
+                    l_main = ad.const(np.zeros((), items.data.dtype))
                     for kind, idx in (
                         ("group", batch_idx[batch_idx < n_gi]),
                         ("user", batch_idx[batch_idx >= n_gi]),

@@ -18,6 +18,7 @@ import numpy as np
 
 from coldgraph import autodiff as ad
 from coldgraph import enhancer, model
+from coldgraph.autodiff import Tensor, _check_2d, _emit, _sigmoid
 from coldgraph.graph import (
     COLD_ANCHOR_KEEP,
     COLD_ITEM_KEEP,
@@ -31,6 +32,53 @@ from coldgraph.graph import (
 from coldgraph.model import CHANNELS_BY_KIND
 from coldgraph.reconstruction import GroundTruthTable
 from coldgraph.sparse import neighbor_mean
+
+
+def as_float64(*params):
+    """Cast every tensor of the given model or enhancer parameters to
+    float64 in place; returns the first.
+
+    The model trains in float32; the equivalence tests compare it with
+    float64 oracles to 1e-12, so they run it in float64 through here.
+    """
+    for p in params:
+        for t in p.tensors():
+            t.data = t.data.astype(np.float64)
+    return params[0]
+
+
+# ---------------------------------------------------------------------------
+# autodiff ops that only the tests use
+# ---------------------------------------------------------------------------
+
+
+def transpose(a: Tensor) -> Tensor:
+    _check_2d(a, "transpose")
+    return _emit(a.data.T, (a,), lambda g: (g.T,))
+
+
+def sum_all(a: Tensor) -> Tensor:
+    """Sum of every element, producing a scalar."""
+    return _emit(np.asarray(a.data.sum()), (a,), lambda g: (np.full(a.shape, g, g.dtype),))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    s = _sigmoid(a.data)
+
+    def vjp(g):
+        return (g * s * (1.0 - s),)
+
+    return _emit(s, (a,), vjp)
+
+
+def log(a: Tensor) -> Tensor:
+    if np.any(a.data <= 0):
+        raise ValueError("log of a non-positive value")
+
+    def vjp(g):
+        return (g / a.data,)
+
+    return _emit(np.log(a.data), (a,), vjp)
 
 
 class Node(NamedTuple):
@@ -133,7 +181,7 @@ def fuse_channels(channels, weights, order):
     keys = [c for c in order if c in channels]
     if len(keys) == 1:
         return channels[keys[0]], {keys[0]: 1.0}
-    logits = ad.concat([ad.sum_all(ad.matmul(channels[c], weights[c])) for c in keys])
+    logits = ad.concat([sum_all(ad.matmul(channels[c], weights[c])) for c in keys])
     attn = ad.softmax(logits)
     fused = ad.matmul(attn, ad.stack_rows([channels[c] for c in keys]))
     return fused, {c: float(a) for c, a in zip(keys, attn.data)}
@@ -303,7 +351,7 @@ def fuse_by_pattern(kind, channel_mats, masks, weights, e0):
         else:
             subs = {c: ad.gather_rows(channel_mats[c], idxs) for c in present}
             logit_rows = [ad.row_sums(ad.matmul(subs[c], weights[c])) for c in present]
-            attn = ad.softmax(ad.transpose(ad.stack_rows(logit_rows)))
+            attn = ad.softmax(transpose(ad.stack_rows(logit_rows)))
             sub = None
             for j, c in enumerate(present):
                 unit = np.zeros(len(present))

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldgraph import autodiff as ad
+from coldgraph import enhancer
 from gradcheck import finite_diff_check
-from oracles import dedup_mean
+from oracles import dedup_mean, log, sigmoid, sum_all, transpose
 
 
 def rand(rng, *shape):
@@ -34,7 +35,7 @@ class TestForwardValues:
         assert ad.matmul(ad.Tensor(np.ones(3)), ad.Tensor(np.ones(3))).shape == ()
 
     def test_concat_accepts_scalars(self):
-        out = ad.concat([ad.sum_all(ad.Tensor([1.0, 2.0])), ad.Tensor([4.0])])
+        out = ad.concat([sum_all(ad.Tensor([1.0, 2.0])), ad.Tensor([4.0])])
         np.testing.assert_allclose(out.data, [3.0, 4.0])
 
 
@@ -55,7 +56,7 @@ class TestErrors:
 
     def test_log_domain(self):
         with pytest.raises(ValueError, match="non-positive"):
-            ad.log(ad.Tensor([1.0, -1.0]))
+            log(ad.Tensor([1.0, -1.0]))
 
     def test_tape_consumed(self):
         with ad.Tape() as tape:
@@ -96,13 +97,13 @@ class TestBackwardBasics:
         data = rng.normal(size=3)
         with ad.Tape() as tape:
             x = ad.Tensor(data, requires_grad=True)
-            loss = ad.sum_all(ad.mul(x, x))
+            loss = sum_all(ad.mul(x, x))
         g_shared = tape.backward(loss, [x])[x]
 
         with ad.Tape() as tape:
             x1 = ad.Tensor(data, requires_grad=True)
             x2 = ad.Tensor(data, requires_grad=True)
-            loss = ad.sum_all(ad.mul(x1, x2))
+            loss = sum_all(ad.mul(x1, x2))
         grads = tape.backward(loss, [x1, x2])
         np.testing.assert_allclose(g_shared, grads[x1] + grads[x2])
 
@@ -148,7 +149,7 @@ def _scalarizer(rng):
             return out
         if out.shape not in cache:
             cache[out.shape] = ad.const(rng.uniform(0.5, 1.5, size=out.shape))
-        return ad.sum_all(ad.mul(out, cache[out.shape]))
+        return sum_all(ad.mul(out, cache[out.shape]))
 
     return scalarize
 
@@ -196,14 +197,14 @@ def _op_cases(rng):
         ("negate", lambda p: ad.negate(p[0]), [a23]),
         ("concat0", lambda p: ad.concat(p), vecs),
         ("concat1", lambda p: ad.concat(p, axis=1), [a23, b23]),
-        ("transpose", lambda p: ad.transpose(p[0]), [m]),
+        ("transpose", lambda p: transpose(p[0]), [m]),
         ("row_sums", lambda p: ad.row_sums(p[0]), [m]),
-        ("sum_all", lambda p: ad.sum_all(p[0]), [m]),
+        ("sum_all", lambda p: sum_all(p[0]), [m]),
         ("softmax1d", lambda p: ad.softmax(p[0]), [v5]),
         ("softmax2d", lambda p: ad.softmax(p[0]), [m]),
-        ("sigmoid", lambda p: ad.sigmoid(p[0]), [a23]),
+        ("sigmoid", lambda p: sigmoid(p[0]), [a23]),
         ("relu", lambda p: ad.relu(p[0]), [away_from_zero(2, 3)]),
-        ("log", lambda p: ad.log(p[0]), [pos]),
+        ("log", lambda p: log(p[0]), [pos]),
         ("log_sigmoid", lambda p: ad.log_sigmoid(p[0]), [a23]),
         ("cosine", lambda p: ad.cosine_similarity(p[0], p[1]), [u4, w4]),
         ("cosine_rows", lambda p: ad.cosine_similarity(p[0], p[1]), [rows_a, rows_b]),
@@ -228,6 +229,77 @@ def test_every_op_gradient_vs_finite_differences(trial):
 
         err = finite_diff_check(f, params, eps=1e-5)
         assert err < 1e-4, f"{name}: gradient error {err}"
+
+
+def test_every_op_follows_its_inputs_dtype():
+    # each op over float32 copies of its operands: float32 output and
+    # gradients, close to the float64 ones
+    for name, build, params in _op_cases(np.random.default_rng(7)):
+        grads = {}
+        for dtype in (np.float64, np.float32):
+            ps = [ad.Tensor(p.data.astype(dtype), requires_grad=True) for p in params]
+            with ad.Tape() as tape:
+                out = build(ps)
+                loss = ad.sum_squares(out)
+            got = tape.backward(loss, ps)
+            assert {out.data.dtype, loss.data.dtype} == {np.dtype(dtype)}, name
+            assert all(g.dtype == dtype for g in got.values()), name
+            grads[dtype] = [got[p] for p in ps]
+        for g32, g64 in zip(grads[np.float32], grads[np.float64]):
+            np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-5, err_msg=name)
+
+
+class TestFloat32Robustness:
+    """Extreme but finite float32 inputs give finite values and gradients;
+    the suite turns any overflow or invalid-value warning into a failure."""
+
+    @staticmethod
+    def _run(build, *datas):
+        leaves = [ad.Tensor(np.asarray(d, dtype=np.float32), requires_grad=True) for d in datas]
+        with ad.Tape() as tape:
+            out = build(*leaves)
+            loss = sum_all(out)
+        grads = tape.backward(loss, leaves)
+        for array in (out.data, *grads.values()):
+            assert array.dtype == np.float32 and np.isfinite(array).all()
+        return out.data, [grads[t] for t in leaves]
+
+    def test_log_sigmoid_at_1e4(self):
+        out, (grad,) = self._run(ad.log_sigmoid, [-1e4, -100.0, 0.0, 100.0, 1e4])
+        np.testing.assert_allclose(out, [-1e4, -100.0, -np.log(2.0), 0.0, 0.0], rtol=1e-6, atol=1e-12)
+        np.testing.assert_allclose(grad, [1.0, 1.0, 0.5, 0.0, 0.0], rtol=1e-6, atol=1e-12)
+
+    def test_segment_softmax_with_logits_1e4_apart(self):
+        logits = [0.0, 1e4, -1e4, 3.0, -5e3, 5e3, 1e4]
+        out, (grad,) = self._run(lambda x: ad.softmax(x, [(2, 2), (3, 1)]), logits)
+        np.testing.assert_allclose(out, [0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+        np.testing.assert_allclose(grad, 0.0, atol=1e-6)
+
+    def test_attention_fusion_with_masked_channels_and_empty_rows(self):
+        rng = np.random.default_rng(0)
+        channels = [rng.normal(size=(4, 3)) * 100 for _ in range(3)]
+        weights = [rng.normal(size=(3, 3)) * 100 for _ in range(3)]
+        e0 = rng.normal(size=(4, 3))
+        present = np.array([[1, 1, 1], [1, 0, 0], [0, 1, 1], [0, 0, 0]], dtype=bool)
+        out, grads = self._run(
+            lambda *p: ad.attention_fusion(p[:3], p[3:6], present, p[6]), *channels, *weights, e0
+        )
+        np.testing.assert_array_equal(out[1], channels[0][1].astype(np.float32))
+        np.testing.assert_array_equal(out[3], e0[3].astype(np.float32))
+        for j in range(3):  # an absent channel gets no gradient from its row
+            np.testing.assert_array_equal(grads[j][~present[:, j]], 0.0)
+
+    @pytest.mark.parametrize("norm", [1e-20, 1e-30])
+    def test_cosine_loss_of_rows_whose_squares_underflow(self, norm):
+        # the squares of these rows are below float32's smallest normal
+        # (1e-20) or flush to zero (1e-30); the cosine is scale-free
+        rng = np.random.default_rng(1)
+        u, v = rng.normal(size=(3, 64)), rng.normal(size=(3, 64))
+        u *= norm / np.linalg.norm(u, axis=1, keepdims=True)
+        out, (gu, _) = self._run(lambda a, b: enhancer._cosine_costs(a, b.data), u, v)
+        want = enhancer._cosine_costs(ad.Tensor(u.astype(np.float32).astype(np.float64)), v).data
+        np.testing.assert_allclose(out, want, rtol=1e-6)
+        assert np.abs(gu).max() > 0.01 / norm  # of order 1 / |u|, and finite
 
 
 class TestConstantOperands:
@@ -265,7 +337,7 @@ class TestLogSigmoid:
         x = ad.Tensor([-1000.0, -40.0, 0.0, 40.0, 1000.0], requires_grad=True)
         with ad.Tape() as tape:
             out = ad.log_sigmoid(x)
-            loss = ad.sum_all(out)
+            loss = sum_all(out)
         np.testing.assert_allclose(out.data, [-1000.0, -40.0, -np.log(2.0), 0.0, 0.0], atol=1e-15)
         grad = tape.backward(loss, [x])[x]
         np.testing.assert_allclose(grad, [1.0, 1.0, 0.5, 0.0, 0.0], atol=1e-15)
@@ -275,7 +347,7 @@ class TestLogSigmoid:
     def test_matches_log_of_sigmoid(self, xs):
         x = ad.Tensor(xs)
         np.testing.assert_allclose(
-            ad.log_sigmoid(x).data, ad.log(ad.sigmoid(x)).data, rtol=1e-12, atol=1e-14
+            ad.log_sigmoid(x).data, log(sigmoid(x)).data, rtol=1e-12, atol=1e-14
         )
 
 
@@ -293,7 +365,7 @@ def test_softmax_is_probability_vector(logits):
     st.lists(st.floats(min_value=-3, max_value=3), min_size=2, max_size=6),
 )
 def test_sigmoid_bounds(a, b):
-    out = ad.sigmoid(ad.Tensor(a + b)).data
+    out = sigmoid(ad.Tensor(a + b)).data
     assert np.all(out > 0) and np.all(out < 1)
 
 
@@ -331,7 +403,7 @@ def _block_attention_oracle(q, k, v, block):
     outs = []
     for j in range(0, q.shape[0], block):
         qb, kb, vb = (ad.gather_rows(x, list(range(j, j + block))) for x in (q, k, v))
-        scores = ad.scale(ad.matmul(qb, ad.transpose(kb)), 1.0 / np.sqrt(q.shape[1]))
+        scores = ad.scale(ad.matmul(qb, transpose(kb)), 1.0 / np.sqrt(q.shape[1]))
         outs.append(ad.matmul(ad.softmax(scores), vb))
     return ad.concat(outs, axis=0)
 
@@ -361,7 +433,7 @@ class TestSegmentAttention:
             xs = [ad.Tensor(x, requires_grad=True) for x in data]
             with ad.Tape() as tape:
                 out = fn(*xs, block)
-                loss = ad.sum_all(ad.mul(out, probe))
+                loss = sum_all(ad.mul(out, probe))
             grads = tape.backward(loss, xs)
             results.append((out.data, [grads[x] for x in xs]))
         (got, got_grads), (want, want_grads) = results
@@ -374,7 +446,7 @@ class TestSegmentAttention:
         q, k, v = (ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(3))
         with ad.Tape() as tape:
             out = ad.segment_attention(q, k, v, 1)
-            loss = ad.sum_all(out)
+            loss = sum_all(out)
         np.testing.assert_array_equal(out.data, v.data)
         grads = tape.backward(loss, [q, k, v])
         np.testing.assert_array_equal(grads[q], 0.0)
@@ -386,7 +458,7 @@ class TestSegmentAttention:
         params = [ad.Tensor(rng.normal(size=(8, 3)), requires_grad=True) for _ in range(3)]
         probe = ad.const(rng.normal(size=(8, 3)))
         err = finite_diff_check(
-            lambda p: ad.sum_all(ad.mul(ad.segment_attention(*p, 4), probe)), params, eps=1e-6
+            lambda p: sum_all(ad.mul(ad.segment_attention(*p, 4), probe)), params, eps=1e-6
         )
         assert err < 1e-5
 
@@ -470,7 +542,7 @@ class TestRaggedSegments:
                         _per_run(xs[1:2], runs, ad.sum_consecutive),
                         _per_run(xs[2:], runs, softmax),
                     )
-                loss = ad.sum_all(ad.concat([ad.sum_all(ad.mul(o, p)) for o, p in zip(outs, probes)]))
+                loss = sum_all(ad.concat([sum_all(ad.mul(o, p)) for o, p in zip(outs, probes)]))
             grads = tape.backward(loss, xs)
             results.append(([o.data for o in outs], [grads[x] for x in xs]))
         (got, got_grads), (want, want_grads) = results
@@ -504,7 +576,7 @@ class TestGatherRowsBackward:
         g = rng.normal(size=(len(idx), d))
         with ad.Tape() as tape:
             out = ad.gather_rows(table, idx)
-            loss = ad.sum_all(ad.mul(out, ad.const(g)))
+            loss = sum_all(ad.mul(out, ad.const(g)))
         got = tape.backward(loss, [table])[table]
         want = np.zeros((n, d))
         np.add.at(want, np.asarray(idx, dtype=np.intp), g)

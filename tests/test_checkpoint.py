@@ -61,6 +61,8 @@ def test_training_checkpoint_round_trips_every_tensor(tmp_path, backbone, enhanc
     params = init_model_params(counts, config.d, backbone, config.L, with_meta=enhancer, rng=rng)
     enh = init_enhancer_params(config.d, rng) if enhancer else None
     save_training_checkpoint(tmp_path / "model.ckpt", params, enh, config)
+    # stored as float64, which holds every float32 value exactly
+    assert all(a.dtype == np.float64 for a in load_checkpoint(tmp_path / "model.ckpt")[0].values())
     loaded, loaded_enh, echo = load_training_checkpoint(tmp_path / "model.ckpt", expect=config)
     assert echo == config
     assert (loaded_enh is None) == (enh is None)
@@ -68,4 +70,19 @@ def test_training_checkpoint_round_trips_every_tensor(tmp_path, backbone, enhanc
     got = loaded.named_tensors() + (loaded_enh.named_tensors() if loaded_enh else [])
     assert [name for name, _ in got] == [name for name, _ in expected]
     for (name, a), (_, b) in zip(expected, got):
+        assert a.data.dtype == b.data.dtype == np.float32, name
         assert a.data.tobytes() == b.data.tobytes(), name
+
+
+def test_float64_checkpoint_loads_into_float32_tensors(tmp_path):
+    # a checkpoint written by a float64 model: values float32 cannot hold
+    config = TrainConfig(d=4, L=1, enhancer=True)
+    rng = np.random.default_rng(3)
+    shapes = init_model_params({"user": 5, "item": 7, "group": 3}, 4, "light", 1, with_meta=True, rng=rng)
+    names = shapes.named_tensors() + init_enhancer_params(4, rng).named_tensors()
+    tensors = {name: rng.normal(size=t.shape) for name, t in names}
+    save_checkpoint(tmp_path / "model.ckpt", tensors, config.to_text())
+    params, enh, _ = load_training_checkpoint(tmp_path / "model.ckpt", expect=config)
+    for name, t in params.named_tensors() + enh.named_tensors():
+        assert t.data.dtype == np.float32, name
+        np.testing.assert_array_equal(t.data, tensors[name].astype(np.float32), err_msg=name)

@@ -112,6 +112,22 @@ def test_enhancer_pretrain_finetune_is_deterministic(workspace):
     assert any(name.startswith("enhancer/") for name in tensors)
 
 
+def test_evaluate_leaves_no_float64_parameter(workspace, monkeypatch):
+    code, _ = train(workspace, "epochs=1", "enhancer=true")
+    assert code == 0
+    dtypes = []
+    evaluate = cli._evaluate
+
+    def checked(params, enh, *rest):
+        dtypes.extend(t.data.dtype for t in params.tensors() + enh.tensors())
+        return evaluate(params, enh, *rest)
+
+    monkeypatch.setattr(cli, "_evaluate", checked)
+    ws, args = workspace
+    assert cli.main(["evaluate", "--out", str(ws), *args, *PLAIN, "enhancer=true"]) == 0
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

@@ -30,6 +30,7 @@ from coldgraph.model import CHANNELS_BY_KIND, GraphTensors, degree_plan, init_mo
 from gradcheck import finite_diff_check
 from oracles import (
     DictWarmupLayout,
+    as_float64,
     aggregate_members,
     dict_trees,
     episode_metas_dict,
@@ -37,6 +38,8 @@ from oracles import (
     neighbors,
     reconstruction_loss,
     relation_metas_by_bucket,
+    sum_all,
+    transpose,
     truth_table,
     truth_vector,
     warmup_loss as per_step_warmup_loss,
@@ -53,7 +56,7 @@ def self_attention(x, params):
     q = ad.matmul(x, params.wq)
     k = ad.matmul(x, params.wk)
     v = ad.matmul(x, params.wv)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(params.d))
+    scores = ad.scale(ad.matmul(q, transpose(k)), 1.0 / math.sqrt(params.d))
     return ad.matmul(ad.softmax(scores), v)
 
 
@@ -325,7 +328,7 @@ def synthetic(seed, n_users=20, n_items=25, n_groups=8, extra=0, implicit=True):
 class TestGradients:
     def test_enhancer_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        params = init_enhancer_params(4, rng)
+        params = as_float64(init_enhancer_params(4, rng))
         tables = tables_of({k: rng.normal(size=(5, 4)) for k in ("user", "item", "group")})
         episodes = [
             hand_episode("user", 0, {"UI": [0, 2, 4], "UU": [1, 3]}),
@@ -343,10 +346,11 @@ class TestGradients:
         g = synthetic(4, extra=2)
         model = init_model_params(g.counts, 5, "light", 2, True, np.random.default_rng(0))
         enh = init_enhancer_params(5, np.random.default_rng(1))
+        as_float64(model, enh)
         with ad.Tape() as tape:
             metas = full_meta_matrices(GraphTensors(g), model.table, enh)
             probe = {key: np.random.default_rng(9).normal(size=m.shape) for key, m in metas.items()}
-            loss = ad.sum_all(ad.concat(
+            loss = sum_all(ad.concat(
                 [ad.row_sums(ad.mul(m, ad.const(probe[key]))) for key, m in metas.items()]
             ))
         grads = tape.backward(loss, model.tensors() + enh.tensors())
@@ -365,7 +369,7 @@ class TestGradients:
                     )
                     np.testing.assert_allclose(mat.data[idx], ref.data, rtol=0, atol=1e-12)
                     terms.append(ad.matmul(ref, ad.const(probe[(kind, rel)][idx])))
-            want = tape.backward(ad.sum_all(ad.concat(terms)), model.tensors() + enh.tensors())
+            want = tape.backward(sum_all(ad.concat(terms)), model.tensors() + enh.tensors())
         for tensor in model.tensors() + enh.tensors():
             np.testing.assert_allclose(grads[tensor], want[tensor], rtol=0, atol=1e-12)
 
@@ -380,7 +384,7 @@ class TestGradients:
         try:
             with ad.Tape() as tape:
                 metas = full_meta_matrices(gtens, model.table, enh)
-                loss = ad.sum_all(ad.concat([ad.sum_all(m) for m in metas.values()]))
+                loss = sum_all(ad.concat([sum_all(m) for m in metas.values()]))
             tape.backward(loss, model.tensors() + enh.tensors())
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -427,7 +431,7 @@ class TestRaggedRelationMetas:
                 else:
                     means, pooled = relation_metas_by_bucket(qkv, sizes, cols, d, params.member_score)
                 out = ad.concat([means, pooled], axis=1)
-                grads = tape.backward(ad.sum_all(ad.mul(out, probe)), leaves)
+                grads = tape.backward(sum_all(ad.mul(out, probe)), leaves)
             results.append((out.data, grads))
         (got, got_grads), (want, want_grads) = results
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -440,7 +444,7 @@ def mixed_batch(d=6, seed=0, implicit=True):
     teacher-like ground truth; returns the batches and their dict trees.
     Without ``implicit`` the UU and GG relations are empty."""
     g = synthetic(seed, n_users=24, n_items=30, n_groups=10, extra=2, implicit=implicit)
-    model = init_model_params(g.counts, d, "light", 2, True, np.random.default_rng(seed))
+    model = as_float64(init_model_params(g.counts, d, "light", 2, True, np.random.default_rng(seed)))
     rng = np.random.default_rng(seed)
     batches = [
         sample_episode(g, kind, rng.permutation(g.counts[kind]), k=3, depth=1, seed=11,
@@ -458,7 +462,7 @@ class TestBatchedWarmup:
         assert len(isolated) >= 3
         groups = [ep for ep in episodes if ep.target.kind == "group"]
         assert any(len(ep.samples["GU"].layers[1]) > 1 for ep in groups)
-        enh = init_enhancer_params(6, np.random.default_rng(2))
+        enh = as_float64(init_enhancer_params(6, np.random.default_rng(2)))
         frozen = {k: ad.const(model.table(k).data) for k in ("user", "item", "group")}.__getitem__
         with ad.Tape() as tape:
             loss = warmup_loss(batches, gt, enh, frozen)
@@ -485,7 +489,7 @@ class TestBatchedWarmup:
         # once-built layout against the dict-tree layout and against
         # planning every step from its episodes
         model, batches, episodes, gt = cases
-        enh = init_enhancer_params(6, np.random.default_rng(5))
+        enh = as_float64(init_enhancer_params(6, np.random.default_rng(5)))
         frozen = {k: ad.const(model.table(k).data) for k in ("user", "item", "group")}.__getitem__
         layout = enhancer._WarmupLayout(batches, gt, frozen)
         dict_layout = DictWarmupLayout(episodes, gt, frozen)
@@ -514,12 +518,12 @@ class TestBatchedWarmup:
     @staticmethod
     def check_metas(cases):
         model, batches, episodes, gt = cases
-        enh = init_enhancer_params(6, np.random.default_rng(3))
+        enh = as_float64(init_enhancer_params(6, np.random.default_rng(3)))
         tensors = model.tensors() + enh.tensors()
         probe = np.random.default_rng(4).normal(size=6)
 
         def total(metas):
-            return ad.sum_all(ad.concat([ad.matmul(m, ad.const(probe)) for m in metas]))
+            return sum_all(ad.concat([ad.matmul(m, ad.const(probe)) for m in metas]))
 
         kinds = ("group", "user", "item")
         with ad.Tape() as tape:

@@ -21,6 +21,7 @@ from coldgraph.model import (
 from coldgraph.sparse import neighbor_mean
 from gradcheck import finite_diff_check
 from oracles import (
+    as_float64,
     conv_step,
     dict_trees,
     embed_dict_batch,
@@ -30,7 +31,10 @@ from oracles import (
     forest_operators_all_rows,
     fuse_by_pattern,
     fuse_channels,
+    log,
     neighbors,
+    sigmoid,
+    sum_all,
     tree_nodes,
 )
 
@@ -40,7 +44,7 @@ def t(data):
 
 
 def make_params(counts, d=4, variant="light", layers=2, with_meta=False, seed=0):
-    return init_model_params(counts, d, variant, layers, with_meta, np.random.default_rng(seed))
+    return as_float64(init_model_params(counts, d, variant, layers, with_meta, np.random.default_rng(seed)))
 
 
 def conv_once(variant, self_vec, neighbor_vecs, weight=None, meta=None, proj=None):
@@ -151,7 +155,7 @@ class TestPropagate:
         params = make_params(g.counts, d=3)
         with ad.Tape() as tape:
             state = full_embeddings(GraphTensors(g), params)
-            loss = ad.sum_all(ad.concat([ad.sum_squares(m) for m in state.fused.values()]))
+            loss = sum_all(ad.concat([ad.sum_squares(m) for m in state.fused.values()]))
             grads = tape.backward(loss, params.tensors())
         assert state.fused["user"].shape == (0, 3)
         assert np.isfinite(grads[params.e_group]).all() and grads[params.e_group].any()
@@ -294,17 +298,17 @@ class TestEpisodeForest:
         results = []
         with ad.Tape() as tape:
             got = embed_from_episode(batch, params, metas or None)
-            grads = tape.backward(ad.sum_all(ad.mul(got, probe)), leaves)
+            grads = tape.backward(sum_all(ad.mul(got, probe)), leaves)
         with ad.Tape() as tape:
             rows = []
             for b, ep in enumerate(episodes):
                 ep_metas = {rel: ad.mean_rows(ad.gather_rows(m, [b])) for rel, m in metas.items()}
                 rows.append(embed_episode(ep, params, ep_metas))
             want = ad.stack_rows(rows)
-            results.append((want, tape.backward(ad.sum_all(ad.mul(want, probe)), leaves)))
+            results.append((want, tape.backward(sum_all(ad.mul(want, probe)), leaves)))
         with ad.Tape() as tape:
             want = embed_dict_batch(episodes, params, metas or None)
-            results.append((want, tape.backward(ad.sum_all(ad.mul(want, probe)), leaves)))
+            results.append((want, tape.backward(sum_all(ad.mul(want, probe)), leaves)))
         for want, want_grads in results:
             np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
             for leaf in leaves:
@@ -329,7 +333,7 @@ def assert_matches_all_rows(batch, params, with_meta):
     results = []
     for embed in (embed_from_episode, embed_forest_all_rows):
         with ad.Tape() as tape:
-            loss = ad.sum_all(ad.mul(embed(batch, params, metas or None), probe))
+            loss = sum_all(ad.mul(embed(batch, params, metas or None), probe))
             results.append((loss.item(), tape.backward(loss, leaves)))
     (got, got_grads), (want, want_grads) = results
     assert abs(got - want) <= 1e-12
@@ -481,7 +485,7 @@ class TestFuseChannels:
         for fuse in (fuse_present, fuse_by_pattern):
             with ad.Tape() as tape:
                 out = fuse(kind, mats, masks, weights, e0)
-                grads = tape.backward(ad.sum_all(ad.mul(out, probe)), leaves)
+                grads = tape.backward(sum_all(ad.mul(out, probe)), leaves)
             results.append((out.data, grads))
         (got, got_grads), (want, want_grads) = results
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -534,7 +538,7 @@ class TestEndToEndGradients:
             pos = ad.gather_rows(state.fused["item"], [0, 1])
             neg = ad.gather_rows(state.fused["item"], [5, 6])
             diff = ad.sub(ad.row_sums(ad.mul(anchor, pos)), ad.row_sums(ad.mul(anchor, neg)))
-            return ad.negate(ad.mean_rows(ad.log(ad.sigmoid(diff))))
+            return ad.negate(ad.mean_rows(log(sigmoid(diff))))
 
         err = finite_diff_check(f, params.tensors(), eps=1e-5)
         assert err < 1e-4
@@ -572,7 +576,7 @@ class TestConstantOperandGradients:
             state = full_embeddings(gtens, params)
             anchor = ad.gather_rows(state.fused["group"], [0, 1])
             pos = ad.gather_rows(state.fused["item"], [0, 1])
-            return ad.sum_all(ad.mul(anchor, pos))
+            return sum_all(ad.mul(anchor, pos))
 
         self.assert_bit_identical(loss_fn, params.tensors(), monkeypatch)
 

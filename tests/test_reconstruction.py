@@ -14,7 +14,7 @@ from coldgraph.graph import (
     sample_episode,
     segment,
 )
-from coldgraph.model import FullState, GraphTensors, full_embeddings, init_model_params
+from coldgraph.model import FullState, GraphTensors, embed_from_episode, full_embeddings, init_model_params
 from coldgraph.reconstruction import (
     GroundTruthTable,
     layer_sum_table,
@@ -22,7 +22,7 @@ from coldgraph.reconstruction import (
     ssl_loss,
 )
 import oracles
-from oracles import dict_trees, embed_episode, reconstruction_loss, truth_table, truth_vector
+from oracles import as_float64, dict_trees, embed_episode, reconstruction_loss, truth_table, truth_vector
 
 KINDS = ("group", "user", "item")
 
@@ -33,7 +33,7 @@ def setup():
                          inter_p=0.05, group_size_min=2, group_size_max=4, seed=1)
     g = build_implicit(generate_synthetic(spec), 3, 1)
     g = InteractionGraph({k: n + 1 for k, n in g.counts.items()}, g.edges)  # isolated nodes
-    params = init_model_params(g.counts, 6, "light", 2, True, np.random.default_rng(0))
+    params = as_float64(init_model_params(g.counts, 6, "light", 2, True, np.random.default_rng(0)))
     rng = np.random.default_rng(1)
     gt = truth_table(g.counts, {(k, i): rng.normal(size=6) for k in KINDS for i in range(g.counts[k])})
     batches = {
@@ -55,7 +55,7 @@ def oracle_mean(batch, params, gt, metas=None):
 @pytest.mark.parametrize("with_enhancer", [False, True])
 def test_parts_are_per_kind_batch_means(setup, with_enhancer):
     g, params, gt, batches = setup
-    enh = init_enhancer_params(6, np.random.default_rng(2)) if with_enhancer else None
+    enh = as_float64(init_enhancer_params(6, np.random.default_rng(2))) if with_enhancer else None
     total, parts = ssl_loss(batches["group"], batches["user"], batches["item"], params, enh, gt)
     for kind in KINDS:
         metas = episode_metas(batches[kind], params.table, enh) if enh else None
@@ -131,6 +131,22 @@ def test_teacher_table_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(loaded.rows[kind], table.rows[kind])
         np.testing.assert_array_equal(loaded.known[kind], table.known[kind])
     assert loaded.known["user"].tolist() == [True, False, True]
+
+
+def test_float64_teacher_checkpoint_is_read_rounded_to_float32(setup, tmp_path):
+    g, _, gt, batches = setup  # the table's rows are float64 draws
+    save_checkpoint(tmp_path / "teacher.ckpt", dict(gt.named_tensors()))
+    loaded = GroundTruthTable.from_named_tensors(load_checkpoint(tmp_path / "teacher.ckpt")[0], "t")
+    params = init_model_params(g.counts, 6, "light", 2, True, np.random.default_rng(0))
+    for kind in KINDS:
+        np.testing.assert_array_equal(loaded.rows[kind], gt.rows[kind])
+        batch = batches[kind]
+        got = reconstruction_terms(batch, params, None, loaded)
+        h = embed_from_episode(batch, params)
+        truth = ad.const(gt.rows[kind][batch.targets].astype(np.float32))
+        want = ad.sub(ad.const(np.ones(len(batch), np.float32)), ad.cosine_similarity(h, truth))
+        assert got.data.dtype == np.float32
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from coldgraph.graph import (
 from coldgraph.model import GraphTensors, full_embeddings, init_model_params
 from coldgraph.sparse import SparseOperator, neighbor_mean
 from gradcheck import finite_diff_check
-from oracles import dedup_mean
+from oracles import as_float64, dedup_mean, sum_all
 
 
 def dense_mean(rows, cols, shape, mirror=False):
@@ -105,7 +105,7 @@ class TestOperator:
             with ad.Tape() as tape:
                 h = ad.Tensor(h0, requires_grad=True)
                 out = product(h)
-                loss = ad.sum_all(ad.mul(out, weight))
+                loss = sum_all(ad.mul(out, weight))
             return out.data, tape.backward(loss, [h])[h]
 
         got, got_grad = run(lambda h: ad.spmm(op, h))
@@ -178,7 +178,7 @@ class TestOperator:
         op = dedup_mean(rng.integers(0, 6, 15), rng.integers(0, 5, 15), (6, 5))
         weight = ad.const(rng.normal(size=(6, 3)))
         h = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        err = finite_diff_check(lambda p: ad.sum_all(ad.mul(ad.spmm(op, p[0]), weight)), [h])
+        err = finite_diff_check(lambda p: sum_all(ad.mul(ad.spmm(op, p[0]), weight)), [h])
         assert err < 1e-6
 
 
@@ -205,7 +205,7 @@ class TestFullModeEquivalence:
         for key, norm in oracle.norm.items():
             np.testing.assert_array_equal(np.asarray(gtens.norm[key]), norm)
             np.testing.assert_array_equal(gtens.mask[key], oracle.mask[key])
-        params = init_model_params(g.counts, 4, variant, 2, False, np.random.default_rng(seed))
+        params = as_float64(init_model_params(g.counts, 4, variant, 2, False, np.random.default_rng(seed)))
 
         def forward():
             with ad.Tape() as tape:

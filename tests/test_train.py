@@ -1,12 +1,14 @@
 import types
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import coldgraph
+from coldgraph import autodiff as ad
 from coldgraph.graph import SyntheticSpec, build_implicit, generate_synthetic, segment
 from coldgraph.reconstruction import train_teacher
-from coldgraph.train import TrainConfig, train_model
+from coldgraph.train import AdamState, TrainConfig, train_model
 
 # a small model that trains with the reconstruction task in one full batch
 SMALL = dict(d=8, L=2, K=3, ssl_targets=8, warmup_targets=8, warmup_epochs=2, teacher_epochs=1,
@@ -69,3 +71,36 @@ def test_same_seed_trains_bit_identical_tensors_with_the_enhancer(data, teacher)
 def test_the_package_keeps_the_train_module():
     assert isinstance(coldgraph.train, types.ModuleType)
     assert coldgraph.train.train_model is coldgraph.train_model
+
+
+@pytest.mark.parametrize("paradigm", ["joint", "pretrain_finetune"])
+def test_float32_steps_never_upcast(data, teacher, monkeypatch, paradigm):
+    """An enhancer warm-up step, then a joint full-batch step with the
+    enhancer, or a pretrain and a finetune step, all stay float32: every
+    tape record's output, every gradient backward returns and every Adam
+    moment.  The teacher table is float64 and read as float32."""
+    graph, split = data
+    dtypes, steps = set(), []
+    backward, step = ad.Tape.backward, AdamState.step
+
+    def checked_backward(tape, loss, params=None):
+        dtypes.update(out.data.dtype for out, _, _ in tape._records)
+        grads = backward(tape, loss, params)
+        dtypes.update(g.dtype for g in grads.values())
+        return grads
+
+    def checked_step(adam, grads):
+        step(adam, grads)
+        dtypes.update(a.dtype for a in adam.m + adam.v)
+        steps.append(len(adam.tensors))
+
+    monkeypatch.setattr(ad.Tape, "backward", checked_backward)
+    monkeypatch.setattr(AdamState, "step", checked_step)
+    config = replace(TrainConfig(**SMALL), warmup_epochs=1, paradigm=paradigm, pretrain_epochs=1, epochs=1)
+    assert all(rows.dtype == np.float64 for rows in teacher.rows.values())
+    params, enh, history = train_model(config, split, graph, teacher)
+    assert dtypes == {np.dtype(np.float32)}
+    assert all(t.data.dtype == np.float32 for t in params.tensors() + enh.tensors())
+    # warm-up steps train the enhancer alone, the phases every tensor
+    n_enh, n_all = len(enh.tensors()), len(params.tensors() + enh.tensors())
+    assert steps[0] == n_enh and steps[-len(history.epochs):] == [n_all] * len(history.epochs)
