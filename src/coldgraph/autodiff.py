@@ -545,27 +545,36 @@ def attention_fusion(
 ) -> Tensor:
     """Row-wise soft-attention fusion of C channel matrices of shape (n, d).
 
-    Row i is ``sum_c a_ic M_c[i]``, where ``a_i`` is the softmax, over the
-    channels present in row i (``present``, an (n, C) mask), of the logits
-    ``M_c[i] . (W_c @ 1)``: the coordinate sums of ``M_c[i] @ W_c``, at n*d
-    flops instead of n*d^2.  A row with no channel keeps its row of ``e0``;
-    with a single channel the logits are skipped.
+    ``channels`` holds the C matrices in row blocks: a (k n, d) block holds
+    k consecutive channels, channel after channel (with n = 0 each block is
+    one channel), so a stacked pass feeds its channels without splitting
+    them.  Row i is ``sum_c a_ic M_c[i]``, where ``a_i`` is the softmax,
+    over the channels present in row i (``present``, an (n, C) mask), of
+    the logits ``M_c[i] . (W_c @ 1)``: the coordinate sums of
+    ``M_c[i] @ W_c``, at n*d flops instead of n*d^2.  A row with no channel
+    keeps its row of ``e0``; with a single channel the logits are skipped.
     """
-    channels, weights = list(channels), list(weights)
+    blocks, weights = list(channels), list(weights)
     _check_2d(e0, "attention_fusion")
     n, d = e0.shape
+    counts = []
+    for b in blocks:
+        k = (b.shape[0] // n if n else 1) if b.ndim == 2 else 0
+        if k < 1 or b.shape != (k * n, d):
+            raise ValueError(f"attention_fusion needs ({n}, {d}) channels, got a {b.shape} block")
+        counts.append(k)
+    mats = [b.data[i * n : (i + 1) * n] for b, k in zip(blocks, counts) for i in range(k)]
     present = np.asarray(present, dtype=bool)
-    if present.shape != (n, len(channels)) or len(weights) != len(channels):
+    if present.shape != (n, len(mats)) or len(weights) != len(mats):
         raise ValueError(
-            f"attention_fusion needs an ({n}, {len(channels)}) mask and one weight per channel"
+            f"attention_fusion needs an ({n}, {len(mats)}) mask and one weight per channel"
         )
-    for m, w in zip(channels, weights):
-        if m.shape != (n, d) or w.ndim != 2 or w.shape[0] != d:
-            raise ValueError(f"attention_fusion shape mismatch: {m.shape}, {w.shape}, ({n}, {d})")
+    if any(w.ndim != 2 or w.shape[0] != d for w in weights):
+        raise ValueError(f"attention_fusion needs (d, *) weights for d={d}")
     none = ~present.any(axis=1)
-    if len(channels) > 1:
+    if len(mats) > 1:
         u = [w.data.sum(axis=1) for w in weights]
-        logits = np.stack([m.data @ uc for m, uc in zip(channels, u)], axis=1)
+        logits = np.stack([m @ uc for m, uc in zip(mats, u)], axis=1)
         z = np.where(present, logits, -np.inf)
         shift = z.max(axis=1, keepdims=True)
         shift[none] = 0.0
@@ -576,27 +585,31 @@ def attention_fusion(
     else:
         attn = present.astype(e0.data.dtype)
     out = np.zeros((n, d), e0.data.dtype)
-    for j, m in enumerate(channels):
-        out += attn[:, j : j + 1] * m.data
+    for j, m in enumerate(mats):
+        out += attn[:, j : j + 1] * m
     out[none] = e0.data[none]
+    tracked = [b.requires_grad for b, k in zip(blocks, counts) for _ in range(k)]
+    bounds = np.cumsum([0] + counts)
 
     def vjp(g):
-        g_channels = [
-            attn[:, j : j + 1] * g if m.requires_grad else None for j, m in enumerate(channels)
-        ]
+        g_mats = [attn[:, j : j + 1] * g if tracked[j] else None for j in range(len(mats))]
         g_weights = [None] * len(weights)
-        if len(channels) > 1:
-            ds = np.stack([(g * m.data).sum(axis=1) for m in channels], axis=1)
+        if len(mats) > 1:
+            ds = np.stack([(g * m).sum(axis=1) for m in mats], axis=1)
             gl = attn * (ds - (attn * ds).sum(axis=1, keepdims=True))
-            for j, (m, w) in enumerate(zip(channels, weights)):
-                if g_channels[j] is not None:
-                    g_channels[j] += gl[:, j : j + 1] * u[j]
+            for j, (m, w) in enumerate(zip(mats, weights)):
+                if g_mats[j] is not None:
+                    g_mats[j] += gl[:, j : j + 1] * u[j]
                 if w.requires_grad:
-                    g_weights[j] = np.repeat((m.data.T @ gl[:, j])[:, None], w.shape[1], axis=1)
+                    g_weights[j] = np.repeat((m.T @ gl[:, j])[:, None], w.shape[1], axis=1)
+        g_blocks = [
+            None if not b.requires_grad else g_mats[lo] if hi - lo == 1 else np.concatenate(g_mats[lo:hi])
+            for b, lo, hi in zip(blocks, bounds[:-1], bounds[1:])
+        ]
         g_e0 = np.where(none[:, None], g, 0.0) if e0.requires_grad else None
-        return (*g_channels, *g_weights, g_e0)
+        return (*g_blocks, *g_weights, g_e0)
 
-    return _emit(out, (*channels, *weights, e0), vjp)
+    return _emit(out, (*blocks, *weights, e0), vjp)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

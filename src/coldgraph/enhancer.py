@@ -8,19 +8,21 @@ for groups) with its own soft-attention weights.  The per-relation metas are
 what gets injected into the GNN's convolution steps; the fused meta is the
 quantity trained against ground-truth embeddings.
 
-One batched forward serves every caller.  Per relation, a
-:class:`model.DegreePlan` cuts the targets' stacked neighbor rows into one
-segment per target, and three ragged segment ops do the rest: one
-:func:`autodiff.segment_attention` smooths every segment, one placed
-:func:`autodiff.sum_consecutive` averages each into its target's row, and
-for groups one segment softmax pools the member-aggregate channel
-(:func:`model.attention_pool`); one :func:`autodiff.attention_fusion` per
-kind fuses the channels.  The targets are the sampled first-order
-neighborhoods of an episode batch (:func:`episode_metas`, and
-:func:`train_enhancer`, whose warm-up episodes are laid out as arrays once
-and read the model tables as constants) or every node's complete
-neighborhood (:func:`full_meta_matrices`).  The warm-up and the pretext
-task score predictions with the same batched :func:`reconstruction_costs`.
+One stacked pass serves every caller.  The user, item and group tables
+are stacked into one, and one :class:`model.DegreePlan` cuts the neighbor
+rows of every (relation, target) pair into a segment whose mean is row
+``r n + t`` of channel-major (R n, d) means: one gather, the three
+projections, one :func:`autodiff.segment_attention` and one placed
+:func:`autodiff.sum_consecutive` give every relation's metas.  The
+targets are an episode batch's sampled first-order neighborhoods
+(:func:`episode_metas`) or every node's complete neighborhood
+(:func:`full_meta_matrices`).  The warm-up (:func:`train_enhancer`) lays
+its episodes out once, pools the group-GU segments into the
+member-aggregate channel (:func:`model.attention_pool`) and fuses the
+targets of every kind in one :func:`autodiff.attention_fusion`: fusion
+weights are per channel, and each row fuses the channels it has.  The
+warm-up and the pretext task score predictions with the same batched
+:func:`reconstruction_costs`.
 """
 
 from __future__ import annotations
@@ -33,14 +35,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import KINDS, RELATION_KINDS, RELATIONS, RELATIONS_BY_KIND, EpisodeBatch
+from .graph import KINDS, RELATIONS_BY_KIND, EpisodeBatch
 from .model import (
     FUSION_KEYS,
+    META_RELATIONS,
     DegreePlan,
     GraphTensors,
     attention_pool,
     degree_plan,
-    fuse_present,
+    row_block,
     xavier_uniform,
 )
 
@@ -85,80 +88,91 @@ def init_enhancer_params(d: int, rng: np.random.Generator) -> EnhancerParams:
     )
 
 
-def _neighbor_kind(rel: str, kind: str) -> str:
-    ka, kb = RELATION_KINDS[rel]
-    return kb if kind == ka else ka
+def _stacked_table(tables) -> tuple[Tensor, dict[str, int]]:
+    """The user, item and group tables stacked into one, and each kind's
+    first row in it."""
+    parts = [tables(k) for k in KINDS]
+    offset = dict(zip(KINDS, np.cumsum([0] + [p.shape[0] for p in parts[:-1]]).tolist()))
+    return ad.concat(parts), offset
 
 
-def _gathered_qkv(table: Tensor, params: EnhancerParams):
-    """Map rows ``flat`` of ``table`` to their query, key and value rows.
+def _first_order(pairs, offset) -> tuple[np.ndarray, np.ndarray]:
+    """Each target's number of sampled first-order neighbors in each
+    (episode batch, relation) pair, pair after pair, and the neighbors'
+    rows in the stacked table, target after target."""
+    sizes, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for batch, rel in pairs:
+        forest = batch.forests.get(rel)
+        if forest is None:
+            sizes.append(np.zeros(len(batch), np.intp))
+            continue
+        count, child = batch.first_order(rel)
+        sizes.append(count)
+        cols.append(forest.nodes[forest.kinds[1]][child] + offset[forest.kinds[1]])
+    return np.concatenate(sizes), np.concatenate(cols)
 
-    Projects the gathered rows: an episode batch gathers fewer rows than
-    the table holds, and a constant table then puts no gather on the tape.
+
+def _smoothed_means(
+    table: Tensor, plan: DegreePlan, params: EnhancerParams, project_first: bool = False
+) -> tuple[Tensor, Tensor]:
+    """The neighbor rows (rows of ``table``) of every segment of ``plan``
+    smoothed by self-attention, in ``plan.cols`` order, and the segment
+    means placed in a (plan.n, d) matrix, zero rows for targets without one.
+
+    Gathers, then projects: an episode batch gathers fewer rows than the
+    table holds, and a constant table puts no gather on the tape.  With
+    ``project_first`` it gathers the rows of the projected table instead.
     """
-    def qkv(flat):
-        x = ad.gather_rows(table, flat)
-        return tuple(ad.matmul(x, w) for w in (params.wq, params.wk, params.wv))
-
-    return qkv
-
-
-def _projected_qkv(table: Tensor, params: EnhancerParams):
-    """As :func:`_gathered_qkv`, but gathers from the projected table: the
-    full graph gathers every row once per neighbor."""
-    projected = [ad.matmul(table, w) for w in (params.wq, params.wk, params.wv)]
-    return lambda flat: tuple(ad.gather_rows(p, flat) for p in projected)
-
-
-def _relation_metas(
-    qkv, plan: DegreePlan, member_score: Tensor | None = None
-) -> tuple[Tensor, Tensor | None]:
-    """Per-target smoothed-neighbor means over one relation, (n, d).
-
-    ``qkv`` maps neighbor rows to their query, key and value rows.  With
-    ``member_score`` also returns the attention-pooled smoothed neighbors
-    (the member-aggregate channel).  Targets without neighbors get zero
-    rows.
-    """
-    smoothed = ad.segment_attention(*qkv(plan.cols), plan.runs)
-    means = ad.sum_consecutive(smoothed, plan.runs, plan.targets, plan.n, mean=True)
-    if member_score is None:
-        return means, None
-    return means, attention_pool(smoothed, plan, member_score)
+    w = (params.wq, params.wk, params.wv)
+    if project_first:
+        qkv = [ad.gather_rows(ad.matmul(table, wi), plan.cols) for wi in w]
+    else:
+        x = ad.gather_rows(table, plan.cols)
+        qkv = [ad.matmul(x, wi) for wi in w]
+    smoothed = ad.segment_attention(*qkv, plan.runs)
+    return smoothed, ad.sum_consecutive(smoothed, plan.runs, plan.targets, plan.n, mean=True)
 
 
 def episode_metas(episodes: EpisodeBatch, tables, params: EnhancerParams) -> dict[str, Tensor]:
     """Per-relation (n, d) meta embeddings of the n targets of an episode batch.
 
-    A target whose relation sampled no neighbor gets a zero row, and a
-    relation that sampled no neighbor in any episode has no entry.
+    One plan holds every relation's segments: relation r's segment of
+    target t is row ``r n + t`` of the stacked means.  A target whose
+    relation sampled no neighbor gets a zero row, and a relation that
+    sampled no neighbor in any episode has no entry.
     """
-    out = {}
-    for rel, forest in episodes.forests.items():
-        sizes, child = episodes.first_order(rel)
-        if child.size:
-            neighbor_kind = forest.kinds[1]
-            plan = degree_plan(sizes, forest.nodes[neighbor_kind][child])
-            out[rel], _ = _relation_metas(_gathered_qkv(tables(neighbor_kind), params), plan)
-    return out
+    n, rels = len(episodes), RELATIONS_BY_KIND[episodes.kind]
+    table, offset = _stacked_table(tables)
+    sizes, cols = _first_order([(episodes, rel) for rel in rels], offset)
+    plan = degree_plan(sizes, cols)
+    if not plan.runs:
+        return {}
+    _, means = _smoothed_means(table, plan, params)
+    sampled = sizes.reshape(len(rels), n).any(axis=1)
+    return {rel: row_block(means, r * n, (r + 1) * n) for r, rel in enumerate(rels) if sampled[r]}
+
+
+#: the (kind, relation) pairs of the meta matrices, in stacking order
+_PAIRS = tuple((kind, rel) for kind, rels in RELATIONS_BY_KIND.items() for rel in rels)
 
 
 def full_meta_matrices(
     gtens: GraphTensors, tables, params: EnhancerParams
 ) -> dict[tuple[str, str], Tensor]:
-    """All-node meta matrices from complete first-order neighborhoods.
+    """All-node meta matrices from complete first-order neighborhoods, one
+    per (kind, relation) pair, from one plan over every pair's targets.
 
     Rows of zero-degree nodes are zero; their channels are dropped from
     fusion downstream so the placeholder value is never consumed.
     """
-    qkv = {kind: _projected_qkv(tables(kind), params) for kind in KINDS}
-    return {
-        (kind, rel): _relation_metas(
-            qkv[_neighbor_kind(rel, kind)], gtens.neighbor_plan(rel, kind)
-        )[0]
-        for kind, rels in RELATIONS_BY_KIND.items()
-        for rel in rels
-    }
+    table, offset = _stacked_table(tables)
+    plan = gtens.neighbor_plan([(rel, kind) for kind, rel in _PAIRS], offset)
+    _, means = _smoothed_means(table, plan, params, project_first=True)
+    out, lo = {}, 0
+    for kind, rel in _PAIRS:
+        out[(kind, rel)] = row_block(means, lo, lo + gtens.counts[kind])
+        lo += gtens.counts[kind]
+    return out
 
 
 def _cosine_costs(predicted: Tensor, truth: np.ndarray) -> Tensor:
@@ -179,75 +193,56 @@ def reconstruction_costs(predicted: Tensor, episodes: EpisodeBatch, ground_truth
 class _WarmupLayout:
     """The warm-up episodes and the frozen model tables, laid out once.
 
-    The episode positions run through the batches in order.  ``table``
-    stacks the user, item and group tables into one constant;
-    ``csr[rel]`` = (indptr, indices) lists each episode target's sampled
-    first-order neighbors in relation ``rel`` as rows of that table;
-    ``kind`` codes each target's kind (its index in ``KINDS``), ``linked``
-    marks the targets with a neighbor in some relation, and ``truth`` holds
-    the ground-truth embeddings.  A batch of episode positions cuts its
-    degree plans out of these arrays by indexing.
+    The episode positions run through the batches in order.  ``table`` is
+    the stacked tables as a constant; one CSR (``indptr``, ``indices``)
+    lists the rows of the sampled first-order neighbors of slot ``r P + p``:
+    relation r of ``META_RELATIONS`` at position p of P.  ``linked`` marks
+    the targets with a neighbor in some relation, and ``truth`` holds the
+    ground-truth embeddings.  A step cuts its one plan out by indexing.
     """
 
     def __init__(self, batches: Sequence[EpisodeBatch], ground_truth, tables):
         self.truth = np.concatenate([ground_truth.lookup(b.kind, b.targets) for b in batches])
-        sizes = [tables(kind).shape[0] for kind in KINDS]
-        offset = dict(zip(KINDS, np.cumsum([0] + sizes[:-1]).tolist()))
-        self.table = ad.const(np.concatenate([tables(kind).data for kind in KINDS]))
-        codes = np.array([KINDS.index(b.kind) for b in batches], dtype=np.intp)
-        self.kind = np.repeat(codes, [len(b) for b in batches])
-        self.linked = np.zeros(self.kind.size, dtype=bool)
-        self.csr: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for rel in RELATIONS:
-            counts, indices = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-            for b in batches:
-                forest = b.forests.get(rel)
-                if forest is None:
-                    counts.append(np.zeros(len(b), np.intp))
-                    continue
-                sizes, child = b.first_order(rel)
-                counts.append(sizes)
-                indices.append(forest.nodes[forest.kinds[1]][child] + offset[forest.kinds[1]])
-            counts = np.concatenate(counts)
-            self.csr[rel] = (np.cumsum(np.r_[0, counts]), np.concatenate(indices))
-            self.linked |= counts > 0
+        table, offset = _stacked_table(tables)
+        self.table = ad.const(table.data)
+        counts, self.indices = _first_order([(b, rel) for rel in META_RELATIONS for b in batches], offset)
+        self.indptr = np.cumsum(np.r_[0, counts])
+        self.linked = counts.reshape(len(META_RELATIONS), -1).any(axis=0)
 
-    def fused(self, kind: str, sel: np.ndarray, params: EnhancerParams) -> Tensor:
-        """Fused meta embeddings (n, d) of the n linked ``kind`` targets at
-        episode positions ``sel``."""
-        qkv = _gathered_qkv(self.table, params)
-        channels: dict[str, Tensor] = {}
-        masks: dict[str, np.ndarray] = {}
-        for rel in RELATIONS_BY_KIND[kind]:
-            indptr, indices = self.csr[rel]
-            plan = degree_plan(indptr[sel + 1] - indptr[sel], indices, indptr[sel])
-            if not plan.runs:
-                continue
-            score = params.member_score if (kind, rel) == ("group", "GU") else None
-            channels[rel], agg = _relation_metas(qkv, plan, score)
-            masks[rel] = plan.present
-            if agg is not None:
-                channels["GU_AGG"], masks["GU_AGG"] = agg, plan.present
-        e0 = ad.const(np.zeros((sel.size, params.d), params.wq.data.dtype))
-        return fuse_present(kind, channels, masks, params.fusion, e0)
+    def fused(self, sel: np.ndarray, params: EnhancerParams) -> Tensor:
+        """Fused meta embeddings (n, d) of the n linked targets at episode
+        positions ``sel``, whatever their kinds.
+
+        Relation r's segment of target j is row ``r n + j`` of the means.
+        The member-aggregate channel is the GU block of every segment's
+        pooled rows (only groups sample GU), and one fusion covers every
+        kind, each row with the channels it has.
+        """
+        n, gu = sel.size, META_RELATIONS.index("GU")
+        slots = (np.arange(len(META_RELATIONS))[:, None] * self.linked.size + sel).reshape(-1)
+        starts = self.indptr[slots]
+        plan = degree_plan(self.indptr[slots + 1] - starts, self.indices, starts)
+        smoothed, means = _smoothed_means(self.table, plan, params)
+        keys, blocks = list(META_RELATIONS), [means]
+        present = plan.present.reshape(len(META_RELATIONS), n).T
+        if present[:, gu].any():
+            pooled = attention_pool(smoothed, plan, params.member_score)
+            keys.append("GU_AGG")
+            blocks.append(row_block(pooled, gu * n, (gu + 1) * n))
+            present = np.c_[present, present[:, gu]]
+        e0 = ad.const(np.zeros((n, params.d), params.wq.data.dtype))
+        return ad.attention_fusion(blocks, [params.fusion[c] for c in keys], present, e0)
 
     def loss(self, batch: np.ndarray, params: EnhancerParams) -> Tensor | None:
         """Mean cosine reconstruction loss of the fused metas of the episodes
         at positions ``batch``.
 
         Isolated targets are skipped; None when every target is isolated.
-        Kinds contribute in the order of their first appearance in the batch.
         """
-        kinds = self.kind[batch]
-        _, first = np.unique(kinds, return_index=True)
-        terms = []
-        for code in kinds[np.sort(first)]:
-            sel = batch[(kinds == code) & self.linked[batch]]
-            if sel.size:
-                terms.append(_cosine_costs(self.fused(KINDS[code], sel, params), self.truth[sel]))
-        if not terms:
+        sel = batch[self.linked[batch]]
+        if not sel.size:
             return None
-        return ad.mean_rows(terms[0] if len(terms) == 1 else ad.concat(terms))
+        return ad.mean_rows(_cosine_costs(self.fused(sel, params), self.truth[sel]))
 
 
 def train_enhancer(
@@ -267,25 +262,31 @@ def train_enhancer(
     ``batch_size`` steps, by adaptive-moment gradient descent on the
     enhancer parameters only; the model tables are read as constants.
     Returns the params and the per-epoch loss history; zero epochs leaves
-    the parameters untouched.
+    the parameters untouched.  A non-finite loss or update restores the
+    values the parameters had before the warm-up and raises
+    :class:`train.DivergenceError`.
     """
-    from .train import AdamState  # local import: train builds on this module
+    from .train import AdamState, DivergenceError  # local import: train builds on this module
 
     rng = rng or np.random.default_rng(0)
     tensors = params.tensors()
+    before = [np.array(t.data) for t in tensors]
     adam = AdamState(tensors, learning_rate)
     losses: list[float] = []
     layout = _WarmupLayout(episodes, ground_truth, tables)
     for _ in range(epochs):
-        order = rng.permutation(layout.kind.size)
+        order = rng.permutation(layout.linked.size)
         epoch_losses = []
         for start in range(0, len(order), batch_size):
             with ad.Tape() as tape:
                 loss = layout.loss(order[start : start + batch_size], params)
                 if loss is None:
                     continue
-                grads = tape.backward(loss, tensors)
-            adam.step(grads)
+                grads = tape.backward(loss, tensors) if math.isfinite(loss.item()) else None
+            if grads is None or not adam.step(grads):
+                for t, arr in zip(tensors, before):
+                    t.data = arr
+                raise DivergenceError(f"non-finite loss or update in warm-up epoch {len(losses) + 1}")
             epoch_losses.append(loss.item())
         losses.append(float(np.mean(epoch_losses)) if epoch_losses else math.nan)
     return params, losses

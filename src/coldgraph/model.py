@@ -167,18 +167,19 @@ def _conv_matrix(
     return ad.relu(ad.matmul(ad.concat([self_mat, neigh_mat], axis=1), weight))
 
 
+def row_block(h: Tensor, lo: int, hi: int) -> Tensor:
+    """Rows ``lo`` to ``hi`` of ``h``; all of them is ``h`` itself."""
+    return h if (lo, hi) == (0, h.shape[0]) else ad.gather_rows(h, np.arange(lo, hi))
+
+
 def _self_rows(h: Tensor, rows: int, meta: Tensor | None, proj: Tensor | None) -> Tensor:
     """The self path of the first ``rows`` rows of ``h``: with ``meta``, the
     first ``len(meta)`` of them become ``concat(self, meta) @ proj``."""
-
-    def lead(lo: int, hi: int) -> Tensor:
-        return h if (lo, hi) == (0, h.shape[0]) else ad.gather_rows(h, np.arange(lo, hi))
-
     if meta is None:
-        return lead(0, rows)
+        return row_block(h, 0, rows)
     n = meta.shape[0]
-    head = ad.matmul(ad.concat([lead(0, n), meta], axis=1), proj)
-    return head if n == rows else ad.concat([head, lead(n, rows)], axis=0)
+    head = ad.matmul(ad.concat([row_block(h, 0, n), meta], axis=1), proj)
+    return head if n == rows else ad.concat([head, row_block(h, n, rows)], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +253,26 @@ class GraphTensors:
                 rows = np.repeat(np.arange(deg.size), deg)
                 self.norm[(rel, kind)] = neighbor_mean(rows, indices, (deg.size, self.counts[other]))
                 self.mask[(rel, kind)] = deg > 0
-        self._plans: dict[tuple[str, str], DegreePlan] = {}
+        self._plans: dict[tuple, DegreePlan] = {}
 
-    def neighbor_plan(self, rel: str, kind: str) -> DegreePlan:
-        """Degree grouping of ``kind``'s neighbors in relation ``rel``."""
-        plan = self._plans.get((rel, kind))
+    def neighbor_plan(
+        self, pairs: Sequence[tuple[str, str]], offset: Mapping[str, int] | None = None
+    ) -> DegreePlan:
+        """One degree grouping of ``kind``'s neighbors in relation ``rel``
+        for every (rel, kind) pair, the targets listed pair after pair.  A
+        neighbor of kind k is row ``offset[k]`` (default 0) plus its index:
+        its row in a table that stacks the kinds."""
+        offset = offset or {}
+        key = (tuple(pairs), tuple(sorted(offset.items())))
+        plan = self._plans.get(key)
         if plan is None:
-            indptr, indices = self._csr[(rel, kind)]
-            plan = self._plans[(rel, kind)] = degree_plan(np.diff(indptr), indices)
+            sizes, cols = [], []
+            for rel, kind in pairs:
+                indptr, indices = self._csr[(rel, kind)]
+                ka, kb = RELATION_KINDS[rel]
+                sizes.append(np.diff(indptr))
+                cols.append(indices + offset.get(kb if kind == ka else ka, 0))
+            plan = self._plans[key] = degree_plan(np.concatenate(sizes), np.concatenate(cols))
         return plan
 
 
@@ -403,7 +416,7 @@ def full_embeddings(
     }
 
     def fuse_all(step: int) -> dict[str, Tensor]:
-        gu_agg = _member_aggregate(gtens.neighbor_plan("GU", "group"), gu["user"][step], params)
+        gu_agg = _member_aggregate(gtens.neighbor_plan([("GU", "group")]), gu["user"][step], params)
         mats = {
             "group": {
                 "GI": gi["group"][step],

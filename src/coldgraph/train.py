@@ -266,12 +266,12 @@ class TrainHistory:
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the loss turns non-finite; carries the partial history."""
+    """Raised when the loss or an update turns non-finite; :func:`train_model`
+    adds the partial history and the path of the last good checkpoint,
+    when it saved one."""
 
-    def __init__(self, message: str, history: TrainHistory, checkpoint: Path | None):
-        super().__init__(message)
-        self.history = history
-        self.checkpoint = checkpoint
+    history: TrainHistory | None = None
+    checkpoint: Path | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,9 @@ class DivergenceError(RuntimeError):
 
 class AdamState:
     """Adaptive-moment gradient descent over a fixed tensor list; each
-    tensor's moments have its dtype."""
+    tensor's moments have its dtype.  An update that would make a value
+    non-finite leaves the tensors as they were: :meth:`step` returns False,
+    and overflow in computing it raises no floating-point warning."""
 
     def __init__(self, tensors: Sequence[Tensor], lr: float, betas=(0.9, 0.999), eps=1e-8):
         self.tensors = list(tensors)
@@ -292,15 +294,22 @@ class AdamState:
         self.m = [np.zeros_like(t.data) for t in self.tensors]
         self.v = [np.zeros_like(t.data) for t in self.tensors]
 
-    def step(self, grads: Mapping[Tensor, np.ndarray]) -> None:
+    def step(self, grads: Mapping[Tensor, np.ndarray]) -> bool:
         self.t += 1
         c1 = 1.0 - self.b1 ** self.t
         c2 = 1.0 - self.b2 ** self.t
-        for i, tensor in enumerate(self.tensors):
-            g = grads[tensor]
-            self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * g * g
-            tensor.data -= self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+        new = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, tensor in enumerate(self.tensors):
+                g = grads[tensor]
+                self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
+                self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * g * g
+                new.append(tensor.data - self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps))
+        if not all(np.isfinite(x).all() for x in new):
+            return False
+        for tensor, x in zip(self.tensors, new):
+            tensor.data = x
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +433,8 @@ def _run_epochs(
 
     The pretrain phase trains only the reconstruction loss; finetune trains
     the ranking loss and the L2 term; joint trains all three.  A non-finite
-    loss, gradient or parameter restores the parameters of the last epoch
-    that ended finite, saves them as ``out_dir/model.ckpt`` when ``out_dir``
-    is given, and raises :class:`DivergenceError`.
+    loss or update restores the parameters of the last completed epoch (or
+    of the phase's start) and raises :class:`DivergenceError`.
     """
     main_on = phase != "pretrain"  # the ranking loss and the L2 term
     ssl_weight = 0.0 if phase == "finetune" else config.lam1
@@ -442,11 +450,7 @@ def _run_epochs(
     def diverged(message: str) -> DivergenceError:
         for t, arr in zip(tensors, last_good):
             t.data = arr
-        ckpt = None
-        if out_dir is not None:
-            ckpt = Path(out_dir) / "model.ckpt"
-            save_training_checkpoint(ckpt, params, enh, config)
-        return DivergenceError(message, history, ckpt)
+        return DivergenceError(message)
 
     for epoch_i in range(1, epochs + 1):
         t0 = time.perf_counter()
@@ -550,14 +554,12 @@ def _run_epochs(
                     grads = tape.backward(total, tensors)
                 except ValueError as err:
                     raise diverged(f"backward failed at epoch {epoch_no}: {err}") from err
-            adam.step(grads)
+            if not adam.step(grads):
+                raise diverged(f"non-finite update at epoch {epoch_no}")
             sums["total"] += total_val
             weights["steps"] += 1
 
-        snap = [np.array(t.data) for t in tensors]
-        if not all(np.isfinite(a).all() for a in snap):
-            raise diverged(f"non-finite parameters after epoch {epoch_no}")
-        last_good = snap
+        last_good = [np.array(t.data) for t in tensors]
 
         stats = EpochStats(
             epoch=epoch_no,
@@ -601,7 +603,10 @@ def train_model(
     and the enhancer off the reconstruction machinery consumes no
     randomness, so the run is the plain base GNN's, bit for bit.
     ``eval_fn(params, enh)`` returns (recall, ndcg) every ``eval_every``
-    epochs of a phase.
+    epochs of a phase.  A non-finite loss or update, in the enhancer
+    warm-up or in a phase, raises :class:`DivergenceError` with the last
+    good parameters restored and, given ``out_dir``, saved as
+    ``out_dir/model.ckpt``.
     """
     config.validate()
     if config.lam1 > 0 and gt is None:
@@ -617,36 +622,38 @@ def train_model(
         with_meta=config.enhancer,
         rng=rngs["init_model"],
     )
-    enh = None
-    if config.enhancer:
-        enh = init_enhancer_params(config.d, rngs["init_enhancer"])
-        if config.lam1 > 0 and config.warmup_epochs > 0:
+    history = TrainHistory(label=config.variant_label(), k=config.eval_k)
+    if config.paradigm == "pretrain_finetune":
+        phases = [("pretrain", config.pretrain_epochs), ("finetune", config.epochs)]
+    else:
+        phases = [("joint", config.epochs)]
+    enh = init_enhancer_params(config.d, rngs["init_enhancer"]) if config.enhancer else None
+    try:
+        if enh is not None and config.lam1 > 0 and config.warmup_epochs > 0:
             warm_targets = pick_ssl_targets(split, config.warmup_targets, rngs["warmup"])
             warm_seed = int(rngs["warmup"].integers(2 ** 31))
             warm_eps = [
                 sample_episode(train_graph, kind, idx, config.K, 1, warm_seed, member_depth_bonus=False)
                 for kind, idx in warm_targets.items()
             ]
-            train_enhancer(
-                warm_eps,
-                gt,
-                enh,
-                params.table,
-                learning_rate=config.learning_rate,
-                epochs=config.warmup_epochs,
+            t0 = time.perf_counter()
+            _, curve = train_enhancer(
+                warm_eps, gt, enh, params.table, config.learning_rate, config.warmup_epochs,
                 rng=rngs["warmup"],
             )
-
-    history = TrainHistory(label=config.variant_label(), k=config.eval_k)
-    if config.paradigm == "pretrain_finetune":
-        phases = [("pretrain", config.pretrain_epochs), ("finetune", config.epochs)]
-    else:
-        phases = [("joint", config.epochs)]
-    for phase, epochs in phases:
-        _run_epochs(
-            config, split, train_graph, gtens, params, enh, gt, rngs, history,
-            phase, epochs, out_dir, eval_fn,
-        )
+            log.info("warm-up: %d epochs, loss %.4f -> %.4f (%.2fs)",
+                     len(curve), curve[0], curve[-1], time.perf_counter() - t0)
+        for phase, epochs in phases:
+            _run_epochs(
+                config, split, train_graph, gtens, params, enh, gt, rngs, history,
+                phase, epochs, out_dir, eval_fn,
+            )
+    except DivergenceError as err:  # the parameters are back at their last good values
+        err.history = history
+        if out_dir is not None:
+            err.checkpoint = Path(out_dir) / "model.ckpt"
+            save_training_checkpoint(err.checkpoint, params, enh, config)
+        raise
     return params, enh, history
 
 

@@ -631,13 +631,135 @@ def episode_metas_dict(episodes, tables, params):
     out = {}
     for rel, plan in episode_plans(episodes, kind).items():
         if plan.runs:
-            qkv = enhancer._gathered_qkv(tables(enhancer._neighbor_kind(rel, kind)), params)
-            out[rel], _ = enhancer._relation_metas(qkv, plan)
+            out[rel], _ = relation_metas(gathered_qkv(tables(neighbor_kind(rel, kind)), params), plan)
     return out
 
 
-class DictWarmupLayout(enhancer._WarmupLayout):
-    """The warm-up layout built from a list of dict-tree episodes."""
+# ---------------------------------------------------------------------------
+# the per-pair enhancer: one gather, three projections, one segment
+# attention and one placed mean per (kind, relation) pair, and one fusion per
+# kind, where coldgraph.enhancer runs one stacked pass
+# ---------------------------------------------------------------------------
+
+
+def neighbor_kind(rel, kind):
+    ka, kb = RELATION_KINDS[rel]
+    return kb if kind == ka else ka
+
+
+def gathered_qkv(table, params):
+    """Map rows ``flat`` of ``table`` to their query, key and value rows,
+    projecting the gathered rows."""
+
+    def qkv(flat):
+        x = ad.gather_rows(table, flat)
+        return tuple(ad.matmul(x, w) for w in (params.wq, params.wk, params.wv))
+
+    return qkv
+
+
+def projected_qkv(table, params):
+    """As :func:`gathered_qkv`, but gathers from the projected table."""
+    projected = [ad.matmul(table, w) for w in (params.wq, params.wk, params.wv)]
+    return lambda flat: tuple(ad.gather_rows(p, flat) for p in projected)
+
+
+def relation_metas(qkv, plan, member_score=None):
+    """Per-target smoothed-neighbor means over one relation, (n, d), and
+    with ``member_score`` the attention-pooled smoothed neighbors."""
+    smoothed = ad.segment_attention(*qkv(plan.cols), plan.runs)
+    means = ad.sum_consecutive(smoothed, plan.runs, plan.targets, plan.n, mean=True)
+    if member_score is None:
+        return means, None
+    return means, model.attention_pool(smoothed, plan, member_score)
+
+
+def episode_metas_per_relation(episodes, tables, params):
+    """Per-relation (n, d) meta embeddings of an episode batch."""
+    out = {}
+    for rel, forest in episodes.forests.items():
+        sizes, child = episodes.first_order(rel)
+        if child.size:
+            neighbor = forest.kinds[1]
+            plan = model.degree_plan(sizes, forest.nodes[neighbor][child])
+            out[rel], _ = relation_metas(gathered_qkv(tables(neighbor), params), plan)
+    return out
+
+
+def full_meta_matrices_per_pair(gtens, tables, params):
+    """All-node meta matrices, one plan per (kind, relation) pair."""
+    qkv = {kind: projected_qkv(tables(kind), params) for kind in KINDS}
+    return {
+        (kind, rel): relation_metas(qkv[neighbor_kind(rel, kind)], gtens.neighbor_plan([(rel, kind)]))[0]
+        for kind, rels in RELATIONS_BY_KIND.items()
+        for rel in rels
+    }
+
+
+class PerPairWarmupLayout:
+    """The warm-up layout with one CSR per relation over the episode
+    positions and one degree plan per (kind, relation) pair and step."""
+
+    def __init__(self, batches, ground_truth, tables):
+        self.truth = np.concatenate([ground_truth.lookup(b.kind, b.targets) for b in batches])
+        sizes = [tables(kind).shape[0] for kind in KINDS]
+        offset = dict(zip(KINDS, np.cumsum([0] + sizes[:-1]).tolist()))
+        self.table = ad.const(np.concatenate([tables(kind).data for kind in KINDS]))
+        codes = np.array([KINDS.index(b.kind) for b in batches], dtype=np.intp)
+        self.kind = np.repeat(codes, [len(b) for b in batches])
+        self.linked = np.zeros(self.kind.size, dtype=bool)
+        self.csr = {}
+        for rel in RELATIONS:
+            counts, indices = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+            for b in batches:
+                forest = b.forests.get(rel)
+                if forest is None:
+                    counts.append(np.zeros(len(b), np.intp))
+                    continue
+                sizes, child = b.first_order(rel)
+                counts.append(sizes)
+                indices.append(forest.nodes[forest.kinds[1]][child] + offset[forest.kinds[1]])
+            counts = np.concatenate(counts)
+            self.csr[rel] = (np.cumsum(np.r_[0, counts]), np.concatenate(indices))
+            self.linked |= counts > 0
+
+    def fused(self, kind, sel, params):
+        """Fused meta embeddings (n, d) of the n linked ``kind`` targets at
+        episode positions ``sel``."""
+        qkv = gathered_qkv(self.table, params)
+        channels, masks = {}, {}
+        for rel in RELATIONS_BY_KIND[kind]:
+            indptr, indices = self.csr[rel]
+            plan = model.degree_plan(indptr[sel + 1] - indptr[sel], indices, indptr[sel])
+            if not plan.runs:
+                continue
+            score = params.member_score if (kind, rel) == ("group", "GU") else None
+            channels[rel], agg = relation_metas(qkv, plan, score)
+            masks[rel] = plan.present
+            if agg is not None:
+                channels["GU_AGG"], masks["GU_AGG"] = agg, plan.present
+        e0 = ad.const(np.zeros((sel.size, params.d), params.wq.data.dtype))
+        return model.fuse_present(kind, channels, masks, params.fusion, e0)
+
+    def loss(self, batch, params):
+        """Mean cosine reconstruction loss of the episodes at positions
+        ``batch``, kinds in order of first appearance; isolated targets are
+        skipped; None when every target is isolated."""
+        kinds = self.kind[batch]
+        _, first = np.unique(kinds, return_index=True)
+        terms = []
+        for code in kinds[np.sort(first)]:
+            sel = batch[(kinds == code) & self.linked[batch]]
+            if sel.size:
+                fused = self.fused(KINDS[code], sel, params)
+                terms.append(enhancer._cosine_costs(fused, self.truth[sel]))
+        if not terms:
+            return None
+        return ad.mean_rows(terms[0] if len(terms) == 1 else ad.concat(terms))
+
+
+class DictWarmupLayout(PerPairWarmupLayout):
+    """The per-pair warm-up layout built from a list of dict-tree episodes."""
 
     def __init__(self, episodes, ground_truth, tables):
         self.truth = np.array([truth_vector(ground_truth, ep.target) for ep in episodes])
@@ -652,7 +774,7 @@ class DictWarmupLayout(enhancer._WarmupLayout):
             firsts = [first_order(ep, rel) for ep in episodes]
             counts = np.fromiter(map(len, firsts), np.intp, n)
             shift = [
-                offset[enhancer._neighbor_kind(rel, ep.target.kind)] if f else 0
+                offset[neighbor_kind(rel, ep.target.kind)] if f else 0
                 for ep, f in zip(episodes, firsts)
             ]
             indices = np.fromiter(chain.from_iterable(firsts), np.intp, int(counts.sum()))

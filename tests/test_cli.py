@@ -5,7 +5,9 @@ import pytest
 
 from coldgraph import cli
 from coldgraph.checkpoint import load_checkpoint, save_checkpoint
-from coldgraph.train import TrainConfig
+from coldgraph.enhancer import init_enhancer_params
+from coldgraph.model import init_model_params
+from coldgraph.train import TrainConfig, _seed_streams
 
 # the x1 synthetic workspace: half of the groups occasional, low thresholds
 SYNTH = [
@@ -64,6 +66,45 @@ class TestDivergence:
         # the first update already overflows, so the last good parameters are
         # the initialization (Xavier, all below 1), not the ~1e200 after it
         assert largest_value(ckpt) < 1.0
+
+    @pytest.mark.parametrize("enhancer", [False, True])
+    def test_divergence_exits_3_when_runtime_warnings_are_errors(self, scratch_workspace, capsys, enhancer):
+        # no np.errstate: the suite turns RuntimeWarnings into errors, as
+        # PYTHONWARNINGS=error::RuntimeWarning does for the CLI, and the
+        # overflowing update (in an epoch, or in the enhancer warm-up) must
+        # still be a divergence, not an internal error
+        extra = []
+        if enhancer:
+            ws, args = scratch_workspace
+            assert cli.main(["train-teacher", "--out", str(ws), *args, *SMALL]) == 0
+            extra = [*SMALL, "lam1=1", "enhancer=true"]
+        code, ckpt = train(scratch_workspace, *extra, "learning_rate=1e200")
+        assert code == 3, capsys.readouterr().err
+        tensors, echo = load_checkpoint(ckpt)
+        config = TrainConfig.from_text(echo)
+        rngs = _seed_streams(config)
+        counts = {k: tensors[f"model/e_{k}"].shape[0] for k in ("user", "item", "group")}
+        init = init_model_params(counts, config.d, config.backbone, config.L, config.enhancer, rngs["init_model"])
+        named = init.named_tensors()
+        if enhancer:
+            named += init_enhancer_params(config.d, rngs["init_enhancer"]).named_tensors()
+        assert sorted(tensors) == sorted(name for name, _ in named)
+        for name, t in named:  # the initial parameters, stored as float64
+            np.testing.assert_array_equal(tensors[name], t.data)
+
+    def test_warmup_divergence_leaves_a_finite_checkpoint(self, scratch_workspace, capsys):
+        # the warm-up's second step overflows in the forward; the enhancer
+        # goes back to its values from before the warm-up
+        ws, args = scratch_workspace
+        assert cli.main(["train-teacher", "--out", str(ws), *args, *SMALL]) == 0
+        with np.errstate(all="ignore"):
+            code, ckpt = train(scratch_workspace, *SMALL, "lam1=1", "enhancer=true", "learning_rate=1e30")
+        assert code == 3
+        assert "warm-up" in capsys.readouterr().err
+        tensors, _ = load_checkpoint(ckpt)
+        assert any(name.startswith("enhancer/") for name in tensors)
+        assert all(np.isfinite(v).all() for v in tensors.values())
+        assert largest_value(ckpt) < 1.0  # no value from after the first update
 
 
 def test_run_meta_keys(workspace):

@@ -16,6 +16,7 @@ from coldgraph.enhancer import (
     train_enhancer,
 )
 from coldgraph.graph import (
+    KINDS,
     RELATIONS_BY_KIND,
     EpisodeBatch,
     Forest,
@@ -26,15 +27,25 @@ from coldgraph.graph import (
     generate_synthetic,
     sample_episode,
 )
-from coldgraph.model import CHANNELS_BY_KIND, GraphTensors, degree_plan, init_model_params
+from coldgraph.model import (
+    CHANNELS_BY_KIND,
+    GraphTensors,
+    attention_pool,
+    degree_plan,
+    init_model_params,
+)
 from gradcheck import finite_diff_check
 from oracles import (
     DictWarmupLayout,
+    PerPairWarmupLayout,
     as_float64,
     aggregate_members,
     dict_trees,
     episode_metas_dict,
+    episode_metas_per_relation,
+    full_meta_matrices_per_pair,
     fuse_channels,
+    gathered_qkv,
     neighbors,
     reconstruction_loss,
     relation_metas_by_bucket,
@@ -162,13 +173,13 @@ def layout_of(batches, tables, gt=None):
 
 
 def fused_of(batch, tables, params):
-    return layout_of([batch], tables).fused(batch.kind, np.arange(len(batch)), params)
+    return layout_of([batch], tables).fused(np.arange(len(batch)), params)
 
 
 def warmup_loss(batches, gt, params, tables):
     """The warm-up loss of one step holding every target, in input order."""
     layout = layout_of(batches, tables, gt)
-    return layout.loss(np.arange(layout.kind.size), params)
+    return layout.loss(np.arange(layout.linked.size), params)
 
 
 def attention(x, params):
@@ -394,7 +405,7 @@ class TestGradients:
 
 
 class TestRaggedRelationMetas:
-    """One ragged forward per relation against the per-degree-bucket loop."""
+    """One ragged forward over a plan against the per-degree-bucket loop."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=12), st.integers(0, 10_000))
@@ -418,18 +429,18 @@ class TestRaggedRelationMetas:
         cols = rng.integers(0, 7, sum(sizes))
         probe = ad.const(rng.normal(size=(len(sizes), 2 * d)))
 
-        def qkv(flat):
-            x = ad.gather_rows(table, flat)
-            return tuple(ad.matmul(x, w) for w in (params.wq, params.wk, params.wv))
-
         leaves = params.tensors() + [table]
         results = []
         for ragged in (True, False):
             with ad.Tape() as tape:
                 if ragged:
-                    means, pooled = enhancer._relation_metas(qkv, degree_plan(sizes, cols), params.member_score)
+                    plan = degree_plan(sizes, cols)
+                    smoothed, means = enhancer._smoothed_means(table, plan, params)
+                    pooled = attention_pool(smoothed, plan, params.member_score)
                 else:
-                    means, pooled = relation_metas_by_bucket(qkv, sizes, cols, d, params.member_score)
+                    means, pooled = relation_metas_by_bucket(
+                        gathered_qkv(table, params), sizes, cols, d, params.member_score
+                    )
                 out = ad.concat([means, pooled], axis=1)
                 grads = tape.backward(sum_all(ad.mul(out, probe)), leaves)
             results.append((out.data, grads))
@@ -607,3 +618,130 @@ class TestTrainEnhancer:
         enh = init_enhancer_params(8, np.random.default_rng(2))
         with pytest.raises(KeyError, match="ground-truth"):
             train_enhancer(episodes, gt, enh, model.table, epochs=1)
+
+
+def hub_batches(d=4, hub=600, seed=0):
+    """A group with a 600-member GU hub among groups without GU members,
+    users and items; returns float64 tables, the batches and ground truth."""
+    rng = np.random.default_rng(seed)
+    tables = {k: ad.const(rng.normal(size=(n, d))) for k, n in (("user", hub), ("item", 8), ("group", 5))}
+    batches = [
+        hand_batch("group", [
+            (0, {"GU": range(hub), "GI": [1, 2]}),
+            (1, {"GI": [0, 3, 4]}),  # no GU member
+            (2, {"GG": [0, 3]}),
+            (3, {}),  # isolated
+        ]),
+        hand_batch("user", [(0, {"UI": [5]}), (7, {"UU": [1, 2, 3]}), (9, {"UI": [0, 1], "UU": [4]})]),
+        hand_batch("item", [(2, {"UI": [3, 4, 5, 6]}), (6, {})]),
+    ]
+    return tables.__getitem__, batches, truth_of(batches, rng, d)
+
+
+class TestStackedPass:
+    """The one stacked pass against the per-(kind, relation) path it
+    replaced (tests/oracles.py), in float64, outputs and every gradient."""
+
+    @staticmethod
+    def check_warmup(tables, batches, gt, steps):
+        enh = as_float64(init_enhancer_params(tables("user").shape[1], np.random.default_rng(8)))
+        layout = enhancer._WarmupLayout(batches, gt, tables)
+        per_pair = PerPairWarmupLayout(batches, gt, tables)
+        np.testing.assert_array_equal(layout.linked, per_pair.linked)
+        for step in steps:
+            results = []
+            for lay in (layout, per_pair):
+                with ad.Tape() as tape:
+                    loss = lay.loss(step, enh)
+                    results.append(None if loss is None else (loss.item(), tape.backward(loss, enh.tensors())))
+            (got, grads), (want, want_grads) = results
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+            for tensor in enh.tensors():
+                np.testing.assert_allclose(grads[tensor], want_grads[tensor], rtol=0, atol=1e-12)
+            # the cosine loss is blind to a row's scale; the fused rows are not
+            sel = step[layout.linked[step]]
+            fused = layout.fused(sel, enh).data
+            for code, kind in enumerate(KINDS):
+                mine = per_pair.kind[sel] == code
+                if mine.any():
+                    want_rows = per_pair.fused(kind, sel[mine], enh).data
+                    np.testing.assert_allclose(fused[mine], want_rows, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed, implicit", [(0, True), (3, False)])
+    def test_warmup_steps_match_per_pair_oracle(self, seed, implicit):
+        # shuffled steps of every kind with isolated targets; without the
+        # implicit relations UU and GG sample no neighbor at all
+        model, batches, episodes, gt = mixed_batch(seed=seed, implicit=implicit)
+        frozen = {k: ad.const(model.table(k).data) for k in ("user", "item", "group")}.__getitem__
+        order = np.random.default_rng(seed).permutation(len(episodes))
+        steps = [order[i : i + 13] for i in range(0, len(order), 13)]
+        steps.append(np.arange(len(batches[0]), len(episodes)))  # no group in the step
+        self.check_warmup(frozen, batches, gt, steps)
+
+    def test_hub_and_groups_without_members_match_per_pair_oracle(self):
+        tables, batches, gt = hub_batches()
+        positions = np.arange(9)
+        self.check_warmup(tables, batches, gt, [positions, positions[1:], positions[4:], positions[::-1]])
+
+    def test_warmup_step_records_at_most_15_tape_entries(self):
+        model, batches, episodes, gt = mixed_batch()
+        layout = enhancer._WarmupLayout(batches, gt, model.table)
+        enh = init_enhancer_params(6, np.random.default_rng(2))
+        step = np.flatnonzero(layout.linked)
+        assert len({b.kind for b in batches}) == 3 and step.size
+        with ad.Tape() as tape:
+            layout.loss(step, enh)
+        assert 0 < len(tape) <= 15
+
+    @pytest.mark.parametrize("case", ["mixed", "no implicit", "hub"])
+    def test_episode_metas_match_per_relation_oracle(self, case):
+        if case == "hub":
+            tables, batches, _ = hub_batches()
+            leaves = []
+        else:
+            model, batches, _, _ = mixed_batch(seed=1, implicit=case == "mixed")
+            tables, leaves = model.table, model.tensors()
+        enh = as_float64(init_enhancer_params(tables("user").shape[1], np.random.default_rng(3)))
+        leaves = leaves + enh.tensors()
+        for batch in batches:
+            results = []
+            for fn in (episode_metas, episode_metas_per_relation):
+                with ad.Tape() as tape:
+                    metas = fn(batch, tables, enh)
+                    probe = np.random.default_rng(4).normal(size=(len(batch), enh.d))
+                    loss = sum_all(ad.concat([ad.row_sums(ad.mul(m, ad.const(probe))) for m in metas.values()]))
+                    results.append((metas, tape.backward(loss, leaves)))
+            (got, grads), (want, want_grads) = results
+            assert list(got) == list(want)
+            for rel in want:
+                np.testing.assert_allclose(got[rel].data, want[rel].data, rtol=0, atol=1e-12)
+            for leaf in leaves:
+                np.testing.assert_allclose(grads[leaf], want_grads[leaf], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["isolated nodes", "no implicit", "hub"])
+    def test_full_metas_match_per_pair_oracle(self, case):
+        if case == "hub":
+            ui = [(0, i) for i in range(600)] + [(1, 3)]
+            g = InteractionGraph({"user": 3, "item": 600, "group": 2}, {"UI": ui, "GU": [(0, 1)]})
+        else:
+            g = synthetic(5, extra=2, implicit=case == "isolated nodes")
+        model = init_model_params(g.counts, 4, "light", 1, True, np.random.default_rng(0))
+        enh = init_enhancer_params(4, np.random.default_rng(1))
+        as_float64(model, enh)
+        gtens = GraphTensors(g)
+        leaves = model.tensors() + enh.tensors()
+        results = []
+        for fn in (full_meta_matrices, full_meta_matrices_per_pair):
+            with ad.Tape() as tape:
+                metas = fn(gtens, model.table, enh)
+                rng = np.random.default_rng(9)
+                loss = sum_all(ad.concat([
+                    ad.row_sums(ad.mul(m, ad.const(rng.normal(size=m.shape)))) for m in metas.values()
+                ]))
+                results.append((metas, tape.backward(loss, leaves)))
+        (got, grads), (want, want_grads) = results
+        assert list(got) == list(want)
+        for key in want:
+            np.testing.assert_allclose(got[key].data, want[key].data, rtol=0, atol=1e-12)
+        for leaf in leaves:
+            np.testing.assert_allclose(grads[leaf], want_grads[leaf], rtol=0, atol=1e-12)

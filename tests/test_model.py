@@ -450,6 +450,32 @@ class TestFuseChannels:
         fused = ad.attention_fusion([t([[5.0, 6.0], [0.0, 0.0]])], [ad.Tensor(np.eye(2))], present, e0)
         np.testing.assert_array_equal(fused.data, [[5.0, 6.0], [3.0, 4.0]])
 
+    def test_stacked_blocks_equal_separate_channels(self):
+        # a (3n, d) block of three channels and an (n, d) block fuse as the
+        # four (n, d) channels they hold, outputs and every gradient
+        rng = np.random.default_rng(3)
+        n, d = 5, 3
+        mats = [t(rng.normal(size=(n, d))) for _ in range(4)]
+        stacked = t(np.concatenate([m.data for m in mats[:3]]))
+        weights = [t(rng.normal(size=(d, d))) for _ in range(4)]
+        present = rng.random((n, 4)) < 0.6
+        present[0] = False
+        e0, probe = t(rng.normal(size=(n, d))), ad.const(rng.normal(size=(n, d)))
+        results = []
+        for blocks in ([stacked, mats[3]], mats):
+            with ad.Tape() as tape:
+                out = ad.attention_fusion(blocks, weights, present, e0)
+                grads = tape.backward(sum_all(ad.mul(out, probe)), [*blocks, *weights, e0])
+            results.append((out.data, [grads[b] for b in blocks], [grads[w] for w in [*weights, e0]]))
+        (got, got_blocks, got_rest), (want, want_mats, want_rest) = results
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_blocks[0], np.concatenate(want_mats[:3]))
+        np.testing.assert_array_equal(got_blocks[1], want_mats[3])
+        for g, w in zip(got_rest, want_rest):
+            np.testing.assert_array_equal(g, w)
+        with pytest.raises(ValueError, match="channels"):
+            ad.attention_fusion([t(np.zeros((2 * n + 1, d)))], weights[:2], present[:, :2], e0)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 4))
     def test_weights_are_probability_vector(self, seed, n_channels):

@@ -200,7 +200,7 @@ class TestFullModeEquivalence:
         # two extra nodes of every kind with no edge: no channel, no members
         g = InteractionGraph({k: n + 2 for k, n in g.counts.items()}, g.edges)
         gtens = GraphTensors(g)
-        assert np.count_nonzero(~gtens.neighbor_plan("GU", "group").present) == 2
+        assert np.count_nonzero(~gtens.neighbor_plan([("GU", "group")]).present) == 2
         oracle = DenseGraphTensors(g)
         for key, norm in oracle.norm.items():
             np.testing.assert_array_equal(np.asarray(gtens.norm[key]), norm)

@@ -90,9 +90,10 @@ def test_float32_steps_never_upcast(data, teacher, monkeypatch, paradigm):
         return grads
 
     def checked_step(adam, grads):
-        step(adam, grads)
+        wrote = step(adam, grads)
         dtypes.update(a.dtype for a in adam.m + adam.v)
         steps.append(len(adam.tensors))
+        return wrote
 
     monkeypatch.setattr(ad.Tape, "backward", checked_backward)
     monkeypatch.setattr(AdamState, "step", checked_step)
@@ -104,3 +105,13 @@ def test_float32_steps_never_upcast(data, teacher, monkeypatch, paradigm):
     # warm-up steps train the enhancer alone, the phases every tensor
     n_enh, n_all = len(enh.tensors()), len(params.tensors() + enh.tensors())
     assert steps[0] == n_enh and steps[-len(history.epochs):] == [n_all] * len(history.epochs)
+
+
+def test_warmup_logs_its_curve_in_one_line(data, teacher, caplog):
+    graph, split = data
+    config = replace(TrainConfig(**SMALL), warmup_epochs=3, epochs=1)
+    with caplog.at_level("INFO", logger="coldgraph"):
+        train_model(config, split, graph, teacher)
+    lines = [r.getMessage() for r in caplog.records if "warm-up" in r.getMessage()]
+    assert len(lines) == 1
+    assert lines[0].startswith("warm-up: 3 epochs, loss ") and " -> " in lines[0]
