@@ -283,13 +283,13 @@ def spmm(op, h: Tensor) -> Tensor:
     """Product ``op @ h`` of a constant sparse operator and a matrix.
 
     ``op`` is a :class:`coldgraph.sparse.SparseOperator`; it gets no
-    gradient, and the gradient of ``h`` is ``op.T @ g``.  One tape record
-    per call, however many degree buckets the operator holds.
+    gradient, and the gradient of ``h`` is ``op.T @ g`` (``op.dot_t``).  One
+    tape record per call, however many degree buckets the operator holds.
     """
     _check_2d(h, "spmm")
     if op.shape[1] != h.shape[0]:
         raise ValueError(f"spmm shape mismatch: {op.shape} @ {h.shape}")
-    return _emit(op.dot(h.data), (h,), lambda g: (op.T.dot(g),))
+    return _emit(op.dot(h.data), (h,), lambda g: (op.dot_t(g),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

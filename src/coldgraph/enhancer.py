@@ -278,7 +278,8 @@ def train_enhancer(
         order = rng.permutation(layout.linked.size)
         epoch_losses = []
         for start in range(0, len(order), batch_size):
-            with ad.Tape() as tape:
+            # an overflow shows as a non-finite loss or update below
+            with ad.Tape() as tape, np.errstate(over="ignore", invalid="ignore"):
                 loss = layout.loss(order[start : start + batch_size], params)
                 if loss is None:
                     continue

@@ -13,10 +13,18 @@ the rows it computes at once; member aggregation is one segment softmax
 and one placed segment sum over every group's members
 (:func:`attention_pool`, segments from a :class:`DegreePlan`), and fusion
 is one :func:`autodiff.attention_fusion` per node kind, with each row's
-channel presence as a mask.  It runs over one of two graphs:
+channel presence as a mask.  Each step computes only the rows that later
+steps and fusion read: its operator is a cut of one neighbor-mean
+operator per relation side, and its self path gathers the same rows.  It
+runs over one of two graphs:
 
 * the complete training graph (:class:`GraphTensors`), for the ranking
-  loss, teachers and evaluation (:func:`full_embeddings`);
+  loss, teachers and evaluation (:func:`full_embeddings`).  Every step but
+  the last computes every row, because the 3-hop field of even a small
+  batch covers almost every node.  The last step computes only the rows
+  that fusion reads (:meth:`SparseOperator.take_rows`): the rows the loss
+  reads, and for read groups their GU members; no channel reads GI's item
+  side, so it is never computed.  Evaluation and teachers read every row;
 * the masked, K-sampled neighborhood trees of an episode batch (the
   cold-start simulation of the pretext task, :func:`embed_from_episode`).
   The sampler numbers each relation's trees as one small graph, a
@@ -25,17 +33,17 @@ channel presence as a mask.  It runs over one of two graphs:
   numbered by the depth that first reached them, so step l computes only
   a row prefix per kind: the rows within L - l hops of what the last step
   reads (the targets, and for groups their GU members).  Each step's
-  operators are leading blocks of one neighbor-mean operator per kind,
-  built from the forest's edge arrays, and the targets' first-order edges
-  are the member-aggregate segments.
+  operators are leading blocks (:meth:`SparseOperator.head`) of one
+  neighbor-mean operator per kind, built from the forest's edge arrays,
+  and the targets' first-order edges are the member-aggregate segments.
 
 When enhancer meta embeddings are supplied, the self path of the meta rows
-(every node, or the episode targets) is replaced by a learned projection of
-``concat(self, meta)`` at every convolution step."""
+(every node computed, or the episode targets) is replaced by a learned
+projection of ``concat(self, meta)`` at every convolution step."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -172,9 +180,17 @@ def row_block(h: Tensor, lo: int, hi: int) -> Tensor:
     return h if (lo, hi) == (0, h.shape[0]) else ad.gather_rows(h, np.arange(lo, hi))
 
 
-def _self_rows(h: Tensor, rows: int, meta: Tensor | None, proj: Tensor | None) -> Tensor:
-    """The self path of the first ``rows`` rows of ``h``: with ``meta``, the
-    first ``len(meta)`` of them become ``concat(self, meta) @ proj``."""
+def _self_rows(
+    h: Tensor, op: SparseOperator, meta: Tensor | None, proj: Tensor | None
+) -> Tensor:
+    """The self path of the rows of ``h`` that ``op`` computes: its
+    ``row_ids``, else its leading ``op.shape[0]`` rows.  With ``meta``, the
+    first ``len(meta)`` of them become ``concat(self, meta) @ proj``; a row
+    subset takes the same rows of an every-row ``meta``."""
+    rows = op.shape[0]
+    if op.row_ids is not None:
+        h = ad.gather_rows(h, op.row_ids)
+        meta = None if meta is None else ad.gather_rows(meta, op.row_ids)
     if meta is None:
         return row_block(h, 0, rows)
     n = meta.shape[0]
@@ -255,6 +271,17 @@ class GraphTensors:
                 self.mask[(rel, kind)] = deg > 0
         self._plans: dict[tuple, DegreePlan] = {}
 
+    def member_plan(self, groups: np.ndarray | None) -> tuple[DegreePlan, np.ndarray | None]:
+        """The GU member plan of the ascending ``groups`` and the ascending
+        ids of their members, which its ``cols`` index.  ``groups`` None
+        means every group; ``cols`` then hold user ids, and no ids return."""
+        if groups is None:
+            return self.neighbor_plan([("GU", "group")]), None
+        indptr, indices = self._csr[("GU", "group")]
+        plan = degree_plan(np.diff(indptr)[groups], indices, indptr[groups])
+        users, cols = np.unique(plan.cols, return_inverse=True)
+        return replace(plan, cols=cols), users
+
     def neighbor_plan(
         self, pairs: Sequence[tuple[str, str]], offset: Mapping[str, int] | None = None
     ) -> DegreePlan:
@@ -288,14 +315,16 @@ def _relation_steps(
     ``h0[kind]`` holds the initial rows of ``kind``.  ``layer_ops[l - 1]``
     maps each kind that step l computes to its constant neighbor-mean
     operator (one entry for UU and GG): an (m, m') operator makes step l
-    compute the leading m rows of ``kind``, from as many leading rows of
-    its step l - 1 and the m' rows of the other kind's.  The full graph
-    passes every row at every step.  An episode forest passes only the
-    rows its targets read, a prefix that shrinks with l, and a kind left
-    without rows drops out, its list of steps ending early.
+    compute m rows of ``kind``, from as many rows of its step l - 1 and
+    the m' rows of the other kind's.  Those are the operator's ``row_ids``
+    when it is a row subset, else the leading m rows.  The full graph
+    passes every row at every step but the last, where it passes the rows
+    that fusion reads.  An episode forest passes leading blocks, the rows
+    its targets read, a prefix that shrinks with l.  A kind that a step
+    does not compute drops out, its list of steps ending early.
     ``inject[kind]``, when given, is a meta matrix whose rows meta-inject
     the leading rows of ``kind`` at every step: all of them over the full
-    graph, the targets in an episode forest.
+    graph (a row subset takes its rows), the targets in an episode forest.
     """
     inject = inject or {}
     ka, kb = RELATION_KINDS[rel]
@@ -307,7 +336,7 @@ def _relation_steps(
         neigh = {kind: ad.spmm(op, h[other[kind]]) for kind, op in ops.items()}
         w = params.conv_w[layer - 1] if params.variant == "gcn" else None
         for kind, op in ops.items():
-            self_rows = _self_rows(h[kind], op.shape[0], inject.get(kind), proj)
+            self_rows = _self_rows(h[kind], op, inject.get(kind), proj)
             h[kind] = _conv_matrix(params.variant, self_rows, neigh[kind], w)
             out[kind].append(h[kind])
     return out
@@ -364,13 +393,38 @@ def fuse_present(
 
 @dataclass
 class FullState:
-    """All-node embeddings from a full-neighborhood forward pass."""
+    """Embeddings from a full-neighborhood forward pass.
+
+    ``fused[kind]`` holds the fused rows of ``kind``'s nodes ``rows[kind]``
+    (ascending ids), or of every node where that is None or missing;
+    :meth:`lookup` reads them by node id.
+    """
 
     fused: dict[str, Tensor]
     layer_sums: dict[str, Tensor] | None = None
+    rows: dict[str, np.ndarray | None] = field(default_factory=dict)
+
+    def lookup(self, kind: str, ids) -> Tensor:
+        """The fused rows of ``kind``'s nodes ``ids``, in that order.
+
+        Raises KeyError naming the first node the pass did not compute.
+        """
+        ids = np.asarray(ids, dtype=np.intp)
+        rows = self.rows.get(kind)
+        if rows is not None:
+            at = np.searchsorted(rows, ids)
+            found = at < rows.size
+            found[found] = rows[at[found]] == ids[found]
+            if not found.all():
+                raise KeyError(f"the pass computed no row of {kind}:{ids[~found][0]}")
+            ids = at
+        return ad.gather_rows(self.fused[kind], ids)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """The fused embeddings in float64, the dtype evaluation scores in."""
+        """Every node's fused embedding in float64, the dtype evaluation
+        scores in."""
+        if any(r is not None for r in self.rows.values()):
+            raise ValueError("the pass computed only the rows a loss reads")
         return {k: v.data.astype(np.float64) for k, v in self.fused.items()}
 
 
@@ -379,44 +433,72 @@ def full_embeddings(
     params: ModelParams,
     metas: Mapping[tuple[str, str], Tensor] | None = None,
     need_layer_sums: bool = False,
+    reads: Mapping[str, np.ndarray | None] | None = None,
 ) -> FullState:
-    """Embed every user, item and group over the complete adjacency.
+    """Embed users, items and groups over the complete adjacency.
+
+    ``reads[kind]`` lists the ascending ids of the nodes whose fused rows
+    the caller reads; None, or a kind left out, means every node.  Every
+    step but the last computes every row; the last step and fusion compute
+    only the rows read, plus the GU rows of the read groups' members, and
+    :meth:`FullState.lookup` finds them by id.  No channel reads GI's item
+    side at the last step, so no pass computes it.  ``need_layer_sums``
+    adds each node's sum of its per-step fused embeddings, over every row.
 
     ``metas`` maps (kind, relation) to an all-node meta matrix; when given,
     that kind's self path is meta-injected at every step of that relation's
     propagation.
     """
     metas = metas or {}
+    reads = reads or {}
+    L = params.layers
+    # the rows step L computes per kind; as many distinct ids as rows are all
+    sel = {
+        k: None if reads.get(k) is None or len(reads[k]) == n else np.asarray(reads[k], np.intp)
+        for k, n in gtens.counts.items()
+    }
+    if need_layer_sums and any(ids is not None for ids in sel.values()):
+        raise ValueError("layer sums need every row of the last step")
+    members, users = gtens.member_plan(sel["group"])
 
-    def steps(rel: str, kind: str) -> dict[str, list[Tensor]]:
-        kinds = dict.fromkeys(RELATION_KINDS[rel])
+    def steps(rel: str, kind: str, read: tuple[str, ...] | None = None) -> dict[str, list[Tensor]]:
+        """Propagation over ``rel``, meta-injecting ``kind``; the last step
+        computes the rows of the kinds ``read`` (default ``kind``) that
+        fusion reads."""
+        ends = dict.fromkeys(RELATION_KINDS[rel])
+        rows = dict(sel, user=users) if rel == "GU" else sel
+        cut = {}
+        for k in read or (kind,):
+            op = gtens.norm[(rel, k)]
+            cut[k] = op if rows[k] is None else op.take_rows(rows[k])
         return _relation_steps(
             rel,
-            [{k: gtens.norm[(rel, k)] for k in kinds}] * params.layers,
-            {k: params.table(k) for k in kinds},
+            [{k: gtens.norm[(rel, k)] for k in ends}] * (L - 1) + [cut],
+            {k: params.table(k) for k in ends},
             params,
             {kind: metas.get((kind, rel))},
         )
 
     gi = steps("GI", "group")
-    gu = steps("GU", "group")
+    gu = steps("GU", "group", ("group", "user"))
     gg = steps("GG", "group")
     uu = steps("UU", "user")
-    ui_user = steps("UI", "user")
     if metas.get(("user", "UI")) is None and metas.get(("item", "UI")) is None:
-        ui_item = ui_user
+        ui_user = ui_item = steps("UI", "user", ("user", "item"))
     else:
+        ui_user = steps("UI", "user")
         ui_item = steps("UI", "item")
 
-    L = params.layers
     # a group has the member-aggregate channel iff it has a GU neighbor
     masks = {
         kind: {c: gtens.mask[("GU" if c == "GU_AGG" else c, kind)] for c in channels}
         for kind, channels in CHANNELS_BY_KIND.items()
     }
 
-    def fuse_all(step: int) -> dict[str, Tensor]:
-        gu_agg = _member_aggregate(gtens.neighbor_plan([("GU", "group")]), gu["user"][step], params)
+    def fuse(step: int) -> dict[str, Tensor]:
+        rows = sel if step == L else dict.fromkeys(KINDS)
+        plan = members if step == L else gtens.member_plan(None)[0]
+        gu_agg = _member_aggregate(plan, gu["user"][step], params)
         mats = {
             "group": {
                 "GI": gi["group"][step],
@@ -428,16 +510,20 @@ def full_embeddings(
         }
         if gu_agg is not None:
             mats["group"]["GU_AGG"] = gu_agg
-        return {
-            kind: fuse_present(kind, mats[kind], masks[kind], params.fusion, params.table(kind))
-            for kind in KINDS
-        }
+        out = {}
+        for kind in KINDS:
+            ids, e0, kind_masks = rows[kind], params.table(kind), masks[kind]
+            if ids is not None:
+                e0 = ad.gather_rows(e0, ids)
+                kind_masks = {c: m[ids] for c, m in kind_masks.items()}
+            out[kind] = fuse_present(kind, mats[kind], kind_masks, params.fusion, e0)
+        return out
 
     if not need_layer_sums:
-        return FullState(fused=fuse_all(L))
+        return FullState(fused=fuse(L), rows=sel)
     layer_sums = {kind: params.table(kind) for kind in KINDS}
     for step in range(1, L + 1):
-        fused = fuse_all(step)
+        fused = fuse(step)
         layer_sums = {k: ad.add(layer_sums[k], fused[k]) for k in KINDS}
     return FullState(fused=fused, layer_sums=layer_sums)
 

@@ -130,7 +130,7 @@ def reconstruction_terms(
     propagation, optionally meta-injected.
     """
     if full_state is not None:
-        h = ad.gather_rows(full_state.fused[episodes.kind], episodes.targets)
+        h = full_state.lookup(episodes.kind, episodes.targets)
     else:
         metas = None
         if enhancer_params is not None:

@@ -8,6 +8,12 @@ so a product is one gather and one batched ``np.matmul`` per bucket: at
 most log2(max degree) + 1 numpy calls, and padding below twice the number
 of nonzeros.  Everything stays numpy-only.
 
+Two cuts compute part of an operator's rows from its buckets, without
+sorting again: a leading block (:meth:`SparseOperator.head`, for episode
+forests) and a row subset (:meth:`SparseOperator.take_rows`, for the rows
+a loss reads).  Both take their transpose products through the whole
+operator's one cached transpose.
+
 The weights are stored in float64.  A product follows the dtype of its
 right operand: the weights are cast to that dtype once, on its first
 product, and kept, so float32 embeddings (the model's) propagate in
@@ -35,10 +41,11 @@ class SparseOperator:
     ``nbytes`` the arrays actually stored, and ``np.asarray(op)`` gives a
     dense copy.  The transpose is built on first use and cached.
     :meth:`head` cuts a leading block that shares these arrays, and the
-    weights cast for its products.
+    weights cast for its products.  :meth:`take_rows` cuts a subset of the
+    rows, whose ids ``row_ids`` names (None in any other operator).
     """
 
-    __slots__ = ("shape", "_buckets", "_t", "_whole", "_from", "_cast")
+    __slots__ = ("shape", "row_ids", "_buckets", "_t", "_whole", "_from", "_cast", "_parent")
 
     def __init__(self, rows, cols, values, shape: tuple[int, int]):
         """Build from coordinate triplets; (row, col) pairs must be distinct."""
@@ -50,10 +57,12 @@ class SparseOperator:
             raise ValueError("rows, cols and values must be 1-d and equally long")
         _check_range(rows, cols, (n_rows, n_cols))
         self.shape = (n_rows, n_cols)
+        self.row_ids: np.ndarray | None = None
         self._t: SparseOperator | None = None
         self._whole: SparseOperator | None = None  # the operator a head was cut from
         self._from: list[int] = []  # in a head, the bucket of _whole each bucket is cut from
         self._cast: dict[np.dtype, list[np.ndarray]] = {}
+        self._parent: SparseOperator | None = None  # the operator a row subset was cut from
 
         cell = rows * n_cols + cols  # one sort by (row, col), far faster than lexsort
         order = np.argsort(cell)
@@ -129,6 +138,47 @@ class SparseOperator:
             out[members] = np.matmul(weights, taken)[:, 0, :]
         return out
 
+    def dot_t(self, g: np.ndarray) -> np.ndarray:
+        """The product ``self.T @ g`` for an (n_rows, d) matrix ``g``.
+
+        A row subset places ``g``'s rows back among its parent's rows and
+        multiplies by the parent's transpose, so it builds no transpose of
+        its own.
+        """
+        if self.row_ids is None:
+            return self.T.dot(g)
+        placed = np.zeros((self._parent.shape[0], g.shape[1]), g.dtype)
+        placed[self.row_ids] = g
+        return self._parent.dot_t(placed)
+
+    def take_rows(self, ids) -> "SparseOperator":
+        """Rows ``ids`` (ascending and distinct) as a (len(ids), n_cols)
+        operator whose row i is row ``ids[i]``; all rows is this operator.
+
+        Each bucket keeps the members it shares with ``ids``, so the cut
+        costs a pass over the members and a copy of the kept rows.
+        """
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.ndim != 1 or np.any(np.diff(ids) <= 0) or (
+            ids.size and (ids[0] < 0 or ids[-1] >= self.shape[0])
+        ):
+            raise ValueError(f"rows to take must ascend without repeats below {self.shape[0]}")
+        if ids.size == self.shape[0]:
+            return self
+        where = np.full(self.shape[0], -1, dtype=np.intp)
+        where[ids] = np.arange(ids.size)
+        out = SparseOperator.__new__(SparseOperator)
+        out.shape = (ids.size, self.shape[1])
+        out.row_ids, out._parent = ids, self
+        out._t, out._whole, out._from, out._cast = None, None, [], {}
+        out._buckets = []
+        for members, idx, weights in self._buckets:
+            at = where[members]
+            keep = at >= 0
+            if keep.any():
+                out._buckets.append((at[keep], idx[keep], weights[keep]))
+        return out
+
     def head(self, n_rows: int, n_cols: int) -> "SparseOperator":
         """The leading (n_rows, n_cols) block, sharing this operator's arrays.
 
@@ -139,6 +189,7 @@ class SparseOperator:
             raise ValueError(f"no ({n_rows}, {n_cols}) head in shape {self.shape}")
         out = SparseOperator.__new__(SparseOperator)
         out.shape = (int(n_rows), int(n_cols))
+        out.row_ids, out._parent = None, None
         out._t, out._whole, out._cast = None, self, {}
         out._buckets, out._from = [], []
         for i, (members, idx, weights) in enumerate(self._buckets):

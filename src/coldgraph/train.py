@@ -488,30 +488,41 @@ def _run_epochs(
         weights = {"main": 0, "ssl": 0, "steps": 0}
 
         for b, batch_idx in enumerate(batches):
-            with ad.Tape() as tape:
-                need_full = (main_on and batch_idx.size > 0) or (
-                    ssl_on and config.meta_mode == "full_neighborhood"
-                )
-                metas_full = None
+            # a huge but finite update may overflow the next forward; the
+            # finite checks below turn that into DivergenceError
+            with ad.Tape() as tape, np.errstate(over="ignore", invalid="ignore"):
+                ranks = main_on and batch_idx.size > 0
+                full_ssl = ssl_on and config.meta_mode == "full_neighborhood"
                 full_state = None
-                if need_full:
+                if ranks or full_ssl:
+                    metas_full = None
                     if enh is not None:
                         metas_full = full_meta_matrices(gtens, params.table, enh)
-                    full_state = full_embeddings(gtens, params, metas=metas_full)
+                    # the last step and fusion compute only the rows read
+                    ids = {kind: [np.zeros(0, np.intp)] for kind in KINDS}
+                    if ranks:
+                        edges, gi = positives[batch_idx], batch_idx < n_gi
+                        ids["group"].append(edges[gi, 0])
+                        ids["user"].append(edges[~gi, 0])
+                        ids["item"] += [edges[:, 1], negatives[batch_idx]]
+                    if full_ssl:
+                        for kind, ep in episodes[b].items():
+                            ids[kind].append(ep.targets)
+                    reads = {kind: np.unique(np.concatenate(v)) for kind, v in ids.items()}
+                    full_state = full_embeddings(gtens, params, metas=metas_full, reads=reads)
 
                 terms = []
                 l_main_val = 0.0
-                if main_on and batch_idx.size > 0:
-                    items = full_state.fused["item"]
-                    l_main = ad.const(np.zeros((), items.data.dtype))
+                if ranks:
+                    l_main = ad.const(np.zeros((), params.e_item.data.dtype))
                     for kind, idx in (
                         ("group", batch_idx[batch_idx < n_gi]),
                         ("user", batch_idx[batch_idx >= n_gi]),
                     ):
                         if idx.size:
-                            rows = ad.gather_rows(full_state.fused[kind], positives[idx, 0])
-                            pos = ad.gather_rows(items, positives[idx, 1])
-                            term = _bpr_term(rows, pos, ad.gather_rows(items, negatives[idx]))
+                            rows = full_state.lookup(kind, positives[idx, 0])
+                            pos = full_state.lookup("item", positives[idx, 1])
+                            term = _bpr_term(rows, pos, full_state.lookup("item", negatives[idx]))
                             l_main = ad.add(l_main, term if kind == "group" else ad.scale(term, config.lam))
                     l_main_val = l_main.item()
                     terms.append(l_main)
@@ -529,9 +540,7 @@ def _run_epochs(
                             params,
                             enh,
                             gt,
-                            full_state=full_state
-                            if config.meta_mode == "full_neighborhood"
-                            else None,
+                            full_state=full_state if full_ssl else None,
                         )
                         l_r_val = l_r.item()
                         terms.append(ad.scale(l_r, ssl_weight))

@@ -92,6 +92,18 @@ class TestDivergence:
         for name, t in named:  # the initial parameters, stored as float64
             np.testing.assert_array_equal(tensors[name], t.data)
 
+    @pytest.mark.parametrize("enhancer", [False, True])
+    def test_forward_overflow_exits_3_when_runtime_warnings_are_errors(self, workspace, capsys, enhancer):
+        # no np.errstate: the first update (about 1e30 in float32) is
+        # finite, and the next forward overflows, which must be a divergence
+        # under PYTHONWARNINGS=error::RuntimeWarning too, not an internal error
+        flag = "enhancer=true" if enhancer else "enhancer=false"
+        code, ckpt = train(workspace, "d=8", "epochs=2", flag, "learning_rate=1e30")
+        assert code == 3, capsys.readouterr().err
+        tensors, _ = load_checkpoint(ckpt)
+        assert any(name.startswith("enhancer/") for name in tensors) == enhancer
+        assert all(np.isfinite(v).all() for v in tensors.values())
+
     def test_warmup_divergence_leaves_a_finite_checkpoint(self, scratch_workspace, capsys):
         # the warm-up's second step overflows in the forward; the enhancer
         # goes back to its values from before the warm-up

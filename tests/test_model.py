@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from coldgraph import autodiff as ad
 from coldgraph import model
+from coldgraph.enhancer import full_meta_matrices, init_enhancer_params
 from coldgraph.graph import InteractionGraph, SyntheticSpec, build_implicit, generate_synthetic, sample_episode
 from coldgraph.model import (
     CHANNELS_BY_KIND,
@@ -191,6 +192,107 @@ class TestPropagate:
             episodes = sample_episode(g, kind, range(g.counts[kind]), k=10 ** 6, depth=2, seed=0)
             got = embed_from_episode(episodes, params)
             np.testing.assert_allclose(got.data, state.fused[kind].data, atol=1e-10)
+
+
+def read_graph(case):
+    """Graph and read rows of one restricted-pass case."""
+    if case == "hub":  # a 600-member GU hub next to a group without members
+        gu = [(0, u) for u in range(600)] + [(1, 600)]
+        edges = {"GU": gu, "GI": [(0, 1), (1, 2), (2, 3)], "UI": [(u, u % 5) for u in range(0, 601, 7)]}
+        g = InteractionGraph({"user": 601, "item": 5, "group": 3}, edges)
+        return g, {"group": [0, 2], "user": [3, 600], "item": [1]}
+    spec = SyntheticSpec(n_users=16, n_items=20, n_groups=8, n_clusters=2, intra_p=0.35,
+                         inter_p=0.05, group_size_min=2, group_size_max=4, seed=11)
+    g = build_implicit(generate_synthetic(spec), 1, 0)
+    # group 8 has items but no members, group 9 and the last user and item no edge
+    edges = dict(g.edges, GI=np.concatenate([g.edges["GI"], [[8, 0], [8, 3]]]))
+    g = InteractionGraph({k: n + 2 for k, n in g.counts.items()}, edges)
+    reads = {
+        "no group": {"group": [], "user": [0, 5, 17], "item": [2, 3, 21]},
+        "no item": {"group": [1, 4], "user": [3], "item": []},
+        "groups without members": {"group": [2, 8, 9], "user": [1, 2], "item": [0, 4]},
+        "every row": {k: list(range(n)) for k, n in g.counts.items()},
+    }[case]
+    return g, reads
+
+
+def read_pass(g, reads, variant, with_meta, restrict):
+    """Fused read rows, loss and gradients of every model and enhancer
+    tensor of one forward pass, with the last step restricted or not."""
+    params = init_model_params(g.counts, 4, variant, 3, with_meta, np.random.default_rng(0))
+    enh = init_enhancer_params(4, np.random.default_rng(1)) if with_meta else None
+    as_float64(params, *[enh] * with_meta)
+    gtens = GraphTensors(g)
+    leaves = params.tensors() + (enh.tensors() if enh else [])
+    reads = {k: np.array(ids, dtype=np.intp) for k, ids in reads.items()}
+    rng = np.random.default_rng(2)
+    with ad.Tape() as tape:
+        metas = full_meta_matrices(gtens, params.table, enh) if enh else None
+        state = full_embeddings(gtens, params, metas=metas, reads=reads if restrict else None)
+        rows = {k: state.lookup(k, ids) for k, ids in reads.items()}
+        loss = sum_all(ad.concat([
+            ad.row_sums(ad.mul(r, ad.const(rng.normal(size=r.shape)))) for r in rows.values()
+        ]))
+        grads = tape.backward(loss, leaves)
+    return state, rows, loss.item(), [grads[t] for t in leaves]
+
+
+class TestReadRows:
+    @pytest.mark.parametrize("with_meta", [False, True])
+    @pytest.mark.parametrize("variant", ["light", "gcn"])
+    @pytest.mark.parametrize(
+        "case", ["no group", "no item", "groups without members", "hub", "every row"]
+    )
+    def test_restricted_pass_matches_full_pass(self, case, variant, with_meta):
+        g, reads = read_graph(case)
+        got_state, got, got_loss, got_grads = read_pass(g, reads, variant, with_meta, True)
+        _, want, want_loss, want_grads = read_pass(g, reads, variant, with_meta, False)
+        for kind, ids in reads.items():
+            every = case == "every row"
+            if every:
+                assert got_state.rows[kind] is None
+            else:
+                assert list(got_state.rows[kind]) == ids
+            assert got_state.fused[kind].shape[0] == (g.counts[kind] if every else len(ids))
+            np.testing.assert_allclose(got[kind].data, want[kind].data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_loss, want_loss, rtol=0, atol=1e-12)
+        for a, b in zip(got_grads, want_grads):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_last_step_computes_only_what_fusion_reads(self, monkeypatch):
+        g, _ = read_graph("no item")
+        gtens = GraphTensors(g)
+        params = make_params(g.counts, layers=3)
+        spmm, computed = ad.spmm, []
+
+        def recorded(op, h):
+            computed.append(op.shape[0] if op.row_ids is None else -op.shape[0])
+            return spmm(op, h)
+
+        monkeypatch.setattr(ad, "spmm", recorded)
+        full_embeddings(gtens, params)
+        # 3 steps of 8 products, less the last step's GI item side
+        assert len(computed) == 23 and min(computed) > 0
+        computed.clear()
+        reads = {"group": np.array([1, 4]), "user": np.array([3]), "item": np.array([0, 7])}
+        full_embeddings(gtens, params, reads=reads)
+        members = np.flatnonzero(np.asarray(gtens.norm[("GU", "group")])[[1, 4]].any(axis=0))
+        # the last step: GI, GU and GG groups, their members, UU users, UI users and items
+        assert sorted(-n for n in computed if n < 0) == sorted([2, 2, 2, members.size, 1, 1, 2])
+        assert len(computed) == 23
+
+    def test_lookup_names_a_row_the_pass_did_not_compute(self):
+        g, reads = read_graph("no item")
+        state = full_embeddings(GraphTensors(g), make_params(g.counts), reads=reads)
+        assert state.lookup("group", [4, 1, 4]).shape == (3, 4)
+        with pytest.raises(KeyError, match="group:2"):
+            state.lookup("group", [1, 2])
+        with pytest.raises(KeyError, match="item:0"):
+            state.lookup("item", [0])
+        with pytest.raises(ValueError, match="rows a loss reads"):
+            state.arrays()
+        with pytest.raises(ValueError, match="layer sums"):
+            full_embeddings(GraphTensors(g), make_params(g.counts), need_layer_sums=True, reads=reads)
 
 
 def forest_graph(implicit=True):

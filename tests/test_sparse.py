@@ -138,6 +138,54 @@ class TestOperator:
         with pytest.raises(ValueError, match="head"):
             op.head(shape[0] + 1, c)
 
+    @settings(max_examples=60, deadline=None)
+    @given(edge_lists(), st.data())
+    def test_row_subsets_are_dense_rows(self, case, data):
+        rows, cols, shape, square = case
+        op = build(rows, cols, shape, square)
+        dense = np.asarray(op)
+        r = data.draw(st.integers(0, shape[0]))
+        c = data.draw(st.integers(0, shape[1]))
+        for parent, block in ((op, dense), (op.head(r, c), dense[:r, :c])):
+            picked = data.draw(st.lists(st.booleans(), min_size=len(block), max_size=len(block)))
+            ids = np.flatnonzero(np.array(picked, dtype=bool))
+            sub = parent.take_rows(ids)
+            assert sub.shape == (ids.size, block.shape[1])
+            np.testing.assert_array_equal(np.asarray(sub), block[ids])
+            if ids.size < len(block):
+                np.testing.assert_array_equal(sub.row_ids, ids)
+            rng = np.random.default_rng(ids.size)
+            h, g = rng.normal(size=(block.shape[1], 3)), rng.normal(size=(ids.size, 3))
+            np.testing.assert_allclose(sub.dot(h), block[ids] @ h, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sub.dot_t(g), block[ids].T @ g, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(np.asarray(sub.T), block[ids].T)
+
+    def test_row_subset_edges(self):
+        op = neighbor_mean([0, 0, 2, 3], [1, 3, 3, 0], (4, 5))
+        assert op.take_rows(np.arange(4)) is op
+        empty = op.take_rows([])
+        assert empty.shape == (0, 5) and empty.row_ids.size == 0
+        assert empty.dot(np.ones((5, 2))).shape == (0, 2)
+        np.testing.assert_array_equal(empty.dot_t(np.ones((0, 2), np.float32)), np.zeros((5, 2)))
+        assert empty.dot_t(np.ones((0, 2), np.float32)).dtype == np.float32
+        sub = op.take_rows([1, 3])
+        assert sub.T is sub.T and sub.T.T is sub
+        for bad in ([3, 1], [1, 1], [4], [-1]):
+            with pytest.raises(ValueError, match="ascend"):
+                op.take_rows(bad)
+
+    def test_row_subset_gradient_uses_the_whole_transpose(self):
+        rng = np.random.default_rng(5)
+        op = dedup_mean(rng.integers(0, 9, 30), rng.integers(0, 7, 30), (9, 7))
+        sub = op.take_rows([0, 2, 3, 8])
+        h = ad.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        weight = ad.const(rng.normal(size=(4, 3)))
+        with ad.Tape() as tape:
+            loss = sum_all(ad.mul(ad.spmm(sub, h), weight))
+        grad = tape.backward(loss, [h])[h]
+        np.testing.assert_allclose(grad, np.asarray(op)[[0, 2, 3, 8]].T @ weight.data, rtol=0, atol=1e-12)
+        assert op._t is not None and sub._t is None  # no transpose of the subset was built
+
     def test_padding_below_twice_nnz_and_buckets_log_of_degree(self):
         rows = np.concatenate([np.zeros(33, int), np.arange(1, 9)])
         cols = np.concatenate([np.arange(33), np.arange(1, 9)])

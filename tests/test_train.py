@@ -6,6 +6,7 @@ import pytest
 
 import coldgraph
 from coldgraph import autodiff as ad
+from coldgraph import train
 from coldgraph.graph import SyntheticSpec, build_implicit, generate_synthetic, segment
 from coldgraph.reconstruction import train_teacher
 from coldgraph.train import AdamState, TrainConfig, train_model
@@ -66,6 +67,33 @@ def test_same_seed_trains_bit_identical_tensors_with_the_enhancer(data, teacher)
     assert e1 is not None
     assert tensor_bytes(p1, e1) == tensor_bytes(p2, e2)
     assert h1.totals() == h2.totals()
+
+
+@pytest.mark.parametrize("meta_mode,enhancer", [("episodic", False), ("full_neighborhood", True)])
+def test_minibatches_lose_as_much_as_with_every_row(data, monkeypatch, meta_mode, enhancer):
+    """Mini-batch steps compute the last step only for the rows their BPR
+    edges and, in full_neighborhood mode, their SSL targets read; the losses
+    are those of passes over every row, up to float32 summation order."""
+    graph, _ = data
+    split = segment(graph, 5, 5, 5, 0.1)  # warm nodes of every kind to reconstruct
+    config = TrainConfig(**dict(SMALL, batch_size=8), epochs=1, meta_mode=meta_mode, enhancer=enhancer)
+    teacher = train_teacher(split, graph, config)
+    full, restricted = train.full_embeddings, []
+
+    def spy(*args, **kwargs):
+        state = full(*args, **kwargs)
+        restricted.append(any(ids is not None for ids in state.rows.values()))
+        return state
+
+    monkeypatch.setattr(train, "full_embeddings", spy)
+    _, _, got = train_model(config, split, graph, teacher)
+    assert len(restricted) > 2 and all(restricted)
+    monkeypatch.setattr(train, "full_embeddings", lambda *a, reads=None, **k: full(*a, **k))
+    _, _, want = train_model(config, split, graph, teacher)
+    for a, b in zip(got.epochs, want.epochs, strict=True):
+        assert a.l_main > 0 and a.l_r > 0
+        for part in ("l_main", "l_r", "total"):
+            np.testing.assert_allclose(getattr(a, part), getattr(b, part), rtol=1e-5)
 
 
 def test_the_package_keeps_the_train_module():
