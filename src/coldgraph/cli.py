@@ -36,6 +36,7 @@ from .train import (
     DivergenceError,
     TrainConfig,
     TrainHistory,
+    TrainingDataError,
     final_state,
     load_training_checkpoint,
     save_training_checkpoint,
@@ -268,6 +269,9 @@ def cmd_evaluate(config: TrainConfig, out: Path) -> int:
         params, enh, ckpt_config = load_training_checkpoint(path, expect=config)
     except CheckpointError as err:
         raise CliError(2, str(err)) from err
+    rows = params.counts()
+    if rows != graph.counts:
+        raise CliError(2, f"{path} has rows {rows} for nodes {graph.counts}; re-run train")
     metrics = _evaluate(params, enh, graph, split, config)
     (out / "metrics.csv").write_text(metrics.to_csv(ckpt_config.seed), encoding="utf-8")
     (out / "per_node.csv").write_text(metrics.per_node_csv(), encoding="utf-8")
@@ -283,19 +287,21 @@ def cmd_evaluate(config: TrainConfig, out: Path) -> int:
 
 
 def _read_run(run_dir: Path) -> tuple[TrainHistory, list[int], int]:
-    meta_path = _require(Path(run_dir) / "run_meta.txt", "run metadata")
-    meta = {}
-    for line in meta_path.read_text(encoding="utf-8").splitlines():
-        if "=" in line:
-            key, value = line.split("=", 1)
-            meta[key] = value
-    history_file = Path(run_dir) / meta.get("history_file", "history.csv")
-    _require(history_file, "history CSV")
-    history = TrainHistory.from_csv(
-        history_file.read_text(encoding="utf-8"), label=meta.get("label", "")
-    )
-    masked = [int(x) for x in meta.get("masked_edges", "").split(",") if x]
-    return history, masked, int(meta.get("total_edges", "0"))
+    path = _require(Path(run_dir) / "run_meta.txt", "run metadata")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    meta = dict(line.split("=", 1) for line in lines if "=" in line)
+    history_file = _require(Path(run_dir) / meta.get("history_file", "history.csv"), "history CSV")
+    try:
+        masked = [int(x) for x in meta.get("masked_edges", "").split(",") if x]
+        total_edges = int(meta.get("total_edges", "0"))
+    except ValueError as err:
+        raise CliError(2, f"malformed {path}: {err}") from err
+    try:
+        text = history_file.read_text(encoding="utf-8")
+        history = TrainHistory.from_csv(text, label=meta.get("label", ""))
+    except ValueError as err:
+        raise CliError(2, f"malformed {history_file}: {err}") from err
+    return history, masked, total_edges
 
 
 def cmd_report(config: TrainConfig, out: Path) -> int:
@@ -335,7 +341,7 @@ def main(argv=None) -> int:
         if err.checkpoint is not None:
             print(f"last good checkpoint: {err.checkpoint}", file=sys.stderr)
         return 3
-    except FileNotFoundError as err:
+    except (FileNotFoundError, TrainingDataError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # internal failure

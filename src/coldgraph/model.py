@@ -14,28 +14,28 @@ and one placed segment sum over every group's members
 (:func:`attention_pool`, segments from a :class:`DegreePlan`), and fusion
 is one :func:`autodiff.attention_fusion` per node kind, with each row's
 channel presence as a mask.  Each step computes only the rows that later
-steps and fusion read: its operator is a cut of one neighbor-mean
-operator per relation side, and its self path gathers the same rows.  It
-runs over one of two graphs:
+steps and fusion read: its operator is a cut (:meth:`SparseOperator.cut`)
+of one neighbor-mean operator per relation side, the rows the cut names
+over the columns of the rows the step before computed, and its self path
+gathers the same rows.  It runs over one of two graphs:
 
 * the complete training graph (:class:`GraphTensors`), for the ranking
   loss, teachers and evaluation (:func:`full_embeddings`).  Every step but
   the last computes every row, because the 3-hop field of even a small
-  batch covers almost every node.  The last step computes only the rows
-  that fusion reads (:meth:`SparseOperator.take_rows`): the rows the loss
-  reads, and for read groups their GU members; no channel reads GI's item
-  side, so it is never computed.  Evaluation and teachers read every row;
+  batch covers almost every node.  The last step cuts the rows that
+  fusion reads: the rows the loss reads, and for read groups their GU
+  members; no channel reads GI's item side, so it is never computed.
+  Evaluation and teachers read every row;
 * the masked, K-sampled neighborhood trees of an episode batch (the
   cold-start simulation of the pretext task, :func:`embed_from_episode`).
   The sampler numbers each relation's trees as one small graph, a
   :class:`graph.Forest` whose rows are the distinct (tree, node) pairs and
   whose edges link each expanded row to its sampled children.  Rows are
-  numbered by the depth that first reached them, so step l computes only
-  a row prefix per kind: the rows within L - l hops of what the last step
-  reads (the targets, and for groups their GU members).  Each step's
-  operators are leading blocks (:meth:`SparseOperator.head`) of one
-  neighbor-mean operator per kind, built from the forest's edge arrays,
-  and the targets' first-order edges are the member-aggregate segments.
+  numbered by the depth that first reached them, so step l cuts a leading
+  block of rows per kind: the rows within L - l hops of what the last step
+  reads (the targets, and for groups their GU members).  The operators
+  are built from the forest's edge arrays, and the targets' first-order
+  edges are the member-aggregate segments.
 
 When enhancer meta embeddings are supplied, the self path of the meta rows
 (every node computed, or the episode targets) is replaced by a learned
@@ -180,22 +180,24 @@ def row_block(h: Tensor, lo: int, hi: int) -> Tensor:
     return h if (lo, hi) == (0, h.shape[0]) else ad.gather_rows(h, np.arange(lo, hi))
 
 
+def _rows(h: Tensor, ids: np.ndarray) -> Tensor:
+    """Rows ``ids`` (ascending and distinct) of ``h``; all of them is ``h``."""
+    return h if ids.size == h.shape[0] else ad.gather_rows(h, ids)
+
+
 def _self_rows(
     h: Tensor, op: SparseOperator, meta: Tensor | None, proj: Tensor | None
 ) -> Tensor:
-    """The self path of the rows of ``h`` that ``op`` computes: its
-    ``row_ids``, else its leading ``op.shape[0]`` rows.  With ``meta``, the
-    first ``len(meta)`` of them become ``concat(self, meta) @ proj``; a row
-    subset takes the same rows of an every-row ``meta``."""
-    rows = op.shape[0]
-    if op.row_ids is not None:
-        h = ad.gather_rows(h, op.row_ids)
-        meta = None if meta is None else ad.gather_rows(meta, op.row_ids)
+    """The self path of the rows of ``h`` that ``op`` computes, its
+    ``row_ids`` (every row when None).  With ``meta``, each of them whose
+    id is below ``len(meta)`` becomes ``concat(self, meta[id]) @ proj``:
+    the targets in a forest, every row on the full graph."""
+    ids = np.arange(op.shape[0]) if op.row_ids is None else op.row_ids
     if meta is None:
-        return row_block(h, 0, rows)
-    n = meta.shape[0]
-    head = ad.matmul(ad.concat([row_block(h, 0, n), meta], axis=1), proj)
-    return head if n == rows else ad.concat([head, row_block(h, n, rows)], axis=0)
+        return _rows(h, ids)
+    n = int(np.searchsorted(ids, meta.shape[0]))  # ids ascend: ids[:n] are below len(meta)
+    injected = ad.matmul(ad.concat([_rows(h, ids[:n]), _rows(meta, ids[:n])], axis=1), proj)
+    return injected if n == ids.size else ad.concat([injected, _rows(h, ids[n:])], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +318,15 @@ def _relation_steps(
     maps each kind that step l computes to its constant neighbor-mean
     operator (one entry for UU and GG): an (m, m') operator makes step l
     compute m rows of ``kind``, from as many rows of its step l - 1 and
-    the m' rows of the other kind's.  Those are the operator's ``row_ids``
-    when it is a row subset, else the leading m rows.  The full graph
-    passes every row at every step but the last, where it passes the rows
-    that fusion reads.  An episode forest passes leading blocks, the rows
+    the m' leading rows of the other kind's.  Those m rows are the
+    operator's ``row_ids``, every row when it is no cut.  The full graph
+    passes every row at every step but the last, where it cuts the rows
+    that fusion reads.  An episode forest cuts leading blocks, the rows
     its targets read, a prefix that shrinks with l.  A kind that a step
     does not compute drops out, its list of steps ending early.
-    ``inject[kind]``, when given, is a meta matrix whose rows meta-inject
-    the leading rows of ``kind`` at every step: all of them over the full
-    graph (a row subset takes its rows), the targets in an episode forest.
+    ``inject[kind]``, when given, is a meta matrix whose row i meta-injects
+    the row of ``kind`` with id i at every step: every row over the full
+    graph, the targets in an episode forest.
     """
     inject = inject or {}
     ka, kb = RELATION_KINDS[rel]
@@ -467,10 +469,8 @@ def full_embeddings(
         fusion reads."""
         ends = dict.fromkeys(RELATION_KINDS[rel])
         rows = dict(sel, user=users) if rel == "GU" else sel
-        cut = {}
-        for k in read or (kind,):
-            op = gtens.norm[(rel, k)]
-            cut[k] = op if rows[k] is None else op.take_rows(rows[k])
+        cut = {k: gtens.norm[(rel, k)] for k in read or (kind,)}
+        cut = {k: op if rows[k] is None else op.cut(rows[k]) for k, op in cut.items()}
         return _relation_steps(
             rel,
             [{k: gtens.norm[(rel, k)] for k in ends}] * (L - 1) + [cut],
@@ -559,7 +559,7 @@ def _forest_operators(forest: Forest, layers: int, reach: int) -> list[dict[str,
     reads = [min(reach + layers - l, depth) for l in range(layers + 1)]
     return [
         {
-            k: op.head(forest.prefix[k][reads[l]], forest.prefix[other[k]][reads[l - 1]])
+            k: op.cut(np.arange(forest.prefix[k][reads[l]]), forest.prefix[other[k]][reads[l - 1]])
             for k, op in whole.items()
             if forest.prefix[k][reads[l]]
         }

@@ -8,11 +8,11 @@ so a product is one gather and one batched ``np.matmul`` per bucket: at
 most log2(max degree) + 1 numpy calls, and padding below twice the number
 of nonzeros.  Everything stays numpy-only.
 
-Two cuts compute part of an operator's rows from its buckets, without
-sorting again: a leading block (:meth:`SparseOperator.head`, for episode
-forests) and a row subset (:meth:`SparseOperator.take_rows`, for the rows
-a loss reads).  Both take their transpose products through the whole
-operator's one cached transpose.
+One cut (:meth:`SparseOperator.cut`) computes some of an operator's rows
+over its leading columns from its buckets, without sorting again: a
+forest step's leading block of rows, or the full graph's rows that a
+loss reads.  A cut's transpose products go through its parent's one
+cached transpose.
 
 The weights are stored in float64.  A product follows the dtype of its
 right operand: the weights are cast to that dtype once, on its first
@@ -40,12 +40,12 @@ class SparseOperator:
     ``shape`` and ``size`` (the dense cell count) describe the matrix,
     ``nbytes`` the arrays actually stored, and ``np.asarray(op)`` gives a
     dense copy.  The transpose is built on first use and cached.
-    :meth:`head` cuts a leading block that shares these arrays, and the
-    weights cast for its products.  :meth:`take_rows` cuts a subset of the
-    rows, whose ids ``row_ids`` names (None in any other operator).
+    :meth:`cut` takes some of the rows over leading columns; a cut names
+    its rows' ids in its parent as ``row_ids`` (None in an operator that
+    is no cut).
     """
 
-    __slots__ = ("shape", "row_ids", "_buckets", "_t", "_whole", "_from", "_cast", "_parent")
+    __slots__ = ("shape", "row_ids", "_parent", "_buckets", "_t", "_cast")
 
     def __init__(self, rows, cols, values, shape: tuple[int, int]):
         """Build from coordinate triplets; (row, col) pairs must be distinct."""
@@ -58,11 +58,9 @@ class SparseOperator:
         _check_range(rows, cols, (n_rows, n_cols))
         self.shape = (n_rows, n_cols)
         self.row_ids: np.ndarray | None = None
+        self._parent: SparseOperator | None = None  # the operator a cut was cut from
         self._t: SparseOperator | None = None
-        self._whole: SparseOperator | None = None  # the operator a head was cut from
-        self._from: list[int] = []  # in a head, the bucket of _whole each bucket is cut from
         self._cast: dict[np.dtype, list[np.ndarray]] = {}
-        self._parent: SparseOperator | None = None  # the operator a row subset was cut from
 
         cell = rows * n_cols + cols  # one sort by (row, col), far faster than lexsort
         order = np.argsort(cell)
@@ -102,7 +100,7 @@ class SparseOperator:
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coordinate triplets (rows, cols, values) of the stored entries."""
-        parts = []
+        parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
         for members, idx, weights in self._buckets:
             keep = idx < self.shape[1]
             parts.append((
@@ -110,21 +108,13 @@ class SparseOperator:
                 idx[keep],
                 weights[:, 0, :][keep],
             ))
-        if not parts:
-            return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0)
         return tuple(np.concatenate(p) for p in zip(*parts))
 
     def _weights(self, dtype: np.dtype) -> list[np.ndarray]:
-        """Each bucket's weights in ``dtype``, cast on first use and kept; a
-        head's are leading blocks of its operator's."""
+        """Each bucket's weights in ``dtype``, cast on first use and kept."""
         cast = self._cast.get(dtype)
         if cast is None:
-            if self._whole is None:
-                cast = [weights.astype(dtype, copy=False) for _, _, weights in self._buckets]
-            else:
-                whole = self._whole._weights(dtype)
-                cast = [whole[i][: len(b[0])] for i, b in zip(self._from, self._buckets)]
-            self._cast[dtype] = cast
+            cast = self._cast[dtype] = [w.astype(dtype, copy=False) for _, _, w in self._buckets]
         return cast
 
     def dot(self, h: np.ndarray) -> np.ndarray:
@@ -133,45 +123,60 @@ class SparseOperator:
         padded = np.concatenate([h, np.zeros((1, h.shape[1]), h.dtype)])
         out = np.zeros((self.shape[0], h.shape[1]), h.dtype)
         for (members, idx, _), weights in zip(self._buckets, self._weights(h.dtype)):
-            # the padding, and a head's columns past its block, read the zero row
+            # the padding, and a cut's columns past its n_cols, read the zero row
             taken = np.take(padded, idx, axis=0, mode="clip")
             out[members] = np.matmul(weights, taken)[:, 0, :]
         return out
 
+    def _leading(self) -> bool:
+        """Whether this cut's rows are its parent's leading rows."""
+        return not self.row_ids.size or self.row_ids[-1] == self.row_ids.size - 1
+
     def dot_t(self, g: np.ndarray) -> np.ndarray:
         """The product ``self.T @ g`` for an (n_rows, d) matrix ``g``.
 
-        A row subset places ``g``'s rows back among its parent's rows and
-        multiplies by the parent's transpose, so it builds no transpose of
-        its own.
+        A cut builds no transpose of its own.  A leading cut multiplies by
+        the matching leading cut of its parent's transpose; any other cut
+        places ``g``'s rows back among its parent's rows and multiplies by
+        the parent's transpose.
         """
-        if self.row_ids is None:
+        if self._parent is None:
             return self.T.dot(g)
+        if self._leading():
+            return self._parent.T.cut(np.arange(self.shape[1]), self.shape[0]).dot(g)
         placed = np.zeros((self._parent.shape[0], g.shape[1]), g.dtype)
         placed[self.row_ids] = g
-        return self._parent.dot_t(placed)
+        return self._parent.dot_t(placed)[: self.shape[1]]
 
-    def take_rows(self, ids) -> "SparseOperator":
-        """Rows ``ids`` (ascending and distinct) as a (len(ids), n_cols)
-        operator whose row i is row ``ids[i]``; all rows is this operator.
+    def cut(self, ids, n_cols: int | None = None) -> "SparseOperator":
+        """Rows ``ids`` (ascending and distinct) over the leading ``n_cols``
+        columns (default all), as a (len(ids), n_cols) operator whose row i
+        is row ``ids[i]``; every row over every column is this operator.
 
-        Each bucket keeps the members it shares with ``ids``, so the cut
-        costs a pass over the members and a copy of the kept rows.
+        The cut keeps this operator's bucketed arrays: a leading block of
+        rows takes a slice of each bucket, any other set of rows a copy of
+        the members it keeps.  Entries past ``n_cols`` stay stored, and
+        its products read them as zeros.
         """
         ids = np.asarray(ids, dtype=np.intp)
-        if ids.ndim != 1 or np.any(np.diff(ids) <= 0) or (
+        n_cols = self.shape[1] if n_cols is None else int(n_cols)
+        if ids.ndim != 1 or (ids[1:] <= ids[:-1]).any() or not 0 <= n_cols <= self.shape[1] or (
             ids.size and (ids[0] < 0 or ids[-1] >= self.shape[0])
         ):
-            raise ValueError(f"rows to take must ascend without repeats below {self.shape[0]}")
-        if ids.size == self.shape[0]:
+            raise ValueError(f"cut rows must ascend without repeats and fit shape {self.shape}")
+        if ids.size == self.shape[0] and n_cols == self.shape[1]:
             return self
+        out = SparseOperator.__new__(SparseOperator)
+        out.shape = (ids.size, n_cols)
+        out.row_ids, out._parent, out._t, out._cast, out._buckets = ids, self, None, {}, []
+        if out._leading():
+            for members, idx, weights in self._buckets:
+                m = int(members.searchsorted(ids.size))
+                if m:
+                    out._buckets.append((members[:m], idx[:m], weights[:m]))
+            return out
         where = np.full(self.shape[0], -1, dtype=np.intp)
         where[ids] = np.arange(ids.size)
-        out = SparseOperator.__new__(SparseOperator)
-        out.shape = (ids.size, self.shape[1])
-        out.row_ids, out._parent = ids, self
-        out._t, out._whole, out._from, out._cast = None, None, [], {}
-        out._buckets = []
         for members, idx, weights in self._buckets:
             at = where[members]
             keep = at >= 0
@@ -179,34 +184,11 @@ class SparseOperator:
                 out._buckets.append((at[keep], idx[keep], weights[keep]))
         return out
 
-    def head(self, n_rows: int, n_cols: int) -> "SparseOperator":
-        """The leading (n_rows, n_cols) block, sharing this operator's arrays.
-
-        Its transpose is the matching block of this operator's transpose,
-        so cutting many heads builds no operator beyond that one transpose.
-        """
-        if not (0 <= n_rows <= self.shape[0] and 0 <= n_cols <= self.shape[1]):
-            raise ValueError(f"no ({n_rows}, {n_cols}) head in shape {self.shape}")
-        out = SparseOperator.__new__(SparseOperator)
-        out.shape = (int(n_rows), int(n_cols))
-        out.row_ids, out._parent = None, None
-        out._t, out._whole, out._cast = None, self, {}
-        out._buckets, out._from = [], []
-        for i, (members, idx, weights) in enumerate(self._buckets):
-            m = int(np.searchsorted(members, n_rows))
-            if m:
-                out._buckets.append((members[:m], idx[:m], weights[:m]))
-                out._from.append(i)
-        return out
-
     @property
     def T(self) -> "SparseOperator":
         if self._t is None:
-            if self._whole is not None:
-                self._t = self._whole.T.head(self.shape[1], self.shape[0])
-            else:
-                rows, cols, values = self.entries()
-                self._t = SparseOperator(cols, rows, values, self.shape[::-1])
+            rows, cols, values = self.entries()
+            self._t = SparseOperator(cols, rows, values, self.shape[::-1])
             self._t._t = self
         return self._t
 

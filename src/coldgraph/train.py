@@ -243,6 +243,8 @@ class TrainHistory:
         out = cls(label=label, k=int(header.group(1)))
         for line in lines[1:]:
             parts = line.split(",")
+            if len(parts) != 7:
+                raise ValueError(f"bad history row {line!r}")
             out.epochs.append(
                 EpochStats(
                     epoch=int(parts[0]),
@@ -263,6 +265,10 @@ class TrainHistory:
         if not self.epochs:
             return 0.0
         return float(np.mean([e.seconds for e in self.epochs]))
+
+
+class TrainingDataError(ValueError):
+    """Raised when the training graph holds data no model can train on."""
 
 
 class DivergenceError(RuntimeError):
@@ -379,12 +385,17 @@ def _seed_streams(config: TrainConfig) -> dict[str, np.random.Generator]:
 
 def _positives(graph: InteractionGraph) -> tuple[np.ndarray, int, list[set[int]]]:
     """Every training positive as an (anchor, item) row, GI rows first; the
-    number of GI rows; and each row's anchor's items, one set per anchor."""
+    number of GI rows; and each row's anchor's items, one set per anchor.
+    An anchor that has every item has no negative: TrainingDataError."""
     sets: list[set[int]] = []
+    full: list[str] = []
     for rel, kind in (("GI", "group"), ("UI", "user")):
         indptr, indices = graph.csr(rel, kind)
         by_anchor = [set(items.tolist()) for items in np.split(indices, indptr[1:-1])]
         sets += [by_anchor[a] for a in graph.edges[rel][:, 0].tolist()]
+        full += [f"{kind}:{a}" for a, s in enumerate(by_anchor) if len(s) >= graph.counts["item"]]
+    if full:
+        raise TrainingDataError(f"anchors {full[:5]} interact with every item; no negative exists")
     return np.concatenate([graph.edges["GI"], graph.edges["UI"]]), len(graph.edges["GI"]), sets
 
 

@@ -320,3 +320,57 @@ def test_malformed_workspace_exits_2(scratch_workspace, capsys, path, edit, mess
     assert cli.main(["evaluate", "--out", str(ws), *args, *PLAIN]) == 2
     err = capsys.readouterr().err
     assert "malformed workspace" in err and message in err
+
+
+def test_evaluate_on_a_checkpoint_of_another_workspace_exits_2(workspace, tmp_path, capsys):
+    code, ckpt = train(workspace, "epochs=1")
+    assert code == 0
+    _, args = workspace
+    other = args + [f"data_dir={tmp_path / 'data'}", "synth_users=150"]
+    assert cli.main(["synth", "--out", str(tmp_path / "data"), *other]) == 0
+    assert cli.main(["prepare", "--out", str(tmp_path), *other]) == 0
+    shutil.copy(ckpt, tmp_path / "model.ckpt")
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--out", str(tmp_path), *other, *PLAIN]) == 2
+    err = capsys.readouterr().err
+    assert "'user': 150" in err and "re-run train" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "train"])
+def test_anchor_with_every_item_exits_2(scratch_workspace, capsys, command):
+    ws, args = scratch_workspace
+    data = ws / "data"
+    args = [*args, f"data_dir={data}"]
+    items = sorted({line.split("\t")[1] for name in ("user_item.tsv", "group_item.tsv")
+                    for line in (data / name).read_text().splitlines()})
+    kept = [line for line in (data / "user_item.tsv").read_text().splitlines()
+            if line.split("\t")[0] != "0"]
+    every = [f"0\t{item}\t1" for item in items]  # user 0 rates every item
+    (data / "user_item.tsv").write_text("\n".join(kept + every) + "\n")
+    assert cli.main(["prepare", "--out", str(ws), *args]) == 0
+    capsys.readouterr()
+    assert cli.main([command, "--out", str(ws), *args, *SMALL, *PLAIN]) == 2
+    err = capsys.readouterr().err
+    assert "interact with every item" in err and "user:" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("history.csv", lambda text: "garbage\n", "unrecognized history header"),
+        ("history.csv", lambda text: text + "1,2\n", "bad history row '1,2'"),
+        ("run_meta.txt", lambda text: text.replace("total_edges=", "total_edges=ten#"), "ten#"),
+        ("run_meta.txt", lambda text: text + "masked_edges=1,x\n", "'x'"),
+    ],
+    ids=["history-header", "history-row", "total-edges", "masked-edges"],
+)
+def test_report_on_malformed_run_files_exits_2(scratch_workspace, tmp_path, capsys, name, edit, message):
+    code, _ = train(scratch_workspace, "epochs=1")
+    assert code == 0
+    ws, args = scratch_workspace
+    (ws / name).write_text(edit((ws / name).read_text()))
+    runs = [f"report_base_dir={ws}", f"report_ssl_dir={ws}"]
+    capsys.readouterr()
+    assert cli.main(["report", "--out", str(tmp_path / "report"), *args, *runs]) == 2
+    err = capsys.readouterr().err
+    assert str(ws / name) in err and message in err and "internal error" not in err

@@ -116,75 +116,93 @@ class TestOperator:
     @settings(max_examples=60, deadline=None)
     @given(edge_lists(), st.data())
     def test_heads_are_leading_blocks(self, case, data):
+        """A cut of the leading rows over the leading columns is the dense
+        leading block, cut before or after transposing."""
         rows, cols, shape, square = case
         op = build(rows, cols, shape, square)
         dense = np.asarray(op)
         r = data.draw(st.integers(0, shape[0]))
         c = data.draw(st.integers(0, shape[1]))
-        head = op.head(r, c)
+        head = op.cut(np.arange(r), c)
         block = dense[:r, :c]
         rng = np.random.default_rng(r * 31 + c)
         h, g = rng.normal(size=(c, 3)), rng.normal(size=(r, 3))
-        for cut in (head, op.T.head(c, r).T):  # cut before or after transposing
+        for cut in (head, op.T.cut(np.arange(c), r).T):
             assert cut.shape == (r, c)
             np.testing.assert_array_equal(np.asarray(cut), block)
             np.testing.assert_array_equal(np.asarray(cut.T), block.T)
             np.testing.assert_allclose(cut.dot(h), block @ h, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cut.dot_t(g), block.T @ g, rtol=0, atol=1e-12)
             np.testing.assert_allclose(cut.T.dot(g), block.T @ g, rtol=0, atol=1e-12)
         assert head.T is head.T and head.T.T is head
         r2, c2 = data.draw(st.integers(0, r)), data.draw(st.integers(0, c))
-        np.testing.assert_array_equal(np.asarray(head.head(r2, c2)), dense[:r2, :c2])
-        np.testing.assert_array_equal(np.asarray(head.head(r2, c2).T), dense[:r2, :c2].T)
-        with pytest.raises(ValueError, match="head"):
-            op.head(shape[0] + 1, c)
+        np.testing.assert_array_equal(np.asarray(head.cut(np.arange(r2), c2)), dense[:r2, :c2])
+        np.testing.assert_array_equal(np.asarray(head.cut(np.arange(r2), c2).T), dense[:r2, :c2].T)
+        np.testing.assert_allclose(
+            head.cut(np.arange(r2), c2).dot_t(g[:r2]), dense[:r2, :c2].T @ g[:r2], rtol=0, atol=1e-12
+        )
+        with pytest.raises(ValueError, match="ascend"):
+            op.cut(np.arange(shape[0] + 1), c)
+        with pytest.raises(ValueError, match="fit shape"):
+            op.cut(np.arange(r), shape[1] + 1)
 
     @settings(max_examples=60, deadline=None)
     @given(edge_lists(), st.data())
     def test_row_subsets_are_dense_rows(self, case, data):
+        """A cut of any rows, over every or the leading columns, of an
+        operator or of a leading cut, is the dense rows."""
         rows, cols, shape, square = case
         op = build(rows, cols, shape, square)
         dense = np.asarray(op)
         r = data.draw(st.integers(0, shape[0]))
         c = data.draw(st.integers(0, shape[1]))
-        for parent, block in ((op, dense), (op.head(r, c), dense[:r, :c])):
+        for parent, block in ((op, dense), (op.cut(np.arange(r), c), dense[:r, :c])):
             picked = data.draw(st.lists(st.booleans(), min_size=len(block), max_size=len(block)))
             ids = np.flatnonzero(np.array(picked, dtype=bool))
-            sub = parent.take_rows(ids)
-            assert sub.shape == (ids.size, block.shape[1])
-            np.testing.assert_array_equal(np.asarray(sub), block[ids])
-            if ids.size < len(block):
-                np.testing.assert_array_equal(sub.row_ids, ids)
-            rng = np.random.default_rng(ids.size)
-            h, g = rng.normal(size=(block.shape[1], 3)), rng.normal(size=(ids.size, 3))
-            np.testing.assert_allclose(sub.dot(h), block[ids] @ h, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(sub.dot_t(g), block[ids].T @ g, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(np.asarray(sub.T), block[ids].T)
+            for n_cols in (None, data.draw(st.integers(0, block.shape[1]))):
+                want = block[ids, :n_cols]
+                sub = parent.cut(ids, n_cols)
+                assert sub.shape == want.shape
+                np.testing.assert_array_equal(np.asarray(sub), want)
+                if sub is not parent:
+                    np.testing.assert_array_equal(sub.row_ids, ids)
+                rng = np.random.default_rng(ids.size)
+                h, g = rng.normal(size=(want.shape[1], 3)), rng.normal(size=(ids.size, 3))
+                np.testing.assert_allclose(sub.dot(h), want @ h, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(sub.dot_t(g), want.T @ g, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(np.asarray(sub.T), want.T)
 
     def test_row_subset_edges(self):
         op = neighbor_mean([0, 0, 2, 3], [1, 3, 3, 0], (4, 5))
-        assert op.take_rows(np.arange(4)) is op
-        empty = op.take_rows([])
+        assert op.cut(np.arange(4)) is op and op.cut(np.arange(4), 5) is op
+        assert op.row_ids is None and op.cut(np.arange(4), 4).row_ids.size == 4
+        empty = op.cut([])
         assert empty.shape == (0, 5) and empty.row_ids.size == 0
         assert empty.dot(np.ones((5, 2))).shape == (0, 2)
         np.testing.assert_array_equal(empty.dot_t(np.ones((0, 2), np.float32)), np.zeros((5, 2)))
         assert empty.dot_t(np.ones((0, 2), np.float32)).dtype == np.float32
-        sub = op.take_rows([1, 3])
+        sub = op.cut([1, 3])
         assert sub.T is sub.T and sub.T.T is sub
         for bad in ([3, 1], [1, 1], [4], [-1]):
             with pytest.raises(ValueError, match="ascend"):
-                op.take_rows(bad)
+                op.cut(bad)
+        for bad in (-1, 6):
+            with pytest.raises(ValueError, match="fit shape"):
+                op.cut([1, 3], bad)
 
     def test_row_subset_gradient_uses_the_whole_transpose(self):
         rng = np.random.default_rng(5)
         op = dedup_mean(rng.integers(0, 9, 30), rng.integers(0, 7, 30), (9, 7))
-        sub = op.take_rows([0, 2, 3, 8])
-        h = ad.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        h = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         weight = ad.const(rng.normal(size=(4, 3)))
-        with ad.Tape() as tape:
-            loss = sum_all(ad.mul(ad.spmm(sub, h), weight))
-        grad = tape.backward(loss, [h])[h]
-        np.testing.assert_allclose(grad, np.asarray(op)[[0, 2, 3, 8]].T @ weight.data, rtol=0, atol=1e-12)
-        assert op._t is not None and sub._t is None  # no transpose of the subset was built
+        for ids in ([0, 2, 3, 8], [0, 1, 2, 3]):  # a subset, a leading block
+            sub = op.cut(ids, 5)  # below the width: the transpose drops columns 5 and 6
+            with ad.Tape() as tape:
+                loss = sum_all(ad.mul(ad.spmm(sub, h), weight))
+            grad = tape.backward(loss, [h])[h]
+            want = np.asarray(op)[ids, :5].T @ weight.data
+            np.testing.assert_allclose(grad, want, rtol=0, atol=1e-12)
+            assert op._t is not None and sub._t is None  # no transpose of the cut was built
 
     def test_padding_below_twice_nnz_and_buckets_log_of_degree(self):
         rows = np.concatenate([np.zeros(33, int), np.arange(1, 9)])
