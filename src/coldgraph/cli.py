@@ -25,12 +25,14 @@ from .graph import (
     generate_synthetic,
     load_edges,
     load_graph_cache,
+    make_training_graph,
     read_split_manifest,
     save_graph_cache,
     segment,
     stats_summary,
     write_split_manifest,
 )
+from .model import GraphTensors
 from .reconstruction import GroundTruthTable, train_teacher
 from .train import (
     DivergenceError,
@@ -190,7 +192,7 @@ def cmd_prepare(config: TrainConfig, out: Path) -> int:
 
 def cmd_train_teacher(config: TrainConfig, out: Path) -> int:
     graph, split = _load_workspace(out)
-    table = train_teacher(split, graph, config)
+    table = train_teacher(split, GraphTensors(make_training_graph(graph, split)), config)
     save_checkpoint(
         out / "teacher.ckpt",
         dict(table.named_tensors()),
@@ -227,8 +229,7 @@ def _load_teacher(out: Path, config: TrainConfig, graph, split) -> GroundTruthTa
     return table
 
 
-def _evaluate(params, enh, graph, split, config: TrainConfig):
-    state = final_state(params, enh, graph, split)
+def _evaluate(state, split, config: TrainConfig):
     try:
         return evaluate(state.arrays(), split, k=config.eval_k)
     except ValueError as err:  # the split has no evaluable cold anchor
@@ -239,11 +240,12 @@ def cmd_train(config: TrainConfig, out: Path) -> int:
     graph, split = _load_workspace(out)
     gt = _load_teacher(out, config, graph, split) if config.lam1 > 0 else None
 
-    def eval_fn(params, enh):
-        m = _evaluate(params, enh, graph, split, config)
+    def eval_fn(state):
+        m = _evaluate(state, split, config)
         return m.recall_at_k, m.ndcg_at_k
 
-    params, enh, history = train_model(config, split, graph, gt, out_dir=out, eval_fn=eval_fn)
+    gtens = GraphTensors(make_training_graph(graph, split))
+    params, enh, history = train_model(config, split, gtens, gt, out_dir=out, eval_fn=eval_fn)
     save_training_checkpoint(out / "model.ckpt", params, enh, config)
     label = config.variant_label()
     history_file = out / f"history{label}.csv"
@@ -272,7 +274,7 @@ def cmd_evaluate(config: TrainConfig, out: Path) -> int:
     rows = params.counts()
     if rows != graph.counts:
         raise CliError(2, f"{path} has rows {rows} for nodes {graph.counts}; re-run train")
-    metrics = _evaluate(params, enh, graph, split, config)
+    metrics = _evaluate(final_state(params, enh, graph, split), split, config)
     (out / "metrics.csv").write_text(metrics.to_csv(ckpt_config.seed), encoding="utf-8")
     (out / "per_node.csv").write_text(metrics.per_node_csv(), encoding="utf-8")
     text = (

@@ -170,8 +170,8 @@ def full_meta_matrices(
     _, means = _smoothed_means(table, plan, params, project_first=True)
     out, lo = {}, 0
     for kind, rel in _PAIRS:
-        out[(kind, rel)] = row_block(means, lo, lo + gtens.counts[kind])
-        lo += gtens.counts[kind]
+        out[(kind, rel)] = row_block(means, lo, lo + gtens.graph.counts[kind])
+        lo += gtens.graph.counts[kind]
     return out
 
 

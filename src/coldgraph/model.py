@@ -249,7 +249,7 @@ def degree_plan(sizes, cols, starts=None) -> DegreePlan:
 
 
 class GraphTensors:
-    """Constant full-graph structure of one interaction graph.
+    """Constant full-graph structure of one interaction graph, kept as ``graph``.
 
     ``norm[(rel, kind)]`` is the row-normalized adjacency D^-1 A from
     ``kind``'s side of relation ``rel``, a :class:`SparseOperator` of shape
@@ -260,16 +260,15 @@ class GraphTensors:
     """
 
     def __init__(self, graph: InteractionGraph):
-        self.counts = dict(graph.counts)
+        self.graph = graph
         self.norm: dict[tuple[str, str], SparseOperator] = {}
         self.mask: dict[tuple[str, str], np.ndarray] = {}
-        self._csr: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         for rel, (ka, kb) in RELATION_KINDS.items():
             for kind, other in dict.fromkeys(((ka, kb), (kb, ka))):
-                indptr, indices = self._csr[(rel, kind)] = graph.csr(rel, kind)
+                indptr, indices = graph.csr(rel, kind)
                 deg = np.diff(indptr)
                 rows = np.repeat(np.arange(deg.size), deg)
-                self.norm[(rel, kind)] = neighbor_mean(rows, indices, (deg.size, self.counts[other]))
+                self.norm[(rel, kind)] = neighbor_mean(rows, indices, (deg.size, graph.counts[other]))
                 self.mask[(rel, kind)] = deg > 0
         self._plans: dict[tuple, DegreePlan] = {}
 
@@ -279,7 +278,7 @@ class GraphTensors:
         means every group; ``cols`` then hold user ids, and no ids return."""
         if groups is None:
             return self.neighbor_plan([("GU", "group")]), None
-        indptr, indices = self._csr[("GU", "group")]
+        indptr, indices = self.graph.csr("GU", "group")
         plan = degree_plan(np.diff(indptr)[groups], indices, indptr[groups])
         users, cols = np.unique(plan.cols, return_inverse=True)
         return replace(plan, cols=cols), users
@@ -297,7 +296,7 @@ class GraphTensors:
         if plan is None:
             sizes, cols = [], []
             for rel, kind in pairs:
-                indptr, indices = self._csr[(rel, kind)]
+                indptr, indices = self.graph.csr(rel, kind)
                 ka, kb = RELATION_KINDS[rel]
                 sizes.append(np.diff(indptr))
                 cols.append(indices + offset.get(kb if kind == ka else ka, 0))
@@ -457,7 +456,7 @@ def full_embeddings(
     # the rows step L computes per kind; as many distinct ids as rows are all
     sel = {
         k: None if reads.get(k) is None or len(reads[k]) == n else np.asarray(reads[k], np.intp)
-        for k, n in gtens.counts.items()
+        for k, n in gtens.graph.counts.items()
     }
     if need_layer_sums and any(ids is not None for ids in sel.values()):
         raise ValueError("layer sums need every row of the last step")

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .enhancer import EnhancerParams, episode_metas, reconstruction_costs
-from .graph import KINDS, EpisodeBatch, EvalSplit, InteractionGraph, make_training_graph
+from .graph import KINDS, EpisodeBatch, EvalSplit
 from .model import FullState, GraphTensors, ModelParams, embed_from_episode, full_embeddings
 
 log = logging.getLogger("coldgraph")
@@ -87,23 +87,22 @@ def layer_sum_table(state: FullState, split: EvalSplit, provenance: str) -> Grou
     return GroundTruthTable(rows, known, provenance)
 
 
-def train_teacher(split: EvalSplit, graph: InteractionGraph, config) -> GroundTruthTable:
+def train_teacher(split: EvalSplit, gtens: GraphTensors, config) -> GroundTruthTable:
     """Train the plain base GNN on the warm data and freeze its embeddings.
 
-    The teacher is :func:`train.train_model` run jointly for
+    The teacher is :func:`train.train_model` run on ``gtens`` jointly for
     ``teacher_epochs`` epochs with ``lam1=0`` and the enhancer off, so it
     never masks neighborhoods; its per-node target is the layer sum
-    h^0 + ... + h^L computed over the full training-graph adjacency.
+    h^0 + ... + h^L computed over the same ``gtens``.
     """
-    from .train import train_model  # deferred: train imports this module
+    from .train import TrainingDataError, train_model  # deferred: train imports this module
 
     if not any(split.warm[k].size for k in KINDS):
-        raise ValueError("warm sets are empty; nothing to teach from")
+        raise TrainingDataError("warm sets are empty; nothing to teach from")
     teacher_config = replace(
         config, epochs=config.teacher_epochs, lam1=0.0, enhancer=False, paradigm="joint"
     )
-    params, _, _ = train_model(teacher_config, split, graph)
-    gtens = GraphTensors(make_training_graph(graph, split))
+    params, _, _ = train_model(teacher_config, split, gtens)
     state = full_embeddings(gtens, params, need_layer_sums=True)
     provenance = f"{config.backbone}-layersum-L{config.L}-seed{config.seed}"
     table = layer_sum_table(state, split, provenance)

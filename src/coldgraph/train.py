@@ -428,8 +428,8 @@ def _reg_term(tensors: Sequence[Tensor], lam2: float) -> Tensor:
 def _run_epochs(
     config: TrainConfig,
     split: EvalSplit,
-    train_graph: InteractionGraph,
     gtens: GraphTensors,
+    positives: tuple[np.ndarray, int, list[set[int]]],
     params: ModelParams,
     enh: EnhancerParams | None,
     gt: GroundTruthTable | None,
@@ -450,10 +450,10 @@ def _run_epochs(
     main_on = phase != "pretrain"  # the ranking loss and the L2 term
     ssl_weight = 0.0 if phase == "finetune" else config.lam1
     ssl_on = ssl_weight > 0.0
-    positives, n_gi, pos_sets = _positives(train_graph)
+    positives, n_gi, pos_sets = positives
     if main_on and not len(positives):
         raise ValueError("no positive edges to train on")
-    n_items = train_graph.counts["item"]
+    n_items = gtens.graph.counts["item"]
     tensors = params.tensors() + (enh.tensors() if enh else [])
     adam = AdamState(tensors, config.learning_rate)
     last_good = [np.array(t.data) for t in tensors]
@@ -490,7 +490,7 @@ def _run_epochs(
             for kind, idx in targets.items():
                 for b in range(min(n_batches, idx.size)):
                     ep = sample_episode(
-                        train_graph, kind, idx[b::n_batches], config.K, config.L, epoch_seed
+                        gtens.graph, kind, idx[b::n_batches], config.K, config.L, epoch_seed
                     )
                     episodes[b][kind] = ep
                     masked_edges += ep.edge_count()
@@ -591,7 +591,7 @@ def _run_epochs(
             phase=phase,
         )
         if eval_fn is not None and config.eval_every > 0 and epoch_i % config.eval_every == 0:
-            stats.recall, stats.ndcg = eval_fn(params, enh)
+            stats.recall, stats.ndcg = eval_fn(_full_state(params, enh, gtens))
         history.epochs.append(stats)
         if out_dir is not None and config.checkpoint_every > 0 and epoch_i % config.checkpoint_every == 0:
             save_training_checkpoint(Path(out_dir) / "model.ckpt", params, enh, config)
@@ -609,33 +609,32 @@ def _run_epochs(
 def train_model(
     config: TrainConfig,
     split: EvalSplit,
-    graph: InteractionGraph,
+    gtens: GraphTensors,
     gt: GroundTruthTable | None = None,
     out_dir: Path | None = None,
     eval_fn=None,
 ) -> tuple[ModelParams, EnhancerParams | None, TrainHistory]:
-    """Train on ``split``'s training graph through the phases of
-    ``config.paradigm``: ``joint`` runs ``epochs`` epochs of ranking plus
+    """Train on ``gtens`` (of ``split``'s training graph) through the phases
+    of ``config.paradigm``: ``joint`` runs ``epochs`` epochs of ranking plus
     reconstruction, ``pretrain_finetune`` runs ``pretrain_epochs`` epochs of
     reconstruction alone and then ``epochs`` epochs of ranking.
 
     ``gt`` is the teacher table, needed when ``lam1 > 0``.  With ``lam1=0``
     and the enhancer off the reconstruction machinery consumes no
     randomness, so the run is the plain base GNN's, bit for bit.
-    ``eval_fn(params, enh)`` returns (recall, ndcg) every ``eval_every``
-    epochs of a phase.  A non-finite loss or update, in the enhancer
-    warm-up or in a phase, raises :class:`DivergenceError` with the last
-    good parameters restored and, given ``out_dir``, saved as
-    ``out_dir/model.ckpt``.
+    ``eval_fn(state)`` returns (recall, ndcg) of the full state over
+    ``gtens`` every ``eval_every`` epochs of a phase.  A non-finite loss or
+    update, in the enhancer warm-up or in a phase, raises
+    :class:`DivergenceError` with the last good parameters restored and,
+    given ``out_dir``, saved as ``out_dir/model.ckpt``.
     """
     config.validate()
     if config.lam1 > 0 and gt is None:
         raise ValueError("reconstruction training needs a ground-truth table (lam1 > 0)")
-    train_graph = make_training_graph(graph, split)
-    gtens = GraphTensors(train_graph)
+    positives = _positives(gtens.graph)
     rngs = _seed_streams(config)
     params = init_model_params(
-        train_graph.counts,
+        gtens.graph.counts,
         config.d,
         config.backbone,
         config.L,
@@ -653,7 +652,7 @@ def train_model(
             warm_targets = pick_ssl_targets(split, config.warmup_targets, rngs["warmup"])
             warm_seed = int(rngs["warmup"].integers(2 ** 31))
             warm_eps = [
-                sample_episode(train_graph, kind, idx, config.K, 1, warm_seed, member_depth_bonus=False)
+                sample_episode(gtens.graph, kind, idx, config.K, 1, warm_seed, member_depth_bonus=False)
                 for kind, idx in warm_targets.items()
             ]
             t0 = time.perf_counter()
@@ -665,7 +664,7 @@ def train_model(
                      len(curve), curve[0], curve[-1], time.perf_counter() - t0)
         for phase, epochs in phases:
             _run_epochs(
-                config, split, train_graph, gtens, params, enh, gt, rngs, history,
+                config, split, gtens, positives, params, enh, gt, rngs, history,
                 phase, epochs, out_dir, eval_fn,
             )
     except DivergenceError as err:  # the parameters are back at their last good values
@@ -677,16 +676,17 @@ def train_model(
     return params, enh, history
 
 
+def _full_state(params: ModelParams, enh: EnhancerParams | None, gtens: GraphTensors) -> FullState:
+    metas = full_meta_matrices(gtens, params.table, enh) if enh is not None else None
+    return full_embeddings(gtens, params, metas=metas)
+
+
 def final_state(
     params: ModelParams,
     enh: EnhancerParams | None,
     graph: InteractionGraph,
     split: EvalSplit,
 ) -> FullState:
-    """Full-neighborhood forward pass of a trained model on the training graph."""
-    train_graph = make_training_graph(graph, split)
-    gtens = GraphTensors(train_graph)
-    metas = None
-    if enh is not None:
-        metas = full_meta_matrices(gtens, params.table, enh)
-    return full_embeddings(gtens, params, metas=metas)
+    """Full-neighborhood pass of a saved model on the training graph it
+    rebuilds; ``coldgraph evaluate`` and the benchmark call it by this signature."""
+    return _full_state(params, enh, GraphTensors(make_training_graph(graph, split)))

@@ -1,9 +1,13 @@
+import importlib
+import re
 import shutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coldgraph import cli
+from coldgraph import cli, graph, model
 from coldgraph.checkpoint import load_checkpoint, save_checkpoint
 from coldgraph.enhancer import init_enhancer_params
 from coldgraph.model import init_model_params
@@ -169,13 +173,13 @@ def test_evaluate_leaves_no_float64_parameter(workspace, monkeypatch):
     code, _ = train(workspace, "epochs=1", "enhancer=true")
     assert code == 0
     dtypes = []
-    evaluate = cli._evaluate
+    final_state = cli.final_state
 
     def checked(params, enh, *rest):
         dtypes.extend(t.data.dtype for t in params.tensors() + enh.tensors())
-        return evaluate(params, enh, *rest)
+        return final_state(params, enh, *rest)
 
-    monkeypatch.setattr(cli, "_evaluate", checked)
+    monkeypatch.setattr(cli, "final_state", checked)
     ws, args = workspace
     assert cli.main(["evaluate", "--out", str(ws), *args, *PLAIN, "enhancer=true"]) == 0
     assert dtypes and set(dtypes) == {np.dtype(np.float32)}
@@ -374,3 +378,55 @@ def test_report_on_malformed_run_files_exits_2(scratch_workspace, tmp_path, caps
     assert cli.main(["report", "--out", str(tmp_path / "report"), *args, *runs]) == 2
     err = capsys.readouterr().err
     assert str(ws / name) in err and message in err and "internal error" not in err
+
+
+def test_empty_warm_sets_exit_2(tmp_path, capsys):
+    # with n_g, n_u and n_i above every node's degree no node is warm
+    small = ["synth_users=40", "synth_items=30", "synth_groups=20", "n_g=1000", "n_u=1000", "n_i=1000"]
+    args = SYNTH + small + [f"data_dir={tmp_path / 'data'}"]
+    assert cli.main(["synth", "--out", str(tmp_path / "data"), *args]) == 0
+    assert cli.main(["prepare", "--out", str(tmp_path), *args]) == 0
+    capsys.readouterr()
+    assert cli.main(["train-teacher", "--out", str(tmp_path), *args, *SMALL]) == 2
+    err = capsys.readouterr().err
+    assert "warm sets are empty" in err and "internal error" not in err
+
+
+def test_each_stage_builds_the_training_graph_once(scratch_workspace, monkeypatch):
+    """train-teacher, train (evaluating every epoch of both phases) and
+    evaluate each build the training graph and its GraphTensors once."""
+    builds = {"graph": 0, "tensors": 0}
+    make, init = graph.make_training_graph, model.GraphTensors.__init__
+
+    def counted_make(*args):
+        builds["graph"] += 1
+        return make(*args)
+
+    def counted_init(self, *args):
+        builds["tensors"] += 1
+        init(self, *args)
+
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "coldgraph"]:
+        if getattr(mod, "make_training_graph", None) is make:
+            monkeypatch.setattr(mod, "make_training_graph", counted_make)
+    monkeypatch.setattr(model.GraphTensors, "__init__", counted_init)
+    ws, args = scratch_workspace
+    ssl = [*SMALL, "lam1=1", "enhancer=true", "paradigm=pretrain_finetune", "warmup_epochs=1",
+           "pretrain_epochs=2", "epochs=3", "eval_every=1", "batch_size=100000"]
+    for command in ("train-teacher", "train", "evaluate"):
+        builds.update(graph=0, tensors=0)
+        assert cli.main([command, "--out", str(ws), *args, *ssl]) == 0
+        assert builds == {"graph": 1, "tensors": 1}, command
+    recall = [row.split(",")[-2] for row in (ws / "history-P.csv").read_text().splitlines()[1:]]
+    assert len(recall) == 5 and all(recall)  # every epoch was evaluated
+
+
+def test_console_script_exits_with_the_code_of_main(tmp_path, monkeypatch):
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^coldgraph = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    script = getattr(importlib.import_module(module), func)
+    assert script is cli.entry
+    monkeypatch.setattr(sys, "argv", ["coldgraph", "evaluate", "--out", str(tmp_path / "missing")])
+    with pytest.raises(SystemExit) as exit_info:
+        script()
+    assert exit_info.value.code == 2

@@ -7,9 +7,11 @@ import pytest
 import coldgraph
 from coldgraph import autodiff as ad
 from coldgraph import train
-from coldgraph.graph import SyntheticSpec, build_implicit, generate_synthetic, segment
+from coldgraph.graph import SyntheticSpec, build_implicit, generate_synthetic, make_training_graph, segment
+from coldgraph.model import GraphTensors
 from coldgraph.reconstruction import train_teacher
-from coldgraph.train import AdamState, TrainConfig, train_model
+from coldgraph.evaluation import evaluate
+from coldgraph.train import AdamState, TrainConfig, final_state, train_model
 
 # a small model that trains with the reconstruction task in one full batch
 SMALL = dict(d=8, L=2, K=3, ssl_targets=8, warmup_targets=8, warmup_epochs=2, teacher_epochs=1,
@@ -25,9 +27,14 @@ def data():
 
 
 @pytest.fixture(scope="module")
-def teacher(data):
+def gtens(data):
     graph, split = data
-    return train_teacher(split, graph, TrainConfig(**SMALL))
+    return GraphTensors(make_training_graph(graph, split))
+
+
+@pytest.fixture(scope="module")
+def teacher(data, gtens):
+    return train_teacher(data[1], gtens, TrainConfig(**SMALL))
 
 
 def tensor_bytes(params, enh):
@@ -35,24 +42,24 @@ def tensor_bytes(params, enh):
     return [(name, t.data.tobytes()) for name, t in named]
 
 
-def test_joint_without_reconstruction_is_the_base_trainer(data):
+def test_joint_without_reconstruction_is_the_base_trainer(data, gtens):
     """With lam1=0 and the enhancer off the run is bit-identical to plain base
     training, whatever the SSL and warm-up knobs: they draw no randomness."""
-    graph, split = data
+    split = data[1]
     config = TrainConfig(d=8, L=2, epochs=2, batch_size=128, lam1=0.0, enhancer=False, seed=5)
     knobs = replace(config, ssl_targets=3, warmup_epochs=2, warmup_targets=5, K=2)
-    joint, enh, history = train_model(knobs, split, graph)
-    base, _, _ = train_model(config, split, graph)
+    joint, enh, history = train_model(knobs, split, gtens)
+    base, _, _ = train_model(config, split, gtens)
     assert enh is None
     assert [e.phase for e in history.epochs] == ["joint", "joint"]
     assert all(e.l_r == 0.0 and e.masked_edges == 0 for e in history.epochs)
     assert tensor_bytes(joint, None) == tensor_bytes(base, None)
 
 
-def test_pretrain_finetune_runs_reconstruction_then_ranking(data, teacher):
-    graph, split = data
+def test_pretrain_finetune_runs_reconstruction_then_ranking(data, gtens, teacher):
+    split = data[1]
     config = TrainConfig(**SMALL, paradigm="pretrain_finetune", pretrain_epochs=2, epochs=3)
-    _, _, history = train_model(config, split, graph, teacher)
+    _, _, history = train_model(config, split, gtens, teacher)
     assert [e.epoch for e in history.epochs] == [1, 2, 3, 4, 5]
     assert [e.phase for e in history.epochs] == ["pretrain"] * 2 + ["finetune"] * 3
     pretrain, finetune = history.epochs[:2], history.epochs[2:]
@@ -60,10 +67,10 @@ def test_pretrain_finetune_runs_reconstruction_then_ranking(data, teacher):
     assert all(e.l_r == 0.0 and e.l_main > 0.0 and e.masked_edges == 0 for e in finetune)
 
 
-def test_same_seed_trains_bit_identical_tensors_with_the_enhancer(data, teacher):
-    graph, split = data
+def test_same_seed_trains_bit_identical_tensors_with_the_enhancer(data, gtens, teacher):
+    split = data[1]
     config = TrainConfig(**SMALL, epochs=2)
-    (p1, e1, h1), (p2, e2, h2) = (train_model(config, split, graph, teacher) for _ in range(2))
+    (p1, e1, h1), (p2, e2, h2) = (train_model(config, split, gtens, teacher) for _ in range(2))
     assert e1 is not None
     assert tensor_bytes(p1, e1) == tensor_bytes(p2, e2)
     assert h1.totals() == h2.totals()
@@ -77,7 +84,8 @@ def test_minibatches_lose_as_much_as_with_every_row(data, monkeypatch, meta_mode
     graph, _ = data
     split = segment(graph, 5, 5, 5, 0.1)  # warm nodes of every kind to reconstruct
     config = TrainConfig(**dict(SMALL, batch_size=8), epochs=1, meta_mode=meta_mode, enhancer=enhancer)
-    teacher = train_teacher(split, graph, config)
+    gtens = GraphTensors(make_training_graph(graph, split))
+    teacher = train_teacher(split, gtens, config)
     full, restricted = train.full_embeddings, []
 
     def spy(*args, **kwargs):
@@ -86,14 +94,37 @@ def test_minibatches_lose_as_much_as_with_every_row(data, monkeypatch, meta_mode
         return state
 
     monkeypatch.setattr(train, "full_embeddings", spy)
-    _, _, got = train_model(config, split, graph, teacher)
+    _, _, got = train_model(config, split, gtens, teacher)
     assert len(restricted) > 2 and all(restricted)
     monkeypatch.setattr(train, "full_embeddings", lambda *a, reads=None, **k: full(*a, **k))
-    _, _, want = train_model(config, split, graph, teacher)
+    _, _, want = train_model(config, split, gtens, teacher)
     for a, b in zip(got.epochs, want.epochs, strict=True):
         assert a.l_main > 0 and a.l_r > 0
         for part in ("l_main", "l_r", "total"):
             np.testing.assert_allclose(getattr(a, part), getattr(b, part), rtol=1e-5)
+
+
+def test_evaluation_in_training_equals_the_read_back(data, gtens, teacher):
+    """Evaluating on the training run's own GraphTensors gives, bit for bit,
+    what final_state gives after rebuilding the training graph from the
+    workspace's graph and split."""
+    graph, split = data
+    seen = []
+
+    def eval_fn(state):
+        seen.append(state.arrays())
+        m = evaluate(seen[-1], split)
+        return m.recall_at_k, m.ndcg_at_k
+
+    config = TrainConfig(**SMALL, epochs=2, eval_every=1)
+    params, enh, history = train_model(config, split, gtens, teacher, eval_fn=eval_fn)
+    assert enh is not None and len(seen) == 2
+    arrays = final_state(params, enh, graph, split).arrays()
+    m = evaluate(arrays, split)
+    assert (history.epochs[-1].recall, history.epochs[-1].ndcg) == (m.recall_at_k, m.ndcg_at_k)
+    assert m.evaluated > 0 and m.recall_at_k > 0
+    for kind, rows in arrays.items():
+        assert rows.tobytes() == seen[-1][kind].tobytes()
 
 
 def test_the_package_keeps_the_train_module():
@@ -102,12 +133,12 @@ def test_the_package_keeps_the_train_module():
 
 
 @pytest.mark.parametrize("paradigm", ["joint", "pretrain_finetune"])
-def test_float32_steps_never_upcast(data, teacher, monkeypatch, paradigm):
+def test_float32_steps_never_upcast(data, gtens, teacher, monkeypatch, paradigm):
     """An enhancer warm-up step, then a joint full-batch step with the
     enhancer, or a pretrain and a finetune step, all stay float32: every
     tape record's output, every gradient backward returns and every Adam
     moment.  The teacher table is float64 and read as float32."""
-    graph, split = data
+    split = data[1]
     dtypes, steps = set(), []
     backward, step = ad.Tape.backward, AdamState.step
 
@@ -127,7 +158,7 @@ def test_float32_steps_never_upcast(data, teacher, monkeypatch, paradigm):
     monkeypatch.setattr(AdamState, "step", checked_step)
     config = replace(TrainConfig(**SMALL), warmup_epochs=1, paradigm=paradigm, pretrain_epochs=1, epochs=1)
     assert all(rows.dtype == np.float64 for rows in teacher.rows.values())
-    params, enh, history = train_model(config, split, graph, teacher)
+    params, enh, history = train_model(config, split, gtens, teacher)
     assert dtypes == {np.dtype(np.float32)}
     assert all(t.data.dtype == np.float32 for t in params.tensors() + enh.tensors())
     # warm-up steps train the enhancer alone, the phases every tensor
@@ -135,11 +166,11 @@ def test_float32_steps_never_upcast(data, teacher, monkeypatch, paradigm):
     assert steps[0] == n_enh and steps[-len(history.epochs):] == [n_all] * len(history.epochs)
 
 
-def test_warmup_logs_its_curve_in_one_line(data, teacher, caplog):
-    graph, split = data
+def test_warmup_logs_its_curve_in_one_line(data, gtens, teacher, caplog):
+    split = data[1]
     config = replace(TrainConfig(**SMALL), warmup_epochs=3, epochs=1)
     with caplog.at_level("INFO", logger="coldgraph"):
-        train_model(config, split, graph, teacher)
+        train_model(config, split, gtens, teacher)
     lines = [r.getMessage() for r in caplog.records if "warm-up" in r.getMessage()]
     assert len(lines) == 1
     assert lines[0].startswith("warm-up: 3 epochs, loss ") and " -> " in lines[0]
