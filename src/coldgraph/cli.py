@@ -2,7 +2,7 @@
 
 Every command reads defaults, then an optional config file, then key=value
 overrides from the command line.  Exit codes: 0 success, 1 internal error,
-2 usage or missing input, 3 numeric divergence.
+2 usage or missing or unreadable input, 3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -345,6 +345,9 @@ def main(argv=None) -> int:
         return 3
     except (FileNotFoundError, TrainingDataError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as err:  # exists, unreadable
+        print(f"error: {err.strerror}: {err.filename}", file=sys.stderr)
         return 2
     except Exception as err:  # internal failure
         log.exception("internal error")

@@ -179,7 +179,7 @@ class IdMap:
 def _parse_edge_file(path: Path, with_ts: bool):
     rows = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading byte-order mark
     except FileNotFoundError:
         raise FileNotFoundError(f"missing edge file: {path}") from None
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -728,6 +728,10 @@ class SyntheticSpec:
             raise ValueError("bad timestamp range")
 
 
+# Cells (left rows x right nodes) drawn at once by generate_synthetic.
+_HIT_BLOCK_CELLS = 1 << 17
+
+
 def generate_synthetic(spec: SyntheticSpec) -> InteractionGraph:
     """Build a clustered bipartite graph with groups inheriting member clusters.
 
@@ -735,6 +739,12 @@ def generate_synthetic(spec: SyntheticSpec) -> InteractionGraph:
     interaction edge appears with ``intra_p`` inside a cluster and ``inter_p``
     across clusters.  Timestamps are uniform over the configured range and the
     whole construction is a pure function of the seed.
+
+    The UI and GI hits are drawn in blocks of whole rows, about
+    ``_HIT_BLOCK_CELLS`` cells each.  Consecutive draws of one generator equal
+    one draw of their stacked shape and leave it in the same state, so the
+    graph is the one a single dense n_left x n_right draw gives, while memory
+    stays at a block times n_right (plus the edges).
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -743,11 +753,18 @@ def generate_synthetic(spec: SyntheticSpec) -> InteractionGraph:
     group_cluster = np.arange(spec.n_groups) % spec.n_clusters
 
     def bipartite(left_cluster, right_cluster, left_scale=None):
-        same = left_cluster[:, None] == right_cluster[None, :]
-        prob = np.where(same, spec.intra_p, spec.inter_p)
-        if left_scale is not None:
-            prob = prob * left_scale[:, None]
-        return np.argwhere(rng.random(prob.shape) < prob)
+        step = max(1, _HIT_BLOCK_CELLS // right_cluster.size)
+        blocks = []
+        for lo in range(0, left_cluster.size, step):
+            rows = slice(lo, lo + step)
+            same = left_cluster[rows, None] == right_cluster[None, :]
+            prob = np.where(same, spec.intra_p, spec.inter_p)
+            if left_scale is not None:
+                prob = prob * left_scale[rows, None]
+            hits = np.argwhere(rng.random(prob.shape) < prob)
+            hits[:, 0] += lo
+            blocks.append(hits)
+        return np.concatenate(blocks)
 
     ui = bipartite(user_cluster, item_cluster)
     occasional = rng.random(spec.n_groups) < spec.occasional_fraction

@@ -5,7 +5,9 @@ these functions do the same one node or one sampled tree at a time, the
 way the paper states the recursion, so the batched code can be checked
 against them value for value and gradient for gradient.  Likewise the
 tuple-relation graph code at the end walks edges one at a time where
-``coldgraph.graph`` works on edge arrays.
+``coldgraph.graph`` works on edge arrays, and the synthetic generator draws
+each relation's hits in one dense array where ``coldgraph.graph`` draws
+blocks of rows.
 """
 
 import math
@@ -28,6 +30,8 @@ from coldgraph.graph import (
     RELATIONS_BY_KIND,
     TIMESTAMPED_RELATIONS,
     EvalSplit,
+    InteractionGraph,
+    SyntheticSpec,
 )
 from coldgraph.model import CHANNELS_BY_KIND
 from coldgraph.reconstruction import GroundTruthTable
@@ -1046,3 +1050,45 @@ def make_training_graph(graph: TupleGraph, split: TupleSplit) -> TupleGraph:
         out_edges[rel] = tuple(e for e, _ in kept)
         out_ts[rel] = tuple(t for _, t in kept)
     return tuple_graph(graph.counts, out_edges, out_ts)
+
+
+def generate_synthetic_dense(spec: SyntheticSpec) -> InteractionGraph:
+    """``coldgraph.graph.generate_synthetic`` with each relation's hits drawn
+    in one dense n_left x n_right array."""
+    spec.validate()
+    rng = np.random.default_rng(spec.seed)
+    user_cluster = np.arange(spec.n_users) % spec.n_clusters
+    item_cluster = np.arange(spec.n_items) % spec.n_clusters
+    group_cluster = np.arange(spec.n_groups) % spec.n_clusters
+
+    def bipartite(left_cluster, right_cluster, left_scale=None):
+        same = left_cluster[:, None] == right_cluster[None, :]
+        prob = np.where(same, spec.intra_p, spec.inter_p)
+        if left_scale is not None:
+            prob = prob * left_scale[:, None]
+        return np.argwhere(rng.random(prob.shape) < prob)
+
+    ui = bipartite(user_cluster, item_cluster)
+    occasional = rng.random(spec.n_groups) < spec.occasional_fraction
+    group_scale = np.where(occasional, spec.occasional_scale, 1.0)
+    gi = bipartite(group_cluster, item_cluster, group_scale)
+
+    gu = []
+    for g in range(spec.n_groups):
+        pool = np.flatnonzero(user_cluster == group_cluster[g])
+        size = int(rng.integers(spec.group_size_min, spec.group_size_max + 1))
+        if size > pool.size:
+            raise ValueError(
+                f"group size {size} infeasible: cluster {group_cluster[g]} has {pool.size} users"
+            )
+        members = rng.choice(pool, size=size, replace=False)
+        gu.extend((g, int(u)) for u in sorted(members))
+
+    def stamps(n):
+        return rng.integers(spec.ts_min, spec.ts_max + 1, size=n)
+
+    return InteractionGraph(
+        {"user": spec.n_users, "item": spec.n_items, "group": spec.n_groups},
+        {"UI": ui, "GI": gi, "GU": gu},
+        {"UI": stamps(len(ui)), "GI": stamps(len(gi))},
+    )

@@ -380,6 +380,27 @@ def test_report_on_malformed_run_files_exits_2(scratch_workspace, tmp_path, caps
     assert str(ws / name) in err and message in err and "internal error" not in err
 
 
+def test_edge_file_that_is_a_directory_exits_2(scratch_workspace, capsys):
+    ws, args = scratch_workspace
+    data = ws / "data"
+    (data / "user_item.tsv").unlink()
+    (data / "user_item.tsv").mkdir()
+    capsys.readouterr()
+    assert cli.main(["prepare", "--out", str(ws), *args, f"data_dir={data}"]) == 2
+    err = capsys.readouterr().err
+    assert str(data / "user_item.tsv") in err and "internal error" not in err
+
+
+def test_graph_cache_that_is_a_file_exits_2(scratch_workspace, capsys):
+    ws, args = scratch_workspace
+    shutil.rmtree(ws / "graph")
+    (ws / "graph").write_text("")
+    capsys.readouterr()
+    assert cli.main(["train", "--out", str(ws), *args, *PLAIN]) == 2
+    err = capsys.readouterr().err
+    assert str(ws / "graph" / "counts.tsv") in err and "internal error" not in err
+
+
 def test_empty_warm_sets_exit_2(tmp_path, capsys):
     # with n_g, n_u and n_i above every node's degree no node is warm
     small = ["synth_users=40", "synth_items=30", "synth_groups=20", "n_g=1000", "n_u=1000", "n_i=1000"]

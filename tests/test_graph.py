@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coldgraph import graph as graph_module
 from coldgraph.graph import (
     COLD_ANCHOR_KEEP,
     COLD_ITEM_KEEP,
@@ -21,7 +24,15 @@ from coldgraph.graph import (
     stats_summary,
     write_split_manifest,
 )
-from oracles import as_lists, assert_same_split, dict_trees, neighbors, read_id_map, tuple_split
+from oracles import (
+    as_lists,
+    assert_same_split,
+    dict_trees,
+    generate_synthetic_dense,
+    neighbors,
+    read_id_map,
+    tuple_split,
+)
 
 
 def degree(graph, rel, kind, index):
@@ -62,6 +73,20 @@ class TestLoadEdges:
             tmp_path / "user_item.tsv", tmp_path / "group_item.tsv", tmp_path / "group_user.tsv"
         )
         assert graph.num_edges("UI") == 2
+
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path):
+        bom = "\ufeff"
+        (tmp_path / "user_item.tsv").write_text(bom + "u1\ti1\t10\nu1\ti2\t11\n", encoding="utf-8")
+        (tmp_path / "group_item.tsv").write_text(bom + "# header\ng1\ti2\t12\n", encoding="utf-8")
+        (tmp_path / "group_user.tsv").write_text(bom + "g1\tu1\n", encoding="utf-8")
+        graph, ids = load_edges(
+            tmp_path / "user_item.tsv", tmp_path / "group_item.tsv", tmp_path / "group_user.tsv"
+        )
+        assert ids.forward["user"] == {"u1": 0}
+        assert ids.forward["group"] == {"g1": 0}
+        assert graph.counts == {"user": 1, "item": 2, "group": 1}
+        assert degree(graph, "UI", "user", 0) == 2
+        assert degree(graph, "GU", "user", 0) == 1
 
     def test_malformed_row_reports_line(self, tmp_path):
         (tmp_path / "user_item.tsv").write_text("u1\ti1\nu2\n")
@@ -396,6 +421,26 @@ class TestSampleEpisode:
             sample_episode(g, "user", [0, 99], k=1, depth=1, seed=0)
 
 
+# the benchmark's x1 and x4 specs (perfbench/spec.py), and a spec where most
+# groups are occasional
+BENCH_X1 = SyntheticSpec(occasional_fraction=0.5, occasional_scale=0.1)
+BENCH_X4 = SyntheticSpec(n_users=800, n_items=1200, n_groups=320, intra_p=0.15 / 4,
+                         inter_p=0.01 / 4, occasional_fraction=0.5, occasional_scale=0.1)
+OCCASIONAL = SyntheticSpec(n_users=90, n_items=70, n_groups=45, n_clusters=3, intra_p=0.3,
+                           inter_p=0.05, occasional_fraction=0.8, occasional_scale=0.2,
+                           ts_min=10, ts_max=20)
+
+
+def assert_same_graph(got, want):
+    assert got.counts == want.counts
+    for rel in want.edges:
+        np.testing.assert_array_equal(got.edges[rel], want.edges[rel], err_msg=rel)
+        if want.timestamps[rel] is None:
+            assert got.timestamps[rel] is None, rel
+        else:
+            np.testing.assert_array_equal(got.timestamps[rel], want.timestamps[rel], err_msg=rel)
+
+
 class TestGenerateSynthetic:
     def test_pure_clusters_have_no_cross_edges(self):
         spec = SyntheticSpec(n_users=20, n_items=20, n_groups=6, n_clusters=2,
@@ -429,6 +474,42 @@ class TestGenerateSynthetic:
                              group_size_min=2, group_size_max=5, seed=0)
         with pytest.raises(ValueError, match="infeasible"):
             generate_synthetic(spec)
+
+    @pytest.mark.parametrize("seed", [0, 3, 4242])
+    @pytest.mark.parametrize("spec", [BENCH_X1, BENCH_X4, OCCASIONAL, SyntheticSpec()],
+                             ids=["bench-x1", "bench-x4", "occasional", "default"])
+    def test_row_blocks_equal_one_dense_draw(self, spec, seed):
+        spec = dataclasses.replace(spec, seed=seed)
+        assert_same_graph(generate_synthetic(spec), generate_synthetic_dense(spec))
+
+    @pytest.mark.parametrize(
+        "cells",
+        [70 * 4, 1, 70 * 90],
+        ids=["remainder", "one-row", "every-row"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_any_block_size_equals_one_dense_draw(self, monkeypatch, cells, seed):
+        # OCCASIONAL has 70 items: blocks of 4 rows leave 2 of its 90 users
+        # and 1 of its 45 groups, 1 cell makes one row a block, and 90 rows
+        # take every row at once
+        spec = dataclasses.replace(OCCASIONAL, seed=seed)
+        want = generate_synthetic_dense(spec)
+        monkeypatch.setattr(graph_module, "_HIT_BLOCK_CELLS", cells)
+        assert_same_graph(generate_synthetic(spec), want)
+
+    def test_memory_grows_with_a_block_not_with_the_grid(self):
+        # x10 of the benchmark: one dense draw held two 6M-cell float64
+        # arrays (103 MB at its peak); a block holds about 2**17 cells
+        spec = SyntheticSpec(n_users=2000, n_items=3000, n_groups=800, intra_p=0.015,
+                             inter_p=0.001, occasional_fraction=0.5, occasional_scale=0.1, seed=5)
+        tracemalloc.start()
+        try:
+            g = generate_synthetic(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.num_edges("UI") > 20_000
+        assert peak < 8 * 2**20, peak
 
     def test_timestamps_in_range(self):
         spec = SyntheticSpec(n_users=20, n_items=20, n_groups=5, n_clusters=2,
