@@ -13,7 +13,9 @@ float (``scale``).  The one sparse operand is the constant operator of
 differentiated.  The segment ops (``sum_consecutive``, ``softmax`` over
 segments, ``segment_attention``) take either one segment length or a list
 of (length, count) runs of consecutive equal-length segments, so a ragged
-grouping is one tape record however many lengths it holds.  Every
+grouping is one tape record however many lengths it holds;
+``segment_attention`` can also gather its rows from (n, d) tables by
+``cols``, keeping only its attention probabilities for backward.  Every
 operation records its backward rule onto the innermost active
 :class:`Tape` whenever at least one input is differentiable, so a forward
 pass run outside of any tape is plain numpy with zero overhead.  The
@@ -28,6 +30,8 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .sparse import SparseOperator
 
 __all__ = [
     "Tensor",
@@ -493,48 +497,78 @@ def softmax(a: Tensor, block=None) -> Tensor:
     return _emit(s.reshape(a.shape), (a,), vjp)
 
 
-def segment_attention(q: Tensor, k: Tensor, v: Tensor, block) -> Tensor:
-    """Scaled dot-product self-attention inside consecutive row segments.
+def _repeat_sums(idx: np.ndarray, n: int) -> tuple[np.ndarray, SparseOperator | None]:
+    """The distinct rows of ``idx`` (all below n) and the operator that sums
+    a (len(idx), d) array's rows into them, built on one sort of ``idx``;
+    ``idx`` itself and None when no row repeats."""
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
+    rows = np.flatnonzero(seen)
+    if rows.size == idx.size:
+        return idx, None
+    m = idx.size
+    return rows, SparseOperator(np.searchsorted(rows, idx), np.arange(m), np.ones(m), (rows.size, m))
 
-    ``q``, ``k`` and ``v`` are (rows, d) matrices cut into segments by
-    ``block``: one segment length, or (m, count) runs of ``count``
-    consecutive m-row segments.  Output row i of segment S is
-    ``softmax(q_i . K_S^T / sqrt(d)) V_S``: every row attends to the rows
-    of its own segment only.  Each run is one batched ``np.matmul`` over a
-    (count, m, d) view, so the scores take rows*m floats.
+
+def segment_attention(q: Tensor, k: Tensor, v: Tensor, block, cols=None) -> Tensor:
+    """Scaled dot-product self-attention inside segments of rows.
+
+    ``q``, ``k`` and ``v`` are (rows, d) matrices cut into consecutive
+    segments by ``block``: one segment length, or (m, count) runs of
+    ``count`` consecutive m-row segments.  With ``cols`` they are (n, d)
+    tables instead, and the segments cut their rows ``cols``.  Output row i
+    of segment S is ``softmax(q_i . K_S^T / sqrt(d)) V_S``: every row
+    attends to the rows of its own segment only.  Each run is one batched
+    ``np.matmul`` over (count, m, d) rows, so the scores take rows*m floats.
+    The tape keeps only those probabilities: backward reads (with ``cols``,
+    gathers) each run's rows again, and adds the gradients of a run that
+    repeats a table row through one :class:`SparseOperator` of its cols.
     """
     for t in (q, k, v):
         _check_2d(t, "segment_attention")
     if not (q.shape == k.shape == v.shape):
         raise ValueError(f"segment_attention shape mismatch: {q.shape}, {k.shape}, {v.shape}")
-    rows, d = q.shape
+    n, d = q.shape
+    if cols is not None:
+        cols = np.asarray(cols, dtype=np.intp)
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            raise IndexError(f"segment_attention cols out of range for tables with {n} rows")
+    rows = n if cols is None else cols.size
     runs = _runs(block, rows)
     c = 1.0 / math.sqrt(d)
-    views, attns = [], []
+
+    def run_rows(start, m, count):
+        idx = slice(start, start + m * count) if cols is None else cols[start : start + m * count]
+        return idx, [t.data[idx].reshape(count, m, d) for t in (q, k, v)]
+
+    attns = []
     out = np.empty((rows, d), q.data.dtype)
     for start, m, count in runs:
-        q3, k3, v3 = (t.data[start : start + m * count].reshape(count, m, d) for t in (q, k, v))
+        _, (q3, k3, v3) = run_rows(start, m, count)
         scores = np.matmul(q3, k3.transpose(0, 2, 1)) * c
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         attn = e / e.sum(axis=-1, keepdims=True)
         out[start : start + m * count] = np.matmul(attn, v3).reshape(-1, d)
-        views.append((q3, k3, v3))
         attns.append(attn)
 
     def vjp(g):
-        grads = [np.empty((rows, d), g.dtype) if t.requires_grad else None for t in (q, k, v)]
-        gq, gk, gv = grads
-        for (start, m, count), (q3, k3, v3), attn in zip(runs, views, attns):
-            sl = slice(start, start + m * count)
-            g3 = g[sl].reshape(count, m, d)
+        alloc = np.empty if cols is None else np.zeros
+        grads = [alloc((n, d), g.dtype) if t.requires_grad else None for t in (q, k, v)]
+        for (start, m, count), attn in zip(runs, attns):
+            idx, (q3, k3, v3) = run_rows(start, m, count)
+            g3 = g[start : start + m * count].reshape(count, m, d)
             ga = np.matmul(g3, v3.transpose(0, 2, 1))
             gs = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True)) * c
-            if gq is not None:
-                gq[sl] = np.matmul(gs, k3).reshape(-1, d)
-            if gk is not None:
-                gk[sl] = np.matmul(gs.transpose(0, 2, 1), q3).reshape(-1, d)
-            if gv is not None:
-                gv[sl] = np.matmul(attn.transpose(0, 2, 1), g3).reshape(-1, d)
+            dest, sums = (idx, None) if cols is None else _repeat_sums(idx, n)
+            factors = ((gs, k3), (gs.transpose(0, 2, 1), q3), (attn.transpose(0, 2, 1), g3))
+            for grad, (a, b) in zip(grads, factors):
+                if grad is None:
+                    continue
+                part = np.matmul(a, b).reshape(-1, d)
+                if cols is None:
+                    grad[idx] = part
+                else:
+                    grad[dest] += part if sums is None else sums.dot(part)
         return tuple(grads)
 
     return _emit(out, (q, k, v), vjp)

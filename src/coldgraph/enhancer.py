@@ -11,18 +11,22 @@ quantity trained against ground-truth embeddings.
 One stacked pass serves every caller.  The user, item and group tables
 are stacked into one, and one :class:`model.DegreePlan` cuts the neighbor
 rows of every (relation, target) pair into a segment whose mean is row
-``r n + t`` of channel-major (R n, d) means: one gather, the three
-projections, one :func:`autodiff.segment_attention` and one placed
+``r n + t`` of channel-major (R n, d) means: the three projections, one
+:func:`autodiff.segment_attention` and one placed
 :func:`autodiff.sum_consecutive` give every relation's metas.  The
 targets are an episode batch's sampled first-order neighborhoods
-(:func:`episode_metas`) or every node's complete neighborhood
-(:func:`full_meta_matrices`).  The warm-up (:func:`train_enhancer`) lays
-its episodes out once, pools the group-GU segments into the
-member-aggregate channel (:func:`model.attention_pool`) and fuses the
-targets of every kind in one :func:`autodiff.attention_fusion`: fusion
-weights are per channel, and each row fuses the channels it has.  The
-warm-up and the pretext task score predictions with the same batched
-:func:`reconstruction_costs`.
+(:func:`episode_metas`), whose rows are gathered once and then projected,
+since a batch reads fewer rows than the table holds; or every node's
+complete neighborhood (:func:`full_meta_matrices`), which projects the
+whole table and lets the attention gather its rows from the three
+projected tables by ``plan.cols``, so no gathered q/k/v rows are kept
+for backward, only the attention probabilities.  The warm-up
+(:func:`train_enhancer`) lays its episodes out once, pools the group-GU
+segments into the member-aggregate channel (:func:`model.attention_pool`)
+and fuses the targets of every kind in one
+:func:`autodiff.attention_fusion`: fusion weights are per channel, and
+each row fuses the channels it has.  The warm-up and the pretext task
+score predictions with the same batched :func:`reconstruction_costs`.
 """
 
 from __future__ import annotations
@@ -112,24 +116,16 @@ def _first_order(pairs, offset) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(sizes), np.concatenate(cols)
 
 
-def _smoothed_means(
-    table: Tensor, plan: DegreePlan, params: EnhancerParams, project_first: bool = False
-) -> tuple[Tensor, Tensor]:
+def _smoothed_means(table: Tensor, plan: DegreePlan, params: EnhancerParams) -> tuple[Tensor, Tensor]:
     """The neighbor rows (rows of ``table``) of every segment of ``plan``
     smoothed by self-attention, in ``plan.cols`` order, and the segment
     means placed in a (plan.n, d) matrix, zero rows for targets without one.
 
     Gathers, then projects: an episode batch gathers fewer rows than the
-    table holds, and a constant table puts no gather on the tape.  With
-    ``project_first`` it gathers the rows of the projected table instead.
+    table holds, and a constant table puts no gather on the tape.
     """
-    w = (params.wq, params.wk, params.wv)
-    if project_first:
-        qkv = [ad.gather_rows(ad.matmul(table, wi), plan.cols) for wi in w]
-    else:
-        x = ad.gather_rows(table, plan.cols)
-        qkv = [ad.matmul(x, wi) for wi in w]
-    smoothed = ad.segment_attention(*qkv, plan.runs)
+    x = ad.gather_rows(table, plan.cols)
+    smoothed = ad.segment_attention(*(ad.matmul(x, w) for w in (params.wq, params.wk, params.wv)), plan.runs)
     return smoothed, ad.sum_consecutive(smoothed, plan.runs, plan.targets, plan.n, mean=True)
 
 
@@ -167,7 +163,9 @@ def full_meta_matrices(
     """
     table, offset = _stacked_table(tables)
     plan = gtens.neighbor_plan([(rel, kind) for kind, rel in _PAIRS], offset)
-    _, means = _smoothed_means(table, plan, params, project_first=True)
+    qkv = (ad.matmul(table, w) for w in (params.wq, params.wk, params.wv))
+    smoothed = ad.segment_attention(*qkv, plan.runs, plan.cols)
+    means = ad.sum_consecutive(smoothed, plan.runs, plan.targets, plan.n, mean=True)
     out, lo = {}, 0
     for kind, rel in _PAIRS:
         out[(kind, rel)] = row_block(means, lo, lo + gtens.graph.counts[kind])

@@ -4,9 +4,9 @@ Evaluation follows the cold-start protocol: each cold group is embedded from
 its few training-time edges only, ranks the full item catalogue minus those
 training positives, and is scored against its held-out test items with
 Recall@k and binary-relevance NDCG@k.  All anchors of a kind are ranked at
-once: one score matrix, the training positives masked to -inf, one stable
-argsort (equal scores keep the lower item index first), and the metrics
-from the matrix of hits.
+once: one score matrix, the training positives masked to -inf, each row's
+top k by one partial selection and a stable sort of those k (equal scores
+keep the lower item index first), and the metrics from the matrix of hits.
 """
 
 from __future__ import annotations
@@ -51,6 +51,23 @@ def _anchor_matrix(anchors: np.ndarray, edges: np.ndarray, n_items: int) -> np.n
     return out
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k highest scores, highest first and
+    equal scores by ascending column: ``np.argsort(-scores, axis=1,
+    kind="stable")[:, :k]`` without sorting whole rows."""
+    if k < scores.shape[1]:
+        neg = -scores  # the argsort's order, NaN last; one copy, partitioned in place
+        neg.partition(k - 1, axis=1)
+        kth = -neg[:, k - 1, None]  # each row's k-th highest score
+        del neg
+        if not np.isnan(kth).any():  # only a row short of k numbers ranks a NaN
+            rows, cols = np.nonzero(scores >= kth)  # the top k and any ties at the k-th
+            order = np.lexsort((cols, -scores[rows, cols], rows))  # rows already ascend
+            rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+            return cols[order][rank < k].reshape(-1, k)
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+
+
 def evaluate(
     arrays: Mapping[str, np.ndarray],
     split: EvalSplit,
@@ -81,7 +98,7 @@ def evaluate(
         seen = _anchor_matrix(anchors, split.train_n[rel], items.shape[0])
         scores = arrays[kind][anchors] @ items.T
         scores[seen] = -np.inf
-        top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        top = _top_k(scores, k)
         relevant = _anchor_matrix(anchors, test, items.shape[0]) & ~seen
         hits = np.take_along_axis(relevant, top, axis=1)
         recall = hits.sum(axis=1) / n_test

@@ -112,11 +112,12 @@ class TrainConfig:
     report_ssl_dir: str = ""
 
     def validate(self) -> None:
-        positive = ("d", "L", "K", "learning_rate", "batch_size", "epochs", "teacher_epochs")
+        positive = ("d", "L", "K", "learning_rate", "batch_size", "epochs", "teacher_epochs", "eval_k")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config {name} must be positive")
-        for name in ("lam", "lam1", "lam2", "c_u", "c_g", "n_g", "n_u", "n_i"):
+        counts = ("warmup_epochs", "warmup_targets", "ssl_targets", "eval_every", "checkpoint_every")
+        for name in ("lam", "lam1", "lam2", "c_u", "c_g", "n_g", "n_u", "n_i", *counts):
             if getattr(self, name) < 0:
                 raise ValueError(f"config {name} must be non-negative")
         if self.paradigm not in PARADIGMS:

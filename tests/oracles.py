@@ -20,7 +20,7 @@ import numpy as np
 
 from coldgraph import autodiff as ad
 from coldgraph import enhancer, model
-from coldgraph.autodiff import Tensor, _check_2d, _emit, _sigmoid
+from coldgraph.autodiff import Tensor, _check_2d, _emit, _runs, _sigmoid
 from coldgraph.graph import (
     COLD_ANCHOR_KEEP,
     COLD_ITEM_KEEP,
@@ -83,6 +83,48 @@ def log(a: Tensor) -> Tensor:
         return (g / a.data,)
 
     return _emit(np.log(a.data), (a,), vjp)
+
+
+def segment_attention_rows(q: Tensor, k: Tensor, v: Tensor, block) -> Tensor:
+    """``autodiff.segment_attention`` over rows gathered beforehand, as it
+    was before it could gather its own: ``q``, ``k`` and ``v`` are (rows, d)
+    matrices cut into consecutive segments by ``block``, and the tape keeps
+    every run's q, k and v rows along with its attention probabilities."""
+    for t in (q, k, v):
+        _check_2d(t, "segment_attention")
+    if not (q.shape == k.shape == v.shape):
+        raise ValueError(f"segment_attention shape mismatch: {q.shape}, {k.shape}, {v.shape}")
+    rows, d = q.shape
+    runs = _runs(block, rows)
+    c = 1.0 / math.sqrt(d)
+    views, attns = [], []
+    out = np.empty((rows, d), q.data.dtype)
+    for start, m, count in runs:
+        q3, k3, v3 = (t.data[start : start + m * count].reshape(count, m, d) for t in (q, k, v))
+        scores = np.matmul(q3, k3.transpose(0, 2, 1)) * c
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn = e / e.sum(axis=-1, keepdims=True)
+        out[start : start + m * count] = np.matmul(attn, v3).reshape(-1, d)
+        views.append((q3, k3, v3))
+        attns.append(attn)
+
+    def vjp(g):
+        grads = [np.empty((rows, d), g.dtype) if t.requires_grad else None for t in (q, k, v)]
+        gq, gk, gv = grads
+        for (start, m, count), (q3, k3, v3), attn in zip(runs, views, attns):
+            sl = slice(start, start + m * count)
+            g3 = g[sl].reshape(count, m, d)
+            ga = np.matmul(g3, v3.transpose(0, 2, 1))
+            gs = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True)) * c
+            if gq is not None:
+                gq[sl] = np.matmul(gs, k3).reshape(-1, d)
+            if gk is not None:
+                gk[sl] = np.matmul(gs.transpose(0, 2, 1), q3).reshape(-1, d)
+            if gv is not None:
+                gv[sl] = np.matmul(attn.transpose(0, 2, 1), g3).reshape(-1, d)
+        return tuple(grads)
+
+    return _emit(out, (q, k, v), vjp)
 
 
 class Node(NamedTuple):
@@ -319,7 +361,7 @@ def relation_metas_by_bucket(qkv, sizes, cols, d, member_score=None):
     buckets, inverse, isolated = degree_buckets(sizes, cols)
     means, pooled = [], []
     for m, flat in buckets:
-        smoothed = ad.segment_attention(*qkv(flat), m)
+        smoothed = segment_attention_rows(*qkv(flat), m)
         means.append(ad.scale(ad.sum_consecutive(smoothed, m), 1.0 / m))
         if member_score is not None:
             pooled.append(attention_pool_block(smoothed, m, member_score))
@@ -671,7 +713,7 @@ def projected_qkv(table, params):
 def relation_metas(qkv, plan, member_score=None):
     """Per-target smoothed-neighbor means over one relation, (n, d), and
     with ``member_score`` the attention-pooled smoothed neighbors."""
-    smoothed = ad.segment_attention(*qkv(plan.cols), plan.runs)
+    smoothed = segment_attention_rows(*qkv(plan.cols), plan.runs)
     means = ad.sum_consecutive(smoothed, plan.runs, plan.targets, plan.n, mean=True)
     if member_score is None:
         return means, None

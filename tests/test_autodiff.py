@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from coldgraph import autodiff as ad
 from coldgraph import enhancer
 from gradcheck import finite_diff_check
-from oracles import dedup_mean, log, sigmoid, sum_all, transpose
+from oracles import dedup_mean, log, segment_attention_rows, sigmoid, sum_all, transpose
 
 
 def rand(rng, *shape):
@@ -174,6 +174,7 @@ def _op_cases(rng):
     sr_m, sr_w = t(4, 3), t(4)
     op = dedup_mean(rng.integers(0, 4, 9), rng.integers(0, 5, 9), (4, 5))
     sa_q, sa_k, sa_v = t(6, 3), t(6, 3), t(6, 3)
+    sa_tables = [t(5, 3) for _ in range(3)]
     rows_a, rows_b = t(3, 4), t(3, 4)
     runs = [(1, 2), (2, 2)]
     sc_a, sm_v = t(6, 3), t(6)
@@ -210,6 +211,8 @@ def _op_cases(rng):
         ("cosine_rows", lambda p: ad.cosine_similarity(p[0], p[1]), [rows_a, rows_b]),
         ("segment_attention", lambda p: ad.segment_attention(*p, 3), [sa_q, sa_k, sa_v]),
         ("segment_attention_runs", lambda p: ad.segment_attention(*p, runs), [sa_q, sa_k, sa_v]),
+        # rows repeated within the second run and across both
+        ("segment_attention_cols", lambda p: ad.segment_attention(*p, runs, [4, 0, 4, 2, 1, 1]), sa_tables),
         ("sum_consecutive", lambda p: ad.sum_consecutive(p[0], 2), [sc_a]),
         ("sum_consecutive_placed", lambda p: ad.sum_consecutive(p[0], runs, [4, 0, 2, 1], 5, mean=True), [sc_a]),
         ("softmax_runs", lambda p: ad.softmax(p[0], runs), [sm_v]),
@@ -461,6 +464,83 @@ class TestSegmentAttention:
             lambda p: sum_all(ad.mul(ad.segment_attention(*p, 4), probe)), params, eps=1e-6
         )
         assert err < 1e-5
+
+
+class TestSegmentAttentionCols:
+    """The op with ``cols`` (it gathers its own rows) against the old op
+    over gathered rows (tests/oracles.py), and without ``cols`` against
+    that op bit for bit."""
+
+    runs_strategy = st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), min_size=1, max_size=4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(runs_strategy, st.integers(1, 9), st.integers(1, 5), st.integers(0, 10_000))
+    def test_matches_gathered_oracle(self, runs, n, d, seed):
+        # few table rows, so rows repeat within runs and across them
+        rng = np.random.default_rng(seed)
+        self._check(rng, runs, rng.integers(0, n, sum(m * c for m, c in runs)), n, d)
+
+    def test_blocks_of_one_and_a_run_without_repeats(self):
+        rng = np.random.default_rng(3)
+        self._check(rng, [(1, 5)], np.array([2, 0, 2, 4, 1]), 6, 3)
+        self._check(rng, [(1, 2), (3, 1)], np.array([5, 1, 0, 3, 2]), 6, 3)
+
+    def test_hub_run(self):
+        rng = np.random.default_rng(4)
+        runs = [(1, 3), (2, 1), (600, 1)]
+        self._check(rng, runs, rng.integers(0, 700, 605), 700, 8)
+
+    def test_empty_plan(self):
+        out, grads = self._check(np.random.default_rng(5), (), np.zeros(0, np.intp), 4, 3)
+        assert out.shape == (0, 3)
+        for g in grads:
+            np.testing.assert_array_equal(g, 0.0)
+
+    def test_cols_out_of_range(self):
+        x = ad.Tensor(np.ones((3, 2)))
+        with pytest.raises(IndexError, match="out of range"):
+            ad.segment_attention(x, x, x, 2, [0, 3])
+
+    @staticmethod
+    def _check(rng, runs, cols, n, d):
+        data = [rng.normal(scale=2.0, size=(n, d)) for _ in range(3)]
+        probe = ad.const(rng.normal(size=(cols.size, d)))
+        results = []
+        for gathers in (True, False):
+            xs = [ad.Tensor(x, requires_grad=True) for x in data]
+            with ad.Tape() as tape:
+                if gathers:
+                    out = ad.segment_attention(*xs, runs, cols)
+                else:
+                    out = segment_attention_rows(*(ad.gather_rows(x, cols) for x in xs), runs)
+                grads = tape.backward(sum_all(ad.mul(out, probe)), xs)
+            results.append((out.data, [grads[x] for x in xs]))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+        return got, got_grads
+
+    @settings(max_examples=40, deadline=None)
+    @given(runs_strategy, st.integers(1, 5), st.integers(0, 10_000))
+    def test_in_order_rows_are_bit_identical_in_float32(self, runs, d, seed):
+        rng = np.random.default_rng(seed)
+        rows = sum(m * c for m, c in runs)
+        data = [rng.normal(scale=2.0, size=(rows, d)).astype(np.float32) for _ in range(3)]
+        probe = ad.const(rng.normal(size=(rows, d)).astype(np.float32))
+        results = []
+        for fn in (ad.segment_attention, segment_attention_rows):
+            xs = [ad.Tensor(x, requires_grad=True) for x in data]
+            with ad.Tape() as tape:
+                out = fn(*xs, runs)
+                grads = tape.backward(sum_all(ad.mul(out, probe)), xs)
+            results.append((out.data, [grads[x] for x in xs]))
+        (got, got_grads), (want, want_grads) = results
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+        for g, w in zip(got_grads, want_grads):
+            assert g.dtype == np.float32
+            np.testing.assert_array_equal(g, w)
 
 
 def _per_run(xs, runs, fn):

@@ -231,6 +231,32 @@ def test_bad_config_values_exit_2(scratch_workspace, tmp_path, capsys, command, 
     assert err.startswith("error: ") and "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        (["eval_k=0"], "eval_k"),  # else train runs and only evaluate rejects it
+        (["eval_every=1", "eval_k=0"], "eval_k"),  # else an epoch trains first
+        (["warmup_epochs=-1"], "warmup_epochs"),  # else it reads as no warm-up
+        (["warmup_targets=-1"], "warmup_targets"),
+        (["ssl_targets=-1"], "ssl_targets"),
+        (["eval_every=-1"], "eval_every"),
+        (["checkpoint_every=-1"], "checkpoint_every"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+)
+def test_bad_train_values_exit_2_before_any_work(scratch_workspace, capsys, monkeypatch, overrides, key):
+    ws, args = scratch_workspace
+
+    def train_model(*_, **__):
+        raise AssertionError("trained with a bad config value")
+
+    monkeypatch.setattr(cli, "train_model", train_model)
+    capsys.readouterr()
+    assert cli.main(["train", "--out", str(ws), *args, *PLAIN, *overrides]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 def test_threads_knob_is_gone(workspace):
     ws, args = workspace
     with pytest.raises(SystemExit) as exit_info:

@@ -403,6 +403,28 @@ class TestGradients:
         # the row gathers of the old path needed 3 * hub**2 * d * 8 B ~ 550 MB
         assert peak < 64 * 2**20
 
+    def test_full_metas_peak_below_the_per_pair_path(self):
+        # 8.5k edges at d = 64 in float32: the per-pair path peaks near
+        # 28 MB and the stacked pass near 13 MB; a stacked pass that keeps
+        # gathered q/k/v rows and their gradients peaks near 35 MB
+        g = synthetic(7, n_users=100, n_items=150, n_groups=40)
+        gtens = GraphTensors(g)
+        model = init_model_params(g.counts, 64, "light", 1, True, np.random.default_rng(0))
+        enh = init_enhancer_params(64, np.random.default_rng(1))
+        peaks = []
+        for fn in (full_meta_matrices, full_meta_matrices_per_pair):
+            tracemalloc.start()
+            try:
+                with ad.Tape() as tape:
+                    metas = fn(gtens, model.table, enh)
+                    loss = sum_all(ad.concat([sum_all(m) for m in metas.values()]))
+                tape.backward(loss, model.tensors() + enh.tensors())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        bound = 20 * 2**20
+        assert peaks[0] < bound < peaks[1], [f"{p / 2**20:.1f} MB" for p in peaks]
+
 
 class TestRaggedRelationMetas:
     """One ragged forward over a plan against the per-degree-bucket loop."""

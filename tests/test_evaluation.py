@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldgraph.evaluation import evaluate
+from coldgraph.evaluation import _top_k, evaluate
 from oracles import eval_split, tuple_split
 
 RELATION = {"group": "GI", "user": "UI"}
@@ -94,6 +94,52 @@ def check(arrays, split, k, kinds=("group",)):
     assert metrics.recall_at_k == pytest.approx(np.mean([r[2] for r in want]), rel=0, abs=1e-12)
     assert metrics.ndcg_at_k == pytest.approx(np.mean([r[3] for r in want]), rel=0, abs=1e-12)
     return corners(arrays, split, k, kinds)
+
+
+def check_top_k(scores, k):
+    got = _top_k(scores.copy(), k)
+    np.testing.assert_array_equal(got, np.argsort(-scores, axis=1, kind="stable")[:, :k])
+
+
+class TestTopK:
+    """The partial top-k selection against a stable argsort of whole rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(1, 14), st.integers(0, 4), st.integers(0, 10_000))
+    def test_matches_stable_argsort(self, rows, cols, k, levels, seed):
+        # few distinct levels give heavy ties, also across the k-th place;
+        # -inf cells are the masked training items
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, levels, (rows, cols)).astype(float) if levels else rng.normal(size=(rows, cols))
+        scores[rng.random((rows, cols)) < 0.3] = -np.inf
+        check_top_k(scores, k)
+
+    def test_ties_across_the_kth_place(self):
+        scores = np.array([[1.0, 3.0, 2.0, 2.0, 0.0, 2.0, 2.0], [2.0] * 7])
+        for k in range(1, 8):
+            check_top_k(scores, k)
+
+    def test_rows_with_fewer_than_k_unseen_items(self):
+        scores = np.array([[-np.inf, 0.5, -np.inf, -np.inf, 0.5], [0.1, -np.inf, 0.3, 0.2, -np.inf]])
+        check_top_k(scores, 3)
+        check_top_k(np.full((2, 4), -np.inf), 2)
+
+    def test_k_at_or_beyond_the_item_count(self):
+        scores = np.array([[0.0, 2.0, 2.0, -np.inf], [1.0, 1.0, 0.0, 3.0]])
+        for k in (4, 5, 20):
+            check_top_k(scores, k)
+
+    def test_nan_scores_sort_last(self):
+        scores = np.array([[np.nan, 1.0, np.nan, 0.5, 2.0], [np.nan, np.nan, 1.0, np.nan, np.nan]])
+        for k in (1, 2, 3):
+            check_top_k(scores, k)
+
+    def test_large_rows(self):
+        rng = np.random.default_rng(7)
+        scores = np.round(rng.normal(size=(50, 3000)), 2)  # many ties among 3000 items
+        scores[rng.random(scores.shape) < 0.01] = -np.inf
+        for k in (1, 20, 150):
+            check_top_k(scores, k)
 
 
 def test_hand_computed_ranking_with_ties():
