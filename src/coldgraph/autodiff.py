@@ -21,10 +21,15 @@ operation records its backward rule onto the innermost active
 pass run outside of any tape is plain numpy with zero overhead.  The
 two-operand products (``matmul``, ``mul``, ``scale_rows``) skip the
 gradient of an operand that does not require one.
+
+A record holds tensor keys and a rule that closes over only the arrays
+its formula reads, so an intermediate lives while its caller or a rule
+holds it; :meth:`Tape.backward` frees each record as it runs it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from typing import Callable, Sequence
@@ -68,7 +73,7 @@ class Tensor:
     integer or boolean arrays) becomes float64.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "key")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -76,6 +81,7 @@ class Tensor:
         if self.data.ndim > 2:
             raise ValueError(f"tensors are at most 2-d, got shape {self.data.shape}")
         self.requires_grad = bool(requires_grad)
+        self.key = next(_KEYS)  # a serial: unlike id(), never reused
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -100,6 +106,7 @@ def const(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
+_KEYS = itertools.count()
 _STATE = threading.local()
 
 
@@ -119,13 +126,17 @@ def _active_tape() -> "Tape | None":
 class Tape:
     """Ordered record of operations for one reverse-mode sweep.
 
-    Records accumulate in creation order; :meth:`backward` walks them once in
-    reverse and may not be called again until :meth:`reset`.
+    Records accumulate in creation order.  Each is (output key, input keys,
+    rule), with None for an input that needs no gradient; the only tensors
+    the tape holds are its leaves, the differentiable inputs that no record
+    on it produced.  :meth:`backward` walks the records once in reverse,
+    popping each as it runs it, so a rule's arrays are freed once no earlier
+    record needs them and a finished tape holds nothing; it may not be
+    called again until :meth:`reset`.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
-        self._consumed = False
+        self.reset()
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -141,11 +152,16 @@ class Tape:
         return len(self._records)
 
     def reset(self) -> None:
-        self._records.clear()
+        self._records: list[tuple[int, tuple[int | None, ...], Callable]] = []
+        self._produced: set[int] = set()
+        self._leaves: dict[int, Tensor] = {}
         self._consumed = False
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
-        self._records.append((out, inputs, vjp))
+        keys = tuple(t.key if t.requires_grad else None for t in inputs)
+        self._leaves.update((k, t) for t, k in zip(inputs, keys) if k is not None and k not in self._produced)
+        self._produced.add(out.key)
+        self._records.append((out.key, keys, vjp))
 
     def backward(
         self, loss: Tensor, params: Sequence[Tensor] | None = None
@@ -163,26 +179,23 @@ class Tape:
         self._consumed = True
 
         # a 0-d float64 seed would upcast every gradient of a float32 loss
-        grads: dict[int, np.ndarray] = {id(loss): np.ones((), loss.data.dtype)}
-        produced = {id(out) for out, _, _ in self._records}
-        leaves: dict[int, Tensor] = {}
-        for out, inputs, vjp in reversed(self._records):
-            g = grads.pop(id(out), None)
+        grads: dict[int, np.ndarray] = {loss.key: np.ones((), loss.data.dtype)}
+        leaves, self._leaves, self._produced = self._leaves, {}, set()
+        while self._records:
+            out, inputs, vjp = self._records.pop()
+            g = grads.pop(out, None)
             if g is None:
                 continue
-            for t, gt in zip(inputs, vjp(g)):
-                if gt is None or not t.requires_grad:
+            for key, gt in zip(inputs, vjp(g)):
+                if gt is None or key is None:
                     continue
-                acc = grads.get(id(t))
-                grads[id(t)] = gt if acc is None else acc + gt
-                if id(t) not in produced:
-                    leaves[id(t)] = t
+                acc = grads.get(key)
+                grads[key] = gt if acc is None else acc + gt
 
         if params is not None:
-            return {
-                p: np.array(grads.get(id(p), np.zeros_like(p.data))) for p in params
-            }
-        return {t: np.array(grads[key]) for key, t in leaves.items()}
+            return {p: np.array(grads.get(p.key, np.zeros_like(p.data))) for p in params}
+        # leaves in the order they first got a gradient, as grads holds them
+        return {leaves[key]: np.array(g) for key, g in grads.items() if key in leaves}
 
 
 def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
@@ -217,7 +230,7 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
         raise IndexError(f"gather index out of range for table with {n} rows")
 
     def vjp(g):
-        gt = np.zeros(table.shape, g.dtype)
+        gt = np.zeros((n, g.shape[1]), g.dtype)
         if idx.size > 1 and np.bincount(idx).max() > 1:
             order = np.argsort(idx, kind="stable")
             sorted_idx = idx[order]
@@ -241,7 +254,7 @@ def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
             raise ValueError("stack_rows needs 1-d tensors of equal length")
 
     def vjp(g):
-        return tuple(g[i] for i in range(len(vecs)))
+        return tuple(g)
 
     return _emit(np.stack([v.data for v in vecs]), tuple(vecs), vjp)
 
@@ -255,7 +268,7 @@ def mean_rows(x: Tensor) -> Tensor:
         raise ValueError("mean_rows of an empty tensor")
 
     def vjp(g):
-        if x.ndim == 2:
+        if g.ndim == 1:  # the mean of (m, d) rows
             return (np.repeat(g[None, :] / m, m, axis=0),)
         return (np.full(m, g / m, g.dtype),)
 
@@ -268,17 +281,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul does not take scalars; use scale")
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    # each gradient reads the other operand: keep one only while it is read
+    x, y = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
+    ndims = (a.ndim, b.ndim)
 
     def vjp(g):
-        if a.ndim == 2 and b.ndim == 2:
-            ga, gb = (lambda: g @ b.data.T), (lambda: a.data.T @ g)
-        elif a.ndim == 1 and b.ndim == 2:
-            ga, gb = (lambda: b.data @ g), (lambda: np.outer(a.data, g))
-        elif a.ndim == 2 and b.ndim == 1:
-            ga, gb = (lambda: np.outer(g, b.data)), (lambda: a.data.T @ g)
+        if ndims == (2, 2):
+            ga, gb = (lambda: g @ y.T), (lambda: x.T @ g)
+        elif ndims == (1, 2):
+            ga, gb = (lambda: y @ g), (lambda: np.outer(x, g))
+        elif ndims == (2, 1):
+            ga, gb = (lambda: np.outer(g, y)), (lambda: x.T @ g)
         else:
-            ga, gb = (lambda: g * b.data), (lambda: g * a.data)
-        return (ga() if a.requires_grad else None, gb() if b.requires_grad else None)
+            ga, gb = (lambda: g * y), (lambda: g * x)
+        return (None if y is None else ga(), None if x is None else gb())
 
     return _emit(a.data @ b.data, (a, b), vjp)
 
@@ -312,12 +328,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of equally shaped tensors."""
     if a.shape != b.shape:
         raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
+    x, y = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
 
     def vjp(g):
-        return (
-            g * b.data if a.requires_grad else None,
-            g * a.data if b.requires_grad else None,
-        )
+        return (None if y is None else g * y, None if x is None else g * x)
 
     return _emit(a.data * b.data, (a, b), vjp)
 
@@ -333,12 +347,11 @@ def scale_rows(mat: Tensor, weights: Tensor) -> Tensor:
     _check_2d(mat, "scale_rows")
     if weights.ndim != 1 or weights.shape[0] != mat.shape[0]:
         raise ValueError(f"scale_rows shape mismatch: {mat.shape} vs {weights.shape}")
+    x = mat.data if weights.requires_grad else None
+    w = weights.data if mat.requires_grad else None
 
     def vjp(g):
-        return (
-            g * weights.data[:, None] if mat.requires_grad else None,
-            (g * mat.data).sum(axis=1) if weights.requires_grad else None,
-        )
+        return (None if w is None else g * w[:, None], None if x is None else (g * x).sum(axis=1))
 
     return _emit(mat.data * weights.data[:, None], (mat, weights), vjp)
 
@@ -362,12 +375,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ValueError("concat supports axis 0 or 1")
     sizes = [d.shape[axis] for d in datas]
     offsets = np.cumsum([0] + sizes)
+    shapes = [p.shape for p in parts]
 
     def vjp(g):
         outs = []
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        for shape, lo, hi in zip(shapes, offsets[:-1], offsets[1:]):
             piece = g[lo:hi] if axis == 0 else g[:, lo:hi]
-            outs.append(piece.reshape(p.shape))
+            outs.append(piece.reshape(shape))
         return tuple(outs)
 
     return _emit(np.concatenate(datas, axis=axis), tuple(parts), vjp)
@@ -377,9 +391,10 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Row-major reshape between 1-d and 2-d layouts."""
     if int(np.prod(shape)) != a.data.size:
         raise ValueError(f"cannot reshape {a.shape} into {shape}")
+    shape_in = a.shape
 
     def vjp(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(shape_in),)
 
     return _emit(a.data.reshape(shape), (a,), vjp)
 
@@ -456,9 +471,10 @@ def sum_consecutive(
 def row_sums(a: Tensor) -> Tensor:
     """Sum each row of a matrix: (m, n) -> (m,)."""
     _check_2d(a, "row_sums")
+    width = a.shape[1]
 
     def vjp(g):
-        return (np.repeat(g[:, None], a.shape[1], axis=1),)
+        return (np.repeat(g[:, None], width, axis=1),)
 
     return _emit(a.data.sum(axis=1), (a,), vjp)
 
@@ -484,6 +500,7 @@ def softmax(a: Tensor, block=None) -> Tensor:
         xs = x[start : start + m * count].reshape(count, m)
         e = np.exp(xs - xs.max(axis=-1, keepdims=True))
         s[start : start + m * count] = (e / e.sum(axis=-1, keepdims=True)).reshape(-1)
+    shape = a.shape
 
     def vjp(g):
         g = g.reshape(-1)
@@ -492,9 +509,9 @@ def softmax(a: Tensor, block=None) -> Tensor:
             sl = slice(start, start + m * count)
             gs, ss = g[sl].reshape(count, m), s[sl].reshape(count, m)
             ga[sl] = (ss * (gs - (gs * ss).sum(axis=-1, keepdims=True))).reshape(-1)
-        return (ga.reshape(a.shape),)
+        return (ga.reshape(shape),)
 
-    return _emit(s.reshape(a.shape), (a,), vjp)
+    return _emit(s.reshape(shape), (a,), vjp)
 
 
 def _repeat_sums(idx: np.ndarray, n: int) -> tuple[np.ndarray, SparseOperator | None]:
@@ -536,10 +553,11 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, block, cols=None) -> Tens
     rows = n if cols is None else cols.size
     runs = _runs(block, rows)
     c = 1.0 / math.sqrt(d)
+    tables, needs = [t.data for t in (q, k, v)], [t.requires_grad for t in (q, k, v)]
 
     def run_rows(start, m, count):
         idx = slice(start, start + m * count) if cols is None else cols[start : start + m * count]
-        return idx, [t.data[idx].reshape(count, m, d) for t in (q, k, v)]
+        return idx, [t[idx].reshape(count, m, d) for t in tables]
 
     attns = []
     out = np.empty((rows, d), q.data.dtype)
@@ -553,7 +571,7 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, block, cols=None) -> Tens
 
     def vjp(g):
         alloc = np.empty if cols is None else np.zeros
-        grads = [alloc((n, d), g.dtype) if t.requires_grad else None for t in (q, k, v)]
+        grads = [alloc((n, d), g.dtype) if need else None for need in needs]
         for (start, m, count), attn in zip(runs, attns):
             idx, (q3, k3, v3) = run_rows(start, m, count)
             g3 = g[start : start + m * count].reshape(count, m, d)
@@ -624,23 +642,26 @@ def attention_fusion(
     out[none] = e0.data[none]
     tracked = [b.requires_grad for b, k in zip(blocks, counts) for _ in range(k)]
     bounds = np.cumsum([0] + counts)
+    # backward reads the channels only for the logits of two or more, a weight for its width
+    mats, e0_needs = (mats if len(mats) > 1 else None), e0.requires_grad
+    widths = [w.shape[1] if w.requires_grad else None for w in weights]
 
     def vjp(g):
-        g_mats = [attn[:, j : j + 1] * g if tracked[j] else None for j in range(len(mats))]
-        g_weights = [None] * len(weights)
-        if len(mats) > 1:
+        g_mats = [attn[:, j : j + 1] * g if t else None for j, t in enumerate(tracked)]
+        g_weights = [None] * len(widths)
+        if mats is not None:
             ds = np.stack([(g * m).sum(axis=1) for m in mats], axis=1)
             gl = attn * (ds - (attn * ds).sum(axis=1, keepdims=True))
-            for j, (m, w) in enumerate(zip(mats, weights)):
+            for j, (m, width) in enumerate(zip(mats, widths)):
                 if g_mats[j] is not None:
                     g_mats[j] += gl[:, j : j + 1] * u[j]
-                if w.requires_grad:
-                    g_weights[j] = np.repeat((m.T @ gl[:, j])[:, None], w.shape[1], axis=1)
+                if width is not None:
+                    g_weights[j] = np.repeat((m.T @ gl[:, j])[:, None], width, axis=1)
         g_blocks = [
-            None if not b.requires_grad else g_mats[lo] if hi - lo == 1 else np.concatenate(g_mats[lo:hi])
-            for b, lo, hi in zip(blocks, bounds[:-1], bounds[1:])
+            None if not tracked[lo] else g_mats[lo] if hi - lo == 1 else np.concatenate(g_mats[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
-        g_e0 = np.where(none[:, None], g, 0.0) if e0.requires_grad else None
+        g_e0 = np.where(none[:, None], g, 0.0) if e0_needs else None
         return (*g_blocks, *g_weights, g_e0)
 
     return _emit(out, (*blocks, *weights, e0), vjp)
@@ -711,4 +732,5 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
 
 
 def sum_squares(a: Tensor) -> Tensor:
-    return _emit(np.asarray((a.data ** 2).sum()), (a,), lambda g: (2.0 * a.data * g,))
+    x = a.data
+    return _emit(np.asarray((x ** 2).sum()), (a,), lambda g: (2.0 * x * g,))

@@ -52,7 +52,7 @@ def as_float64(*params):
 
 
 # ---------------------------------------------------------------------------
-# autodiff ops that only the tests use
+# autodiff ops and the tape that only the tests use
 # ---------------------------------------------------------------------------
 
 
@@ -63,7 +63,8 @@ def transpose(a: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     """Sum of every element, producing a scalar."""
-    return _emit(np.asarray(a.data.sum()), (a,), lambda g: (np.full(a.shape, g, g.dtype),))
+    shape = a.shape
+    return _emit(np.asarray(a.data.sum()), (a,), lambda g: (np.full(shape, g, g.dtype),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -125,6 +126,46 @@ def segment_attention_rows(q: Tensor, k: Tensor, v: Tensor, block) -> Tensor:
         return tuple(grads)
 
     return _emit(out, (q, k, v), vjp)
+
+
+class RecordingTape(ad.Tape):
+    """``autodiff.Tape`` as it was before it kept only keys: every record
+    holds its output and input tensors until :meth:`backward` ends, and a
+    tensor is named by its ``id()``, which cannot be reused while the tape
+    holds it.  The equivalence tests run training steps under both tapes."""
+
+    def reset(self) -> None:
+        self._records: list = []
+        self._consumed = False
+
+    def _record(self, out, inputs, vjp) -> None:
+        self._records.append((out, inputs, vjp))
+
+    def backward(self, loss, params=None):
+        if self._consumed:
+            raise RuntimeError("tape consumed: call reset() before reusing it")
+        if loss.data.ndim != 0:
+            raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
+        self._consumed = True
+
+        grads = {id(loss): np.ones((), loss.data.dtype)}
+        produced = {id(out) for out, _, _ in self._records}
+        leaves = {}
+        for out, inputs, vjp in reversed(self._records):
+            g = grads.pop(id(out), None)
+            if g is None:
+                continue
+            for t, gt in zip(inputs, vjp(g)):
+                if gt is None or not t.requires_grad:
+                    continue
+                acc = grads.get(id(t))
+                grads[id(t)] = gt if acc is None else acc + gt
+                if id(t) not in produced:
+                    leaves[id(t)] = t
+
+        if params is not None:
+            return {p: np.array(grads.get(id(p), np.zeros_like(p.data))) for p in params}
+        return {t: np.array(grads[key]) for key, t in leaves.items()}
 
 
 class Node(NamedTuple):

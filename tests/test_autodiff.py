@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,13 @@ from hypothesis import strategies as st
 
 from coldgraph import autodiff as ad
 from coldgraph import enhancer
+from coldgraph.graph import SyntheticSpec, build_implicit, generate_synthetic, make_training_graph, segment
+from coldgraph.model import GraphTensors
+from coldgraph.reconstruction import train_teacher
+from coldgraph.sparse import SparseOperator
+from coldgraph.train import TrainConfig, train_model
 from gradcheck import finite_diff_check
-from oracles import dedup_mean, log, segment_attention_rows, sigmoid, sum_all, transpose
+from oracles import RecordingTape, dedup_mean, log, segment_attention_rows, sigmoid, sum_all, transpose
 
 
 def rand(rng, *shape):
@@ -672,3 +680,79 @@ def test_row_cosine_matches_vector_cosine():
     np.testing.assert_allclose(rows, singles, rtol=1e-15)
     with pytest.raises(ValueError, match="degenerate norm"):
         ad.cosine_similarity(ad.Tensor(np.vstack([a[:1], 0 * a[:1]])), ad.Tensor(b[:2]))
+
+
+class TestTapeMemory:
+    """The tape keeps keys and what the rules read, so a forward output is
+    freed once its caller drops it, and backward returns what the tape that
+    held every record's tensors returned."""
+
+    @staticmethod
+    def _chain(tape_cls):
+        rng = np.random.default_rng(5)
+        x = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        op = SparseOperator(rng.integers(0, 6, 10), rng.integers(0, 6, 10), rng.normal(size=10), (6, 6))
+        refs = []
+
+        def track(t):
+            refs.append(weakref.ref(t.data))
+            return t
+
+        with tape_cls() as tape:
+            h = track(ad.scale(track(ad.add(track(ad.spmm(op, x)), x)), 0.5))
+            c = track(ad.concat([h, x]))
+            r = track(ad.gather_rows(c, [0, 7, 7, 11]))
+            s = track(ad.sum_consecutive(r, 2))
+            a = track(ad.segment_attention(x, x, x, [(2, 2), (1, 1)], cols=[0, 3, 3, 5, 1]))
+            loss = ad.mean_rows(ad.row_sums(ad.concat([s, a])))
+        del h, c, r, s, a
+        return refs, tape, loss, x
+
+    def test_outputs_are_freed_on_a_live_tape(self):
+        refs, tape, loss, x = self._chain(ad.Tape)
+        assert len(refs) == 7 and all(ref() is None for ref in refs)
+        assert len(tape) == 10
+        got = tape.backward(loss)
+        assert list(got) == [x] and len(tape) == 0 and not tape._leaves
+        # the record-holding tape keeps every output until its backward ends
+        old_refs, old_tape, old_loss, old_x = self._chain(RecordingTape)
+        assert all(ref() is not None for ref in old_refs)
+        assert got[x].tobytes() == old_tape.backward(old_loss)[old_x].tobytes()
+
+    def test_full_batch_joint_step_peak(self, monkeypatch):
+        # a fixed x1-sized graph (3.4k training edges), d = 64 in float32:
+        # one full-batch joint step with the enhancer allocates near 10 MB
+        # above what it starts with, and near 27 MB when the tape holds
+        # every record's tensors until its backward ends
+        spec = SyntheticSpec(occasional_fraction=0.5, occasional_scale=0.1, seed=4242)
+        graph = build_implicit(generate_synthetic(spec), 3, 1)
+        split = segment(graph, 10, 10, 10, 0.1)
+        gtens = GraphTensors(make_training_graph(graph, split))
+        config = TrainConfig(epochs=1, teacher_epochs=1, warmup_epochs=0, batch_size=1_000_000)
+        teacher = train_teacher(split, gtens, config)
+        peaks = []
+        for tape_cls in (ad.Tape, RecordingTape):
+            steps = []
+
+            class Traced(tape_cls):
+                def __enter__(self):
+                    tracemalloc.reset_peak()
+                    steps.append(tracemalloc.get_traced_memory()[0])
+                    return super().__enter__()
+
+                def backward(self, loss, params=None):
+                    grads = super().backward(loss, params)
+                    steps[-1] = tracemalloc.get_traced_memory()[1] - steps[-1]
+                    return grads
+
+            with monkeypatch.context() as m:
+                m.setattr(ad, "Tape", Traced)
+                tracemalloc.start()
+                try:
+                    train_model(config, split, gtens, teacher)
+                finally:
+                    tracemalloc.stop()
+            assert len(steps) == 1
+            peaks.append(steps[0])
+        bound = 18 * 2**20
+        assert peaks[0] < bound < peaks[1], [f"{p / 2**20:.1f} MB" for p in peaks]

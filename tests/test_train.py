@@ -12,6 +12,7 @@ from coldgraph.model import GraphTensors
 from coldgraph.reconstruction import train_teacher
 from coldgraph.evaluation import evaluate
 from coldgraph.train import AdamState, TrainConfig, final_state, train_model
+from oracles import RecordingTape
 
 # a small model that trains with the reconstruction task in one full batch
 SMALL = dict(d=8, L=2, K=3, ssl_targets=8, warmup_targets=8, warmup_epochs=2, teacher_epochs=1,
@@ -136,14 +137,19 @@ def test_the_package_keeps_the_train_module():
 def test_float32_steps_never_upcast(data, gtens, teacher, monkeypatch, paradigm):
     """An enhancer warm-up step, then a joint full-batch step with the
     enhancer, or a pretrain and a finetune step, all stay float32: every
-    tape record's output, every gradient backward returns and every Adam
+    recorded op's output, every gradient backward returns and every Adam
     moment.  The teacher table is float64 and read as float32."""
     split = data[1]
     dtypes, steps = set(), []
-    backward, step = ad.Tape.backward, AdamState.step
+    emit, backward, step = ad._emit, ad.Tape.backward, AdamState.step
+
+    def checked_emit(out_data, inputs, vjp):
+        out = emit(out_data, inputs, vjp)
+        if out.requires_grad:  # recorded on a tape
+            dtypes.add(out.data.dtype)
+        return out
 
     def checked_backward(tape, loss, params=None):
-        dtypes.update(out.data.dtype for out, _, _ in tape._records)
         grads = backward(tape, loss, params)
         dtypes.update(g.dtype for g in grads.values())
         return grads
@@ -154,6 +160,7 @@ def test_float32_steps_never_upcast(data, gtens, teacher, monkeypatch, paradigm)
         steps.append(len(adam.tensors))
         return wrote
 
+    monkeypatch.setattr(ad, "_emit", checked_emit)
     monkeypatch.setattr(ad.Tape, "backward", checked_backward)
     monkeypatch.setattr(AdamState, "step", checked_step)
     config = replace(TrainConfig(**SMALL), warmup_epochs=1, paradigm=paradigm, pretrain_epochs=1, epochs=1)
@@ -164,6 +171,60 @@ def test_float32_steps_never_upcast(data, gtens, teacher, monkeypatch, paradigm)
     # warm-up steps train the enhancer alone, the phases every tensor
     n_enh, n_all = len(enh.tensors()), len(params.tensors() + enh.tensors())
     assert steps[0] == n_enh and steps[-len(history.epochs):] == [n_all] * len(history.epochs)
+
+
+def _gradients_per_step(monkeypatch, tape_cls, config, split, gtens, teacher, leaf_maps):
+    """Train under ``tape_cls`` and return each backward's gradients: in
+    ``params`` order, or with ``leaf_maps`` as the (param index, gradient)
+    pairs of the ``params=None`` map, which then feeds the step."""
+    log, backward = [], tape_cls.backward
+
+    def logged(tape, loss, params=None):
+        assert type(tape) is tape_cls
+        if not leaf_maps:
+            grads = backward(tape, loss, params)
+            log.append([grads[p] for p in params])
+            return grads
+        leaves, index = backward(tape, loss), {p: i for i, p in enumerate(params)}
+        log.append([(index.get(t), g) for t, g in leaves.items()])
+        return {p: leaves.get(p, np.zeros_like(p.data)) for p in params}
+
+    with monkeypatch.context() as m:
+        m.setattr(ad, "Tape", tape_cls)
+        m.setattr(tape_cls, "backward", logged)
+        train_model(config, split, gtens, teacher)
+    return log
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        dict(lam1=0.0, enhancer=False, batch_size=64, warmup_epochs=0),  # base minibatch
+        dict(warmup_epochs=0),  # joint full batch with the enhancer
+        dict(paradigm="pretrain_finetune", pretrain_epochs=1, warmup_epochs=0),  # pretrain SSL
+        dict(warmup_epochs=1),  # enhancer warm-up, then a joint step
+    ],
+    ids=["base-minibatch", "joint-full-batch", "pretrain-ssl", "warm-up"],
+)
+@pytest.mark.parametrize("leaf_maps", [False, True], ids=["params", "leaves"])
+def test_key_tape_equals_the_record_holding_tape(data, gtens, teacher, monkeypatch, step, leaf_maps):
+    """Every gradient of every step is bit-identical in float32 under the
+    tape that keeps only keys and under the one that holds every tensor,
+    and so are the ``params=None`` leaf maps, key for key in order."""
+    config = replace(TrainConfig(**SMALL), epochs=1, **step)
+    runs = [
+        _gradients_per_step(monkeypatch, cls, config, data[1], gtens, teacher, leaf_maps)
+        for cls in (ad.Tape, RecordingTape)
+    ]
+    assert len(runs[0]) == len(runs[1]) > 0
+    for new, old in zip(*runs):
+        if leaf_maps:
+            assert [i for i, _ in new] == [i for i, _ in old] and None not in [i for i, _ in new]
+            new, old = [g for _, g in new], [g for _, g in old]
+        assert len(new) == len(old) > 0
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype == np.float32 and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 def test_warmup_logs_its_curve_in_one_line(data, gtens, teacher, caplog):
