@@ -23,8 +23,12 @@ two-operand products (``matmul``, ``mul``, ``scale_rows``) skip the
 gradient of an operand that does not require one.
 
 A record holds tensor keys and a rule that closes over only the arrays
-its formula reads, so an intermediate lives while its caller or a rule
-holds it; :meth:`Tape.backward` frees each record as it runs it.
+(and constant operators) its formula reads, so an intermediate lives while
+a rule reads it or its caller still holds it: the propagation keeps only
+the step it computes from, and training drops its forward outputs before
+it calls backward.  :meth:`Tape.backward` frees each record as it runs
+it, and with it, by reference counting alone, the per-step sparse
+operators and their cached transposes, which form no reference cycle.
 """
 
 from __future__ import annotations

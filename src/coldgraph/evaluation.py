@@ -3,10 +3,13 @@
 Evaluation follows the cold-start protocol: each cold group is embedded from
 its few training-time edges only, ranks the full item catalogue minus those
 training positives, and is scored against its held-out test items with
-Recall@k and binary-relevance NDCG@k.  All anchors of a kind are ranked at
-once: one score matrix, the training positives masked to -inf, each row's
-top k by one partial selection and a stable sort of those k (equal scores
-keep the lower item index first), and the metrics from the matrix of hits.
+Recall@k and binary-relevance NDCG@k.  The anchors of a kind are ranked a
+block of rows at a time (:data:`_SCORE_BLOCK_CELLS` anchor-item cells per
+block): one score matrix per block, the training positives masked to -inf,
+each row's top k by one partial selection and a stable sort of those k
+(equal scores keep the lower item index first), and the metrics from the
+block's matrix of hits.  A row's metrics read only its own row, so a
+kind takes the memory of one block of anchors × items, not of all of them.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ class Metrics:
         for kind, idx, rec, ndcg, n_test in self.per_node:
             lines.append(f"{kind},{idx},{rec!r},{ndcg!r},{n_test}")
         return "\n".join(lines) + "\n"
+
+
+#: anchor-item cells scored, masked and ranked at once: a block holds
+#: max(1, _SCORE_BLOCK_CELLS // n_items) anchors
+_SCORE_BLOCK_CELLS = 2**20
 
 
 def _anchor_matrix(anchors: np.ndarray, edges: np.ndarray, n_items: int) -> np.ndarray:
@@ -84,6 +92,7 @@ def evaluate(
     if k < 1:
         raise ValueError("k must be at least 1")
     items = arrays["item"]
+    n_items = items.shape[0]
     # 1/log2(rank + 1) discounts and their running sums, summed in rank order
     discount = np.array([1.0 / math.log2(r + 1) for r in range(1, k + 1)])
     ideal = np.cumsum(discount)
@@ -95,19 +104,23 @@ def evaluate(
         n_test = np.bincount(
             np.searchsorted(anchors, test[np.isin(test[:, 0], anchors), 0]), minlength=anchors.size
         )
-        seen = _anchor_matrix(anchors, split.train_n[rel], items.shape[0])
-        scores = arrays[kind][anchors] @ items.T
-        scores[seen] = -np.inf
-        top = _top_k(scores, k)
-        relevant = _anchor_matrix(anchors, test, items.shape[0]) & ~seen
-        hits = np.take_along_axis(relevant, top, axis=1)
-        recall = hits.sum(axis=1) / n_test
-        dcg = np.cumsum(hits * discount[: top.shape[1]], axis=1)[:, -1]
-        ndcg = dcg / ideal[np.minimum(n_test, k) - 1]
-        rows = zip(anchors.tolist(), recall.tolist(), ndcg.tolist(), n_test.tolist())
-        per_node += [(kind, *row) for row in rows]
-        recalls.append(recall)
-        ndcgs.append(ndcg)
+        block = max(1, _SCORE_BLOCK_CELLS // max(n_items, 1))
+        for lo in range(0, anchors.size, block):
+            ids, n_rel = anchors[lo : lo + block], n_test[lo : lo + block]
+            seen = _anchor_matrix(ids, split.train_n[rel], n_items)
+            scores = arrays[kind][ids] @ items.T
+            scores[seen] = -np.inf
+            top = _top_k(scores, k)
+            del scores  # before the next block's
+            relevant = _anchor_matrix(ids, test, n_items) & ~seen
+            hits = np.take_along_axis(relevant, top, axis=1)
+            recall = hits.sum(axis=1) / n_rel
+            dcg = np.cumsum(hits * discount[: top.shape[1]], axis=1)[:, -1]
+            ndcg = dcg / ideal[np.minimum(n_rel, k) - 1]
+            rows = zip(ids.tolist(), recall.tolist(), ndcg.tolist(), n_rel.tolist())
+            per_node += [(kind, *row) for row in rows]
+            recalls.append(recall)
+            ndcgs.append(ndcg)
     if not per_node:
         raise ValueError("no evaluable cold anchors (empty test split)")
     return Metrics(

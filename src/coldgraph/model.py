@@ -44,7 +44,7 @@ projection of ``concat(self, meta)`` at every convolution step."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -310,8 +310,8 @@ def _relation_steps(
     h0: Mapping[str, Tensor],
     params: ModelParams,
     inject: Mapping[str, Tensor | None] | None = None,
-) -> dict[str, list[Tensor]]:
-    """Per-step embeddings of the endpoint kinds of one relation.
+) -> Iterator[dict[str, Tensor]]:
+    """Propagation over one relation, one step at a time.
 
     ``h0[kind]`` holds the initial rows of ``kind``.  ``layer_ops[l - 1]``
     maps each kind that step l computes to its constant neighbor-mean
@@ -321,26 +321,36 @@ def _relation_steps(
     operator's ``row_ids``, every row when it is no cut.  The full graph
     passes every row at every step but the last, where it cuts the rows
     that fusion reads.  An episode forest cuts leading blocks, the rows
-    its targets read, a prefix that shrinks with l.  A kind that a step
-    does not compute drops out, its list of steps ending early.
+    its targets read, a prefix that shrinks with l.
     ``inject[kind]``, when given, is a meta matrix whose row i meta-injects
     the row of ``kind`` with id i at every step: every row over the full
     graph, the targets in an episode forest.
+
+    Yields, after each step l = 1, 2, ..., each endpoint kind's rows of
+    the last step that computed it (a kind that step l does not compute
+    keeps its earlier rows).  The generator holds only the step it yielded
+    last, so a caller that keeps only the last yield holds no earlier step.
     """
     inject = inject or {}
     ka, kb = RELATION_KINDS[rel]
     other = {ka: kb, kb: ka}
     proj = params.meta_proj.get(rel)
     h = dict(h0)
-    out = {kind: [h[kind]] for kind in h}
     for layer, ops in enumerate(layer_ops, 1):
         neigh = {kind: ad.spmm(op, h[other[kind]]) for kind, op in ops.items()}
         w = params.conv_w[layer - 1] if params.variant == "gcn" else None
-        for kind, op in ops.items():
-            self_rows = _self_rows(h[kind], op, inject.get(kind), proj)
-            h[kind] = _conv_matrix(params.variant, self_rows, neigh[kind], w)
-            out[kind].append(h[kind])
-    return out
+        for kind, op in ops.items():  # no local outlives the step but h
+            h[kind] = _conv_matrix(
+                params.variant, _self_rows(h[kind], op, inject.get(kind), proj), neigh.pop(kind), w
+            )
+        yield dict(h)
+
+
+def _last_step(steps: Iterator[dict[str, Tensor]]) -> dict[str, Tensor]:
+    """The last yield of :func:`_relation_steps`, holding no earlier step."""
+    for h in steps:
+        pass
+    return h
 
 
 def attention_pool(rows: Tensor, plan: DegreePlan, score: Tensor) -> Tensor:
@@ -446,6 +456,12 @@ def full_embeddings(
     side at the last step, so no pass computes it.  ``need_layer_sums``
     adds each node's sum of its per-step fused embeddings, over every row.
 
+    Without layer sums each relation's propagation runs to its end in
+    turn and keeps only its last step, the one fusion reads.  With them,
+    the propagations advance in lockstep and each step is fused and added
+    to the sums before the next is computed, so at most two steps of each
+    relation are alive at once, not all L + 1.
+
     ``metas`` maps (kind, relation) to an all-node meta matrix; when given,
     that kind's self path is meta-injected at every step of that relation's
     propagation.
@@ -462,7 +478,7 @@ def full_embeddings(
         raise ValueError("layer sums need every row of the last step")
     members, users = gtens.member_plan(sel["group"])
 
-    def steps(rel: str, kind: str, read: tuple[str, ...] | None = None) -> dict[str, list[Tensor]]:
+    def steps(rel: str, kind: str, read: tuple[str, ...] | None = None) -> Iterator[dict[str, Tensor]]:
         """Propagation over ``rel``, meta-injecting ``kind``; the last step
         computes the rows of the kinds ``read`` (default ``kind``) that
         fusion reads."""
@@ -478,15 +494,20 @@ def full_embeddings(
             {kind: metas.get((kind, rel))},
         )
 
-    gi = steps("GI", "group")
-    gu = steps("GU", "group", ("group", "user"))
-    gg = steps("GG", "group")
-    uu = steps("UU", "user")
+    # one propagation per channel source; the UI channels of users and items
+    # share one unless either side is meta-injected
+    props = {
+        "GI": steps("GI", "group"),
+        "GU": steps("GU", "group", ("group", "user")),
+        "GG": steps("GG", "group"),
+        "UU": steps("UU", "user"),
+    }
     if metas.get(("user", "UI")) is None and metas.get(("item", "UI")) is None:
-        ui_user = ui_item = steps("UI", "user", ("user", "item"))
+        props["UI"] = steps("UI", "user", ("user", "item"))
+        ui_user = ui_item = "UI"
     else:
-        ui_user = steps("UI", "user")
-        ui_item = steps("UI", "item")
+        props["UI_user"], props["UI_item"] = steps("UI", "user"), steps("UI", "item")
+        ui_user, ui_item = "UI_user", "UI_item"
 
     # a group has the member-aggregate channel iff it has a GU neighbor
     masks = {
@@ -494,18 +515,15 @@ def full_embeddings(
         for kind, channels in CHANNELS_BY_KIND.items()
     }
 
-    def fuse(step: int) -> dict[str, Tensor]:
+    def fuse(step: int, h: Mapping[str, Mapping[str, Tensor]]) -> dict[str, Tensor]:
+        """Fusion of step ``step``, whose rows per propagation are ``h``."""
         rows = sel if step == L else dict.fromkeys(KINDS)
         plan = members if step == L else gtens.member_plan(None)[0]
-        gu_agg = _member_aggregate(plan, gu["user"][step], params)
+        gu_agg = _member_aggregate(plan, h["GU"]["user"], params)
         mats = {
-            "group": {
-                "GI": gi["group"][step],
-                "GU": gu["group"][step],
-                "GG": gg["group"][step],
-            },
-            "user": {"UI": ui_user["user"][step], "UU": uu["user"][step]},
-            "item": {"UI": ui_item["item"][step]},
+            "group": {"GI": h["GI"]["group"], "GU": h["GU"]["group"], "GG": h["GG"]["group"]},
+            "user": {"UI": h[ui_user]["user"], "UU": h["UU"]["user"]},
+            "item": {"UI": h[ui_item]["item"]},
         }
         if gu_agg is not None:
             mats["group"]["GU_AGG"] = gu_agg
@@ -519,10 +537,13 @@ def full_embeddings(
         return out
 
     if not need_layer_sums:
-        return FullState(fused=fuse(L), rows=sel)
+        # each propagation runs to its end in turn, keeping only its last step
+        return FullState(fused=fuse(L, {name: _last_step(p) for name, p in props.items()}), rows=sel)
+    # the propagations advance in lockstep, and each step is fused and
+    # summed before the next is computed
     layer_sums = {kind: params.table(kind) for kind in KINDS}
-    for step in range(1, L + 1):
-        fused = fuse(step)
+    for step, h in enumerate(zip(*props.values()), 1):
+        fused = fuse(step, dict(zip(props, h)))
         layer_sums = {k: ad.add(layer_sums[k], fused[k]) for k in KINDS}
     return FullState(fused=fused, layer_sums=layer_sums)
 
@@ -594,11 +615,11 @@ def embed_from_episode(
         # the member-aggregate channel reads the GU members at the last step
         reach = int((kind, rel) == ("group", "GU"))
         ops = _forest_operators(forest, params.layers, reach)
-        out = _relation_steps(rel, ops, h0, params, {kind: metas.get(rel)})
-        channels[rel] = out[kind][-1]  # the last step computes the n targets' rows alone
+        out = _last_step(_relation_steps(rel, ops, h0, params, {kind: metas.get(rel)}))
+        channels[rel] = out[kind]  # the last step computes the n targets' rows alone
         masks[rel] = members.present
         if (kind, rel) == ("group", "GU"):
-            channels["GU_AGG"] = _member_aggregate(members, out["user"][-1], params)
+            channels["GU_AGG"] = _member_aggregate(members, out["user"], params)
             masks["GU_AGG"] = members.present
     e0 = ad.gather_rows(params.table(kind), episodes.targets)
     return fuse_present(kind, channels, masks, params.fusion, e0)

@@ -22,6 +22,8 @@ float32.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 __all__ = ["SparseOperator", "neighbor_mean"]
@@ -39,13 +41,16 @@ class SparseOperator:
 
     ``shape`` and ``size`` (the dense cell count) describe the matrix,
     ``nbytes`` the arrays actually stored, and ``np.asarray(op)`` gives a
-    dense copy.  The transpose is built on first use and cached.
+    dense copy.  The transpose is built on first use and cached: the
+    operator holds it, and it holds the operator only weakly, so
+    ``op.T.T is op`` while ``op`` lives, and no operator sits in a
+    reference cycle that only Python's cyclic collector could free.
     :meth:`cut` takes some of the rows over leading columns; a cut names
     its rows' ids in its parent as ``row_ids`` (None in an operator that
     is no cut).
     """
 
-    __slots__ = ("shape", "row_ids", "_parent", "_buckets", "_t", "_cast")
+    __slots__ = ("shape", "row_ids", "_parent", "_buckets", "_t", "_of", "_cast", "__weakref__")
 
     def __init__(self, rows, cols, values, shape: tuple[int, int]):
         """Build from coordinate triplets; (row, col) pairs must be distinct."""
@@ -59,7 +64,8 @@ class SparseOperator:
         self.shape = (n_rows, n_cols)
         self.row_ids: np.ndarray | None = None
         self._parent: SparseOperator | None = None  # the operator a cut was cut from
-        self._t: SparseOperator | None = None
+        self._t: SparseOperator | None = None  # the cached transpose
+        self._of: weakref.ref | None = None  # in a transpose: the operator it transposes
         self._cast: dict[np.dtype, list[np.ndarray]] = {}
 
         cell = rows * n_cols + cols  # one sort by (row, col), far faster than lexsort
@@ -168,7 +174,7 @@ class SparseOperator:
             return self
         out = SparseOperator.__new__(SparseOperator)
         out.shape = (ids.size, n_cols)
-        out.row_ids, out._parent, out._t, out._cast, out._buckets = ids, self, None, {}, []
+        out.row_ids, out._parent, out._t, out._of, out._cast, out._buckets = ids, self, None, None, {}, []
         if out._leading():
             for members, idx, weights in self._buckets:
                 m = int(members.searchsorted(ids.size))
@@ -186,11 +192,14 @@ class SparseOperator:
 
     @property
     def T(self) -> "SparseOperator":
-        if self._t is None:
+        t = self._t
+        if t is None and self._of is not None:
+            t = self._of()  # None once the transposed operator is gone
+        if t is None:
             rows, cols, values = self.entries()
-            self._t = SparseOperator(cols, rows, values, self.shape[::-1])
-            self._t._t = self
-        return self._t
+            t = self._t = SparseOperator(cols, rows, values, self.shape[::-1])
+            t._of = weakref.ref(self)
+        return t
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         dense = np.zeros(self.shape)

@@ -571,12 +571,15 @@ def _run_epochs(
                 total_val = total.item()
                 if not math.isfinite(total_val):
                     raise diverged(f"non-finite loss at epoch {epoch_no}")
+                # backward reads none of the forward's outputs: free them first
+                full_state = metas_full = terms = rows = pos = None
                 try:
                     grads = tape.backward(total, tensors)
                 except ValueError as err:
                     raise diverged(f"backward failed at epoch {epoch_no}: {err}") from err
             if not adam.step(grads):
                 raise diverged(f"non-finite update at epoch {epoch_no}")
+            del grads  # read by the step alone, not kept through the next forward
             sums["total"] += total_val
             weights["steps"] += 1
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coldgraph import evaluation
 from coldgraph.evaluation import _top_k, evaluate
 from oracles import eval_split, tuple_split
 
@@ -264,3 +265,33 @@ def test_fixed_cases_match_brute_force_and_reach_every_corner():
 @given(st.integers(0, 10_000), st.integers(1, 8), st.booleans())
 def test_matches_brute_force_oracle(seed, k, with_users):
     check(*random_case(np.random.default_rng(seed), k, with_users))
+
+
+def float_case(seed):
+    """Many anchors over Gaussian embeddings, so few scores tie."""
+    rng = np.random.default_rng(seed)
+    n, n_items = 30, 50
+    arrays = {kind: rng.normal(size=(n, 8)) for kind in ("group", "user")}
+    arrays["item"] = rng.normal(size=(n_items, 8))
+    train = {rel: [(a, int(i)) for a in range(n) for i in rng.choice(n_items, 5, replace=False)]
+             for rel in ("GI", "UI")}
+    test = {rel: [(a, int(i)) for a in range(n) for i in rng.choice(n_items, 3, replace=False)]
+            for rel in ("GI", "UI")}
+    cold = {kind: list(range(0, n, 2)) for kind in ("group", "user")}
+    return arrays, make_split(cold, train, test, {"group": [4], "user": []}), 10, ("group", "user")
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_anchor_row_blocks_give_the_metrics_of_one_block(monkeypatch, rows):
+    cases = [random_case(np.random.default_rng(seed), 1 + seed % 8, seed % 2 == 0) for seed in range(40)]
+    cases += [float_case(seed) for seed in range(3)]
+    compared = 0
+    for arrays, split, k, kinds in cases:
+        if not brute_force(arrays, split, k, kinds):
+            continue
+        whole = evaluate(arrays, split, k=k, kinds=kinds)  # every case fits in one block
+        with monkeypatch.context() as m:
+            m.setattr(evaluation, "_SCORE_BLOCK_CELLS", rows * len(arrays["item"]))
+            assert evaluate(arrays, split, k=k, kinds=kinds) == whole
+        compared += 1
+    assert compared > 20

@@ -64,7 +64,7 @@ def conv_once(variant, self_vec, neighbor_vecs, weight=None, meta=None, proj=Non
     }
     h0 = {"user": t([self_vec]), "item": t(neighbor_vecs if m else np.zeros((1, d)))}
     inject = {"user": t([meta])} if meta is not None else None
-    return model._relation_steps("UI", [ops], h0, params, inject)["user"][1].data[0]
+    return model._last_step(model._relation_steps("UI", [ops], h0, params, inject))["user"].data[0]
 
 
 class TestConvStep:

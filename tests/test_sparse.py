@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +227,25 @@ class TestOperator:
         assert op.T is op.T
         assert op.T.T is op
         np.testing.assert_array_equal(np.asarray(op.T), np.asarray(op).T)
+
+    def test_transpose_does_not_keep_its_operator_alive(self):
+        """Reference counting alone frees an operator and its cached
+        transpose: the transpose holds its original only weakly."""
+        dense = np.asarray(neighbor_mean([0, 0, 2], [1, 3, 3], (4, 5)))
+        gc.collect()
+        gc.disable()
+        try:
+            op = neighbor_mean([0, 0, 2], [1, 3, 3], (4, 5))
+            op.T.dot(np.ones((4, 2)))
+            gone, gone_t = weakref.ref(op), weakref.ref(op.T)
+            del op
+            assert gone() is None and gone_t() is None
+            # a transpose outliving its original builds a fresh one on demand
+            t = neighbor_mean([0, 0, 2], [1, 3, 3], (4, 5)).T
+            assert t.T.T is t
+            np.testing.assert_array_equal(np.asarray(t.T), dense)
+        finally:
+            gc.enable()
 
     def test_validation(self):
         with pytest.raises(IndexError, match="out of range"):

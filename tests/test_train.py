@@ -1,3 +1,4 @@
+import gc
 import types
 from dataclasses import replace
 
@@ -235,3 +236,35 @@ def test_warmup_logs_its_curve_in_one_line(data, gtens, teacher, caplog):
     lines = [r.getMessage() for r in caplog.records if "warm-up" in r.getMessage()]
     assert len(lines) == 1
     assert lines[0].startswith("warm-up: 3 epochs, loss ") and " -> " in lines[0]
+
+
+def test_no_step_leaves_garbage_for_the_cyclic_collector(data, gtens, teacher, monkeypatch):
+    """Every structure a step builds dies by reference counting alone: with
+    the cyclic collector off, gc.collect() after each optimizer step (of the
+    warm-up, pretrain, finetune, full-neighborhood joint and gcn runs)
+    finds nothing to free."""
+    found = []
+    adam_step = AdamState.step
+
+    def step(self, grads):
+        ok = adam_step(self, grads)
+        found[-1].append(gc.collect())
+        return ok
+
+    monkeypatch.setattr(AdamState, "step", step)
+    runs = {
+        "warm-up, pretrain, finetune": dict(paradigm="pretrain_finetune", pretrain_epochs=1),
+        "joint, full neighborhood": dict(meta_mode="full_neighborhood"),
+        "joint, gcn": dict(backbone="gcn"),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for overrides in runs.values():
+            found.append([])
+            config = TrainConfig(**{**SMALL, "epochs": 1, **overrides})
+            epochs = len(train_model(config, data[1], gtens, teacher)[2].epochs)
+            assert len(found[-1]) > epochs  # the warm-up's steps, then a full batch per epoch
+    finally:
+        gc.enable()
+    assert dict(zip(runs, found)) == {name: [0] * len(counts) for name, counts in zip(runs, found)}
