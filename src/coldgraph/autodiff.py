@@ -29,6 +29,11 @@ the step it computes from, and training drops its forward outputs before
 it calls backward.  :meth:`Tape.backward` frees each record as it runs
 it, and with it, by reference counting alone, the per-step sparse
 operators and their cached transposes, which form no reference cycle.
+
+:func:`descend` is the one loop of the enhancer warm-up and every training
+phase: each step's forward runs on its own tape and returns only its loss,
+so all else it built dies with its frame before backward, and
+:class:`AdamState` updates.  ``__all__`` lists the ops alone.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -738,3 +743,78 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
 def sum_squares(a: Tensor) -> Tensor:
     x = a.data
     return _emit(np.asarray((x ** 2).sum()), (a,), lambda g: (2.0 * x * g,))
+
+
+class DivergenceError(RuntimeError):
+    """Raised when the loss or an update turns non-finite, with the tensors
+    back at their last good values; :func:`train.train_model` adds the
+    partial history and the path of the last good checkpoint, when it saved
+    one."""
+
+    history = None
+    checkpoint = None
+
+
+class AdamState:
+    """Adaptive-moment gradient descent over a fixed tensor list; each
+    tensor's moments have its dtype.  An update that would make a value
+    non-finite leaves the tensors as they were: :meth:`step` returns False,
+    and overflow in computing it raises no floating-point warning."""
+
+    def __init__(self, tensors: Sequence[Tensor], lr: float, betas=(0.9, 0.999), eps=1e-8):
+        self.tensors = list(tensors)
+        self.lr = lr
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.t = 0
+        self.m = [np.zeros_like(t.data) for t in self.tensors]
+        self.v = [np.zeros_like(t.data) for t in self.tensors]
+
+    def step(self, grads: Mapping[Tensor, np.ndarray]) -> bool:
+        self.t += 1
+        c1 = 1.0 - self.b1 ** self.t
+        c2 = 1.0 - self.b2 ** self.t
+        new = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, tensor in enumerate(self.tensors):
+                g = grads[tensor]
+                self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
+                self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * g * g
+                new.append(tensor.data - self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps))
+        if not all(np.isfinite(x).all() for x in new):
+            return False
+        for tensor, x in zip(self.tensors, new):
+            tensor.data = x
+        return True
+
+
+def descend(
+    steps: Iterable[Callable[[], Tensor | None]], adam: AdamState, restore: Sequence[np.ndarray], where: str
+) -> list[float]:
+    """One Adam step on the loss of each of ``steps`` that returns one; the
+    losses' values, in order.
+
+    A huge but finite update may overflow the next forward, so forwards run
+    with overflow warnings off and the finite checks catch the result: a
+    non-finite loss or update sets ``adam.tensors`` back to ``restore`` and
+    raises :class:`DivergenceError` naming ``where``.
+    """
+    losses: list[float] = []
+    try:
+        for step in steps:
+            with Tape() as tape, np.errstate(over="ignore", invalid="ignore"):
+                loss = step()
+                if loss is None:
+                    continue
+                losses.append(loss.item())
+                if not math.isfinite(losses[-1]):
+                    raise DivergenceError(f"non-finite loss at {where}")
+                grads = tape.backward(loss, adam.tensors)
+            if not adam.step(grads):
+                raise DivergenceError(f"non-finite update at {where}")
+            del grads  # read by the step alone, not kept through the next forward
+    except DivergenceError:
+        for tensor, arr in zip(adam.tensors, restore):
+            tensor.data = arr
+        raise
+    return losses

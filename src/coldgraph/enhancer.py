@@ -25,7 +25,8 @@ for backward, only the attention probabilities.  The warm-up
 segments into the member-aggregate channel (:func:`model.attention_pool`)
 and fuses the targets of every kind in one
 :func:`autodiff.attention_fusion`: fusion weights are per channel, and
-each row fuses the channels it has.  The warm-up and the pretext task
+each row fuses the channels it has, in steps that :func:`autodiff.descend`
+runs as it runs the training phases'.  The warm-up and the pretext task
 score predictions with the same batched :func:`reconstruction_costs`.
 """
 
@@ -33,12 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import AdamState, Tensor, descend
 from .graph import KINDS, RELATIONS_BY_KIND, EpisodeBatch
 from .model import (
     FUSION_KEYS,
@@ -50,6 +52,9 @@ from .model import (
     row_block,
     xavier_uniform,
 )
+
+#: warm-up episodes per step
+_WARMUP_BATCH = 64
 
 
 @dataclass
@@ -250,42 +255,27 @@ def train_enhancer(
     tables,
     learning_rate: float = 0.001,
     epochs: int = 50,
-    batch_size: int = 64,
     rng: np.random.Generator | None = None,
-) -> tuple[EnhancerParams, list[float]]:
+) -> list[float]:
     """Fit the enhancer to reproduce ground-truth embeddings from neighbors.
 
     Minimizes the mean cosine reconstruction loss of the fused meta embedding
-    over the targets of the episode batches, shuffled together into
-    ``batch_size`` steps, by adaptive-moment gradient descent on the
-    enhancer parameters only; the model tables are read as constants.
-    Returns the params and the per-epoch loss history; zero epochs leaves
-    the parameters untouched.  A non-finite loss or update restores the
-    values the parameters had before the warm-up and raises
-    :class:`train.DivergenceError`.
+    over the targets of the episode batches, shuffled together into steps of
+    64, by adaptive-moment gradient descent on the enhancer parameters only;
+    the model tables are read as constants.  Returns the per-epoch mean
+    loss; zero epochs leaves the parameters untouched.  A non-finite loss or
+    update restores the values the parameters had before the warm-up and
+    raises :class:`autodiff.DivergenceError`.
     """
-    from .train import AdamState, DivergenceError  # local import: train builds on this module
-
     rng = rng or np.random.default_rng(0)
-    tensors = params.tensors()
-    before = [np.array(t.data) for t in tensors]
-    adam = AdamState(tensors, learning_rate)
-    losses: list[float] = []
+    adam = AdamState(params.tensors(), learning_rate)
+    before = [np.array(t.data) for t in adam.tensors]
     layout = _WarmupLayout(episodes, ground_truth, tables)
-    for _ in range(epochs):
+    curve: list[float] = []
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(layout.linked.size)
-        epoch_losses = []
-        for start in range(0, len(order), batch_size):
-            # an overflow shows as a non-finite loss or update below
-            with ad.Tape() as tape, np.errstate(over="ignore", invalid="ignore"):
-                loss = layout.loss(order[start : start + batch_size], params)
-                if loss is None:
-                    continue
-                grads = tape.backward(loss, tensors) if math.isfinite(loss.item()) else None
-            if grads is None or not adam.step(grads):
-                for t, arr in zip(tensors, before):
-                    t.data = arr
-                raise DivergenceError(f"non-finite loss or update in warm-up epoch {len(losses) + 1}")
-            epoch_losses.append(loss.item())
-        losses.append(float(np.mean(epoch_losses)) if epoch_losses else math.nan)
-    return params, losses
+        steps = (partial(layout.loss, order[i : i + _WARMUP_BATCH], params)
+                 for i in range(0, order.size, _WARMUP_BATCH))
+        losses = descend(steps, adam, before, f"warm-up epoch {epoch}")
+        curve.append(float(np.mean(losses)) if losses else math.nan)
+    return curve

@@ -150,11 +150,14 @@ def ssl_loss(
     """Joint reconstruction loss: group + user + item batch means.
 
     Each term is the mean of per-target cosine losses, so the total is
-    bounded by 6.  An empty or missing batch contributes 0 with a warning.
+    bounded by 6.  An empty batch contributes 0 with a warning; a kind
+    passed as None (one a training step leaves out) has no part.
     """
     total = ad.const(np.zeros((), params.e_user.data.dtype))
     parts: dict[str, float] = {}
     for name, batch in (("group", group_batch), ("user", user_batch), ("item", item_batch)):
+        if batch is None:
+            continue
         if not batch:
             log.warning("ssl_loss: empty %s batch contributes 0", name)
             parts[name] = 0.0

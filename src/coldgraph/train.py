@@ -1,9 +1,10 @@
-"""Losses, the optimization loop, the training entry point, checkpointing.
+"""The training configuration, entry point, loss parts and checkpoints.
 
-:func:`train_model` runs the phases that ``TrainConfig.paradigm`` names:
-``joint`` trains ranking and reconstruction together for ``epochs``
-epochs; ``pretrain_finetune`` trains reconstruction alone for
-``pretrain_epochs`` epochs, then ranking alone for ``epochs`` epochs.
+:func:`train_model` runs the phases that ``TrainConfig.paradigm`` names,
+after the enhancer warm-up when the enhancer is on: ``joint`` trains
+ranking and reconstruction together for ``epochs`` epochs;
+``pretrain_finetune`` trains reconstruction alone for ``pretrain_epochs``
+epochs, then ranking alone for ``epochs`` epochs.
 
 The recommendation objective is pairwise: every observed group-item or
 user-item edge is ranked above one freshly drawn unobserved item per epoch.
@@ -12,11 +13,13 @@ When the reconstruction task is active its loss joins the total with weight
 
     total = l_main + lam1 * l_r + lam2 * ||theta||^2
 
+A phase plans each epoch (negatives, batch order, episodes); each step's
+forward returns its named :data:`LossParts`, which :meth:`_Phase.objective`
+alone weights and sums, and :func:`autodiff.descend` descends the total.
 Every randomized concern (init, negatives, batch order, episodes, warm-up)
 draws from its own seeded stream, so disabling one concern never shifts the
 others and a run is a pure function of its seed.
 """
-
 from __future__ import annotations
 
 import logging
@@ -24,13 +27,14 @@ import math
 import re
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import AdamState, DivergenceError, Tensor, descend
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .enhancer import (
     EnhancerParams,
@@ -272,53 +276,6 @@ class TrainingDataError(ValueError):
     """Raised when the training graph holds data no model can train on."""
 
 
-class DivergenceError(RuntimeError):
-    """Raised when the loss or an update turns non-finite; :func:`train_model`
-    adds the partial history and the path of the last good checkpoint,
-    when it saved one."""
-
-    history: TrainHistory | None = None
-    checkpoint: Path | None = None
-
-
-# ---------------------------------------------------------------------------
-# optimizer
-# ---------------------------------------------------------------------------
-
-
-class AdamState:
-    """Adaptive-moment gradient descent over a fixed tensor list; each
-    tensor's moments have its dtype.  An update that would make a value
-    non-finite leaves the tensors as they were: :meth:`step` returns False,
-    and overflow in computing it raises no floating-point warning."""
-
-    def __init__(self, tensors: Sequence[Tensor], lr: float, betas=(0.9, 0.999), eps=1e-8):
-        self.tensors = list(tensors)
-        self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.t = 0
-        self.m = [np.zeros_like(t.data) for t in self.tensors]
-        self.v = [np.zeros_like(t.data) for t in self.tensors]
-
-    def step(self, grads: Mapping[Tensor, np.ndarray]) -> bool:
-        self.t += 1
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
-        new = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, tensor in enumerate(self.tensors):
-                g = grads[tensor]
-                self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
-                self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * g * g
-                new.append(tensor.data - self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps))
-        if not all(np.isfinite(x).all() for x in new):
-            return False
-        for tensor, x in zip(self.tensors, new):
-            tensor.data = x
-        return True
-
-
 # ---------------------------------------------------------------------------
 # checkpoint glue
 # ---------------------------------------------------------------------------
@@ -419,189 +376,159 @@ def _bpr_term(anchor_rows: Tensor, pos_rows: Tensor, neg_rows: Tensor) -> Tensor
     return ad.negate(ad.mean_rows(ad.log_sigmoid(ad.sub(pos_scores, neg_scores))))
 
 
-def _reg_term(tensors: Sequence[Tensor], lam2: float) -> Tensor:
+def _squared_norm(tensors: Sequence[Tensor]) -> Tensor:
     total = ad.const(np.zeros((), tensors[0].data.dtype))
     for t in tensors:
         total = ad.add(total, ad.sum_squares(t))
-    return ad.scale(total, lam2)
+    return total
 
 
-def _run_epochs(
-    config: TrainConfig,
-    split: EvalSplit,
-    gtens: GraphTensors,
-    positives: tuple[np.ndarray, int, list[set[int]]],
-    params: ModelParams,
-    enh: EnhancerParams | None,
-    gt: GroundTruthTable | None,
-    rngs: Mapping[str, np.random.Generator],
-    history: TrainHistory,
-    phase: str,
-    epochs: int,
-    out_dir: Path | None,
-    eval_fn=None,
-) -> None:
-    """The mini-batch descent loop of one phase, with a fresh optimizer.
+#: a step's loss parts by name: the ranking losses of the group and the user
+#: edges ("main/group", "main/user"), l_r ("ssl") and ||theta||^2 ("l2")
+LossParts = dict[str, Tensor]
 
-    The pretrain phase trains only the reconstruction loss; finetune trains
-    the ranking loss and the L2 term; joint trains all three.  A non-finite
-    loss or update restores the parameters of the last completed epoch (or
-    of the phase's start) and raises :class:`DivergenceError`.
-    """
-    main_on = phase != "pretrain"  # the ranking loss and the L2 term
-    ssl_weight = 0.0 if phase == "finetune" else config.lam1
-    ssl_on = ssl_weight > 0.0
-    positives, n_gi, pos_sets = positives
-    if main_on and not len(positives):
-        raise ValueError("no positive edges to train on")
-    n_items = gtens.graph.counts["item"]
-    tensors = params.tensors() + (enh.tensors() if enh else [])
-    adam = AdamState(tensors, config.learning_rate)
-    last_good = [np.array(t.data) for t in tensors]
 
-    def diverged(message: str) -> DivergenceError:
-        for t, arr in zip(tensors, last_good):
-            t.data = arr
-        return DivergenceError(message)
+@dataclass
+class _Phase:
+    """What one phase trains, on which data.  Pretrain (``name``) trains
+    only the reconstruction loss, finetune the ranking loss and the L2 term,
+    joint all three."""
 
-    for epoch_i in range(1, epochs + 1):
-        t0 = time.perf_counter()
-        epoch_no = len(history.epochs) + 1
+    name: str
+    config: TrainConfig
+    split: EvalSplit
+    gtens: GraphTensors
+    params: ModelParams
+    enh: EnhancerParams | None
+    gt: GroundTruthTable | None
+    positives: tuple[np.ndarray, int, list[set[int]]]
 
-        if main_on:
+    def __post_init__(self):
+        self.main_on = self.name != "pretrain"  # the ranking loss and the L2 term
+        self.ssl_weight = 0.0 if self.name == "finetune" else self.config.lam1
+        self.tensors = self.params.tensors() + (self.enh.tensors() if self.enh else [])
+        if self.main_on and not len(self.positives[0]):
+            raise ValueError("no positive edges to train on")
+
+    def plan(self, rngs: Mapping[str, np.random.Generator]):
+        """One epoch's negatives, its steps (positive rows, an episode batch
+        per kind) and masked-edge count.  A kind with fewer targets than steps
+        is left out of the later steps."""
+        config, (edges, _, pos_sets) = self.config, self.positives
+        negatives, batches = None, [np.array([], dtype=int)]
+        if self.main_on:
+            n_items = self.gtens.graph.counts["item"]
             negatives = np.array([sample_negative(rngs["negatives"], n_items, s) for s in pos_sets])
-            order = rngs["shuffle"].permutation(len(positives))
-            n_batches = max(1, math.ceil(len(positives) / config.batch_size))
-            batches = [
-                order[b * config.batch_size : (b + 1) * config.batch_size]
-                for b in range(n_batches)
-            ]
-        else:
-            negatives = []
-            n_batches = 1
-            batches = [np.array([], dtype=int)]
-
-        # one episode batch per kind and step; a target's tree does not
-        # depend on the batch it is sampled in
+            order, size = rngs["shuffle"].permutation(len(edges)), config.batch_size
+            batches = [order[b * size : (b + 1) * size] for b in range(max(1, math.ceil(len(edges) / size)))]
         episodes: list[dict[str, EpisodeBatch]] = [{} for _ in batches]
         masked_edges = 0
-        if ssl_on:
+        if self.ssl_weight > 0:
             epoch_seed = int(rngs["episodes"].integers(2 ** 31))
-            targets = pick_ssl_targets(split, config.ssl_targets, rngs["episodes"])
-            for kind, idx in targets.items():
-                for b in range(min(n_batches, idx.size)):
+            for kind, idx in pick_ssl_targets(self.split, config.ssl_targets, rngs["episodes"]).items():
+                for b in range(min(len(batches), idx.size)):
                     ep = sample_episode(
-                        gtens.graph, kind, idx[b::n_batches], config.K, config.L, epoch_seed
+                        self.gtens.graph, kind, idx[b :: len(batches)], config.K, config.L, epoch_seed
                     )
                     episodes[b][kind] = ep
                     masked_edges += ep.edge_count()
+        return negatives, list(zip(batches, episodes)), masked_edges
 
-        sums = {"main": 0.0, "ssl": 0.0, "total": 0.0}
-        weights = {"main": 0, "ssl": 0, "steps": 0}
+    def parts(self, rows: np.ndarray, negatives, episodes: Mapping[str, EpisodeBatch]) -> LossParts:
+        """The loss parts of the step over the positive edges ``rows`` and
+        ``episodes``; the full-graph pass computes only the rows they read."""
+        edges, n_gi, _ = self.positives
+        ranks = self.main_on and rows.size > 0
+        full_ssl = self.ssl_weight > 0 and self.config.meta_mode == "full_neighborhood"
+        if ranks or full_ssl:
+            ids = {kind: [np.zeros(0, np.intp)] for kind in KINDS}
+            if ranks:
+                batch, gi = edges[rows], rows < n_gi
+                ids["group"].append(batch[gi, 0])
+                ids["user"].append(batch[~gi, 0])
+                ids["item"] += [batch[:, 1], negatives[rows]]
+            if full_ssl:
+                for kind, ep in episodes.items():
+                    ids[kind].append(ep.targets)
+            reads = {kind: np.unique(np.concatenate(v)) for kind, v in ids.items()}
+            state = _full_state(self.params, self.enh, self.gtens, reads)
+        parts: LossParts = {}
+        if ranks:
+            for kind, idx in (("group", rows[rows < n_gi]), ("user", rows[rows >= n_gi])):
+                if idx.size:
+                    anchors, items = state.lookup(kind, edges[idx, 0]), state.lookup("item", edges[idx, 1])
+                    parts[f"main/{kind}"] = _bpr_term(anchors, items, state.lookup("item", negatives[idx]))
+        if self.ssl_weight > 0 and episodes:
+            parts["ssl"], _ = ssl_loss(
+                episodes.get("group"), episodes.get("user"), episodes.get("item"), self.params, self.enh,
+                self.gt, full_state=state if full_ssl else None,
+            )
+        if self.main_on and self.config.lam2 > 0:
+            parts["l2"] = _squared_norm(self.tensors)
+        return parts
 
-        for b, batch_idx in enumerate(batches):
-            # a huge but finite update may overflow the next forward; the
-            # finite checks below turn that into DivergenceError
-            with ad.Tape() as tape, np.errstate(over="ignore", invalid="ignore"):
-                ranks = main_on and batch_idx.size > 0
-                full_ssl = ssl_on and config.meta_mode == "full_neighborhood"
-                full_state = None
-                if ranks or full_ssl:
-                    metas_full = None
-                    if enh is not None:
-                        metas_full = full_meta_matrices(gtens, params.table, enh)
-                    # the last step and fusion compute only the rows read
-                    ids = {kind: [np.zeros(0, np.intp)] for kind in KINDS}
-                    if ranks:
-                        edges, gi = positives[batch_idx], batch_idx < n_gi
-                        ids["group"].append(edges[gi, 0])
-                        ids["user"].append(edges[~gi, 0])
-                        ids["item"] += [edges[:, 1], negatives[batch_idx]]
-                    if full_ssl:
-                        for kind, ep in episodes[b].items():
-                            ids[kind].append(ep.targets)
-                    reads = {kind: np.unique(np.concatenate(v)) for kind, v in ids.items()}
-                    full_state = full_embeddings(gtens, params, metas=metas_full, reads=reads)
+    def objective(self, parts: LossParts) -> tuple[Tensor, Tensor | None]:
+        """The total of one step's ``parts``, ``l_main + lam1 * l_r + lam2 *
+        ||theta||^2`` (l_main weights the user edges' loss by ``lam``, and
+        finetune weights l_r by 0), and l_main, None without ranking parts."""
+        l_main, terms = None, []
+        if "main/group" in parts or "main/user" in parts:
+            l_main = ad.const(np.zeros((), self.params.e_item.data.dtype))
+            if "main/group" in parts:
+                l_main = ad.add(l_main, parts["main/group"])
+            if "main/user" in parts:
+                l_main = ad.add(l_main, ad.scale(parts["main/user"], self.config.lam))
+            terms.append(l_main)
+        if "ssl" in parts:
+            terms.append(ad.scale(parts["ssl"], self.ssl_weight))
+        if "l2" in parts:
+            terms.append(ad.scale(parts["l2"], self.config.lam2))
+        total = terms[0]
+        for term in terms[1:]:
+            total = ad.add(total, term)
+        return total, l_main
 
-                terms = []
-                l_main_val = 0.0
-                if ranks:
-                    l_main = ad.const(np.zeros((), params.e_item.data.dtype))
-                    for kind, idx in (
-                        ("group", batch_idx[batch_idx < n_gi]),
-                        ("user", batch_idx[batch_idx >= n_gi]),
-                    ):
-                        if idx.size:
-                            rows = full_state.lookup(kind, positives[idx, 0])
-                            pos = full_state.lookup("item", positives[idx, 1])
-                            term = _bpr_term(rows, pos, full_state.lookup("item", negatives[idx]))
-                            l_main = ad.add(l_main, term if kind == "group" else ad.scale(term, config.lam))
-                    l_main_val = l_main.item()
-                    terms.append(l_main)
-                    sums["main"] += l_main_val * batch_idx.size
-                    weights["main"] += batch_idx.size
+    def step(self, rows, negatives, episodes, sums: dict[str, list]) -> Tensor | None:
+        """The step's total, None without loss parts.  Adds l_main, l_r and
+        the total to ``sums``, weighted by the step's edges, its episodes and
+        1, as [weighted sum, weight] pairs."""
+        parts = self.parts(rows, negatives, episodes)  # the forward's outputs die with this call
+        if not parts:
+            return None
+        total, l_main = self.objective(parts)
+        weights = {"main": rows.size, "ssl": sum(len(ep) for ep in episodes.values()), "total": 1}
+        for key, part in (("main", l_main), ("ssl", parts.get("ssl")), ("total", total)):
+            if part is not None:
+                sums[key][0] += part.item() * weights[key]
+                sums[key][1] += weights[key]
+        return total
 
-                l_r_val = 0.0
-                if ssl_on:
-                    slices = episodes[b]
-                    if slices:
-                        l_r, _ = ssl_loss(
-                            slices.get("group"),
-                            slices.get("user"),
-                            slices.get("item"),
-                            params,
-                            enh,
-                            gt,
-                            full_state=full_state if full_ssl else None,
-                        )
-                        l_r_val = l_r.item()
-                        terms.append(ad.scale(l_r, ssl_weight))
-                        n_eps = sum(len(v) for v in slices.values())
-                        sums["ssl"] += l_r_val * n_eps
-                        weights["ssl"] += n_eps
 
-                if main_on and config.lam2 > 0:
-                    terms.append(_reg_term(tensors, config.lam2))
-
-                if not terms:
-                    continue
-                total = terms[0]
-                for term in terms[1:]:
-                    total = ad.add(total, term)
-                total_val = total.item()
-                if not math.isfinite(total_val):
-                    raise diverged(f"non-finite loss at epoch {epoch_no}")
-                # backward reads none of the forward's outputs: free them first
-                full_state = metas_full = terms = rows = pos = None
-                try:
-                    grads = tape.backward(total, tensors)
-                except ValueError as err:
-                    raise diverged(f"backward failed at epoch {epoch_no}: {err}") from err
-            if not adam.step(grads):
-                raise diverged(f"non-finite update at epoch {epoch_no}")
-            del grads  # read by the step alone, not kept through the next forward
-            sums["total"] += total_val
-            weights["steps"] += 1
-
-        last_good = [np.array(t.data) for t in tensors]
-
-        stats = EpochStats(
-            epoch=epoch_no,
-            l_main=sums["main"] / weights["main"] if weights["main"] else 0.0,
-            l_r=sums["ssl"] / weights["ssl"] if weights["ssl"] else 0.0,
-            total=sums["total"] / weights["steps"] if weights["steps"] else 0.0,
-            seconds=time.perf_counter() - t0,
-            masked_edges=masked_edges,
-            phase=phase,
-        )
+def _run_phase(phase: _Phase, epochs: int, rngs, history: TrainHistory, out_dir: Path | None, eval_fn) -> None:
+    """``epochs`` epochs of ``phase`` with a fresh optimizer.  A non-finite
+    loss or update restores the parameters of the last completed epoch (or
+    of the phase's start) and raises :class:`DivergenceError`."""
+    config = phase.config
+    adam = AdamState(phase.tensors, config.learning_rate)
+    for epoch_i in range(1, epochs + 1):
+        t0 = time.perf_counter()
+        epoch_no = len(history.epochs) + 1
+        last_good = [np.array(t.data) for t in phase.tensors]
+        negatives, batches, masked = phase.plan(rngs)
+        sums = {key: [0.0, 0] for key in ("main", "ssl", "total")}
+        steps = (partial(phase.step, rows, negatives, episodes, sums) for rows, episodes in batches)
+        descend(steps, adam, last_good, f"epoch {epoch_no}")
+        mean = {key: total / n if n else 0.0 for key, (total, n) in sums.items()}
+        stats = EpochStats(epoch_no, mean["main"], mean["ssl"], mean["total"], time.perf_counter() - t0,
+                           masked_edges=masked, phase=phase.name)
         if eval_fn is not None and config.eval_every > 0 and epoch_i % config.eval_every == 0:
-            stats.recall, stats.ndcg = eval_fn(_full_state(params, enh, gtens))
+            stats.recall, stats.ndcg = eval_fn(_full_state(phase.params, phase.enh, phase.gtens))
         history.epochs.append(stats)
         if out_dir is not None and config.checkpoint_every > 0 and epoch_i % config.checkpoint_every == 0:
-            save_training_checkpoint(Path(out_dir) / "model.ckpt", params, enh, config)
+            save_training_checkpoint(Path(out_dir) / "model.ckpt", phase.params, phase.enh, config)
         log.info(
             "epoch %d [%s] main=%.4f ssl=%.4f total=%.4f (%.2fs)",
-            epoch_no, phase, stats.l_main, stats.l_r, stats.total, stats.seconds,
+            epoch_no, phase.name, stats.l_main, stats.l_r, stats.total, stats.seconds,
         )
 
 
@@ -660,17 +587,13 @@ def train_model(
                 for kind, idx in warm_targets.items()
             ]
             t0 = time.perf_counter()
-            _, curve = train_enhancer(
-                warm_eps, gt, enh, params.table, config.learning_rate, config.warmup_epochs,
-                rng=rngs["warmup"],
-            )
+            curve = train_enhancer(warm_eps, gt, enh, params.table, config.learning_rate, config.warmup_epochs,
+                                   rng=rngs["warmup"])
             log.info("warm-up: %d epochs, loss %.4f -> %.4f (%.2fs)",
                      len(curve), curve[0], curve[-1], time.perf_counter() - t0)
-        for phase, epochs in phases:
-            _run_epochs(
-                config, split, gtens, positives, params, enh, gt, rngs, history,
-                phase, epochs, out_dir, eval_fn,
-            )
+        for name, epochs in phases:
+            phase = _Phase(name, config, split, gtens, params, enh, gt, positives)
+            _run_phase(phase, epochs, rngs, history, out_dir, eval_fn)
     except DivergenceError as err:  # the parameters are back at their last good values
         err.history = history
         if out_dir is not None:
@@ -680,9 +603,11 @@ def train_model(
     return params, enh, history
 
 
-def _full_state(params: ModelParams, enh: EnhancerParams | None, gtens: GraphTensors) -> FullState:
+def _full_state(params: ModelParams, enh: EnhancerParams | None, gtens: GraphTensors, reads=None) -> FullState:
+    """The full-graph pass; with ``reads``, its last step and fusion compute
+    only those rows of each kind."""
     metas = full_meta_matrices(gtens, params.table, enh) if enh is not None else None
-    return full_embeddings(gtens, params, metas=metas)
+    return full_embeddings(gtens, params, metas=metas, reads=reads)
 
 
 def final_state(

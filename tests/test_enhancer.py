@@ -619,16 +619,16 @@ class TestTrainEnhancer:
     def test_losses_bounded(self):
         g, model, episodes, gt = self.build()
         enh = init_enhancer_params(8, np.random.default_rng(2))
-        _, losses = train_enhancer(episodes, gt, enh, model.table, epochs=5,
-                                   rng=np.random.default_rng(0))
+        losses = train_enhancer(episodes, gt, enh, model.table, epochs=5,
+                                rng=np.random.default_rng(0))
         assert all(0.0 <= x <= 2.0 for x in losses)
 
     def test_recovers_neighbor_mean_targets(self):
         g, model, episodes, gt = self.build()
         enh = init_enhancer_params(8, np.random.default_rng(2))
         before = [np.array(x.data) for x in model.tensors()]
-        _, losses = train_enhancer(episodes, gt, enh, model.table, learning_rate=0.02,
-                                   epochs=150, rng=np.random.default_rng(0))
+        losses = train_enhancer(episodes, gt, enh, model.table, learning_rate=0.02,
+                                epochs=150, rng=np.random.default_rng(0))
         # mean cosine similarity above 0.95 <=> loss below 0.05
         assert losses[-1] < 0.05
         for prev, tensor in zip(before, model.tensors()):

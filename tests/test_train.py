@@ -1,4 +1,5 @@
 import gc
+import logging
 import types
 from dataclasses import replace
 
@@ -7,8 +8,11 @@ import pytest
 
 import coldgraph
 from coldgraph import autodiff as ad
-from coldgraph import train
-from coldgraph.graph import SyntheticSpec, build_implicit, generate_synthetic, make_training_graph, segment
+from coldgraph import cli, enhancer, train
+from coldgraph.graph import (
+    SyntheticSpec, build_implicit, generate_synthetic, load_graph_cache, make_training_graph,
+    read_split_manifest, segment,
+)
 from coldgraph.model import GraphTensors
 from coldgraph.reconstruction import train_teacher
 from coldgraph.evaluation import evaluate
@@ -268,3 +272,119 @@ def test_no_step_leaves_garbage_for_the_cyclic_collector(data, gtens, teacher, m
     finally:
         gc.enable()
     assert dict(zip(runs, found)) == {name: [0] * len(counts) for name, counts in zip(runs, found)}
+
+
+#: the part names each kind of step returns
+PART_NAMES = {
+    "joint": {"main/group", "main/user", "ssl", "l2"},
+    "pretrain": {"ssl"},
+    "finetune": {"main/group", "main/user", "l2"},
+    "warm-up": {"warm-up"},
+}
+
+
+def by_hand(phase, parts, config):
+    """The paper's objective over one step's parts, term by term in float32."""
+    f32 = np.float32
+    if phase == "warm-up":
+        return parts["warm-up"]
+    terms = []
+    if "main/group" in parts or "main/user" in parts:
+        main = f32(0)
+        if "main/group" in parts:
+            main = main + parts["main/group"]
+        if "main/user" in parts:
+            main = main + parts["main/user"] * f32(config.lam)
+        terms.append(main)
+    if "ssl" in parts:
+        terms.append(parts["ssl"] * f32(0.0 if phase == "finetune" else config.lam1))
+    if "l2" in parts:
+        terms.append(parts["l2"] * f32(config.lam2))
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize(
+    "overrides,phases",
+    [
+        (dict(batch_size=64, enhancer=False), {"joint"}),
+        (dict(), {"warm-up", "joint"}),
+        (dict(paradigm="pretrain_finetune", pretrain_epochs=1), {"warm-up", "pretrain", "finetune"}),
+    ],
+    ids=["joint-minibatch", "warm-up, joint-full-batch-enhancer", "warm-up, pretrain, finetune"],
+)
+def test_each_step_descends_the_weighted_sum_of_its_parts(data, gtens, teacher, monkeypatch, overrides, phases):
+    """The loss each step hands to backward is the weighted sum of the parts
+    that step returned, computed here by hand, bit for bit in float32."""
+    config = replace(TrainConfig(**SMALL), epochs=1, lam=0.5, lam1=0.7, lam2=0.01, **overrides)
+    events = []
+    parts_fn, warm_fn, backward = train._Phase.parts, enhancer._WarmupLayout.loss, ad.Tape.backward
+
+    def parts(phase, *args):
+        out = parts_fn(phase, *args)
+        events.append((phase.name, {name: np.float32(t.data) for name, t in out.items()}))
+        return out
+
+    def warm_loss(layout, *args):
+        out = warm_fn(layout, *args)
+        if out is not None:
+            events.append(("warm-up", {"warm-up": np.float32(out.data)}))
+        return out
+
+    def descended(tape, loss, params=None):
+        events.append(("descended", loss.data))
+        return backward(tape, loss, params)
+
+    monkeypatch.setattr(train._Phase, "parts", parts)
+    monkeypatch.setattr(enhancer._WarmupLayout, "loss", warm_loss)
+    monkeypatch.setattr(ad.Tape, "backward", descended)
+    train_model(config, data[1], gtens, teacher)
+    assert len(events) % 2 == 0
+    seen = {}
+    for (phase, step_parts), (tag, loss) in zip(events[::2], events[1::2]):
+        assert tag == "descended" and loss.dtype == np.float32
+        assert by_hand(phase, step_parts, config).tobytes() == loss.tobytes()
+        seen.setdefault(phase, set()).update(step_parts)
+    assert seen == {phase: PART_NAMES[phase] for phase in phases}
+
+
+@pytest.mark.parametrize("warmup_epochs", [0, 1], ids=["phase", "warm-up"])
+def test_a_failing_backward_is_an_error_not_a_divergence(data, gtens, teacher, monkeypatch, warmup_epochs):
+    """Backward of a scalar loss raises ValueError only from a rule's shape
+    or operator check, an internal error that training passes on as is."""
+
+    def broken(tape, loss, params=None):
+        raise ValueError("vjp shape check")
+
+    monkeypatch.setattr(ad.Tape, "backward", broken)
+    config = replace(TrainConfig(**SMALL), epochs=1, warmup_epochs=warmup_epochs)
+    with pytest.raises(ValueError, match="vjp shape check"):
+        train_model(config, data[1], gtens, teacher)
+
+
+def test_a_kind_left_out_of_a_step_logs_nothing(tmp_path, monkeypatch, caplog):
+    """The x1 synthetic spec at seed 4242 has 34 warm groups and 38 steps of
+    64 edges per epoch, so 64 SSL targets per kind leave the groups out of
+    four steps an epoch: those steps have no group part and log no warning."""
+    args = ["synth_occasional_fraction=0.5", "synth_occasional_scale=0.1", "c_u=3", "c_g=1", "seed=4242",
+            f"data_dir={tmp_path / 'data'}"]
+    assert cli.main(["synth", "--out", str(tmp_path / "data"), *args]) == 0
+    assert cli.main(["prepare", "--out", str(tmp_path), *args]) == 0
+    split = read_split_manifest(tmp_path / "split.txt")
+    gtens = GraphTensors(make_training_graph(load_graph_cache(tmp_path / "graph"), split))
+    config = TrainConfig(d=8, c_u=3, c_g=1, seed=4242, batch_size=64, ssl_targets=64, epochs=2,
+                         teacher_epochs=1, warmup_epochs=1)
+    gt = train_teacher(split, gtens, config)
+    without_groups, ssl_loss = [], train.ssl_loss
+
+    def spy(group_batch, *args, **kwargs):
+        without_groups.append(group_batch is None)
+        return ssl_loss(group_batch, *args, **kwargs)
+
+    monkeypatch.setattr(train, "ssl_loss", spy)
+    with caplog.at_level(logging.WARNING, logger="coldgraph"):
+        train_model(config, split, gtens, gt)
+    assert split.warm["group"].size == 34 and sum(without_groups) == 8
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
