@@ -15,12 +15,14 @@ segments, ``segment_attention``) take either one segment length or a list
 of (length, count) runs of consecutive equal-length segments, so a ragged
 grouping is one tape record however many lengths it holds;
 ``segment_attention`` can also gather its rows from (n, d) tables by
-``cols``, keeping only its attention probabilities for backward.  Every
-operation records its backward rule onto the innermost active
-:class:`Tape` whenever at least one input is differentiable, so a forward
-pass run outside of any tape is plain numpy with zero overhead.  The
-two-operand products (``matmul``, ``mul``, ``scale_rows``) skip the
-gradient of an operand that does not require one.
+``cols``, keeping only its attention probabilities for backward.  Likewise
+:func:`bpr`, the ranking loss, reads its anchor, positive and negative rows
+from the two tables by index, keeps only the per-edge margins and gathers
+the rows again in backward.  Every operation records its backward rule
+onto the innermost active :class:`Tape` whenever at least one input is
+differentiable, so a forward pass run outside of any tape is plain numpy
+with zero overhead.  The two-operand products (``matmul``, ``mul``,
+``scale_rows``) skip the gradient of an operand that does not require one.
 
 A record holds tensor keys and a rule that closes over only the arrays
 (and constant operators) its formula reads, so an intermediate lives while
@@ -60,7 +62,6 @@ __all__ = [
     "mul",
     "scale",
     "scale_rows",
-    "negate",
     "concat",
     "row_sums",
     "reshape",
@@ -69,7 +70,7 @@ __all__ = [
     "segment_attention",
     "attention_fusion",
     "relu",
-    "log_sigmoid",
+    "bpr",
     "cosine_similarity",
     "sum_squares",
 ]
@@ -238,18 +239,21 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"gather index out of range for table with {n} rows")
 
-    def vjp(g):
-        gt = np.zeros((n, g.shape[1]), g.dtype)
-        if idx.size > 1 and np.bincount(idx).max() > 1:
-            order = np.argsort(idx, kind="stable")
-            sorted_idx = idx[order]
-            starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
-            gt[sorted_idx[starts]] = np.add.reduceat(g[order], starts, axis=0)
-        else:  # no row repeats: a plain write is the scatter-add
-            gt[idx] = g
-        return (gt,)
+    return _emit(table.data[idx], (table,), lambda g: (_scatter_rows(idx, g, n),))
 
-    return _emit(table.data[idx], (table,), vjp)
+
+def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """The (n, d) sum of the rows of ``g`` placed at rows ``idx``: a
+    repeated row's gradients add in index order over one stable sort."""
+    gt = np.zeros((n, g.shape[1]), g.dtype)
+    if idx.size > 1 and np.bincount(idx).max() > 1:
+        order = np.argsort(idx, kind="stable")
+        sorted_idx = idx[order]
+        starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
+        gt[sorted_idx[starts]] = np.add.reduceat(g[order], starts, axis=0)
+    else:  # no row repeats: a plain write is the scatter-add
+        gt[idx] = g
+    return gt
 
 
 def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
@@ -363,10 +367,6 @@ def scale_rows(mat: Tensor, weights: Tensor) -> Tensor:
         return (None if w is None else g * w[:, None], None if x is None else (g * x).sum(axis=1))
 
     return _emit(mat.data * weights.data[:, None], (mat, weights), vjp)
-
-
-def negate(a: Tensor) -> Tensor:
-    return _emit(-a.data, (a,), lambda g: (-g,))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -694,18 +694,47 @@ def relu(a: Tensor) -> Tensor:
     return _emit(np.where(mask, a.data, 0.0), (a,), vjp)
 
 
-def log_sigmoid(a: Tensor) -> Tensor:
-    """``log(sigmoid(a))`` in the softplus form ``-log(1 + exp(-a))``.
+def bpr(anchors: Tensor, items: Tensor, anchor_pos, pos_pos, neg_pos) -> Tensor:
+    """The BPR loss ``mean_e softplus(a_e . n_e - a_e . p_e)`` (that is,
+    ``-mean log sigmoid`` of each edge's margin) of the edges e whose anchor,
+    positive and negative rows are ``anchors[anchor_pos[e]]``,
+    ``items[pos_pos[e]]`` and ``items[neg_pos[e]]``.
 
-    Finite for every finite input, where ``log(sigmoid(a))`` underflows to
-    ``log(0)`` once ``a`` is very negative.
+    The tape keeps only the per-edge margins, the three index arrays and
+    the two tables: backward gathers the rows again.  The item table is an
+    input twice, so its gradient arrives as the negatives' scatter, then
+    the positives'.
     """
-    x = a.data
+    _check_2d(anchors, "bpr")
+    _check_2d(items, "bpr")
+    if anchors.shape[1] != items.shape[1]:
+        raise ValueError(f"bpr shape mismatch: {anchors.shape} vs {items.shape}")
+    at_a, at_p, at_n = (np.asarray(p, dtype=np.intp) for p in (anchor_pos, pos_pos, neg_pos))
+    if at_a.ndim != 1 or not at_a.size or not at_a.shape == at_p.shape == at_n.shape:
+        raise ValueError("bpr needs one anchor, positive and negative row per edge, and an edge")
+    for at, table in ((at_a, anchors), (at_p, items), (at_n, items)):
+        if at.min() < 0 or at.max() >= table.shape[0]:
+            raise IndexError(f"bpr row out of range for a table with {table.shape[0]} rows")
+    ta, ti, m = anchors.data, items.data, at_a.size
+    a = ta[at_a]
+    margin = (a * ti[at_p]).sum(axis=1) - (a * ti[at_n]).sum(axis=1)
+    need_a, need_i = anchors.requires_grad, items.requires_grad
 
     def vjp(g):
-        return (g * _sigmoid(-x),)
+        gl = np.full(m, -g / m, g.dtype) * _sigmoid(-margin)
+        gp, gn = gl[:, None], (-gl)[:, None]
+        g_anchor = g_neg = g_pos = None
+        if need_i:
+            a = ta[at_a]
+            g_neg, g_pos = _scatter_rows(at_n, gn * a, len(ti)), _scatter_rows(at_p, gp * a, len(ti))
+            del a
+        if need_a:
+            ga = gn * ti[at_n]
+            ga += gp * ti[at_p]
+            g_anchor = _scatter_rows(at_a, ga, len(ta))
+        return g_anchor, g_neg, g_pos
 
-    return _emit(-np.logaddexp(0.0, -x), (a,), vjp)
+    return _emit(np.logaddexp(0.0, -margin).mean(axis=0), (anchors, items, items), vjp)
 
 
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -408,28 +408,35 @@ class FullState:
 
     ``fused[kind]`` holds the fused rows of ``kind``'s nodes ``rows[kind]``
     (ascending ids), or of every node where that is None or missing;
-    :meth:`lookup` reads them by node id.
+    :meth:`positions` maps node ids to those rows, which :meth:`lookup`
+    gathers and the ranking loss reads by index.
     """
 
     fused: dict[str, Tensor]
     layer_sums: dict[str, Tensor] | None = None
     rows: dict[str, np.ndarray | None] = field(default_factory=dict)
 
-    def lookup(self, kind: str, ids) -> Tensor:
-        """The fused rows of ``kind``'s nodes ``ids``, in that order.
+    def positions(self, kind: str, ids) -> np.ndarray:
+        """The rows of ``fused[kind]`` that hold ``kind``'s nodes ``ids``, in
+        that order: the ids themselves where the pass computed every row.
 
         Raises KeyError naming the first node the pass did not compute.
         """
         ids = np.asarray(ids, dtype=np.intp)
         rows = self.rows.get(kind)
-        if rows is not None:
-            at = np.searchsorted(rows, ids)
-            found = at < rows.size
-            found[found] = rows[at[found]] == ids[found]
-            if not found.all():
-                raise KeyError(f"the pass computed no row of {kind}:{ids[~found][0]}")
-            ids = at
-        return ad.gather_rows(self.fused[kind], ids)
+        if rows is None:
+            return ids
+        at = np.searchsorted(rows, ids)
+        found = at < rows.size
+        found[found] = rows[at[found]] == ids[found]
+        if not found.all():
+            raise KeyError(f"the pass computed no row of {kind}:{ids[~found][0]}")
+        return at
+
+    def lookup(self, kind: str, ids) -> Tensor:
+        """The fused rows of ``kind``'s nodes ``ids``, in that order; a node
+        the pass did not compute raises KeyError (:meth:`positions`)."""
+        return ad.gather_rows(self.fused[kind], self.positions(kind, ids))
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Every node's fused embedding in float64, the dtype evaluation

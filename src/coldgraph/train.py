@@ -8,6 +8,10 @@ epochs, then ranking alone for ``epochs`` epochs.
 
 The recommendation objective is pairwise: every observed group-item or
 user-item edge is ranked above one freshly drawn unobserved item per epoch.
+The epoch's negatives are drawn as arrays and tested against sorted
+``anchor * n_items + item`` keys, with the draws of a scalar rejection loop.
+The ranking loss reads the fused rows by index (:func:`autodiff.bpr`), so a
+step keeps per-edge scalars, not per-edge rows, until backward.
 When the reconstruction task is active its loss joins the total with weight
 ``lam1``, and all learnable tensors are L2-regularized with ``lam2``:
 
@@ -29,7 +33,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -341,39 +345,76 @@ def _seed_streams(config: TrainConfig) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(ss) for name, ss in zip(names, children)}
 
 
-def _positives(graph: InteractionGraph) -> tuple[np.ndarray, int, list[set[int]]]:
-    """Every training positive as an (anchor, item) row, GI rows first; the
-    number of GI rows; and each row's anchor's items, one set per anchor.
-    An anchor that has every item has no negative: TrainingDataError."""
-    sets: list[set[int]] = []
-    full: list[str] = []
-    for rel, kind in (("GI", "group"), ("UI", "user")):
-        indptr, indices = graph.csr(rel, kind)
-        by_anchor = [set(items.tolist()) for items in np.split(indices, indptr[1:-1])]
-        sets += [by_anchor[a] for a in graph.edges[rel][:, 0].tolist()]
-        full += [f"{kind}:{a}" for a, s in enumerate(by_anchor) if len(s) >= graph.counts["item"]]
+class _Positives(NamedTuple):
+    """Every training positive as an (anchor, item) row of ``edges``, the
+    ``n_gi`` GI rows first; each row's anchor in ``anchors``, where user u
+    counts as anchor n_groups + u; and the sorted ``anchor * n_items +
+    item`` ``keys`` of every row."""
+
+    edges: np.ndarray
+    n_gi: int
+    anchors: np.ndarray
+    keys: np.ndarray
+
+
+def _positives(graph: InteractionGraph) -> _Positives:
+    """The training positives; an anchor that has every item has no
+    negative: TrainingDataError."""
+    edges = np.concatenate([graph.edges["GI"], graph.edges["UI"]])
+    n_gi, n_groups, n_items = len(graph.edges["GI"]), graph.counts["group"], graph.counts["item"]
+    anchors = edges[:, 0].copy()
+    anchors[n_gi:] += n_groups
+    counts = np.bincount(anchors, minlength=n_groups + graph.counts["user"])
+    full = [f"group:{a}" if a < n_groups else f"user:{a - n_groups}" for a in np.flatnonzero(counts >= n_items)]
     if full:
         raise TrainingDataError(f"anchors {full[:5]} interact with every item; no negative exists")
-    return np.concatenate([graph.edges["GI"], graph.edges["UI"]]), len(graph.edges["GI"]), sets
+    return _Positives(edges, n_gi, anchors, np.sort(anchors * n_items + edges[:, 1]))
+
+
+#: the draws tested at once after a rejection; the window doubles while
+#: none of its draws is rejected
+_NEGATIVE_WINDOW = 64
 
 
 def sample_negative(
-    rng: np.random.Generator, n_items: int, positives: set[int]
-) -> int:
-    """Uniform item rejected against the anchor's observed positives."""
-    if len(positives) >= n_items:
-        raise ValueError("anchor interacts with every item; cannot sample a negative")
-    for _ in range(10_000):
-        j = int(rng.integers(n_items))
-        if j not in positives:
-            return j
-    raise RuntimeError("negative sampling failed to find a candidate")
+    rng: np.random.Generator, n_items: int, keys: np.ndarray, anchors: np.ndarray
+) -> np.ndarray:
+    """One uniform item per entry of ``anchors`` that is not among its
+    positives, the sorted ``anchor * n_items + item`` ``keys`` (not empty).
 
-
-def _bpr_term(anchor_rows: Tensor, pos_rows: Tensor, neg_rows: Tensor) -> Tensor:
-    pos_scores = ad.row_sums(ad.mul(anchor_rows, pos_rows))
-    neg_scores = ad.row_sums(ad.mul(anchor_rows, neg_rows))
-    return ad.negate(ad.mean_rows(ad.log_sigmoid(ad.sub(pos_scores, neg_scores))))
+    The items are those of a loop that draws ``rng.integers(n_items)`` for
+    each anchor in turn until one is not a positive, and ``rng`` ends in the
+    loop's state: each round draws one value per anchor still without an
+    item, and a rejected value hands the round's later values on to the
+    same anchor.  After a rejection only a window of the round is tested
+    again.  An anchor whose 10,000 draws all hit its positives raises
+    RuntimeError.
+    """
+    out = np.empty(len(anchors), np.intp)
+    base = np.asarray(anchors, np.int64) * n_items
+    pending = np.arange(len(anchors))
+    last, streak = -1, 0  # the anchor rejected last, and its rejections in a row
+    while pending.size:
+        draws = rng.integers(n_items, size=pending.size)
+        p = q = 0  # the next draw, and the pending anchor it goes to
+        width = _NEGATIVE_WINDOW
+        while p < draws.size:
+            cand = draws[p : p + width]
+            to = pending[q : q + cand.size]
+            key = base[to] + cand
+            hit = keys.take(np.searchsorted(keys, key), mode="clip") == key
+            r = int(hit.argmax()) if hit.any() else cand.size
+            out[to[:r]] = cand[:r]
+            if r == cand.size:
+                p, q, width = p + r, q + r, 2 * width
+                continue
+            streak = streak + 1 if to[r] == last else 1
+            last = to[r]
+            if streak == 10_000:
+                raise RuntimeError("negative sampling failed to find a candidate")
+            p, q, width = p + r + 1, q + r, _NEGATIVE_WINDOW
+        pending = pending[q:]
+    return out
 
 
 def _squared_norm(tensors: Sequence[Tensor]) -> Tensor:
@@ -401,26 +442,26 @@ class _Phase:
     params: ModelParams
     enh: EnhancerParams | None
     gt: GroundTruthTable | None
-    positives: tuple[np.ndarray, int, list[set[int]]]
+    positives: _Positives
 
     def __post_init__(self):
         self.main_on = self.name != "pretrain"  # the ranking loss and the L2 term
         self.ssl_weight = 0.0 if self.name == "finetune" else self.config.lam1
         self.tensors = self.params.tensors() + (self.enh.tensors() if self.enh else [])
-        if self.main_on and not len(self.positives[0]):
+        if self.main_on and not len(self.positives.edges):
             raise ValueError("no positive edges to train on")
 
     def plan(self, rngs: Mapping[str, np.random.Generator]):
         """One epoch's negatives, its steps (positive rows, an episode batch
         per kind) and masked-edge count.  A kind with fewer targets than steps
         is left out of the later steps."""
-        config, (edges, _, pos_sets) = self.config, self.positives
+        config, pos = self.config, self.positives
         negatives, batches = None, [np.array([], dtype=int)]
         if self.main_on:
             n_items = self.gtens.graph.counts["item"]
-            negatives = np.array([sample_negative(rngs["negatives"], n_items, s) for s in pos_sets])
-            order, size = rngs["shuffle"].permutation(len(edges)), config.batch_size
-            batches = [order[b * size : (b + 1) * size] for b in range(max(1, math.ceil(len(edges) / size)))]
+            negatives = sample_negative(rngs["negatives"], n_items, pos.keys, pos.anchors)
+            order, size = rngs["shuffle"].permutation(len(pos.edges)), config.batch_size
+            batches = [order[b * size : (b + 1) * size] for b in range(max(1, math.ceil(len(pos.edges) / size)))]
         episodes: list[dict[str, EpisodeBatch]] = [{} for _ in batches]
         masked_edges = 0
         if self.ssl_weight > 0:
@@ -436,8 +477,10 @@ class _Phase:
 
     def parts(self, rows: np.ndarray, negatives, episodes: Mapping[str, EpisodeBatch]) -> LossParts:
         """The loss parts of the step over the positive edges ``rows`` and
-        ``episodes``; the full-graph pass computes only the rows they read."""
-        edges, n_gi, _ = self.positives
+        ``episodes``; the full-graph pass computes only the rows they read.
+        Each kind's ranking loss reads the fused rows by index
+        (:func:`autodiff.bpr`), so it keeps per-edge scalars, not rows."""
+        edges, n_gi = self.positives.edges, self.positives.n_gi
         ranks = self.main_on and rows.size > 0
         full_ssl = self.ssl_weight > 0 and self.config.meta_mode == "full_neighborhood"
         if ranks or full_ssl:
@@ -456,8 +499,10 @@ class _Phase:
         if ranks:
             for kind, idx in (("group", rows[rows < n_gi]), ("user", rows[rows >= n_gi])):
                 if idx.size:
-                    anchors, items = state.lookup(kind, edges[idx, 0]), state.lookup("item", edges[idx, 1])
-                    parts[f"main/{kind}"] = _bpr_term(anchors, items, state.lookup("item", negatives[idx]))
+                    parts[f"main/{kind}"] = ad.bpr(
+                        state.fused[kind], state.fused["item"], state.positions(kind, edges[idx, 0]),
+                        state.positions("item", edges[idx, 1]), state.positions("item", negatives[idx]),
+                    )
         if self.ssl_weight > 0 and episodes:
             parts["ssl"], _ = ssl_loss(
                 episodes.get("group"), episodes.get("user"), episodes.get("item"), self.params, self.enh,

@@ -86,6 +86,35 @@ def log(a: Tensor) -> Tensor:
     return _emit(np.log(a.data), (a,), vjp)
 
 
+def negate(a: Tensor) -> Tensor:
+    return _emit(-a.data, (a,), lambda g: (-g,))
+
+
+def log_sigmoid(a: Tensor) -> Tensor:
+    """``log(sigmoid(a))`` in the softplus form ``-log(1 + exp(-a))``.
+
+    Finite for every finite input, where ``log(sigmoid(a))`` underflows to
+    ``log(0)`` once ``a`` is very negative.
+    """
+    x = a.data
+
+    def vjp(g):
+        return (g * _sigmoid(-x),)
+
+    return _emit(-np.logaddexp(0.0, -x), (a,), vjp)
+
+
+def bpr_by_gathers(anchors: Tensor, items: Tensor, anchor_pos, pos_pos, neg_pos) -> Tensor:
+    """``autodiff.bpr`` op by op, as training built it before that op: three
+    ``gather_rows`` (in the order ``FullState.lookup`` made them), then the
+    BPR term, whose tape holds about nine (edges, d) arrays."""
+    anchor_rows, pos_rows = ad.gather_rows(anchors, anchor_pos), ad.gather_rows(items, pos_pos)
+    neg_rows = ad.gather_rows(items, neg_pos)
+    pos_scores = ad.row_sums(ad.mul(anchor_rows, pos_rows))
+    neg_scores = ad.row_sums(ad.mul(anchor_rows, neg_rows))
+    return negate(ad.mean_rows(log_sigmoid(ad.sub(pos_scores, neg_scores))))
+
+
 def segment_attention_rows(q: Tensor, k: Tensor, v: Tensor, block) -> Tensor:
     """``autodiff.segment_attention`` over rows gathered beforehand, as it
     was before it could gather its own: ``q``, ``k`` and ``v`` are (rows, d)
@@ -166,6 +195,28 @@ class RecordingTape(ad.Tape):
         if params is not None:
             return {p: np.array(grads.get(id(p), np.zeros_like(p.data))) for p in params}
         return {t: np.array(grads[key]) for key, t in leaves.items()}
+
+
+def positive_sets(graph: InteractionGraph) -> list[set[int]]:
+    """Each training positive's anchor's items, one set per GI then UI row."""
+    sets = []
+    for rel, kind in (("GI", "group"), ("UI", "user")):
+        indptr, indices = graph.csr(rel, kind)
+        by_anchor = [set(items.tolist()) for items in np.split(indices, indptr[1:-1])]
+        sets += [by_anchor[a] for a in graph.edges[rel][:, 0].tolist()]
+    return sets
+
+
+def sample_negative_scalar(rng: np.random.Generator, n_items: int, positives: set[int]) -> int:
+    """Uniform item rejected against the anchor's observed positives, one
+    scalar draw at a time."""
+    if len(positives) >= n_items:
+        raise ValueError("anchor interacts with every item; cannot sample a negative")
+    for _ in range(10_000):
+        j = int(rng.integers(n_items))
+        if j not in positives:
+            return j
+    raise RuntimeError("negative sampling failed to find a candidate")
 
 
 class Node(NamedTuple):

@@ -14,7 +14,10 @@ from coldgraph.reconstruction import train_teacher
 from coldgraph.sparse import SparseOperator
 from coldgraph.train import TrainConfig, train_model
 from gradcheck import finite_diff_check
-from oracles import RecordingTape, dedup_mean, log, segment_attention_rows, sigmoid, sum_all, transpose
+from oracles import (
+    RecordingTape, bpr_by_gathers, dedup_mean, log, log_sigmoid, negate, segment_attention_rows, sigmoid,
+    sum_all, transpose,
+)
 
 
 def rand(rng, *shape):
@@ -186,6 +189,7 @@ def _op_cases(rng):
     rows_a, rows_b = t(3, 4), t(3, 4)
     runs = [(1, 2), (2, 2)]
     sc_a, sm_v = t(6, 3), t(6)
+    bpr_tables = [t(3, 3), t(5, 3)]
     fu = [t(4, 3) for _ in range(3)] + [t(3, 3) for _ in range(3)] + [t(4, 3)]
     fu_present = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 0], [0, 0, 0]], dtype=bool)
     return [
@@ -203,7 +207,7 @@ def _op_cases(rng):
         ("mul", lambda p: ad.mul(p[0], p[1]), [a23, b23]),
         ("scale", lambda p: ad.scale(p[0], 0.37), [a23]),
         ("scale_rows", lambda p: ad.scale_rows(p[0], p[1]), [sr_m, sr_w]),
-        ("negate", lambda p: ad.negate(p[0]), [a23]),
+        ("negate", lambda p: negate(p[0]), [a23]),
         ("concat0", lambda p: ad.concat(p), vecs),
         ("concat1", lambda p: ad.concat(p, axis=1), [a23, b23]),
         ("transpose", lambda p: transpose(p[0]), [m]),
@@ -214,7 +218,7 @@ def _op_cases(rng):
         ("sigmoid", lambda p: sigmoid(p[0]), [a23]),
         ("relu", lambda p: ad.relu(p[0]), [away_from_zero(2, 3)]),
         ("log", lambda p: log(p[0]), [pos]),
-        ("log_sigmoid", lambda p: ad.log_sigmoid(p[0]), [a23]),
+        ("log_sigmoid", lambda p: log_sigmoid(p[0]), [a23]),
         ("cosine", lambda p: ad.cosine_similarity(p[0], p[1]), [u4, w4]),
         ("cosine_rows", lambda p: ad.cosine_similarity(p[0], p[1]), [rows_a, rows_b]),
         ("segment_attention", lambda p: ad.segment_attention(*p, 3), [sa_q, sa_k, sa_v]),
@@ -226,6 +230,8 @@ def _op_cases(rng):
         ("softmax_runs", lambda p: ad.softmax(p[0], runs), [sm_v]),
         ("attention_fusion", lambda p: ad.attention_fusion(p[:3], p[3:6], fu_present, p[6]), fu),
         ("sum_squares", lambda p: ad.sum_squares(p[0]), [a23]),
+        # anchors and items repeated, one item both a positive and a negative
+        ("bpr", lambda p: ad.bpr(*p, [0, 2, 2, 1], [0, 3, 1, 3], [4, 4, 3, 0]), bpr_tables),
     ]
 
 
@@ -276,7 +282,7 @@ class TestFloat32Robustness:
         return out.data, [grads[t] for t in leaves]
 
     def test_log_sigmoid_at_1e4(self):
-        out, (grad,) = self._run(ad.log_sigmoid, [-1e4, -100.0, 0.0, 100.0, 1e4])
+        out, (grad,) = self._run(log_sigmoid, [-1e4, -100.0, 0.0, 100.0, 1e4])
         np.testing.assert_allclose(out, [-1e4, -100.0, -np.log(2.0), 0.0, 0.0], rtol=1e-6, atol=1e-12)
         np.testing.assert_allclose(grad, [1.0, 1.0, 0.5, 0.0, 0.0], rtol=1e-6, atol=1e-12)
 
@@ -343,11 +349,83 @@ class TestConstantOperands:
         np.testing.assert_array_equal(got[1 - const_side], want[1 - const_side])
 
 
+class TestBpr:
+    """``ad.bpr`` against the three gathers and nine ops it replaces."""
+
+    CASES = {
+        "repeats": ([0, 2, 2, 1, 0], [0, 3, 1, 3, 3], [4, 4, 3, 0, 1]),
+        "distinct": ([0, 1, 2], [0, 1, 2], [3, 4, 5]),
+        "one-edge": ([1], [2], [0]),
+    }
+
+    @staticmethod
+    def run(loss_fn, tables, at):
+        with ad.Tape() as tape:
+            anchors, items = tables
+            # the items also feed a loss recorded later, whose gradient
+            # backward adds first; the part is weighted as lam weights it
+            loss = ad.add(ad.scale(loss_fn(anchors, items, *at), 0.37), ad.sum_squares(items))
+        grads = tape.backward(loss, list(tables))
+        return loss.data, [grads[t] for t in tables]
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_and_gradients_equal_the_gathers_and_ops(self, case, dtype):
+        rng = np.random.default_rng(3)
+        datas = [rng.normal(size=(3, 8)).astype(dtype), rng.normal(size=(6, 8)).astype(dtype)]
+        results = []
+        for fn in (ad.bpr, bpr_by_gathers):
+            tables = [ad.Tensor(d, requires_grad=True) for d in datas]
+            results.append(self.run(fn, tables, self.CASES[case]))
+        (loss, grads), (want_loss, want_grads) = results
+        assert loss.dtype == np.dtype(dtype) and loss.tobytes() == want_loss.tobytes()
+        for g, want in zip(grads, want_grads):
+            assert g.dtype == np.dtype(dtype) and g.tobytes() == want.tobytes()
+
+    def test_a_table_without_gradient_gets_none(self):
+        rng = np.random.default_rng(4)
+        anchors = ad.const(rng.normal(size=(3, 4)))
+        items = ad.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.bpr(anchors, items, *self.CASES["repeats"])
+        _, keys, vjp = tape._records[-1]
+        g_anchor, g_neg, g_pos = vjp(np.ones((), np.float64))
+        assert keys[0] is None and g_anchor is None and g_neg.shape == g_pos.shape == (6, 4)
+        assert out.requires_grad
+
+    def test_margins_of_1e4_stay_finite(self):
+        # edge 0's margin is +1e4, edge 1's -1e4: softplus of -1e4 is 0 and
+        # of 1e4 is 1e4, with sigmoids of 0 and 1
+        anchors = ad.Tensor(np.array([[100.0]], np.float32), requires_grad=True)
+        items = ad.Tensor(np.array([[100.0], [0.0]], np.float32), requires_grad=True)
+        with ad.Tape() as tape:
+            loss = ad.bpr(anchors, items, [0, 0], [0, 1], [1, 0])
+        grads = tape.backward(loss, [anchors, items])
+        assert loss.data.dtype == np.float32 and loss.item() == 5e3
+        # d loss / d margin is 0 for edge 0 and -1/2 for edge 1, whose margin is -(a . item 0)
+        np.testing.assert_array_equal(grads[anchors], [[50.0]])
+        np.testing.assert_array_equal(grads[items], [[50.0], [-50.0]])
+
+    @pytest.mark.parametrize(
+        "at,error",
+        [
+            (([], [], []), ValueError),
+            (([0, 1], [0], [1, 1]), ValueError),
+            (([3], [0], [1]), IndexError),
+            (([0], [0], [-1]), IndexError),
+        ],
+    )
+    def test_bad_positions(self, at, error):
+        tables = ad.Tensor(np.ones((3, 2))), ad.Tensor(np.ones((4, 2)))
+        with pytest.raises(error):
+            ad.bpr(*tables, *at)
+
+
 class TestLogSigmoid:
     def test_finite_where_log_of_sigmoid_underflows(self):
         x = ad.Tensor([-1000.0, -40.0, 0.0, 40.0, 1000.0], requires_grad=True)
         with ad.Tape() as tape:
-            out = ad.log_sigmoid(x)
+            out = log_sigmoid(x)
             loss = sum_all(out)
         np.testing.assert_allclose(out.data, [-1000.0, -40.0, -np.log(2.0), 0.0, 0.0], atol=1e-15)
         grad = tape.backward(loss, [x])[x]
@@ -358,7 +436,7 @@ class TestLogSigmoid:
     def test_matches_log_of_sigmoid(self, xs):
         x = ad.Tensor(xs)
         np.testing.assert_allclose(
-            ad.log_sigmoid(x).data, log(sigmoid(x)).data, rtol=1e-12, atol=1e-14
+            log_sigmoid(x).data, log(sigmoid(x)).data, rtol=1e-12, atol=1e-14
         )
 
 

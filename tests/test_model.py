@@ -33,6 +33,7 @@ from oracles import (
     fuse_by_pattern,
     fuse_channels,
     log,
+    negate,
     neighbors,
     sigmoid,
     sum_all,
@@ -666,7 +667,7 @@ class TestEndToEndGradients:
             pos = ad.gather_rows(state.fused["item"], [0, 1])
             neg = ad.gather_rows(state.fused["item"], [5, 6])
             diff = ad.sub(ad.row_sums(ad.mul(anchor, pos)), ad.row_sums(ad.mul(anchor, neg)))
-            return ad.negate(ad.mean_rows(log(sigmoid(diff))))
+            return negate(ad.mean_rows(log(sigmoid(diff))))
 
         err = finite_diff_check(f, params.tensors(), eps=1e-5)
         assert err < 1e-4

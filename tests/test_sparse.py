@@ -17,7 +17,7 @@ from coldgraph.graph import (
 from coldgraph.model import GraphTensors, full_embeddings, init_model_params
 from coldgraph.sparse import SparseOperator, neighbor_mean
 from gradcheck import finite_diff_check
-from oracles import as_float64, dedup_mean, sum_all
+from oracles import as_float64, bpr_by_gathers, dedup_mean, sum_all
 
 
 def dense_mean(rows, cols, shape, mirror=False):
@@ -271,11 +271,7 @@ class TestOperator:
 
 
 def bpr_like(state):
-    anchor = ad.gather_rows(state.fused["group"], [0, 1, 2])
-    pos = ad.gather_rows(state.fused["item"], [0, 1, 2])
-    neg = ad.gather_rows(state.fused["item"], [3, 4, 5])
-    diff = ad.sub(ad.row_sums(ad.mul(anchor, pos)), ad.row_sums(ad.mul(anchor, neg)))
-    return ad.negate(ad.mean_rows(ad.log_sigmoid(diff)))
+    return bpr_by_gathers(state.fused["group"], state.fused["item"], [0, 1, 2], [0, 1, 2], [3, 4, 5])
 
 
 class TestFullModeEquivalence:

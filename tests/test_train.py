@@ -13,11 +13,11 @@ from coldgraph.graph import (
     SyntheticSpec, build_implicit, generate_synthetic, load_graph_cache, make_training_graph,
     read_split_manifest, segment,
 )
-from coldgraph.model import GraphTensors
+from coldgraph.model import GraphTensors, init_model_params
 from coldgraph.reconstruction import train_teacher
 from coldgraph.evaluation import evaluate
 from coldgraph.train import AdamState, TrainConfig, final_state, train_model
-from oracles import RecordingTape
+from oracles import RecordingTape, as_float64, bpr_by_gathers
 
 # a small model that trains with the reconstruction task in one full batch
 SMALL = dict(d=8, L=2, K=3, ssl_targets=8, warmup_targets=8, warmup_epochs=2, teacher_epochs=1,
@@ -388,3 +388,58 @@ def test_a_kind_left_out_of_a_step_logs_nothing(tmp_path, monkeypatch, caplog):
         train_model(config, split, gtens, gt)
     assert split.warm["group"].size == 34 and sum(without_groups) == 8
     assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ranking_parts_equal_the_lookups_and_ops(data, gtens, monkeypatch, dtype):
+    """Each kind's ranking part and every gradient of the step's total equal
+    those of three ``FullState.lookup`` gathers and the op-by-op BPR term:
+    bit for bit in float32, to 1e-12 in float64.  The steps hold both kinds,
+    a single group edge (no user edge), and repeated user edges alone."""
+    config = TrainConfig(d=8, L=2, lam=0.5, lam1=0.0, enhancer=False, seed=5)
+    params = init_model_params(gtens.graph.counts, 8, "light", 2, with_meta=False, rng=np.random.default_rng(5))
+    if dtype == np.float64:
+        as_float64(params)
+    phase = train._Phase("joint", config, data[1], gtens, params, None, None, train._positives(gtens.graph))
+    negatives, _, _ = phase.plan(train._seed_streams(config))
+    n_gi, n = phase.positives.n_gi, len(phase.positives.edges)
+    steps = [np.arange(n), np.array([0]), np.array([n_gi, n - 1, n_gi, n - 1, n_gi])]
+
+    def run():
+        out = []
+        for rows in steps:
+            with ad.Tape() as tape:
+                parts = phase.parts(rows, negatives, {})
+                total, _ = phase.objective(parts)
+            grads = tape.backward(total, phase.tensors)
+            out.append(({k: v.data for k, v in parts.items()}, [grads[t] for t in phase.tensors]))
+        return out
+
+    got = run()
+    monkeypatch.setattr(ad, "bpr", bpr_by_gathers)
+    want = run()
+    assert [sorted(parts) for parts, _ in got] == [
+        ["l2", "main/group", "main/user"], ["l2", "main/group"], ["l2", "main/user"]
+    ]
+    for (parts, grads), (want_parts, want_grads) in zip(got, want, strict=True):
+        assert parts.keys() == want_parts.keys()
+        for a, b in zip([*parts.values(), *grads], [*want_parts.values(), *want_grads], strict=True):
+            assert a.dtype == b.dtype == dtype
+            if dtype == np.float32:
+                assert a.tobytes() == b.tobytes()
+            else:
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [dict(lam1=0.0, enhancer=False, batch_size=64, warmup_epochs=0), dict(warmup_epochs=1)],
+    ids=["base-minibatch", "joint-full-batch"],
+)
+def test_training_through_the_ranking_op_is_bit_identical(data, gtens, teacher, monkeypatch, step):
+    config = replace(TrainConfig(**SMALL), epochs=2, **step)
+    params, enh, history = train_model(config, data[1], gtens, teacher)
+    monkeypatch.setattr(ad, "bpr", bpr_by_gathers)
+    want_params, want_enh, want_history = train_model(config, data[1], gtens, teacher)
+    assert tensor_bytes(params, enh) == tensor_bytes(want_params, want_enh)
+    assert history.totals() == want_history.totals()
