@@ -179,7 +179,7 @@ def full_meta_matrices(
 
 
 def _cosine_costs(predicted: Tensor, truth: np.ndarray) -> Tensor:
-    truth = truth.astype(predicted.data.dtype, copy=False)  # a loaded teacher is float64
+    truth = truth.astype(predicted.data.dtype, copy=False)  # a float32 teacher: copied only for float64 predictions
     cos = ad.cosine_similarity(predicted, ad.const(truth))
     return ad.sub(ad.const(np.ones(truth.shape[0], truth.dtype)), cos)
 

@@ -19,13 +19,16 @@ of one neighbor-mean operator per relation side, the rows the cut names
 over the columns of the rows the step before computed, and its self path
 gathers the same rows.  It runs over one of two graphs:
 
-* the complete training graph (:class:`GraphTensors`), for the ranking
-  loss, teachers and evaluation (:func:`full_embeddings`).  Every step but
-  the last computes every row, because the 3-hop field of even a small
-  batch covers almost every node.  The last step cuts the rows that
-  fusion reads: the rows the loss reads, and for read groups their GU
-  members; no channel reads GI's item side, so it is never computed.
-  Evaluation and teachers read every row;
+* the complete training graph (:class:`GraphTensors`): one channel
+  propagation per relation (:func:`propagations`) and the fusion of a
+  step (:func:`fuse`).  The ranking loss and evaluation fuse the last
+  step (:func:`full_embeddings`); a teacher's layer sums fuse every step
+  (:func:`reconstruction.layer_sum_table`).  Every step but the last
+  computes every row, because the 3-hop field of even a small batch
+  covers almost every node.  The last step cuts the rows that fusion
+  reads: the rows the loss reads, and for read groups their GU members;
+  no channel reads GI's item side, so it is never computed.  Evaluation
+  and teachers read every row;
 * the masked, K-sampled neighborhood trees of an episode batch (the
   cold-start simulation of the pretext task, :func:`embed_from_episode`).
   The sampler numbers each relation's trees as one small graph, a
@@ -43,7 +46,7 @@ projection of ``concat(self, meta)`` at every convolution step."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -413,8 +416,7 @@ class FullState:
     """
 
     fused: dict[str, Tensor]
-    layer_sums: dict[str, Tensor] | None = None
-    rows: dict[str, np.ndarray | None] = field(default_factory=dict)
+    rows: dict[str, np.ndarray | None]
 
     def positions(self, kind: str, ids) -> np.ndarray:
         """The rows of ``fused[kind]`` that hold ``kind``'s nodes ``ids``, in
@@ -446,63 +448,25 @@ class FullState:
         return {k: v.data.astype(np.float64) for k, v in self.fused.items()}
 
 
-def full_embeddings(
-    gtens: GraphTensors,
-    params: ModelParams,
-    metas: Mapping[tuple[str, str], Tensor] | None = None,
-    need_layer_sums: bool = False,
-    reads: Mapping[str, np.ndarray | None] | None = None,
-) -> FullState:
-    """Embed users, items and groups over the complete adjacency.
-
-    ``reads[kind]`` lists the ascending ids of the nodes whose fused rows
-    the caller reads; None, or a kind left out, means every node.  Every
-    step but the last computes every row; the last step and fusion compute
-    only the rows read, plus the GU rows of the read groups' members, and
-    :meth:`FullState.lookup` finds them by id.  No channel reads GI's item
-    side at the last step, so no pass computes it.  ``need_layer_sums``
-    adds each node's sum of its per-step fused embeddings, over every row.
-
-    Without layer sums each relation's propagation runs to its end in
-    turn and keeps only its last step, the one fusion reads.  With them,
-    the propagations advance in lockstep and each step is fused and added
-    to the sums before the next is computed, so at most two steps of each
-    relation are alive at once, not all L + 1.
-
-    ``metas`` maps (kind, relation) to an all-node meta matrix; when given,
-    that kind's self path is meta-injected at every step of that relation's
-    propagation.
+def propagations(gtens: GraphTensors, params: ModelParams, metas=None, rows=None, users=None) -> dict:
+    """The full-graph propagation (:func:`_relation_steps`) of each channel
+    source, keyed as :func:`fuse` reads them; users and items have one UI
+    propagation, or "UI_user" and "UI_item" where ``metas[(kind, "UI")]``
+    meta-injects either (:func:`full_embeddings`).  Every step but the last
+    computes every row; the last computes the ascending ids ``rows[kind]``
+    (None, or a kind left out: every row), and GU's the ``users``.
     """
-    metas = metas or {}
-    reads = reads or {}
-    L = params.layers
-    # the rows step L computes per kind; as many distinct ids as rows are all
-    sel = {
-        k: None if reads.get(k) is None or len(reads[k]) == n else np.asarray(reads[k], np.intp)
-        for k, n in gtens.graph.counts.items()
-    }
-    if need_layer_sums and any(ids is not None for ids in sel.values()):
-        raise ValueError("layer sums need every row of the last step")
-    members, users = gtens.member_plan(sel["group"])
+    metas, rows = metas or {}, rows or {}
 
     def steps(rel: str, kind: str, read: tuple[str, ...] | None = None) -> Iterator[dict[str, Tensor]]:
-        """Propagation over ``rel``, meta-injecting ``kind``; the last step
-        computes the rows of the kinds ``read`` (default ``kind``) that
-        fusion reads."""
-        ends = dict.fromkeys(RELATION_KINDS[rel])
-        rows = dict(sel, user=users) if rel == "GU" else sel
-        cut = {k: gtens.norm[(rel, k)] for k in read or (kind,)}
-        cut = {k: op if rows[k] is None else op.cut(rows[k]) for k, op in cut.items()}
-        return _relation_steps(
-            rel,
-            [{k: gtens.norm[(rel, k)] for k in ends}] * (L - 1) + [cut],
-            {k: params.table(k) for k in ends},
-            params,
-            {kind: metas.get((kind, rel))},
-        )
+        # meta-injects kind; the last step computes the rows of the kinds read (default kind)
+        last = dict(rows, user=users) if rel == "GU" else rows
+        whole = {k: gtens.norm[(rel, k)] for k in RELATION_KINDS[rel]}
+        cut = {k: whole[k] if last.get(k) is None else whole[k].cut(last[k]) for k in read or (kind,)}
+        h0 = {k: params.table(k) for k in whole}
+        ops = [whole] * (params.layers - 1) + [cut]
+        return _relation_steps(rel, ops, h0, params, {kind: metas.get((kind, rel))})
 
-    # one propagation per channel source; the UI channels of users and items
-    # share one unless either side is meta-injected
     props = {
         "GI": steps("GI", "group"),
         "GU": steps("GU", "group", ("group", "user")),
@@ -511,48 +475,67 @@ def full_embeddings(
     }
     if metas.get(("user", "UI")) is None and metas.get(("item", "UI")) is None:
         props["UI"] = steps("UI", "user", ("user", "item"))
-        ui_user = ui_item = "UI"
     else:
         props["UI_user"], props["UI_item"] = steps("UI", "user"), steps("UI", "item")
-        ui_user, ui_item = "UI_user", "UI_item"
+    return props
 
-    # a group has the member-aggregate channel iff it has a GU neighbor
-    masks = {
-        kind: {c: gtens.mask[("GU" if c == "GU_AGG" else c, kind)] for c in channels}
-        for kind, channels in CHANNELS_BY_KIND.items()
+
+def fuse(gtens: GraphTensors, params: ModelParams, h: Mapping, rows=None, members=None) -> dict[str, Tensor]:
+    """The fused rows per kind of one step of :func:`propagations`, whose
+    rows per propagation are ``h``: of each kind the ascending ids
+    ``rows[kind]`` (None, or a kind left out: every row).  ``members`` is
+    the GU member plan of those groups, built here when None."""
+    rows = rows or {}
+    members = gtens.member_plan(rows.get("group"))[0] if members is None else members
+    gu_agg = _member_aggregate(members, h["GU"]["user"], params)
+    ui_user, ui_item = (h["UI"], h["UI"]) if "UI" in h else (h["UI_user"], h["UI_item"])
+    mats = {
+        "group": {"GI": h["GI"]["group"], "GU": h["GU"]["group"], "GG": h["GG"]["group"]},
+        "user": {"UI": ui_user["user"], "UU": h["UU"]["user"]},
+        "item": {"UI": ui_item["item"]},
     }
+    if gu_agg is not None:
+        mats["group"]["GU_AGG"] = gu_agg
+    out = {}
+    for kind in KINDS:
+        # a group has the member-aggregate channel iff it has a GU neighbor
+        masks = {c: gtens.mask[("GU" if c == "GU_AGG" else c, kind)] for c in CHANNELS_BY_KIND[kind]}
+        e0, ids = params.table(kind), rows.get(kind)
+        if ids is not None:
+            e0 = ad.gather_rows(e0, ids)
+            masks = {c: m[ids] for c, m in masks.items()}
+        out[kind] = fuse_present(kind, mats[kind], masks, params.fusion, e0)
+    return out
 
-    def fuse(step: int, h: Mapping[str, Mapping[str, Tensor]]) -> dict[str, Tensor]:
-        """Fusion of step ``step``, whose rows per propagation are ``h``."""
-        rows = sel if step == L else dict.fromkeys(KINDS)
-        plan = members if step == L else gtens.member_plan(None)[0]
-        gu_agg = _member_aggregate(plan, h["GU"]["user"], params)
-        mats = {
-            "group": {"GI": h["GI"]["group"], "GU": h["GU"]["group"], "GG": h["GG"]["group"]},
-            "user": {"UI": h[ui_user]["user"], "UU": h["UU"]["user"]},
-            "item": {"UI": h[ui_item]["item"]},
-        }
-        if gu_agg is not None:
-            mats["group"]["GU_AGG"] = gu_agg
-        out = {}
-        for kind in KINDS:
-            ids, e0, kind_masks = rows[kind], params.table(kind), masks[kind]
-            if ids is not None:
-                e0 = ad.gather_rows(e0, ids)
-                kind_masks = {c: m[ids] for c, m in kind_masks.items()}
-            out[kind] = fuse_present(kind, mats[kind], kind_masks, params.fusion, e0)
-        return out
 
-    if not need_layer_sums:
-        # each propagation runs to its end in turn, keeping only its last step
-        return FullState(fused=fuse(L, {name: _last_step(p) for name, p in props.items()}), rows=sel)
-    # the propagations advance in lockstep, and each step is fused and
-    # summed before the next is computed
-    layer_sums = {kind: params.table(kind) for kind in KINDS}
-    for step, h in enumerate(zip(*props.values()), 1):
-        fused = fuse(step, dict(zip(props, h)))
-        layer_sums = {k: ad.add(layer_sums[k], fused[k]) for k in KINDS}
-    return FullState(fused=fused, layer_sums=layer_sums)
+def full_embeddings(
+    gtens: GraphTensors,
+    params: ModelParams,
+    metas: Mapping[tuple[str, str], Tensor] | None = None,
+    reads: Mapping[str, np.ndarray | None] | None = None,
+) -> FullState:
+    """Embed users, items and groups over the complete adjacency: each of
+    :func:`propagations` runs to its end in turn, keeping only its last
+    step, and :func:`fuse` fuses the last steps.
+
+    ``reads[kind]`` lists the ascending ids of the nodes whose fused rows
+    the caller reads; None, or a kind left out, means every node.  Every
+    step but the last computes every row; the last step and fusion compute
+    only the rows read, plus the GU rows of the read groups' members, and
+    :meth:`FullState.lookup` finds them by id.  No channel reads GI's item
+    side at the last step, so no pass computes it.  ``metas`` maps (kind,
+    relation) to an all-node meta matrix that meta-injects that kind's self
+    path at every step of that relation's propagation.
+    """
+    reads = reads or {}
+    # the rows the last step computes per kind; as many distinct ids as rows are all
+    rows = {
+        k: None if reads.get(k) is None or len(reads[k]) == n else np.asarray(reads[k], np.intp)
+        for k, n in gtens.graph.counts.items()
+    }
+    members, users = gtens.member_plan(rows["group"])
+    last = {name: _last_step(p) for name, p in propagations(gtens, params, metas, rows, users).items()}
+    return FullState(fused=fuse(gtens, params, last, rows, members), rows=rows)
 
 
 # ---------------------------------------------------------------------------

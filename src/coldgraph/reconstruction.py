@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .enhancer import EnhancerParams, episode_metas, reconstruction_costs
 from .graph import KINDS, EpisodeBatch, EvalSplit
-from .model import FullState, GraphTensors, ModelParams, embed_from_episode, full_embeddings
+from .model import FullState, GraphTensors, ModelParams, embed_from_episode, fuse, propagations
 
 log = logging.getLogger("coldgraph")
 
@@ -61,8 +61,9 @@ class GroundTruthTable:
 
     @classmethod
     def from_named_tensors(cls, tensors: Mapping[str, np.ndarray], provenance: str):
-        """Inverse of :meth:`named_tensors`; raises ValueError naming a missing
-        or ill-shaped tensor."""
+        """Inverse of :meth:`named_tensors`, with the rows in float32, the
+        dtype they were trained in (a checkpoint stores float64); raises
+        ValueError naming a missing or ill-shaped tensor."""
         rows, known = {}, {}
         for kind in KINDS:
             try:
@@ -71,18 +72,26 @@ class GroundTruthTable:
                 raise ValueError(f"missing tensor {err.args[0]}") from None
             if table.ndim != 2 or mask.shape != table.shape[:1]:
                 raise ValueError(f"teacher/{kind} {table.shape} does not match its mask {mask.shape}")
-            rows[kind], known[kind] = table, mask == 1
+            rows[kind], known[kind] = table.astype(np.float32), mask == 1
         if len({r.shape[1] for r in rows.values()}) != 1:
             raise ValueError("teacher tensors disagree on the embedding width")
         return cls(rows, known, provenance)
 
 
-def layer_sum_table(state: FullState, split: EvalSplit, provenance: str) -> GroundTruthTable:
-    """Ground truth of the warm nodes: each node's sum of its per-step fused
-    embeddings."""
-    if state.layer_sums is None:
-        raise ValueError("forward state was computed without layer sums")
-    rows = {kind: state.layer_sums[kind].data.astype(np.float64) for kind in KINDS}
+def layer_sum_table(
+    gtens: GraphTensors, params: ModelParams, split: EvalSplit, provenance: str
+) -> GroundTruthTable:
+    """Ground truth of the warm nodes: each node's layer sum h^0 + ... + h^L,
+    its table row plus its fused rows of every step, added in that order.
+    The steps of :func:`model.propagations` advance in lockstep, and each is
+    fused and summed before the next, so at most two steps of a relation
+    are alive at once."""
+    sums = {kind: params.table(kind) for kind in KINDS}
+    props = propagations(gtens, params)
+    for h in zip(*props.values()):
+        fused = fuse(gtens, params, dict(zip(props, h)))
+        sums = {kind: ad.add(sums[kind], fused[kind]) for kind in KINDS}
+    rows = {kind: s.data for kind, s in sums.items()}
     known = {kind: np.isin(np.arange(len(r)), split.warm[kind]) for kind, r in rows.items()}
     return GroundTruthTable(rows, known, provenance)
 
@@ -93,7 +102,9 @@ def train_teacher(split: EvalSplit, gtens: GraphTensors, config) -> GroundTruthT
     The teacher is :func:`train.train_model` run on ``gtens`` jointly for
     ``teacher_epochs`` epochs with ``lam1=0`` and the enhancer off, so it
     never masks neighborhoods; its per-node target is the layer sum
-    h^0 + ... + h^L computed over the same ``gtens``.
+    h^0 + ... + h^L over the same ``gtens`` (:func:`layer_sum_table`), in
+    float32.  A warm node whose sum is not finite or is zero raises
+    ValueError.
     """
     from .train import TrainingDataError, train_model  # deferred: train imports this module
 
@@ -103,11 +114,11 @@ def train_teacher(split: EvalSplit, gtens: GraphTensors, config) -> GroundTruthT
         config, epochs=config.teacher_epochs, lam1=0.0, enhancer=False, paradigm="joint"
     )
     params, _, _ = train_model(teacher_config, split, gtens)
-    state = full_embeddings(gtens, params, need_layer_sums=True)
     provenance = f"{config.backbone}-layersum-L{config.L}-seed{config.seed}"
-    table = layer_sum_table(state, split, provenance)
+    table = layer_sum_table(gtens, params, split, provenance)
     bad = []
     for kind, rows in table.rows.items():
+        rows = rows.astype(np.float64)  # a float32 norm can underflow to 0
         fine = np.isfinite(rows).all(axis=1) & (np.linalg.norm(rows, axis=1) > 0)
         bad += [f"{kind}:{i}" for i in np.flatnonzero(table.known[kind] & ~fine).tolist()]
     if bad:

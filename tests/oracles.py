@@ -11,7 +11,7 @@ blocks of rows.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, NamedTuple
@@ -246,12 +246,19 @@ def truth_vector(table, node):
     return table.lookup(node[0], [node[1]])[0]
 
 
-def layer_sum_table(state, split):
-    """Ground truth per warm node, ``{(kind, index): vec}``: the node's sum of
-    its per-step fused embeddings, one node at a time."""
+def layer_sum_table(gtens, params, split):
+    """Ground truth per warm node, ``{(kind, index): vec}``: the node's table
+    row plus, for l = 1 .. L, its fused embedding of an l-layer pass (the
+    first l convolution weights), added in that order."""
+    passes = [
+        model.full_embeddings(gtens, replace(params, layers=l, conv_w=params.conv_w[:l]))
+        for l in range(1, params.layers + 1)
+    ]
     vectors = {}
     for kind in ("group", "user", "item"):
-        sums = np.array(state.layer_sums[kind].data)
+        sums = params.table(kind).data
+        for state in passes:
+            sums = sums + state.fused[kind].data
         for idx in sorted(tuple_split(split).warm[kind]):
             vectors[(kind, idx)] = sums[idx]
     return vectors

@@ -292,8 +292,6 @@ class TestReadRows:
             state.lookup("item", [0])
         with pytest.raises(ValueError, match="rows a loss reads"):
             state.arrays()
-        with pytest.raises(ValueError, match="layer sums"):
-            full_embeddings(GraphTensors(g), make_params(g.counts), need_layer_sums=True, reads=reads)
 
 
 def forest_graph(implicit=True):

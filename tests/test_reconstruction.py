@@ -14,7 +14,7 @@ from coldgraph.graph import (
     sample_episode,
     segment,
 )
-from coldgraph.model import FullState, GraphTensors, embed_from_episode, full_embeddings, init_model_params
+from coldgraph.model import GraphTensors, embed_from_episode, full_embeddings, init_model_params
 from coldgraph.reconstruction import (
     GroundTruthTable,
     layer_sum_table,
@@ -92,19 +92,12 @@ def test_full_state_path_gathers_the_fused_embeddings(setup):
             assert cost == pytest.approx(1 - h @ want / np.linalg.norm(h) / np.linalg.norm(want))
 
 
-def test_layer_sum_table_needs_layer_sums(setup):
-    g, params, gt, batches = setup
-    state = FullState(fused=full_embeddings(GraphTensors(g), params).fused)
-    with pytest.raises(ValueError, match="without layer sums"):
-        layer_sum_table(state, None, "test")
-
-
 def test_layer_sum_table_matches_the_per_node_table(setup):
     g, params, _, _ = setup
     split = segment(g, 4, 4, 4, 0.3)
-    state = full_embeddings(GraphTensors(g), params, need_layer_sums=True)
-    table = layer_sum_table(state, split, "test")
-    want = oracles.layer_sum_table(state, split)
+    gtens = GraphTensors(g)
+    table = layer_sum_table(gtens, params, split, "test")
+    want = oracles.layer_sum_table(gtens, params, split)
     assert 0 < len(want) < sum(g.counts.values())
     for (kind, index), vec in want.items():
         assert table.lookup(kind, [index])[0].tobytes() == vec.tobytes()
@@ -114,6 +107,23 @@ def test_layer_sum_table_matches_the_per_node_table(setup):
         for target in (cold, -1, g.counts[kind]):
             with pytest.raises(KeyError, match=f"no ground-truth embedding for {kind}:{target}"):
                 table.lookup(kind, [split.warm[kind][0], target])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["light", "gcn"])
+def test_layer_sums_are_bit_equal_to_the_sums_of_shallower_passes(setup, variant, dtype):
+    g = setup[0]
+    split = segment(g, 4, 4, 4, 0.3)
+    params = init_model_params(g.counts, 6, variant, 3, False, np.random.default_rng(2))
+    if dtype == np.float64:
+        as_float64(params)
+    gtens = GraphTensors(g)
+    table = layer_sum_table(gtens, params, split, "test")
+    want = oracles.layer_sum_table(gtens, params, split)
+    assert 0 < len(want) < sum(g.counts.values())
+    for (kind, index), vec in want.items():
+        assert table.rows[kind].dtype == dtype
+        assert table.rows[kind][index].tobytes() == vec.tobytes()
 
 
 def test_teacher_table_checkpoint_round_trip(tmp_path):
@@ -128,7 +138,8 @@ def test_teacher_table_checkpoint_round_trip(tmp_path):
     assert loaded.d == 4 and loaded.provenance == "p"
     for kind in KINDS:
         assert loaded.rows[kind].shape == (counts[kind], 4)
-        np.testing.assert_array_equal(loaded.rows[kind], table.rows[kind])
+        assert loaded.rows[kind].dtype == np.float32
+        np.testing.assert_array_equal(loaded.rows[kind], table.rows[kind].astype(np.float32))
         np.testing.assert_array_equal(loaded.known[kind], table.known[kind])
     assert loaded.known["user"].tolist() == [True, False, True]
 
@@ -139,7 +150,8 @@ def test_float64_teacher_checkpoint_is_read_rounded_to_float32(setup, tmp_path):
     loaded = GroundTruthTable.from_named_tensors(load_checkpoint(tmp_path / "teacher.ckpt")[0], "t")
     params = init_model_params(g.counts, 6, "light", 2, True, np.random.default_rng(0))
     for kind in KINDS:
-        np.testing.assert_array_equal(loaded.rows[kind], gt.rows[kind])
+        assert loaded.rows[kind].dtype == np.float32
+        np.testing.assert_array_equal(loaded.rows[kind], gt.rows[kind].astype(np.float32))
         batch = batches[kind]
         got = reconstruction_terms(batch, params, None, loaded)
         h = embed_from_episode(batch, params)

@@ -13,8 +13,10 @@ from coldgraph.graph import (
     SyntheticSpec,
     build_implicit,
     generate_synthetic,
+    segment,
 )
 from coldgraph.model import GraphTensors, full_embeddings, init_model_params
+from coldgraph.reconstruction import layer_sum_table
 from coldgraph.sparse import SparseOperator, neighbor_mean
 from gradcheck import finite_diff_check
 from oracles import as_float64, bpr_by_gathers, dedup_mean, sum_all
@@ -290,26 +292,25 @@ class TestFullModeEquivalence:
             np.testing.assert_array_equal(np.asarray(gtens.norm[key]), norm)
             np.testing.assert_array_equal(gtens.mask[key], oracle.mask[key])
         params = as_float64(init_model_params(g.counts, 4, variant, 2, False, np.random.default_rng(seed)))
+        split = segment(g, 1, 1, 1, 0.5)
 
         def forward():
             with ad.Tape() as tape:
-                state = full_embeddings(gtens, params, need_layer_sums=True)
+                state = full_embeddings(gtens, params)
                 loss = bpr_like(state)
             grads = tape.backward(loss, params.tensors())
-            return state, [grads[p] for p in params.tensors()]
+            sums = layer_sum_table(gtens, params, split, "test").rows
+            return state, sums, [grads[p] for p in params.tensors()]
 
-        got_state, got_grads = forward()
+        got_state, got_sums, got_grads = forward()
         dense_of = {id(gtens.norm[key]): norm for key, norm in oracle.norm.items()}
         monkeypatch.setattr(ad, "spmm", lambda op, h: ad.matmul(ad.const(dense_of[id(op)]), h))
-        want_state, want_grads = forward()
+        want_state, want_sums, want_grads = forward()
         for kind in ("user", "item", "group"):
             np.testing.assert_allclose(
                 got_state.fused[kind].data, want_state.fused[kind].data, rtol=0, atol=1e-10
             )
-            np.testing.assert_allclose(
-                got_state.layer_sums[kind].data, want_state.layer_sums[kind].data,
-                rtol=0, atol=1e-10,
-            )
+            np.testing.assert_allclose(got_sums[kind], want_sums[kind], rtol=0, atol=1e-10)
         for got, want in zip(got_grads, want_grads):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 

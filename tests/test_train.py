@@ -143,7 +143,8 @@ def test_float32_steps_never_upcast(data, gtens, teacher, monkeypatch, paradigm)
     """An enhancer warm-up step, then a joint full-batch step with the
     enhancer, or a pretrain and a finetune step, all stay float32: every
     recorded op's output, every gradient backward returns and every Adam
-    moment.  The teacher table is float64 and read as float32."""
+    moment.  ``train_teacher`` makes a float32 table; a float64 copy of it
+    is read as float32 too."""
     split = data[1]
     dtypes, steps = set(), []
     emit, backward, step = ad._emit, ad.Tape.backward, AdamState.step
@@ -169,8 +170,9 @@ def test_float32_steps_never_upcast(data, gtens, teacher, monkeypatch, paradigm)
     monkeypatch.setattr(ad.Tape, "backward", checked_backward)
     monkeypatch.setattr(AdamState, "step", checked_step)
     config = replace(TrainConfig(**SMALL), warmup_epochs=1, paradigm=paradigm, pretrain_epochs=1, epochs=1)
-    assert all(rows.dtype == np.float64 for rows in teacher.rows.values())
-    params, enh, history = train_model(config, split, gtens, teacher)
+    assert all(rows.dtype == np.float32 for rows in teacher.rows.values())
+    teacher64 = replace(teacher, rows={k: r.astype(np.float64) for k, r in teacher.rows.items()})
+    params, enh, history = train_model(config, split, gtens, teacher64)
     assert dtypes == {np.dtype(np.float32)}
     assert all(t.data.dtype == np.float32 for t in params.tensors() + enh.tensors())
     # warm-up steps train the enhancer alone, the phases every tensor
