@@ -15,8 +15,8 @@ from .graph import (
 )
 from .model import ModelParams, embed_from_episode, full_embeddings, init_model_params
 from .enhancer import EnhancerParams, init_enhancer_params, train_enhancer
-from .reconstruction import GroundTruthTable, ssl_loss, train_teacher
-from .train import TrainConfig, TrainHistory, train_model
+from .reconstruction import GroundTruthTable, ssl_loss
+from .train import TrainConfig, TrainHistory, train_model, train_teacher
 from .evaluation import Metrics, evaluate
 
 __version__ = "0.1.0"

@@ -25,12 +25,14 @@ with zero overhead.  The two-operand products (``matmul``, ``mul``,
 ``scale_rows``) skip the gradient of an operand that does not require one.
 
 A record holds tensor keys and a rule that closes over only the arrays
-(and constant operators) its formula reads, so an intermediate lives while
-a rule reads it or its caller still holds it: the propagation keeps only
-the step it computes from, and training drops its forward outputs before
-it calls backward.  :meth:`Tape.backward` frees each record as it runs
-it, and with it, by reference counting alone, the per-step sparse
-operators and their cached transposes, which form no reference cycle.
+(and constant operators) its formula reads, so a tape holds no tensor and
+an intermediate lives while a rule reads it or its caller still holds it:
+the propagation keeps only the step it computes from, and training drops
+its forward outputs before it calls backward.  :meth:`Tape.backward`, run
+once per tape, returns the gradients of the tensors it is given; it frees
+each record as it runs it, and with it, by reference counting alone, the
+per-step sparse operators and their cached transposes, which form no
+reference cycle.
 
 :func:`descend` is the one loop of the enhancer warm-up and every training
 phase: each step's forward runs on its own tape and returns only its loss,
@@ -137,16 +139,15 @@ class Tape:
     """Ordered record of operations for one reverse-mode sweep.
 
     Records accumulate in creation order.  Each is (output key, input keys,
-    rule), with None for an input that needs no gradient; the only tensors
-    the tape holds are its leaves, the differentiable inputs that no record
-    on it produced.  :meth:`backward` walks the records once in reverse,
-    popping each as it runs it, so a rule's arrays are freed once no earlier
-    record needs them and a finished tape holds nothing; it may not be
-    called again until :meth:`reset`.
+    rule), with None for an input that needs no gradient, so the tape holds
+    no tensor.  :meth:`backward` walks the records once in reverse, popping
+    each as it runs it, so a rule's arrays are freed once no earlier record
+    needs them and a finished tape holds nothing; a tape runs backward once.
     """
 
     def __init__(self):
-        self.reset()
+        self._records: list[tuple[int, tuple[int | None, ...], Callable]] = []
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -161,36 +162,21 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def reset(self) -> None:
-        self._records: list[tuple[int, tuple[int | None, ...], Callable]] = []
-        self._produced: set[int] = set()
-        self._leaves: dict[int, Tensor] = {}
-        self._consumed = False
-
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
         keys = tuple(t.key if t.requires_grad else None for t in inputs)
-        self._leaves.update((k, t) for t, k in zip(inputs, keys) if k is not None and k not in self._produced)
-        self._produced.add(out.key)
         self._records.append((out.key, keys, vjp))
 
-    def backward(
-        self, loss: Tensor, params: Sequence[Tensor] | None = None
-    ) -> dict[Tensor, np.ndarray]:
-        """Accumulate d(loss)/d(leaf) for every differentiable leaf.
-
-        A leaf is a requires_grad tensor that is not the output of a recorded
-        operation.  When ``params`` is given the returned map covers exactly
-        those tensors, with zeros for any that the loss never touched.
-        """
+    def backward(self, loss: Tensor, params: Sequence[Tensor]) -> dict[Tensor, np.ndarray]:
+        """d(loss)/d(p) for every tensor p of ``params``, with zeros for any
+        that the loss never touched."""
         if self._consumed:
-            raise RuntimeError("tape consumed: call reset() before reusing it")
+            raise RuntimeError("tape consumed: a tape runs backward once")
         if loss.data.ndim != 0:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
         self._consumed = True
 
         # a 0-d float64 seed would upcast every gradient of a float32 loss
         grads: dict[int, np.ndarray] = {loss.key: np.ones((), loss.data.dtype)}
-        leaves, self._leaves, self._produced = self._leaves, {}, set()
         while self._records:
             out, inputs, vjp = self._records.pop()
             g = grads.pop(out, None)
@@ -201,11 +187,7 @@ class Tape:
                     continue
                 acc = grads.get(key)
                 grads[key] = gt if acc is None else acc + gt
-
-        if params is not None:
-            return {p: np.array(grads.get(p.key, np.zeros_like(p.data))) for p in params}
-        # leaves in the order they first got a gradient, as grads holds them
-        return {leaves[key]: np.array(g) for key, g in grads.items() if key in leaves}
+        return {p: np.array(grads.get(p.key, np.zeros_like(p.data))) for p in params}
 
 
 def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:

@@ -33,7 +33,7 @@ from .graph import (
     write_split_manifest,
 )
 from .model import GraphTensors
-from .reconstruction import GroundTruthTable, train_teacher
+from .reconstruction import GroundTruthTable
 from .train import (
     DivergenceError,
     TrainConfig,
@@ -43,6 +43,7 @@ from .train import (
     load_training_checkpoint,
     save_training_checkpoint,
     train_model,
+    train_teacher,
 )
 
 log = logging.getLogger("coldgraph")
@@ -83,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, epilog=_config_epilog())
         p.add_argument("--config", type=Path, default=None, help="config file (key=value lines)")
         p.add_argument("--out", type=Path, default=Path("out"), help="output/working directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("overrides", nargs="*", help="config overrides as key=value")
     return parser
 
@@ -104,8 +104,6 @@ def _resolve_config(args) -> TrainConfig:
         config = config.with_overrides(pairs)
     except (KeyError, ValueError) as err:
         raise CliError(2, str(err)) from err
-    if args.seed is not None:
-        config = config.with_overrides([("seed", str(args.seed))])
     try:
         config.validate()
     except ValueError as err:
@@ -255,7 +253,7 @@ def cmd_train(config: TrainConfig, out: Path) -> int:
     (out / "run_meta.txt").write_text(
         f"label={label}\n"
         f"history_file={history_file.name}\n"
-        f"total_edges={graph.num_edges()}\n"
+        f"total_edges={gtens.graph.num_edges()}\n"
         f"masked_edges={masked}\n"
         f"phases={phases}\n",
         encoding="utf-8",
@@ -311,7 +309,7 @@ def cmd_report(config: TrainConfig, out: Path) -> int:
         raise CliError(2, "report needs report_base_dir=... and report_ssl_dir=...")
     base_history, _, base_edges = _read_run(Path(config.report_base_dir))
     ssl_history, masked, ssl_edges = _read_run(Path(config.report_ssl_dir))
-    report = complexity_report(ssl_history, base_history, ssl_edges or base_edges, masked or None)
+    report = complexity_report(ssl_history, base_history, ssl_edges or base_edges, masked)
     out.mkdir(parents=True, exist_ok=True)
     (out / "complexity.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     (out / "complexity.csv").write_text(report.to_csv(), encoding="utf-8")

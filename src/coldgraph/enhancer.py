@@ -253,21 +253,21 @@ def train_enhancer(
     ground_truth,
     params: EnhancerParams,
     tables,
-    learning_rate: float = 0.001,
-    epochs: int = 50,
-    rng: np.random.Generator | None = None,
+    learning_rate: float,
+    epochs: int,
+    rng: np.random.Generator,
 ) -> list[float]:
     """Fit the enhancer to reproduce ground-truth embeddings from neighbors.
 
     Minimizes the mean cosine reconstruction loss of the fused meta embedding
-    over the targets of the episode batches, shuffled together into steps of
-    64, by adaptive-moment gradient descent on the enhancer parameters only;
-    the model tables are read as constants.  Returns the per-epoch mean
-    loss; zero epochs leaves the parameters untouched.  A non-finite loss or
+    over the targets of the episode batches, shuffled together by ``rng``
+    into steps of 64 each epoch, by adaptive-moment gradient descent at
+    ``learning_rate`` on the enhancer parameters only; the model tables are
+    read as constants.  Returns the per-epoch mean loss of the ``epochs``
+    epochs; zero epochs leaves the parameters untouched.  A non-finite loss or
     update restores the values the parameters had before the warm-up and
     raises :class:`autodiff.DivergenceError`.
     """
-    rng = rng or np.random.default_rng(0)
     adam = AdamState(params.tensors(), learning_rate)
     before = [np.array(t.data) for t in adam.tensors]
     layout = _WarmupLayout(episodes, ground_truth, tables)

@@ -229,18 +229,16 @@ def complexity_report(
     ssl_history,
     base_history,
     total_edges: int,
-    masked_edge_counts: Sequence[int] | None = None,
+    masked_edge_counts: Sequence[int],
 ) -> ComplexityReport:
     """Compare a reconstruction-enabled run against its base-model twin.
 
     ``total_edges`` is the edge count of the graph both runs trained on;
-    ``masked_edge_counts`` defaults to the per-epoch counts recorded in the
-    reconstruction run's history.
+    ``masked_edge_counts`` are the reconstruction run's per-epoch masked
+    edge counts (none reads as one epoch of zero).
     """
     if not ssl_history.epochs or not base_history.epochs:
         raise ValueError("missing history")
-    if masked_edge_counts is None:
-        masked_edge_counts = [e.masked_edges for e in ssl_history.epochs]
     counts = list(masked_edge_counts) or [0]
     return ComplexityReport(
         total_edges=total_edges,

@@ -658,7 +658,6 @@ def sample_episode(
     k: int,
     depth: int,
     seed: int,
-    member_depth_bonus: bool = True,
 ) -> EpisodeBatch:
     """Sample reproducible masked neighborhoods around targets of one kind.
 
@@ -668,10 +667,11 @@ def sample_episode(
     per tree.  The key hashes (seed, target kind, target, relation, parent
     kind, parent, neighbor), so a node has the same children at every
     depth and a target's tree does not depend on the rest of the batch.
-    Group GU trees go one level deeper than ``depth`` (when
-    ``member_depth_bonus``) so the sampled members can themselves be
-    embedded with a full depth-``depth`` recursion for the member-aggregate
-    channel.  A zero-degree relation yields empty layers.
+    Group GU trees always go one level deeper than ``depth``, so the
+    sampled members can themselves be embedded with a full depth-``depth``
+    recursion for the member-aggregate channel; their first-order layer is
+    the one a depth-``depth`` tree would sample.  A zero-degree relation
+    yields empty layers.
     """
     if k < 1 or depth < 1:
         raise ValueError("k and depth must be at least 1")
@@ -681,7 +681,7 @@ def sample_episode(
         raise ValueError(f"{kind} targets not in graph: {bad.tolist()}")
     forests = {}
     for rel in RELATIONS_BY_KIND[kind]:
-        d = depth + 1 if (rel == "GU" and kind == "group" and member_depth_bonus) else depth
+        d = depth + 1 if (rel, kind) == ("GU", "group") else depth
         forests[rel] = _sample_forest(graph, rel, kind, targets, k, d, seed)
     return EpisodeBatch(kind, targets, depth, forests)
 

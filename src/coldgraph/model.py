@@ -546,9 +546,10 @@ def full_embeddings(
 def _forest_operators(forest: Forest, layers: int, reach: int) -> list[dict[str, SparseOperator]]:
     """The per-step operators of :func:`_relation_steps` over a forest,
     computing at step l only the rows the last step still reads: the rows
-    first reached at depth ``reach`` + ``layers`` - l or less (capped at
-    the forest's depth), where the last step reads the rows of depth
-    ``reach`` or less (the targets, and for ``reach`` = 1 their members).
+    first reached at depth ``reach`` + ``layers`` - l or less, where the
+    last step reads the rows of depth ``reach`` or less (the targets, and
+    for ``reach`` = 1 their members).  A forest is ``reach`` + ``layers``
+    deep: a group GU tree is sampled one level deeper than the others.
 
     Per endpoint kind, one operator takes the mean over each row's sampled
     children (leaves and rows of a kind that is never expanded have none);
@@ -557,7 +558,6 @@ def _forest_operators(forest: Forest, layers: int, reach: int) -> list[dict[str,
     """
     ka, kb = RELATION_KINDS[forest.relation]
     other = {ka: kb, kb: ka}
-    depth = len(forest.layers)
     whole = {}
     for k in other:
         edges = [(p, c) for pk, (_, p, c) in zip(forest.kinds, forest.layers) if pk == k]
@@ -566,7 +566,7 @@ def _forest_operators(forest: Forest, layers: int, reach: int) -> list[dict[str,
         shape = (forest.nodes[k].size, forest.nodes[other[k]].size)
         whole[k] = neighbor_mean(rows, cols, shape)
     # step l computes the rows of depth <= reads[l] from those of depth <= reads[l - 1]
-    reads = [min(reach + layers - l, depth) for l in range(layers + 1)]
+    reads = [reach + layers - l for l in range(layers + 1)]
     return [
         {
             k: op.cut(np.arange(forest.prefix[k][reads[l]]), forest.prefix[other[k]][reads[l - 1]])

@@ -11,7 +11,7 @@ of targets at a time.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -94,36 +94,6 @@ def layer_sum_table(
     rows = {kind: s.data for kind, s in sums.items()}
     known = {kind: np.isin(np.arange(len(r)), split.warm[kind]) for kind, r in rows.items()}
     return GroundTruthTable(rows, known, provenance)
-
-
-def train_teacher(split: EvalSplit, gtens: GraphTensors, config) -> GroundTruthTable:
-    """Train the plain base GNN on the warm data and freeze its embeddings.
-
-    The teacher is :func:`train.train_model` run on ``gtens`` jointly for
-    ``teacher_epochs`` epochs with ``lam1=0`` and the enhancer off, so it
-    never masks neighborhoods; its per-node target is the layer sum
-    h^0 + ... + h^L over the same ``gtens`` (:func:`layer_sum_table`), in
-    float32.  A warm node whose sum is not finite or is zero raises
-    ValueError.
-    """
-    from .train import TrainingDataError, train_model  # deferred: train imports this module
-
-    if not any(split.warm[k].size for k in KINDS):
-        raise TrainingDataError("warm sets are empty; nothing to teach from")
-    teacher_config = replace(
-        config, epochs=config.teacher_epochs, lam1=0.0, enhancer=False, paradigm="joint"
-    )
-    params, _, _ = train_model(teacher_config, split, gtens)
-    provenance = f"{config.backbone}-layersum-L{config.L}-seed{config.seed}"
-    table = layer_sum_table(gtens, params, split, provenance)
-    bad = []
-    for kind, rows in table.rows.items():
-        rows = rows.astype(np.float64)  # a float32 norm can underflow to 0
-        fine = np.isfinite(rows).all(axis=1) & (np.linalg.norm(rows, axis=1) > 0)
-        bad += [f"{kind}:{i}" for i in np.flatnonzero(table.known[kind] & ~fine).tolist()]
-    if bad:
-        raise ValueError(f"teacher produced degenerate ground truth for {bad[:5]}")
-    return table
 
 
 def reconstruction_terms(

@@ -12,7 +12,7 @@ One cut (:meth:`SparseOperator.cut`) computes some of an operator's rows
 over its leading columns from its buckets, without sorting again: a
 forest step's leading block of rows, or the full graph's rows that a
 loss reads.  A cut's transpose products go through its parent's one
-cached transpose.
+cached transpose, which holds no reference back to its operator.
 
 The weights are stored in float64.  A product follows the dtype of its
 right operand: the weights are cast to that dtype once, on its first
@@ -21,8 +21,6 @@ float32.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -42,15 +40,15 @@ class SparseOperator:
     ``shape`` and ``size`` (the dense cell count) describe the matrix,
     ``nbytes`` the arrays actually stored, and ``np.asarray(op)`` gives a
     dense copy.  The transpose is built on first use and cached: the
-    operator holds it, and it holds the operator only weakly, so
-    ``op.T.T is op`` while ``op`` lives, and no operator sits in a
-    reference cycle that only Python's cyclic collector could free.
+    operator holds it, and a transpose holds no reference back, so no
+    operator sits in a reference cycle that only Python's cyclic collector
+    could free.
     :meth:`cut` takes some of the rows over leading columns; a cut names
     its rows' ids in its parent as ``row_ids`` (None in an operator that
     is no cut).
     """
 
-    __slots__ = ("shape", "row_ids", "_parent", "_buckets", "_t", "_of", "_cast", "__weakref__")
+    __slots__ = ("shape", "row_ids", "_parent", "_buckets", "_t", "_cast", "__weakref__")
 
     def __init__(self, rows, cols, values, shape: tuple[int, int]):
         """Build from coordinate triplets; (row, col) pairs must be distinct."""
@@ -65,7 +63,6 @@ class SparseOperator:
         self.row_ids: np.ndarray | None = None
         self._parent: SparseOperator | None = None  # the operator a cut was cut from
         self._t: SparseOperator | None = None  # the cached transpose
-        self._of: weakref.ref | None = None  # in a transpose: the operator it transposes
         self._cast: dict[np.dtype, list[np.ndarray]] = {}
 
         cell = rows * n_cols + cols  # one sort by (row, col), far faster than lexsort
@@ -174,7 +171,7 @@ class SparseOperator:
             return self
         out = SparseOperator.__new__(SparseOperator)
         out.shape = (ids.size, n_cols)
-        out.row_ids, out._parent, out._t, out._of, out._cast, out._buckets = ids, self, None, None, {}, []
+        out.row_ids, out._parent, out._t, out._cast, out._buckets = ids, self, None, {}, []
         if out._leading():
             for members, idx, weights in self._buckets:
                 m = int(members.searchsorted(ids.size))
@@ -192,14 +189,10 @@ class SparseOperator:
 
     @property
     def T(self) -> "SparseOperator":
-        t = self._t
-        if t is None and self._of is not None:
-            t = self._of()  # None once the transposed operator is gone
-        if t is None:
+        if self._t is None:
             rows, cols, values = self.entries()
-            t = self._t = SparseOperator(cols, rows, values, self.shape[::-1])
-            t._of = weakref.ref(self)
-        return t
+            self._t = SparseOperator(cols, rows, values, self.shape[::-1])
+        return self._t
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         dense = np.zeros(self.shape)

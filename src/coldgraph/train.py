@@ -1,10 +1,11 @@
-"""The training configuration, entry point, loss parts and checkpoints.
+"""The training configuration, entry points, loss parts and checkpoints.
 
 :func:`train_model` runs the phases that ``TrainConfig.paradigm`` names,
 after the enhancer warm-up when the enhancer is on: ``joint`` trains
 ranking and reconstruction together for ``epochs`` epochs;
 ``pretrain_finetune`` trains reconstruction alone for ``pretrain_epochs``
-epochs, then ranking alone for ``epochs`` epochs.
+epochs, then ranking alone for ``epochs`` epochs.  :func:`train_teacher`
+runs it as the plain base GNN and keeps the reconstruction targets.
 
 The recommendation objective is pairwise: every observed group-item or
 user-item edge is ranked above one freshly drawn unobserved item per epoch.
@@ -54,7 +55,7 @@ from .model import (
     full_embeddings,
     init_model_params,
 )
-from .reconstruction import GroundTruthTable, pick_ssl_targets, ssl_loss
+from .reconstruction import GroundTruthTable, layer_sum_table, pick_ssl_targets, ssl_loss
 
 log = logging.getLogger("coldgraph")
 
@@ -628,7 +629,7 @@ def train_model(
             warm_targets = pick_ssl_targets(split, config.warmup_targets, rngs["warmup"])
             warm_seed = int(rngs["warmup"].integers(2 ** 31))
             warm_eps = [
-                sample_episode(gtens.graph, kind, idx, config.K, 1, warm_seed, member_depth_bonus=False)
+                sample_episode(gtens.graph, kind, idx, config.K, 1, warm_seed)
                 for kind, idx in warm_targets.items()
             ]
             t0 = time.perf_counter()
@@ -646,6 +647,34 @@ def train_model(
             save_training_checkpoint(err.checkpoint, params, enh, config)
         raise
     return params, enh, history
+
+
+def train_teacher(split: EvalSplit, gtens: GraphTensors, config) -> GroundTruthTable:
+    """Train the plain base GNN on the warm data and freeze its embeddings.
+
+    The teacher is :func:`train_model` run on ``gtens`` jointly for
+    ``teacher_epochs`` epochs with ``lam1=0`` and the enhancer off, so it
+    never masks neighborhoods; its per-node target is the layer sum
+    h^0 + ... + h^L over the same ``gtens`` (:func:`layer_sum_table`), in
+    float32.  A warm node whose sum is not finite or is zero raises
+    ValueError.
+    """
+    if not any(split.warm[k].size for k in KINDS):
+        raise TrainingDataError("warm sets are empty; nothing to teach from")
+    teacher_config = replace(
+        config, epochs=config.teacher_epochs, lam1=0.0, enhancer=False, paradigm="joint"
+    )
+    params, _, _ = train_model(teacher_config, split, gtens)
+    provenance = f"{config.backbone}-layersum-L{config.L}-seed{config.seed}"
+    table = layer_sum_table(gtens, params, split, provenance)
+    bad = []
+    for kind, rows in table.rows.items():
+        rows = rows.astype(np.float64)  # a float32 norm can underflow to 0
+        fine = np.isfinite(rows).all(axis=1) & (np.linalg.norm(rows, axis=1) > 0)
+        bad += [f"{kind}:{i}" for i in np.flatnonzero(table.known[kind] & ~fine).tolist()]
+    if bad:
+        raise ValueError(f"teacher produced degenerate ground truth for {bad[:5]}")
+    return table
 
 
 def _full_state(params: ModelParams, enh: EnhancerParams | None, gtens: GraphTensors, reads=None) -> FullState:

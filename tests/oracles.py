@@ -161,9 +161,12 @@ class RecordingTape(ad.Tape):
     """``autodiff.Tape`` as it was before it kept only keys: every record
     holds its output and input tensors until :meth:`backward` ends, and a
     tensor is named by its ``id()``, which cannot be reused while the tape
-    holds it.  The equivalence tests run training steps under both tapes."""
+    holds it.  Without ``params``, :meth:`backward` returns the gradient of
+    every leaf that got one, a leaf being a differentiable input that no
+    record produced.  The equivalence tests run training steps under both
+    tapes."""
 
-    def reset(self) -> None:
+    def __init__(self):
         self._records: list = []
         self._consumed = False
 
@@ -172,7 +175,7 @@ class RecordingTape(ad.Tape):
 
     def backward(self, loss, params=None):
         if self._consumed:
-            raise RuntimeError("tape consumed: call reset() before reusing it")
+            raise RuntimeError("tape consumed: a tape runs backward once")
         if loss.data.ndim != 0:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
         self._consumed = True

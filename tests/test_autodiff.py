@@ -10,9 +10,8 @@ from coldgraph import autodiff as ad
 from coldgraph import enhancer
 from coldgraph.graph import SyntheticSpec, build_implicit, generate_synthetic, make_training_graph, segment
 from coldgraph.model import GraphTensors
-from coldgraph.reconstruction import train_teacher
 from coldgraph.sparse import SparseOperator
-from coldgraph.train import TrainConfig, train_model
+from coldgraph.train import TrainConfig, train_model, train_teacher
 from gradcheck import finite_diff_check
 from oracles import (
     RecordingTape, bpr_by_gathers, dedup_mean, log, log_sigmoid, negate, segment_attention_rows, sigmoid,
@@ -76,7 +75,6 @@ class TestErrors:
         tape.backward(loss, [x])
         with pytest.raises(RuntimeError, match="tape consumed"):
             tape.backward(loss, [x])
-        tape.reset()
 
     def test_backward_needs_scalar(self):
         with ad.Tape() as tape:
@@ -142,13 +140,6 @@ class TestBackwardBasics:
         x = ad.Tensor([1.0, -2.0], requires_grad=True)
         out = ad.relu(x)
         assert not out.requires_grad
-
-    def test_leaf_map_without_params(self):
-        with ad.Tape() as tape:
-            x = ad.Tensor([1.0, 2.0], requires_grad=True)
-            loss = ad.sum_squares(ad.relu(x))
-        grads = tape.backward(loss)
-        assert set(grads) == {x}
 
 
 def _scalarizer(rng):
@@ -790,12 +781,12 @@ class TestTapeMemory:
         refs, tape, loss, x = self._chain(ad.Tape)
         assert len(refs) == 7 and all(ref() is None for ref in refs)
         assert len(tape) == 10
-        got = tape.backward(loss)
-        assert list(got) == [x] and len(tape) == 0 and not tape._leaves
+        got = tape.backward(loss, [x])
+        assert list(got) == [x] and len(tape) == 0
         # the record-holding tape keeps every output until its backward ends
         old_refs, old_tape, old_loss, old_x = self._chain(RecordingTape)
         assert all(ref() is not None for ref in old_refs)
-        assert got[x].tobytes() == old_tape.backward(old_loss)[old_x].tobytes()
+        assert got[x].tobytes() == old_tape.backward(old_loss, [old_x])[old_x].tobytes()
 
     def test_full_batch_joint_step_peak(self, monkeypatch):
         # a fixed x1-sized graph (3.4k training edges), d = 64 in float32:
@@ -818,7 +809,7 @@ class TestTapeMemory:
                     steps.append(tracemalloc.get_traced_memory()[0])
                     return super().__enter__()
 
-                def backward(self, loss, params=None):
+                def backward(self, loss, params):
                     grads = super().backward(loss, params)
                     steps[-1] = tracemalloc.get_traced_memory()[1] - steps[-1]
                     return grads

@@ -276,6 +276,10 @@ def test_report_counts_the_run_edges(workspace, tmp_path):
     meta = dict(line.split("=", 1) for line in (ws / "run_meta.txt").read_text().splitlines())
     header, row = (tmp_path / "complexity.csv").read_text().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["total_edges"] == meta["total_edges"]
+    # the edges of the graph the run trained on, without the held-out ones
+    split = graph.read_split_manifest(ws / "split.txt")
+    trained = graph.make_training_graph(graph.load_graph_cache(ws / "graph"), split)
+    assert int(meta["total_edges"]) == trained.num_edges() < graph.load_graph_cache(ws / "graph").num_edges()
 
 
 def test_history_columns_name_the_eval_cutoff(workspace, tmp_path):

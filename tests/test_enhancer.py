@@ -480,8 +480,7 @@ def mixed_batch(d=6, seed=0, implicit=True):
     model = as_float64(init_model_params(g.counts, d, "light", 2, True, np.random.default_rng(seed)))
     rng = np.random.default_rng(seed)
     batches = [
-        sample_episode(g, kind, rng.permutation(g.counts[kind]), k=3, depth=1, seed=11,
-                       member_depth_bonus=False)
+        sample_episode(g, kind, rng.permutation(g.counts[kind]), k=3, depth=1, seed=11)
         for kind in ("group", "user", "item")
     ]
     gt = truth_of(batches, np.random.default_rng(seed + 1), d)
@@ -598,7 +597,7 @@ class TestTrainEnhancer:
         g = generate_synthetic(spec)
         model = init_model_params(g.counts, d, "light", 2, True, np.random.default_rng(seed))
         linked = [u for u in range(g.counts["user"]) if neighbors(g, "UI", "user", u)]
-        episodes = [sample_episode(g, "user", linked, k=4, depth=1, seed=5, member_depth_bonus=False)]
+        episodes = [sample_episode(g, "user", linked, k=4, depth=1, seed=5)]
         # recoverable target: the mean of each target's sampled layer-0 neighbors
         vectors = {}
         for ep in dict_trees(episodes[0]):
@@ -612,15 +611,14 @@ class TestTrainEnhancer:
         g, model, episodes, gt = self.build()
         enh = init_enhancer_params(8, np.random.default_rng(2))
         before = [np.array(x.data) for x in enh.tensors()]
-        train_enhancer(episodes, gt, enh, model.table, epochs=0)
+        train_enhancer(episodes, gt, enh, model.table, 0.001, 0, np.random.default_rng(0))
         for prev, tensor in zip(before, enh.tensors()):
             np.testing.assert_array_equal(prev, tensor.data)
 
     def test_losses_bounded(self):
         g, model, episodes, gt = self.build()
         enh = init_enhancer_params(8, np.random.default_rng(2))
-        losses = train_enhancer(episodes, gt, enh, model.table, epochs=5,
-                                rng=np.random.default_rng(0))
+        losses = train_enhancer(episodes, gt, enh, model.table, 0.001, 5, np.random.default_rng(0))
         assert all(0.0 <= x <= 2.0 for x in losses)
 
     def test_recovers_neighbor_mean_targets(self):
@@ -639,7 +637,7 @@ class TestTrainEnhancer:
         gt.known["user"][episodes[0].targets[0]] = False
         enh = init_enhancer_params(8, np.random.default_rng(2))
         with pytest.raises(KeyError, match="ground-truth"):
-            train_enhancer(episodes, gt, enh, model.table, epochs=1)
+            train_enhancer(episodes, gt, enh, model.table, 0.001, 1, np.random.default_rng(0))
 
 
 def hub_batches(d=4, hub=600, seed=0):

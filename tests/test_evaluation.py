@@ -1,4 +1,5 @@
-"""``evaluation.evaluate`` against a brute-force per-anchor Recall@k/NDCG@k."""
+"""``evaluation.evaluate`` against a brute-force per-anchor Recall@k/NDCG@k,
+and the complexity report's figures."""
 
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from coldgraph import evaluation
 from coldgraph.evaluation import _top_k, evaluate
+from coldgraph.train import EpochStats, TrainHistory
 from oracles import eval_split, tuple_split
 
 RELATION = {"group": "GI", "user": "UI"}
@@ -295,3 +297,67 @@ def test_anchor_row_blocks_give_the_metrics_of_one_block(monkeypatch, rows):
             assert evaluate(arrays, split, k=k, kinds=kinds) == whole
         compared += 1
     assert compared > 20
+
+
+class TestConvergenceEpoch:
+    """The first epoch that ends ``streak`` consecutive epochs of relative
+    improvement below ``tol``, or the last epoch when none does."""
+
+    def test_a_streak_ends_at_its_third_stalled_epoch(self):
+        assert evaluation.convergence_epoch([10.0, 5.0, 5.0, 5.0, 5.0, 1.0]) == 5
+
+    def test_an_improvement_restarts_the_streak(self):
+        assert evaluation.convergence_epoch([10.0, 10.0, 10.0, 5.0, 5.0, 5.0, 5.0]) == 7
+        assert evaluation.convergence_epoch([1.0, 1.0, 1.0, 1.0], streak=2) == 3
+
+    def test_tolerance_is_relative_and_strict(self):
+        totals = [100.0, 99.0, 98.0, 97.0, 96.0]  # improvements of 1.00% to 1.03%
+        assert evaluation.convergence_epoch(totals, tol=0.02) == 4
+        assert evaluation.convergence_epoch(totals, tol=0.01) == len(totals)
+        halving = [8.0, 4.0, 2.0, 1.0, 0.5]  # improvements of exactly 0.5
+        assert evaluation.convergence_epoch(halving, tol=0.5) == len(halving)
+        assert evaluation.convergence_epoch(halving, tol=0.51) == 4
+
+    def test_a_rising_or_zero_loss_counts_as_stalled(self):
+        assert evaluation.convergence_epoch([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) == 4
+        assert evaluation.convergence_epoch([0.0, 0.0, 0.0, 0.0, 5.0]) == 4
+
+    def test_falls_back_to_the_last_epoch(self):
+        assert evaluation.convergence_epoch([3.0, 2.0, 1.0]) == 3
+        assert evaluation.convergence_epoch([8.0, 4.0, 2.0, 1.0, 0.5]) == 5
+        assert evaluation.convergence_epoch([]) == 0
+
+
+def history(totals, seconds):
+    return TrainHistory([EpochStats(i + 1, t, 0.0, t, s) for i, (t, s) in enumerate(zip(totals, seconds))])
+
+
+class TestComplexityReport:
+    def test_masked_mean_and_max(self):
+        base, ssl = history([2.0, 1.0], [1.0, 1.0]), history([3.0, 2.0, 1.0], [2.0, 2.0, 2.0])
+        report = evaluation.complexity_report(ssl, base, 400, [10, 30, 20])
+        assert (report.total_edges, report.masked_edges_mean, report.masked_edges_max) == (400, 20.0, 30)
+        assert report.masked_ratio == 20.0 / 400
+        assert (report.base_convergence_epoch, report.ssl_convergence_epoch) == (2, 3)
+
+    def test_no_masked_counts_read_as_zero(self):
+        base = history([2.0, 1.0], [1.0, 1.0])
+        report = evaluation.complexity_report(base, base, 400, [])
+        assert (report.masked_edges_mean, report.masked_edges_max, report.masked_ratio) == (0.0, 0, 0.0)
+
+    def test_time_ratio_of_the_mean_epoch_seconds(self):
+        base, ssl = history([2.0, 1.0], [1.0, 3.0]), history([2.0, 1.0, 0.5], [3.0, 5.0, 7.0])
+        report = evaluation.complexity_report(ssl, base, 400, [5, 5, 5])
+        assert (report.base_epoch_seconds, report.ssl_epoch_seconds, report.time_ratio) == (2.0, 5.0, 2.5)
+        row = dict(zip(*(line.split(",") for line in report.to_csv().splitlines())))
+        assert float(row["time_ratio"]) == 2.5 and row["total_edges"] == "400"
+        assert "800 + 5/epoch masked" in report.to_text()
+
+    def test_zero_denominators_give_infinite_ratios(self):
+        base, ssl = history([2.0, 1.0], [0.0, 0.0]), history([2.0, 1.0], [1.0, 1.0])
+        report = evaluation.complexity_report(ssl, base, 0, [3, 3])
+        assert report.time_ratio == math.inf and report.masked_ratio == math.inf
+
+    def test_missing_history_is_rejected(self):
+        with pytest.raises(ValueError, match="missing history"):
+            evaluation.complexity_report(TrainHistory(), history([1.0], [1.0]), 10, [1])

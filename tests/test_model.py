@@ -454,9 +454,8 @@ class TestPrunedForest:
             g = forest_graph(implicit)
             params = make_params(g.counts, d=5, variant=variant, layers=layers,
                                  with_meta=with_meta, seed=layers)
-            for kind, bonus in (("group", True), ("group", False), ("user", True), ("item", True)):
-                batch = sample_episode(g, kind, range(g.counts[kind]), k=k, depth=layers,
-                                       seed=11, member_depth_bonus=bonus)
+            for kind in ("group", "user", "item"):
+                batch = sample_episode(g, kind, range(g.counts[kind]), k=k, depth=layers, seed=11)
                 firsts = np.stack([batch.first_order(rel)[0] for rel in batch.forests])
                 seen.add("isolated" if np.any(firsts.sum(axis=0) == 0) else "")
                 seen.update(

@@ -106,6 +106,25 @@ def test_sampler_properties(graph, kind, k, depth, seed, data):
 
 
 @settings(max_examples=80, deadline=None)
+@given(small_graphs(), st.sampled_from(KINDS), st.integers(1, 3), st.integers(0, 2 ** 64 - 1), st.data())
+def test_first_order_neighbors_do_not_depend_on_depth(graph, kind, k, seed, data):
+    """A depth-1 batch samples the same first-order neighbors, node for
+    node, as a depth-3 batch: the enhancer warm-up samples at depth 1 and
+    reads only them, a group's GU tree included."""
+    targets = data.draw(st.lists(st.integers(0, graph.counts[kind] - 1), max_size=6))
+    shallow, deep = (sample_episode(graph, kind, targets, k, depth, seed) for depth in (1, 3))
+    assert shallow.forests.keys() == deep.forests.keys()
+    for rel in shallow.forests:
+        ids = []
+        for batch in (shallow, deep):
+            count, child = batch.first_order(rel)
+            forest = batch.forests[rel]
+            ids.append((count, forest.nodes[forest.kinds[1]][child]))
+        for got, want in zip(*ids):
+            np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     small_graphs(),
     st.sampled_from(KINDS),
@@ -134,12 +153,6 @@ def test_rows_are_numbered_by_first_reach_depth(graph, kind, k, depth, seed, dat
             lo = forest.prefix[parent_kind][level - 1] if level else 0
             assert np.all(np.diff(parent) >= 0)  # grouped, ascending
             assert np.all((parent >= lo) & (parent < forest.prefix[parent_kind][level]))
-
-
-def test_no_member_bonus():
-    g = InteractionGraph({"user": 3, "item": 1, "group": 1}, {"GU": [(0, 0), (0, 1)]})
-    batch = sample_episode(g, "group", [0], 2, 2, 0, member_depth_bonus=False)
-    assert len(batch.forests["GU"].layers) == 2
 
 
 def test_empty_relation_gives_empty_layers():

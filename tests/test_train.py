@@ -14,9 +14,8 @@ from coldgraph.graph import (
     read_split_manifest, segment,
 )
 from coldgraph.model import GraphTensors, init_model_params
-from coldgraph.reconstruction import train_teacher
 from coldgraph.evaluation import evaluate
-from coldgraph.train import AdamState, TrainConfig, final_state, train_model
+from coldgraph.train import AdamState, TrainConfig, final_state, train_model, train_teacher
 from oracles import RecordingTape, as_float64, bpr_by_gathers
 
 # a small model that trains with the reconstruction task in one full batch
@@ -155,7 +154,7 @@ def test_float32_steps_never_upcast(data, gtens, teacher, monkeypatch, paradigm)
             dtypes.add(out.data.dtype)
         return out
 
-    def checked_backward(tape, loss, params=None):
+    def checked_backward(tape, loss, params):
         grads = backward(tape, loss, params)
         dtypes.update(g.dtype for g in grads.values())
         return grads
@@ -182,13 +181,14 @@ def test_float32_steps_never_upcast(data, gtens, teacher, monkeypatch, paradigm)
 
 def _gradients_per_step(monkeypatch, tape_cls, config, split, gtens, teacher, leaf_maps):
     """Train under ``tape_cls`` and return each backward's gradients: in
-    ``params`` order, or with ``leaf_maps`` as the (param index, gradient)
-    pairs of the ``params=None`` map, which then feeds the step."""
+    ``params`` order, or, with ``leaf_maps`` under the record-holding tape,
+    as the (param index, gradient) pairs of its leaf map, which then feeds
+    the step."""
     log, backward = [], tape_cls.backward
 
-    def logged(tape, loss, params=None):
+    def logged(tape, loss, params):
         assert type(tape) is tape_cls
-        if not leaf_maps:
+        if not leaf_maps or tape_cls is not RecordingTape:
             grads = backward(tape, loss, params)
             log.append([grads[p] for p in params])
             return grads
@@ -216,8 +216,9 @@ def _gradients_per_step(monkeypatch, tape_cls, config, split, gtens, teacher, le
 @pytest.mark.parametrize("leaf_maps", [False, True], ids=["params", "leaves"])
 def test_key_tape_equals_the_record_holding_tape(data, gtens, teacher, monkeypatch, step, leaf_maps):
     """Every gradient of every step is bit-identical in float32 under the
-    tape that keeps only keys and under the one that holds every tensor,
-    and so are the ``params=None`` leaf maps, key for key in order."""
+    tape that keeps only keys and under the one that holds every tensor;
+    and the latter's leaf map, every tensor that got a gradient, holds only
+    the step's ``params``, with the same gradients."""
     config = replace(TrainConfig(**SMALL), epochs=1, **step)
     runs = [
         _gradients_per_step(monkeypatch, cls, config, data[1], gtens, teacher, leaf_maps)
@@ -226,8 +227,9 @@ def test_key_tape_equals_the_record_holding_tape(data, gtens, teacher, monkeypat
     assert len(runs[0]) == len(runs[1]) > 0
     for new, old in zip(*runs):
         if leaf_maps:
-            assert [i for i, _ in new] == [i for i, _ in old] and None not in [i for i, _ in new]
-            new, old = [g for _, g in new], [g for _, g in old]
+            index = [i for i, _ in old]
+            assert None not in index and len(set(index)) == len(index)
+            old = [dict(old).get(i, np.zeros_like(g)) for i, g in enumerate(new)]
         assert len(new) == len(old) > 0
         for a, b in zip(new, old):
             assert a.dtype == b.dtype == np.float32 and a.shape == b.shape
@@ -335,7 +337,7 @@ def test_each_step_descends_the_weighted_sum_of_its_parts(data, gtens, teacher, 
             events.append(("warm-up", {"warm-up": np.float32(out.data)}))
         return out
 
-    def descended(tape, loss, params=None):
+    def descended(tape, loss, params):
         events.append(("descended", loss.data))
         return backward(tape, loss, params)
 
