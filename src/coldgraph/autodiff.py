@@ -787,11 +787,13 @@ class AdamState:
         c2 = 1.0 - self.b2 ** self.t
         new = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, tensor in enumerate(self.tensors):
-                g = grads[tensor]
-                self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
-                self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * g * g
-                new.append(tensor.data - self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps))
+            for tensor, m, v in zip(self.tensors, self.m, self.v):
+                g = grads[tensor]  # the moments update in place
+                m *= self.b1
+                m += (1.0 - self.b1) * g
+                v *= self.b2
+                v += (1.0 - self.b2) * g * g
+                new.append(tensor.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps))
         if not all(np.isfinite(x).all() for x in new):
             return False
         for tensor, x in zip(self.tensors, new):
