@@ -213,7 +213,7 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     """Select rows ``indices`` from a matrix; gradient scatter-adds back.
 
     Indices may repeat; the backward pass then sums each row's gradients
-    in index order over one stable sort.
+    through the selection operator of :func:`_repeat_sums`.
     """
     _check_2d(table, "gather_rows")
     idx = np.asarray(indices, dtype=np.intp)
@@ -225,17 +225,27 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
 
 
 def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """The (n, d) sum of the rows of ``g`` placed at rows ``idx``: a
-    repeated row's gradients add in index order over one stable sort."""
+    """The (n, d) sum of the rows of ``g`` placed at rows ``idx``: a plain
+    write when no index repeats, else the product of the selection
+    operator of :func:`_repeat_sums` with ``g``."""
+    rows, sums = _repeat_sums(idx, n)
     gt = np.zeros((n, g.shape[1]), g.dtype)
-    if idx.size > 1 and np.bincount(idx).max() > 1:
-        order = np.argsort(idx, kind="stable")
-        sorted_idx = idx[order]
-        starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
-        gt[sorted_idx[starts]] = np.add.reduceat(g[order], starts, axis=0)
-    else:  # no row repeats: a plain write is the scatter-add
-        gt[idx] = g
+    gt[rows] = g if sums is None else sums.dot(g)
     return gt
+
+
+def _repeat_sums(idx: np.ndarray, n: int) -> tuple[np.ndarray, SparseOperator | None]:
+    """The distinct rows of ``idx`` (all below n), ascending, and the
+    selection operator whose product sums a (len(idx), d) array's rows
+    into them: its row r holds a one at each position of ``idx`` that
+    names ``rows[r]``.  ``idx`` itself and None when no row repeats."""
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
+    rows = np.flatnonzero(seen)
+    if rows.size == idx.size:
+        return idx, None
+    m = idx.size
+    return rows, SparseOperator(np.searchsorted(rows, idx), np.arange(m), np.ones(m), (rows.size, m))
 
 
 def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
@@ -505,19 +515,6 @@ def softmax(a: Tensor, block=None) -> Tensor:
     return _emit(s.reshape(shape), (a,), vjp)
 
 
-def _repeat_sums(idx: np.ndarray, n: int) -> tuple[np.ndarray, SparseOperator | None]:
-    """The distinct rows of ``idx`` (all below n) and the operator that sums
-    a (len(idx), d) array's rows into them, built on one sort of ``idx``;
-    ``idx`` itself and None when no row repeats."""
-    seen = np.zeros(n, dtype=bool)
-    seen[idx] = True
-    rows = np.flatnonzero(seen)
-    if rows.size == idx.size:
-        return idx, None
-    m = idx.size
-    return rows, SparseOperator(np.searchsorted(rows, idx), np.arange(m), np.ones(m), (rows.size, m))
-
-
 def segment_attention(q: Tensor, k: Tensor, v: Tensor, block, cols=None) -> Tensor:
     """Scaled dot-product self-attention inside segments of rows.
 
@@ -530,7 +527,7 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, block, cols=None) -> Tens
     ``np.matmul`` over (count, m, d) rows, so the scores take rows*m floats.
     The tape keeps only those probabilities: backward reads (with ``cols``,
     gathers) each run's rows again, and adds the gradients of a run that
-    repeats a table row through one :class:`SparseOperator` of its cols.
+    repeats a table row through the selection operator of its cols.
     """
     for t in (q, k, v):
         _check_2d(t, "segment_attention")
@@ -683,9 +680,10 @@ def bpr(anchors: Tensor, items: Tensor, anchor_pos, pos_pos, neg_pos) -> Tensor:
     ``items[pos_pos[e]]`` and ``items[neg_pos[e]]``.
 
     The tape keeps only the per-edge margins, the three index arrays and
-    the two tables: backward gathers the rows again.  The item table is an
-    input twice, so its gradient arrives as the negatives' scatter, then
-    the positives'.
+    the two tables: backward gathers the rows again and scatter-adds each
+    gradient as ``gather_rows``' backward does.  The item table is an input
+    twice, so its gradient arrives as the negatives' scatter, then the
+    positives'.
     """
     _check_2d(anchors, "bpr")
     _check_2d(items, "bpr")
@@ -768,9 +766,10 @@ class DivergenceError(RuntimeError):
 
 class AdamState:
     """Adaptive-moment gradient descent over a fixed tensor list; each
-    tensor's moments have its dtype.  An update that would make a value
-    non-finite leaves the tensors as they were: :meth:`step` returns False,
-    and overflow in computing it raises no floating-point warning."""
+    tensor's moments have its dtype and update in place.  An update that
+    would make a value non-finite leaves the tensors as they were:
+    :meth:`step` returns False, and overflow in computing it raises no
+    floating-point warning."""
 
     def __init__(self, tensors: Sequence[Tensor], lr: float, betas=(0.9, 0.999), eps=1e-8):
         self.tensors = list(tensors)
@@ -788,7 +787,7 @@ class AdamState:
         new = []
         with np.errstate(over="ignore", invalid="ignore"):
             for tensor, m, v in zip(self.tensors, self.m, self.v):
-                g = grads[tensor]  # the moments update in place
+                g = grads[tensor]
                 m *= self.b1
                 m += (1.0 - self.b1) * g
                 v *= self.b2

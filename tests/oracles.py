@@ -104,12 +104,35 @@ def log_sigmoid(a: Tensor) -> Tensor:
     return _emit(-np.logaddexp(0.0, -x), (a,), vjp)
 
 
-def bpr_by_gathers(anchors: Tensor, items: Tensor, anchor_pos, pos_pos, neg_pos) -> Tensor:
+def scatter_rows_sorted(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """``autodiff._scatter_rows`` as it was before the selection operator:
+    the (n, d) sum of the rows of ``g`` placed at rows ``idx``, where a
+    repeated row's gradients add in index order over one stable sort and
+    one ``np.add.reduceat``."""
+    gt = np.zeros((n, g.shape[1]), g.dtype)
+    if idx.size > 1 and np.bincount(idx).max() > 1:
+        order = np.argsort(idx, kind="stable")
+        sorted_idx = idx[order]
+        starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
+        gt[sorted_idx[starts]] = np.add.reduceat(g[order], starts, axis=0)
+    else:  # no row repeats: a plain write is the scatter-add
+        gt[idx] = g
+    return gt
+
+
+def gather_rows_sorted(table: Tensor, indices) -> Tensor:
+    """``autodiff.gather_rows`` whose backward is :func:`scatter_rows_sorted`."""
+    _check_2d(table, "gather_rows")
+    idx, n = np.asarray(indices, dtype=np.intp), table.shape[0]
+    return _emit(table.data[idx], (table,), lambda g: (scatter_rows_sorted(idx, g, n),))
+
+
+def bpr_by_gathers(anchors: Tensor, items: Tensor, anchor_pos, pos_pos, neg_pos, gather=ad.gather_rows) -> Tensor:
     """``autodiff.bpr`` op by op, as training built it before that op: three
-    ``gather_rows`` (in the order ``FullState.lookup`` made them), then the
+    ``gather`` calls (in the order ``FullState.lookup`` made them), then the
     BPR term, whose tape holds about nine (edges, d) arrays."""
-    anchor_rows, pos_rows = ad.gather_rows(anchors, anchor_pos), ad.gather_rows(items, pos_pos)
-    neg_rows = ad.gather_rows(items, neg_pos)
+    anchor_rows, pos_rows = gather(anchors, anchor_pos), gather(items, pos_pos)
+    neg_rows = gather(items, neg_pos)
     pos_scores = ad.row_sums(ad.mul(anchor_rows, pos_rows))
     neg_scores = ad.row_sums(ad.mul(anchor_rows, neg_rows))
     return negate(ad.mean_rows(log_sigmoid(ad.sub(pos_scores, neg_scores))))

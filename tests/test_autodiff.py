@@ -14,8 +14,8 @@ from coldgraph.sparse import SparseOperator
 from coldgraph.train import TrainConfig, train_model, train_teacher
 from gradcheck import finite_diff_check
 from oracles import (
-    RecordingTape, bpr_by_gathers, dedup_mean, log, log_sigmoid, negate, segment_attention_rows, sigmoid,
-    sum_all, transpose,
+    RecordingTape, bpr_by_gathers, dedup_mean, gather_rows_sorted, log, log_sigmoid, negate,
+    scatter_rows_sorted, segment_attention_rows, sigmoid, sum_all, transpose,
 )
 
 
@@ -589,7 +589,7 @@ class TestSegmentAttentionCols:
                 if gathers:
                     out = ad.segment_attention(*xs, runs, cols)
                 else:
-                    out = segment_attention_rows(*(ad.gather_rows(x, cols) for x in xs), runs)
+                    out = segment_attention_rows(*(gather_rows_sorted(x, cols) for x in xs), runs)
                 grads = tape.backward(sum_all(ad.mul(out, probe)), xs)
             results.append((out.data, [grads[x] for x in xs]))
         (got, got_grads), (want, want_grads) = results
@@ -741,6 +741,103 @@ class TestGatherRowsBackward:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+# The index arrays a scatter meets: any mix, distinct rows, none, one, all
+# equal, and a 600-fold hub among other rows (shuffled by the test's seed).
+INDEX_ARRAYS = st.one_of(
+    st.lists(st.integers(0, 11), max_size=40),
+    st.lists(st.integers(0, 11), max_size=12, unique=True),
+    st.just([]),
+    st.lists(st.integers(0, 11), min_size=1, max_size=1),
+    st.tuples(st.integers(0, 11), st.integers(2, 30)).map(lambda t: [t[0]] * t[1]),
+    st.tuples(st.integers(0, 11), st.lists(st.integers(0, 11), max_size=20)).map(lambda t: [t[0]] * 600 + t[1]),
+)
+
+
+class TestScatterRows:
+    """``_scatter_rows`` and the ops whose backward scatters rows through it
+    (``gather_rows``, ``bpr``) or through the same selection operator
+    (``segment_attention`` with ``cols``), against the stable-argsort +
+    ``np.add.reduceat`` scatter they used before (tests/oracles.py): to
+    1e-12 in float64, and bit for bit where no index repeats.  Each case
+    draws an index array and how far the table's rows ``n`` reach past its
+    largest index + 1."""
+
+    @staticmethod
+    def case(raw, extra, seed):
+        rng = np.random.default_rng(seed)
+        idx = rng.permutation(np.asarray(raw, dtype=np.intp))
+        return rng, idx, int(idx.max(initial=-1)) + 1 + extra, np.unique(idx).size == idx.size
+
+    @staticmethod
+    def assert_matches(got, want, distinct):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if distinct:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(INDEX_ARRAYS, st.integers(0, 5), st.integers(1, 6), st.integers(0, 10_000))
+    def test_matches_sorted_oracle(self, raw, extra, d, seed):
+        rng, idx, n, distinct = self.case(raw, extra, seed)
+        g = rng.normal(size=(idx.size, d))
+        self.assert_matches(ad._scatter_rows(idx, g, n), scatter_rows_sorted(idx, g, n), distinct)
+        if distinct:  # a plain write in any dtype
+            g32 = g.astype(np.float32)
+            self.assert_matches(ad._scatter_rows(idx, g32, n), scatter_rows_sorted(idx, g32, n), True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(INDEX_ARRAYS, st.integers(0, 5), st.integers(1, 6), st.integers(0, 10_000))
+    def test_gather_rows_gradient(self, raw, extra, d, seed):
+        rng, idx, n, distinct = self.case(raw, extra, seed)
+        data, probe = rng.normal(size=(n, d)), ad.const(rng.normal(size=(idx.size, d)))
+        grads = []
+        for gather in (ad.gather_rows, gather_rows_sorted):
+            table = ad.Tensor(data, requires_grad=True)
+            with ad.Tape() as tape:
+                loss = sum_all(ad.mul(gather(table, idx), probe))
+            grads.append(tape.backward(loss, [table])[table])
+        self.assert_matches(*grads, distinct)
+
+    @settings(max_examples=40, deadline=None)
+    @given(INDEX_ARRAYS.filter(len), st.integers(0, 5), st.integers(1, 6), st.integers(0, 10_000))
+    def test_bpr_gradients(self, raw, extra, d, seed):
+        # the anchors, positives and negatives each take the case's rows in
+        # their own order
+        rng, idx, n, distinct = self.case(raw, extra, seed)
+        at = [idx, rng.permutation(idx), rng.permutation(idx)]
+        datas = [rng.normal(size=(n, d)), rng.normal(size=(n, d))]
+        results = []
+        for fn in (ad.bpr, lambda *a: bpr_by_gathers(*a, gather=gather_rows_sorted)):
+            tables = [ad.Tensor(x, requires_grad=True) for x in datas]
+            with ad.Tape() as tape:
+                loss = fn(*tables, *at)
+            grads = tape.backward(loss, tables)
+            results.append([loss.data] + [grads[t] for t in tables])
+        for got, want in zip(*results):
+            self.assert_matches(got, want, distinct)
+
+    @settings(max_examples=40, deadline=None)
+    @given(INDEX_ARRAYS, st.integers(0, 5), st.integers(1, 6), st.booleans(), st.integers(0, 10_000))
+    def test_segment_attention_cols_gradients(self, raw, extra, d, one_segment, seed):
+        # one segment of every row, or blocks of one
+        rng, cols, n, distinct = self.case(raw, extra, seed)
+        runs = () if not cols.size else [(cols.size, 1)] if one_segment else [(1, cols.size)]
+        datas, probe = [rng.normal(size=(n, d)) for _ in range(3)], ad.const(rng.normal(size=(cols.size, d)))
+        results = []
+        for gathers in (True, False):
+            xs = [ad.Tensor(x, requires_grad=True) for x in datas]
+            with ad.Tape() as tape:
+                if gathers:
+                    out = ad.segment_attention(*xs, runs, cols)
+                else:
+                    out = segment_attention_rows(*(gather_rows_sorted(x, cols) for x in xs), runs)
+                grads = tape.backward(sum_all(ad.mul(out, probe)), xs)
+            results.append([grads[x] for x in xs])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_row_cosine_matches_vector_cosine():
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
@@ -788,40 +885,68 @@ class TestTapeMemory:
         assert all(ref() is not None for ref in old_refs)
         assert got[x].tobytes() == old_tape.backward(old_loss, [old_x])[old_x].tobytes()
 
-    def test_full_batch_joint_step_peak(self, monkeypatch):
-        # a fixed x1-sized graph (3.4k training edges), d = 64 in float32:
-        # one full-batch joint step with the enhancer allocates near 10 MB
-        # above what it starts with, and near 27 MB when the tape holds
-        # every record's tensors until its backward ends
-        spec = SyntheticSpec(occasional_fraction=0.5, occasional_scale=0.1, seed=4242)
+    @staticmethod
+    def _joint_step(scale, d=64):
+        """The training edges of the x``scale`` synthetic graph (perfbench's
+        sizes: 200, 300 and 80 users, items and groups per unit of scale),
+        and a run of one full-batch joint step with the enhancer (no
+        warm-up) on it at width ``d``."""
+        spec = SyntheticSpec(n_users=200 * scale, n_items=300 * scale, n_groups=80 * scale,
+                             intra_p=0.15 / scale, inter_p=0.01 / scale, occasional_fraction=0.5,
+                             occasional_scale=0.1, seed=4242)
         graph = build_implicit(generate_synthetic(spec), 3, 1)
         split = segment(graph, 10, 10, 10, 0.1)
         gtens = GraphTensors(make_training_graph(graph, split))
-        config = TrainConfig(epochs=1, teacher_epochs=1, warmup_epochs=0, batch_size=1_000_000)
+        config = TrainConfig(d=d, epochs=1, teacher_epochs=1, warmup_epochs=0, batch_size=1_000_000)
         teacher = train_teacher(split, gtens, config)
-        peaks = []
-        for tape_cls in (ad.Tape, RecordingTape):
-            steps = []
+        edges = sum(len(e) for e in gtens.graph.edges.values())
+        return edges, lambda: train_model(config, split, gtens, teacher)
 
-            class Traced(tape_cls):
-                def __enter__(self):
-                    tracemalloc.reset_peak()
-                    steps.append(tracemalloc.get_traced_memory()[0])
-                    return super().__enter__()
+    @staticmethod
+    def _step_peak(monkeypatch, run, tape_cls=ad.Tape):
+        """The traced peak of the one step that ``run`` takes, above the
+        traced memory its tape starts with."""
+        steps = []
 
-                def backward(self, loss, params):
-                    grads = super().backward(loss, params)
-                    steps[-1] = tracemalloc.get_traced_memory()[1] - steps[-1]
-                    return grads
+        class Traced(tape_cls):
+            def __enter__(self):
+                tracemalloc.reset_peak()
+                steps.append(tracemalloc.get_traced_memory()[0])
+                return super().__enter__()
 
-            with monkeypatch.context() as m:
-                m.setattr(ad, "Tape", Traced)
-                tracemalloc.start()
-                try:
-                    train_model(config, split, gtens, teacher)
-                finally:
-                    tracemalloc.stop()
-            assert len(steps) == 1
-            peaks.append(steps[0])
+            def backward(self, loss, params):
+                grads = super().backward(loss, params)
+                steps[-1] = tracemalloc.get_traced_memory()[1] - steps[-1]
+                return grads
+
+        with monkeypatch.context() as m:
+            m.setattr(ad, "Tape", Traced)
+            tracemalloc.start()
+            try:
+                run()
+            finally:
+                tracemalloc.stop()
+        assert len(steps) == 1
+        return steps[0]
+
+    def test_full_batch_joint_step_peak(self, monkeypatch):
+        # the x1 graph (3.4k training edges), d = 64 in float32: one
+        # full-batch joint step with the enhancer allocates near 8 MB above
+        # what it starts with, and near 23 MB when the tape holds every
+        # record's tensors until its backward ends
+        _, run = self._joint_step(1)
+        peaks = [self._step_peak(monkeypatch, run, tape_cls) for tape_cls in (ad.Tape, RecordingTape)]
         bound = 18 * 2**20
         assert peaks[0] < bound < peaks[1], [f"{p / 2**20:.1f} MB" for p in peaks]
+
+    def test_joint_step_peak_grows_with_edges(self, monkeypatch):
+        # from x1 to x3 the training edges grow 2.23x (3,352 to 7,467) and
+        # the nodes 3x; at d = 16 the step's traced peak grows 1.65x (2.75
+        # to 4.53 MB), 0.74 of the edge ratio.  One (n, n) float32 array of
+        # the n graph nodes held through the step (1.3 MB at x1, 11.6 MB at
+        # x3) takes it 4.00 to 16.08 MB, a ratio of 4.0, past the bound of
+        # 1.25x the edge ratio (2.78); the narrow width keeps the edge-sized
+        # arrays small enough beside it for the bound to resolve it
+        (e1, run1), (e3, run3) = self._joint_step(1, d=16), self._joint_step(3, d=16)
+        p1, p3 = self._step_peak(monkeypatch, run1), self._step_peak(monkeypatch, run3)
+        assert 1.0 < p3 / p1 <= 1.25 * e3 / e1, (f"{p1 / 2**20:.2f} -> {p3 / 2**20:.2f} MB", e1, e3)

@@ -16,7 +16,7 @@ from coldgraph.graph import (
 from coldgraph.model import GraphTensors, init_model_params
 from coldgraph.evaluation import evaluate
 from coldgraph.train import AdamState, TrainConfig, final_state, train_model, train_teacher
-from oracles import RecordingTape, as_float64, bpr_by_gathers
+from oracles import RecordingTape, as_float64, bpr_by_gathers, scatter_rows_sorted
 
 # a small model that trains with the reconstruction task in one full batch
 SMALL = dict(d=8, L=2, K=3, ssl_targets=8, warmup_targets=8, warmup_epochs=2, teacher_epochs=1,
@@ -352,6 +352,35 @@ def test_each_step_descends_the_weighted_sum_of_its_parts(data, gtens, teacher, 
         assert by_hand(phase, step_parts, config).tobytes() == loss.tobytes()
         seen.setdefault(phase, set()).update(step_parts)
     assert seen == {phase: PART_NAMES[phase] for phase in phases}
+
+
+def test_every_gradient_matches_the_sorted_scatter_in_float64(data, gtens, teacher, monkeypatch):
+    """Every step of a warm-up and a full-batch joint epoch with the
+    enhancer, in float64 (``as_float64``): its gathers and ranking terms
+    scatter-add repeated rows through the selection operator, and each
+    step's gradients equal those of the stable-argsort + ``np.add.reduceat``
+    scatter it replaced (tests/oracles.py) to 1e-12."""
+    config = replace(TrainConfig(**SMALL), epochs=1, warmup_epochs=1)
+    for name in ("init_model_params", "init_enhancer_params"):
+        monkeypatch.setattr(train, name, lambda *a, _init=getattr(train, name), **k: as_float64(_init(*a, **k)))
+    backward, runs = ad.Tape.backward, []
+
+    def recorded(tape, loss, params):
+        grads = backward(tape, loss, params)
+        runs[-1].append([grads[p] for p in params])
+        return grads
+
+    monkeypatch.setattr(ad.Tape, "backward", recorded)
+    for scatter in (ad._scatter_rows, scatter_rows_sorted):
+        runs.append([])
+        monkeypatch.setattr(ad, "_scatter_rows", scatter)
+        train_model(config, data[1], gtens, teacher)
+    got, want = runs
+    assert len(got) == len(want) >= 2
+    for step_got, step_want in zip(got, want):
+        for g, w in zip(step_got, step_want):
+            assert g.dtype == np.float64
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("warmup_epochs", [0, 1], ids=["phase", "warm-up"])
