@@ -225,9 +225,8 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
 
 
 def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """The (n, d) sum of the rows of ``g`` placed at rows ``idx``: a plain
-    write when no index repeats, else the product of the selection
-    operator of :func:`_repeat_sums` with ``g``."""
+    """The (n, d) sum of the rows of ``g`` placed at rows ``idx``, through
+    the selection operator of :func:`_repeat_sums` where an index repeats."""
     rows, sums = _repeat_sums(idx, n)
     gt = np.zeros((n, g.shape[1]), g.dtype)
     gt[rows] = g if sums is None else sums.dot(g)
@@ -236,9 +235,8 @@ def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
 
 def _repeat_sums(idx: np.ndarray, n: int) -> tuple[np.ndarray, SparseOperator | None]:
     """The distinct rows of ``idx`` (all below n), ascending, and the
-    selection operator whose product sums a (len(idx), d) array's rows
-    into them: its row r holds a one at each position of ``idx`` that
-    names ``rows[r]``.  ``idx`` itself and None when no row repeats."""
+    selection operator that sums a (len(idx), d) array's rows into them;
+    ``idx`` itself and None when no row repeats."""
     seen = np.zeros(n, dtype=bool)
     seen[idx] = True
     rows = np.flatnonzero(seen)
@@ -680,10 +678,9 @@ def bpr(anchors: Tensor, items: Tensor, anchor_pos, pos_pos, neg_pos) -> Tensor:
     ``items[pos_pos[e]]`` and ``items[neg_pos[e]]``.
 
     The tape keeps only the per-edge margins, the three index arrays and
-    the two tables: backward gathers the rows again and scatter-adds each
-    gradient as ``gather_rows``' backward does.  The item table is an input
-    twice, so its gradient arrives as the negatives' scatter, then the
-    positives'.
+    the two tables: backward gathers the rows again and scatters as
+    ``gather_rows`` does.  The item table is an input twice, so its
+    gradient arrives as the negatives' scatter, then the positives'.
     """
     _check_2d(anchors, "bpr")
     _check_2d(items, "bpr")
@@ -766,10 +763,9 @@ class DivergenceError(RuntimeError):
 
 class AdamState:
     """Adaptive-moment gradient descent over a fixed tensor list; each
-    tensor's moments have its dtype and update in place.  An update that
-    would make a value non-finite leaves the tensors as they were:
-    :meth:`step` returns False, and overflow in computing it raises no
-    floating-point warning."""
+    tensor's moments have its dtype.  An update that would make a value
+    non-finite leaves the tensors as they were: :meth:`step` returns False,
+    and overflow in computing it raises no floating-point warning."""
 
     def __init__(self, tensors: Sequence[Tensor], lr: float, betas=(0.9, 0.999), eps=1e-8):
         self.tensors = list(tensors)
