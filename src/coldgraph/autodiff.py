@@ -9,20 +9,22 @@ never change a dtype.
 Tensors are dense 0-d scalars, 1-d vectors or 2-d matrices; shapes are
 always explicit and nothing broadcasts except multiplication by a python
 float (``scale``).  The one sparse operand is the constant operator of
-:func:`spmm` (a :class:`coldgraph.sparse.SparseOperator`), which is never
-differentiated.  The segment ops (``sum_consecutive``, ``softmax`` over
-segments, ``segment_attention``) take either one segment length or a list
-of (length, count) runs of consecutive equal-length segments, so a ragged
-grouping is one tape record however many lengths it holds;
+:func:`spmm`, never differentiated and read only through its ``shape``,
+``dot`` and ``dot_t``.  The segment ops (``sum_consecutive``, ``softmax``
+over segments, ``segment_attention``) take either one segment length or a
+list of (length, count) runs of consecutive equal-length segments, so a
+ragged grouping is one tape record however many lengths it holds;
 ``segment_attention`` can also gather its rows from (n, d) tables by
 ``cols``, keeping only its attention probabilities for backward.  Likewise
-:func:`bpr`, the ranking loss, reads its anchor, positive and negative rows
-from the two tables by index, keeps only the per-edge margins and gathers
-the rows again in backward.  Every operation records its backward rule
-onto the innermost active :class:`Tape` whenever at least one input is
-differentiable, so a forward pass run outside of any tape is plain numpy
-with zero overhead.  The two-operand products (``matmul``, ``mul``,
-``scale_rows``) skip the gradient of an operand that does not require one.
+:func:`bpr`, the ranking loss, reads its anchor, positive and negative
+rows from the two tables by index, keeps only the per-edge margins and
+gathers the rows again in backward.  Those two and ``gather_rows`` sum the
+gradients of repeated rows with one scatter-add, :func:`_scatter_rows`.
+Every operation records its backward rule onto the innermost active
+:class:`Tape` whenever at least one input is differentiable, so a forward
+pass run outside of any tape is plain numpy with zero overhead.  The
+two-operand products (``matmul``, ``mul``, ``scale_rows``) skip the
+gradient of an operand that does not require one.
 
 A record holds tensor keys and a rule that closes over only the arrays
 (and constant operators) its formula reads, so a tape holds no tensor and
@@ -48,8 +50,6 @@ import threading
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-
-from .sparse import SparseOperator
 
 __all__ = [
     "Tensor",
@@ -212,8 +212,8 @@ def _check_2d(t: Tensor, op: str) -> None:
 def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     """Select rows ``indices`` from a matrix; gradient scatter-adds back.
 
-    Indices may repeat; the backward pass then sums each row's gradients
-    through the selection operator of :func:`_repeat_sums`.
+    Indices may repeat; the backward pass (:func:`_scatter_rows`) then adds
+    each row's gradients in index order.
     """
     _check_2d(table, "gather_rows")
     idx = np.asarray(indices, dtype=np.intp)
@@ -225,25 +225,18 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
 
 
 def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """The (n, d) sum of the rows of ``g`` placed at rows ``idx``, through
-    the selection operator of :func:`_repeat_sums` where an index repeats."""
-    rows, sums = _repeat_sums(idx, n)
+    """The (n, d) sum of the rows of ``g`` placed at rows ``idx`` (all
+    below n): a plain write where no index repeats, else one ``np.add.at``
+    over flat element indices, adding each row's gradients in index order."""
     gt = np.zeros((n, g.shape[1]), g.dtype)
-    gt[rows] = g if sums is None else sums.dot(g)
-    return gt
-
-
-def _repeat_sums(idx: np.ndarray, n: int) -> tuple[np.ndarray, SparseOperator | None]:
-    """The distinct rows of ``idx`` (all below n), ascending, and the
-    selection operator that sums a (len(idx), d) array's rows into them;
-    ``idx`` itself and None when no row repeats."""
     seen = np.zeros(n, dtype=bool)
     seen[idx] = True
-    rows = np.flatnonzero(seen)
-    if rows.size == idx.size:
-        return idx, None
-    m = idx.size
-    return rows, SparseOperator(np.searchsorted(rows, idx), np.arange(m), np.ones(m), (rows.size, m))
+    if np.count_nonzero(seen) == idx.size:
+        gt[idx] = g
+    else:
+        d = g.shape[1]
+        np.add.at(gt.reshape(-1), (idx[:, None] * d + np.arange(d)).reshape(-1), g.reshape(-1))
+    return gt
 
 
 def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
@@ -305,9 +298,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def spmm(op, h: Tensor) -> Tensor:
     """Product ``op @ h`` of a constant sparse operator and a matrix.
 
-    ``op`` is a :class:`coldgraph.sparse.SparseOperator`; it gets no
-    gradient, and the gradient of ``h`` is ``op.T @ g`` (``op.dot_t``).  One
-    tape record per call, however many degree buckets the operator holds.
+    ``op`` has a ``shape``, a product ``dot`` and a transpose product
+    ``dot_t``, as a :class:`coldgraph.sparse.SparseOperator` does; it gets
+    no gradient, and the gradient of ``h`` is ``op.dot_t(g)``.  One tape
+    record per call, however many degree buckets the operator holds.
     """
     _check_2d(h, "spmm")
     if op.shape[1] != h.shape[0]:
@@ -524,8 +518,9 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, block, cols=None) -> Tens
     attends to the rows of its own segment only.  Each run is one batched
     ``np.matmul`` over (count, m, d) rows, so the scores take rows*m floats.
     The tape keeps only those probabilities: backward reads (with ``cols``,
-    gathers) each run's rows again, and adds the gradients of a run that
-    repeats a table row through the selection operator of its cols.
+    gathers) each run's rows again.  With ``cols``, each run sums the
+    gradients of its repeated table rows by :func:`_scatter_rows` over its
+    distinct rows, and adds those sums into the table's gradient.
     """
     for t in (q, k, v):
         _check_2d(t, "segment_attention")
@@ -563,7 +558,7 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, block, cols=None) -> Tens
             g3 = g[start : start + m * count].reshape(count, m, d)
             ga = np.matmul(g3, v3.transpose(0, 2, 1))
             gs = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True)) * c
-            dest, sums = (idx, None) if cols is None else _repeat_sums(idx, n)
+            dest, at = (idx, None) if cols is None else np.unique(idx, return_inverse=True)
             factors = ((gs, k3), (gs.transpose(0, 2, 1), q3), (attn.transpose(0, 2, 1), g3))
             for grad, (a, b) in zip(grads, factors):
                 if grad is None:
@@ -572,7 +567,7 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, block, cols=None) -> Tens
                 if cols is None:
                     grad[idx] = part
                 else:
-                    grad[dest] += part if sums is None else sums.dot(part)
+                    grad[dest] += _scatter_rows(at, part, dest.size)
         return tuple(grads)
 
     return _emit(out, (q, k, v), vjp)

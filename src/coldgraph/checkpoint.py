@@ -3,7 +3,8 @@
 Layout: a magic line, a count of named float64 tensors (name, shape,
 row-major data, little-endian), a config echo block, and a trailing sha256
 over everything before it.  Loading verifies both the version line and the
-digest, so truncation or corruption surfaces as a checksum error.
+digest, so truncation or corruption surfaces as a checksum error; a payload
+that does not parse whole under a valid digest is a malformed payload.
 
 Tensors are stored as float64 whatever their dtype; float64 holds every
 float32 value exactly, so the float32 model and enhancer parameters round
@@ -68,18 +69,25 @@ def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], str]:
         off += size
         return vals
 
-    (count,) = take("<I")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = take("<H")
-        name = payload[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = take("<B")
-        shape = take(f"<{ndim}I") if ndim else ()
-        n = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(payload, dtype="<f8", count=n, offset=off).reshape(shape)
-        off += n * 8
-        tensors[name] = np.array(data)
-    (cfg_len,) = take("<I")
-    config_echo = payload[off : off + cfg_len].decode("utf-8")
+    try:
+        (count,) = take("<I")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = take("<H")
+            name = payload[off : off + name_len].decode("utf-8")
+            off += name_len
+            (ndim,) = take("<B")
+            shape = take(f"<{ndim}I") if ndim else ()
+            n = int(np.prod(shape)) if shape else 1
+            data = np.frombuffer(payload, dtype="<f8", count=n, offset=off).reshape(shape)
+            off += n * 8
+            tensors[name] = np.array(data)
+        (cfg_len,) = take("<I")
+        config_echo = payload[off : off + cfg_len].decode("utf-8")
+        off += cfg_len
+    except (struct.error, ValueError) as err:  # UnicodeDecodeError is a ValueError
+        raise CheckpointError(f"{path}: malformed payload ({err})") from err
+    if off != len(payload):
+        left = "ends early" if off > len(payload) else f"{len(payload) - off} bytes after the config echo"
+        raise CheckpointError(f"{path}: malformed payload ({left})")
     return tensors, config_echo

@@ -49,7 +49,7 @@ from .model import (
     GraphTensors,
     attention_pool,
     degree_plan,
-    row_block,
+    select_rows,
     xavier_uniform,
 )
 
@@ -150,7 +150,7 @@ def episode_metas(episodes: EpisodeBatch, tables, params: EnhancerParams) -> dic
         return {}
     _, means = _smoothed_means(table, plan, params)
     sampled = sizes.reshape(len(rels), n).any(axis=1)
-    return {rel: row_block(means, r * n, (r + 1) * n) for r, rel in enumerate(rels) if sampled[r]}
+    return {rel: select_rows(means, np.arange(r * n, (r + 1) * n)) for r, rel in enumerate(rels) if sampled[r]}
 
 
 #: the (kind, relation) pairs of the meta matrices, in stacking order
@@ -173,7 +173,7 @@ def full_meta_matrices(
     means = ad.sum_consecutive(smoothed, plan.runs, plan.targets, plan.n, mean=True)
     out, lo = {}, 0
     for kind, rel in _PAIRS:
-        out[(kind, rel)] = row_block(means, lo, lo + gtens.graph.counts[kind])
+        out[(kind, rel)] = select_rows(means, np.arange(lo, lo + gtens.graph.counts[kind]))
         lo += gtens.graph.counts[kind]
     return out
 
@@ -231,7 +231,7 @@ class _WarmupLayout:
         if present[:, gu].any():
             pooled = attention_pool(smoothed, plan, params.member_score)
             keys.append("GU_AGG")
-            blocks.append(row_block(pooled, gu * n, (gu + 1) * n))
+            blocks.append(select_rows(pooled, np.arange(gu * n, (gu + 1) * n)))
             present = np.c_[present, present[:, gu]]
         e0 = ad.const(np.zeros((n, params.d), params.wq.data.dtype))
         return ad.attention_fusion(blocks, [params.fusion[c] for c in keys], present, e0)

@@ -178,13 +178,8 @@ def _conv_matrix(
     return ad.relu(ad.matmul(ad.concat([self_mat, neigh_mat], axis=1), weight))
 
 
-def row_block(h: Tensor, lo: int, hi: int) -> Tensor:
-    """Rows ``lo`` to ``hi`` of ``h``; all of them is ``h`` itself."""
-    return h if (lo, hi) == (0, h.shape[0]) else ad.gather_rows(h, np.arange(lo, hi))
-
-
-def _rows(h: Tensor, ids: np.ndarray) -> Tensor:
-    """Rows ``ids`` (ascending and distinct) of ``h``; all of them is ``h``."""
+def select_rows(h: Tensor, ids: np.ndarray) -> Tensor:
+    """Rows ``ids`` (ascending and distinct) of ``h``; all of them is ``h`` itself."""
     return h if ids.size == h.shape[0] else ad.gather_rows(h, ids)
 
 
@@ -197,10 +192,10 @@ def _self_rows(
     the targets in a forest, every row on the full graph."""
     ids = np.arange(op.shape[0]) if op.row_ids is None else op.row_ids
     if meta is None:
-        return _rows(h, ids)
+        return select_rows(h, ids)
     n = int(np.searchsorted(ids, meta.shape[0]))  # ids ascend: ids[:n] are below len(meta)
-    injected = ad.matmul(ad.concat([_rows(h, ids[:n]), _rows(meta, ids[:n])], axis=1), proj)
-    return injected if n == ids.size else ad.concat([injected, _rows(h, ids[n:])], axis=0)
+    injected = ad.matmul(ad.concat([select_rows(h, ids[:n]), select_rows(meta, ids[:n])], axis=1), proj)
+    return injected if n == ids.size else ad.concat([injected, select_rows(h, ids[n:])], axis=0)
 
 
 # ---------------------------------------------------------------------------

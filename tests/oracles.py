@@ -35,7 +35,7 @@ from coldgraph.graph import (
 )
 from coldgraph.model import CHANNELS_BY_KIND
 from coldgraph.reconstruction import GroundTruthTable
-from coldgraph.sparse import neighbor_mean
+from coldgraph.sparse import SparseOperator, neighbor_mean
 
 
 def as_float64(*params):
@@ -117,6 +117,23 @@ def scatter_rows_sorted(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
         gt[sorted_idx[starts]] = np.add.reduceat(g[order], starts, axis=0)
     else:  # no row repeats: a plain write is the scatter-add
         gt[idx] = g
+    return gt
+
+
+def scatter_rows_by_operator(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """``autodiff._scatter_rows`` as it was with a selection operator: the
+    (n, d) sum of the rows of ``g`` placed at rows ``idx``, where a
+    repeated row's gradients add through the product of ``g`` with the
+    (distinct rows, len(idx)) 0/1 operator that selects them."""
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
+    rows = np.flatnonzero(seen)
+    gt = np.zeros((n, g.shape[1]), g.dtype)
+    if rows.size == idx.size:  # no row repeats: a plain write is the scatter-add
+        gt[idx] = g
+    else:
+        m = idx.size
+        gt[rows] = SparseOperator(np.searchsorted(rows, idx), np.arange(m), np.ones(m), (rows.size, m)).dot(g)
     return gt
 
 

@@ -15,7 +15,7 @@ from coldgraph.train import TrainConfig, train_model, train_teacher
 from gradcheck import finite_diff_check
 from oracles import (
     RecordingTape, bpr_by_gathers, dedup_mean, gather_rows_sorted, log, log_sigmoid, negate,
-    scatter_rows_sorted, segment_attention_rows, sigmoid, sum_all, transpose,
+    scatter_rows_by_operator, scatter_rows_sorted, segment_attention_rows, sigmoid, sum_all, transpose,
 )
 
 
@@ -737,30 +737,34 @@ class TestGatherRowsBackward:
         got = tape.backward(loss, [table])[table]
         want = np.zeros((n, d))
         np.add.at(want, np.asarray(idx, dtype=np.intp), g)
-        # repeated rows are summed in another association order than np.add.at's
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert got.tobytes() == want.tobytes()
 
 
 # The index arrays a scatter meets: any mix, distinct rows, none, one, all
-# equal, and a 600-fold hub among other rows (shuffled by the test's seed).
+# equal, and a 33- to 100-fold or a 600-fold hub among other rows (shuffled
+# by the test's seed).
 INDEX_ARRAYS = st.one_of(
     st.lists(st.integers(0, 11), max_size=40),
     st.lists(st.integers(0, 11), max_size=12, unique=True),
     st.just([]),
     st.lists(st.integers(0, 11), min_size=1, max_size=1),
     st.tuples(st.integers(0, 11), st.integers(2, 30)).map(lambda t: [t[0]] * t[1]),
+    st.tuples(st.integers(0, 11), st.integers(33, 100), st.lists(st.integers(0, 11), max_size=20)).map(
+        lambda t: [t[0]] * t[1] + t[2]
+    ),
     st.tuples(st.integers(0, 11), st.lists(st.integers(0, 11), max_size=20)).map(lambda t: [t[0]] * 600 + t[1]),
 )
 
 
 class TestScatterRows:
     """``_scatter_rows`` and the ops whose backward scatters rows through it
-    (``gather_rows``, ``bpr``) or through the same selection operator
-    (``segment_attention`` with ``cols``), against the stable-argsort +
-    ``np.add.reduceat`` scatter they used before (tests/oracles.py): to
-    1e-12 in float64, and bit for bit where no index repeats.  Each case
-    draws an index array and how far the table's rows ``n`` reach past its
-    largest index + 1."""
+    (``gather_rows``, ``bpr``, ``segment_attention`` with ``cols``).  It
+    equals ``np.add.at`` over the rows bit for bit, in float32 and float64.
+    Against the two scatters it replaced (tests/oracles.py), the
+    stable-argsort + ``np.add.reduceat`` one and the selection operator's
+    product, it and the ops match to 1e-12 in float64, and bit for bit
+    where no index repeats.  Each case draws an index array and how far the
+    table's rows ``n`` reach past its largest index + 1."""
 
     @staticmethod
     def case(raw, extra, seed):
@@ -782,9 +786,21 @@ class TestScatterRows:
         rng, idx, n, distinct = self.case(raw, extra, seed)
         g = rng.normal(size=(idx.size, d))
         self.assert_matches(ad._scatter_rows(idx, g, n), scatter_rows_sorted(idx, g, n), distinct)
+        self.assert_matches(ad._scatter_rows(idx, g, n), scatter_rows_by_operator(idx, g, n), distinct)
         if distinct:  # a plain write in any dtype
             g32 = g.astype(np.float32)
             self.assert_matches(ad._scatter_rows(idx, g32, n), scatter_rows_sorted(idx, g32, n), True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(INDEX_ARRAYS, st.integers(0, 5), st.sampled_from([1, 3, 16, 64]), st.integers(0, 10_000))
+    def test_equals_add_at_bit_for_bit(self, raw, extra, d, seed):
+        rng, idx, n, _ = self.case(raw, extra, seed)
+        for dtype in (np.float32, np.float64):
+            g = rng.normal(size=(idx.size, d)).astype(dtype)
+            want = np.zeros((n, d), dtype)
+            np.add.at(want, idx, g)
+            got = ad._scatter_rows(idx, g, n)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(INDEX_ARRAYS, st.integers(0, 5), st.integers(1, 6), st.integers(0, 10_000))
@@ -820,22 +836,29 @@ class TestScatterRows:
     @settings(max_examples=40, deadline=None)
     @given(INDEX_ARRAYS, st.integers(0, 5), st.integers(1, 6), st.booleans(), st.integers(0, 10_000))
     def test_segment_attention_cols_gradients(self, raw, extra, d, one_segment, seed):
-        # one segment of every row, or blocks of one
+        # one segment of every row, or blocks of one; the oracles gather
+        # rows first and scatter them sorted, or send each run's sums
+        # through the selection operator in place of ``_scatter_rows``
         rng, cols, n, distinct = self.case(raw, extra, seed)
         runs = () if not cols.size else [(cols.size, 1)] if one_segment else [(1, cols.size)]
         datas, probe = [rng.normal(size=(n, d)) for _ in range(3)], ad.const(rng.normal(size=(cols.size, d)))
         results = []
-        for gathers in (True, False):
+        for form in ("gathers", "sorted", "operator"):
             xs = [ad.Tensor(x, requires_grad=True) for x in datas]
-            with ad.Tape() as tape:
-                if gathers:
-                    out = ad.segment_attention(*xs, runs, cols)
-                else:
+            with pytest.MonkeyPatch.context() as m, ad.Tape() as tape:
+                if form == "sorted":
                     out = segment_attention_rows(*(gather_rows_sorted(x, cols) for x in xs), runs)
+                else:
+                    if form == "operator":
+                        m.setattr(ad, "_scatter_rows", scatter_rows_by_operator)
+                    out = ad.segment_attention(*xs, runs, cols)
                 grads = tape.backward(sum_all(ad.mul(out, probe)), xs)
             results.append([grads[x] for x in xs])
-        for got, want in zip(*results):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        got, by_sort, by_operator = results
+        for g, want in zip(got, by_sort):
+            np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
+        for g, want in zip(got, by_operator):
+            self.assert_matches(g, want, distinct)
 
 
 def test_row_cosine_matches_vector_cosine():

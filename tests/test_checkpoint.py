@@ -1,3 +1,7 @@
+import hashlib
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -49,6 +53,35 @@ def test_wrong_magic_line(ckpt):
     blob = path.read_bytes()
     path.write_bytes(b"coldgraph-ckpt v2\n" + blob[len(MAGIC):])
     with pytest.raises(CheckpointError, match="version mismatch"):
+        load_checkpoint(path)
+
+
+# Payloads under a valid digest that do not parse whole, from the fixture's
+# payload (tensors "a" (2, 3) and "b" (2,), config echo "d=3\n"), and the
+# start of each one's error
+_FIRST_DIM = len(MAGIC) + 4 + 2 + 1 + 1  # where tensor "a" declares its rows
+MALFORMED = {
+    "no tensors": (lambda p: MAGIC + struct.pack("<I", 5), "unpack_from requires a buffer"),
+    "short tensor data": (
+        lambda p: p[:_FIRST_DIM] + struct.pack("<I", 10**6) + p[_FIRST_DIM + 4 :],
+        "buffer is smaller than requested size",
+    ),
+    "short config echo": (lambda p: p[:-8] + struct.pack("<I", 5) + p[-4:], "ends early)"),
+    "name not UTF-8": (
+        lambda p: p[: len(MAGIC) + 6] + b"\xff" + p[len(MAGIC) + 7 :],  # the name "a"
+        "'utf-8' codec can't decode",
+    ),
+    "byte after the echo": (lambda p: p + b"\0", "1 bytes after the config echo)"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_digested_payload_that_does_not_parse(ckpt, case):
+    path, _ = ckpt
+    edit, reason = MALFORMED[case]
+    payload = edit(path.read_bytes()[:-32])
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: malformed payload ({reason}")):
         load_checkpoint(path)
 
 

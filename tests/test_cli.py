@@ -1,6 +1,8 @@
+import hashlib
 import importlib
 import re
 import shutil
+import struct
 import sys
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from coldgraph import cli, graph, model
-from coldgraph.checkpoint import load_checkpoint, save_checkpoint
+from coldgraph.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from coldgraph.enhancer import init_enhancer_params
 from coldgraph.model import init_model_params
 from coldgraph.train import TrainConfig, _seed_streams
@@ -140,6 +142,19 @@ def test_evaluate_on_corrupted_checkpoint_exits_2(workspace, capsys):
     ckpt.write_bytes(bytes(blob))
     assert cli.main(["evaluate", "--out", str(ws), *args, *PLAIN]) == 2
     assert "checksum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["no tensors", "trailing byte"])
+def test_evaluate_on_a_digested_checkpoint_that_does_not_parse_exits_2(workspace, capsys, edit):
+    code, ckpt = train(workspace, "epochs=1")
+    assert code == 0
+    payload = ckpt.read_bytes()[:-32]
+    # five tensors declared and none held, or one byte after the config echo
+    payload = payload[: len(MAGIC)] + struct.pack("<I", 5) if edit == "no tensors" else payload + b"\0"
+    ckpt.write_bytes(payload + hashlib.sha256(payload).digest())
+    ws, args = workspace
+    assert cli.main(["evaluate", "--out", str(ws), *args, *PLAIN]) == 2
+    assert f"error: {ckpt}: malformed payload" in capsys.readouterr().err
 
 
 def test_evaluate_on_unknown_config_key_exits_2(workspace, capsys):

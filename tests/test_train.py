@@ -356,10 +356,10 @@ def test_each_step_descends_the_weighted_sum_of_its_parts(data, gtens, teacher, 
 
 def test_every_gradient_matches_the_sorted_scatter_in_float64(data, gtens, teacher, monkeypatch):
     """Every step of a warm-up and a full-batch joint epoch with the
-    enhancer, in float64 (``as_float64``): its gathers and ranking terms
-    scatter-add repeated rows through the selection operator, and each
-    step's gradients equal those of the stable-argsort + ``np.add.reduceat``
-    scatter it replaced (tests/oracles.py) to 1e-12."""
+    enhancer, in float64 (``as_float64``): its gathers, ranking terms and
+    attention scatter-add repeated rows with ``np.add.at``, and each step's
+    gradients equal those of the stable-argsort + ``np.add.reduceat``
+    scatter (tests/oracles.py) to 1e-12."""
     config = replace(TrainConfig(**SMALL), epochs=1, warmup_epochs=1)
     for name in ("init_model_params", "init_enhancer_params"):
         monkeypatch.setattr(train, name, lambda *a, _init=getattr(train, name), **k: as_float64(_init(*a, **k)))
